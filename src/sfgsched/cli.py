@@ -45,14 +45,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of cycles, got {text!r}")
+    return value
+
+
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="dataflow graph JSON")
     p.add_argument("--lib", required=True, help="operator library JSON")
     p.add_argument("--io", help="I/O constraint JSON (omit: unconstrained)")
     p.add_argument("--mem", help="memory bank/placement JSON")
-    p.add_argument("--latency", type=int,
+    p.add_argument("--latency", type=_positive_int,
                    help="latency bound in cycles (overrides the I/O file)")
-    p.add_argument("--cadence", type=int,
+    p.add_argument("--cadence", type=_positive_int,
                    help="iteration cadence in cycles (overrides the I/O file)")
 
 
@@ -99,9 +110,10 @@ def _load_problem(args) -> tuple:
         spec = parse_io_spec(Path(args.io).read_text(), g)
         if args.latency is not None or args.cadence is not None:
             from dataclasses import replace
-            spec = replace(spec,
-                           latency_bound=args.latency or spec.latency_bound,
-                           cadence=args.cadence or spec.cadence)
+            if args.latency is not None:
+                spec = replace(spec, latency_bound=args.latency)
+            if args.cadence is not None:
+                spec = replace(spec, cadence=args.cadence)
             problems = spec.validate(g)
             if problems:
                 raise ValueError(problems[0])

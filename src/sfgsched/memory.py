@@ -176,6 +176,24 @@ def apply_mapping(table: MemoryTable, spec: MappingSpec) -> MemoryMapping:
     return MemoryMapping(banks=spec.banks, placements=tuple(placements))
 
 
+def _entries(doc: dict, key: str) -> list[dict]:
+    """The list of objects under ``key`` (empty when absent)."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or \
+            not all(isinstance(e, dict) for e in entries):
+        raise MappingError(f"{key!r} must be a list of objects")
+    return entries
+
+
+def _int(entry: dict, key: str, default: int) -> int:
+    value = entry.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise MappingError(f"{key!r} must be an integer, got {value!r}") \
+            from None
+
+
 def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
     """Parse a placement document.
 
@@ -195,14 +213,14 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
         raise MappingError("placement document must be a JSON object")
     mode = doc.get("mode", "auto")
     banks = []
-    for b in doc.get("banks", []):
+    for b in _entries(doc, "banks"):
         if "id" not in b:
             raise MappingError("bank entry without id")
-        banks.append(Bank(id=str(b["id"]), ports=int(b.get("ports", 1)),
-                          t_seq=int(b.get("t_seq", 1)),
-                          t_rand=int(b.get("t_rand", b.get("t_seq", 1)))))
+        banks.append(Bank(id=str(b["id"]), ports=_int(b, "ports", 1),
+                          t_seq=_int(b, "t_seq", 1),
+                          t_rand=_int(b, "t_rand", _int(b, "t_seq", 1))))
     placements = []
-    for p in doc.get("placements", []):
+    for p in _entries(doc, "placements"):
         for key in ("data", "bank", "address"):
             if key not in p:
                 raise MappingError(f"placement entry without {key!r}")
@@ -220,7 +238,7 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
         if node.kind is not NodeKind.MEMDATA:
             raise MappingError(f"placement target {ref!r} is not a memdata node")
         placements.append(Placement(data=node.id, bank=str(p["bank"]),
-                                    address=int(p["address"])))
+                                    address=_int(p, "address", 0)))
     return MappingSpec(mode=str(mode), banks=tuple(banks),
                        placements=tuple(placements))
 
@@ -304,9 +322,13 @@ class PortAccessTable:
         self.mapping = mapping
         self.cadence = cadence
         self._state: dict[str, _BankState] = {}
+        # bank id -> (ports, t_seq, t_rand, state)
+        self._params: dict[str, tuple[int, int, int, _BankState]] = {}
         for b in mapping.banks:
             n_slots = cadence // b.t_seq
-            self._state[b.id] = _BankState(slots=[0] * n_slots, last_address=None)
+            state = _BankState(slots=[0] * n_slots, last_address=None)
+            self._state[b.id] = state
+            self._params[b.id] = (b.ports, b.t_seq, b.t_rand, state)
         self._seq = 0
 
     @property
@@ -321,19 +343,42 @@ class PortAccessTable:
 
     def access_cost(self, bank_id: str, address: int) -> tuple[int, str]:
         """(cost, class) of touching ``address`` next on this bank."""
-        bank = self.mapping.bank(bank_id)
-        last = self._state[bank_id].last_address
+        _, t_seq, t_rand, state = self._params[bank_id]
+        last = state.last_address
         if last is None or address == last + 1:
-            return bank.t_seq, "burst"
-        return bank.t_rand, "random"
+            return t_seq, "burst"
+        return t_rand, "random"
 
-    def _slot_span(self, bank_id: str, cycle: int, cost: int) -> range:
-        t_seq = self.mapping.bank(bank_id).t_seq
-        first = cycle // t_seq
-        last = (cycle + cost - 1) // t_seq
-        if last >= len(self._state[bank_id].slots) or cycle < 0:
-            raise HorizonError(bank_id, cycle)
-        return range(first, last + 1)
+    def _fit(self, requests: list[tuple[str, int, int]]
+             ) -> list[tuple[int, str, range]] | None:
+        """(cost, class, slot span) of each request in order, or None on a
+        port conflict; raises HorizonError past the table end.  Scratch
+        state exists only for the banks the requests touch."""
+        scratch_last: dict[str, int | None] = {}
+        scratch_add: dict[tuple[str, int], int] = {}
+        out = []
+        for bank_id, address, cycle in requests:
+            ports, t_seq, t_rand, state = self._params[bank_id]
+            last = scratch_last[bank_id] if bank_id in scratch_last \
+                else state.last_address
+            if last is None or address == last + 1:
+                cost, cls = t_seq, "burst"
+            else:
+                cost, cls = t_rand, "random"
+            slots = state.slots
+            final = (cycle + cost - 1) // t_seq
+            if final >= len(slots) or cycle < 0:
+                raise HorizonError(bank_id, cycle)
+            span = range(cycle // t_seq, final + 1)
+            for s in span:
+                key = (bank_id, s)
+                taken = scratch_add.get(key, 0)
+                if slots[s] + taken >= ports:
+                    return None
+                scratch_add[key] = taken + 1
+            scratch_last[bank_id] = address
+            out.append((cost, cls, span))
+        return out
 
     def probe(self, requests: list[tuple[str, int, int]]) -> list[tuple[int, str]] | None:
         """Check whether (bank, address, cycle) requests all fit, in order.
@@ -341,24 +386,10 @@ class PortAccessTable:
         Returns their (cost, class) list without changing any state, or
         None on a port conflict.  Raises HorizonError past the table end.
         """
-        scratch_last = {b: s.last_address for b, s in self._state.items()}
-        scratch_add: dict[str, dict[int, int]] = {b: {} for b in self._state}
-        out = []
-        for bank_id, address, cycle in requests:
-            bank = self.mapping.bank(bank_id)
-            last = scratch_last[bank_id]
-            if last is None or address == last + 1:
-                cost, cls = bank.t_seq, "burst"
-            else:
-                cost, cls = bank.t_rand, "random"
-            state = self._state[bank_id]
-            for s in self._slot_span(bank_id, cycle, cost):
-                if state.slots[s] + scratch_add[bank_id].get(s, 0) >= bank.ports:
-                    return None
-                scratch_add[bank_id][s] = scratch_add[bank_id].get(s, 0) + 1
-            scratch_last[bank_id] = address
-            out.append((cost, cls))
-        return out
+        fits = self._fit(requests)
+        if fits is None:
+            return None
+        return [(cost, cls) for cost, cls, _ in fits]
 
     def reserve_all(self, requests: list[tuple[str, int, int]]) -> list[Reservation] | None:
         """Commit all (bank, address, cycle) requests atomically, in order.
@@ -367,15 +398,15 @@ class PortAccessTable:
         the table untouched, if any request cannot be served.
         """
         try:
-            costs = self.probe(requests)
+            fits = self._fit(requests)
         except HorizonError:
             return None
-        if costs is None:
+        if fits is None:
             return None
         out = []
-        for (bank_id, address, cycle), (cost, cls) in zip(requests, costs):
+        for (bank_id, address, cycle), (cost, cls, span) in zip(requests, fits):
             state = self._state[bank_id]
-            for s in self._slot_span(bank_id, cycle, cost):
+            for s in span:
                 state.slots[s] += 1
             state.last_address = address
             self._seq += 1

@@ -81,11 +81,17 @@ def parse_operator_library(text: str) -> OperatorLibrary:
             name, ops, latency = obj["name"], obj["ops"], obj["latency"]
         except KeyError as exc:
             raise LibraryError(f"classes[{i}]: missing field {exc.args[0]!r}") from None
-        if not isinstance(name, str) or not isinstance(ops, list):
-            raise LibraryError(f"classes[{i}]: bad 'name' or 'ops'")
+        if not isinstance(name, str) or not isinstance(ops, list) or \
+                not all(isinstance(op, str) for op in ops):
+            raise LibraryError(f"classes[{i}]: 'name' must be a string and "
+                               f"'ops' a list of strings")
         if not isinstance(latency, int) or isinstance(latency, bool):
             raise LibraryError(f"classes[{i}]: 'latency' must be an integer")
         classes.append(OperatorClass(name=name, ops=frozenset(ops), latency=latency))
     clock_mhz = doc.get("clock_mhz")
-    clock_hz = float(clock_mhz) * 1e6 if clock_mhz is not None else None
+    try:
+        clock_hz = float(clock_mhz) * 1e6 if clock_mhz is not None else None
+    except (TypeError, ValueError):
+        raise LibraryError(f"'clock_mhz' must be a number, got "
+                           f"{clock_mhz!r}") from None
     return OperatorLibrary(classes=tuple(classes), clock_hz=clock_hz)

@@ -9,6 +9,15 @@ the latest feasible start) the scheduler either grows the operator pool
 (auto allocation) or aborts with a diagnostic naming the cycle, operation
 and resource that could not be secured.
 
+Two shortcuts keep the walk cheap without changing its outcome.  A ready
+operation with slack whose class has no free instance cannot start this
+cycle (instances only get busier within a cycle, and a freshly allocated
+one is taken at once), so it is neither ranked nor probed; it still counts
+for the burst lookahead.  When no ready operation can start, the walk jumps
+to the next cycle where something can change: a completion or input
+arrival, an instance a waiting operation can use becoming free, a waiting
+operation running out of slack, or the latency bound.
+
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
 operation's start.  Access costs depend on reservation order; the global
@@ -18,6 +27,7 @@ sequence number stored with every access lets a verifier replay them.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .constraints import (CgKind, ConstraintGraph, TimeWindows,
@@ -210,7 +220,11 @@ class Schedule:
 
 @dataclass
 class SchedulerState:
-    """Mutable working state shared by the ranking and assignment steps."""
+    """Mutable working state shared by the ranking and assignment steps.
+
+    Each operation's port requests are lowered once: ``requests`` holds
+    (bank, address, cycle offset) for its reads then writes, and
+    ``read_keys`` the (bank, address) of its reads."""
 
     cg: ConstraintGraph
     windows: TimeWindows
@@ -223,6 +237,20 @@ class SchedulerState:
     accesses: list[ScheduledAccess] = field(default_factory=list)
     access_by_node: dict[int, ScheduledAccess] = field(default_factory=dict)
     events: list[AllocationEvent] = field(default_factory=list)
+    requests: dict[int, tuple[tuple[str, int, int], ...]] = field(init=False)
+    read_keys: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
+
+    def __post_init__(self):
+        self.requests = {}
+        self.read_keys = {}
+        for n in self.cg.operations:
+            reads, writes = self.cg.accesses_of(n.id)
+            rp = [self.mapping.placement_of(r.data) for r in reads]
+            wp = [self.mapping.placement_of(w.data) for w in writes]
+            self.read_keys[n.id] = tuple((p.bank, p.address) for p in rp)
+            self.requests[n.id] = (
+                tuple((p.bank, p.address, 0) for p in rp)
+                + tuple((p.bank, p.address, n.latency) for p in wp))
 
     def margin(self, op_id: int, t: int) -> int:
         return self.windows.alap[op_id] - t
@@ -245,16 +273,8 @@ class SchedulerState:
         """(bank, address, cycle) for the op's reads then writes, started
         at cycle t.  Reads go with the op's first cycle, writes follow its
         completion."""
-        reads, writes = self.cg.accesses_of(op_id)
-        lat = self.cg.nodes[op_id].latency
-        reqs = []
-        for r in reads:
-            p = self.mapping.placement_of(r.data)
-            reqs.append((p.bank, p.address, t))
-        for w in writes:
-            p = self.mapping.placement_of(w.data)
-            reqs.append((p.bank, p.address, t + lat))
-        return reqs
+        return [(bank, address, t + offset)
+                for bank, address, offset in self.requests[op_id]]
 
     def probe_access_cost(self, op_id: int, t: int) -> int | None:
         """Total port cost of starting the op at t, or None if blocked."""
@@ -281,7 +301,8 @@ class SchedulerState:
         return None
 
 
-def rank_executable(state: SchedulerState, ready: list[int], t: int) -> list[int]:
+def rank_executable(state: SchedulerState, ready: list[int], t: int,
+                    waiting: Sequence[int] = ()) -> list[int]:
     """Order the ready operations for the cycle-t walk.
 
     Operations whose accesses cannot currently be served are dropped; if a
@@ -289,51 +310,63 @@ def rank_executable(state: SchedulerState, ready: list[int], t: int) -> list[int
     ranked by (mobility, margin, access cost, burst lookahead, id): tight
     windows first, and among equals an access whose address starts a run
     another ready access can continue in burst mode goes first.
+
+    ``waiting`` names further ready operations, all with slack left, that
+    cannot start at t for want of a free instance.  They are not ranked,
+    but a servable one still counts for the burst lookahead, so the result
+    equals ranking ``ready + waiting`` and dropping ``waiting`` afterwards.
     """
-    for op_id in sorted(ready):
-        if state.margin(op_id, t) < 0:
+    alap = state.windows.alap
+    ready = sorted(ready)
+    for op_id in ready:
+        if alap[op_id] < t:
             raise ScheduleFailure("infeasible-windows", cycle=t,
                                   operation=op_id,
                                   op_class=state.cg.nodes[op_id].op_class,
                                   detail=f"latest feasible start was cycle "
-                                         f"{state.windows.alap[op_id]}")
+                                         f"{alap[op_id]}")
 
-    costed: list[tuple[int, int]] = []
-    for op_id in sorted(ready):
+    cost_of: dict[int, int] = {}
+    for op_id in ready:
         cost = state.probe_access_cost(op_id, t)
         if cost is None:
-            if state.margin(op_id, t) == 0:
+            if alap[op_id] == t:
                 raise ScheduleFailure(
                     "memory-conflict-at-zero-margin", cycle=t,
                     operation=op_id, op_class=state.cg.nodes[op_id].op_class,
                     bank=state.blocking_bank(op_id, t))
             continue  # delayed: try again next cycle
-        costed.append((op_id, cost))
+        cost_of[op_id] = cost
 
     # Burst lookahead: reading address x ranks ahead of a peer when some
-    # other candidate reads x+1 on the same bank (starting the run keeps
-    # that follow-up access in burst mode).
-    read_index: dict[tuple[str, int], set[int]] = {}
-    for op_id, _ in costed:
-        for r in state.cg.accesses_of(op_id)[0]:
-            p = state.mapping.placement_of(r.data)
-            read_index.setdefault((p.bank, p.address), set()).add(op_id)
+    # other servable ready op reads x+1 on the same bank (starting the run
+    # keeps that follow-up access in burst mode).  Waiting ops are probed
+    # only when they are such a follow-up reader.
+    read_keys = state.read_keys
+    readers_of: dict[tuple[str, int], list[int]] = {}
+    for op_id in [*cost_of, *waiting]:
+        for key in read_keys[op_id]:
+            readers_of.setdefault(key, []).append(op_id)
+    servable: dict[int, bool] = {}
+
+    def is_servable(op_id: int) -> bool:
+        if op_id in cost_of:
+            return True
+        if op_id not in servable:
+            servable[op_id] = state.probe_access_cost(op_id, t) is not None
+        return servable[op_id]
 
     def enables_flag(op_id: int) -> int:
-        for r in state.cg.accesses_of(op_id)[0]:
-            p = state.mapping.placement_of(r.data)
-            readers = read_index.get((p.bank, p.address + 1))
-            if readers and (len(readers) > 1 or op_id not in readers):
-                return 0
+        for bank, address in read_keys[op_id]:
+            for other in readers_of.get((bank, address + 1), ()):
+                if other != op_id and is_servable(other):
+                    return 0
         return 1
 
-    ranked = sorted(costed, key=lambda item: (
-        state.windows.mobility[item[0]],
-        state.margin(item[0], t),
-        item[1],
-        enables_flag(item[0]),
-        item[0]))
-    return [op_id for op_id, _ in ranked]
+    mobility = state.windows.mobility
+    return sorted(cost_of, key=lambda op_id: (
+        mobility[op_id], alap[op_id], cost_of[op_id], enables_flag(op_id),
+        op_id))
 
 
 def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None:
@@ -462,6 +495,8 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
         if remaining[op_id] == 0:
             ready.add(op_id)
 
+    alap = windows.alap
+    op_class = {op_id: cg.nodes[op_id].op_class for op_id in op_ids}
     t = 0
     while todo:
         if t >= spec.latency_bound:
@@ -473,11 +508,38 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                                          "operations pending")
         for op_id in release_at.pop(t, ()):
             release(op_id)
-        candidates = rank_executable(state, sorted(ready), t)
-        for op_id in candidates:
+        # An op with slack and no free instance of its class is delayed
+        # whatever the ports say: instances only get busier within a cycle.
+        free = {cls: sum(1 for inst in insts if inst.busy_until <= t)
+                for cls, insts in state.instances.items()}
+        startable: list[int] = []
+        waiting: list[int] = []
+        for op_id in sorted(ready):
+            if alap[op_id] <= t or free.get(op_class[op_id]):
+                startable.append(op_id)
+            else:
+                waiting.append(op_id)
+        if not startable:
+            # Nothing can change before the next release, the next freed
+            # instance a waiting op can use, or a waiting op running out of
+            # slack; the cycles up to there would all be idle.  Each of
+            # these is later than t (operator latencies are >= 1), so the
+            # walk always moves forward.
+            t = min([spec.latency_bound, *release_at,
+                     *(alap[op_id] for op_id in waiting),
+                     *(inst.busy_until
+                       for cls in {op_class[op_id] for op_id in waiting}
+                       for inst in state.instances.get(cls, ()))])
+            continue
+        for op_id in rank_executable(state, startable, t, waiting):
+            cls = op_class[op_id]
+            if alap[op_id] > t and not free.get(cls):
+                continue  # assign_step would delay it
             rec = assign_step(state, op_id, t)
             if rec is None:
                 continue
+            if free.get(cls):
+                free[cls] -= 1
             ready.discard(op_id)
             todo.discard(op_id)
             for s in cg.successors(op_id):

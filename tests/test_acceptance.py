@@ -4,6 +4,7 @@ One test per numbered criterion; each prints a single PASS/FAIL line with
 the measured facts so a plain ``pytest -v`` run shows all eight verdicts.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -191,6 +192,10 @@ def test_criterion_7_large_fft_smoke(capsys):
                                        cfg.mapping)
         t_verify = time.perf_counter() - t0
         assert violations == []
+        # schedule.json bytes as the scheduler produced them before its
+        # cycle walk skipped unstartable ops and idle stretches
+        assert hashlib.sha256(sched.to_json().encode()).hexdigest() == \
+            "4dc7926303acac84942b5de584f2f1078d6d94ec242e7cee0b887dec0dda6291"
         assert t_sched < 10.0, f"scheduling took {t_sched:.2f}s"
         assert t_verify < 10.0, f"verification took {t_verify:.2f}s"
         facts["nodes"] = len(cfg.g.nodes)

@@ -96,6 +96,41 @@ def test_latency_override_without_io(pairsum_dir, tmp_path, capsys):
     assert doc["latency"] == 3
 
 
+@pytest.mark.parametrize("extra, io", [
+    (["--latency", "0"], "io_lat3.json"),
+    (["--cadence", "0"], "io_lat3.json"),
+    (["--latency", "-2"], None),
+    (["--latency", "3", "--cadence", "0"], None),
+    (["--latency", "three"], None),
+])
+def test_nonpositive_cycle_override_exit_1(pairsum_dir, capsys, extra, io):
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule"] + _args(pairsum_dir, *extra, io=io))
+    assert exc.value.code == 1
+    assert f"argument {extra[-2]}: expected a positive number of cycles" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("mem", {"mode": "auto", "banks": [1]},
+     "'banks' must be a list of objects"),
+    ("mem", {"mode": "auto", "banks": [{"id": "b0", "ports": [2]}]},
+     "'ports' must be an integer"),
+    ("lib", {"classes": [{"name": "mult", "ops": [["*"]], "latency": 1}]},
+     "'ops' a list of strings"),
+    ("lib", {"clock_mhz": {}, "classes": []}, "'clock_mhz' must be a number"),
+], ids=["mem-bank-not-object", "mem-ports-list", "lib-ops-nested-list",
+        "lib-clock-object"])
+def test_wrong_shape_document_exit_1(pairsum_dir, tmp_path, capsys, kind,
+                                     doc, message):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    argv = _args(pairsum_dir)
+    argv[argv.index(f"--{kind}") + 1] = str(path)
+    assert main(["schedule"] + argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file_exit_1(pairsum_dir, tmp_path, capsys):
     rc = main(["schedule", "--graph", str(tmp_path / "nope.json"),
                "--lib", str(pairsum_dir / "lib.json"), "--latency", "3"])

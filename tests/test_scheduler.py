@@ -3,6 +3,7 @@ import json
 import pytest
 
 import sfgsched as s
+from sfgsched import scheduling
 from sfgsched.scheduling import _seed_pool
 from instances import random_problem
 
@@ -101,7 +102,9 @@ def test_fixed_allocation_unknown_class(pairsum_graph, pairsum_lib, io_lat3,
              "fixed:divider=1")
 
 
-def _burst_fixture():
+def _burst_fixture(addresses=(0, 4, 5)):
+    """Ops x (4), y (5) and z (6) multiply input a by d4, d0 and d5, placed
+    at the given (d0, d4, d5) addresses of one dual-port bank."""
     nodes = [s.SfgNode(0, K.INPUT, label="a"),
              s.SfgNode(1, K.MEMDATA, label="d0"),
              s.SfgNode(2, K.MEMDATA, label="d4"),
@@ -120,8 +123,8 @@ def _burst_fixture():
     mspec = s.MappingSpec(
         mode="strict",
         banks=(s.Bank(id="bank0", ports=2, t_seq=1, t_rand=2),),
-        placements=(s.Placement(1, "bank0", 0), s.Placement(2, "bank0", 4),
-                    s.Placement(3, "bank0", 5)))
+        placements=tuple(s.Placement(data, "bank0", address)
+                         for data, address in zip((1, 2, 3), addresses)))
     mapping = s.apply_mapping(s.extract_memory_table(g), mspec)
     cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
                                 s.build_transfer_graph(spec), spec)
@@ -147,6 +150,90 @@ def test_ranking_prefers_cheap_access_after_commit():
     assert s.assign_step(state, 4, 0) is not None
     # bank now sits at address 4: z (address 5) bursts, y (address 0) does not
     assert s.rank_executable(state, [5, 6], 0) == [6, 5]
+
+
+def test_waiting_follow_up_reader_still_demotes_burst_flag():
+    # y reads address 0 and z reads address 1: starting y keeps z's read in
+    # burst mode, so y outranks x (address 5) even while z only waits for an
+    # instance and is not ranked itself
+    state = _burst_fixture(addresses=(0, 5, 1))
+    full = s.rank_executable(state, [4, 5, 6], 0)
+    assert s.rank_executable(state, [4, 5], 0, waiting=[6]) == \
+        [op for op in full if op != 6] == [5, 4]
+    assert s.rank_executable(state, [4, 5], 0) == [4, 5]
+
+
+def test_waiting_reader_counts_in_the_walk():
+    # At cycle 1 the multiplier is busy with m0, so z (reading address 1)
+    # waits; y (address 0) still outranks the otherwise equal x (address 5)
+    # because it starts the run z continues.
+    names = ["a", "b", "d0", "d1", "d5", "m0", "p", "x", "y", "z", "q",
+             "oq", "ox", "oy", "oz"]
+    kinds = [K.INPUT] * 2 + [K.MEMDATA] * 3 + [K.OPERATION] * 6 + [K.OUTPUT] * 4
+    ops = {"m0": "*", "p": "+", "x": "+", "y": "+", "z": "*", "q": "*"}
+    nodes = [s.SfgNode(i, kind, op=ops.get(name), label=name)
+             for i, (name, kind) in enumerate(zip(names, kinds))]
+    edges = [(0, 5, 0), (1, 5, 1), (0, 6, 0), (1, 6, 1), (6, 7, 0), (4, 7, 1),
+             (6, 8, 0), (2, 8, 1), (0, 9, 0), (3, 9, 1), (5, 10, 0),
+             (1, 10, 1), (10, 11, 0), (7, 12, 0), (8, 13, 0), (9, 14, 0)]
+    g = s.SFG(nodes, edges)
+    lib = s.OperatorLibrary(classes=(
+        s.OperatorClass("mult", frozenset("*"), 4),
+        s.OperatorClass("add", frozenset("+"), 1)))
+    spec = s.IoConstraintSpec.unconstrained(latency_bound=20)
+    mapping = s.apply_mapping(s.extract_memory_table(g), s.MappingSpec(
+        mode="strict", banks=(s.Bank(id="bank0", ports=1, t_seq=1, t_rand=2),),
+        placements=(s.Placement(2, "bank0", 0), s.Placement(3, "bank0", 1),
+                    s.Placement(4, "bank0", 5))))
+    sched = s.schedule(g, lib, spec, mapping)
+    assert [(o.label, o.start) for o in sched.ops] == [
+        ("m0", 0), ("p", 0), ("y", 1), ("x", 2), ("q", 4), ("z", 8)]
+    assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+
+
+def _long_multiply_problem():
+    """Two independent products on a 10-cycle multiplier within a
+    15-cycle bound: both have their latest start at cycle 5."""
+    nodes = [s.SfgNode(0, K.INPUT, label="a"),
+             s.SfgNode(1, K.INPUT, label="b"),
+             s.SfgNode(2, K.OPERATION, op="*", label="m1"),
+             s.SfgNode(3, K.OPERATION, op="*", label="m2"),
+             s.SfgNode(4, K.OUTPUT, label="y1"),
+             s.SfgNode(5, K.OUTPUT, label="y2")]
+    edges = [(0, 2, 0), (1, 2, 1), (0, 3, 0), (0, 3, 1), (2, 4, 0), (3, 5, 0)]
+    g = s.SFG(nodes, edges)
+    lib = s.OperatorLibrary(classes=(
+        s.OperatorClass("mult", frozenset("*"), 10),))
+    spec = s.IoConstraintSpec.unconstrained(latency_bound=15)
+    mapping = s.apply_mapping(s.extract_memory_table(g),
+                              s.MappingSpec(mode="auto", banks=()))
+    return g, lib, spec, mapping
+
+
+def test_idle_stretch_keeps_allocation_and_abort_cycles(monkeypatch):
+    g, lib, spec, mapping = _long_multiply_problem()
+    ranked_at = []
+    rank = scheduling.rank_executable
+
+    def spy(state, ready, t, waiting=()):
+        ranked_at.append(t)
+        return rank(state, ready, t, waiting)
+
+    monkeypatch.setattr(scheduling, "rank_executable", spy)
+    sched = s.schedule(g, lib, spec, mapping)
+    # m1 takes the only multiplier until cycle 10; m2 waits, and cycles 1-4
+    # are skipped, but it still grows the pool when its slack runs out
+    assert ranked_at == [0, 5]
+    assert [(o.label, o.start, o.instance) for o in sched.ops] == \
+        [("m1", 0, "mult0"), ("m2", 5, "mult1")]
+    assert sched.allocation_events == (
+        s.AllocationEvent(cycle=5, op_class="mult", instance="mult1"),)
+    assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+
+    with pytest.raises(s.ScheduleFailure) as err:
+        s.schedule(g, lib, spec, mapping, s.parse_allocation("fixed:mult=1"))
+    assert (err.value.reason, err.value.cycle, err.value.operation) == \
+        ("fixed-allocation-exhausted", 5, 3)
 
 
 def test_assign_step_delays_when_instance_busy():
