@@ -26,15 +26,29 @@ class MappingError(ValueError):
     """Invalid bank description or data placement."""
 
 
-class HorizonError(MappingError):
+class BlockedAccess(MappingError):
+    """A port request cannot be served; ``bank_id`` names its bank."""
+
+    def __init__(self, message: str, bank_id: str, cycle: int):
+        super().__init__(message)
+        self.bank_id = bank_id
+        self.cycle = cycle
+
+
+class HorizonError(BlockedAccess):
     """An access would extend past the port table's last slot."""
 
     def __init__(self, bank_id: str, cycle: int):
-        super().__init__(
-            f"access on bank {bank_id} at cycle {cycle} runs past the "
-            f"iteration horizon")
-        self.bank_id = bank_id
-        self.cycle = cycle
+        super().__init__(f"access on bank {bank_id} at cycle {cycle} runs "
+                         f"past the iteration horizon", bank_id, cycle)
+
+
+class PortConflict(BlockedAccess):
+    """Every port of the bank is taken in a slot the access needs."""
+
+    def __init__(self, bank_id: str, cycle: int):
+        super().__init__(f"no free port on bank {bank_id} for an access at "
+                         f"cycle {cycle}", bank_id, cycle)
 
 
 @dataclass(frozen=True)
@@ -312,8 +326,13 @@ class PortAccessTable:
     """Mutable port reservation state for one scheduling run.
 
     Cost depends on reservation order (the bank's last reserved address),
-    so probing uses a scratch copy of that state and committing advances it
-    together with the global sequence counter.
+    so fitting uses scratch copies of that state and committing advances
+    it together with the global sequence counter.
+
+    ``hold_view`` pins what ``probe`` sees: until the next call, probes
+    read the table as it stood then, although reservations go on.  The
+    scheduler holds a view at the start of each cycle, so every operation
+    is ranked against the same cycle-start state.
     """
 
     def __init__(self, mapping: MemoryMapping, cadence: int):
@@ -330,6 +349,11 @@ class PortAccessTable:
             self._state[b.id] = state
             self._params[b.id] = (b.ports, b.t_seq, b.t_rand, state)
         self._seq = 0
+        # Held view: each touched bank's last address when the view was
+        # taken, and minus the reservations made since, per (bank, slot).
+        self._holding = False
+        self._view_last: dict[str, int | None] = {}
+        self._view_add: dict[tuple[str, int], int] = {}
 
     @property
     def next_seq(self) -> int:
@@ -349,13 +373,26 @@ class PortAccessTable:
             return t_seq, "burst"
         return t_rand, "random"
 
-    def _fit(self, requests: list[tuple[str, int, int]]
-             ) -> list[tuple[int, str, range]] | None:
-        """(cost, class, slot span) of each request in order, or None on a
-        port conflict; raises HorizonError past the table end.  Scratch
-        state exists only for the banks the requests touch."""
-        scratch_last: dict[str, int | None] = {}
-        scratch_add: dict[tuple[str, int], int] = {}
+    def hold_view(self) -> None:
+        """Make ``probe`` see the table as it stands now until the next
+        call, while reservations still go to the live table."""
+        self._holding = True
+        self._view_last = {}
+        self._view_add = {}
+
+    def fit(self, requests: list[tuple[str, int, int]], view: bool = False
+            ) -> list[tuple[int, str, range]]:
+        """(cost, class, slot span) of each (bank, address, cycle) request,
+        reserved in order after each other, without changing any state.
+
+        Reads the live table, or the held view with ``view``.  Raises
+        PortConflict, or HorizonError past the table end, for the first
+        request that cannot be served.  Scratch state exists only for the
+        banks the requests touch; a view starts it from the differences
+        to the live table.
+        """
+        scratch_last = dict(self._view_last) if view else {}
+        scratch_add = dict(self._view_add) if view else {}
         out = []
         for bank_id, address, cycle in requests:
             ports, t_seq, t_rand, state = self._params[bank_id]
@@ -374,22 +411,45 @@ class PortAccessTable:
                 key = (bank_id, s)
                 taken = scratch_add.get(key, 0)
                 if slots[s] + taken >= ports:
-                    return None
+                    raise PortConflict(bank_id, cycle)
                 scratch_add[key] = taken + 1
             scratch_last[bank_id] = address
             out.append((cost, cls, span))
         return out
 
     def probe(self, requests: list[tuple[str, int, int]]) -> list[tuple[int, str]] | None:
-        """Check whether (bank, address, cycle) requests all fit, in order.
+        """Check whether (bank, address, cycle) requests all fit, in order,
+        against the held view (the live table when none is held).
 
         Returns their (cost, class) list without changing any state, or
         None on a port conflict.  Raises HorizonError past the table end.
         """
-        fits = self._fit(requests)
-        if fits is None:
+        try:
+            fits = self.fit(requests, view=True)
+        except PortConflict:
             return None
         return [(cost, cls) for cost, cls, _ in fits]
+
+    def commit(self, requests: list[tuple[str, int, int]],
+               fits: list[tuple[int, str, range]]) -> list[Reservation]:
+        """Reserve requests as ``fit`` placed them on the live table, which
+        must not have changed in between; returns the reservations with
+        their sequence numbers."""
+        out = []
+        for (bank_id, address, cycle), (cost, cls, span) in zip(requests, fits):
+            state = self._state[bank_id]
+            if self._holding:
+                self._view_last.setdefault(bank_id, state.last_address)
+                for s in span:
+                    key = (bank_id, s)
+                    self._view_add[key] = self._view_add.get(key, 0) - 1
+            for s in span:
+                state.slots[s] += 1
+            state.last_address = address
+            self._seq += 1
+            out.append(Reservation(bank=bank_id, address=address, cycle=cycle,
+                                   cost=cost, cost_class=cls, seq=self._seq))
+        return out
 
     def reserve_all(self, requests: list[tuple[str, int, int]]) -> list[Reservation] | None:
         """Commit all (bank, address, cycle) requests atomically, in order.
@@ -398,18 +458,7 @@ class PortAccessTable:
         the table untouched, if any request cannot be served.
         """
         try:
-            fits = self._fit(requests)
-        except HorizonError:
+            fits = self.fit(requests)
+        except BlockedAccess:
             return None
-        if fits is None:
-            return None
-        out = []
-        for (bank_id, address, cycle), (cost, cls, span) in zip(requests, fits):
-            state = self._state[bank_id]
-            for s in span:
-                state.slots[s] += 1
-            state.last_address = address
-            self._seq += 1
-            out.append(Reservation(bank=bank_id, address=address, cycle=cycle,
-                                   cost=cost, cost_class=cls, seq=self._seq))
-        return out
+        return self.commit(requests, fits)

@@ -1,22 +1,30 @@
 """Mobility-driven list scheduler with on-demand operator allocation and
 bank-aware memory access reservation.
 
-Each cycle the ready operations are ranked by urgency and walked in order;
-an operation starts if an operator instance is free and all of its memory
-accesses fit the port tables, and is otherwise delayed.  Delay is only legal
-while the operation still has slack: at zero margin (current cycle equal to
-the latest feasible start) the scheduler either grows the operator pool
-(auto allocation) or aborts with a diagnostic naming the cycle, operation
-and resource that could not be secured.
+Each cycle the ready operations are walked in rank order; an operation
+starts if an operator instance is free and all of its memory accesses fit
+the port tables, and is otherwise delayed.  Delay is only legal while the
+operation still has slack: at zero margin (current cycle equal to the
+latest feasible start) the scheduler either grows the operator pool (auto
+allocation) or aborts with a diagnostic naming the cycle, operation and
+resource that could not be secured.
 
-Two shortcuts keep the walk cheap without changing its outcome.  A ready
-operation with slack whose class has no free instance cannot start this
-cycle (instances only get busier within a cycle, and a freshly allocated
-one is taken at once), so it is neither ranked nor probed; it still counts
-for the burst lookahead.  When no ready operation can start, the walk jumps
-to the next cycle where something can change: a completion or input
-arrival, an instance a waiting operation can use becoming free, a waiting
-operation running out of slack, or the latency bound.
+The rank key is (mobility, alap, access cost, burst lookahead, id), and
+its first two parts are static.  So the ready set is kept between cycles
+as groups in ascending (mobility, alap) order, with per-class counts, an
+alap heap and an index of readers by (bank, address), and a cycle's walk
+visits the groups lazily.  It probes and sorts only the members that can
+start: those at zero margin and those whose class still has a free
+instance (instances only get busier within a cycle, and a freshly
+allocated one is taken at once).  It stops once no class with a free
+instance has members left and no zero-margin member remains.  Every probe
+reads the port table as it stood when the cycle began, and ops started in
+the cycle leave the readers index only at its end, so a start changes no
+later op's cost, lookahead or servability within the cycle.  When no
+ready operation can start, the walk jumps to the next cycle where
+something can change: a completion or input arrival, an instance a ready
+operation can use becoming free, a ready operation running out of slack,
+or the latency bound.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
@@ -26,8 +34,10 @@ sequence number stored with every access lets a verifier replay them.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .constraints import (CgKind, ConstraintGraph, TimeWindows,
@@ -35,7 +45,8 @@ from .constraints import (CgKind, ConstraintGraph, TimeWindows,
                           compute_time_windows)
 from .graph import SFG, NodeKind
 from .iospec import IoConstraintSpec, build_transfer_graph
-from .memory import HorizonError, MemoryMapping, PortAccessTable
+from .memory import (BlockedAccess, HorizonError, MemoryMapping,
+                     PortAccessTable)
 from .oplib import OperatorLibrary
 
 
@@ -222,9 +233,9 @@ class Schedule:
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps.
 
-    Each operation's port requests are lowered once: ``requests`` holds
-    (bank, address, cycle offset) for its reads then writes, and
-    ``read_keys`` the (bank, address) of its reads."""
+    Each operation is lowered once: ``requests`` holds (bank, address,
+    cycle offset) for its port requests, reads then writes, ``read_keys``
+    the (bank, address) of its reads and ``op_class`` its operator class."""
 
     cg: ConstraintGraph
     windows: TimeWindows
@@ -239,11 +250,14 @@ class SchedulerState:
     events: list[AllocationEvent] = field(default_factory=list)
     requests: dict[int, tuple[tuple[str, int, int], ...]] = field(init=False)
     read_keys: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
+    op_class: dict[int, str] = field(init=False)
 
     def __post_init__(self):
         self.requests = {}
         self.read_keys = {}
+        self.op_class = {}
         for n in self.cg.operations:
+            self.op_class[n.id] = n.op_class
             reads, writes = self.cg.accesses_of(n.id)
             rp = [self.mapping.placement_of(r.data) for r in reads]
             wp = [self.mapping.placement_of(w.data) for w in writes]
@@ -277,7 +291,8 @@ class SchedulerState:
                 for bank, address, offset in self.requests[op_id]]
 
     def probe_access_cost(self, op_id: int, t: int) -> int | None:
-        """Total port cost of starting the op at t, or None if blocked."""
+        """Total port cost of starting the op at t, or None if blocked,
+        against the port table's held view."""
         reqs = self.access_requests(op_id, t)
         if not reqs:
             return 0
@@ -291,82 +306,197 @@ class SchedulerState:
 
     def blocking_bank(self, op_id: int, t: int) -> str | None:
         """Bank of the first access request that cannot be served."""
-        reqs = self.access_requests(op_id, t)
-        for i in range(1, len(reqs) + 1):
-            try:
-                if self.table.probe(reqs[:i]) is None:
-                    return reqs[i - 1][0]
-            except HorizonError as e:
-                return e.bank_id
+        try:
+            self.table.fit(self.access_requests(op_id, t), view=True)
+        except BlockedAccess as e:
+            return e.bank_id
         return None
 
 
-def rank_executable(state: SchedulerState, ready: list[int], t: int,
-                    waiting: Sequence[int] = ()) -> list[int]:
-    """Order the ready operations for the cycle-t walk.
+class ReadySet:
+    """The ready operations of a run, kept up to date between cycles.
 
-    Operations whose accesses cannot currently be served are dropped; if a
-    dropped operation is out of slack the schedule is aborted.  The rest are
-    ranked by (mobility, margin, access cost, burst lookahead, id): tight
-    windows first, and among equals an access whose address starts a run
-    another ready access can continue in burst mode goes first.
-
-    ``waiting`` names further ready operations, all with slack left, that
-    cannot start at t for want of a free instance.  They are not ranked,
-    but a servable one still counts for the burst lookahead, so the result
-    equals ranking ``ready + waiting`` and dropping ``waiting`` afterwards.
+    ``groups`` maps each (mobility, alap) prefix of the rank key to its
+    members and ``keys`` holds those prefixes in ascending order.
+    ``per_class`` counts members by operator class, ``by_alap`` is a
+    min-heap of (alap, op) entries (stale once the op has left), and
+    ``readers`` indexes members by the (bank, address) of their reads.
+    ``followers`` join only ``readers``: ready operations that are not
+    walked but still count for the burst lookahead.
     """
+
+    def __init__(self, state: SchedulerState, ops: Iterable[int] = (),
+                 followers: Iterable[int] = ()):
+        self.state = state
+        self.members: set[int] = set()
+        self.keys: list[tuple[int, int]] = []
+        self.groups: dict[tuple[int, int], list[int]] = {}
+        self.per_class: dict[str, int] = {}
+        self.by_alap: list[tuple[int, int]] = []
+        self.readers: dict[tuple[str, int], list[int]] = {}
+        for op_id in ops:
+            self.add(op_id)
+        for op_id in followers:
+            for key in state.read_keys[op_id]:
+                self.readers.setdefault(key, []).append(op_id)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def add(self, op_id: int) -> None:
+        state = self.state
+        alap = state.windows.alap[op_id]
+        key = (state.windows.mobility[op_id], alap)
+        group = self.groups.get(key)
+        if group is None:
+            group = self.groups[key] = []
+            bisect.insort(self.keys, key)
+        group.append(op_id)
+        cls = state.op_class[op_id]
+        self.per_class[cls] = self.per_class.get(cls, 0) + 1
+        heapq.heappush(self.by_alap, (alap, op_id))
+        for rk in state.read_keys[op_id]:
+            self.readers.setdefault(rk, []).append(op_id)
+        self.members.add(op_id)
+
+    def discard(self, op_id: int) -> None:
+        state = self.state
+        key = (state.windows.mobility[op_id], state.windows.alap[op_id])
+        group = self.groups[key]
+        group.remove(op_id)
+        if not group:
+            del self.groups[key]
+            del self.keys[bisect.bisect_left(self.keys, key)]
+        self.per_class[state.op_class[op_id]] -= 1
+        for rk in state.read_keys[op_id]:
+            self.readers[rk].remove(op_id)
+        self.members.discard(op_id)
+
+    def min_alap(self) -> int | None:
+        heap = self.by_alap
+        while heap and heap[0][1] not in self.members:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def due(self, t: int) -> list[int]:
+        """Members whose latest start is t or earlier, in id order."""
+        heap = self.by_alap
+        out = []
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            if i < len(heap) and heap[i][0] <= t:
+                if heap[i][1] in self.members:
+                    out.append(heap[i][1])
+                stack += (2 * i + 1, 2 * i + 2)
+        return sorted(out)
+
+
+def rank_executable(state: SchedulerState, ready: Iterable[int], t: int,
+                    waiting: Iterable[int] = ()) -> Iterator[int]:
+    """Walk the ready operations for cycle t in rank order.
+
+    The rank key is (mobility, alap, access cost, burst lookahead, id):
+    tight windows first, and among equals an access whose address starts a
+    run another ready access can continue in burst mode goes first.  The
+    first two parts are static, so the walk visits the (mobility, alap)
+    groups in order and probes and sorts only the members that may start:
+    those at zero margin and those whose class still has a free instance.
+    It yields each one whose accesses fit, skips one whose class ran out
+    of instances since, and stops once no class with a free instance has
+    members left and no zero-margin member remains.  All probes see the
+    port table as it stood when the walk began, so a start committed
+    earlier in the cycle changes no later op's cost, lookahead or
+    servability.  Consumed without starting anything, the walk yields
+    every servable member that is at zero margin or has a free instance,
+    sorted by the full key.
+
+    Before anything is yielded, a member whose latest start has passed
+    aborts the schedule (lowest id first), as does a zero-margin member
+    whose accesses cannot be served (in id order).
+
+    ``ready`` is the run's ReadySet, or a collection of op ids the caller
+    has found able to start, whatever the instance pool says; ``waiting``
+    then names further ready operations that are not walked but still
+    count for the burst lookahead.
+    """
+    if isinstance(ready, ReadySet):
+        free = {cls: sum(1 for inst in insts if inst.busy_until <= t)
+                for cls, insts in state.instances.items()}
+    else:
+        # The caller vouches for every listed op: as many instances as ops.
+        ready = ReadySet(state, ready, followers=waiting)
+        free = dict.fromkeys(ready.per_class, len(ready))
     alap = state.windows.alap
-    ready = sorted(ready)
-    for op_id in ready:
+    due = ready.due(t)
+    for op_id in due:
         if alap[op_id] < t:
             raise ScheduleFailure("infeasible-windows", cycle=t,
                                   operation=op_id,
-                                  op_class=state.cg.nodes[op_id].op_class,
+                                  op_class=state.op_class[op_id],
                                   detail=f"latest feasible start was cycle "
                                          f"{alap[op_id]}")
+    state.table.hold_view()
+    # Ops with the same port requests fit alike against one view.
+    probed: dict[tuple[tuple[str, int, int], ...], int | None] = {}
 
-    cost_of: dict[int, int] = {}
-    for op_id in ready:
-        cost = state.probe_access_cost(op_id, t)
-        if cost is None:
-            if alap[op_id] == t:
-                raise ScheduleFailure(
-                    "memory-conflict-at-zero-margin", cycle=t,
-                    operation=op_id, op_class=state.cg.nodes[op_id].op_class,
-                    bank=state.blocking_bank(op_id, t))
-            continue  # delayed: try again next cycle
-        cost_of[op_id] = cost
+    def cost(op_id: int) -> int | None:
+        reqs = state.requests[op_id]
+        if reqs not in probed:
+            probed[reqs] = state.probe_access_cost(op_id, t)
+        return probed[reqs]
+
+    for op_id in due:
+        if cost(op_id) is None:
+            raise ScheduleFailure(
+                "memory-conflict-at-zero-margin", cycle=t,
+                operation=op_id, op_class=state.op_class[op_id],
+                bank=state.blocking_bank(op_id, t))
+    return _walk(state, ready, t, cost, len(due), free)
+
+
+def _walk(state: SchedulerState, ready: ReadySet, t: int,
+          cost: Callable[[int], int | None], zero_left: int,
+          free: dict[str, int]) -> Iterator[int]:
+    op_class = state.op_class
+    read_keys = state.read_keys
+    readers = ready.readers
+    left = dict(ready.per_class)  # members in groups not visited yet
 
     # Burst lookahead: reading address x ranks ahead of a peer when some
     # other servable ready op reads x+1 on the same bank (starting the run
-    # keeps that follow-up access in burst mode).  Waiting ops are probed
-    # only when they are such a follow-up reader.
-    read_keys = state.read_keys
-    readers_of: dict[tuple[str, int], list[int]] = {}
-    for op_id in [*cost_of, *waiting]:
-        for key in read_keys[op_id]:
-            readers_of.setdefault(key, []).append(op_id)
-    servable: dict[int, bool] = {}
-
-    def is_servable(op_id: int) -> bool:
-        if op_id in cost_of:
-            return True
-        if op_id not in servable:
-            servable[op_id] = state.probe_access_cost(op_id, t) is not None
-        return servable[op_id]
-
+    # keeps that follow-up access in burst mode).
     def enables_flag(op_id: int) -> int:
         for bank, address in read_keys[op_id]:
-            for other in readers_of.get((bank, address + 1), ()):
-                if other != op_id and is_servable(other):
+            for other in readers.get((bank, address + 1), ()):
+                if other != op_id and cost(other) is not None:
                     return 0
         return 1
 
-    mobility = state.windows.mobility
-    return sorted(cost_of, key=lambda op_id: (
-        mobility[op_id], alap[op_id], cost_of[op_id], enables_flag(op_id),
-        op_id))
+    for key in ready.keys:
+        if not zero_left and not any(n and free.get(cls)
+                                     for cls, n in left.items()):
+            return
+        group = ready.groups[key]
+        zero = key[1] <= t
+        if zero:
+            zero_left -= len(group)
+        ranked = []
+        for op_id in group:
+            cls = op_class[op_id]
+            left[cls] -= 1
+            if zero or free.get(cls):
+                c = cost(op_id)
+                if c is not None:
+                    ranked.append((c, enables_flag(op_id), op_id))
+        ranked.sort()
+        for _, _, op_id in ranked:
+            cls = op_class[op_id]
+            if not zero and not free.get(cls):
+                continue  # an earlier start took the last free instance
+            yield op_id
+            if op_id in state.started and free.get(cls):
+                free[cls] -= 1
 
 
 def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None:
@@ -374,25 +504,23 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
 
     Returns the record on success and None when the operation is delayed
     (a legal wait: it still has slack).  At zero margin a missing resource
-    aborts the schedule instead.
+    aborts the schedule instead; a port conflict is reported before a
+    missing instance.  The accesses are fitted once and committed as
+    fitted.
     """
     node = state.cg.nodes[op_id]
     margin = state.margin(op_id, t)
 
     reqs = state.access_requests(op_id, t)
-    if reqs:
-        blocked = False
-        try:
-            blocked = state.table.probe(reqs) is None
-        except HorizonError:
-            blocked = True
-        if blocked:
-            if margin == 0:
-                raise ScheduleFailure("memory-conflict-at-zero-margin",
-                                      cycle=t, operation=op_id,
-                                      op_class=node.op_class,
-                                      bank=state.blocking_bank(op_id, t))
-            return None
+    try:
+        fits = state.table.fit(reqs) if reqs else []
+    except BlockedAccess as e:
+        if margin == 0:
+            raise ScheduleFailure("memory-conflict-at-zero-margin",
+                                  cycle=t, operation=op_id,
+                                  op_class=node.op_class,
+                                  bank=e.bank_id) from None
+        return None
 
     inst = state.free_instance(node.op_class, t)
     if inst is None:
@@ -404,9 +532,7 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
             raise ScheduleFailure("fixed-allocation-exhausted", cycle=t,
                                   operation=op_id, op_class=node.op_class)
 
-    reservations = state.table.reserve_all(reqs) if reqs else []
-    assert reservations is not None  # probed just above, no interleaving
-
+    reservations = state.table.commit(reqs, fits)
     reads, writes = state.cg.accesses_of(op_id)
     for acc, res in zip(reads + writes, reservations):
         rec = ScheduledAccess(
@@ -488,15 +614,13 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
         remaining[op_id] = count
 
     todo = set(op_ids)
-    ready: set[int] = {op for op in op_ids if remaining[op] == 0}
+    ready = ReadySet(state, (op for op in op_ids if remaining[op] == 0))
 
     def release(op_id: int) -> None:
         remaining[op_id] -= 1
         if remaining[op_id] == 0:
             ready.add(op_id)
 
-    alap = windows.alap
-    op_class = {op_id: cg.nodes[op_id].op_class for op_id in op_ids}
     t = 0
     while todo:
         if t >= spec.latency_bound:
@@ -508,39 +632,28 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                                          "operations pending")
         for op_id in release_at.pop(t, ()):
             release(op_id)
-        # An op with slack and no free instance of its class is delayed
-        # whatever the ports say: instances only get busier within a cycle.
-        free = {cls: sum(1 for inst in insts if inst.busy_until <= t)
-                for cls, insts in state.instances.items()}
-        startable: list[int] = []
-        waiting: list[int] = []
-        for op_id in sorted(ready):
-            if alap[op_id] <= t or free.get(op_class[op_id]):
-                startable.append(op_id)
-            else:
-                waiting.append(op_id)
-        if not startable:
+        # Something can start only at zero margin or with a free instance:
+        # instances only get busier within a cycle.
+        first_alap = ready.min_alap()
+        ready_classes = [cls for cls, n in ready.per_class.items() if n]
+        if (first_alap is None or first_alap > t) and not any(
+                state.free_instance(cls, t) for cls in ready_classes):
             # Nothing can change before the next release, the next freed
-            # instance a waiting op can use, or a waiting op running out of
+            # instance a ready op can use, or a ready op running out of
             # slack; the cycles up to there would all be idle.  Each of
             # these is later than t (operator latencies are >= 1), so the
             # walk always moves forward.
             t = min([spec.latency_bound, *release_at,
-                     *(alap[op_id] for op_id in waiting),
-                     *(inst.busy_until
-                       for cls in {op_class[op_id] for op_id in waiting}
+                     *(() if first_alap is None else (first_alap,)),
+                     *(inst.busy_until for cls in ready_classes
                        for inst in state.instances.get(cls, ()))])
             continue
-        for op_id in rank_executable(state, startable, t, waiting):
-            cls = op_class[op_id]
-            if alap[op_id] > t and not free.get(cls):
-                continue  # assign_step would delay it
+        started: list[int] = []
+        for op_id in rank_executable(state, ready, t):
             rec = assign_step(state, op_id, t)
             if rec is None:
                 continue
-            if free.get(cls):
-                free[cls] -= 1
-            ready.discard(op_id)
+            started.append(op_id)
             todo.discard(op_id)
             for s in cg.successors(op_id):
                 if cg.nodes[s].kind is CgKind.OP:
@@ -551,6 +664,10 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                 for r in cg.successors(acc.id):
                     consumer = cg.nodes[r].agent
                     release_at.setdefault(res.cycle + res.cost, []).append(consumer)
+        # Started ops leave only now: the lookahead counts every op that
+        # was ready when the cycle began.
+        for op_id in started:
+            ready.discard(op_id)
         t += 1
 
     transfers = _build_transfers(state, g)

@@ -180,3 +180,68 @@ def random_problem(seed: int) -> Problem:
         alloc = s.Allocation(mode="fixed", counts=tuple(sorted(caps.items())))
         return Problem(seed, g, lib, spec, mapping, alloc, caps)
     return Problem(seed, g, lib, spec, mapping, s.Allocation(mode="auto"), None)
+
+
+def random_fft_problem(seed: int) -> Problem:
+    """A seeded 4-, 8- or 16-point FFT under a random resource mix.
+
+    Banks (1-4, each with 1-3 ports, t_seq 1-2 and t_rand >= t_seq), placement
+    (round-robin, or strict in shuffled order with address gaps), paced or
+    free inputs, the latency bound (a slice of them too tight) and the pool
+    (auto, or fixed with 0-3 instances per class) all come from one
+    random.Random(seed) stream.  The graphs are large enough to form the
+    tie groups a 1-6 op problem rarely has; no oracle runs on them.
+    """
+    rng = random.Random(seed)
+    points = rng.choice((4, 8, 16))
+    g = s.generate_fft_sfg(points)
+    lib = _random_library(rng)
+
+    banks = []
+    for i in range(rng.randint(1, 4)):
+        t_seq = rng.randint(1, 2)
+        banks.append(s.Bank(id=f"bank{i}", ports=rng.randint(1, 3),
+                            t_seq=t_seq, t_rand=t_seq + rng.randint(0, 2)))
+    banks = tuple(banks)
+    table = s.extract_memory_table(g)
+    if rng.random() < 0.3:
+        order = list(table.data_ids)
+        rng.shuffle(order)
+        nxt = {b.id: 0 for b in banks}
+        placements = []
+        for d in order:
+            b = rng.choice(banks).id
+            nxt[b] += rng.randint(0, 1)
+            placements.append(s.Placement(data=d, bank=b, address=nxt[b]))
+            nxt[b] += 1
+        mspec = s.MappingSpec(mode="strict", banks=banks,
+                              placements=tuple(placements))
+    else:
+        mspec = s.MappingSpec(mode="auto", banks=banks)
+    mapping = s.apply_mapping(table, mspec)
+
+    paced = rng.random() < 0.5
+    transfers = tuple(s.Transfer(g.node_by_label(f"X{k}").id, "in0", k)
+                      for k in range(points)) if paced else ()
+    buses = (s.BusDef("in0", "in"),) if paced else ()
+    probe = s.IoConstraintSpec(buses=buses, transfers=transfers,
+                               cadence=4096, latency_bound=4096)
+    cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
+                                s.build_transfer_graph(probe), probe)
+    win = s.compute_time_windows(cg)
+    ceiling = max(win.asap[n.id] for n in cg.of_kind(s.CgKind.OUTPUT)) + 1
+    if rng.random() < 0.1:
+        bound = max(points, ceiling - rng.randint(0, 3))  # often too tight
+    else:
+        bound = ceiling + rng.randint(0, 32 * points)
+    spec = s.IoConstraintSpec(buses=buses, transfers=transfers,
+                              cadence=bound + rng.randint(0, 4),
+                              latency_bound=bound)
+    assert not spec.validate(g), spec.validate(g)
+
+    used = {lib.select(n.op).name for n in g.operations}
+    if rng.random() < 0.4:
+        caps = {c: rng.choice((0, 1, 1, 2, 2, 3, 3)) for c in sorted(used)}
+        alloc = s.Allocation(mode="fixed", counts=tuple(sorted(caps.items())))
+        return Problem(seed, g, lib, spec, mapping, alloc, caps)
+    return Problem(seed, g, lib, spec, mapping, s.Allocation(mode="auto"), None)

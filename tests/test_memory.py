@@ -4,7 +4,7 @@ import random
 import pytest
 
 import sfgsched as s
-from sfgsched.memory import MappingError
+from sfgsched.memory import MappingError, PortConflict
 from instances import random_problem
 
 K = s.NodeKind
@@ -217,6 +217,21 @@ def test_horizon_error(map_onebank):
     assert table.reserve_all([("bank0", 0, 4)]) is None
     with pytest.raises(s.HorizonError):
         table.probe([("bank0", 0, 3), ("bank0", 0, 3)])  # cost 2 spills past end
+
+
+def test_held_view_hides_later_reservations(map_onebank):
+    table = s.PortAccessTable(map_onebank, cadence=8)
+    table.reserve_all([("bank0", 5, 0)])
+    table.hold_view()
+    # random access (last address 5): occupies slots 1 and 2 of the one port
+    assert table.reserve_all([("bank0", 0, 1)]) is not None
+    # probes still see address 5 last and slot 1 free; the live table not
+    assert table.probe([("bank0", 6, 1)]) == [(1, "burst")]
+    with pytest.raises(PortConflict) as err:
+        table.fit([("bank0", 3, 4), ("bank0", 6, 1)])
+    assert (err.value.bank_id, err.value.cycle) == ("bank0", 1)
+    table.hold_view()
+    assert table.probe([("bank0", 6, 1)]) is None
 
 
 def test_access_cost_matches_conflict_graph(pairsum_graph, pairsum_lib, map_onebank):

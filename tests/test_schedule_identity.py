@@ -2,7 +2,8 @@
 
 The SHA-256 values below were taken from ``schedule.json`` as the
 scheduler wrote it before its cycle walk learned to skip ops that cannot
-start and idle stretches.  Those shortcuts are exact, so a change to any
+start and idle stretches, and (the random FFT digest) before it ranked
+lazily, group by group.  Those shortcuts are exact, so a change to any
 digest here means the scheduler's behaviour changed, not just its speed.
 """
 
@@ -12,7 +13,7 @@ import pytest
 
 import sfgsched as s
 import experiments
-from instances import random_problem
+from instances import random_fft_problem, random_problem
 
 CONFIG_DIGESTS = {
     "io_constrained":
@@ -27,6 +28,11 @@ CONFIG_DIGESTS = {
 # JSON, or the failure message when the run aborts.
 RANDOM_OUTCOMES_DIGEST = \
     "735ce0260099f5f37a811ef09a14f29fdaf383fc00fea863e3eeda1bc0067aeb"
+
+# The same over random_fft_problem seeds 0-199: 4- to 16-point FFTs whose
+# wide ready sets form the (mobility, alap) tie groups the ranking walks.
+RANDOM_FFT_OUTCOMES_DIGEST = \
+    "8513f0e00b7f0577c29111c96eebf3f42fc438633d7bf7ca50726ebfb282faef"
 
 
 def _sha256(text: str) -> str:
@@ -45,12 +51,22 @@ def test_experiment_schedule_bytes_unchanged(name):
     assert _sha256(sched.to_json()) == CONFIG_DIGESTS[name]
 
 
-def test_random_problem_outcomes_unchanged():
+def _outcomes_digest(problems) -> str:
     digest = hashlib.sha256()
-    for seed in range(300):
+    for p in problems:
         try:
-            text = random_problem(seed).run_scheduler().to_json()
+            text = p.run_scheduler().to_json()
         except s.ScheduleFailure as e:
             text = f"ScheduleFailure: {e}\n"
         digest.update(text.encode())
-    assert digest.hexdigest() == RANDOM_OUTCOMES_DIGEST
+    return digest.hexdigest()
+
+
+def test_random_problem_outcomes_unchanged():
+    assert _outcomes_digest(random_problem(seed) for seed in range(300)) \
+        == RANDOM_OUTCOMES_DIGEST
+
+
+def test_random_fft_outcomes_unchanged():
+    assert _outcomes_digest(random_fft_problem(seed) for seed in range(200)) \
+        == RANDOM_FFT_OUTCOMES_DIGEST

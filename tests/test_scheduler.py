@@ -141,15 +141,15 @@ def test_ranking_prefers_burst_enabler():
     state = _burst_fixture()
     # x reads address 4 and thereby turns z's read of 5 into a burst, so x
     # outranks the otherwise identical y and z
-    assert s.rank_executable(state, [4, 5, 6], 0) == [4, 5, 6]
-    assert s.rank_executable(state, [6, 5, 4], 0)[0] == 4
+    assert list(s.rank_executable(state, [4, 5, 6], 0)) == [4, 5, 6]
+    assert list(s.rank_executable(state, [6, 5, 4], 0))[0] == 4
 
 
 def test_ranking_prefers_cheap_access_after_commit():
     state = _burst_fixture()
     assert s.assign_step(state, 4, 0) is not None
     # bank now sits at address 4: z (address 5) bursts, y (address 0) does not
-    assert s.rank_executable(state, [5, 6], 0) == [6, 5]
+    assert list(s.rank_executable(state, [5, 6], 0)) == [6, 5]
 
 
 def test_waiting_follow_up_reader_still_demotes_burst_flag():
@@ -157,10 +157,10 @@ def test_waiting_follow_up_reader_still_demotes_burst_flag():
     # burst mode, so y outranks x (address 5) even while z only waits for an
     # instance and is not ranked itself
     state = _burst_fixture(addresses=(0, 5, 1))
-    full = s.rank_executable(state, [4, 5, 6], 0)
-    assert s.rank_executable(state, [4, 5], 0, waiting=[6]) == \
+    full = list(s.rank_executable(state, [4, 5, 6], 0))
+    assert list(s.rank_executable(state, [4, 5], 0, waiting=[6])) == \
         [op for op in full if op != 6] == [5, 4]
-    assert s.rank_executable(state, [4, 5], 0) == [4, 5]
+    assert list(s.rank_executable(state, [4, 5], 0)) == [4, 5]
 
 
 def test_waiting_reader_counts_in_the_walk():
@@ -391,3 +391,80 @@ def test_pass_through_rejects_impossible_deadline(pairsum_lib):
     with pytest.raises(s.ScheduleFailure) as exc:
         s.schedule(g, pairsum_lib, spec, mapping)
     assert exc.value.reason == "infeasible-windows"
+
+
+def _port_view_run(inputs, memory, ops, latencies, alloc, bound):
+    """Schedule ops on one dual-port bank (t_seq 1, t_rand 2) and return
+    (label, start) pairs in start order.
+
+    ``inputs`` maps input names to arrival cycles, ``memory`` memdata names
+    to addresses, and ``ops`` lists (name, symbol, lhs, rhs, written
+    memdata or None); an op whose result feeds no other op drives an
+    output.  ``latencies`` gives the mult, add and sub latencies."""
+    names = [*inputs, *memory, *(op[0] for op in ops)]
+    ids = {name: i for i, name in enumerate(names)}
+    nodes = [s.SfgNode(ids[n], K.INPUT, label=n) for n in inputs]
+    nodes += [s.SfgNode(ids[n], K.MEMDATA, label=n) for n in memory]
+    nodes += [s.SfgNode(ids[n], K.OPERATION, op=sym, label=n)
+              for n, sym, _, _, _ in ops]
+    edges = []
+    for name, _, lhs, rhs, written in ops:
+        edges += [(ids[lhs], ids[name], 0), (ids[rhs], ids[name], 1)]
+        if written:
+            edges.append((ids[name], ids[written], 0))
+    consumed = {operand for _, _, lhs, rhs, _ in ops for operand in (lhs, rhs)}
+    for name, *_ in ops:
+        if name not in consumed:
+            out = len(nodes)
+            nodes.append(s.SfgNode(out, K.OUTPUT, label=f"o_{name}"))
+            edges.append((ids[name], out, 0))
+    g = s.SFG(nodes, edges)
+    lib = s.OperatorLibrary(classes=tuple(
+        s.OperatorClass(cls, frozenset(sym), lat) for cls, sym, lat in
+        zip(("mult", "add", "sub"), "*+-", latencies)))
+    spec = s.IoConstraintSpec(
+        buses=tuple(s.BusDef(f"in_{n}", "in") for n in inputs),
+        transfers=tuple(s.Transfer(ids[n], f"in_{n}", at)
+                        for n, at in inputs.items()),
+        cadence=bound, latency_bound=bound)
+    bank = s.Bank(id="bank0", ports=2, t_seq=1, t_rand=2)
+    mapping = s.apply_mapping(s.extract_memory_table(g), s.MappingSpec(
+        mode="strict", banks=(bank,),
+        placements=tuple(s.Placement(ids[n], "bank0", address)
+                         for n, address in memory.items())))
+    sched = s.schedule(g, lib, spec, mapping, s.parse_allocation(alloc))
+    assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+    return [(o.label, o.start) for o in sched.ops]
+
+
+def test_commit_does_not_reorder_a_later_tie_group():
+    # p reads address 9 at cycle 0.  At cycle 1, x (tighter window) writes
+    # address 4, after which z's read of 5 would be a burst; but y and z
+    # are ranked as the table stood when the cycle began, both random,
+    # so y (the lower id) takes the only subtractor.
+    starts = _port_view_run(
+        inputs={"a": 0, "b": 1},
+        memory={"d9": 9, "d1": 1, "d5": 5, "w4": 4},
+        ops=[("p", "+", "a", "d9", None), ("x", "+", "b", "b", "w4"),
+             ("x2", "+", "x", "b", None), ("x3", "+", "x2", "b", None),
+             ("y", "-", "b", "d1", None), ("z", "-", "b", "d5", None)],
+        latencies=(2, 1, 1), alloc="auto", bound=9)
+    assert starts == [("p", 0), ("x", 1), ("y", 1), ("x2", 2), ("x3", 3),
+                      ("z", 3)]
+
+
+def test_commit_does_not_unblock_an_op_in_the_same_cycle():
+    # m1 and m2 write addresses 40 and 50 at cycle 2, filling that slot.
+    # At cycle 1, z's read of 52 is random and needs slots 1 and 2, so it
+    # is blocked.  x's write of 51 (committed first, tighter window) would
+    # turn that read into a one-slot burst, but z still may not start
+    # before the slots free up at cycle 4.
+    starts = _port_view_run(
+        inputs={"a": 0, "b": 1},
+        memory={"w40": 40, "w50": 50, "w51": 51, "d52": 52},
+        ops=[("m1", "*", "a", "a", "w40"), ("m2", "*", "a", "a", "w50"),
+             ("x", "+", "b", "b", "w51"), ("x2", "+", "x", "b", None),
+             ("x3", "+", "x2", "b", None), ("z", "-", "b", "d52", None)],
+        latencies=(2, 2, 1), alloc="fixed:mult=2,add=1,sub=1", bound=12)
+    assert starts == [("m1", 0), ("m2", 0), ("x", 1), ("x2", 3), ("z", 4),
+                      ("x3", 5)]
