@@ -2,7 +2,7 @@
 banked memories and timed I/O buses."""
 
 from .constraints import (CgKind, CgNode, ConstraintGraph, FeasibilityReport,
-                          TimeWindows, UnsupportedGraphError,
+                          Problem, TimeWindows, UnsupportedGraphError,
                           apply_io_constraints, build_constraint_graph,
                           check_feasibility, compute_time_windows)
 from .dot import export_dot
@@ -37,7 +37,8 @@ __all__ = [
     "parse_operator_library",
     "BusDef", "Transfer", "IoConstraintSpec", "IoSpecError", "TransferGraph",
     "build_transfer_graph", "parse_io_spec",
-    "CgKind", "CgNode", "ConstraintGraph", "TimeWindows", "FeasibilityReport",
+    "CgKind", "CgNode", "ConstraintGraph", "TimeWindows", "Problem",
+    "FeasibilityReport",
     "UnsupportedGraphError", "build_constraint_graph", "apply_io_constraints",
     "compute_time_windows", "check_feasibility",
     "MemoryTable", "Bank", "Placement", "MappingError", "MappingSpec", "MemoryMapping",

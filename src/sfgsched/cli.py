@@ -18,8 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .constraints import (apply_io_constraints, build_constraint_graph,
-                          check_feasibility, compute_time_windows)
+from .constraints import (Problem, apply_io_constraints,
+                          build_constraint_graph, check_feasibility,
+                          compute_time_windows)
 from .dot import export_dot
 from .fft import generate_fft_sfg
 from .graph import SFG, serialize_sfg, parse_sfg
@@ -104,6 +105,9 @@ def _build_parser() -> _Parser:
 
 
 def _load_problem(args) -> tuple:
+    """Parse the problem documents and lower them once: (g, lib, spec,
+    mapping, problem), where ``problem`` serves the static checks, the
+    scheduler and the verifier."""
     g = parse_sfg(Path(args.graph).read_text())
     lib = parse_operator_library(Path(args.lib).read_text())
     if args.io is not None:
@@ -130,14 +134,13 @@ def _load_problem(args) -> tuple:
             raise ValueError("graph stores data in memory but no --mem "
                              "document is given")
         mapping = apply_mapping(table, MappingSpec(mode="auto", banks=()))
-    return g, lib, spec, mapping
-
-
-def _run_static_checks(g, lib, spec, stream) -> int:
     cg = apply_io_constraints(build_constraint_graph(g, lib),
                               build_transfer_graph(spec), spec)
-    windows = compute_time_windows(cg)
-    rep = check_feasibility(cg, windows, spec)
+    return g, lib, spec, mapping, Problem(cg, compute_time_windows(cg))
+
+
+def _run_static_checks(problem: Problem, spec, stream) -> int:
+    rep = check_feasibility(problem.cg, problem.windows, spec)
     print(f"cadence check: {'ok' if rep.cadence_ok else 'FAILED'} "
           f"(critical path {rep.critical_path_cycles} cycles, "
           f"bound {spec.latency_bound})", file=stream)
@@ -149,18 +152,18 @@ def _run_static_checks(g, lib, spec, stream) -> int:
 
 
 def _cmd_check(args) -> int:
-    g, lib, spec, mapping = _load_problem(args)
-    return _run_static_checks(g, lib, spec, sys.stdout)
+    _, _, spec, _, problem = _load_problem(args)
+    return _run_static_checks(problem, spec, sys.stdout)
 
 
 def _schedule_with_gate(args):
-    g, lib, spec, mapping = _load_problem(args)
-    rc = _run_static_checks(g, lib, spec, sys.stderr)
+    g, lib, spec, mapping, problem = _load_problem(args)
+    rc = _run_static_checks(problem, spec, sys.stderr)
     if rc != EXIT_OK:
         return rc, None, None, None, None, None
     alloc = parse_allocation(args.alloc)
-    sched = schedule(g, lib, spec, mapping, alloc)
-    violations = verify_schedule(sched, g, lib, spec, mapping)
+    sched = schedule(g, lib, spec, mapping, alloc, problem)
+    violations = verify_schedule(sched, g, lib, spec, mapping, problem)
     if violations:  # defensive: a scheduler bug, not a user error
         for v in violations:
             print(str(v), file=sys.stderr)

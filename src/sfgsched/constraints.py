@@ -163,6 +163,22 @@ class TimeWindows:
 
 
 @dataclass(frozen=True)
+class Problem:
+    """A problem lowered once: the I/O-constrained constraint graph and its
+    time windows, kept together so that no stage pairs a graph with another
+    graph's windows.
+
+    Build it as ``cg = apply_io_constraints(build_constraint_graph(g, lib),
+    build_transfer_graph(spec), spec)`` and ``Problem(cg,
+    compute_time_windows(cg))``.  The static checks, the scheduler and the
+    verifier only read it, so one instance serves a whole CLI call.
+    """
+
+    cg: ConstraintGraph
+    windows: TimeWindows
+
+
+@dataclass(frozen=True)
 class FeasibilityReport:
     cadence_ok: bool
     output_dates_ok: bool

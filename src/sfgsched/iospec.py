@@ -151,6 +151,9 @@ def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:
     for name, val in (("cadence", cadence), ("latency", latency)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise IoSpecError(f"{name!r} must be a positive integer")
+    for name in ("buses", "transfers"):
+        if not isinstance(doc.get(name, []), list):
+            raise IoSpecError(f"{name!r} must be a list")
     buses = []
     for i, obj in enumerate(doc.get("buses", [])):
         if not isinstance(obj, dict) or "id" not in obj or "direction" not in obj:

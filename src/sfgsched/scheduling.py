@@ -40,7 +40,7 @@ import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .constraints import (CgKind, ConstraintGraph, TimeWindows,
+from .constraints import (CgKind, ConstraintGraph, Problem, TimeWindows,
                           apply_io_constraints, build_constraint_graph,
                           compute_time_windows)
 from .graph import SFG, NodeKind
@@ -567,16 +567,23 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
 
 def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
              mapping: MemoryMapping,
-             allocation: Allocation = Allocation(mode="auto")) -> Schedule:
+             allocation: Allocation = Allocation(mode="auto"),
+             problem: Problem | None = None) -> Schedule:
     """Schedule one iteration of the graph within the latency bound.
+
+    ``problem`` is the lowering of ``g``, ``lib`` and ``spec`` when the
+    caller already holds one; it is only read.  Without it the problem is
+    lowered here.
 
     Raises ScheduleFailure when no legal schedule can be produced under the
     given resources; static infeasibility should be caught beforehand with
     ``check_feasibility``.
     """
-    cg = apply_io_constraints(build_constraint_graph(g, lib),
-                              build_transfer_graph(spec), spec)
-    windows = compute_time_windows(cg)
+    if problem is None:
+        cg = apply_io_constraints(build_constraint_graph(g, lib),
+                                  build_transfer_graph(spec), spec)
+        problem = Problem(cg, compute_time_windows(cg))
+    cg, windows = problem.cg, problem.windows
     # outputs with no operation on their path (pass-through) never hit the
     # per-op margin check, so reject impossible output dates up front
     for n in cg.of_kind(CgKind.OUTPUT):

@@ -1,10 +1,13 @@
 """Independent schedule checking.
 
-``verify_schedule`` re-derives every rule a schedule must satisfy straight
-from the graph, library, I/O constraints and mapping: dependencies, operator
-exclusivity, port capacity, access costs (replayed in reservation order),
-I/O timing and time windows.  It trusts nothing from the scheduler beyond
-the schedule record itself.
+``verify_schedule`` checks every rule a schedule must satisfy against the
+lowered problem (constraint graph and time windows) and the mapping:
+dependencies, operator exclusivity, port capacity, access costs (replayed
+in reservation order), I/O timing and time windows.  The lowering is either
+its own or a ``Problem`` shared by the caller; both are derived from the
+graph, library and I/O constraints alone, and the verifier only reads
+them.  It trusts nothing from the scheduler beyond the schedule record
+itself.
 
 ``brute_force_min_latency`` is an exhaustive oracle for small graphs: it
 searches every start-time assignment (and every same-cycle reservation
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import (CgKind, apply_io_constraints, build_constraint_graph,
-                          compute_time_windows)
+from .constraints import (CgKind, Problem, apply_io_constraints,
+                          build_constraint_graph, compute_time_windows)
 from .graph import SFG
 from .iospec import IoConstraintSpec, build_transfer_graph
 from .memory import MemoryMapping
@@ -48,12 +51,19 @@ def _replay_cost(mapping: MemoryMapping, last: dict[str, int | None],
 
 def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                     spec: IoConstraintSpec,
-                    mapping: MemoryMapping) -> list[Violation]:
-    """All rule violations in the schedule, empty when it is valid."""
+                    mapping: MemoryMapping,
+                    problem: Problem | None = None) -> list[Violation]:
+    """All rule violations in the schedule, empty when it is valid.
+
+    ``problem`` is the lowering of ``g``, ``lib`` and ``spec`` when the
+    caller already holds one; without it the problem is lowered here.
+    """
     out: list[Violation] = []
-    cg = apply_io_constraints(build_constraint_graph(g, lib),
-                              build_transfer_graph(spec), spec)
-    windows = compute_time_windows(cg)
+    if problem is None:
+        cg = apply_io_constraints(build_constraint_graph(g, lib),
+                                  build_transfer_graph(spec), spec)
+        problem = Problem(cg, compute_time_windows(cg))
+    cg, windows = problem.cg, problem.windows
 
     started = {}
     for s in sched.ops:

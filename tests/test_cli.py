@@ -119,8 +119,17 @@ def test_nonpositive_cycle_override_exit_1(pairsum_dir, capsys, extra, io):
     ("lib", {"classes": [{"name": "mult", "ops": [["*"]], "latency": 1}]},
      "'ops' a list of strings"),
     ("lib", {"clock_mhz": {}, "classes": []}, "'clock_mhz' must be a number"),
+    ("io", {"cadence": 3, "latency": 3, "buses": None, "transfers": []},
+     "'buses' must be a list"),
+    ("io", {"cadence": 3, "latency": 3, "buses": {}, "transfers": []},
+     "'buses' must be a list"),
+    ("io", {"cadence": 3, "latency": 3, "buses": [], "transfers": None},
+     "'transfers' must be a list"),
+    ("io", {"cadence": 3, "latency": 3, "buses": [], "transfers": 7},
+     "'transfers' must be a list"),
 ], ids=["mem-bank-not-object", "mem-ports-list", "lib-ops-nested-list",
-        "lib-clock-object"])
+        "lib-clock-object", "io-buses-null", "io-buses-object",
+        "io-transfers-null", "io-transfers-number"])
 def test_wrong_shape_document_exit_1(pairsum_dir, tmp_path, capsys, kind,
                                      doc, message):
     path = tmp_path / f"{kind}.json"
@@ -129,6 +138,22 @@ def test_wrong_shape_document_exit_1(pairsum_dir, tmp_path, capsys, kind,
     argv[argv.index(f"--{kind}") + 1] = str(path)
     assert main(["schedule"] + argv) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "schedule", "report"])
+def test_one_lowering_per_call(pairsum_dir, monkeypatch, capsys, command):
+    import sfgsched.cli
+    import sfgsched.scheduling
+    import sfgsched.verify
+    calls = []
+
+    def counting(g, lib):
+        calls.append(command)
+        return s.build_constraint_graph(g, lib)
+    for module in (sfgsched.cli, sfgsched.scheduling, sfgsched.verify):
+        monkeypatch.setattr(module, "build_constraint_graph", counting)
+    assert main([command] + _args(pairsum_dir)) == 0
+    assert len(calls) == 1
 
 
 def test_missing_file_exit_1(pairsum_dir, tmp_path, capsys):

@@ -33,6 +33,42 @@ def test_mutations_are_caught(name, mutate, which, golden_lat3, golden_lat2):
     assert violations, f"{name} slipped through on {which}"
 
 
+def _lower(g, lib, spec) -> s.Problem:
+    cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
+                                s.build_transfer_graph(spec), spec)
+    return s.Problem(cg, s.compute_time_windows(cg))
+
+
+@pytest.mark.parametrize("name,mutate", MUTATIONS)
+@pytest.mark.parametrize("which", ["lat3", "lat2"])
+def test_shared_problem_finds_the_same_violations(name, mutate, which,
+                                                  golden_lat3, golden_lat2):
+    sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
+        else golden_lat2
+    broken = mutate(sched)
+    problem = _lower(g, lib, spec)
+    assert s.verify_schedule(broken, g, lib, spec, mapping, problem) == \
+        s.verify_schedule(broken, g, lib, spec, mapping)
+
+
+@pytest.mark.parametrize("which", ["lat3", "lat2"])
+def test_schedule_leaves_the_shared_problem_unchanged(which, golden_lat3,
+                                                      golden_lat2):
+    sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
+        else golden_lat2
+    problem = _lower(g, lib, spec)
+    shared = s.schedule(g, lib, spec, mapping, s.Allocation(mode="auto"),
+                        problem=problem)
+    assert shared.to_json() == sched.to_json()
+    assert s.verify_schedule(shared, g, lib, spec, mapping,
+                             problem=problem) == []
+    fresh = _lower(g, lib, spec)
+    assert problem.windows == fresh.windows
+    assert problem.cg.nodes == fresh.cg.nodes
+    assert problem.cg.edges == fresh.cg.edges
+    assert problem.cg.latency_bound == fresh.cg.latency_bound
+
+
 def test_mutation_kinds_are_specific(golden_lat3):
     sched, g, lib, spec, mapping = golden_lat3
     from mutations import (late_start, corrupt_access_cost, drop_operation,
