@@ -10,12 +10,17 @@ Subcommands:
 
 Exit codes: 0 success, 1 bad input or usage, 2 constraints statically
 infeasible, 3 scheduling aborted.
+
+The argument parser is built on the first ``main`` call, not at import, and
+reused by every later call in the process.  Each ``check``, ``schedule`` and
+``report`` call parses its documents and lowers the problem once.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .constraints import (Problem, apply_io_constraints,
@@ -68,6 +73,7 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
                    help="iteration cadence in cycles (overrides the I/O file)")
 
 
+@cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="sfgsched",
                 description="Schedule DSP dataflow graphs under I/O timing "
@@ -83,8 +89,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--alloc", default="auto",
                     help="'auto' or 'fixed:class=count,...' (default auto)")
     ps.add_argument("--out", help="directory for schedule.json")
-    ps.add_argument("--seed", type=int, default=0,
-                    help="reserved; scheduling is deterministic")
 
     pr = sub.add_parser("report", help="schedule and print the architecture "
                                        "summary")
@@ -92,7 +96,6 @@ def _build_parser() -> _Parser:
     pr.add_argument("--alloc", default="auto")
     pr.add_argument("--out", help="directory for schedule.json, report.json "
                                   "and report.txt")
-    pr.add_argument("--seed", type=int, default=0)
 
     pf = sub.add_parser("gen-fft", help="generate a radix-2 FFT graph")
     pf.add_argument("--points", type=int, required=True)

@@ -10,6 +10,12 @@ The graph is a DAG over five node kinds:
 Edges are ``(src, dst, pos)`` triples where ``pos`` is the operand position
 at the consumer; operand order is explicit so graph reconstruction and
 downstream scheduling are deterministic.
+
+An ``SFG`` is immutable, so what is derived from it alone is derived once
+and kept on the instance: ``validate_sfg`` computes the violation list on
+first use (``parse_sfg`` validates, and ``build_constraint_graph`` then
+reads the kept result) and hands each caller a copy, and ``node_by_label``
+builds its label index on the first lookup.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
+
+from .jsontext import dumps
 
 
 OPERATION_SYMBOLS = ("+", "-", "*")
@@ -92,6 +100,8 @@ class SFG:
             self._out[e.src].append(e)
         for lst in self._in.values():
             lst.sort(key=lambda e: e.pos)
+        self._violations: tuple[str, ...] | None = None  # see validate_sfg
+        self._by_label: dict[str, SfgNode | None] | None = None
 
     # -- lookup ------------------------------------------------------------
 
@@ -136,13 +146,18 @@ class SFG:
         return self.of_kind(NodeKind.CONSTANT)
 
     def node_by_label(self, label: str) -> SfgNode:
-        hits = [n for n in self.nodes if n.label == label]
-        if not hits:
+        if self._by_label is None:
+            index: dict[str, SfgNode | None] = {}
+            for n in self.nodes:  # None marks a label several nodes share
+                index[n.label] = None if n.label in index else n
+            self._by_label = index
+        if label not in self._by_label:
             raise KeyError(f"no node labelled {label!r}")
-        if len(hits) > 1:
-            raise KeyError(f"label {label!r} is ambiguous "
-                           f"(nodes {[n.id for n in hits]})")
-        return hits[0]
+        node = self._by_label[label]
+        if node is None:
+            raise KeyError(f"label {label!r} is ambiguous (nodes "
+                           f"{[n.id for n in self.nodes if n.label == label]})")
+        return node
 
     # -- structure ---------------------------------------------------------
 
@@ -224,8 +239,15 @@ def validate_sfg(g: SFG) -> list[str]:
     An empty list means the graph is well formed.  Messages name the node
     ids involved.  Checks run in a fixed order (identity, endpoints, kind
     shape, operand arity/positions, acyclicity) so the first entry is
-    deterministic for a given graph.
+    deterministic for a given graph.  The checks run once per graph; later
+    calls return a copy of the first result.
     """
+    if g._violations is None:
+        g._violations = tuple(_find_violations(g))
+    return list(g._violations)
+
+
+def _find_violations(g: SFG) -> list[str]:
     out: list[str] = []
     for dup in g._duplicate_ids:
         out.append(f"duplicate node id {dup}")
@@ -372,4 +394,4 @@ def serialize_sfg(g: SFG) -> str:
             for e in sorted(set(g.edges), key=lambda e: (e.dst, e.pos, e.src))
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps(doc) + "\n"

@@ -3,11 +3,11 @@ memory banks touched, bus counts, a register estimate, and timing."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .graph import SFG
 from .iospec import IoConstraintSpec
+from .jsontext import dumps
 from .memory import MemoryMapping
 from .oplib import OperatorLibrary
 from .scheduling import Schedule, estimate_registers
@@ -97,4 +97,4 @@ def report_to_json(r: ArchitectureReport) -> str:
     if r.clock_hz is not None:
         doc["clock_hz"] = r.clock_hz
         doc["latency_seconds"] = r.latency_seconds
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps(doc) + "\n"

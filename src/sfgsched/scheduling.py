@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -45,6 +44,7 @@ from .constraints import (CgKind, ConstraintGraph, Problem, TimeWindows,
                           compute_time_windows)
 from .graph import SFG, NodeKind
 from .iospec import IoConstraintSpec, build_transfer_graph
+from .jsontext import dumps
 from .memory import (BlockedAccess, HorizonError, MemoryMapping,
                      PortAccessTable)
 from .oplib import OperatorLibrary
@@ -226,7 +226,7 @@ class Schedule:
                 for t in sorted(self.transfers,
                                 key=lambda t: (t.cycle, t.direction, t.node))],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return dumps(doc) + "\n"
 
 
 @dataclass
@@ -697,7 +697,8 @@ def _build_transfers(state: SchedulerState, g: SFG) -> list[ScheduledTransfer]:
     inputs just in time for their first consumer, outputs in their
     producer's completion cycle.  Synthesized transfers in the same cycle
     get distinct generated buses; generated bus names are reused across
-    cycles (one physical bus serves many cycles)."""
+    cycles (one physical bus serves many cycles) and skip the ids of
+    declared buses."""
     cg = state.cg
     spec = state.spec
     offset_of: dict[int, tuple[str, int]] = {}
@@ -745,15 +746,19 @@ def _build_transfers(state: SchedulerState, g: SFG) -> list[ScheduledTransfer]:
         else:
             synth_out.append((produced, n.id))
 
+    declared = {b.id for b in spec.buses}
     for group, direction, prefix in ((synth_in, "in", "auto_in"),
                                      (synth_out, "out", "auto_out")):
         by_cycle: dict[int, list[int]] = {}
         for cycle, node in group:
             by_cycle.setdefault(cycle, []).append(node)
+        names = [name for name in (f"{prefix}{k}" for k in
+                                   range(len(group) + len(declared)))
+                 if name not in declared]
         for cycle in sorted(by_cycle):
-            for k, node in enumerate(sorted(by_cycle[cycle])):
+            for name, node in zip(names, sorted(by_cycle[cycle])):
                 transfers.append(ScheduledTransfer(
-                    node=node, bus=f"{prefix}{k}", cycle=cycle,
+                    node=node, bus=name, cycle=cycle,
                     direction=direction, synthesized=True))
     return transfers
 

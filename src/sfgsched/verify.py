@@ -2,8 +2,9 @@
 
 ``verify_schedule`` checks every rule a schedule must satisfy against the
 lowered problem (constraint graph and time windows) and the mapping:
-dependencies, operator exclusivity, port capacity, access costs (replayed
-in reservation order), I/O timing and time windows.  The lowering is either
+dependencies, operator exclusivity, instances drawn from the recorded pool,
+port capacity, access costs (replayed in reservation order), I/O timing,
+one transfer per bus and cycle, and time windows.  The lowering is either
 its own or a ``Problem`` shared by the caller; both are derived from the
 graph, library and I/O constraints alone, and the verifier only reads
 them.  It trusts nothing from the scheduler beyond the schedule record
@@ -31,7 +32,7 @@ from .scheduling import Schedule
 @dataclass(frozen=True)
 class Violation:
     kind: str  # dependency | operator-overlap | port-overlap | io-timing
-               # | window | unscheduled | access-cost
+               # | bus-overlap | window | unscheduled | access-cost | pool
     message: str
     node: int | None = None
 
@@ -187,6 +188,11 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     by_instance: dict[str, list] = {}
     for s in sched.ops:
         by_instance.setdefault(s.instance, []).append(s)
+        if s.instance not in sched.pool.get(s.op_class, ()):
+            out.append(Violation("pool",
+                                 f"operation {s.node} runs on {s.instance}, "
+                                 f"which the {s.op_class} pool does not "
+                                 f"hold", s.node))
     for name, recs in sorted(by_instance.items()):
         classes = {r.op_class for r in recs}
         if len(classes) > 1:
@@ -201,10 +207,16 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                     f"together at cycle {b.start}", b.node))
 
     transfer_of = {}
+    bus_user: dict[tuple[str, int], int] = {}
     for t in sched.transfers:
         if t.node in transfer_of:
             out.append(Violation("io-timing", "node transferred twice", t.node))
         transfer_of[t.node] = t
+        other = bus_user.setdefault((t.bus, t.cycle), t.node)
+        if other != t.node:
+            out.append(Violation("bus-overlap",
+                                 f"bus {t.bus} carries {other} and {t.node} "
+                                 f"in cycle {t.cycle}", t.node))
     pinned = {tr.node: tr for tr in spec.transfers}
     for n in cg.of_kind(CgKind.INPUT) + cg.of_kind(CgKind.OUTPUT):
         t = transfer_of.get(n.id)

@@ -18,6 +18,20 @@ def pairsum_dir() -> Path:
     return DATA / "pairsum"
 
 
+@pytest.fixture
+def find_cycle_calls(monkeypatch) -> list:
+    """The graphs ``SFG.find_cycle`` runs on, one entry per call: one per
+    validation, since ``validate_sfg`` is its only caller in the package."""
+    calls = []
+    real = s.SFG.find_cycle
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+    monkeypatch.setattr(s.SFG, "find_cycle", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def pairsum_graph(pairsum_dir) -> s.SFG:
     return s.parse_sfg((pairsum_dir / "graph.json").read_text())

@@ -57,6 +57,27 @@ def collapse_sequence_numbers(sched: s.Schedule) -> s.Schedule:
     return replace(sched, accesses=accs)
 
 
+def share_bus_cycle(sched: s.Schedule) -> s.Schedule:
+    """Move a transfer onto the bus of another transfer in its cycle."""
+    first = {}
+    for t in sched.transfers:
+        other = first.setdefault((t.cycle, t.direction), t)
+        if other is not t:
+            xfers = tuple(replace(x, bus=other.bus) if x is t else x
+                          for x in sched.transfers)
+            return replace(sched, transfers=xfers)
+    raise ValueError("no two transfers share a cycle and direction")
+
+
+def shrink_pool(sched: s.Schedule) -> s.Schedule:
+    """Drop from the pool the instance the last operation runs on."""
+    victim = sched.ops[-1]
+    pool = dict(sched.pool)
+    pool[victim.op_class] = tuple(i for i in pool[victim.op_class]
+                                  if i != victim.instance)
+    return replace(sched, pool=pool)
+
+
 MUTATIONS = [
     ("late-start", late_start),
     ("overlapping-instances", overlap_instances),
@@ -65,4 +86,6 @@ MUTATIONS = [
     ("early-output-transfer", shift_output_transfer),
     ("shifted-access-cycle", shift_access_cycle),
     ("collapsed-sequence-numbers", collapse_sequence_numbers),
+    ("shared-bus-cycle", share_bus_cycle),
+    ("instance-outside-pool", shrink_pool),
 ]

@@ -140,6 +140,26 @@ def test_wrong_shape_document_exit_1(pairsum_dir, tmp_path, capsys, kind,
     assert message in capsys.readouterr().err
 
 
+def test_declared_bus_named_like_a_synthesized_one(pairsum_dir, tmp_path,
+                                                   capsys):
+    """A declared bus may carry a generated name; the scheduler's own
+    transfers then take the next free one."""
+    io = tmp_path / "io.json"
+    io.write_text(json.dumps({
+        "cadence": 3, "latency": 3,
+        "buses": [{"id": "auto_in0", "direction": "in"},
+                  {"id": "outC", "direction": "out"}],
+        "transfers": [{"data": "a", "bus": "auto_in0", "offset": 0},
+                      {"data": "c", "bus": "outC", "offset": 2}]}))
+    argv = _args(pairsum_dir, "--out", str(tmp_path))
+    argv[argv.index("--io") + 1] = str(io)
+    assert main(["schedule"] + argv) == 0
+    doc = json.loads((tmp_path / "schedule.json").read_text())
+    assert sorted((t["bus"], t["cycle"]) for t in doc["transfers"]
+                  if t["direction"] == "in") == [("auto_in0", 0),
+                                                 ("auto_in1", 0)]
+
+
 @pytest.mark.parametrize("command", ["check", "schedule", "report"])
 def test_one_lowering_per_call(pairsum_dir, monkeypatch, capsys, command):
     import sfgsched.cli
@@ -154,6 +174,50 @@ def test_one_lowering_per_call(pairsum_dir, monkeypatch, capsys, command):
         monkeypatch.setattr(module, "build_constraint_graph", counting)
     assert main([command] + _args(pairsum_dir)) == 0
     assert len(calls) == 1
+
+
+def test_graph_validated_once_per_report(pairsum_dir, find_cycle_calls,
+                                         capsys):
+    assert main(["report"] + _args(pairsum_dir)) == 0
+    assert len(find_cycle_calls) == 1
+
+
+def _in_process(argv, capsysbinary):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    cap = capsysbinary.readouterr()
+    return rc, cap.out, cap.err
+
+
+def _separate_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "sfgsched"] + argv,
+                          capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("usage_error", [True, False])
+def test_calls_in_one_process_match_separate_processes(
+        pairsum_dir, monkeypatch, capsysbinary, usage_error):
+    """The parser built by the first call serves the next one unchanged."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at this width
+    first = (["schedule", "--graph", "g.json"] if usage_error  # no --lib
+             else ["schedule"] + _args(pairsum_dir))
+    calls = [first, ["report"] + _args(pairsum_dir)]
+    together = [_in_process(argv, capsysbinary) for argv in calls]
+    assert together == [_separate_process(argv) for argv in calls]
+    assert [rc for rc, _, _ in together] == [1 if usage_error else 0, 0]
+
+
+@pytest.mark.parametrize("command", ["schedule", "report"])
+def test_seed_flag_is_gone(pairsum_dir, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command] + _args(pairsum_dir, "--seed", "1"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sfgsched ")
+    assert err.endswith("error: unrecognized arguments: --seed 1\n")
 
 
 def test_missing_file_exit_1(pairsum_dir, tmp_path, capsys):

@@ -42,6 +42,15 @@ def test_constraint_graph_structure(pairsum_graph, pairsum_lib):
     assert cg.nodes[m1].latency == 1
 
 
+def test_directly_built_invalid_graph_is_rejected():
+    """A graph that never went through parse_sfg is validated on first use."""
+    g = s.SFG([s.SfgNode(0, K.INPUT), s.SfgNode(1, K.OPERATION, op="*"),
+               s.SfgNode(2, K.OUTPUT)], [(0, 1, 0), (1, 2, 0)])
+    for _ in range(2):  # the kept result rejects the second build too
+        with pytest.raises(ValueError, match="invalid SFG: operation node 1"):
+            s.build_constraint_graph(g, ALU)
+
+
 def test_edge_weights(pairsum_graph, pairsum_lib, io_lat3):
     cg = _cg(pairsum_graph, pairsum_lib, io_lat3)
     a, m1, add1, c = (pairsum_graph.node_by_label(x).id

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -102,11 +103,13 @@ def test_topological_order_is_stable_and_respects_edges(pairsum_graph):
 
 def test_node_by_label(pairsum_graph):
     assert pairsum_graph.node_by_label("m1").kind is K.OPERATION
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as exc:
         pairsum_graph.node_by_label("nope")
+    assert exc.value.args[0] == "no node labelled 'nope'"
     dup = _g([s.SfgNode(0, K.INPUT, label="x"), s.SfgNode(1, K.INPUT, label="x")], [])
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as exc:
         dup.node_by_label("x")
+    assert exc.value.args[0] == "label 'x' is ambiguous (nodes [0, 1])"
 
 
 def test_operands_in_position_order():
@@ -125,3 +128,47 @@ def test_export_dot(pairsum_graph):
     # one edge line per graph edge, tagged with the operand position
     assert dot.count("->") == len(pairsum_graph.edges)
     assert 'n4 -> n6 [label="0"]' in dot
+
+
+def test_validation_runs_once_and_hands_out_copies(find_cycle_calls):
+    nodes = [s.SfgNode(0, K.INPUT), s.SfgNode(1, K.OPERATION, op="+"),
+             s.SfgNode(2, K.OUTPUT)]
+    g = _g(nodes, [(0, 1, 0), (1, 2, 0)])  # "+" is missing an operand
+    first = s.validate_sfg(g)
+    assert any("has 1 operands" in v for v in first)
+    first.append("caller's own entry")
+    assert s.validate_sfg(g) == first[:-1]
+    assert len(find_cycle_calls) == 1
+
+
+def _labelled(*pairs):
+    return _g([s.SfgNode(i, kind, label=label)
+               for i, (kind, label) in enumerate(pairs)], [])
+
+
+@pytest.mark.parametrize("label,message", [
+    ("ghost", "no node labelled 'ghost'"),
+    ("x", "label 'x' is ambiguous (nodes [0, 1])"),
+])
+def test_label_errors_through_parse_io_spec(label, message):
+    g = _labelled((K.INPUT, "x"), (K.INPUT, "x"))
+    doc = {"cadence": 3, "latency": 3,
+           "buses": [{"id": "bi", "direction": "in"}],
+           "transfers": [{"data": label, "bus": "bi", "offset": 0}]}
+    with pytest.raises(s.IoSpecError) as exc:
+        s.parse_io_spec(json.dumps(doc), g)
+    assert str(exc.value) == f"transfers[0]: {message}"
+
+
+@pytest.mark.parametrize("label,message", [
+    ("ghost", "no node labelled 'ghost'"),
+    ("v", "label 'v' is ambiguous (nodes [0, 1])"),
+])
+def test_label_errors_through_parse_memory_mapping(label, message):
+    g = _labelled((K.MEMDATA, "v"), (K.MEMDATA, "v"))
+    doc = {"mode": "strict", "banks": [{"id": "b0"}],
+           "placements": [{"data": label, "bank": "b0", "address": 0}]}
+    with pytest.raises(s.MappingError) as exc:
+        s.parse_memory_mapping(json.dumps(doc), g)
+    assert str(exc.value) == f"placement references unknown data {label!r}"
+    assert exc.value.__cause__.args[0] == message

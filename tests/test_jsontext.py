@@ -1,0 +1,41 @@
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sfgsched as s
+from sfgsched.jsontext import dumps
+
+TEXT = st.text(st.characters(blacklist_categories=()), max_size=8)
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False) | st.sampled_from([-0.0, 1e300])
+           | TEXT)
+KEYS = TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans() \
+    | st.none()
+RECORDS = st.lists(st.dictionaries(KEYS, SCALARS, max_size=4), max_size=4)
+VALUES = st.recursive(
+    SCALARS | RECORDS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES)
+def test_dumps_is_json_dumps_indent_2(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+def test_record_tables_and_awkward_strings():
+    rows = [{"a": "},\n    {", "b": -0.0}, {"a": "\x00 \ud800", "b": 1e300}]
+    for value in (rows, {"t": rows, "e": [{}, []]}, [rows, rows[:1]],
+                  [{"x": 1}, {}], {"n": float("nan"), 1.5: True}):
+        assert dumps(value) == json.dumps(value, indent=2)
+
+
+def test_documents_keep_their_bytes(pairsum_dir, pairsum_graph):
+    golden = (pairsum_dir / "golden_schedule_lat3.json").read_text()
+    assert dumps(json.loads(golden)) + "\n" == golden
+    assert s.serialize_sfg(pairsum_graph) == json.dumps(
+        json.loads(s.serialize_sfg(pairsum_graph)), indent=2) + "\n"

@@ -72,7 +72,8 @@ def test_schedule_leaves_the_shared_problem_unchanged(which, golden_lat3,
 def test_mutation_kinds_are_specific(golden_lat3):
     sched, g, lib, spec, mapping = golden_lat3
     from mutations import (late_start, corrupt_access_cost, drop_operation,
-                           shift_output_transfer, collapse_sequence_numbers)
+                           shift_output_transfer, collapse_sequence_numbers,
+                           shrink_pool)
     kinds = {v.kind for v in s.verify_schedule(late_start(sched), g, lib,
                                                spec, mapping)}
     assert "window" in kinds
@@ -88,6 +89,24 @@ def test_mutation_kinds_are_specific(golden_lat3):
     kinds = {v.kind for v in s.verify_schedule(
         collapse_sequence_numbers(sched), g, lib, spec, mapping)}
     assert "access-cost" in kinds
+    kinds = {v.kind for v in s.verify_schedule(shrink_pool(sched), g, lib,
+                                               spec, mapping)}
+    assert kinds == {"pool"}
+
+
+
+def test_shared_synthesized_bus_is_caught(pairsum_graph, pairsum_lib,
+                                          map_twobank):
+    from mutations import share_bus_cycle
+    # With free I/O every transfer is synthesized, so no pinned bus hides
+    # the shared one.
+    free = s.IoConstraintSpec.unconstrained(2)
+    sched = s.schedule(pairsum_graph, pairsum_lib, free, map_twobank)
+    assert s.verify_schedule(sched, pairsum_graph, pairsum_lib, free,
+                             map_twobank) == []
+    kinds = {v.kind for v in s.verify_schedule(
+        share_bus_cycle(sched), pairsum_graph, pairsum_lib, free, map_twobank)}
+    assert kinds == {"bus-overlap"}
 
 
 def test_swapped_banks_are_caught(golden_lat2):
