@@ -46,7 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work"
-POINTS = (64, 128, 256, 1024)
+POINTS = (16, 64, 128, 256, 1024)
 RUNS = 5
 LARGE = 1024
 LARGE_RUNS = 3

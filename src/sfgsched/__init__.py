@@ -11,11 +11,9 @@ from .graph import (SFG, Edge, NodeKind, ParseError, SfgNode, ValidationError,
                     parse_sfg, serialize_sfg, validate_sfg)
 from .iospec import (BusDef, IoConstraintSpec, IoSpecError, Transfer,
                      TransferGraph, build_transfer_graph, parse_io_spec)
-from .memory import (Bank, BankConflictGraph, HorizonError, MappingError,
-                     MappingSpec,
+from .memory import (Bank, HorizonError, MappingError, MappingSpec,
                      MemoryMapping, MemoryTable, Placement, PortAccessTable,
-                     apply_mapping, build_conflict_graph, extract_memory_table,
-                     parse_memory_mapping)
+                     apply_mapping, extract_memory_table, parse_memory_mapping)
 from .oplib import (LibraryError, OperatorClass, OperatorLibrary,
                     parse_operator_library)
 from .report import (ArchitectureReport, build_report, render_report_text,
@@ -42,9 +40,8 @@ __all__ = [
     "UnsupportedGraphError", "build_constraint_graph", "apply_io_constraints",
     "compute_time_windows", "check_feasibility",
     "MemoryTable", "Bank", "Placement", "MappingError", "MappingSpec", "MemoryMapping",
-    "BankConflictGraph", "PortAccessTable", "HorizonError",
+    "PortAccessTable", "HorizonError",
     "extract_memory_table", "apply_mapping", "parse_memory_mapping",
-    "build_conflict_graph",
     "Allocation", "AllocationError", "AllocationEvent", "OperatorInstance",
     "Schedule", "ScheduledOp", "ScheduledAccess", "ScheduledTransfer",
     "ScheduleFailure", "SchedulerState", "parse_allocation",

@@ -257,58 +257,10 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
                        placements=tuple(placements))
 
 
-@dataclass(frozen=True)
-class ConflictEdge:
-    src: int
-    dst: int
-    weight: int
-
-
-@dataclass(frozen=True)
-class BankConflictGraph:
-    """Directed graph over memory-access nodes that share a bank.
-
-    The weight of a -> b is the cost of access b when issued right after
-    access a on their common bank: ``t_seq`` if b's address directly follows
-    a's (burst continues), ``t_rand`` otherwise.
-    """
-
-    access_nodes: tuple[int, ...]
-    edges: tuple[ConflictEdge, ...]
-
-    def weight(self, src: int, dst: int) -> int | None:
-        for e in self.edges:
-            if e.src == src and e.dst == dst:
-                return e.weight
-        return None
-
-
-def build_conflict_graph(cg, mapping: MemoryMapping) -> BankConflictGraph:
-    """Connect every ordered pair of accesses placed on the same bank."""
-    from .constraints import CgKind  # local import to avoid a cycle
-
-    accesses = [n for n in cg.nodes.values()
-                if n.kind in (CgKind.READ, CgKind.WRITE)]
-    accesses.sort(key=lambda n: n.id)
-    edges = []
-    for a in accesses:
-        pa = mapping.placement_of(a.data)
-        for b in accesses:
-            if a.id == b.id:
-                continue
-            pb = mapping.placement_of(b.data)
-            if pa.bank != pb.bank:
-                continue
-            bank = mapping.bank(pa.bank)
-            w = bank.t_seq if pb.address == pa.address + 1 else bank.t_rand
-            edges.append(ConflictEdge(src=a.id, dst=b.id, weight=w))
-    return BankConflictGraph(access_nodes=tuple(n.id for n in accesses),
-                             edges=tuple(edges))
-
-
 @dataclass
 class _BankState:
-    slots: list[int]          # reservations per t_seq-sized slot
+    n_slots: int              # t_seq-sized slots in one iteration
+    slots: dict[int, int]     # reservations per slot, for slots holding any
     last_address: int | None  # address of the most recent reservation
 
 
@@ -344,8 +296,8 @@ class PortAccessTable:
         # bank id -> (ports, t_seq, t_rand, state)
         self._params: dict[str, tuple[int, int, int, _BankState]] = {}
         for b in mapping.banks:
-            n_slots = cadence // b.t_seq
-            state = _BankState(slots=[0] * n_slots, last_address=None)
+            state = _BankState(n_slots=cadence // b.t_seq, slots={},
+                               last_address=None)
             self._state[b.id] = state
             self._params[b.id] = (b.ports, b.t_seq, b.t_rand, state)
         self._seq = 0
@@ -360,25 +312,17 @@ class PortAccessTable:
         return self._seq + 1
 
     def slot_count(self, bank_id: str) -> int:
-        return len(self._state[bank_id].slots)
+        return self._state[bank_id].n_slots
 
-    def slot_load(self, bank_id: str) -> tuple[int, ...]:
-        return tuple(self._state[bank_id].slots)
-
-    def access_cost(self, bank_id: str, address: int) -> tuple[int, str]:
-        """(cost, class) of touching ``address`` next on this bank."""
-        _, t_seq, t_rand, state = self._params[bank_id]
-        last = state.last_address
-        if last is None or address == last + 1:
-            return t_seq, "burst"
-        return t_rand, "random"
-
-    def hold_view(self) -> None:
+    def hold_view(self) -> dict[str, int | None]:
         """Make ``probe`` see the table as it stands now until the next
-        call, while reservations still go to the live table."""
+        call, while reservations still go to the live table.  Returns each
+        bank's last reserved address in that view."""
         self._holding = True
         self._view_last = {}
         self._view_add = {}
+        return {bank_id: state.last_address
+                for bank_id, state in self._state.items()}
 
     def fit(self, requests: list[tuple[str, int, int]], view: bool = False
             ) -> list[tuple[int, str, range]]:
@@ -404,13 +348,13 @@ class PortAccessTable:
                 cost, cls = t_rand, "random"
             slots = state.slots
             final = (cycle + cost - 1) // t_seq
-            if final >= len(slots) or cycle < 0:
+            if final >= state.n_slots or cycle < 0:
                 raise HorizonError(bank_id, cycle)
             span = range(cycle // t_seq, final + 1)
             for s in span:
                 key = (bank_id, s)
                 taken = scratch_add.get(key, 0)
-                if slots[s] + taken >= ports:
+                if slots.get(s, 0) + taken >= ports:
                     raise PortConflict(bank_id, cycle)
                 scratch_add[key] = taken + 1
             scratch_last[bank_id] = address
@@ -443,22 +387,11 @@ class PortAccessTable:
                 for s in span:
                     key = (bank_id, s)
                     self._view_add[key] = self._view_add.get(key, 0) - 1
+            slots = state.slots
             for s in span:
-                state.slots[s] += 1
+                slots[s] = slots.get(s, 0) + 1
             state.last_address = address
             self._seq += 1
             out.append(Reservation(bank=bank_id, address=address, cycle=cycle,
                                    cost=cost, cost_class=cls, seq=self._seq))
         return out
-
-    def reserve_all(self, requests: list[tuple[str, int, int]]) -> list[Reservation] | None:
-        """Commit all (bank, address, cycle) requests atomically, in order.
-
-        Returns the reservations (with sequence numbers) or None, leaving
-        the table untouched, if any request cannot be served.
-        """
-        try:
-            fits = self.fit(requests)
-        except BlockedAccess:
-            return None
-        return self.commit(requests, fits)

@@ -13,18 +13,31 @@ The rank key is (mobility, alap, access cost, burst lookahead, id), and
 its first two parts are static.  So the ready set is kept between cycles
 as groups in ascending (mobility, alap) order, with per-class counts, an
 alap heap and an index of readers by (bank, address), and a cycle's walk
-visits the groups lazily.  It probes and sorts only the members that can
-start: those at zero margin and those whose class still has a free
-instance (instances only get busier within a cycle, and a freshly
-allocated one is taken at once).  It stops once no class with a free
-instance has members left and no zero-margin member remains.  Every probe
-reads the port table as it stood when the cycle began, and ops started in
-the cycle leave the readers index only at its end, so a start changes no
-later op's cost, lookahead or servability within the cycle.  When no
-ready operation can start, the walk jumps to the next cycle where
-something can change: a completion or input arrival, an instance a ready
-operation can use becoming free, a ready operation running out of slack,
-or the latency bound.
+visits the groups lazily.  It looks only at the members that can start:
+those at zero margin and those whose class still has a free instance
+(instances only get busier within a cycle, and a freshly allocated one is
+taken at once).  It stops once no class with a free instance has members
+left and no zero-margin member remains.  Every probe reads the port table
+as it stood when the cycle began, and ops started in the cycle leave the
+readers index only at its end, so a start changes no later op's cost,
+lookahead or servability within the cycle.  When no ready operation can
+start, the walk jumps to the next cycle where something can change: a
+completion or input arrival, an instance a ready operation can use
+becoming free, a ready operation running out of slack, or the latency
+bound.
+
+A fit reads an op's requests only through their signature: per request
+the bank, the cycle offset and whether the address continues the bank's
+run.  Probes are made once per signature and cycle.  Each group keeps
+its members in buckets of one static shape (class, and per request the
+bank, the offset and whether it continues the op's own previous request
+on that bank), with two indexes: the members by the address of their
+first request on each bank, and per member the count of other ready
+readers of the address after one of its reads.  A bucket's members share
+a signature except the burst candidates, whose first request on a bank
+continues that bank's run, and only members with such followers can win
+the lookahead; so a bucket is ranked from its candidates and its lowest
+enabler or lowest member, not member by member.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
@@ -193,12 +206,6 @@ class Schedule:
     def pool_counts(self) -> dict[str, int]:
         return {cls: len(names) for cls, names in self.pool.items()}
 
-    def op(self, node: int) -> ScheduledOp:
-        for s in self.ops:
-            if s.node == node:
-                return s
-        raise KeyError(node)
-
     def to_json(self) -> str:
         doc = {
             "latency": self.achieved_latency,
@@ -235,7 +242,12 @@ class SchedulerState:
 
     Each operation is lowered once: ``requests`` holds (bank, address,
     cycle offset) for its port requests, reads then writes, ``read_keys``
-    the (bank, address) of its reads and ``op_class`` its operator class."""
+    the (bank, address) of its reads and ``op_class`` its operator class.
+    ``shape`` is the op's class with, per request, the bank, the offset
+    and whether the address continues the op's own previous request on
+    that bank (None for the op's first request on the bank, whose burst
+    bit depends on the table); ``firsts`` holds the (bank, address) of
+    those first requests."""
 
     cg: ConstraintGraph
     windows: TimeWindows
@@ -251,20 +263,37 @@ class SchedulerState:
     requests: dict[int, tuple[tuple[str, int, int], ...]] = field(init=False)
     read_keys: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
     op_class: dict[int, str] = field(init=False)
+    shape: dict[int, tuple] = field(init=False)
+    firsts: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
 
     def __post_init__(self):
         self.requests = {}
         self.read_keys = {}
         self.op_class = {}
+        self.shape = {}
+        self.firsts = {}
         for n in self.cg.operations:
             self.op_class[n.id] = n.op_class
             reads, writes = self.cg.accesses_of(n.id)
             rp = [self.mapping.placement_of(r.data) for r in reads]
             wp = [self.mapping.placement_of(w.data) for w in writes]
             self.read_keys[n.id] = tuple((p.bank, p.address) for p in rp)
-            self.requests[n.id] = (
+            reqs = self.requests[n.id] = (
                 tuple((p.bank, p.address, 0) for p in rp)
                 + tuple((p.bank, p.address, n.latency) for p in wp))
+            prev: dict[str, int] = {}
+            steps = []
+            firsts = []
+            for bank, address, offset in reqs:
+                before = prev.get(bank)
+                if before is None:
+                    firsts.append((bank, address))
+                    steps.append((bank, offset, None))
+                else:
+                    steps.append((bank, offset, address == before + 1))
+                prev[bank] = address
+            self.shape[n.id] = (n.op_class, tuple(steps))
+            self.firsts[n.id] = tuple(firsts)
 
     def margin(self, op_id: int, t: int) -> int:
         return self.windows.alap[op_id] - t
@@ -290,6 +319,19 @@ class SchedulerState:
         return [(bank, address, t + offset)
                 for bank, address, offset in self.requests[op_id]]
 
+    def signature(self, op_id: int, last: dict[str, int | None]
+                  ) -> tuple[tuple[str, int, bool], ...]:
+        """(bank, offset, is_burst) of each of the op's requests when the
+        banks last served the ``last`` addresses: all a fit depends on."""
+        sig = []
+        for (bank, address, _), (_, offset, burst) in zip(
+                self.requests[op_id], self.shape[op_id][1]):
+            if burst is None:
+                before = last[bank]
+                burst = before is None or address == before + 1
+            sig.append((bank, offset, burst))
+        return tuple(sig)
+
     def probe_access_cost(self, op_id: int, t: int) -> int | None:
         """Total port cost of starting the op at t, or None if blocked,
         against the port table's held view."""
@@ -313,35 +355,61 @@ class SchedulerState:
         return None
 
 
+class _Bucket:
+    """Members of one (mobility, alap) group that share a shape.
+
+    ``members`` and ``enablers`` (members with a lookahead follower) are in
+    ascending id order; ``first_at`` maps the (bank, address) of a first
+    request on a bank to the members that make it."""
+
+    __slots__ = ("members", "enablers", "first_at")
+
+    def __init__(self):
+        self.members: list[int] = []
+        self.enablers: list[int] = []
+        self.first_at: dict[tuple[str, int], list[int]] = {}
+
+
 class ReadySet:
     """The ready operations of a run, kept up to date between cycles.
 
     ``groups`` maps each (mobility, alap) prefix of the rank key to its
-    members and ``keys`` holds those prefixes in ascending order.
-    ``per_class`` counts members by operator class, ``by_alap`` is a
-    min-heap of (alap, op) entries (stale once the op has left), and
-    ``readers`` indexes members by the (bank, address) of their reads.
-    ``followers`` join only ``readers``: ready operations that are not
-    walked but still count for the burst lookahead.
+    members, bucketed by shape (``SchedulerState.shape``), and ``keys``
+    holds those prefixes in ascending order.  ``per_class`` counts members
+    by operator class, ``by_alap`` is a min-heap of (alap, op) entries
+    (stale once the op has left), and ``readers`` indexes members by the
+    (bank, address) of their reads.  ``followers`` counts, per member, the
+    other members reading the address after one of its reads on the same
+    bank: only a member with followers can enable a burst.
     """
 
-    def __init__(self, state: SchedulerState, ops: Iterable[int] = (),
-                 followers: Iterable[int] = ()):
+    def __init__(self, state: SchedulerState, ops: Iterable[int] = ()):
         self.state = state
         self.members: set[int] = set()
         self.keys: list[tuple[int, int]] = []
-        self.groups: dict[tuple[int, int], list[int]] = {}
+        self.groups: dict[tuple[int, int], dict[tuple, _Bucket]] = {}
         self.per_class: dict[str, int] = {}
         self.by_alap: list[tuple[int, int]] = []
         self.readers: dict[tuple[str, int], list[int]] = {}
+        self.followers: dict[int, int] = {}
         for op_id in ops:
             self.add(op_id)
-        for op_id in followers:
-            for key in state.read_keys[op_id]:
-                self.readers.setdefault(key, []).append(op_id)
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def _bucket(self, op_id: int) -> _Bucket:
+        windows = self.state.windows
+        return self.groups[windows.mobility[op_id], windows.alap[op_id]][
+            self.state.shape[op_id]]
+
+    def _follow(self, op_id: int, delta: int) -> None:
+        before = self.followers[op_id]
+        self.followers[op_id] = before + delta
+        if not before:
+            bisect.insort(self._bucket(op_id).enablers, op_id)
+        elif not before + delta:
+            self._bucket(op_id).enablers.remove(op_id)
 
     def add(self, op_id: int) -> None:
         state = self.state
@@ -349,27 +417,56 @@ class ReadySet:
         key = (state.windows.mobility[op_id], alap)
         group = self.groups.get(key)
         if group is None:
-            group = self.groups[key] = []
+            group = self.groups[key] = {}
             bisect.insort(self.keys, key)
-        group.append(op_id)
+        bucket = group.get(state.shape[op_id])
+        if bucket is None:
+            bucket = group[state.shape[op_id]] = _Bucket()
+        bisect.insort(bucket.members, op_id)
+        for first in state.firsts[op_id]:
+            bucket.first_at.setdefault(first, []).append(op_id)
         cls = state.op_class[op_id]
         self.per_class[cls] = self.per_class.get(cls, 0) + 1
         heapq.heappush(self.by_alap, (alap, op_id))
-        for rk in state.read_keys[op_id]:
-            self.readers.setdefault(rk, []).append(op_id)
+        readers = self.readers
+        read_keys = state.read_keys[op_id]
+        for rk in read_keys:
+            readers.setdefault(rk, []).append(op_id)
+        followers = 0
+        for bank, address in read_keys:
+            for other in readers.get((bank, address + 1), ()):
+                followers += other != op_id
+            for other in readers.get((bank, address - 1), ()):
+                if other != op_id:
+                    self._follow(other, 1)
+        self.followers[op_id] = followers
+        if followers:
+            bisect.insort(bucket.enablers, op_id)
         self.members.add(op_id)
 
     def discard(self, op_id: int) -> None:
         state = self.state
         key = (state.windows.mobility[op_id], state.windows.alap[op_id])
         group = self.groups[key]
-        group.remove(op_id)
-        if not group:
-            del self.groups[key]
-            del self.keys[bisect.bisect_left(self.keys, key)]
+        shape = state.shape[op_id]
+        bucket = group[shape]
+        bucket.members.remove(op_id)
+        for first in state.firsts[op_id]:
+            bucket.first_at[first].remove(op_id)
+        if self.followers.pop(op_id):
+            bucket.enablers.remove(op_id)
+        if not bucket.members:
+            del group[shape]
+            if not group:
+                del self.groups[key]
+                del self.keys[bisect.bisect_left(self.keys, key)]
         self.per_class[state.op_class[op_id]] -= 1
-        for rk in state.read_keys[op_id]:
-            self.readers[rk].remove(op_id)
+        readers = self.readers
+        for bank, address in state.read_keys[op_id]:
+            readers[bank, address].remove(op_id)
+            for other in readers.get((bank, address - 1), ()):
+                if other != op_id:
+                    self._follow(other, -1)
         self.members.discard(op_id)
 
     def min_alap(self) -> int | None:
@@ -392,15 +489,15 @@ class ReadySet:
         return sorted(out)
 
 
-def rank_executable(state: SchedulerState, ready: Iterable[int], t: int,
-                    waiting: Iterable[int] = ()) -> Iterator[int]:
+def rank_executable(state: SchedulerState, ready: ReadySet,
+                    t: int) -> Iterator[int]:
     """Walk the ready operations for cycle t in rank order.
 
     The rank key is (mobility, alap, access cost, burst lookahead, id):
     tight windows first, and among equals an access whose address starts a
     run another ready access can continue in burst mode goes first.  The
     first two parts are static, so the walk visits the (mobility, alap)
-    groups in order and probes and sorts only the members that may start:
+    groups in order, and within a group only the members that may start:
     those at zero margin and those whose class still has a free instance.
     It yields each one whose accesses fit, skips one whose class ran out
     of instances since, and stops once no class with a free instance has
@@ -411,22 +508,23 @@ def rank_executable(state: SchedulerState, ready: Iterable[int], t: int,
     every servable member that is at zero margin or has a free instance,
     sorted by the full key.
 
+    A fit depends on an op's requests only through their bank, their
+    cycle offset and whether each continues its bank's run, so probes are
+    made once per such signature.  Members of one shape bucket share a
+    signature unless their first request on some bank continues that
+    bank's run (a burst candidate); the others rank by the lookahead and
+    id alone: first the members whose reads a servable peer continues,
+    then the rest.  So each bucket puts forward its candidates and its
+    best other member, the walk merges the buckets by the full key, and a
+    bucket moves on to its next member only while the class still has a
+    free instance (always after a delay) or the group is at zero margin.
+
     Before anything is yielded, a member whose latest start has passed
     aborts the schedule (lowest id first), as does a zero-margin member
     whose accesses cannot be served (in id order).
-
-    ``ready`` is the run's ReadySet, or a collection of op ids the caller
-    has found able to start, whatever the instance pool says; ``waiting``
-    then names further ready operations that are not walked but still
-    count for the burst lookahead.
     """
-    if isinstance(ready, ReadySet):
-        free = {cls: sum(1 for inst in insts if inst.busy_until <= t)
-                for cls, insts in state.instances.items()}
-    else:
-        # The caller vouches for every listed op: as many instances as ops.
-        ready = ReadySet(state, ready, followers=waiting)
-        free = dict.fromkeys(ready.per_class, len(ready))
+    free = {cls: sum(1 for inst in insts if inst.busy_until <= t)
+            for cls, insts in state.instances.items()}
     alap = state.windows.alap
     due = ready.due(t)
     for op_id in due:
@@ -436,15 +534,14 @@ def rank_executable(state: SchedulerState, ready: Iterable[int], t: int,
                                   op_class=state.op_class[op_id],
                                   detail=f"latest feasible start was cycle "
                                          f"{alap[op_id]}")
-    state.table.hold_view()
-    # Ops with the same port requests fit alike against one view.
-    probed: dict[tuple[tuple[str, int, int], ...], int | None] = {}
+    last = state.table.hold_view()
+    probed: dict[tuple[tuple[str, int, bool], ...], int | None] = {}
 
     def cost(op_id: int) -> int | None:
-        reqs = state.requests[op_id]
-        if reqs not in probed:
-            probed[reqs] = state.probe_access_cost(op_id, t)
-        return probed[reqs]
+        sig = state.signature(op_id, last)
+        if sig not in probed:
+            probed[sig] = state.probe_access_cost(op_id, t)
+        return probed[sig]
 
     for op_id in due:
         if cost(op_id) is None:
@@ -452,12 +549,13 @@ def rank_executable(state: SchedulerState, ready: Iterable[int], t: int,
                 "memory-conflict-at-zero-margin", cycle=t,
                 operation=op_id, op_class=state.op_class[op_id],
                 bank=state.blocking_bank(op_id, t))
-    return _walk(state, ready, t, cost, len(due), free)
+    return _walk(state, ready, t, cost, len(due), free, last)
 
 
 def _walk(state: SchedulerState, ready: ReadySet, t: int,
           cost: Callable[[int], int | None], zero_left: int,
-          free: dict[str, int]) -> Iterator[int]:
+          free: dict[str, int], last: dict[str, int | None]
+          ) -> Iterator[int]:
     op_class = state.op_class
     read_keys = state.read_keys
     readers = ready.readers
@@ -473,30 +571,59 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                     return 0
         return 1
 
+    def rest(bucket: _Bucket, skip: set[int]) -> Iterator[tuple[int, int]]:
+        """(flag, id) of the bucket's members outside ``skip`` in rank
+        order: the burst enablers, then the others, each by id."""
+        enabling = set()
+        for op_id in bucket.enablers:
+            if op_id not in skip and not enables_flag(op_id):
+                enabling.add(op_id)
+                yield 0, op_id
+        for op_id in bucket.members:
+            if op_id not in skip and op_id not in enabling:
+                yield 1, op_id
+
     for key in ready.keys:
         if not zero_left and not any(n and free.get(cls)
                                      for cls, n in left.items()):
             return
         group = ready.groups[key]
         zero = key[1] <= t
-        if zero:
-            zero_left -= len(group)
-        ranked = []
-        for op_id in group:
-            cls = op_class[op_id]
-            left[cls] -= 1
-            if zero or free.get(cls):
+        heads = []  # (cost, flag, id, rest of its bucket or None)
+        for (cls, steps), bucket in group.items():
+            left[cls] -= len(bucket.members)
+            if zero:
+                zero_left -= len(bucket.members)
+            elif not free.get(cls):
+                continue
+            candidates = set()
+            for bank, _, inop in steps:
+                if inop is None and last[bank] is not None:
+                    candidates.update(
+                        bucket.first_at.get((bank, last[bank] + 1), ()))
+            for op_id in candidates:
                 c = cost(op_id)
                 if c is not None:
-                    ranked.append((c, enables_flag(op_id), op_id))
-        ranked.sort()
-        for _, _, op_id in ranked:
+                    heads.append((c, enables_flag(op_id), op_id, None))
+            # the other members share one signature, so one probe serves
+            first = next((op_id for op_id in bucket.members
+                          if op_id not in candidates), None)
+            if first is not None and (c := cost(first)) is not None:
+                others = rest(bucket, candidates)
+                heads.append((c, *next(others), others))
+        heapq.heapify(heads)
+        while heads:
+            c, _, op_id, others = heapq.heappop(heads)
             cls = op_class[op_id]
             if not zero and not free.get(cls):
                 continue  # an earlier start took the last free instance
             yield op_id
             if op_id in state.started and free.get(cls):
                 free[cls] -= 1
+            if others is not None and (zero or free.get(cls)):
+                head = next(others, None)
+                if head is not None:
+                    heapq.heappush(heads, (c, *head, others))
 
 
 def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None:

@@ -155,8 +155,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
         out.append(Violation("access-cost",
                              "reservation sequence numbers are not 1..n"))
     last: dict[str, int | None] = {b.id: None for b in mapping.banks}
-    slots: dict[str, list[int]] = {
-        b.id: [0] * (sched.cadence // b.t_seq) for b in mapping.banks}
+    slots: dict[str, dict[int, int]] = {b.id: {} for b in mapping.banks}
     for a in ordered:
         cost, cls = _replay_cost(mapping, last, a.bank, a.address)
         last[a.bank] = a.address
@@ -170,15 +169,16 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
         bank = mapping.bank(a.bank)
         first_slot = a.cycle // bank.t_seq
         last_slot = (a.cycle + a.cost - 1) // bank.t_seq
-        if a.cycle < 0 or last_slot >= len(slots[a.bank]):
+        if a.cycle < 0 or last_slot >= sched.cadence // bank.t_seq:
             out.append(Violation("port-overlap",
                                  f"access at cycle {a.cycle} on {a.bank} runs "
                                  f"past the iteration horizon", a.node))
             continue
+        used = slots[a.bank]
         for s in range(first_slot, last_slot + 1):
-            slots[a.bank][s] += 1
+            used[s] = used.get(s, 0) + 1
     for bank in mapping.banks:
-        for s, n_used in enumerate(slots[bank.id]):
+        for s, n_used in sorted(slots[bank.id].items()):
             if n_used > bank.ports:
                 out.append(Violation(
                     "port-overlap",

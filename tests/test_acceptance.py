@@ -42,8 +42,8 @@ def test_criterion_1_worked_example(pairsum_graph, pairsum_lib, io_lat3,
         sched = s.schedule(pairsum_graph, pairsum_lib, io_lat3, map_onebank)
         m1 = pairsum_graph.node_by_label("m1").id   # a * var1
         m2 = pairsum_graph.node_by_label("m2").id   # b * var2
-        assert sched.op(m2).start == 0
-        assert sched.op(m1).start == 1
+        start = {o.node: o.start for o in sched.ops}
+        assert (start[m2], start[m1]) == (0, 1)
         second = [a for a in sched.accesses if a.data_label == "var1"]
         assert [(a.cost, a.cost_class) for a in second] == [(1, "burst")]
         assert sched.achieved_latency == 3

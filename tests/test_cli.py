@@ -55,6 +55,20 @@ def test_schedule_abort_exit_3(pairsum_dir, capsys):
     assert "bank0" in err and "cycle 0" in err and "mult" in err
 
 
+def test_huge_cadence_schedules_like_a_small_one(pairsum_dir, tmp_path):
+    # the port tables store only reserved slots, not one per cycle
+    docs = {}
+    for cadence in ("2", "1000000000"):
+        out = tmp_path / cadence
+        assert main(["schedule"] + _args(
+            pairsum_dir, "--cadence", cadence, "--out", str(out),
+            io="io_lat2.json", mem="mem_twobank.json")) == 0
+        docs[cadence] = json.loads((out / "schedule.json").read_text())
+    assert docs["1000000000"].pop("cadence") == 1000000000
+    assert docs["2"].pop("cadence") == 2
+    assert docs["1000000000"] == docs["2"]
+
+
 def test_report_writes_three_files(pairsum_dir, tmp_path, capsys):
     rc = main(["report"] + _args(pairsum_dir, "--out", str(tmp_path),
                                  io="io_lat2.json", mem="mem_twobank.json"))

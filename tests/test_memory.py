@@ -102,57 +102,8 @@ def test_parse_memory_mapping(pairsum_dir, pairsum_graph):
             s.parse_memory_mapping(broken, pairsum_graph)
 
 
-def test_conflict_graph_one_bank(pairsum_graph, pairsum_lib, map_onebank):
-    cg = s.build_constraint_graph(pairsum_graph, pairsum_lib)
-    bcg = s.build_conflict_graph(cg, map_onebank)
-    assert len(bcg.access_nodes) == 2
-    k = len(bcg.access_nodes)
-    assert len(bcg.edges) == k * (k - 1)
-    # var2 sits at address 0, var1 at 1: one direction bursts, one does not
-    r_var1 = next(n for n in bcg.access_nodes
-                  if cg.nodes[n].data == pairsum_graph.node_by_label("var1").id)
-    r_var2 = next(n for n in bcg.access_nodes
-                  if cg.nodes[n].data == pairsum_graph.node_by_label("var2").id)
-    assert bcg.weight(r_var2, r_var1) == 1  # consecutive addresses
-    assert bcg.weight(r_var1, r_var2) == 2  # random access
-
-
-def test_conflict_graph_two_banks(pairsum_graph, pairsum_lib, map_twobank):
-    cg = s.build_constraint_graph(pairsum_graph, pairsum_lib)
-    bcg = s.build_conflict_graph(cg, map_twobank)
-    assert len(bcg.access_nodes) == 2
-    assert bcg.edges == ()
-
-
-def test_conflict_graph_pair_counts_random():
-    for seed in range(25):
-        p = random_problem(seed)
-        cg = s.build_constraint_graph(p.g, p.lib)
-        bcg = s.build_conflict_graph(cg, p.mapping)
-        by_bank = {}
-        for n in bcg.access_nodes:
-            b = p.mapping.placement_of(cg.nodes[n].data).bank
-            by_bank.setdefault(b, []).append(n)
-        want = sum(len(v) * (len(v) - 1) for v in by_bank.values())
-        assert len(bcg.edges) == want
-        bursts = 0
-        for nodes in by_bank.values():
-            for a in nodes:
-                for b in nodes:
-                    if a == b:
-                        continue
-                    pa = p.mapping.placement_of(cg.nodes[a].data)
-                    pb = p.mapping.placement_of(cg.nodes[b].data)
-                    t_seq = p.mapping.bank(pa.bank).t_seq
-                    if pb.address == pa.address + 1:
-                        assert bcg.weight(a, b) == t_seq
-                        bursts += 1
-        got = sum(1 for e in bcg.edges
-                  if e.weight == p.mapping.bank(
-                      p.mapping.placement_of(cg.nodes[e.src].data).bank).t_seq
-                  and p.mapping.placement_of(cg.nodes[e.dst].data).address ==
-                  p.mapping.placement_of(cg.nodes[e.src].data).address + 1)
-        assert got == bursts
+def _reserve(table, requests):
+    return table.commit(requests, table.fit(requests))
 
 
 def test_port_table_slots(map_onebank):
@@ -162,17 +113,34 @@ def test_port_table_slots(map_onebank):
     m = s.apply_mapping(s.MemoryTable(entries=(), readers={}, writers={}), wide)
     t2 = s.PortAccessTable(m, cadence=7)
     assert t2.slot_count("b") == 3  # floor(7 / 2)
+    # only slots holding reservations are stored, so the cadence may be huge
+    big = s.PortAccessTable(map_onebank, cadence=10**9)
+    assert big.slot_count("bank0") == 10**9
+    (r,) = _reserve(big, [("bank0", 0, 10**9 - 1)])
+    assert (r.cycle, r.cost) == (10**9 - 1, 1)
+    with pytest.raises(PortConflict):
+        big.fit([("bank0", 1, 10**9 - 1)])
+    with pytest.raises(s.HorizonError):
+        big.fit([("bank0", 1, 10**9)])
 
 
 def test_access_cost_reservation_order(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
+
+    def cost(address):
+        ((c, cls, _),) = table.fit([("bank0", address, 4)])
+        return c, cls
+
     # idle bank: any first access runs at the sequential rate
-    assert table.access_cost("bank0", 5) == (1, "burst")
-    r = table.reserve_all([("bank0", 5, 0)])
-    assert r is not None and r[0].cost == 1
-    assert table.access_cost("bank0", 6) == (1, "burst")
-    assert table.access_cost("bank0", 5) == (2, "random")
-    assert table.access_cost("bank0", 4) == (2, "random")
+    assert cost(5) == (1, "burst")
+    (r,) = _reserve(table, [("bank0", 5, 0)])
+    assert r.cost == 1
+    assert cost(6) == (1, "burst")
+    assert cost(5) == (2, "random")
+    assert cost(4) == (2, "random")
+    # within one request list, each request follows the one before it
+    assert [c for c, _, _ in table.fit([("bank0", 0, 4), ("bank0", 1, 6)])] \
+        == [2, 1]
 
 
 def test_probe_does_not_mutate(map_onebank):
@@ -184,17 +152,21 @@ def test_probe_does_not_mutate(map_onebank):
     # a same-cycle pair on the single port is refused, still without mutation
     assert table.probe([("bank0", 0, 0), ("bank0", 1, 0)]) is None
     assert table.next_seq == before_seq
-    assert set(table.slot_load("bank0")) == {0}
+    # no slot was taken: the probed requests still reserve as probed
+    reserved = _reserve(table, [("bank0", 0, 0), ("bank0", 1, 1)])
+    assert [(r.cost, r.cost_class, r.seq) for r in reserved] == \
+        [(1, "burst", 1), (1, "burst", 2)]
 
 
 def test_reserve_all_is_atomic(map_onebank):
-    # one port: two same-cycle accesses cannot both be served
+    # one port: two same-cycle accesses cannot both be served, and a
+    # refused request list reserves none of its requests
     table = s.PortAccessTable(map_onebank, cadence=8)
-    assert table.reserve_all([("bank0", 0, 3), ("bank0", 5, 3)]) is None
-    assert set(table.slot_load("bank0")) == {0}
+    with pytest.raises(PortConflict):
+        table.fit([("bank0", 0, 3), ("bank0", 5, 3)])
     assert table.next_seq == 1
-    ok = table.reserve_all([("bank0", 0, 3), ("bank0", 1, 4)])
-    assert ok is not None and [r.seq for r in ok] == [1, 2]
+    ok = _reserve(table, [("bank0", 0, 3), ("bank0", 1, 4)])
+    assert [r.seq for r in ok] == [1, 2]
 
 
 def test_reservation_spans_slots():
@@ -202,53 +174,45 @@ def test_reservation_spans_slots():
                                                     t_seq=1, t_rand=3),))
     m = s.apply_mapping(s.MemoryTable(entries=(), readers={}, writers={}), spec)
     table = s.PortAccessTable(m, cadence=8)
-    (r,) = table.reserve_all([("b", 9, 2)])  # idle: burst, cost 1
+    (r,) = _reserve(table, [("b", 9, 2)])  # idle: burst, cost 1
     assert r.cost == 1
-    (r2,) = table.reserve_all([("b", 4, 3)])  # random: occupies 3 slots
+    (r2,) = _reserve(table, [("b", 4, 3)])  # random: occupies 3 slots
     assert r2.cost == 3
-    assert table.slot_load("b") == (0, 0, 1, 1, 1, 1, 0, 0)
-    assert table.reserve_all([("b", 9, 5)]) is None  # port busy at cycle 5
+    busy = []
+    for cycle in range(8):  # address 5 continues the run: one slot each
+        try:
+            table.fit([("b", 5, cycle)])
+        except PortConflict:
+            busy.append(cycle)
+    assert busy == [2, 3, 4, 5]
+    with pytest.raises(PortConflict):  # port busy at cycle 5
+        table.fit([("b", 9, 5)])
 
 
 def test_horizon_error(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=4)
     with pytest.raises(s.HorizonError):
         table.probe([("bank0", 0, 4)])
-    assert table.reserve_all([("bank0", 0, 4)]) is None
+    with pytest.raises(s.HorizonError):
+        table.fit([("bank0", 0, 4)])
     with pytest.raises(s.HorizonError):
         table.probe([("bank0", 0, 3), ("bank0", 0, 3)])  # cost 2 spills past end
 
 
 def test_held_view_hides_later_reservations(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
-    table.reserve_all([("bank0", 5, 0)])
-    table.hold_view()
+    assert table.hold_view() == {"bank0": None}
+    _reserve(table, [("bank0", 5, 0)])
+    assert table.hold_view() == {"bank0": 5}
     # random access (last address 5): occupies slots 1 and 2 of the one port
-    assert table.reserve_all([("bank0", 0, 1)]) is not None
+    assert _reserve(table, [("bank0", 0, 1)])
     # probes still see address 5 last and slot 1 free; the live table not
     assert table.probe([("bank0", 6, 1)]) == [(1, "burst")]
     with pytest.raises(PortConflict) as err:
         table.fit([("bank0", 3, 4), ("bank0", 6, 1)])
     assert (err.value.bank_id, err.value.cycle) == ("bank0", 1)
-    table.hold_view()
+    assert table.hold_view() == {"bank0": 0}
     assert table.probe([("bank0", 6, 1)]) is None
-
-
-def test_access_cost_matches_conflict_graph(pairsum_graph, pairsum_lib, map_onebank):
-    """After serving access A, the cost of B equals the conflict-graph edge
-    weight A -> B; an idle bank always serves at the sequential rate."""
-    cg = s.build_constraint_graph(pairsum_graph, pairsum_lib)
-    bcg = s.build_conflict_graph(cg, map_onebank)
-    for a in bcg.access_nodes:
-        for b in bcg.access_nodes:
-            if a == b:
-                continue
-            table = s.PortAccessTable(map_onebank, cadence=8)
-            pa = map_onebank.placement_of(cg.nodes[a].data)
-            pb = map_onebank.placement_of(cg.nodes[b].data)
-            table.reserve_all([(pa.bank, pa.address, 0)])
-            cost, _ = table.access_cost(pb.bank, pb.address)
-            assert cost == bcg.weight(a, b)
 
 
 def test_replay_never_double_books():

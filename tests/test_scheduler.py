@@ -4,7 +4,7 @@ import pytest
 
 import sfgsched as s
 from sfgsched import scheduling
-from sfgsched.scheduling import _seed_pool
+from sfgsched.scheduling import ReadySet, _seed_pool
 from instances import random_problem
 
 K = s.NodeKind
@@ -102,23 +102,25 @@ def test_fixed_allocation_unknown_class(pairsum_graph, pairsum_lib, io_lat3,
              "fixed:divider=1")
 
 
-def _burst_fixture(addresses=(0, 4, 5)):
-    """Ops x (4), y (5) and z (6) multiply input a by d4, d0 and d5, placed
-    at the given (d0, d4, d5) addresses of one dual-port bank."""
+def _burst_fixture(addresses=(0, 4, 5), z_op="*"):
+    """Ops x (4) and y (5) multiply input a by d4 and d0, and z (6) combines
+    a and d5 with ``z_op``; (d0, d4, d5) sit at the given addresses of one
+    dual-port bank."""
     nodes = [s.SfgNode(0, K.INPUT, label="a"),
              s.SfgNode(1, K.MEMDATA, label="d0"),
              s.SfgNode(2, K.MEMDATA, label="d4"),
              s.SfgNode(3, K.MEMDATA, label="d5"),
              s.SfgNode(4, K.OPERATION, op="*", label="x"),
              s.SfgNode(5, K.OPERATION, op="*", label="y"),
-             s.SfgNode(6, K.OPERATION, op="*", label="z"),
+             s.SfgNode(6, K.OPERATION, op=z_op, label="z"),
              s.SfgNode(7, K.OUTPUT, label="ox"),
              s.SfgNode(8, K.OUTPUT, label="oy"),
              s.SfgNode(9, K.OUTPUT, label="oz")]
     edges = [(0, 4, 0), (2, 4, 1), (0, 5, 0), (1, 5, 1), (0, 6, 0), (3, 6, 1),
              (4, 7, 0), (5, 8, 0), (6, 9, 0)]
     g = s.SFG(nodes, edges)
-    lib = s.OperatorLibrary(classes=(s.OperatorClass("mult", frozenset("*"), 1),))
+    lib = s.OperatorLibrary(classes=(s.OperatorClass("mult", frozenset("*"), 1),
+                                     s.OperatorClass("add", frozenset("+"), 1)))
     spec = s.IoConstraintSpec.unconstrained(latency_bound=6)
     mspec = s.MappingSpec(
         mode="strict",
@@ -137,30 +139,34 @@ def _burst_fixture(addresses=(0, 4, 5)):
     return state
 
 
+def _rank(state, ops, t=0):
+    return list(s.rank_executable(state, ReadySet(state, ops), t))
+
+
 def test_ranking_prefers_burst_enabler():
     state = _burst_fixture()
     # x reads address 4 and thereby turns z's read of 5 into a burst, so x
     # outranks the otherwise identical y and z
-    assert list(s.rank_executable(state, [4, 5, 6], 0)) == [4, 5, 6]
-    assert list(s.rank_executable(state, [6, 5, 4], 0))[0] == 4
+    assert _rank(state, [4, 5, 6]) == [4, 5, 6]
+    assert _rank(state, [6, 5, 4])[0] == 4
 
 
 def test_ranking_prefers_cheap_access_after_commit():
     state = _burst_fixture()
     assert s.assign_step(state, 4, 0) is not None
-    # bank now sits at address 4: z (address 5) bursts, y (address 0) does not
-    assert list(s.rank_executable(state, [5, 6], 0)) == [6, 5]
+    # bank now sits at address 4: z (address 5) bursts, y (address 0) does
+    # not; the multiplier is free again at cycle 1
+    assert _rank(state, [5, 6], 1) == [6, 5]
 
 
 def test_waiting_follow_up_reader_still_demotes_burst_flag():
     # y reads address 0 and z reads address 1: starting y keeps z's read in
-    # burst mode, so y outranks x (address 5) even while z only waits for an
-    # instance and is not ranked itself
-    state = _burst_fixture(addresses=(0, 5, 1))
-    full = list(s.rank_executable(state, [4, 5, 6], 0))
-    assert list(s.rank_executable(state, [4, 5], 0, waiting=[6])) == \
-        [op for op in full if op != 6] == [5, 4]
-    assert list(s.rank_executable(state, [4, 5], 0)) == [4, 5]
+    # burst mode, so y outranks x (address 5) even while z only waits for
+    # the busy adder and is not ranked itself
+    state = _burst_fixture(addresses=(0, 5, 1), z_op="+")
+    state.instances["add"][0].busy_until = 1
+    assert _rank(state, [4, 5, 6]) == [5, 4]
+    assert _rank(state, [4, 5]) == [4, 5]
 
 
 def test_waiting_reader_counts_in_the_walk():
@@ -215,9 +221,9 @@ def test_idle_stretch_keeps_allocation_and_abort_cycles(monkeypatch):
     ranked_at = []
     rank = scheduling.rank_executable
 
-    def spy(state, ready, t, waiting=()):
+    def spy(state, ready, t):
         ranked_at.append(t)
-        return rank(state, ready, t, waiting)
+        return rank(state, ready, t)
 
     monkeypatch.setattr(scheduling, "rank_executable", spy)
     sched = s.schedule(g, lib, spec, mapping)
