@@ -21,11 +21,12 @@ had collection passes moved into it, not work.
 Inside the child process every stage function is replaced, on the ``cli``,
 ``scheduling`` and ``verify`` modules, by a wrapper that adds its exclusive
 time (``time.perf_counter``, minus wrapped calls nested in it) to its
-stage; ``other`` is the rest of the call (argument parsing, file reads and
-writes).  The child also counts constraint-graph builds and graph
-validations (``SFG.find_cycle`` calls) and hashes ``schedule.json`` and
-``report.json``; both trees must give the same hashes.  The standard
-library is all this script needs.
+stage; ``write`` is the output files (``cli._write_file``, or
+``Path.write_text`` in trees that predate it) and ``other`` the rest of the
+call (argument parsing, file reads).  The child also counts
+constraint-graph builds and graph validations (``SFG.find_cycle`` calls)
+and hashes ``schedule.json`` and ``report.json``; both trees must give the
+same hashes.  The standard library is all this script needs.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ STAGES = {
     "verify": ("verify_schedule",),
     "report_serialize": ("build_report", "report_to_json",
                          "render_report_text"),
+    "write": ("_write_file",),
 }
 
 
@@ -109,6 +111,7 @@ def _child(src: str, argv: list[str], collect: bool) -> dict:
     scheduling.Schedule.to_json = timed("report_serialize",
                                         scheduling.Schedule.to_json)
     graph.SFG.find_cycle = counted("find_cycle", graph.SFG.find_cycle)
+    Path.write_text = timed("write", Path.write_text)
 
     if not collect:
         gc.disable()
@@ -219,8 +222,9 @@ def main(argv=None) -> int:
         "stages": {k: ", ".join(v) for k, v in STAGES.items()}
         | {"report_serialize": ", ".join(STAGES["report_serialize"])
            + ", Schedule.to_json",
-           "other": "the rest of cli.main: argument parsing, file reads "
-                    "and writes"},
+           "write": "cli._write_file, or Path.write_text where the CLI "
+                    "has no _write_file",
+           "other": "the rest of cli.main: argument parsing, file reads"},
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),

@@ -1,5 +1,4 @@
-"""I/O timing constraints: buses, transfer schedule, and the per-bus
-transfer-precedence graph.
+"""I/O timing constraints: buses and the transfer schedule.
 
 A constrained component exchanges data with its environment on buses at
 fixed cycle offsets within an iteration of ``cadence`` cycles.  The
@@ -23,7 +22,6 @@ class IoSpecError(ValueError):
 class BusDef:
     id: str
     direction: str  # "in" | "out"
-    width: int | None = None
 
     def __post_init__(self) -> None:
         if self.direction not in ("in", "out"):
@@ -90,12 +88,6 @@ class IoConstraintSpec:
             slots.add(key)
         return out
 
-    def input_transfers(self, g: SFG) -> list[Transfer]:
-        return [t for t in self.transfers if g.node(t.node).kind is NodeKind.INPUT]
-
-    def output_transfers(self, g: SFG) -> list[Transfer]:
-        return [t for t in self.transfers if g.node(t.node).kind is NodeKind.OUTPUT]
-
 
 @dataclass(frozen=True)
 class TransferNode:
@@ -106,28 +98,21 @@ class TransferNode:
 
 @dataclass(frozen=True)
 class TransferGraph:
-    """Per-bus transfer sequences: one node per transfer, precedence edges
-    between consecutive transfers on the same bus."""
+    """One node per transfer, in the order of the spec."""
 
     nodes: tuple[TransferNode, ...]
-    edges: tuple[tuple[int, int], ...]  # indices into nodes
 
 
 def build_transfer_graph(spec: IoConstraintSpec) -> TransferGraph:
-    """Order transfers per bus by offset and chain them."""
+    """One node per transfer; rejects two transfers in one bus slot."""
     seen: set[tuple[str, int]] = set()
     for t in spec.transfers:
         key = (t.bus, t.offset)
         if key in seen:
             raise IoSpecError(f"bus {t.bus!r} carries two transfers at offset {t.offset}")
         seen.add(key)
-    nodes = [TransferNode(t.node, t.bus, t.offset) for t in spec.transfers]
-    order = sorted(range(len(nodes)), key=lambda i: (nodes[i].bus, nodes[i].offset))
-    edges: list[tuple[int, int]] = []
-    for a, b in zip(order, order[1:]):
-        if nodes[a].bus == nodes[b].bus:
-            edges.append((a, b))
-    return TransferGraph(nodes=tuple(nodes), edges=tuple(edges))
+    return TransferGraph(nodes=tuple(TransferNode(t.node, t.bus, t.offset)
+                                     for t in spec.transfers))
 
 
 def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:
@@ -158,8 +143,7 @@ def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:
     for i, obj in enumerate(doc.get("buses", [])):
         if not isinstance(obj, dict) or "id" not in obj or "direction" not in obj:
             raise IoSpecError(f"buses[{i}]: need 'id' and 'direction'")
-        buses.append(BusDef(id=str(obj["id"]), direction=str(obj["direction"]),
-                            width=obj.get("width")))
+        buses.append(BusDef(id=str(obj["id"]), direction=str(obj["direction"])))
     transfers = []
     for i, obj in enumerate(doc.get("transfers", [])):
         if not isinstance(obj, dict):

@@ -18,6 +18,7 @@ exists under the given resources.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .constraints import (CgKind, Problem, apply_io_constraints,
@@ -389,7 +390,7 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
         seen.add(key)
 
         last_d = dict(last)
-        slots_d = {b: list(v) for b, v in slots}
+        slots_d = {b: Counter(dict(v)) for b, v in slots}
         busy_d = {c: list(v) for c, v in busy}
 
         for o in sorted(todo):
@@ -411,7 +412,7 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
                     continue
             # try to reserve accesses in order
             nl = dict(last_d)
-            ns = {b: list(v) for b, v in slots_d.items()}
+            ns = {b: Counter(v) for b, v in slots_d.items()}
             ok = True
             wd = None
             for bank, addr, delay in accesses[o]:
@@ -447,14 +448,14 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
             dfs(t,
                 nstarted, nwd,
                 tuple(sorted(nl.items())),
-                tuple((b, tuple(v)) for b, v in sorted(ns.items())),
+                tuple((b, tuple(sorted(v.items())))
+                      for b, v in sorted(ns.items())),
                 tuple((c, tuple(sorted(v))) for c, v in sorted(nb.items())))
         dfs(t + 1, started, write_done, last, slots, busy)
 
     dfs(0,
         {}, {},
         tuple(sorted((b.id, None) for b in mapping.banks)),
-        tuple((b.id, (0,) * slot_counts[b.id])
-              for b in sorted(mapping.banks, key=lambda b: b.id)),
+        tuple((b.id, ()) for b in sorted(mapping.banks, key=lambda b: b.id)),
         ())
     return best[0]

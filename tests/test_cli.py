@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -305,3 +306,73 @@ def test_console_script(pairsum_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "schedule.json").read_bytes() == \
         (pairsum_dir / "golden_schedule_lat3.json").read_bytes()
+
+
+def _report_into(pairsum_dir, out) -> int:
+    return main(["report"] + _args(pairsum_dir, "--out", str(out),
+                                   io="io_lat2.json", mem="mem_twobank.json"))
+
+
+OUTPUTS = ("schedule.json", "report.json", "report.txt")
+
+
+def test_rewritten_outputs_keep_no_old_tail(pairsum_dir, tmp_path, capsys):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert _report_into(pairsum_dir, fresh) == 0
+    reused.mkdir()
+    for name in OUTPUTS:
+        (reused / name).write_bytes(b"junk\n" * 200_000)  # 1 MB
+    assert _report_into(pairsum_dir, reused) == 0
+    for name in OUTPUTS:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_output_symlink_is_written_through(pairsum_dir, tmp_path, capsys):
+    target = tmp_path / "elsewhere.json"
+    target.write_text("old " * 1000)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "schedule.json").symlink_to(target)
+    assert main(["schedule"] + _args(pairsum_dir, "--out", str(out))) == 0
+    assert (out / "schedule.json").is_symlink()
+    assert target.read_bytes() == \
+        (pairsum_dir / "golden_schedule_lat3.json").read_bytes()
+
+
+def test_output_file_mode(pairsum_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text("{}")
+    (out / "report.json").chmod(0o600)
+    assert _report_into(pairsum_dir, out) == 0
+    assert (out / "report.json").stat().st_mode & 0o777 == 0o600
+    # a new file gets the mode a plain text write would give it
+    (tmp_path / "plain.txt").write_text("")
+    want = (tmp_path / "plain.txt").stat().st_mode & 0o777
+    assert (out / "report.txt").stat().st_mode & 0o777 == want
+
+
+def test_gen_fft_out_directory_exit_1(tmp_path, capsys):
+    assert main(["gen-fft", "--points", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_every_output_goes_through_the_writer(pairsum_dir, tmp_path,
+                                              monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Path.write_text called")
+    monkeypatch.setattr(pathlib.Path, "write_text", refuse)
+    graph = str(pairsum_dir / "graph.json")
+    for argv in (["schedule"] + _args(pairsum_dir, "--out",
+                                      str(tmp_path / "s")),
+                 ["report"] + _args(pairsum_dir, "--out",
+                                    str(tmp_path / "r")),
+                 ["gen-fft", "--points", "8", "--out",
+                  str(tmp_path / "fft8.json")],
+                 ["export-dot", "--graph", graph, "--out",
+                  str(tmp_path / "g.dot")]):
+        assert main(argv) == 0, argv
+    assert {p.name for p in tmp_path.rglob("*") if p.is_file()} == \
+        set(OUTPUTS) | {"fft8.json", "g.dot"}

@@ -14,13 +14,6 @@ def test_parse_io_spec(io_lat3, pairsum_graph):
     assert io_lat3.validate(pairsum_graph) == []
 
 
-def test_input_output_split(io_lat3, pairsum_graph):
-    ins = io_lat3.input_transfers(pairsum_graph)
-    outs = io_lat3.output_transfers(pairsum_graph)
-    assert len(ins) == 2 and len(outs) == 1
-    assert outs[0].offset == 2
-
-
 def test_unconstrained_defaults():
     spec = s.IoConstraintSpec.unconstrained(latency_bound=7)
     assert spec.cadence == 7
@@ -54,7 +47,7 @@ def test_bus_direction_validation():
         s.BusDef(id="b", direction="sideways")
 
 
-def test_transfer_graph_chains_per_bus(pairsum_graph):
+def test_transfer_graph_one_node_per_transfer(pairsum_graph):
     a = pairsum_graph.node_by_label("a").id
     b = pairsum_graph.node_by_label("b").id
     spec = s.IoConstraintSpec(
@@ -62,11 +55,8 @@ def test_transfer_graph_chains_per_bus(pairsum_graph):
         transfers=(s.Transfer(a, "bi", 2), s.Transfer(b, "bi", 0)),
         cadence=4, latency_bound=4)
     tg = s.build_transfer_graph(spec)
-    assert len(tg.nodes) == 2
-    # one precedence edge, earlier offset first
-    assert len(tg.edges) == 1
-    src, dst = tg.edges[0]
-    assert tg.nodes[src].offset == 0 and tg.nodes[dst].offset == 2
+    assert [(t.data, t.bus, t.offset) for t in tg.nodes] == \
+        [(a, "bi", 2), (b, "bi", 0)]
 
 
 def test_transfer_graph_rejects_slot_collision(pairsum_graph):
@@ -82,9 +72,10 @@ def test_transfer_graph_rejects_slot_collision(pairsum_graph):
 
 def test_parse_resolves_labels_and_rejects_junk(pairsum_graph):
     doc = {"cadence": 3, "latency": 3,
-           "buses": [{"id": "bi", "direction": "in"}],
+           "buses": [{"id": "bi", "direction": "in", "width": 16}],
            "transfers": [{"data": "a", "bus": "bi", "offset": 0}]}
     spec = s.parse_io_spec(json.dumps(doc), pairsum_graph)
+    assert spec.buses == (s.BusDef(id="bi", direction="in"),)  # width ignored
     assert spec.transfers[0].node == pairsum_graph.node_by_label("a").id
 
     for broken in (

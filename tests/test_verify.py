@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 import sfgsched as s
@@ -131,6 +134,32 @@ def test_exhaustive_minimum_on_examples(pairsum_graph, pairsum_lib, io_lat3,
     assert s.brute_force_min_latency(pairsum_graph, pairsum_lib, io_lat2,
                                      map_twobank,
                                      instances={"mult": 1, "add": 1}) is None
+    # the single-port bank has one slot per 1-cycle iteration: the second
+    # read would fall past the cadence
+    assert s.brute_force_min_latency(
+        pairsum_graph, pairsum_lib,
+        s.IoConstraintSpec.unconstrained(latency_bound=3, cadence=1),
+        map_onebank) is None
+
+
+def test_exhaustive_minimum_ignores_cadence_size(pairsum_graph, pairsum_lib,
+                                                 io_lat2, map_twobank):
+    # the search keeps only reserved port slots, not one per cycle
+    from dataclasses import replace
+    minima = {}
+    for cadence in (64, 2_000_000):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            minima[cadence] = s.brute_force_min_latency(
+                pairsum_graph, pairsum_lib, replace(io_lat2, cadence=cadence),
+                map_twobank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5, cadence
+        assert peak < 4 * 2 ** 20, cadence
+    assert minima == {64: 2, 2_000_000: 2}
 
 
 def test_exhaustive_search_respects_op_cap(pairsum_lib, fft_lib):
