@@ -27,6 +27,9 @@ Timing model (all cycles 0-based):
 The deadline stored on an output node is therefore the last cycle its
 producer may occupy: the transfer offset when constrained, or
 ``latency_bound - 1`` when only the latency bound applies.
+
+``transfer_cycles``, ``produced_cycle`` and ``achieved_latency`` apply
+this model to start cycles for the scheduler, verifier and oracle.
 """
 
 from __future__ import annotations
@@ -94,7 +97,9 @@ class ConstraintGraph:
             self._pred[v].append(u)
         self._reads_of: dict[int, list[CgNode]] = {}
         self._writes_of: dict[int, list[CgNode]] = {}
+        self._of_kind: dict[CgKind, list[CgNode]] = {k: [] for k in CgKind}
         for n in sorted(self.nodes.values(), key=lambda n: n.id):
+            self._of_kind[n.kind].append(n)
             if n.kind is CgKind.READ:
                 self._reads_of.setdefault(n.agent, []).append(n)
             elif n.kind is CgKind.WRITE:
@@ -107,8 +112,8 @@ class ConstraintGraph:
         return self._pred[node_id]
 
     def of_kind(self, kind: CgKind) -> list[CgNode]:
-        return sorted((n for n in self.nodes.values() if n.kind is kind),
-                      key=lambda n: n.id)
+        """The nodes of one kind in id order."""
+        return list(self._of_kind[kind])
 
     @property
     def operations(self) -> list[CgNode]:
@@ -322,7 +327,7 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
     asap: dict[int, int] = {}
     for u in order:
         n = cg.nodes[u]
-        t = n.arrival if n.kind is CgKind.INPUT and n.arrival is not None else 0
+        t = n.arrival if n.kind is CgKind.INPUT else 0
         for p in cg.predecessors(u):
             t = max(t, asap[p] + cg.edge_weight(p, u))
         asap[u] = t
@@ -331,7 +336,7 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
     for u in reversed(order):
         n = cg.nodes[u]
         if n.kind is CgKind.OUTPUT:
-            alap[u] = n.deadline if n.deadline is not None else cg.latency_bound - 1
+            alap[u] = n.deadline
             continue
         succs = cg.successors(u)
         if not succs:
@@ -394,14 +399,59 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
 
     output_dates_ok = True
     for n in outputs:
-        deadline = n.deadline if n.deadline is not None else spec.latency_bound - 1
-        if windows.asap[n.id] > deadline:
+        if windows.asap[n.id] > n.deadline:
             output_dates_ok = False
             diagnostics.append(
                 f"output {n.label or n.id} cannot be produced before cycle "
-                f"{windows.asap[n.id]}, deadline is {deadline}")
+                f"{windows.asap[n.id]}, deadline is {n.deadline}")
 
     return FeasibilityReport(cadence_ok=cadence_ok,
                              output_dates_ok=output_dates_ok,
                              critical_path_cycles=max(critical, 0),
                              diagnostics=tuple(diagnostics))
+
+
+def transfer_cycles(cg: ConstraintGraph, spec: IoConstraintSpec,
+                    start: dict[int, int]) -> dict[int, int]:
+    """Transfer cycle of every input and output node when each operation
+    ``o`` starts at ``start[o]``: a pinned transfer at its offset, an input
+    just in time for its first use (its arrival when it has none), an
+    output in the cycle its value is produced."""
+    pinned = {tr.node: tr.offset for tr in spec.transfers}
+    cycles: dict[int, int] = {}
+    for n in cg.of_kind(CgKind.INPUT):
+        cycles[n.id] = pinned[n.id] if n.id in pinned else min(
+            (start[s] if cg.nodes[s].kind is CgKind.OP
+             else pinned.get(s, n.arrival) for s in cg.successors(n.id)),
+            default=n.arrival)
+    for n in cg.of_kind(CgKind.OUTPUT):
+        cycles[n.id] = pinned[n.id] if n.id in pinned else \
+            produced_cycle(cg, n.id, start, cycles)
+    return cycles
+
+
+def produced_cycle(cg: ConstraintGraph, out_id: int, start: dict[int, int],
+                   cycles: dict[int, int]) -> int:
+    """Cycle in which an output's value exists: its producer's last cycle,
+    or the transfer cycle (from ``cycles``) of the input it passes on."""
+    p = cg.predecessors(out_id)[0]
+    if cg.nodes[p].kind is CgKind.OP:
+        return start[p] + cg.nodes[p].latency - 1
+    return cycles[p]
+
+
+def achieved_latency(cg: ConstraintGraph, cycles: dict[int, int],
+                     last_completion: int | None) -> int:
+    """Cycles from the first input transfer (cycle 0 without inputs)
+    through the last output transfer.  Without outputs the span ends with
+    the last operation cycle, ``last_completion - 1`` (memory writes after
+    it do not count); without operations either it is one cycle."""
+    first = min((cycles[n.id] for n in cg.of_kind(CgKind.INPUT)), default=0)
+    outs = [cycles[n.id] for n in cg.of_kind(CgKind.OUTPUT)]
+    if outs:
+        last = max(outs)
+    elif last_completion is not None:
+        last = last_completion - 1
+    else:
+        last = first
+    return last - first + 1

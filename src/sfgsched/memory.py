@@ -11,7 +11,8 @@ Port capacity is tracked in coarse slots of ``t_seq`` cycles each: a bank
 with P ports can serve P accesses per slot, and an access issued at cycle c
 with cost k occupies every slot overlapping cycles ``c .. c+k-1``.  The
 table covers one iteration (``cadence`` cycles); an access that would run
-past it raises ``HorizonError``.
+past it raises ``HorizonError``.  ``Bank.cost`` and ``Bank.span`` hold the
+two rules for the scheduler, the verifier and the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ def extract_memory_table(g: SFG) -> MemoryTable:
     return MemoryTable(entries=entries, readers=readers, writers=writers)
 
 
+def is_burst(last: int | None, address: int) -> bool:
+    """Whether an access to ``address`` continues the run of a bank that
+    last served ``last`` (None: the first access, which starts one)."""
+    return last is None or address == last + 1
+
+
 @dataclass(frozen=True)
 class Bank:
     """One memory bank: port count and burst/random access times in cycles."""
@@ -91,6 +98,22 @@ class Bank:
             raise MappingError(
                 f"bank {self.id}: need 1 <= t_seq <= t_rand, got "
                 f"t_seq={self.t_seq} t_rand={self.t_rand}")
+
+    def cost(self, last: int | None, address: int) -> tuple[int, str]:
+        """(cycles, class) of an access to ``address`` when the bank last
+        served ``last`` (None before its first access)."""
+        if is_burst(last, address):
+            return self.t_seq, "burst"
+        return self.t_rand, "random"
+
+    def span(self, cycle: int, cost: int, cadence: int) -> range:
+        """Port slots taken by an access of ``cost`` cycles issued at
+        ``cycle``.  Raises HorizonError when it starts before cycle 0 or
+        runs past the ``cadence // t_seq`` slots of one iteration."""
+        final = (cycle + cost - 1) // self.t_seq
+        if cycle < 0 or final >= cadence // self.t_seq:
+            raise HorizonError(self.id, cycle)
+        return range(cycle // self.t_seq, final + 1)
 
 
 @dataclass(frozen=True)
@@ -259,7 +282,7 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
 
 @dataclass
 class _BankState:
-    n_slots: int              # t_seq-sized slots in one iteration
+    bank: Bank
     slots: dict[int, int]     # reservations per slot, for slots holding any
     last_address: int | None  # address of the most recent reservation
 
@@ -290,16 +313,9 @@ class PortAccessTable:
     def __init__(self, mapping: MemoryMapping, cadence: int):
         if cadence < 1:
             raise MappingError("cadence must be >= 1")
-        self.mapping = mapping
         self.cadence = cadence
-        self._state: dict[str, _BankState] = {}
-        # bank id -> (ports, t_seq, t_rand, state)
-        self._params: dict[str, tuple[int, int, int, _BankState]] = {}
-        for b in mapping.banks:
-            state = _BankState(n_slots=cadence // b.t_seq, slots={},
-                               last_address=None)
-            self._state[b.id] = state
-            self._params[b.id] = (b.ports, b.t_seq, b.t_rand, state)
+        self._state = {b.id: _BankState(bank=b, slots={}, last_address=None)
+                       for b in mapping.banks}
         self._seq = 0
         # Held view: each touched bank's last address when the view was
         # taken, and minus the reservations made since, per (bank, slot).
@@ -310,9 +326,6 @@ class PortAccessTable:
     @property
     def next_seq(self) -> int:
         return self._seq + 1
-
-    def slot_count(self, bank_id: str) -> int:
-        return self._state[bank_id].n_slots
 
     def hold_view(self) -> dict[str, int | None]:
         """Make ``probe`` see the table as it stands now until the next
@@ -339,22 +352,16 @@ class PortAccessTable:
         scratch_add = dict(self._view_add) if view else {}
         out = []
         for bank_id, address, cycle in requests:
-            ports, t_seq, t_rand, state = self._params[bank_id]
-            last = scratch_last[bank_id] if bank_id in scratch_last \
-                else state.last_address
-            if last is None or address == last + 1:
-                cost, cls = t_seq, "burst"
-            else:
-                cost, cls = t_rand, "random"
+            state = self._state[bank_id]
+            bank = state.bank
+            cost, cls = bank.cost(
+                scratch_last.get(bank_id, state.last_address), address)
+            span = bank.span(cycle, cost, self.cadence)
             slots = state.slots
-            final = (cycle + cost - 1) // t_seq
-            if final >= state.n_slots or cycle < 0:
-                raise HorizonError(bank_id, cycle)
-            span = range(cycle // t_seq, final + 1)
             for s in span:
                 key = (bank_id, s)
                 taken = scratch_add.get(key, 0)
-                if slots.get(s, 0) + taken >= ports:
+                if slots.get(s, 0) + taken >= bank.ports:
                     raise PortConflict(bank_id, cycle)
                 scratch_add[key] = taken + 1
             scratch_last[bank_id] = address

@@ -32,12 +32,6 @@ class ArchitectureReport:
             return None
         return self.latency_cycles / self.clock_hz
 
-    def operator_count(self, op_class: str) -> int:
-        for name, n in self.operators:
-            if name == op_class:
-                return n
-        return 0
-
 
 def _bus_count(sched: Schedule, spec: IoConstraintSpec, direction: str) -> int:
     """Declared buses plus the peak per-cycle demand of synthesized ones."""

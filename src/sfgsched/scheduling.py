@@ -53,13 +53,14 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .constraints import (CgKind, ConstraintGraph, Problem, TimeWindows,
-                          apply_io_constraints, build_constraint_graph,
-                          compute_time_windows)
+                          achieved_latency, apply_io_constraints,
+                          build_constraint_graph, compute_time_windows,
+                          transfer_cycles)
 from .graph import SFG, NodeKind
 from .iospec import IoConstraintSpec, build_transfer_graph
 from .jsontext import dumps
 from .memory import (BlockedAccess, HorizonError, MemoryMapping,
-                     PortAccessTable)
+                     PortAccessTable, is_burst)
 from .oplib import OperatorLibrary
 
 
@@ -236,13 +237,28 @@ class Schedule:
         return dumps(doc) + "\n"
 
 
+def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
+                ) -> dict[int, tuple[tuple[str, int, int], ...]]:
+    """(bank, address, cycle offset) of each operation's port requests in
+    reservation order: its reads at offset 0, then its writes at its
+    latency (the cycle after it completes)."""
+    out = {}
+    for n in cg.operations:
+        reads, writes = cg.accesses_of(n.id)
+        out[n.id] = tuple(
+            (p.bank, p.address, offset)
+            for accs, offset in ((reads, 0), (writes, n.latency))
+            for p in (mapping.placement_of(a.data) for a in accs))
+    return out
+
+
 @dataclass
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps.
 
-    Each operation is lowered once: ``requests`` holds (bank, address,
-    cycle offset) for its port requests, reads then writes, ``read_keys``
-    the (bank, address) of its reads and ``op_class`` its operator class.
+    Each operation is lowered once: ``requests`` holds its port requests
+    (``op_requests``), ``read_keys`` the (bank, address) of its reads and
+    ``op_class`` its operator class.
     ``shape`` is the op's class with, per request, the bank, the offset
     and whether the address continues the op's own previous request on
     that bank (None for the op's first request on the bank, whose burst
@@ -251,7 +267,6 @@ class SchedulerState:
 
     cg: ConstraintGraph
     windows: TimeWindows
-    spec: IoConstraintSpec
     mapping: MemoryMapping
     table: PortAccessTable
     allocation: Allocation
@@ -267,20 +282,17 @@ class SchedulerState:
     firsts: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
 
     def __post_init__(self):
-        self.requests = {}
+        self.requests = op_requests(self.cg, self.mapping)
         self.read_keys = {}
         self.op_class = {}
         self.shape = {}
         self.firsts = {}
         for n in self.cg.operations:
             self.op_class[n.id] = n.op_class
-            reads, writes = self.cg.accesses_of(n.id)
-            rp = [self.mapping.placement_of(r.data) for r in reads]
-            wp = [self.mapping.placement_of(w.data) for w in writes]
-            self.read_keys[n.id] = tuple((p.bank, p.address) for p in rp)
-            reqs = self.requests[n.id] = (
-                tuple((p.bank, p.address, 0) for p in rp)
-                + tuple((p.bank, p.address, n.latency) for p in wp))
+            reqs = self.requests[n.id]
+            self.read_keys[n.id] = tuple(
+                (bank, address) for bank, address, offset in reqs
+                if not offset)
             prev: dict[str, int] = {}
             steps = []
             firsts = []
@@ -290,7 +302,7 @@ class SchedulerState:
                     firsts.append((bank, address))
                     steps.append((bank, offset, None))
                 else:
-                    steps.append((bank, offset, address == before + 1))
+                    steps.append((bank, offset, is_burst(before, address)))
                 prev[bank] = address
             self.shape[n.id] = (n.op_class, tuple(steps))
             self.firsts[n.id] = tuple(firsts)
@@ -313,9 +325,7 @@ class SchedulerState:
         return inst
 
     def access_requests(self, op_id: int, t: int) -> list[tuple[str, int, int]]:
-        """(bank, address, cycle) for the op's reads then writes, started
-        at cycle t.  Reads go with the op's first cycle, writes follow its
-        completion."""
+        """(bank, address, cycle) of the op's requests, started at t."""
         return [(bank, address, t + offset)
                 for bank, address, offset in self.requests[op_id]]
 
@@ -327,8 +337,7 @@ class SchedulerState:
         for (bank, address, _), (_, offset, burst) in zip(
                 self.requests[op_id], self.shape[op_id][1]):
             if burst is None:
-                before = last[bank]
-                burst = before is None or address == before + 1
+                burst = is_burst(last[bank], address)
             sig.append((bank, offset, burst))
         return tuple(sig)
 
@@ -714,16 +723,14 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     # outputs with no operation on their path (pass-through) never hit the
     # per-op margin check, so reject impossible output dates up front
     for n in cg.of_kind(CgKind.OUTPUT):
-        deadline = n.deadline if n.deadline is not None \
-            else spec.latency_bound - 1
-        if windows.asap[n.id] > deadline:
-            raise ScheduleFailure("infeasible-windows", cycle=deadline,
+        if windows.asap[n.id] > n.deadline:
+            raise ScheduleFailure("infeasible-windows", cycle=n.deadline,
                                   operation=n.id,
                                   detail=f"output {cg.nodes[n.id].label or n.id} "
                                          f"cannot be ready before cycle "
                                          f"{windows.asap[n.id]}")
     table = PortAccessTable(mapping, spec.cadence)
-    state = SchedulerState(cg=cg, windows=windows, spec=spec, mapping=mapping,
+    state = SchedulerState(cg=cg, windows=windows, mapping=mapping,
                            table=table, allocation=allocation)
     _seed_pool(state, lib)
 
@@ -737,10 +744,9 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
         for p in cg.predecessors(op_id):
             pn = cg.nodes[p]
             if pn.kind is CgKind.INPUT:
-                arrival = pn.arrival or 0
-                if arrival > 0:
+                if pn.arrival > 0:
                     count += 1
-                    release_at.setdefault(arrival, []).append(op_id)
+                    release_at.setdefault(pn.arrival, []).append(op_id)
             elif pn.kind is CgKind.OP:
                 count += 1  # released when the producer completes
             elif pn.kind is CgKind.READ:
@@ -804,10 +810,13 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
             ready.discard(op_id)
         t += 1
 
-    transfers = _build_transfers(state, g)
+    cycles = transfer_cycles(
+        cg, spec, {op_id: rec.start for op_id, rec in state.started.items()})
+    transfers = _build_transfers(cycles, cg, spec)
     pool = {cls: tuple(inst.name for inst in insts)
             for cls, insts in sorted(state.instances.items())}
-    achieved = _achieved_latency(state, transfers)
+    achieved = achieved_latency(cg, cycles, max(
+        (rec.completion for rec in state.started.values()), default=None))
     return Schedule(ops=tuple(sorted(state.started.values(),
                                      key=lambda s: (s.start, s.node))),
                     accesses=tuple(state.accesses),
@@ -819,89 +828,34 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                     cadence=spec.cadence)
 
 
-def _build_transfers(state: SchedulerState, g: SFG) -> list[ScheduledTransfer]:
-    """Pin constrained transfers at their offsets and synthesize the rest:
-    inputs just in time for their first consumer, outputs in their
-    producer's completion cycle.  Synthesized transfers in the same cycle
-    get distinct generated buses; generated bus names are reused across
-    cycles (one physical bus serves many cycles) and skip the ids of
-    declared buses."""
-    cg = state.cg
-    spec = state.spec
-    offset_of: dict[int, tuple[str, int]] = {}
-    for tr in spec.transfers:
-        offset_of[tr.node] = (tr.bus, tr.offset)
-
-    transfers: list[ScheduledTransfer] = []
-    synth_in: list[tuple[int, int]] = []   # (cycle, node)
-    synth_out: list[tuple[int, int]] = []
-
-    input_cycle: dict[int, int] = {}
-    for n in cg.of_kind(CgKind.INPUT):
-        if n.id in offset_of:
-            bus, off = offset_of[n.id]
-            input_cycle[n.id] = off
-            transfers.append(ScheduledTransfer(node=n.id, bus=bus, cycle=off,
-                                               direction="in"))
-            continue
-        uses = []
-        for s in cg.successors(n.id):
-            sn = cg.nodes[s]
-            if sn.kind is CgKind.OP:
-                uses.append(state.started[s].start)
-            elif sn.kind is CgKind.OUTPUT:
-                if s in offset_of:
-                    uses.append(offset_of[s][1])
-                else:
-                    uses.append(n.arrival or 0)  # pass-through, both free
-        cycle = min(uses, default=n.arrival or 0)
-        input_cycle[n.id] = cycle
-        synth_in.append((cycle, n.id))
-
-    for n in cg.of_kind(CgKind.OUTPUT):
-        preds = cg.predecessors(n.id)
-        p = preds[0]
-        pn = cg.nodes[p]
-        if pn.kind is CgKind.OP:
-            produced = state.started[p].completion - 1
-        else:
-            produced = input_cycle[p]
-        if n.id in offset_of:
-            bus, off = offset_of[n.id]
-            transfers.append(ScheduledTransfer(node=n.id, bus=bus, cycle=off,
-                                               direction="out"))
-        else:
-            synth_out.append((produced, n.id))
-
+def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
+                     spec: IoConstraintSpec) -> list[ScheduledTransfer]:
+    """The transfers at ``cycles`` (``transfer_cycles``), each pinned one
+    on its declared bus and the others on generated buses, distinct within
+    a cycle and reused across cycles (one physical bus serves many
+    cycles); generated names skip the ids of declared buses."""
+    bus_of = {tr.node: tr.bus for tr in spec.transfers}
     declared = {b.id for b in spec.buses}
-    for group, direction, prefix in ((synth_in, "in", "auto_in"),
-                                     (synth_out, "out", "auto_out")):
+    transfers: list[ScheduledTransfer] = []
+    for kind, direction, prefix in ((CgKind.INPUT, "in", "auto_in"),
+                                    (CgKind.OUTPUT, "out", "auto_out")):
         by_cycle: dict[int, list[int]] = {}
-        for cycle, node in group:
-            by_cycle.setdefault(cycle, []).append(node)
+        for n in cg.of_kind(kind):
+            if n.id in bus_of:
+                transfers.append(ScheduledTransfer(
+                    node=n.id, bus=bus_of[n.id], cycle=cycles[n.id],
+                    direction=direction))
+            else:
+                by_cycle.setdefault(cycles[n.id], []).append(n.id)
         names = [name for name in (f"{prefix}{k}" for k in
-                                   range(len(group) + len(declared)))
+                                   range(len(cycles) + len(declared)))
                  if name not in declared]
         for cycle in sorted(by_cycle):
-            for name, node in zip(names, sorted(by_cycle[cycle])):
+            for name, node in zip(names, by_cycle[cycle]):
                 transfers.append(ScheduledTransfer(
                     node=node, bus=name, cycle=cycle,
                     direction=direction, synthesized=True))
     return transfers
-
-
-def _achieved_latency(state: SchedulerState,
-                      transfers: list[ScheduledTransfer]) -> int:
-    ins = [t.cycle for t in transfers if t.direction == "in"]
-    outs = [t.cycle for t in transfers if t.direction == "out"]
-    first = min(ins, default=0)
-    if outs:
-        last = max(outs)
-    elif state.started:
-        last = max(s.completion for s in state.started.values()) - 1
-    else:
-        last = first
-    return last - first + 1
 
 
 def estimate_registers(sched: Schedule, g: SFG) -> int:

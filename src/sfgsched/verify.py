@@ -7,8 +7,13 @@ port capacity, access costs (replayed in reservation order), I/O timing,
 one transfer per bus and cycle, and time windows.  The lowering is either
 its own or a ``Problem`` shared by the caller; both are derived from the
 graph, library and I/O constraints alone, and the verifier only reads
-them.  It trusts nothing from the scheduler beyond the schedule record
-itself.
+them.  It takes the timing rules from their one home, as the scheduler
+does: access cost and slot span from ``memory.Bank``, output production
+and achieved latency from ``constraints``.  It still trusts nothing from
+the scheduler beyond the schedule record: it replays the recorded
+accesses in sequence order into its own port counts and dates outputs
+and the latency from the recorded starts and transfer cycles, so a record
+that breaks a rule is caught (the mutation tests guard this).
 
 ``brute_force_min_latency`` is an exhaustive oracle for small graphs: it
 searches every start-time assignment (and every same-cycle reservation
@@ -18,16 +23,17 @@ exists under the given resources.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .constraints import (CgKind, Problem, apply_io_constraints,
-                          build_constraint_graph, compute_time_windows)
+from .constraints import (CgKind, Problem, achieved_latency,
+                          apply_io_constraints, build_constraint_graph,
+                          compute_time_windows, produced_cycle,
+                          transfer_cycles)
 from .graph import SFG
 from .iospec import IoConstraintSpec, build_transfer_graph
-from .memory import MemoryMapping
+from .memory import HorizonError, MemoryMapping
 from .oplib import OperatorLibrary
-from .scheduling import Schedule
+from .scheduling import Schedule, op_requests
 
 
 @dataclass(frozen=True)
@@ -40,15 +46,6 @@ class Violation:
     def __str__(self) -> str:
         where = f" (node {self.node})" if self.node is not None else ""
         return f"{self.kind}: {self.message}{where}"
-
-
-def _replay_cost(mapping: MemoryMapping, last: dict[str, int | None],
-                 bank_id: str, address: int) -> tuple[int, str]:
-    bank = mapping.bank(bank_id)
-    prev = last[bank_id]
-    if prev is None or address == prev + 1:
-        return bank.t_seq, "burst"
-    return bank.t_rand, "random"
 
 
 def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
@@ -101,12 +98,11 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                     f"operation {v} starts at {started[v].start} before its "
                     f"producer {u} completes at {started[u].completion}", v))
         elif nu.kind is CgKind.INPUT and nv.kind is CgKind.OP:
-            arrival = nu.arrival or 0
-            if started[v].start < arrival:
+            if started[v].start < nu.arrival:
                 out.append(Violation(
                     "dependency",
                     f"operation {v} starts at {started[v].start} before "
-                    f"input {nu.label or u} arrives at {arrival}", v))
+                    f"input {nu.label or u} arrives at {nu.arrival}", v))
 
     acc_by_node = {}
     for a in sched.accesses:
@@ -158,7 +154,8 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     last: dict[str, int | None] = {b.id: None for b in mapping.banks}
     slots: dict[str, dict[int, int]] = {b.id: {} for b in mapping.banks}
     for a in ordered:
-        cost, cls = _replay_cost(mapping, last, a.bank, a.address)
+        bank = mapping.bank(a.bank)
+        cost, cls = bank.cost(last[a.bank], a.address)
         last[a.bank] = a.address
         if (cost, cls) != (a.cost, a.cost_class):
             out.append(Violation(
@@ -167,16 +164,13 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                 f"as {a.cost_class}/{a.cost}, replay gives {cls}/{cost}",
                 a.node))
             continue
-        bank = mapping.bank(a.bank)
-        first_slot = a.cycle // bank.t_seq
-        last_slot = (a.cycle + a.cost - 1) // bank.t_seq
-        if a.cycle < 0 or last_slot >= sched.cadence // bank.t_seq:
-            out.append(Violation("port-overlap",
-                                 f"access at cycle {a.cycle} on {a.bank} runs "
-                                 f"past the iteration horizon", a.node))
+        try:
+            span = bank.span(a.cycle, a.cost, sched.cadence)
+        except HorizonError as e:
+            out.append(Violation("port-overlap", str(e), a.node))
             continue
         used = slots[a.bank]
-        for s in range(first_slot, last_slot + 1):
+        for s in span:
             used[s] = used.get(s, 0) + 1
     for bank in mapping.banks:
         for s, n_used in sorted(slots[bank.id].items()):
@@ -218,8 +212,13 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
             out.append(Violation("bus-overlap",
                                  f"bus {t.bus} carries {other} and {t.node} "
                                  f"in cycle {t.cycle}", t.node))
+    # production dates and the latency need every I/O transfer recorded
+    io_nodes = cg.of_kind(CgKind.INPUT) + cg.of_kind(CgKind.OUTPUT)
+    cycles = {node: t.cycle for node, t in transfer_of.items()}
+    start = {node: rec.start for node, rec in started.items()}
+    complete = all(n.id in cycles for n in io_nodes)
     pinned = {tr.node: tr for tr in spec.transfers}
-    for n in cg.of_kind(CgKind.INPUT) + cg.of_kind(CgKind.OUTPUT):
+    for n in io_nodes:
         t = transfer_of.get(n.id)
         if t is None:
             out.append(Violation("io-timing",
@@ -239,25 +238,18 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                         f"operation {s} starts at {started[s].start} before "
                         f"input {n.label or n.id} is transferred at {t.cycle}",
                         s))
-        else:
-            p = cg.predecessors(n.id)[0]
-            pn = cg.nodes[p]
-            if pn.kind is CgKind.OP:
-                produced = started[p].completion - 1
-            else:
-                produced = transfer_of[p].cycle if p in transfer_of else 0
-            if t.cycle < produced:
-                out.append(Violation(
-                    "io-timing",
-                    f"output {n.label or n.id} transferred at {t.cycle} "
-                    f"before it is produced at {produced}", n.id))
-            deadline = n.deadline if n.deadline is not None else \
-                spec.latency_bound - 1
-            if t.cycle > deadline:
-                out.append(Violation(
-                    "io-timing",
-                    f"output {n.label or n.id} transferred at {t.cycle} "
-                    f"after its deadline {deadline}", n.id))
+            continue
+        if complete and t.cycle < (produced := produced_cycle(
+                cg, n.id, start, cycles)):
+            out.append(Violation(
+                "io-timing",
+                f"output {n.label or n.id} transferred at {t.cycle} "
+                f"before it is produced at {produced}", n.id))
+        if t.cycle > n.deadline:
+            out.append(Violation(
+                "io-timing",
+                f"output {n.label or n.id} transferred at {t.cycle} "
+                f"after its deadline {n.deadline}", n.id))
 
     for s in sched.ops:
         if s.start > windows.alap[s.node]:
@@ -271,15 +263,14 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                 f"operation {s.node} starts at {s.start}, earliest possible "
                 f"start is {windows.asap[s.node]}", s.node))
 
-    ins = [t.cycle for t in sched.transfers if t.direction == "in"]
-    outs = [t.cycle for t in sched.transfers if t.direction == "out"]
-    if outs:
-        achieved = max(outs) - min(ins, default=0) + 1
+    if complete:
+        achieved = achieved_latency(cg, cycles, max(
+            (rec.completion for rec in sched.ops), default=None))
         if achieved != sched.achieved_latency:
             out.append(Violation(
                 "io-timing",
                 f"schedule claims latency {sched.achieved_latency}, "
-                f"transfers span {achieved} cycles"))
+                f"its transfers and operations span {achieved} cycles"))
     return out
 
 
@@ -305,73 +296,26 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
     lat = {o: cg.nodes[o].latency for o in ops}
     op_preds = {o: [p for p in cg.predecessors(o)
                     if cg.nodes[p].kind is CgKind.OP] for o in ops}
-    in_preds = {o: [cg.nodes[p].arrival or 0 for p in cg.predecessors(o)
+    in_preds = {o: [cg.nodes[p].arrival for p in cg.predecessors(o)
                     if cg.nodes[p].kind is CgKind.INPUT] for o in ops}
-    read_deps: dict[int, list[int]] = {o: [] for o in ops}  # gating writers
-    accesses: dict[int, list[tuple[str, int, int]]] = {o: [] for o in ops}
-    for n in cg.nodes.values():
-        if n.kind is CgKind.READ:
-            p = mapping.placement_of(n.data)
-            accesses[n.agent].append((p.bank, p.address, 0))
-            for w in cg.predecessors(n.id):
-                read_deps[n.agent].append(cg.nodes[w].agent)
-        elif n.kind is CgKind.WRITE:
-            p = mapping.placement_of(n.data)
-            accesses[n.agent].append((p.bank, p.address, lat[n.agent]))
-    for o in ops:
-        # reservation order within an op is reads first, then writes
-        accesses[o].sort(key=lambda a: a[2])
-    pinned = {tr.node: tr.offset for tr in spec.transfers}
+    read_deps = {o: [cg.nodes[w].agent for r in cg.accesses_of(o)[0]
+                     for w in cg.predecessors(r.id)] for o in ops}
+    accesses = {o: [(mapping.bank(bank), address, offset)
+                    for bank, address, offset in reqs]
+                for o, reqs in op_requests(cg, mapping).items()}
     outputs = cg.of_kind(CgKind.OUTPUT)
-    inputs = cg.of_kind(CgKind.INPUT)
-
-    slot_counts = {b.id: spec.cadence // b.t_seq for b in mapping.banks}
-    ports = {b.id: b.ports for b in mapping.banks}
-    t_seq = {b.id: b.t_seq for b in mapping.banks}
-    t_rand = {b.id: b.t_rand for b in mapping.banks}
 
     best: list[int | None] = [None]
     seen: set = set()
 
     def finish(started: dict[int, int]) -> None:
+        cycles = transfer_cycles(cg, spec, started)
         for o in outputs:
-            p = cg.predecessors(o.id)[0]
-            pn = cg.nodes[p]
-            produced = (started[p] + lat[p] - 1 if pn.kind is CgKind.OP
-                        else pinned.get(p, pn.arrival or 0))
-            deadline = o.deadline if o.deadline is not None else \
-                spec.latency_bound - 1
-            transfer = pinned.get(o.id, produced)
-            if produced > transfer or transfer > deadline:
+            if not produced_cycle(cg, o.id, started, cycles) <= \
+                    cycles[o.id] <= o.deadline:
                 return
-        last_out = 0
-        first_in = 0
-        out_cycles = []
-        for o in outputs:
-            p = cg.predecessors(o.id)[0]
-            pn = cg.nodes[p]
-            produced = (started[p] + lat[p] - 1 if pn.kind is CgKind.OP
-                        else pinned.get(p, pn.arrival or 0))
-            out_cycles.append(pinned.get(o.id, produced))
-        in_cycles = []
-        for i in inputs:
-            if i.id in pinned:
-                in_cycles.append(pinned[i.id])
-                continue
-            uses = []
-            for s in cg.successors(i.id):
-                sn = cg.nodes[s]
-                if sn.kind is CgKind.OP:
-                    uses.append(started[s])
-                else:
-                    uses.append(pinned.get(s, i.arrival or 0))
-            in_cycles.append(min(uses, default=i.arrival or 0))
-        if out_cycles:
-            first_in = min(in_cycles, default=0)
-            last_out = max(out_cycles)
-            achieved = last_out - first_in + 1
-        else:
-            achieved = max((started[o] + lat[o] for o in ops), default=0)
+        achieved = achieved_latency(cg, cycles, max(
+            (started[o] + lat[o] for o in ops), default=None))
         if best[0] is None or achieved < best[0]:
             best[0] = achieved
 
@@ -389,8 +333,6 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
             return
         seen.add(key)
 
-        last_d = dict(last)
-        slots_d = {b: Counter(dict(v)) for b, v in slots}
         busy_d = {c: list(v) for c, v in busy}
 
         for o in sorted(todo):
@@ -411,25 +353,25 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
                 if len(pool) >= instances.get(cls, 0):
                     continue
             # try to reserve accesses in order
-            nl = dict(last_d)
-            ns = {b: Counter(v) for b, v in slots_d.items()}
+            nl = dict(last)
+            ns = {b: dict(v) for b, v in slots}
             ok = True
             wd = None
             for bank, addr, delay in accesses[o]:
-                prev = nl.get(bank)
-                cost = t_seq[bank] if prev is None or addr == prev + 1 \
-                    else t_rand[bank]
+                cost, _ = bank.cost(nl[bank.id], addr)
                 cyc = t + delay
-                s0, s1 = cyc // t_seq[bank], (cyc + cost - 1) // t_seq[bank]
-                if s1 >= slot_counts[bank]:
+                try:
+                    span = bank.span(cyc, cost, spec.cadence)
+                except HorizonError:
                     ok = False
                     break
-                if any(ns[bank][s] >= ports[bank] for s in range(s0, s1 + 1)):
+                used = ns[bank.id]
+                if any(used.get(s, 0) >= bank.ports for s in span):
                     ok = False
                     break
-                for s in range(s0, s1 + 1):
-                    ns[bank][s] += 1
-                nl[bank] = addr
+                for s in span:
+                    used[s] = used.get(s, 0) + 1
+                nl[bank.id] = addr
                 if delay > 0:
                     wd = max(wd or 0, cyc + cost)
             if not ok:

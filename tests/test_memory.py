@@ -108,14 +108,17 @@ def _reserve(table, requests):
 
 def test_port_table_slots(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=6)
-    assert table.slot_count("bank0") == 6  # t_seq 1
-    wide = s.MappingSpec(mode="auto", banks=(s.Bank(id="b", t_seq=2, t_rand=4),))
-    m = s.apply_mapping(s.MemoryTable(entries=(), readers={}, writers={}), wide)
-    t2 = s.PortAccessTable(m, cadence=7)
-    assert t2.slot_count("b") == 3  # floor(7 / 2)
+    assert table.fit([("bank0", 0, 5)])[0][2] == range(5, 6)  # t_seq 1
+    with pytest.raises(s.HorizonError):
+        table.fit([("bank0", 0, 6)])
+    wide = s.Bank(id="b", t_seq=2, t_rand=4)
+    assert wide.span(2, 4, 7) == range(1, 3)
+    assert wide.span(4, 2, 7) == range(2, 3)  # floor(7 / 2) = 3 slots
+    for cycle in (5, -1):  # past slot 2, before cycle 0
+        with pytest.raises(s.HorizonError):
+            wide.span(cycle, 2, 7)
     # only slots holding reservations are stored, so the cadence may be huge
     big = s.PortAccessTable(map_onebank, cadence=10**9)
-    assert big.slot_count("bank0") == 10**9
     (r,) = _reserve(big, [("bank0", 0, 10**9 - 1)])
     assert (r.cycle, r.cost) == (10**9 - 1, 1)
     with pytest.raises(PortConflict):

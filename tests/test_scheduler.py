@@ -131,8 +131,7 @@ def _burst_fixture(addresses=(0, 4, 5), z_op="*"):
     cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
                                 s.build_transfer_graph(spec), spec)
     windows = s.compute_time_windows(cg)
-    state = s.SchedulerState(cg=cg, windows=windows, spec=spec,
-                             mapping=mapping,
+    state = s.SchedulerState(cg=cg, windows=windows, mapping=mapping,
                              table=s.PortAccessTable(mapping, spec.cadence),
                              allocation=s.Allocation(mode="auto"))
     _seed_pool(state, lib)

@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 
@@ -202,3 +203,41 @@ def test_scheduler_never_beats_exhaustive_search():
         best = p.brute_minimum()
         assert best is not None
         assert sched.achieved_latency >= best
+
+
+@pytest.fixture
+def no_output_problem(pairsum_lib):
+    """Inputs a and b pinned at cycle 3, add1 = a + b written to memdata m,
+    and no output: latency runs from the inputs to add1's last cycle."""
+    g = s.parse_sfg(json.dumps({
+        "nodes": [{"id": 0, "kind": "input", "label": "a"},
+                  {"id": 1, "kind": "input", "label": "b"},
+                  {"id": 2, "kind": "operation", "op": "+", "label": "add1"},
+                  {"id": 3, "kind": "memdata", "label": "m"}],
+        "edges": [{"from": 0, "to": 2, "pos": 0},
+                  {"from": 1, "to": 2, "pos": 1},
+                  {"from": 2, "to": 3, "pos": 0}]}))
+    spec = s.parse_io_spec(json.dumps({
+        "cadence": 8, "latency": 8,
+        "buses": [{"id": "inA", "direction": "in"},
+                  {"id": "inB", "direction": "in"}],
+        "transfers": [{"data": "a", "bus": "inA", "offset": 3},
+                      {"data": "b", "bus": "inB", "offset": 3}]}), g)
+    mapping = s.apply_mapping(s.extract_memory_table(g), s.MappingSpec(
+        mode="auto", banks=(s.Bank(id="bank0"),)))
+    return g, pairsum_lib, spec, mapping
+
+
+def test_oracle_measures_latency_like_the_scheduler(no_output_problem):
+    sched = s.schedule(*no_output_problem)
+    assert sched.achieved_latency == 1
+    assert s.brute_force_min_latency(*no_output_problem) == 1
+
+
+def test_claimed_latency_is_checked_without_outputs(no_output_problem):
+    from dataclasses import replace
+    sched = s.schedule(*no_output_problem)
+    assert s.verify_schedule(sched, *no_output_problem) == []
+    kinds = {v.kind for v in s.verify_schedule(
+        replace(sched, achieved_latency=99), *no_output_problem)}
+    assert kinds == {"io-timing"}
