@@ -178,7 +178,7 @@ def _schedule_with_gate(args):
         return rc, None, None, None, None, None
     alloc = parse_allocation(args.alloc)
     sched = schedule(g, lib, spec, mapping, alloc, problem)
-    violations = verify_schedule(sched, g, lib, spec, mapping, problem)
+    violations = verify_schedule(sched, g, lib, spec, mapping, problem, alloc)
     if violations:  # defensive: a scheduler bug, not a user error
         for v in violations:
             print(str(v), file=sys.stderr)

@@ -8,7 +8,15 @@ Construction has two stages over one graph type:
    memdata->operation edge becomes a *read* node, every operation->memdata
    edge a *write* node.
 2. ``apply_io_constraints`` folds the bus transfer schedule in: input nodes
-   get an arrival cycle, output nodes a deadline cycle.
+   get an arrival cycle, output nodes a deadline cycle.  Only those nodes
+   are replaced; the result shares its input graph's successor,
+   predecessor and access indexes, which nothing mutates.
+
+Each stage is one linear pass: the lowering selects each symbol's
+operator class once and walks each node's in-edges in id order, sorting
+only the operation->memdata edges, and ``compute_time_windows`` reads the
+adjacency directly, weighing each edge once with
+``ConstraintGraph.edge_weight``.
 
 Timing model (all cycles 0-based):
 
@@ -34,7 +42,8 @@ this model to start cycles for the scheduler, verifier and oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .graph import SFG, NodeKind, validate_sfg
@@ -58,7 +67,13 @@ class CgKind(str, Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
+#: Sources whose successors may start in the same cycle: a read is read
+#: through (its consumer starts with it), and an input value is usable
+#: during its arrival cycle.
+_SAME_CYCLE_SOURCES = frozenset((CgKind.READ, CgKind.INPUT))
+
+
+@dataclass(frozen=True, slots=True)
 class CgNode:
     """Constraint-graph node.
 
@@ -90,20 +105,35 @@ class ConstraintGraph:
         self.nodes: dict[int, CgNode] = {n.id: n for n in nodes}
         self.edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.latency_bound = latency_bound
-        self._succ: dict[int, list[int]] = {n.id: [] for n in nodes}
-        self._pred: dict[int, list[int]] = {n.id: [] for n in nodes}
+        self._succ: dict[int, list[int]] = {i: [] for i in self.nodes}
+        self._pred: dict[int, list[int]] = {i: [] for i in self.nodes}
         for u, v in self.edges:
             self._succ[u].append(v)
             self._pred[v].append(u)
         self._reads_of: dict[int, list[CgNode]] = {}
         self._writes_of: dict[int, list[CgNode]] = {}
         self._of_kind: dict[CgKind, list[CgNode]] = {k: [] for k in CgKind}
-        for n in sorted(self.nodes.values(), key=lambda n: n.id):
+        for i in sorted(self.nodes):
+            n = self.nodes[i]
             self._of_kind[n.kind].append(n)
             if n.kind is CgKind.READ:
                 self._reads_of.setdefault(n.agent, []).append(n)
             elif n.kind is CgKind.WRITE:
                 self._writes_of.setdefault(n.agent, []).append(n)
+
+    def _with_io_nodes(self, io_nodes: dict[int, CgNode],
+                       latency_bound: int) -> ConstraintGraph:
+        """This graph with its input and output nodes replaced by
+        ``io_nodes`` (same ids) and ``latency_bound`` set.  Edges and the
+        other nodes stay, so the copy shares this graph's successor,
+        predecessor and access indexes."""
+        new = copy.copy(self)
+        new.nodes = self.nodes | io_nodes  # keeps this graph's node order
+        new.latency_bound = latency_bound
+        new._of_kind = self._of_kind | {
+            kind: [io_nodes[n.id] for n in self._of_kind[kind]]
+            for kind in (CgKind.INPUT, CgKind.OUTPUT)}
+        return new
 
     def successors(self, node_id: int) -> list[int]:
         return self._succ[node_id]
@@ -125,32 +155,12 @@ class ConstraintGraph:
 
     def edge_weight(self, u: int, v: int) -> int:
         """Minimum start-to-start distance implied by edge u -> v."""
-        nu, nv = self.nodes[u], self.nodes[v]
-        if nu.kind is CgKind.READ:
-            return 0  # read-through: consumer starts with the read
-        if nu.kind is CgKind.INPUT:
-            return 0  # value usable during the arrival cycle
-        if nv.kind is CgKind.OUTPUT:
+        nu = self.nodes[u]
+        if nu.kind in _SAME_CYCLE_SOURCES:
+            return 0
+        if self.nodes[v].kind is CgKind.OUTPUT:
             return max(nu.latency - 1, 0)  # transfer may overlap the last cycle
         return nu.latency
-
-    def topological_order(self) -> list[int]:
-        indeg = {i: len(self._pred[i]) for i in self.nodes}
-        import heapq
-
-        ready = [i for i, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            u = heapq.heappop(ready)
-            order.append(u)
-            for v in self._succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(ready, v)
-        if len(order) != len(self.nodes):
-            raise ValueError("constraint graph contains a cycle")
-        return order
 
 
 @dataclass(frozen=True)
@@ -211,73 +221,84 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     if uncovered:
         raise LibraryError(f"no operator class executes {uncovered[0]!r}")
 
+    OPERATION, INPUT, OUTPUT, MEMDATA = (
+        NodeKind.OPERATION, NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.MEMDATA)
+    by_id, in_edges = g._by_id, g._in
+    next_id = g._ordered[-1].id + 1 if g._ordered else 0
+    edges: list[tuple[int, int]] = []
+
+    # Writes first, so that their ids come first and reads of the same
+    # datum can be chained after them; an Edge sorts as (src, dst, pos).
+    writes: list[CgNode] = []
+    writes_of_data: dict[int, int] = {}  # memdata id -> write node id
+    for e in sorted(e for m in g._of_kind[MEMDATA]
+                    for e in in_edges.get(m.id, ())
+                    if by_id[e.src].kind is OPERATION):
+        if e.dst in writes_of_data:
+            raise UnsupportedGraphError(
+                f"memdata node {e.dst} has multiple writers")
+        w = CgNode(id=next_id, kind=CgKind.WRITE,
+                   latency=OPTIMISTIC_ACCESS_LATENCY,
+                   label=f"wr:{by_id[e.dst].name}", data=e.dst, agent=e.src)
+        next_id += 1
+        writes.append(w)
+        writes_of_data[e.dst] = w.id
+        edges.append((e.src, w.id))
+
+    # Then, node by node in id order, the node itself and every other
+    # edge into it.  A valid graph gives an operation distinct operand
+    # positions and an output one in-edge, so the edges come in (dst,
+    # pos, src) order.
+    selected = {sym: lib.select(sym)
+                for sym in {n.op for n in g._of_kind[OPERATION]}}
     nodes: list[CgNode] = []
-    for n in sorted(g.nodes, key=lambda n: n.id):
-        if n.kind is NodeKind.OPERATION:
-            cls = lib.select(n.op)  # type: ignore[arg-type]
+    reads: list[CgNode] = []
+    for n in g._ordered:
+        dk = n.kind
+        if dk is OPERATION:
+            cls = selected[n.op]
             nodes.append(CgNode(id=n.id, kind=CgKind.OP, latency=cls.latency,
                                 label=n.name, op_class=cls.name, symbol=n.op))
-        elif n.kind is NodeKind.INPUT:
-            nodes.append(CgNode(id=n.id, kind=CgKind.INPUT, latency=0, label=n.name))
-        elif n.kind is NodeKind.OUTPUT:
-            nodes.append(CgNode(id=n.id, kind=CgKind.OUTPUT, latency=0, label=n.name))
-
-    next_id = max((n.id for n in g.nodes), default=-1) + 1
-    edges: list[tuple[int, int]] = []
-    writes_of_data: dict[int, int] = {}  # memdata id -> write node id
-
-    kind_of = {n.id: n.kind for n in g.nodes}
-
-    # Writes first so reads of the same datum can be chained after them.
-    for e in sorted(g.edges, key=lambda e: (e.src, e.dst, e.pos)):
-        if kind_of[e.src] is NodeKind.OPERATION and kind_of[e.dst] is NodeKind.MEMDATA:
-            if e.dst in writes_of_data:
+        elif dk is INPUT:
+            nodes.append(CgNode(id=n.id, kind=CgKind.INPUT, latency=0,
+                                label=n.name))
+        elif dk is OUTPUT:
+            nodes.append(CgNode(id=n.id, kind=CgKind.OUTPUT, latency=0,
+                                label=n.name))
+        ins = in_edges.get(n.id)
+        if not ins:
+            continue
+        if dk is MEMDATA:
+            foreign = [e for e in ins if by_id[e.src].kind is not OPERATION]
+            if foreign:
+                e = min(foreign, key=lambda e: (e.pos, e.src))
                 raise UnsupportedGraphError(
-                    f"memdata node {e.dst} has multiple writers")
-            w = CgNode(id=next_id, kind=CgKind.WRITE,
-                       latency=OPTIMISTIC_ACCESS_LATENCY,
-                       label=f"wr:{g.node(e.dst).name}", data=e.dst, agent=e.src)
-            next_id += 1
-            nodes.append(w)
-            writes_of_data[e.dst] = w.id
-            edges.append((e.src, w.id))
-
-    for e in sorted(g.edges, key=lambda e: (e.dst, e.pos, e.src)):
-        sk, dk = kind_of[e.src], kind_of[e.dst]
-        if sk is NodeKind.OPERATION and dk is NodeKind.MEMDATA:
-            continue  # handled above
-        if dk is NodeKind.OPERATION:
-            if sk in (NodeKind.INPUT, NodeKind.OPERATION):
+                    f"edge {e.src}->{e.dst}: only operations may write memdata")
+            continue  # writes, handled above
+        # Here the node is an operation or an output: validation leaves
+        # inputs and constants without in-edges and outputs without
+        # out-edges.
+        for e in ins:
+            sk = by_id[e.src].kind
+            if sk is INPUT or sk is OPERATION:
                 edges.append((e.src, e.dst))
-            elif sk is NodeKind.CONSTANT:
-                pass  # folded into the operator; no timing edge
-            elif sk is NodeKind.MEMDATA:
-                r = CgNode(id=next_id, kind=CgKind.READ,
-                           latency=OPTIMISTIC_ACCESS_LATENCY,
-                           label=f"rd:{g.node(e.src).name}", data=e.src, agent=e.dst)
-                next_id += 1
-                nodes.append(r)
-                if e.src in writes_of_data:
-                    edges.append((writes_of_data[e.src], r.id))
-                edges.append((r.id, e.dst))
-            else:
-                raise UnsupportedGraphError(
-                    f"edge {e.src}->{e.dst}: {sk.value} cannot feed an operation")
-        elif dk is NodeKind.OUTPUT:
-            if sk in (NodeKind.INPUT, NodeKind.OPERATION):
-                edges.append((e.src, e.dst))
-            else:
+            elif dk is OUTPUT:
                 raise UnsupportedGraphError(
                     f"edge {e.src}->{e.dst}: an output must be fed by an "
                     f"input or operation node")
-        elif dk is NodeKind.MEMDATA:
-            raise UnsupportedGraphError(
-                f"edge {e.src}->{e.dst}: only operations may write memdata")
-        else:
-            raise UnsupportedGraphError(
-                f"edge {e.src}->{e.dst}: {dk.value} cannot consume values")
+            elif sk is MEMDATA:
+                r = CgNode(id=next_id, kind=CgKind.READ,
+                           latency=OPTIMISTIC_ACCESS_LATENCY,
+                           label=f"rd:{by_id[e.src].name}", data=e.src,
+                           agent=e.dst)
+                next_id += 1
+                reads.append(r)
+                if e.src in writes_of_data:
+                    edges.append((writes_of_data[e.src], r.id))
+                edges.append((r.id, e.dst))
+            # a constant is folded into the operator: no timing edge
 
-    return ConstraintGraph(nodes, edges)
+    return ConstraintGraph(nodes + writes + reads, edges)
 
 
 def apply_io_constraints(cg: ConstraintGraph, tg: TransferGraph,
@@ -299,17 +320,13 @@ def apply_io_constraints(cg: ConstraintGraph, tg: TransferGraph,
             raise IoSpecError(f"node {t.data} is transferred twice")
         offset_of[t.data] = t.offset
 
-    nodes: list[CgNode] = []
-    for n in cg.nodes.values():
-        if n.kind is CgKind.INPUT:
-            nodes.append(replace(n, arrival=offset_of.get(n.id, 0)))
-        elif n.kind is CgKind.OUTPUT:
-            deadline = offset_of.get(n.id, spec.latency_bound - 1)
-            nodes.append(replace(n, deadline=deadline))
-        else:
-            nodes.append(n)
-    return ConstraintGraph(nodes, list(cg.edges),
-                           latency_bound=spec.latency_bound)
+    default_deadline = spec.latency_bound - 1
+    io_nodes = {n.id: replace(n, arrival=offset_of.get(n.id, 0))
+                for n in cg._of_kind[CgKind.INPUT]}
+    for n in cg._of_kind[CgKind.OUTPUT]:
+        io_nodes[n.id] = replace(n, deadline=offset_of.get(n.id,
+                                                           default_deadline))
+    return cg._with_io_nodes(io_nodes, spec.latency_bound)
 
 
 def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
@@ -322,38 +339,55 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
     """
     if cg.latency_bound is None:
         raise ValueError("apply I/O constraints before computing windows")
-    order = cg.topological_order()
-
-    asap: dict[int, int] = {}
-    for u in order:
-        n = cg.nodes[u]
-        t = n.arrival if n.kind is CgKind.INPUT else 0
-        for p in cg.predecessors(u):
-            t = max(t, asap[p] + cg.edge_weight(p, u))
-        asap[u] = t
+    nodes, succ, weight = cg.nodes, cg._succ, cg.edge_weight
+    # ASAP in topological order (Kahn), relaxing each edge once.  The
+    # weights are kept in one list, in the order this pass meets the
+    # edges, for the ALAP pass to walk back.
+    asap = {i: n.arrival if n.kind is CgKind.INPUT else 0
+            for i, n in nodes.items()}
+    indeg = {i: len(p) for i, p in cg._pred.items()}
+    order = [i for i, d in indeg.items() if d == 0]
+    weights: list[int] = []
+    for u in order:  # grows as nodes become ready
+        t = asap[u]
+        for v in succ[u]:
+            w = weight(u, v)
+            weights.append(w)
+            if t + w > asap[v]:
+                asap[v] = t + w
+            d = indeg[v] - 1
+            indeg[v] = d
+            if not d:
+                order.append(v)
+    if len(order) != len(nodes):
+        raise ValueError("constraint graph contains a cycle")
 
     alap: dict[int, int] = {}
+    k = len(weights)
     for u in reversed(order):
-        n = cg.nodes[u]
+        n, vs = nodes[u], succ[u]
+        k -= len(vs)  # u's edge weights are weights[k:k + len(vs)]
         if n.kind is CgKind.OUTPUT:
             alap[u] = n.deadline
-            continue
-        succs = cg.successors(u)
-        if not succs:
-            alap[u] = cg.latency_bound - n.latency
+        elif vs:
+            late = None
+            for v, w in zip(vs, weights[k:k + len(vs)]):
+                if late is None or alap[v] - w < late:
+                    late = alap[v] - w
+            alap[u] = late
         else:
-            alap[u] = min(alap[v] - cg.edge_weight(u, v) for v in succs)
+            alap[u] = cg.latency_bound - n.latency
 
     # Access nodes track the operation they belong to.
-    for n in cg.nodes.values():
-        if n.kind is CgKind.READ:
-            asap[n.id] = asap[n.agent]
-            alap[n.id] = alap[n.agent]
-        elif n.kind is CgKind.WRITE:
-            asap[n.id] = asap[n.agent] + cg.nodes[n.agent].latency
-            alap[n.id] = alap[n.agent] + cg.nodes[n.agent].latency
+    for n in cg._of_kind[CgKind.READ]:
+        asap[n.id] = asap[n.agent]
+        alap[n.id] = alap[n.agent]
+    for n in cg._of_kind[CgKind.WRITE]:
+        latency = nodes[n.agent].latency
+        asap[n.id] = asap[n.agent] + latency
+        alap[n.id] = alap[n.agent] + latency
 
-    mobility = {i: alap[i] - asap[i] for i in cg.nodes}
+    mobility = {i: alap[i] - asap[i] for i in nodes}
     return TimeWindows(asap=asap, alap=alap, mobility=mobility)
 
 

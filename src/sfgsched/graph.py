@@ -12,10 +12,20 @@ at the consumer; operand order is explicit so graph reconstruction and
 downstream scheduling are deterministic.
 
 An ``SFG`` is immutable, so what is derived from it alone is derived once
-and kept on the instance: ``validate_sfg`` computes the violation list on
-first use (``parse_sfg`` validates, and ``build_constraint_graph`` then
-reads the kept result) and hands each caller a copy, and ``node_by_label``
-builds its label index on the first lookup.
+and kept on the instance.  The constructor indexes the nodes by id, by
+kind and in id order, and the edges by endpoint.  ``validate_sfg``
+computes the violation list on first use (``parse_sfg`` validates, and
+``build_constraint_graph`` then reads the kept result) and hands each
+caller a copy; ``node_by_label`` builds its label index on the first
+lookup.
+
+Validation checks the edges as sets (it walks them one by one only to
+word the faults a set check found), makes one pass over the nodes, and
+then checks acyclicity: an in-degree count (Kahn's algorithm) clears an
+acyclic graph, and only when it leaves nodes over does a depth-first
+search run to name one cycle.  The parser checks each record's fields in
+a fixed order and words the ``nodes[i]``/``edges[i]`` context of an error
+only when it raises.
 """
 
 from __future__ import annotations
@@ -24,7 +34,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from .jsontext import dumps
 
@@ -55,7 +66,7 @@ class NodeKind(str, Enum):
     OPERATION = "operation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SfgNode:
     """One graph node.  ``op`` is the operation symbol, present iff the node
     kind is ``operation``."""
@@ -76,6 +87,9 @@ class Edge(NamedTuple):
     pos: int
 
 
+_SRC, _DST, _POS = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
 class SFG:
     """Immutable signal-flow graph.
 
@@ -85,7 +99,8 @@ class SFG:
 
     def __init__(self, nodes: Iterable[SfgNode], edges: Iterable[Edge | tuple]):
         self.nodes: tuple[SfgNode, ...] = tuple(nodes)
-        self.edges: tuple[Edge, ...] = tuple(Edge(*e) for e in edges)
+        self.edges: tuple[Edge, ...] = tuple(
+            e if type(e) is Edge else Edge(*e) for e in edges)
         self._by_id: dict[int, SfgNode] = {}
         self._duplicate_ids: list[int] = []
         for n in self.nodes:
@@ -93,13 +108,21 @@ class SFG:
                 self._duplicate_ids.append(n.id)
             else:
                 self._by_id[n.id] = n
+        # unique nodes in id order, and per kind
+        self._ordered = [self._by_id[i] for i in sorted(self._by_id)]
+        self._of_kind: dict[NodeKind, list[SfgNode]] = {
+            k: [] for k in NodeKind}
+        for n in self._ordered:
+            self._of_kind[n.kind].append(n)
         self._in: dict[int, list[Edge]] = defaultdict(list)
         self._out: dict[int, list[Edge]] = defaultdict(list)
+        ins, outs = self._in, self._out
         for e in self.edges:
-            self._in[e.dst].append(e)
-            self._out[e.src].append(e)
-        for lst in self._in.values():
-            lst.sort(key=lambda e: e.pos)
+            ins[e.dst].append(e)
+            outs[e.src].append(e)
+        for lst in ins.values():
+            if len(lst) > 1:
+                lst.sort(key=_POS)
         self._violations: tuple[str, ...] | None = None  # see validate_sfg
         self._by_label: dict[str, SfgNode | None] | None = None
 
@@ -122,8 +145,8 @@ class SFG:
         return [e.src for e in self._in.get(node_id, ())]
 
     def of_kind(self, kind: NodeKind) -> list[SfgNode]:
-        return sorted((n for n in self._by_id.values() if n.kind is kind),
-                      key=lambda n: n.id)
+        """The nodes of one kind in id order."""
+        return list(self._of_kind[kind])
 
     @property
     def inputs(self) -> list[SfgNode]:
@@ -140,10 +163,6 @@ class SFG:
     @property
     def memdata(self) -> list[SfgNode]:
         return self.of_kind(NodeKind.MEMDATA)
-
-    @property
-    def constants(self) -> list[SfgNode]:
-        return self.of_kind(NodeKind.CONSTANT)
 
     def node_by_label(self, label: str) -> SfgNode:
         if self._by_label is None:
@@ -162,11 +181,31 @@ class SFG:
     # -- structure ---------------------------------------------------------
 
     def find_cycle(self) -> list[int] | None:
-        """Return one cycle as a node-id path, or None if acyclic."""
+        """Return one cycle as a node-id path, or None if acyclic.
+
+        Edges to or from missing nodes are ignored.  An in-degree count
+        (Kahn's algorithm) clears an acyclic graph in one pass; the
+        depth-first search that names a cycle runs only when the count
+        leaves nodes over.
+        """
+        # an edge from a missing node keeps its target's count above zero,
+        # so such a graph goes on to the search
+        indeg = {i: len(self._in.get(i, ())) for i in self._by_id}
+        ready = [i for i, d in indeg.items() if not d]
+        left = len(indeg)
+        while ready:
+            left -= 1
+            for _, v, _ in self._out.get(ready.pop(), ()):
+                if v in indeg:
+                    indeg[v] -= 1
+                    if not indeg[v]:
+                        ready.append(v)
+        if not left:
+            return None
         WHITE, GRAY, BLACK = 0, 1, 2
-        color = {n.id: WHITE for n in self._by_id.values()}
+        color = {n.id: WHITE for n in self._ordered}
         parent: dict[int, int] = {}
-        for root in sorted(color):
+        for root in color:
             if color[root] != WHITE:
                 continue
             stack = [(root, iter(sorted(e.dst for e in self._out.get(root, ())))) ]
@@ -248,26 +287,40 @@ def validate_sfg(g: SFG) -> list[str]:
 
 
 def _find_violations(g: SFG) -> list[str]:
-    out: list[str] = []
-    for dup in g._duplicate_ids:
-        out.append(f"duplicate node id {dup}")
-    known = {n.id for n in g.nodes}
-    for e in g.edges:
-        for end in (e.src, e.dst):
-            if end not in known:
-                out.append(f"edge {e.src}->{e.dst} references missing node {end}")
-        if e.pos < 0:
-            out.append(f"edge {e.src}->{e.dst} has negative operand position")
-    seen_edges: set[Edge] = set()
-    for e in g.edges:
-        if e in seen_edges:
-            out.append(f"duplicate edge {e.src}->{e.dst} at position {e.pos}")
-        seen_edges.add(e)
+    out = [f"duplicate node id {dup}" for dup in g._duplicate_ids]
+    by_id, edges = g._by_id, g.edges
+    ends = set(map(_SRC, edges)) | set(map(_DST, edges))
+    dangling = not by_id.keys() >= ends
+    if dangling or min(map(_POS, edges), default=0) < 0 \
+            or len(set(edges)) != len(edges):  # word each fault, in order
+        duplicates: list[str] = []
+        seen: set[Edge] = set()
+        for e in edges:
+            for end in (e.src, e.dst):
+                if end not in by_id:
+                    out.append(f"edge {e.src}->{e.dst} references missing "
+                               f"node {end}")
+            if e.pos < 0:
+                out.append(f"edge {e.src}->{e.dst} has negative operand "
+                           f"position")
+            if e in seen:
+                duplicates.append(f"duplicate edge {e.src}->{e.dst} at "
+                                  f"position {e.pos}")
+            seen.add(e)
+        out += duplicates
 
-    for n in sorted(g._by_id.values(), key=lambda n: n.id):
-        fan_in = [e for e in g.in_edges(n.id) if e.src in known]
-        fan_out = [e for e in g.out_edges(n.id) if e.dst in known]
-        if n.kind is NodeKind.OPERATION:
+    fan_in, fan_out = g._in, g._out
+    if dangling:  # count only the edges between known nodes
+        fan_in = {v: [e for e in es if e.src in by_id]
+                  for v, es in fan_in.items()}
+        fan_out = {u: [e for e in es if e.dst in by_id]
+                   for u, es in fan_out.items()}
+    OPERATION, INPUT, CONSTANT, OUTPUT = (
+        NodeKind.OPERATION, NodeKind.INPUT, NodeKind.CONSTANT, NodeKind.OUTPUT)
+    for n in g._ordered:
+        ins = fan_in.get(n.id, ())
+        kind = n.kind
+        if kind is OPERATION:
             if n.op is None:
                 out.append(f"operation node {n.id} has no operation symbol")
                 continue
@@ -275,27 +328,27 @@ def _find_violations(g: SFG) -> list[str]:
                 out.append(f"operation node {n.id} has unknown symbol {n.op!r}")
                 continue
             arity = OP_ARITY[n.op]
-            if len(fan_in) != arity:
+            if len(ins) != arity:
                 out.append(f"operation node {n.id} ({n.op!r}) has "
-                           f"{len(fan_in)} operands, expected {arity}")
+                           f"{len(ins)} operands, expected {arity}")
             else:
-                positions = sorted(e.pos for e in fan_in)
+                positions = [e.pos for e in ins]  # in-edges are sorted by pos
                 if positions != list(range(arity)):
                     out.append(f"operation node {n.id} operand positions "
                                f"{positions} are not 0..{arity - 1}")
         else:
             if n.op is not None:
-                out.append(f"node {n.id} is {n.kind.value} but carries an "
+                out.append(f"node {n.id} is {kind.value} but carries an "
                            f"operation symbol")
-            if n.kind is NodeKind.INPUT and fan_in:
+            if kind is INPUT and ins:
                 out.append(f"input node {n.id} has incoming edges")
-            if n.kind is NodeKind.CONSTANT and fan_in:
+            if kind is CONSTANT and ins:
                 out.append(f"constant node {n.id} has incoming edges")
-            if n.kind is NodeKind.OUTPUT:
-                if len(fan_in) != 1:
-                    out.append(f"output node {n.id} has {len(fan_in)} incoming "
+            if kind is OUTPUT:
+                if len(ins) != 1:
+                    out.append(f"output node {n.id} has {len(ins)} incoming "
                                f"edges, expected 1")
-                if fan_out:
+                if fan_out.get(n.id):
                     out.append(f"output node {n.id} has outgoing edges")
 
     cycle = g.find_cycle()
@@ -310,44 +363,55 @@ def _find_violations(g: SFG) -> list[str]:
 #            {"id": 5, "kind": "operation", "op": "*", "label": "m1"}, ...],
 #  "edges": [{"from": 0, "to": 5, "pos": 0}, ...]}
 
-
-def _node_from_json(obj: object, index: int) -> SfgNode:
-    where = f"nodes[{index}]"
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    try:
-        node_id = obj["id"]
-        kind_str = obj["kind"]
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-    if not isinstance(node_id, int) or isinstance(node_id, bool) or node_id < 0:
-        raise ParseError(f"{where}: 'id' must be a non-negative integer")
-    try:
-        kind = NodeKind(kind_str)
-    except ValueError:
-        raise ParseError(f"{where}: unknown kind {kind_str!r}") from None
-    op = obj.get("op")
-    if op is not None and not isinstance(op, str):
-        raise ParseError(f"{where}: 'op' must be a string")
-    label = obj.get("label", "")
-    if not isinstance(label, str):
-        raise ParseError(f"{where}: 'label' must be a string")
-    return SfgNode(id=node_id, kind=kind, op=op, label=label)
+_KINDS = {k.value: k for k in NodeKind}
 
 
-def _edge_from_json(obj: object, index: int) -> Edge:
-    where = f"edges[{index}]"
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    try:
-        src, dst = obj["from"], obj["to"]
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-    pos = obj.get("pos", 0)
-    for name, val in (("from", src), ("to", dst), ("pos", pos)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-            raise ParseError(f"{where}: {name!r} must be a non-negative integer")
-    return Edge(src, dst, pos)
+def _nodes_from_json(items: list) -> list[SfgNode]:
+    """Each record's checks in order; the ``nodes[i]`` context is built
+    only for the error."""
+    nodes = []
+    for i, obj in enumerate(items):
+        if not isinstance(obj, dict):
+            raise ParseError(f"nodes[{i}]: expected an object")
+        try:
+            node_id = obj["id"]
+            kind_str = obj["kind"]
+        except KeyError as exc:
+            raise ParseError(f"nodes[{i}]: missing field {exc.args[0]!r}") from None
+        if type(node_id) is not int or node_id < 0:  # JSON: bool is not int
+            raise ParseError(f"nodes[{i}]: 'id' must be a non-negative integer")
+        kind = _KINDS.get(kind_str) if type(kind_str) is str else None
+        if kind is None:
+            raise ParseError(f"nodes[{i}]: unknown kind {kind_str!r}")
+        op = obj.get("op")
+        if op is not None and type(op) is not str:
+            raise ParseError(f"nodes[{i}]: 'op' must be a string")
+        label = obj.get("label", "")
+        if type(label) is not str:
+            raise ParseError(f"nodes[{i}]: 'label' must be a string")
+        nodes.append(SfgNode(node_id, kind, op, label))
+    return nodes
+
+
+def _edges_from_json(items: list) -> list[Edge]:
+    """As ``_nodes_from_json``, for the ``edges[i]`` records."""
+    edges = []
+    for i, obj in enumerate(items):
+        if not isinstance(obj, dict):
+            raise ParseError(f"edges[{i}]: expected an object")
+        try:
+            src, dst = obj["from"], obj["to"]
+        except KeyError as exc:
+            raise ParseError(f"edges[{i}]: missing field {exc.args[0]!r}") from None
+        pos = obj.get("pos", 0)
+        if type(src) is int and type(dst) is int and type(pos) is int \
+                and src >= 0 and dst >= 0 and pos >= 0:
+            edges.append(Edge(src, dst, pos))
+            continue
+        for name, val in (("from", src), ("to", dst), ("pos", pos)):
+            if type(val) is not int or val < 0:  # the first bad field
+                raise ParseError(f"edges[{i}]: {name!r} must be a non-negative integer")
+    return edges
 
 
 def parse_sfg(text: str) -> SFG:
@@ -369,10 +433,7 @@ def parse_sfg(text: str) -> SFG:
         raise ParseError("'nodes' must be an array")
     if not isinstance(edges_raw, list):
         raise ParseError("'edges' must be an array")
-    g = SFG(
-        (_node_from_json(o, i) for i, o in enumerate(nodes_raw)),
-        (_edge_from_json(o, i) for i, o in enumerate(edges_raw)),
-    )
+    g = SFG(_nodes_from_json(nodes_raw), _edges_from_json(edges_raw))
     violations = validate_sfg(g)
     if violations:
         raise ValidationError(violations)
@@ -387,7 +448,7 @@ def serialize_sfg(g: SFG) -> str:
                 ("id", n.id), ("kind", n.kind.value),
                 ("op", n.op), ("label", n.label),
             ) if v not in (None, "")}
-            for n in sorted(g._by_id.values(), key=lambda n: n.id)
+            for n in g._ordered
         ],
         "edges": [
             {"from": e.src, "to": e.dst, "pos": e.pos}

@@ -201,14 +201,18 @@ def apply_mapping(table: MemoryTable, spec: MappingSpec) -> MemoryMapping:
             raise MappingError(f"strict mapping leaves data {missing[0]} unplaced")
     else:
         taken: dict[str, set[int]] = {b.id: set() for b in spec.banks}
-        for p in placements:
-            taken[p.bank].add(p.address)
+        for p in placements:  # MemoryMapping rejects an undeclared bank
+            taken.setdefault(p.bank, set()).add(p.address)
+        # addresses are only ever taken, so each bank's lowest free address
+        # only grows: the search resumes where the last one stopped
+        lowest = dict.fromkeys(taken, 0)
         for i, data in enumerate(missing):
             bank = spec.banks[i % len(spec.banks)]
-            addr = 0
+            addr = lowest[bank.id]
             while addr in taken[bank.id]:
                 addr += 1
             taken[bank.id].add(addr)
+            lowest[bank.id] = addr + 1
             placements.append(Placement(data=data, bank=bank.id, address=addr))
     return MemoryMapping(banks=spec.banks, placements=tuple(placements))
 
@@ -226,7 +230,7 @@ def _int(entry: dict, key: str, default: int) -> int:
     value = entry.get(key, default)
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MappingError(f"{key!r} must be an integer, got {value!r}") \
             from None
 

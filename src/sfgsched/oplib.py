@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graph import SFG, OPERATION_SYMBOLS, NodeKind
+from .graph import SFG, OPERATION_SYMBOLS
 
 
 class LibraryError(ValueError):
@@ -56,7 +56,7 @@ class OperatorLibrary:
         raise LibraryError(f"no operator class named {name!r}")
 
     def uncovered_symbols(self, g: SFG) -> list[str]:
-        used = {n.op for n in g.nodes if n.kind is NodeKind.OPERATION and n.op}
+        used = {n.op for n in g.operations if n.op}
         executable = set().union(*(c.ops for c in self.classes)) if self.classes else set()
         return sorted(used - executable)
 

@@ -2,9 +2,10 @@
 
 ``verify_schedule`` checks every rule a schedule must satisfy against the
 lowered problem (constraint graph and time windows) and the mapping:
-dependencies, operator exclusivity, instances drawn from the recorded pool,
-port capacity, access costs (replayed in reservation order), I/O timing,
-one transfer per bus and cycle, and time windows.  The lowering is either
+dependencies, operator exclusivity, instances drawn from the recorded pool
+(and, under a fixed allocation, pools no larger than its counts), port
+capacity, access costs (replayed in reservation order), I/O timing, one
+transfer per bus and cycle, and time windows.  The lowering is either
 its own or a ``Problem`` shared by the caller; both are derived from the
 graph, library and I/O constraints alone, and the verifier only reads
 them.  It takes the timing rules from their one home, as the scheduler
@@ -33,7 +34,7 @@ from .graph import SFG
 from .iospec import IoConstraintSpec, build_transfer_graph
 from .memory import HorizonError, MemoryMapping
 from .oplib import OperatorLibrary
-from .scheduling import Schedule, op_requests
+from .scheduling import Allocation, Schedule, op_requests
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,15 @@ class Violation:
 def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                     spec: IoConstraintSpec,
                     mapping: MemoryMapping,
-                    problem: Problem | None = None) -> list[Violation]:
+                    problem: Problem | None = None,
+                    allocation: Allocation | None = None) -> list[Violation]:
     """All rule violations in the schedule, empty when it is valid.
 
     ``problem`` is the lowering of ``g``, ``lib`` and ``spec`` when the
     caller already holds one; without it the problem is lowered here.
+    ``allocation`` is the pool policy the schedule was made under: a
+    fixed one caps each class's pool at its count (a class it does not
+    list at zero).
     """
     out: list[Violation] = []
     if problem is None:
@@ -179,6 +184,15 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                     "port-overlap",
                     f"bank {bank.id} slot {s} serves {n_used} accesses with "
                     f"{bank.ports} port(s)"))
+
+    if allocation is not None and allocation.mode == "fixed":
+        caps = dict(allocation.counts)
+        for cls, names in sorted(sched.pool.items()):
+            if len(names) > caps.get(cls, 0):
+                out.append(Violation("pool",
+                                     f"the {cls} pool holds {len(names)} "
+                                     f"instances, the fixed allocation "
+                                     f"allows {caps.get(cls, 0)}"))
 
     by_instance: dict[str, list] = {}
     for s in sched.ops:

@@ -78,6 +78,16 @@ def shrink_pool(sched: s.Schedule) -> s.Schedule:
     return replace(sched, pool=pool)
 
 
+def pool_above_cap(sched: s.Schedule) -> s.Schedule:
+    """Add to the first operation's pool an instance that nothing runs on:
+    a pool one above the count a fixed allocation of the clean pool
+    allows."""
+    cls = sched.ops[0].op_class
+    pool = dict(sched.pool)
+    pool[cls] += (f"{cls}{len(pool[cls])}",)
+    return replace(sched, pool=pool)
+
+
 MUTATIONS = [
     ("late-start", late_start),
     ("overlapping-instances", overlap_instances),
@@ -89,3 +99,15 @@ MUTATIONS = [
     ("shared-bus-cycle", share_bus_cycle),
     ("instance-outside-pool", shrink_pool),
 ]
+
+# Breaks only a fixed allocation's caps, which the verifier knows when it
+# is given the allocation: check these under ``fixed_allocation(sched)``.
+CAP_MUTATIONS = [
+    ("pool-above-cap", pool_above_cap),
+]
+
+
+def fixed_allocation(sched: s.Schedule) -> s.Allocation:
+    """The fixed allocation whose counts are the schedule's pool sizes."""
+    return s.Allocation(mode="fixed",
+                        counts=tuple(sorted(sched.pool_counts().items())))

@@ -92,6 +92,32 @@ def test_report_fixed_alloc(pairsum_dir, capsys):
     assert "operator mult         x2" in capsys.readouterr().out
 
 
+def test_verifier_holds_the_pool_to_the_fixed_allocation(
+        pairsum_dir, monkeypatch, capsys):
+    import sfgsched.cli
+    from mutations import pool_above_cap
+    argv = ["report"] + _args(pairsum_dir, "--alloc", "fixed:mult=2,add=1",
+                              io="io_lat2.json", mem="mem_twobank.json")
+    seen = []
+    real = sfgsched.cli.verify_schedule
+
+    def recording(*args):
+        seen.append(args[-1])
+        return real(*args)
+    monkeypatch.setattr(sfgsched.cli, "verify_schedule", recording)
+    assert main(argv) == 0
+    assert seen == [s.parse_allocation("fixed:mult=2,add=1")]
+    capsys.readouterr()
+
+    real_schedule = sfgsched.cli.schedule
+    monkeypatch.setattr(sfgsched.cli, "schedule",
+                        lambda *a: pool_above_cap(real_schedule(*a)))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "pool: the mult pool holds 3 instances, the fixed allocation " \
+        "allows 2" in err
+
+
 def test_missing_latency_without_io(pairsum_dir, capsys):
     rc = main(["schedule"] + _args(pairsum_dir, io=None))
     assert rc == 1

@@ -72,10 +72,12 @@ def test_mapping_rejects_conflicts(pairsum_graph):
         s.apply_mapping(table, s.MappingSpec(
             mode="strict", banks=b,
             placements=(s.Placement(var1, "b0", 0), s.Placement(var2, "b0", 0))))
-    with pytest.raises(MappingError):  # unknown bank
-        s.apply_mapping(table, s.MappingSpec(
-            mode="strict", banks=b,
-            placements=(s.Placement(var1, "b0", 0), s.Placement(var2, "b9", 1))))
+    for mode in ("strict", "auto"):
+        with pytest.raises(MappingError, match="unknown bank 'b9'"):
+            s.apply_mapping(table, s.MappingSpec(
+                mode=mode, banks=b,
+                placements=(s.Placement(var1, "b0", 0),
+                            s.Placement(var2, "b9", 1))))
     with pytest.raises(MappingError):  # data placed twice
         s.apply_mapping(table, s.MappingSpec(
             mode="strict", banks=b,
@@ -97,6 +99,8 @@ def test_parse_memory_mapping(pairsum_dir, pairsum_graph):
         ' "placements": [{"data": "ghost", "bank": "b0", "address": 0}]}',
         '{"mode": "strict", "banks": [{"id": "b0"}],'
         ' "placements": [{"data": "a", "bank": "b0", "address": 0}]}',
+        '{"banks": [{"id": "b0", "ports": Infinity}]}',
+        '{"banks": [{"id": "b0", "t_seq": -Infinity}]}',
     ):
         with pytest.raises(MappingError):
             s.parse_memory_mapping(broken, pairsum_graph)

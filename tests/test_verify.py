@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 
 import sfgsched as s
-from instances import random_problem
-from mutations import MUTATIONS
+import experiments
+from instances import random_fft_problem, random_problem
+from mutations import CAP_MUTATIONS, MUTATIONS, fixed_allocation
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,60 @@ def test_mutation_kinds_are_specific(golden_lat3):
                                                spec, mapping)}
     assert kinds == {"pool"}
 
+
+
+@pytest.mark.parametrize("name,mutate", CAP_MUTATIONS)
+@pytest.mark.parametrize("which", ["lat3", "lat2"])
+def test_cap_mutations_are_caught_under_a_fixed_allocation(
+        name, mutate, which, golden_lat3, golden_lat2):
+    sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
+        else golden_lat2
+    alloc = fixed_allocation(sched)
+    assert s.verify_schedule(sched, g, lib, spec, mapping, None, alloc) == []
+    broken = mutate(sched)
+    kinds = {v.kind for v in s.verify_schedule(broken, g, lib, spec, mapping,
+                                               None, alloc)}
+    assert kinds == {"pool"}, name
+    # auto allocation may grow a pool, so without the caps it stands
+    assert s.verify_schedule(broken, g, lib, spec, mapping) == []
+    assert s.verify_schedule(broken, g, lib, spec, mapping, None,
+                             s.Allocation(mode="auto")) == []
+
+
+def test_fixed_allocation_caps_classes_it_does_not_list(golden_lat3):
+    sched, g, lib, spec, mapping = golden_lat3
+    counts = sorted(sched.pool_counts().items())
+    alloc = s.Allocation(mode="fixed", counts=tuple(counts[1:]))
+    violations = s.verify_schedule(sched, g, lib, spec, mapping, None, alloc)
+    assert [v.kind for v in violations] == ["pool"]
+    assert "allows 0" in violations[0].message
+
+
+def test_fixed_allocations_of_random_problems_verify():
+    checked = 0
+    problems = [random_problem(seed) for seed in range(120)] + \
+        [random_fft_problem(seed) for seed in range(60)]
+    for p in problems:
+        if p.allocation.mode != "fixed":
+            continue
+        try:
+            sched = p.run_scheduler()
+        except s.ScheduleFailure:
+            continue
+        assert s.verify_schedule(sched, p.g, p.lib, p.spec, p.mapping, None,
+                                 p.allocation) == [], p.seed
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("name", ["io_constrained", "two_bank_free_io"])
+def test_fixed_allocation_configs_verify_under_their_caps(name):
+    cfg = experiments.io_constrained() if name == "io_constrained" else \
+        experiments.two_bank_free_io({"mult": 2, "add": 1, "sub": 1})
+    assert cfg.allocation.mode == "fixed"
+    sched, _ = cfg.run()
+    assert s.verify_schedule(sched, cfg.g, cfg.lib, cfg.spec, cfg.mapping,
+                             None, cfg.allocation) == []
 
 
 def test_shared_synthesized_bus_is_caught(pairsum_graph, pairsum_lib,
