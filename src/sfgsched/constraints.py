@@ -48,7 +48,7 @@ from enum import Enum
 
 from .graph import SFG, NodeKind, validate_sfg
 from .iospec import IoConstraintSpec, IoSpecError, TransferGraph
-from .oplib import LibraryError, OperatorLibrary
+from .oplib import OperatorLibrary
 
 #: Optimistic memory-access latency used before bank timings are known.
 #: Banks guarantee t_seq >= 1, so 1 cycle is the lower bound.
@@ -217,12 +217,13 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     violations = validate_sfg(g)
     if violations:
         raise ValueError(f"invalid SFG: {violations[0]}")
-    uncovered = lib.uncovered_symbols(g)
-    if uncovered:
-        raise LibraryError(f"no operator class executes {uncovered[0]!r}")
 
     OPERATION, INPUT, OUTPUT, MEMDATA = (
         NodeKind.OPERATION, NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.MEMDATA)
+    # Pick each symbol's class once, in symbol order, so that the first
+    # symbol no class executes is reported before any unsupported memory use.
+    selected = {sym: lib.select(sym)
+                for sym in sorted({n.op for n in g._of_kind[OPERATION]})}
     by_id, in_edges = g._by_id, g._in
     next_id = g._ordered[-1].id + 1 if g._ordered else 0
     edges: list[tuple[int, int]] = []
@@ -249,8 +250,6 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     # edge into it.  A valid graph gives an operation distinct operand
     # positions and an output one in-edge, so the edges come in (dst,
     # pos, src) order.
-    selected = {sym: lib.select(sym)
-                for sym in {n.op for n in g._of_kind[OPERATION]}}
     nodes: list[CgNode] = []
     reads: list[CgNode] = []
     for n in g._ordered:

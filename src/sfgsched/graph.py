@@ -235,30 +235,6 @@ class SFG:
                     stack.pop()
         return None
 
-    def topological_order(self) -> list[int]:
-        """Node ids in dependency order (stable: ties broken by id)."""
-        indeg = {n.id: 0 for n in self._by_id.values()}
-        for e in self.edges:
-            if e.dst in indeg and e.src in indeg:
-                indeg[e.dst] += 1
-        import heapq
-
-        ready = [i for i, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            u = heapq.heappop(ready)
-            order.append(u)
-            for e in self._out.get(u, ()):
-                if e.dst not in indeg:
-                    continue
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    heapq.heappush(ready, e.dst)
-        if len(order) != len(indeg):
-            raise ValidationError(["graph contains a cycle"])
-        return order
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SFG):
             return NotImplemented

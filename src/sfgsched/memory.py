@@ -54,11 +54,9 @@ class PortConflict(BlockedAccess):
 
 @dataclass(frozen=True)
 class MemoryTable:
-    """Memdata nodes with the operations that read and write them."""
+    """The memdata nodes of a graph, in id order."""
 
     entries: tuple[SfgNode, ...]
-    readers: dict[int, tuple[int, ...]]
-    writers: dict[int, tuple[int, ...]]
 
     @property
     def data_ids(self) -> tuple[int, ...]:
@@ -66,14 +64,7 @@ class MemoryTable:
 
 
 def extract_memory_table(g: SFG) -> MemoryTable:
-    entries = tuple(g.memdata)
-    readers = {n.id: tuple(sorted(e.dst for e in g.out_edges(n.id)
-                                  if g.node(e.dst).kind is NodeKind.OPERATION))
-               for n in entries}
-    writers = {n.id: tuple(sorted(e.src for e in g.in_edges(n.id)
-                                  if g.node(e.src).kind is NodeKind.OPERATION))
-               for n in entries}
-    return MemoryTable(entries=entries, readers=readers, writers=writers)
+    return MemoryTable(entries=tuple(g.memdata))
 
 
 def is_burst(last: int | None, address: int) -> bool:
@@ -227,12 +218,11 @@ def _entries(doc: dict, key: str) -> list[dict]:
 
 
 def _int(entry: dict, key: str, default: int) -> int:
+    """The integer under ``key``; a bool, float or string is refused."""
     value = entry.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise MappingError(f"{key!r} must be an integer, got {value!r}") \
-            from None
+    if type(value) is not int:
+        raise MappingError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
@@ -326,10 +316,6 @@ class PortAccessTable:
         self._holding = False
         self._view_last: dict[str, int | None] = {}
         self._view_add: dict[tuple[str, int], int] = {}
-
-    @property
-    def next_seq(self) -> int:
-        return self._seq + 1
 
     def hold_view(self) -> dict[str, int | None]:
         """Make ``probe`` see the table as it stands now until the next

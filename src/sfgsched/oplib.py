@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import SFG, OPERATION_SYMBOLS
+from .graph import OPERATION_SYMBOLS
 
 
 class LibraryError(ValueError):
@@ -54,11 +54,6 @@ class OperatorLibrary:
             if c.name == name:
                 return c
         raise LibraryError(f"no operator class named {name!r}")
-
-    def uncovered_symbols(self, g: SFG) -> list[str]:
-        used = {n.op for n in g.operations if n.op}
-        executable = set().union(*(c.ops for c in self.classes)) if self.classes else set()
-        return sorted(used - executable)
 
 
 def parse_operator_library(text: str) -> OperatorLibrary:

@@ -11,9 +11,9 @@ resource that could not be secured.
 
 The rank key is (mobility, alap, access cost, burst lookahead, id), and
 its first two parts are static.  So the ready set is kept between cycles
-as groups in ascending (mobility, alap) order, with per-class counts, an
-alap heap and an index of readers by (bank, address), and a cycle's walk
-visits the groups lazily.  It looks only at the members that can start:
+as groups in ascending (mobility, alap) order, with per-class counts and
+an index of readers by (bank, address), and a cycle's walk visits the
+groups lazily.  It looks only at the members that can start:
 those at zero margin and those whose class still has a free instance
 (instances only get busier within a cycle, and a freshly allocated one is
 taken at once).  It stops once no class with a free instance has members
@@ -112,7 +112,6 @@ def parse_allocation(text: str) -> Allocation:
 @dataclass
 class OperatorInstance:
     name: str
-    op_class: str
     busy_until: int = 0  # first cycle the instance is free again
 
 
@@ -273,7 +272,6 @@ class SchedulerState:
     instances: dict[str, list[OperatorInstance]] = field(default_factory=dict)
     started: dict[int, ScheduledOp] = field(default_factory=dict)
     accesses: list[ScheduledAccess] = field(default_factory=list)
-    access_by_node: dict[int, ScheduledAccess] = field(default_factory=dict)
     events: list[AllocationEvent] = field(default_factory=list)
     requests: dict[int, tuple[tuple[str, int, int], ...]] = field(init=False)
     read_keys: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
@@ -318,7 +316,7 @@ class SchedulerState:
 
     def allocate_instance(self, op_class: str, t: int) -> OperatorInstance:
         pool = self.instances.setdefault(op_class, [])
-        inst = OperatorInstance(name=f"{op_class}{len(pool)}", op_class=op_class)
+        inst = OperatorInstance(name=f"{op_class}{len(pool)}")
         pool.append(inst)
         self.events.append(AllocationEvent(cycle=t, op_class=op_class,
                                            instance=inst.name))
@@ -385,27 +383,24 @@ class ReadySet:
     ``groups`` maps each (mobility, alap) prefix of the rank key to its
     members, bucketed by shape (``SchedulerState.shape``), and ``keys``
     holds those prefixes in ascending order.  ``per_class`` counts members
-    by operator class, ``by_alap`` is a min-heap of (alap, op) entries
-    (stale once the op has left), and ``readers`` indexes members by the
-    (bank, address) of their reads.  ``followers`` counts, per member, the
+    by operator class, and ``readers`` indexes members by the (bank,
+    address) of their reads.  ``followers`` counts, per member, the
     other members reading the address after one of its reads on the same
     bank: only a member with followers can enable a burst.
     """
 
     def __init__(self, state: SchedulerState, ops: Iterable[int] = ()):
         self.state = state
-        self.members: set[int] = set()
         self.keys: list[tuple[int, int]] = []
         self.groups: dict[tuple[int, int], dict[tuple, _Bucket]] = {}
         self.per_class: dict[str, int] = {}
-        self.by_alap: list[tuple[int, int]] = []
         self.readers: dict[tuple[str, int], list[int]] = {}
         self.followers: dict[int, int] = {}
         for op_id in ops:
             self.add(op_id)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(self.per_class.values())
 
     def _bucket(self, op_id: int) -> _Bucket:
         windows = self.state.windows
@@ -422,8 +417,7 @@ class ReadySet:
 
     def add(self, op_id: int) -> None:
         state = self.state
-        alap = state.windows.alap[op_id]
-        key = (state.windows.mobility[op_id], alap)
+        key = (state.windows.mobility[op_id], state.windows.alap[op_id])
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = {}
@@ -436,7 +430,6 @@ class ReadySet:
             bucket.first_at.setdefault(first, []).append(op_id)
         cls = state.op_class[op_id]
         self.per_class[cls] = self.per_class.get(cls, 0) + 1
-        heapq.heappush(self.by_alap, (alap, op_id))
         readers = self.readers
         read_keys = state.read_keys[op_id]
         for rk in read_keys:
@@ -451,7 +444,6 @@ class ReadySet:
         self.followers[op_id] = followers
         if followers:
             bisect.insort(bucket.enablers, op_id)
-        self.members.add(op_id)
 
     def discard(self, op_id: int) -> None:
         state = self.state
@@ -476,26 +468,15 @@ class ReadySet:
             for other in readers.get((bank, address - 1), ()):
                 if other != op_id:
                     self._follow(other, -1)
-        self.members.discard(op_id)
 
     def min_alap(self) -> int | None:
-        heap = self.by_alap
-        while heap and heap[0][1] not in self.members:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        return min((alap for _, alap in self.keys), default=None)
 
     def due(self, t: int) -> list[int]:
         """Members whose latest start is t or earlier, in id order."""
-        heap = self.by_alap
-        out = []
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            if i < len(heap) and heap[i][0] <= t:
-                if heap[i][1] in self.members:
-                    out.append(heap[i][1])
-                stack += (2 * i + 1, 2 * i + 2)
-        return sorted(out)
+        return sorted(op_id for key in self.keys if key[1] <= t
+                      for bucket in self.groups[key].values()
+                      for op_id in bucket.members)
 
 
 def rank_executable(state: SchedulerState, ready: ReadySet,
@@ -678,7 +659,6 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
             bank=res.bank, address=res.address, cycle=res.cycle,
             cost=res.cost, cost_class=res.cost_class, seq=res.seq)
         state.accesses.append(rec)
-        state.access_by_node[acc.id] = rec
 
     inst.busy_until = t + node.latency
     rec = ScheduledOp(node=op_id, label=node.label, op_class=node.op_class,
@@ -691,14 +671,12 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
     if state.allocation.mode == "fixed":
         for name, n in state.allocation.counts:
             lib.by_name(name)  # raises on an unknown class
-            state.instances[name] = [
-                OperatorInstance(name=f"{name}{i}", op_class=name)
-                for i in range(n)]
+            state.instances[name] = [OperatorInstance(name=f"{name}{i}")
+                                     for i in range(n)]
         return
     used = sorted({n.op_class for n in state.cg.operations})
     for name in used:
-        state.instances[name] = [OperatorInstance(name=f"{name}0",
-                                                  op_class=name)]
+        state.instances[name] = [OperatorInstance(name=f"{name}0")]
 
 
 def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
@@ -753,7 +731,6 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                 count += len(cg.predecessors(p))  # writes gating this read
         remaining[op_id] = count
 
-    todo = set(op_ids)
     ready = ReadySet(state, (op for op in op_ids if remaining[op] == 0))
 
     def release(op_id: int) -> None:
@@ -762,9 +739,9 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
             ready.add(op_id)
 
     t = 0
-    while todo:
+    while len(state.started) < len(op_ids):
         if t >= spec.latency_bound:
-            leftover = min(todo)
+            leftover = min(o for o in op_ids if o not in state.started)
             raise ScheduleFailure("infeasible-windows", cycle=t,
                                   operation=leftover,
                                   op_class=cg.nodes[leftover].op_class,
@@ -774,34 +751,34 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
             release(op_id)
         # Something can start only at zero margin or with a free instance:
         # instances only get busier within a cycle.
-        first_alap = ready.min_alap()
         ready_classes = [cls for cls, n in ready.per_class.items() if n]
-        if (first_alap is None or first_alap > t) and not any(
-                state.free_instance(cls, t) for cls in ready_classes):
-            # Nothing can change before the next release, the next freed
-            # instance a ready op can use, or a ready op running out of
-            # slack; the cycles up to there would all be idle.  Each of
-            # these is later than t (operator latencies are >= 1), so the
-            # walk always moves forward.
-            t = min([spec.latency_bound, *release_at,
-                     *(() if first_alap is None else (first_alap,)),
-                     *(inst.busy_until for cls in ready_classes
-                       for inst in state.instances.get(cls, ()))])
-            continue
+        if not any(state.free_instance(cls, t) for cls in ready_classes):
+            first_alap = ready.min_alap()
+            if first_alap is None or first_alap > t:
+                # Nothing can change before the next release, the next
+                # freed instance a ready op can use, or a ready op running
+                # out of slack; the cycles up to there would all be idle.
+                # Each of these is later than t (operator latencies are
+                # >= 1), so the walk always moves forward.
+                t = min([spec.latency_bound, *release_at,
+                         *(() if first_alap is None else (first_alap,)),
+                         *(inst.busy_until for cls in ready_classes
+                           for inst in state.instances.get(cls, ()))])
+                continue
         started: list[int] = []
         for op_id in rank_executable(state, ready, t):
             rec = assign_step(state, op_id, t)
             if rec is None:
                 continue
             started.append(op_id)
-            todo.discard(op_id)
             for s in cg.successors(op_id):
                 if cg.nodes[s].kind is CgKind.OP:
                     release_at.setdefault(rec.completion, []).append(s)
-            # Write completions gate reader ops through their read node.
-            for acc in state.cg.accesses_of(op_id)[1]:
-                res = state.access_by_node[acc.id]
-                for r in cg.successors(acc.id):
+            # Write completions gate reader ops through their read node;
+            # the op's writes are the last accesses it reserved.
+            writes = len(cg.accesses_of(op_id)[1])
+            for res in state.accesses[len(state.accesses) - writes:]:
+                for r in cg.successors(res.node):
                     consumer = cg.nodes[r].agent
                     release_at.setdefault(res.cycle + res.cost, []).append(consumer)
         # Started ops leave only now: the lookahead counts every op that

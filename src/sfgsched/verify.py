@@ -19,7 +19,11 @@ that breaks a rule is caught (the mutation tests guard this).
 ``brute_force_min_latency`` is an exhaustive oracle for small graphs: it
 searches every start-time assignment (and every same-cycle reservation
 order) and returns the best achievable latency, or None when no schedule
-exists under the given resources.
+exists under the given resources.  Its search state is only what cannot
+be worked out from the rest: the cycle, each op's start and the end of
+its writes, each bank's last address, and the load of each reserved slot.
+Instances are interchangeable, so a pool cap bounds the ops of a class
+running at once, and no pool is kept.
 """
 
 from __future__ import annotations
@@ -307,16 +311,21 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
         raise ValueError(f"brute force capped at {max_ops} operations, "
                          f"graph has {len(ops)}")
 
-    lat = {o: cg.nodes[o].latency for o in ops}
-    op_preds = {o: [p for p in cg.predecessors(o)
-                    if cg.nodes[p].kind is CgKind.OP] for o in ops}
-    in_preds = {o: [cg.nodes[p].arrival for p in cg.predecessors(o)
-                    if cg.nodes[p].kind is CgKind.INPUT] for o in ops}
-    read_deps = {o: [cg.nodes[w].agent for r in cg.accesses_of(o)[0]
-                     for w in cg.predecessors(r.id)] for o in ops}
-    accesses = {o: [(mapping.bank(bank), address, offset)
-                    for bank, address, offset in reqs]
-                for o, reqs in op_requests(cg, mapping).items()}
+    lat = [cg.nodes[o].latency for o in ops]
+    op_class = [cg.nodes[o].op_class for o in ops]
+    at = {o: i for i, o in enumerate(ops)}
+    asap = [windows.asap[o] for o in ops]  # not before an input's arrival
+    alap = [windows.alap[o] for o in ops]
+    op_preds = [[at[p] for p in cg.predecessors(o)
+                 if cg.nodes[p].kind is CgKind.OP] for o in ops]
+    read_deps = [[at[cg.nodes[w].agent] for r in cg.accesses_of(o)[0]
+                  for w in cg.predecessors(r.id)] for o in ops]
+    peers = [[j for j in range(len(ops)) if op_class[j] == op_class[i]]
+             for i in range(len(ops))]
+    bank_at = {b.id: k for k, b in enumerate(mapping.banks)}
+    requests = op_requests(cg, mapping)
+    accesses = [[(bank_at[bank], mapping.bank(bank), address, offset)
+                 for bank, address, offset in requests[o]] for o in ops]
     outputs = cg.of_kind(CgKind.OUTPUT)
 
     best: list[int | None] = [None]
@@ -329,89 +338,61 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
                     cycles[o.id] <= o.deadline:
                 return
         achieved = achieved_latency(cg, cycles, max(
-            (started[o] + lat[o] for o in ops), default=None))
+            (started[o] + n for o, n in zip(ops, lat)), default=None))
         if best[0] is None or achieved < best[0]:
             best[0] = achieved
 
-    def dfs(t: int, started: dict[int, int], write_done: dict[int, int],
-            last: tuple, slots: tuple, busy: tuple) -> None:
-        todo = [o for o in ops if o not in started]
+    def dfs(t: int, starts: tuple, last: tuple, loads: tuple) -> None:
+        todo = [i for i, s in enumerate(starts) if s is None]
         if not todo:
-            finish(started)
+            finish({o: s[0] for o, s in zip(ops, starts)})
             return
-        if t > max(windows.alap[o] for o in todo):
+        if t > max(alap[i] for i in todo):
             return
-        key = (t, tuple(sorted(started.items())),
-               tuple(sorted(write_done.items())), last, slots, busy)
+        key = (t, starts, last, loads)
         if key in seen:
             return
         seen.add(key)
 
-        busy_d = {c: list(v) for c, v in busy}
-
-        for o in sorted(todo):
-            if not (windows.asap[o] <= t <= windows.alap[o]):
+        for i in todo:
+            if not (asap[i] <= t <= alap[i]):
                 continue
-            if any(p not in started or started[p] + lat[p] > t
-                   for p in op_preds[o]):
+            if any(starts[p] is None or starts[p][0] + lat[p] > t
+                   for p in op_preds[i]):
                 continue
-            if any(a > t for a in in_preds[o]):
+            if any(starts[w] is None or starts[w][1] > t
+                   for w in read_deps[i]):
                 continue
-            if any(w not in started or write_done.get(w, 10 ** 9) > t
-                   for w in read_deps[o]):
+            # instances are interchangeable: one is free unless every one
+            # the cap allows runs an op of the class
+            if instances is not None and sum(
+                    1 for j in peers[i] if starts[j] is not None
+                    and starts[j][0] + lat[j] > t) >= \
+                    instances.get(op_class[i], 0):
                 continue
-            cls = cg.nodes[o].op_class
-            pool = busy_d.get(cls, [])
-            free_idx = next((i for i, f in enumerate(pool) if f <= t), None)
-            if instances is not None and free_idx is None:
-                if len(pool) >= instances.get(cls, 0):
-                    continue
             # try to reserve accesses in order
-            nl = dict(last)
-            ns = {b: dict(v) for b, v in slots}
-            ok = True
-            wd = None
-            for bank, addr, delay in accesses[o]:
-                cost, _ = bank.cost(nl[bank.id], addr)
+            nlast, nloads = list(last), list(loads)
+            done = t
+            for k, bank, addr, delay in accesses[i]:
+                cost, _ = bank.cost(nlast[k], addr)
                 cyc = t + delay
                 try:
                     span = bank.span(cyc, cost, spec.cadence)
                 except HorizonError:
-                    ok = False
                     break
-                used = ns[bank.id]
+                used = dict(nloads[k])
                 if any(used.get(s, 0) >= bank.ports for s in span):
-                    ok = False
                     break
                 for s in span:
                     used[s] = used.get(s, 0) + 1
-                nl[bank.id] = addr
+                nlast[k], nloads[k] = addr, frozenset(used.items())
                 if delay > 0:
-                    wd = max(wd or 0, cyc + cost)
-            if not ok:
-                continue
-            nb = {c: list(v) for c, v in busy_d.items()}
-            pool2 = nb.setdefault(cls, [])
-            if free_idx is not None and pool2[free_idx] <= t:
-                pool2[free_idx] = t + lat[o]
-            else:
-                pool2.append(t + lat[o])
-            nstarted = dict(started)
-            nstarted[o] = t
-            nwd = dict(write_done)
-            if wd is not None:
-                nwd[o] = wd
-            dfs(t,
-                nstarted, nwd,
-                tuple(sorted(nl.items())),
-                tuple((b, tuple(sorted(v.items())))
-                      for b, v in sorted(ns.items())),
-                tuple((c, tuple(sorted(v))) for c, v in sorted(nb.items())))
-        dfs(t + 1, started, write_done, last, slots, busy)
+                    done = max(done, cyc + cost)
+            else:  # every access was reserved
+                dfs(t, starts[:i] + ((t, done),) + starts[i + 1:],
+                    tuple(nlast), tuple(nloads))
+        dfs(t + 1, starts, last, loads)
 
-    dfs(0,
-        {}, {},
-        tuple(sorted((b.id, None) for b in mapping.banks)),
-        tuple((b.id, ()) for b in sorted(mapping.banks, key=lambda b: b.id)),
-        ())
+    dfs(0, (None,) * len(ops), (None,) * len(mapping.banks),
+        (frozenset(),) * len(mapping.banks))
     return best[0]

@@ -131,6 +131,11 @@ def test_uncovered_symbol_raises(pairsum_graph):
     add_only = s.OperatorLibrary(classes=(s.OperatorClass("add", frozenset("+"), 1),))
     with pytest.raises(s.LibraryError):
         s.build_constraint_graph(pairsum_graph, add_only)
+    # with '*' and '+' both uncovered, the first in symbol order is named
+    sub_only = s.OperatorLibrary(classes=(s.OperatorClass("sub", frozenset("-"), 1),))
+    with pytest.raises(s.LibraryError,
+                       match=r"^no operator class executes '\*'$"):
+        s.build_constraint_graph(pairsum_graph, sub_only)
 
 
 def test_apply_io_constraints_sets_dates(pairsum_graph, pairsum_lib, io_lat3):

@@ -51,8 +51,11 @@ def _evaluate(g: s.SFG, x: list[float]) -> np.ndarray:
                 else -math.sin(ang)
     fn = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
           "*": lambda a, b: a * b}
-    for nid in g.topological_order():
-        nd = g.node(nid)
+    # the generator adds every node after its operands, so id order is
+    # a dependency order
+    assert all(e.src < e.dst for e in g.edges)
+    for nd in sorted(g.nodes, key=lambda nd: nd.id):
+        nid = nd.id
         if nd.kind is K.OPERATION:
             a, b = (val[p] for p in g.operands(nid))
             val[nid] = fn[nd.op](a, b)

@@ -87,18 +87,6 @@ def test_cycle_detection():
     assert cyc is not None
     assert {0, 1} <= set(cyc)
     assert any("cycle" in v for v in s.validate_sfg(g))
-    with pytest.raises(s.ValidationError):
-        g.topological_order()
-
-
-def test_topological_order_is_stable_and_respects_edges(pairsum_graph):
-    order = pairsum_graph.topological_order()
-    assert order == pairsum_graph.topological_order()
-    rank = {nid: i for i, nid in enumerate(order)}
-    for e in pairsum_graph.edges:
-        assert rank[e.src] < rank[e.dst]
-    # independent nodes come out in ascending id order
-    assert order[:4] == sorted(order[:4])
 
 
 def test_node_by_label(pairsum_graph):

@@ -26,8 +26,7 @@ def test_extract_memory_table(pairsum_graph):
     var1 = pairsum_graph.node_by_label("var1").id
     var2 = pairsum_graph.node_by_label("var2").id
     assert set(table.data_ids) == {var1, var2}
-    assert table.readers[var1] == (pairsum_graph.node_by_label("m1").id,)
-    assert table.writers.get(var1, ()) == ()
+    assert table.data_ids == tuple(sorted(table.data_ids))  # id order
 
 
 def test_strict_mapping_is_exact(map_onebank, pairsum_graph):
@@ -104,6 +103,16 @@ def test_parse_memory_mapping(pairsum_dir, pairsum_graph):
     ):
         with pytest.raises(MappingError):
             s.parse_memory_mapping(broken, pairsum_graph)
+    # integers are taken as given: no truncated float, no bool as 0 or 1
+    for key, broken in (
+        ("ports", '{"banks": [{"id": "b0", "ports": 2.9}]}'),
+        ("t_seq", '{"banks": [{"id": "b0", "t_seq": true}]}'),
+        ("address", '{"banks": [{"id": "b0"}], "placements":'
+                    ' [{"data": "var1", "bank": "b0", "address": 1.7}]}'),
+    ):
+        with pytest.raises(MappingError,
+                           match=f"^'{key}' must be an integer, got "):
+            s.parse_memory_mapping(broken, pairsum_graph)
 
 
 def _reserve(table, requests):
@@ -152,14 +161,13 @@ def test_access_cost_reservation_order(map_onebank):
 
 def test_probe_does_not_mutate(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
-    before_seq = table.next_seq
     got = table.probe([("bank0", 0, 0), ("bank0", 1, 1)])
     assert got == [(1, "burst"), (1, "burst")]
     assert table.probe([("bank0", 0, 0), ("bank0", 1, 1)]) == got
     # a same-cycle pair on the single port is refused, still without mutation
     assert table.probe([("bank0", 0, 0), ("bank0", 1, 0)]) is None
-    assert table.next_seq == before_seq
-    # no slot was taken: the probed requests still reserve as probed
+    # no slot or sequence number was taken: the probed requests still
+    # reserve as probed, numbered from 1
     reserved = _reserve(table, [("bank0", 0, 0), ("bank0", 1, 1)])
     assert [(r.cost, r.cost_class, r.seq) for r in reserved] == \
         [(1, "burst", 1), (1, "burst", 2)]
@@ -171,7 +179,6 @@ def test_reserve_all_is_atomic(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
     with pytest.raises(PortConflict):
         table.fit([("bank0", 0, 3), ("bank0", 5, 3)])
-    assert table.next_seq == 1
     ok = _reserve(table, [("bank0", 0, 3), ("bank0", 1, 4)])
     assert [r.seq for r in ok] == [1, 2]
 
@@ -179,7 +186,7 @@ def test_reserve_all_is_atomic(map_onebank):
 def test_reservation_spans_slots():
     spec = s.MappingSpec(mode="auto", banks=(s.Bank(id="b", ports=1,
                                                     t_seq=1, t_rand=3),))
-    m = s.apply_mapping(s.MemoryTable(entries=(), readers={}, writers={}), spec)
+    m = s.apply_mapping(s.MemoryTable(entries=()), spec)
     table = s.PortAccessTable(m, cadence=8)
     (r,) = _reserve(table, [("b", 9, 2)])  # idle: burst, cost 1
     assert r.cost == 1

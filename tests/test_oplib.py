@@ -27,12 +27,6 @@ def test_select_unknown_symbol_raises(pairsum_lib):
         pairsum_lib.by_name("divider")
 
 
-def test_uncovered_symbols(pairsum_graph, pairsum_lib):
-    assert pairsum_lib.uncovered_symbols(pairsum_graph) == []
-    add_only = s.OperatorLibrary(classes=(s.OperatorClass("add", frozenset("+"), 1),))
-    assert add_only.uncovered_symbols(pairsum_graph) == ["*"]
-
-
 def test_clock_conversion():
     lib = s.parse_operator_library(
         '{"clock_mhz": 200, "classes": [{"name": "x", "ops": ["+"], "latency": 1}]}')

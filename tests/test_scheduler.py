@@ -248,8 +248,10 @@ def test_assign_step_delays_when_instance_busy():
     # margin is positive and the only multiplier is busy: defer, do not grow
     assert s.assign_step(state, 5, 0) is None
     assert len(state.accesses) == before
-    assert state.table.next_seq == before + 1
     assert 5 not in state.started
+    # the deferred attempt consumed no sequence number
+    assert s.assign_step(state, 5, 1) is not None
+    assert state.accesses[before].seq == before + 1
 
 
 def test_unconstrained_transfers_are_just_in_time(pairsum_graph, pairsum_lib,
