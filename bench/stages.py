@@ -24,9 +24,12 @@ time (``time.perf_counter``, minus wrapped calls nested in it) to its
 stage; ``write`` is the output files (``cli._write_file``, or
 ``Path.write_text`` in trees that predate it) and ``other`` the rest of the
 call (argument parsing, file reads).  The child also counts
-constraint-graph builds and graph validations (``SFG.find_cycle`` calls)
-and hashes ``schedule.json`` and ``report.json``; both trees must give the
-same hashes.  The standard library is all this script needs.
+constraint-graph builds and graph validations (``SFG.find_cycle`` calls),
+counts the cyclic garbage collections made during the call per
+generation and times them (``gc.callbacks``; collection time also sits
+inside the stage it interrupted), and hashes ``schedule.json`` and
+``report.json``; both trees must give the same hashes.  The standard
+library is all this script needs.
 """
 
 from __future__ import annotations
@@ -113,13 +116,24 @@ def _child(src: str, argv: list[str], collect: bool) -> dict:
     graph.SFG.find_cycle = counted("find_cycle", graph.SFG.find_cycle)
     Path.write_text = timed("write", Path.write_text)
 
+    collections, collect_s, began = [0, 0, 0], [0.0, 0.0, 0.0], [0.0]
+
+    def on_gc(phase, info):
+        if phase == "start":
+            began[0] = time.perf_counter()
+        else:
+            collections[info["generation"]] += 1
+            collect_s[info["generation"]] += time.perf_counter() - began[0]
+
     if not collect:
         gc.disable()
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        gc.callbacks.append(on_gc)
         start = time.perf_counter()
         code = cli.main(argv)
         total = time.perf_counter() - start
+        gc.callbacks.remove(on_gc)
     if code != 0:
         raise SystemExit(f"report exited {code}: {sink.getvalue()}")
     out = Path(argv[argv.index("--out") + 1])
@@ -128,6 +142,7 @@ def _child(src: str, argv: list[str], collect: bool) -> dict:
         for name in ("schedule", "report")}
     spent["other"] = total - sum(spent.values())
     return {"stage_s": spent, "total_s": total,
+            "gc_collections": collections, "gc_s": collect_s,
             "constraint_graph_builds": counts["build_constraint_graph"],
             "graph_validations": counts["find_cycle"],
             "achieved_latency": json.loads(
@@ -170,9 +185,15 @@ def summarize(runs: list[dict]) -> dict:
             r["stage_s"][k] for r in runs), 4) for k in stages},
         "total_s_median": round(statistics.median(
             r["total_s"] for r in runs), 4),
+        "gc_collections_median": [statistics.median(
+            r["gc_collections"][gen] for r in runs) for gen in range(3)],
+        "gc_s_median": [round(statistics.median(
+            r["gc_s"][gen] for r in runs), 4) for gen in range(3)],
         "stage_s_all": {k: [round(r["stage_s"][k], 4) for r in runs]
                         for k in stages},
         "total_s_all": [round(r["total_s"], 4) for r in runs],
+        "gc_collections_all": [r["gc_collections"] for r in runs],
+        "gc_s_all": [round(sum(r["gc_s"]), 4) for r in runs],
     }
 
 
@@ -213,7 +234,9 @@ def main(argv=None) -> int:
             / entry["parent"]["total_s_median"], 3)
         configs.append(entry)
         print(f"{points:5d} points: total {entry['parent']['total_s_median']}"
-              f" s -> {entry['change']['total_s_median']} s", file=sys.stderr)
+              f" s -> {entry['change']['total_s_median']} s, collections "
+              f"{entry['parent']['gc_collections_median']} -> "
+              f"{entry['change']['gc_collections_median']}", file=sys.stderr)
 
     record = {
         "what": "Per-stage wall time of one in-process `sfgsched report` "
@@ -225,6 +248,9 @@ def main(argv=None) -> int:
            "write": "cli._write_file, or Path.write_text where the CLI "
                     "has no _write_file",
            "other": "the rest of cli.main: argument parsing, file reads"},
+        "gc": "gc_collections / gc_s: cyclic collections made during the "
+              "call and their time, per generation 0, 1, 2 (gc.callbacks); "
+              "the time is also inside the stage each one interrupted",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),

@@ -43,8 +43,9 @@ this model to start cycles for the scheduler, verifier and oracle.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .graph import SFG, NodeKind, validate_sfg
 from .iospec import IoConstraintSpec, IoSpecError, TransferGraph
@@ -73,9 +74,9 @@ class CgKind(str, Enum):
 _SAME_CYCLE_SOURCES = frozenset((CgKind.READ, CgKind.INPUT))
 
 
-@dataclass(frozen=True, slots=True)
-class CgNode:
-    """Constraint-graph node.
+class CgNode(NamedTuple):
+    """Constraint-graph node (a named tuple: immutable, and built at tuple
+    cost, positionally, on the lowering's per-node paths).
 
     ``latency`` is the node's occupancy in cycles (operator latency for ops,
     optimistic access time for read/write nodes, 0 for I/O events).  Access
@@ -220,6 +221,7 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
 
     OPERATION, INPUT, OUTPUT, MEMDATA = (
         NodeKind.OPERATION, NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.MEMDATA)
+    OP, READ, WRITE = CgKind.OP, CgKind.READ, CgKind.WRITE
     # Pick each symbol's class once, in symbol order, so that the first
     # symbol no class executes is reported before any unsupported memory use.
     selected = {sym: lib.select(sym)
@@ -238,9 +240,8 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
         if e.dst in writes_of_data:
             raise UnsupportedGraphError(
                 f"memdata node {e.dst} has multiple writers")
-        w = CgNode(id=next_id, kind=CgKind.WRITE,
-                   latency=OPTIMISTIC_ACCESS_LATENCY,
-                   label=f"wr:{by_id[e.dst].name}", data=e.dst, agent=e.src)
+        w = CgNode(next_id, WRITE, OPTIMISTIC_ACCESS_LATENCY,
+                   f"wr:{by_id[e.dst].name}", None, None, e.dst, e.src)
         next_id += 1
         writes.append(w)
         writes_of_data[e.dst] = w.id
@@ -256,14 +257,12 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
         dk = n.kind
         if dk is OPERATION:
             cls = selected[n.op]
-            nodes.append(CgNode(id=n.id, kind=CgKind.OP, latency=cls.latency,
-                                label=n.name, op_class=cls.name, symbol=n.op))
+            nodes.append(CgNode(n.id, OP, cls.latency, n.name, cls.name,
+                                n.op))
         elif dk is INPUT:
-            nodes.append(CgNode(id=n.id, kind=CgKind.INPUT, latency=0,
-                                label=n.name))
+            nodes.append(CgNode(n.id, CgKind.INPUT, 0, n.name))
         elif dk is OUTPUT:
-            nodes.append(CgNode(id=n.id, kind=CgKind.OUTPUT, latency=0,
-                                label=n.name))
+            nodes.append(CgNode(n.id, CgKind.OUTPUT, 0, n.name))
         ins = in_edges.get(n.id)
         if not ins:
             continue
@@ -286,10 +285,8 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
                     f"edge {e.src}->{e.dst}: an output must be fed by an "
                     f"input or operation node")
             elif sk is MEMDATA:
-                r = CgNode(id=next_id, kind=CgKind.READ,
-                           latency=OPTIMISTIC_ACCESS_LATENCY,
-                           label=f"rd:{by_id[e.src].name}", data=e.src,
-                           agent=e.dst)
+                r = CgNode(next_id, READ, OPTIMISTIC_ACCESS_LATENCY,
+                           f"rd:{by_id[e.src].name}", None, None, e.src, e.dst)
                 next_id += 1
                 reads.append(r)
                 if e.src in writes_of_data:
@@ -319,12 +316,13 @@ def apply_io_constraints(cg: ConstraintGraph, tg: TransferGraph,
             raise IoSpecError(f"node {t.data} is transferred twice")
         offset_of[t.data] = t.offset
 
+    # each node rebuilt positionally: its fields up to ``agent``, then
+    # ``arrival`` and ``deadline``
     default_deadline = spec.latency_bound - 1
-    io_nodes = {n.id: replace(n, arrival=offset_of.get(n.id, 0))
+    io_nodes = {n.id: CgNode(*n[:8], offset_of.get(n.id, 0), n.deadline)
                 for n in cg._of_kind[CgKind.INPUT]}
     for n in cg._of_kind[CgKind.OUTPUT]:
-        io_nodes[n.id] = replace(n, deadline=offset_of.get(n.id,
-                                                           default_deadline))
+        io_nodes[n.id] = CgNode(*n[:9], offset_of.get(n.id, default_deadline))
     return cg._with_io_nodes(io_nodes, spec.latency_bound)
 
 

@@ -38,7 +38,7 @@ class _Builder:
 
     def add(self, kind: NodeKind, label: str, op: str | None = None) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(SfgNode(id=node_id, kind=kind, op=op, label=label))
+        self.nodes.append(SfgNode(node_id, kind, op, label))
         return node_id
 
     def op(self, symbol: str, label: str, lhs: int, rhs: int) -> int:

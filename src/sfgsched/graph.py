@@ -11,6 +11,9 @@ Edges are ``(src, dst, pos)`` triples where ``pos`` is the operand position
 at the consumer; operand order is explicit so graph reconstruction and
 downstream scheduling are deterministic.
 
+Nodes and edges are named tuples: immutable, hashable, and built at
+tuple cost, positionally, by the parser.
+
 An ``SFG`` is immutable, so what is derived from it alone is derived once
 and kept on the instance.  The constructor indexes the nodes by id, by
 kind and in id order, and the edges by endpoint.  ``validate_sfg``
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -66,10 +68,10 @@ class NodeKind(str, Enum):
     OPERATION = "operation"
 
 
-@dataclass(frozen=True, slots=True)
-class SfgNode:
+class SfgNode(NamedTuple):
     """One graph node.  ``op`` is the operation symbol, present iff the node
-    kind is ``operation``."""
+    kind is ``operation``.  A named tuple, as every per-element record of
+    the package is: immutable, hashable and built at tuple cost."""
 
     id: int
     kind: NodeKind

@@ -13,12 +13,15 @@ with cost k occupies every slot overlapping cycles ``c .. c+k-1``.  The
 table covers one iteration (``cadence`` cycles); an access that would run
 past it raises ``HorizonError``.  ``Bank.cost`` and ``Bank.span`` hold the
 two rules for the scheduler, the verifier and the exhaustive oracle.
+``PortAccessTable.fit`` places requests and ``commit`` reserves them as
+placed, handing back only their sequence numbers: the caller already
+holds the rest of each reservation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import SFG, NodeKind, SfgNode
 
@@ -281,16 +284,6 @@ class _BankState:
     last_address: int | None  # address of the most recent reservation
 
 
-@dataclass(frozen=True)
-class Reservation:
-    bank: str
-    address: int
-    cycle: int
-    cost: int
-    cost_class: str  # "burst" | "random"
-    seq: int
-
-
 class PortAccessTable:
     """Mutable port reservation state for one scheduling run.
 
@@ -372,12 +365,13 @@ class PortAccessTable:
         return [(cost, cls) for cost, cls, _ in fits]
 
     def commit(self, requests: list[tuple[str, int, int]],
-               fits: list[tuple[int, str, range]]) -> list[Reservation]:
+               fits: list[tuple[int, str, range]]) -> range:
         """Reserve requests as ``fit`` placed them on the live table, which
-        must not have changed in between; returns the reservations with
-        their sequence numbers."""
-        out = []
-        for (bank_id, address, cycle), (cost, cls, span) in zip(requests, fits):
+        must not have changed in between; returns their sequence numbers,
+        in request order (the requests and fits already hold the rest of
+        each reservation)."""
+        first = self._seq + 1
+        for (bank_id, address, _), (_, _, span) in zip(requests, fits):
             state = self._state[bank_id]
             if self._holding:
                 self._view_last.setdefault(bank_id, state.last_address)
@@ -389,6 +383,4 @@ class PortAccessTable:
                 slots[s] = slots.get(s, 0) + 1
             state.last_address = address
             self._seq += 1
-            out.append(Reservation(bank=bank_id, address=address, cycle=cycle,
-                                   cost=cost, cost_class=cls, seq=self._seq))
-        return out
+        return range(first, self._seq + 1)

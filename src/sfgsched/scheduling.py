@@ -43,6 +43,13 @@ Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
 operation's start.  Access costs depend on reservation order; the global
 sequence number stored with every access lets a verifier replay them.
+
+The records of a schedule (``ScheduledOp``, ``ScheduledAccess``,
+``ScheduledTransfer``) are named tuples, built positionally, each once:
+``assign_step`` makes an access record straight from the request, its
+fit and the sequence number ``PortAccessTable.commit`` hands back, with
+the per-op facts (node, access ids and labels) looked up once per run in
+``SchedulerState``.
 """
 
 from __future__ import annotations
@@ -51,9 +58,10 @@ import bisect
 import heapq
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .constraints import (CgKind, ConstraintGraph, Problem, TimeWindows,
-                          achieved_latency, apply_io_constraints,
+from .constraints import (CgKind, CgNode, ConstraintGraph, Problem,
+                          TimeWindows, achieved_latency, apply_io_constraints,
                           build_constraint_graph, compute_time_windows,
                           transfer_cycles)
 from .graph import SFG, NodeKind
@@ -115,8 +123,7 @@ class OperatorInstance:
     busy_until: int = 0  # first cycle the instance is free again
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(NamedTuple):
     node: int
     label: str
     op_class: str
@@ -129,8 +136,7 @@ class ScheduledOp:
         return self.start + self.latency
 
 
-@dataclass(frozen=True)
-class ScheduledAccess:
+class ScheduledAccess(NamedTuple):
     node: int       # constraint-graph access node
     op: int         # operation the access belongs to
     kind: str       # "read" | "write"
@@ -144,8 +150,7 @@ class ScheduledAccess:
     seq: int
 
 
-@dataclass(frozen=True)
-class ScheduledTransfer:
+class ScheduledTransfer(NamedTuple):
     node: int
     bus: str
     cycle: int
@@ -242,12 +247,14 @@ def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
     reservation order: its reads at offset 0, then its writes at its
     latency (the cycle after it completes)."""
     out = {}
+    placement_of = mapping.placement_of
     for n in cg.operations:
-        reads, writes = cg.accesses_of(n.id)
-        out[n.id] = tuple(
-            (p.bank, p.address, offset)
-            for accs, offset in ((reads, 0), (writes, n.latency))
-            for p in (mapping.placement_of(a.data) for a in accs))
+        reqs = []
+        for accs, offset in zip(cg.accesses_of(n.id), (0, n.latency)):
+            for a in accs:
+                p = placement_of(a.data)
+                reqs.append((p.bank, p.address, offset))
+        out[n.id] = tuple(reqs)
     return out
 
 
@@ -255,9 +262,12 @@ def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps.
 
-    Each operation is lowered once: ``requests`` holds its port requests
-    (``op_requests``), ``read_keys`` the (bank, address) of its reads and
-    ``op_class`` its operator class.
+    Each operation is lowered once: ``node`` holds its constraint-graph
+    node, ``requests`` its port requests (``op_requests``), ``records``
+    the (access node, kind, data, data label) of each request in the same
+    order, ``gated`` per write the operations whose reads it gates,
+    ``read_keys`` the (bank, address) of its reads and ``op_class`` its
+    operator class.
     ``shape`` is the op's class with, per request, the bank, the offset
     and whether the address continues the op's own previous request on
     that bank (None for the op's first request on the bank, whose burst
@@ -273,28 +283,48 @@ class SchedulerState:
     started: dict[int, ScheduledOp] = field(default_factory=dict)
     accesses: list[ScheduledAccess] = field(default_factory=list)
     events: list[AllocationEvent] = field(default_factory=list)
+    node: dict[int, CgNode] = field(init=False)
     requests: dict[int, tuple[tuple[str, int, int], ...]] = field(init=False)
+    records: dict[int, tuple[tuple[int, str, int, str], ...]] = field(
+        init=False)
+    gated: dict[int, tuple[tuple[int, ...], ...]] = field(init=False)
     read_keys: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
     op_class: dict[int, str] = field(init=False)
     shape: dict[int, tuple] = field(init=False)
     firsts: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
 
     def __post_init__(self):
-        self.requests = op_requests(self.cg, self.mapping)
+        cg = self.cg
+        self.requests = op_requests(cg, self.mapping)
+        self.node = {}
+        self.records = {}
+        self.gated = {}
         self.read_keys = {}
         self.op_class = {}
         self.shape = {}
         self.firsts = {}
-        for n in self.cg.operations:
-            self.op_class[n.id] = n.op_class
-            reqs = self.requests[n.id]
-            self.read_keys[n.id] = tuple(
-                (bank, address) for bank, address, offset in reqs
-                if not offset)
+        nodes, successors = cg.nodes, cg.successors
+        for n in cg.operations:
+            op_id = n.id
+            self.node[op_id] = n
+            self.op_class[op_id] = n.op_class
+            reads, writes = cg.accesses_of(op_id)
+            records = [(a.id, "read", a.data, a.label.split(":", 1)[-1])
+                       for a in reads]
+            gated = []
+            for w in writes:
+                records.append((w.id, "write", w.data,
+                                w.label.split(":", 1)[-1]))
+                gated.append(tuple([nodes[r].agent for r in successors(w.id)]))
+            self.records[op_id] = tuple(records)
+            self.gated[op_id] = tuple(gated)
             prev: dict[str, int] = {}
+            read_keys = []
             steps = []
             firsts = []
-            for bank, address, offset in reqs:
+            for bank, address, offset in self.requests[op_id]:
+                if not offset:
+                    read_keys.append((bank, address))
                 before = prev.get(bank)
                 if before is None:
                     firsts.append((bank, address))
@@ -302,8 +332,9 @@ class SchedulerState:
                 else:
                     steps.append((bank, offset, is_burst(before, address)))
                 prev[bank] = address
-            self.shape[n.id] = (n.op_class, tuple(steps))
-            self.firsts[n.id] = tuple(firsts)
+            self.read_keys[op_id] = tuple(read_keys)
+            self.shape[op_id] = (n.op_class, tuple(steps))
+            self.firsts[op_id] = tuple(firsts)
 
     def margin(self, op_id: int, t: int) -> int:
         return self.windows.alap[op_id] - t
@@ -625,7 +656,7 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
     missing instance.  The accesses are fitted once and committed as
     fitted.
     """
-    node = state.cg.nodes[op_id]
+    node = state.node[op_id]
     margin = state.margin(op_id, t)
 
     reqs = state.access_requests(op_id, t)
@@ -649,20 +680,18 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
             raise ScheduleFailure("fixed-allocation-exhausted", cycle=t,
                                   operation=op_id, op_class=node.op_class)
 
-    reservations = state.table.commit(reqs, fits)
-    reads, writes = state.cg.accesses_of(op_id)
-    for acc, res in zip(reads + writes, reservations):
-        rec = ScheduledAccess(
-            node=acc.id, op=op_id,
-            kind="read" if acc.kind is CgKind.READ else "write",
-            data=acc.data, data_label=acc.label.split(":", 1)[-1],
-            bank=res.bank, address=res.address, cycle=res.cycle,
-            cost=res.cost, cost_class=res.cost_class, seq=res.seq)
-        state.accesses.append(rec)
+    if reqs:
+        append = state.accesses.append
+        for (acc, kind, data, data_label), (bank, address, cycle), \
+                (cost, cost_class, _), seq in zip(
+                    state.records[op_id], reqs, fits,
+                    state.table.commit(reqs, fits)):
+            append(ScheduledAccess(acc, op_id, kind, data, data_label, bank,
+                                   address, cycle, cost, cost_class, seq))
 
     inst.busy_until = t + node.latency
-    rec = ScheduledOp(node=op_id, label=node.label, op_class=node.op_class,
-                      instance=inst.name, start=t, latency=node.latency)
+    rec = ScheduledOp(op_id, node.label, node.op_class, inst.name, t,
+                      node.latency)
     state.started[op_id] = rec
     return rec
 
@@ -776,11 +805,12 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                     release_at.setdefault(rec.completion, []).append(s)
             # Write completions gate reader ops through their read node;
             # the op's writes are the last accesses it reserved.
-            writes = len(cg.accesses_of(op_id)[1])
-            for res in state.accesses[len(state.accesses) - writes:]:
-                for r in cg.successors(res.node):
-                    consumer = cg.nodes[r].agent
-                    release_at.setdefault(res.cycle + res.cost, []).append(consumer)
+            gated = state.gated[op_id]
+            if gated:
+                for acc, consumers in zip(state.accesses[-len(gated):],
+                                          gated):
+                    release_at.setdefault(acc.cycle + acc.cost, []).extend(
+                        consumers)
         # Started ops leave only now: the lookahead counts every op that
         # was ready when the cycle began.
         for op_id in started:
@@ -820,8 +850,7 @@ def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
         for n in cg.of_kind(kind):
             if n.id in bus_of:
                 transfers.append(ScheduledTransfer(
-                    node=n.id, bus=bus_of[n.id], cycle=cycles[n.id],
-                    direction=direction))
+                    n.id, bus_of[n.id], cycles[n.id], direction))
             else:
                 by_cycle.setdefault(cycles[n.id], []).append(n.id)
         names = [name for name in (f"{prefix}{k}" for k in
@@ -830,8 +859,7 @@ def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
         for cycle in sorted(by_cycle):
             for name, node in zip(names, by_cycle[cycle]):
                 transfers.append(ScheduledTransfer(
-                    node=node, bus=name, cycle=cycle,
-                    direction=direction, synthesized=True))
+                    node, name, cycle, direction, True))
     return transfers
 
 

@@ -5,7 +5,8 @@ lowered problem (constraint graph and time windows) and the mapping:
 dependencies, operator exclusivity, instances drawn from the recorded pool
 (and, under a fixed allocation, pools no larger than its counts), port
 capacity, access costs (replayed in reservation order), I/O timing, one
-transfer per bus and cycle, and time windows.  The lowering is either
+transfer per bus and cycle, time windows, and the record's cadence and
+latency bound against the I/O constraints'.  The lowering is either
 its own or a ``Problem`` shared by the caller; both are derived from the
 graph, library and I/O constraints alone, and the verifier only reads
 them.  It takes the timing rules from their one home, as the scheduler
@@ -23,7 +24,9 @@ exists under the given resources.  Its search state is only what cannot
 be worked out from the rest: the cycle, each op's start and the end of
 its writes, each bank's last address, and the load of each reserved slot.
 Instances are interchangeable, so a pool cap bounds the ops of a class
-running at once, and no pool is kept.
+running at once, and no pool is kept.  The search recurses once per
+start and advances the cycle in a loop, so its depth is bounded by the
+number of operations, not cycles.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .scheduling import Allocation, Schedule, op_requests
 class Violation:
     kind: str  # dependency | operator-overlap | port-overlap | io-timing
                # | bus-overlap | window | unscheduled | access-cost | pool
+               # | spec
     message: str
     node: int | None = None
 
@@ -72,6 +76,16 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                   build_transfer_graph(spec), spec)
         problem = Problem(cg, compute_time_windows(cg))
     cg, windows = problem.cg, problem.windows
+
+    # the record's own cadence and bound must be the constraints': the
+    # port horizon below and the deadlines come from the spec
+    for name, recorded, wanted in (
+            ("cadence", sched.cadence, spec.cadence),
+            ("latency bound", sched.latency_bound, spec.latency_bound)):
+        if recorded != wanted:
+            out.append(Violation("spec", f"schedule records {name} "
+                                         f"{recorded}, the I/O constraints "
+                                         f"give {wanted}"))
 
     started = {}
     for s in sched.ops:
@@ -174,7 +188,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                 a.node))
             continue
         try:
-            span = bank.span(a.cycle, a.cost, sched.cadence)
+            span = bank.span(a.cycle, a.cost, spec.cadence)
         except HorizonError as e:
             out.append(Violation("port-overlap", str(e), a.node))
             continue
@@ -343,55 +357,57 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
             best[0] = achieved
 
     def dfs(t: int, starts: tuple, last: tuple, loads: tuple) -> None:
+        """Every way on from cycle t: each op that can start in a cycle
+        is started one recursion level down, and the cycle advances in
+        this frame, so the depth is bounded by the number of ops."""
         todo = [i for i, s in enumerate(starts) if s is None]
         if not todo:
             finish({o: s[0] for o, s in zip(ops, starts)})
             return
-        if t > max(alap[i] for i in todo):
-            return
-        key = (t, starts, last, loads)
-        if key in seen:
-            return
-        seen.add(key)
-
-        for i in todo:
-            if not (asap[i] <= t <= alap[i]):
-                continue
-            if any(starts[p] is None or starts[p][0] + lat[p] > t
-                   for p in op_preds[i]):
-                continue
-            if any(starts[w] is None or starts[w][1] > t
-                   for w in read_deps[i]):
-                continue
-            # instances are interchangeable: one is free unless every one
-            # the cap allows runs an op of the class
-            if instances is not None and sum(
-                    1 for j in peers[i] if starts[j] is not None
-                    and starts[j][0] + lat[j] > t) >= \
-                    instances.get(op_class[i], 0):
-                continue
-            # try to reserve accesses in order
-            nlast, nloads = list(last), list(loads)
-            done = t
-            for k, bank, addr, delay in accesses[i]:
-                cost, _ = bank.cost(nlast[k], addr)
-                cyc = t + delay
-                try:
-                    span = bank.span(cyc, cost, spec.cadence)
-                except HorizonError:
-                    break
-                used = dict(nloads[k])
-                if any(used.get(s, 0) >= bank.ports for s in span):
-                    break
-                for s in span:
-                    used[s] = used.get(s, 0) + 1
-                nlast[k], nloads[k] = addr, frozenset(used.items())
-                if delay > 0:
-                    done = max(done, cyc + cost)
-            else:  # every access was reserved
-                dfs(t, starts[:i] + ((t, done),) + starts[i + 1:],
-                    tuple(nlast), tuple(nloads))
-        dfs(t + 1, starts, last, loads)
+        horizon = max(alap[i] for i in todo)
+        while t <= horizon:
+            key = (t, starts, last, loads)
+            if key in seen:
+                return
+            seen.add(key)
+            for i in todo:
+                if not (asap[i] <= t <= alap[i]):
+                    continue
+                if any(starts[p] is None or starts[p][0] + lat[p] > t
+                       for p in op_preds[i]):
+                    continue
+                if any(starts[w] is None or starts[w][1] > t
+                       for w in read_deps[i]):
+                    continue
+                # instances are interchangeable: one is free unless every
+                # one the cap allows runs an op of the class
+                if instances is not None and sum(
+                        1 for j in peers[i] if starts[j] is not None
+                        and starts[j][0] + lat[j] > t) >= \
+                        instances.get(op_class[i], 0):
+                    continue
+                # try to reserve accesses in order
+                nlast, nloads = list(last), list(loads)
+                done = t
+                for k, bank, addr, delay in accesses[i]:
+                    cost, _ = bank.cost(nlast[k], addr)
+                    cyc = t + delay
+                    try:
+                        span = bank.span(cyc, cost, spec.cadence)
+                    except HorizonError:
+                        break
+                    used = dict(nloads[k])
+                    if any(used.get(s, 0) >= bank.ports for s in span):
+                        break
+                    for s in span:
+                        used[s] = used.get(s, 0) + 1
+                    nlast[k], nloads[k] = addr, frozenset(used.items())
+                    if delay > 0:
+                        done = max(done, cyc + cost)
+                else:  # every access was reserved
+                    dfs(t, starts[:i] + ((t, done),) + starts[i + 1:],
+                        tuple(nlast), tuple(nloads))
+            t += 1
 
     dfs(0, (None,) * len(ops), (None,) * len(mapping.banks),
         (frozenset(),) * len(mapping.banks))

@@ -11,7 +11,7 @@ import sfgsched as s
 
 def late_start(sched: s.Schedule) -> s.Schedule:
     victim = max(sched.ops, key=lambda o: (o.start, o.node))
-    ops = tuple(replace(o, start=o.start + 1) if o is victim else o
+    ops = tuple(o._replace(start=o.start + 1) if o is victim else o
                 for o in sched.ops)
     return replace(sched, ops=ops)
 
@@ -19,14 +19,14 @@ def late_start(sched: s.Schedule) -> s.Schedule:
 def overlap_instances(sched: s.Schedule) -> s.Schedule:
     mults = [o for o in sched.ops if o.op_class == sched.ops[0].op_class]
     a, b = mults[0], mults[1]
-    ops = tuple(replace(o, instance=a.instance, start=a.start) if o is b else o
-                for o in sched.ops)
+    ops = tuple(o._replace(instance=a.instance, start=a.start) if o is b
+                else o for o in sched.ops)
     return replace(sched, ops=ops)
 
 
 def corrupt_access_cost(sched: s.Schedule) -> s.Schedule:
     victim = sched.accesses[0]
-    mutated = replace(victim, cost=victim.cost + 1, cost_class="random")
+    mutated = victim._replace(cost=victim.cost + 1, cost_class="random")
     return replace(sched, accesses=(mutated,) + sched.accesses[1:])
 
 
@@ -39,7 +39,7 @@ def shift_output_transfer(sched: s.Schedule) -> s.Schedule:
     done = False
     for t in sched.transfers:
         if not done and t.direction == "out":
-            xfers.append(replace(t, cycle=t.cycle - 1))
+            xfers.append(t._replace(cycle=t.cycle - 1))
             done = True
         else:
             xfers.append(t)
@@ -48,12 +48,12 @@ def shift_output_transfer(sched: s.Schedule) -> s.Schedule:
 
 def shift_access_cycle(sched: s.Schedule) -> s.Schedule:
     victim = sched.accesses[0]
-    mutated = replace(victim, cycle=victim.cycle + 1)
+    mutated = victim._replace(cycle=victim.cycle + 1)
     return replace(sched, accesses=(mutated,) + sched.accesses[1:])
 
 
 def collapse_sequence_numbers(sched: s.Schedule) -> s.Schedule:
-    accs = tuple(replace(a, seq=1) for a in sched.accesses)
+    accs = tuple(a._replace(seq=1) for a in sched.accesses)
     return replace(sched, accesses=accs)
 
 
@@ -63,7 +63,7 @@ def share_bus_cycle(sched: s.Schedule) -> s.Schedule:
     for t in sched.transfers:
         other = first.setdefault((t.cycle, t.direction), t)
         if other is not t:
-            xfers = tuple(replace(x, bus=other.bus) if x is t else x
+            xfers = tuple(x._replace(bus=other.bus) if x is t else x
                           for x in sched.transfers)
             return replace(sched, transfers=xfers)
     raise ValueError("no two transfers share a cycle and direction")
@@ -88,6 +88,16 @@ def pool_above_cap(sched: s.Schedule) -> s.Schedule:
     return replace(sched, pool=pool)
 
 
+def wrong_cadence(sched: s.Schedule) -> s.Schedule:
+    """Record a cadence the I/O constraints do not give: a wider port
+    horizon must not hide an access past the real one."""
+    return replace(sched, cadence=sched.cadence + 100)
+
+
+def wrong_latency_bound(sched: s.Schedule) -> s.Schedule:
+    return replace(sched, latency_bound=sched.latency_bound + 100)
+
+
 MUTATIONS = [
     ("late-start", late_start),
     ("overlapping-instances", overlap_instances),
@@ -98,6 +108,8 @@ MUTATIONS = [
     ("collapsed-sequence-numbers", collapse_sequence_numbers),
     ("shared-bus-cycle", share_bus_cycle),
     ("instance-outside-pool", shrink_pool),
+    ("wrong-cadence", wrong_cadence),
+    ("wrong-latency-bound", wrong_latency_bound),
 ]
 
 # Breaks only a fixed allocation's caps, which the verifier knows when it

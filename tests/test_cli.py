@@ -1,3 +1,4 @@
+import gc
 import json
 import pathlib
 import subprocess
@@ -221,6 +222,58 @@ def test_graph_validated_once_per_report(pairsum_dir, find_cycle_calls,
                                          capsys):
     assert main(["report"] + _args(pairsum_dir)) == 0
     assert len(find_cycle_calls) == 1
+
+
+def test_main_leaves_no_cyclic_garbage(pairsum_dir, tmp_path, capsys):
+    """A call leaves nothing for the collector ``main`` pauses: after a
+    warm-up call (the parser and other one-time set-up), a collection
+    after each outcome finds no unreachable object."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": [{"id": 0, "kind": "input"}], "edges": {}}')
+    report = ["report"] + _args(pairsum_dir, "--out", str(tmp_path / "out"))
+    cases = [
+        (report, 0),
+        (["report", "--graph", str(bad)] + _args(pairsum_dir)[2:], 1),
+        (["report"] + _args(pairsum_dir, "--latency", "1"), 2),
+        (["report"] + _args(pairsum_dir, io="io_lat2.json"), 3),
+    ]
+    assert main(report) == 0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv, code in cases:
+            assert main(argv) == code
+            assert gc.collect() == 0, code
+    finally:
+        if collecting:
+            gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector(pairsum_dir, monkeypatch, capsys,
+                                     collecting):
+    """The collector is off while a command runs and back as the caller
+    had it afterwards, also when the command raises."""
+    import sfgsched.cli
+    during = []
+
+    def failing(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["check"] + _args(pairsum_dir)) == 0
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(sfgsched.cli, "_cmd_check", failing)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["check"] + _args(pairsum_dir))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert during == [False]
 
 
 def _in_process(argv, capsysbinary):

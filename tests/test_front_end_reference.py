@@ -13,7 +13,6 @@ edges, per-kind lists, accesses, adjacency) and the windows must be equal.
 
 import heapq
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -219,9 +218,9 @@ def reference_apply_io(cg, tg, spec):
     nodes = []
     for n in cg.nodes.values():
         if n.kind is C.INPUT:
-            nodes.append(replace(n, arrival=offset_of.get(n.id, 0)))
+            nodes.append(n._replace(arrival=offset_of.get(n.id, 0)))
         elif n.kind is C.OUTPUT:
-            nodes.append(replace(n, deadline=offset_of.get(
+            nodes.append(n._replace(deadline=offset_of.get(
                 n.id, spec.latency_bound - 1)))
         else:
             nodes.append(n)

@@ -1,5 +1,6 @@
 import json
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -115,8 +116,23 @@ def test_parse_memory_mapping(pairsum_dir, pairsum_graph):
             s.parse_memory_mapping(broken, pairsum_graph)
 
 
+class Reserved(NamedTuple):
+    """One committed request: the request, its fit and its sequence
+    number."""
+
+    bank: str
+    address: int
+    cycle: int
+    cost: int
+    cost_class: str
+    seq: int
+
+
 def _reserve(table, requests):
-    return table.commit(requests, table.fit(requests))
+    fits = table.fit(requests)
+    return [Reserved(*request, cost, cost_class, seq)
+            for request, (cost, cost_class, _), seq
+            in zip(requests, fits, table.commit(requests, fits))]
 
 
 def test_port_table_slots(map_onebank):

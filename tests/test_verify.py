@@ -78,7 +78,7 @@ def test_mutation_kinds_are_specific(golden_lat3):
     sched, g, lib, spec, mapping = golden_lat3
     from mutations import (late_start, corrupt_access_cost, drop_operation,
                            shift_output_transfer, collapse_sequence_numbers,
-                           shrink_pool)
+                           shrink_pool, wrong_cadence, wrong_latency_bound)
     kinds = {v.kind for v in s.verify_schedule(late_start(sched), g, lib,
                                                spec, mapping)}
     assert "window" in kinds
@@ -97,6 +97,10 @@ def test_mutation_kinds_are_specific(golden_lat3):
     kinds = {v.kind for v in s.verify_schedule(shrink_pool(sched), g, lib,
                                                spec, mapping)}
     assert kinds == {"pool"}
+    for mutate in (wrong_cadence, wrong_latency_bound):
+        kinds = {v.kind for v in s.verify_schedule(mutate(sched), g, lib,
+                                                   spec, mapping)}
+        assert kinds == {"spec"}
 
 
 
@@ -172,8 +176,8 @@ def test_swapped_banks_are_caught(golden_lat2):
     sched, g, lib, spec, mapping = golden_lat2
     from dataclasses import replace
     a0, a1 = sched.accesses
-    broken = replace(sched, accesses=(replace(a0, bank=a1.bank),
-                                      replace(a1, bank=a0.bank)))
+    broken = replace(sched, accesses=(a0._replace(bank=a1.bank),
+                                      a1._replace(bank=a0.bank)))
     kinds = {v.kind for v in s.verify_schedule(broken, g, lib, spec, mapping)}
     assert "port-overlap" in kinds
 
@@ -216,6 +220,19 @@ def test_exhaustive_minimum_ignores_cadence_size(pairsum_graph, pairsum_lib,
         assert time.perf_counter() - start < 0.5, cadence
         assert peak < 4 * 2 ** 20, cadence
     assert minima == {64: 2, 2_000_000: 2}
+
+
+def test_exhaustive_search_depth_does_not_grow_with_cycles(
+        pairsum_graph, pairsum_lib, io_lat3, map_twobank):
+    # every transfer 1,200 cycles later: the search walks over 1,200 idle
+    # cycles, which must not cost a recursion level each
+    from dataclasses import replace
+    late = replace(io_lat3, cadence=1210, latency_bound=1203,
+                   transfers=tuple(replace(t, offset=t.offset + 1200)
+                                   for t in io_lat3.transfers))
+    args = (pairsum_graph, pairsum_lib, late, map_twobank)
+    assert s.schedule(*args).achieved_latency == 3
+    assert s.brute_force_min_latency(*args) == 3
 
 
 def test_exhaustive_search_respects_op_cap(pairsum_lib, fft_lib):
