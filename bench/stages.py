@@ -61,7 +61,7 @@ STAGES = {
     "parse": ("parse_sfg", "parse_operator_library", "parse_io_spec",
               "parse_memory_mapping", "extract_memory_table",
               "apply_mapping"),
-    "lowering": ("build_constraint_graph", "build_transfer_graph",
+    "lowering": ("lower", "build_constraint_graph", "build_transfer_graph",
                  "apply_io_constraints", "compute_time_windows"),
     "feasibility": ("check_feasibility",),
     "schedule": ("schedule",),

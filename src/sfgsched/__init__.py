@@ -10,7 +10,7 @@ from .fft import generate_fft_sfg
 from .graph import (SFG, Edge, NodeKind, ParseError, SfgNode, ValidationError,
                     parse_sfg, serialize_sfg, validate_sfg)
 from .iospec import (BusDef, IoConstraintSpec, IoSpecError, Transfer,
-                     TransferGraph, build_transfer_graph, parse_io_spec)
+                     build_transfer_graph, parse_io_spec)
 from .memory import (Bank, HorizonError, MappingError, MappingSpec,
                      MemoryMapping, MemoryTable, Placement, PortAccessTable,
                      apply_mapping, extract_memory_table, parse_memory_mapping)
@@ -22,7 +22,7 @@ from .scheduling import (Allocation, AllocationError, AllocationEvent,
                          OperatorInstance, Schedule, ScheduledAccess,
                          ScheduledOp, ScheduledTransfer, ScheduleFailure,
                          SchedulerState, assign_step, estimate_registers,
-                         parse_allocation, rank_executable, schedule)
+                         lower, parse_allocation, rank_executable, schedule)
 from .verify import Violation, brute_force_min_latency, verify_schedule
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __all__ = [
     "generate_fft_sfg",
     "OperatorClass", "OperatorLibrary", "LibraryError",
     "parse_operator_library",
-    "BusDef", "Transfer", "IoConstraintSpec", "IoSpecError", "TransferGraph",
+    "BusDef", "Transfer", "IoConstraintSpec", "IoSpecError",
     "build_transfer_graph", "parse_io_spec",
     "CgKind", "CgNode", "ConstraintGraph", "TimeWindows", "Problem",
     "FeasibilityReport",
@@ -44,7 +44,7 @@ __all__ = [
     "extract_memory_table", "apply_mapping", "parse_memory_mapping",
     "Allocation", "AllocationError", "AllocationEvent", "OperatorInstance",
     "Schedule", "ScheduledOp", "ScheduledAccess", "ScheduledTransfer",
-    "ScheduleFailure", "SchedulerState", "parse_allocation",
+    "ScheduleFailure", "SchedulerState", "lower", "parse_allocation",
     "rank_executable", "assign_step", "schedule", "estimate_registers",
     "Violation", "verify_schedule", "brute_force_min_latency",
     "ArchitectureReport", "build_report", "render_report_text",

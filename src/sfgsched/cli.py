@@ -13,8 +13,9 @@ infeasible, 3 scheduling aborted.
 
 The argument parser is built on the first ``main`` call, not at import, and
 reused by every later call in the process.  Each ``check``, ``schedule`` and
-``report`` call parses its documents and lowers the problem once.  Every
-output file goes through ``_write_file``.
+``report`` call parses its documents and lowers the problem once, with
+``scheduling.lower``, for the static checks, the scheduler and the
+verifier.  Every output file goes through ``_write_file``.
 
 ``main`` turns the cyclic garbage collector off while a command runs and
 then restores the caller's setting: a call builds tens of thousands of
@@ -32,18 +33,19 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .constraints import (Problem, apply_io_constraints,
-                          build_constraint_graph, check_feasibility,
+from .constraints import check_feasibility
+# unused here, but perfbench/tracing.py wraps these names on this module
+from .constraints import (apply_io_constraints, build_constraint_graph,
                           compute_time_windows)
 from .dot import export_dot
 from .fft import generate_fft_sfg
-from .graph import SFG, serialize_sfg, parse_sfg
-from .iospec import IoConstraintSpec, build_transfer_graph, parse_io_spec
+from .graph import serialize_sfg, parse_sfg
+from .iospec import IoConstraintSpec, parse_io_spec
 from .memory import MappingSpec, apply_mapping, extract_memory_table, \
     parse_memory_mapping
 from .oplib import parse_operator_library
 from .report import build_report, render_report_text, report_to_json
-from .scheduling import ScheduleFailure, parse_allocation, schedule
+from .scheduling import ScheduleFailure, lower, parse_allocation, schedule
 from .verify import verify_schedule
 
 EXIT_OK = 0
@@ -156,12 +158,10 @@ def _load_problem(args) -> tuple:
             raise ValueError("graph stores data in memory but no --mem "
                              "document is given")
         mapping = apply_mapping(table, MappingSpec(mode="auto", banks=()))
-    cg = apply_io_constraints(build_constraint_graph(g, lib),
-                              build_transfer_graph(spec), spec)
-    return g, lib, spec, mapping, Problem(cg, compute_time_windows(cg))
+    return g, lib, spec, mapping, lower(g, lib, spec)
 
 
-def _run_static_checks(problem: Problem, spec, stream) -> int:
+def _run_static_checks(problem, spec, stream) -> int:
     rep = check_feasibility(problem.cg, problem.windows, spec)
     print(f"cadence check: {'ok' if rep.cadence_ok else 'FAILED'} "
           f"(critical path {rep.critical_path_cycles} cycles, "

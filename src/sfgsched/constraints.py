@@ -48,7 +48,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .graph import SFG, NodeKind, validate_sfg
-from .iospec import IoConstraintSpec, IoSpecError, TransferGraph
+from .iospec import IoConstraintSpec, IoSpecError, Transfer
 from .oplib import OperatorLibrary
 
 #: Optimistic memory-access latency used before bank timings are known.
@@ -184,10 +184,10 @@ class Problem:
     time windows, kept together so that no stage pairs a graph with another
     graph's windows.
 
-    Build it as ``cg = apply_io_constraints(build_constraint_graph(g, lib),
-    build_transfer_graph(spec), spec)`` and ``Problem(cg,
-    compute_time_windows(cg))``.  The static checks, the scheduler and the
-    verifier only read it, so one instance serves a whole CLI call.
+    ``scheduling.lower(g, lib, spec)`` builds it, the one place the
+    lowering stages are chained.  The static checks, the scheduler, the
+    verifier and the oracle only read it, so one instance serves a whole
+    CLI call.
     """
 
     cg: ConstraintGraph
@@ -297,7 +297,7 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     return ConstraintGraph(nodes + writes + reads, edges)
 
 
-def apply_io_constraints(cg: ConstraintGraph, tg: TransferGraph,
+def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
                          spec: IoConstraintSpec) -> ConstraintGraph:
     """Merge the transfer schedule into the constraint graph.
 
@@ -308,13 +308,13 @@ def apply_io_constraints(cg: ConstraintGraph, tg: TransferGraph,
     The operation part of the graph (nodes, latencies, edges) is unchanged.
     """
     offset_of: dict[int, int] = {}
-    for t in tg.nodes:
-        if t.data not in cg.nodes or cg.nodes[t.data].kind not in (
+    for t in transfers:
+        if t.node not in cg.nodes or cg.nodes[t.node].kind not in (
                 CgKind.INPUT, CgKind.OUTPUT):
-            raise IoSpecError(f"transfer references unknown I/O node {t.data}")
-        if t.data in offset_of:
-            raise IoSpecError(f"node {t.data} is transferred twice")
-        offset_of[t.data] = t.offset
+            raise IoSpecError(f"transfer references unknown I/O node {t.node}")
+        if t.node in offset_of:
+            raise IoSpecError(f"node {t.node} is transferred twice")
+        offset_of[t.node] = t.offset
 
     # each node rebuilt positionally: its fields up to ``agent``, then
     # ``arrival`` and ``deadline``
@@ -390,10 +390,10 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
 
 def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
                       spec: IoConstraintSpec) -> FeasibilityReport:
-    """Two static analyses: (1) transfer offsets fit the cadence and the
-    critical path fits the latency bound; (2) every output can be produced
-    by its deadline given the input arrival dates.  Infeasibility is
-    reported, never raised."""
+    """Two static analyses: (1) transfer offsets fit the cadence, and the
+    critical path and the pinned transfers fit the latency bound; (2) every
+    output can be produced by its deadline given the input arrival dates.
+    Infeasibility is reported, never raised."""
     diagnostics: list[str] = []
 
     offsets_ok = True
@@ -419,7 +419,20 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
         diagnostics.append(
             f"critical path needs {critical} cycles, latency bound is "
             f"{spec.latency_bound}")
-    cadence_ok = offsets_ok and critical <= spec.latency_bound
+    # the latency runs from the first input transfer (cycle 0 without
+    # inputs), which unpinned inputs only move earlier, to the last output
+    # transfer, never before the latest pinned one
+    offsets = {k: [t.offset for t in spec.transfers
+                   if cg.nodes[t.node].kind is k] for k in CgKind}
+    first = min(offsets[CgKind.INPUT],
+                default=None if cg.of_kind(CgKind.INPUT) else 0)
+    last = max(offsets[CgKind.OUTPUT], default=None)
+    span = 0 if first is None or last is None else last - first + 1
+    if span > spec.latency_bound:
+        diagnostics.append(
+            f"pinned transfers span {span} cycles (cycles {first} to "
+            f"{last}), latency bound is {spec.latency_bound}")
+    cadence_ok = offsets_ok and max(critical, span) <= spec.latency_bound
     for n in cg.nodes.values():
         if n.kind in (CgKind.READ, CgKind.WRITE) and \
                 windows.asap[n.id] + n.latency > spec.cadence:

@@ -9,7 +9,7 @@ transfer to the last output transfer of one iteration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import SFG, NodeKind
 
@@ -89,30 +89,15 @@ class IoConstraintSpec:
         return out
 
 
-@dataclass(frozen=True)
-class TransferNode:
-    data: int
-    bus: str
-    offset: int
-
-
-@dataclass(frozen=True)
-class TransferGraph:
-    """One node per transfer, in the order of the spec."""
-
-    nodes: tuple[TransferNode, ...]
-
-
-def build_transfer_graph(spec: IoConstraintSpec) -> TransferGraph:
-    """One node per transfer; rejects two transfers in one bus slot."""
+def build_transfer_graph(spec: IoConstraintSpec) -> tuple[Transfer, ...]:
+    """The spec's transfers; rejects two transfers in one bus slot."""
     seen: set[tuple[str, int]] = set()
     for t in spec.transfers:
         key = (t.bus, t.offset)
         if key in seen:
             raise IoSpecError(f"bus {t.bus!r} carries two transfers at offset {t.offset}")
         seen.add(key)
-    return TransferGraph(nodes=tuple(TransferNode(t.node, t.bus, t.offset)
-                                     for t in spec.transfers))
+    return spec.transfers
 
 
 def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:

@@ -241,6 +241,14 @@ class Schedule:
         return dumps(doc) + "\n"
 
 
+def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec) -> Problem:
+    """The problem lowered once: the one chain of the lowering stages, by
+    the names this module imports (wrapping them here sees every call)."""
+    cg = apply_io_constraints(build_constraint_graph(g, lib),
+                              build_transfer_graph(spec), spec)
+    return Problem(cg, compute_time_windows(cg))
+
+
 def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
                 ) -> dict[int, tuple[tuple[str, int, int], ...]]:
     """(bank, address, cycle offset) of each operation's port requests in
@@ -262,12 +270,15 @@ def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps.
 
-    Each operation is lowered once: ``node`` holds its constraint-graph
-    node, ``requests`` its port requests (``op_requests``), ``records``
-    the (access node, kind, data, data label) of each request in the same
-    order, ``gated`` per write the operations whose reads it gates,
-    ``read_keys`` the (bank, address) of its reads and ``op_class`` its
-    operator class.
+    Each operation of a ``Problem`` (see ``lower``) is lowered once, in
+    one pass: ``node`` holds its constraint-graph node, ``requests`` its
+    port requests (``op_requests``), ``records`` the (access node, kind,
+    data, data label) of each request in the same order, ``gated`` per
+    write the operations whose reads it gates, ``read_keys`` the (bank,
+    address) of its reads and ``op_class`` its operator class.  What it
+    waits for, read by the readiness counts and the oracle alike:
+    ``producers`` (one per edge), input ``arrivals`` after cycle 0, and
+    the ``writers`` whose memory writes gate its reads.
     ``shape`` is the op's class with, per request, the bank, the offset
     and whether the address continues the op's own previous request on
     that bank (None for the op's first request on the bank, whose burst
@@ -290,6 +301,9 @@ class SchedulerState:
     gated: dict[int, tuple[tuple[int, ...], ...]] = field(init=False)
     read_keys: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
     op_class: dict[int, str] = field(init=False)
+    producers: dict[int, tuple[int, ...]] = field(init=False)
+    arrivals: dict[int, tuple[int, ...]] = field(init=False)
+    writers: dict[int, tuple[int, ...]] = field(init=False)
     shape: dict[int, tuple] = field(init=False)
     firsts: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
 
@@ -301,14 +315,31 @@ class SchedulerState:
         self.gated = {}
         self.read_keys = {}
         self.op_class = {}
+        self.producers = {}
+        self.arrivals = {}
+        self.writers = {}
         self.shape = {}
         self.firsts = {}
-        nodes, successors = cg.nodes, cg.successors
+        nodes, successors, pred = cg.nodes, cg.successors, cg.predecessors
+        OP, INPUT = CgKind.OP, CgKind.INPUT
         for n in cg.operations:
             op_id = n.id
             self.node[op_id] = n
             self.op_class[op_id] = n.op_class
+            producers = arrivals = writers = ()
+            for p in pred(op_id):
+                pn = nodes[p]
+                if pn.kind is OP:
+                    producers += (p,)
+                elif pn.kind is INPUT and pn.arrival > 0:
+                    arrivals += (pn.arrival,)
             reads, writes = cg.accesses_of(op_id)
+            for r in reads:
+                for w in pred(r.id):
+                    writers += (nodes[w].agent,)
+            self.producers[op_id] = producers
+            self.arrivals[op_id] = arrivals
+            self.writers[op_id] = writers
             records = [(a.id, "read", a.data, a.label.split(":", 1)[-1])
                        for a in reads]
             gated = []
@@ -335,9 +366,6 @@ class SchedulerState:
             self.read_keys[op_id] = tuple(read_keys)
             self.shape[op_id] = (n.op_class, tuple(steps))
             self.firsts[op_id] = tuple(firsts)
-
-    def margin(self, op_id: int, t: int) -> int:
-        return self.windows.alap[op_id] - t
 
     def free_instance(self, op_class: str, t: int) -> OperatorInstance | None:
         for inst in self.instances.get(op_class, []):
@@ -657,7 +685,7 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
     fitted.
     """
     node = state.node[op_id]
-    margin = state.margin(op_id, t)
+    margin = state.windows.alap[op_id] - t
 
     reqs = state.access_requests(op_id, t)
     try:
@@ -703,8 +731,7 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
             state.instances[name] = [OperatorInstance(name=f"{name}{i}")
                                      for i in range(n)]
         return
-    used = sorted({n.op_class for n in state.cg.operations})
-    for name in used:
+    for name in sorted(set(state.op_class.values())):
         state.instances[name] = [OperatorInstance(name=f"{name}0")]
 
 
@@ -716,16 +743,14 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
 
     ``problem`` is the lowering of ``g``, ``lib`` and ``spec`` when the
     caller already holds one; it is only read.  Without it the problem is
-    lowered here.
+    lowered here, with ``lower``.
 
     Raises ScheduleFailure when no legal schedule can be produced under the
-    given resources; static infeasibility should be caught beforehand with
-    ``check_feasibility``.
+    given resources, a latency above the bound among them; static
+    infeasibility should be caught beforehand with ``check_feasibility``.
     """
     if problem is None:
-        cg = apply_io_constraints(build_constraint_graph(g, lib),
-                                  build_transfer_graph(spec), spec)
-        problem = Problem(cg, compute_time_windows(cg))
+        problem = lower(g, lib, spec)
     cg, windows = problem.cg, problem.windows
     # outputs with no operation on their path (pass-through) never hit the
     # per-op margin check, so reject impossible output dates up front
@@ -741,24 +766,18 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                            table=table, allocation=allocation)
     _seed_pool(state, lib)
 
-    # Readiness bookkeeping: each op counts its blocking predecessors and
-    # an event queue decrements the count when one completes.
+    # Readiness bookkeeping: each op counts what it waits for (its
+    # producers, late input arrivals and gating writes) and an event queue
+    # decrements the count as each one completes.
     remaining: dict[int, int] = {}
     release_at: dict[int, list[int]] = {}  # cycle -> op ids to decrement
-    op_ids = [n.id for n in cg.operations]
+    op_ids = list(state.node)
     for op_id in op_ids:
-        count = 0
-        for p in cg.predecessors(op_id):
-            pn = cg.nodes[p]
-            if pn.kind is CgKind.INPUT:
-                if pn.arrival > 0:
-                    count += 1
-                    release_at.setdefault(pn.arrival, []).append(op_id)
-            elif pn.kind is CgKind.OP:
-                count += 1  # released when the producer completes
-            elif pn.kind is CgKind.READ:
-                count += len(cg.predecessors(p))  # writes gating this read
-        remaining[op_id] = count
+        arrivals = state.arrivals[op_id]
+        for cycle in arrivals:
+            release_at.setdefault(cycle, []).append(op_id)
+        remaining[op_id] = len(state.producers[op_id]) + len(arrivals) + \
+            len(state.writers[op_id])
 
     ready = ReadySet(state, (op for op in op_ids if remaining[op] == 0))
 
@@ -824,6 +843,10 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
             for cls, insts in sorted(state.instances.items())}
     achieved = achieved_latency(cg, cycles, max(
         (rec.completion for rec in state.started.values()), default=None))
+    if achieved > spec.latency_bound:  # outputs pinned past the bound
+        raise ScheduleFailure("infeasible-windows", cycle=max(cycles.values()),
+                              detail=f"the transfers span {achieved} cycles, "
+                                     f"latency bound is {spec.latency_bound}")
     return Schedule(ops=tuple(sorted(state.started.values(),
                                      key=lambda s: (s.start, s.node))),
                     accesses=tuple(state.accesses),

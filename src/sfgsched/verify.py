@@ -4,44 +4,47 @@
 lowered problem (constraint graph and time windows) and the mapping:
 dependencies, operator exclusivity, instances drawn from the recorded pool
 (and, under a fixed allocation, pools no larger than its counts), port
-capacity, access costs (replayed in reservation order), I/O timing, one
-transfer per bus and cycle, time windows, and the record's cadence and
-latency bound against the I/O constraints'.  The lowering is either
-its own or a ``Problem`` shared by the caller; both are derived from the
-graph, library and I/O constraints alone, and the verifier only reads
-them.  It takes the timing rules from their one home, as the scheduler
-does: access cost and slot span from ``memory.Bank``, output production
-and achieved latency from ``constraints``.  It still trusts nothing from
-the scheduler beyond the schedule record: it replays the recorded
-accesses in sequence order into its own port counts and dates outputs
-and the latency from the recorded starts and transfer cycles, so a record
-that breaks a rule is caught (the mutation tests guard this).
+capacity, access costs (replayed in reservation order), I/O timing and the
+latency bound, one transfer per bus and cycle, time windows, and the
+record's cadence and latency bound against the I/O constraints'.  The
+lowering is either its own (``lower``) or a ``Problem`` shared by the
+caller; both are derived from the graph, library and I/O constraints
+alone, and the verifier only reads them.  It takes the timing rules from
+their one home, as the scheduler does: access cost and slot span from
+``memory.Bank``, output production and achieved latency from
+``constraints``.  It still trusts nothing from the scheduler beyond the
+schedule record: it walks the graph's edges for dependencies, replays the
+recorded accesses in sequence order into its own port counts and dates
+outputs and the latency from the recorded starts and transfer cycles, so
+a record that breaks a rule is caught (the mutation tests guard this).
 
 ``brute_force_min_latency`` is an exhaustive oracle for small graphs: it
 searches every start-time assignment (and every same-cycle reservation
 order) and returns the best achievable latency, or None when no schedule
-exists under the given resources.  Its search state is only what cannot
-be worked out from the rest: the cycle, each op's start and the end of
-its writes, each bank's last address, and the load of each reserved slot.
-Instances are interchangeable, so a pool cap bounds the ops of a class
-running at once, and no pool is kept.  The search recurses once per
-start and advances the cycle in a loop, so its depth is bounded by the
-number of operations, not cycles.
+exists under the given resources.  It reads each op's facts from a
+``SchedulerState``, as the scheduler does.  Its search state is only what
+cannot be worked out from the rest: the cycle, each op's start and the
+end of its writes, each bank's last address, and the load of each
+reserved slot.  Instances are interchangeable, so a pool cap bounds the
+ops of a class running at once, and no pool is kept.  The search recurses
+once per start and advances the cycle in a loop, so its depth is bounded
+by the number of operations, not cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import (CgKind, Problem, achieved_latency,
-                          apply_io_constraints, build_constraint_graph,
-                          compute_time_windows, produced_cycle,
+from .constraints import (CgKind, Problem, achieved_latency, produced_cycle,
                           transfer_cycles)
+# unused here, but perfbench/tracing.py wraps these names on this module
+from .constraints import (apply_io_constraints, build_constraint_graph,
+                          compute_time_windows)
 from .graph import SFG
-from .iospec import IoConstraintSpec, build_transfer_graph
-from .memory import HorizonError, MemoryMapping
+from .iospec import IoConstraintSpec
+from .memory import HorizonError, MemoryMapping, PortAccessTable
 from .oplib import OperatorLibrary
-from .scheduling import Allocation, Schedule, op_requests
+from .scheduling import Allocation, Schedule, SchedulerState, lower
 
 
 @dataclass(frozen=True)
@@ -65,16 +68,14 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     """All rule violations in the schedule, empty when it is valid.
 
     ``problem`` is the lowering of ``g``, ``lib`` and ``spec`` when the
-    caller already holds one; without it the problem is lowered here.
+    caller already holds one; without it ``lower`` lowers it here.
     ``allocation`` is the pool policy the schedule was made under: a
     fixed one caps each class's pool at its count (a class it does not
     list at zero).
     """
     out: list[Violation] = []
     if problem is None:
-        cg = apply_io_constraints(build_constraint_graph(g, lib),
-                                  build_transfer_graph(spec), spec)
-        problem = Problem(cg, compute_time_windows(cg))
+        problem = lower(g, lib, spec)
     cg, windows = problem.cg, problem.windows
 
     # the record's own cadence and bound must be the constraints': the
@@ -303,6 +304,11 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                 "io-timing",
                 f"schedule claims latency {sched.achieved_latency}, "
                 f"its transfers and operations span {achieved} cycles"))
+        if achieved > spec.latency_bound:
+            out.append(Violation(
+                "io-timing",
+                f"transfers and operations span {achieved} cycles, the "
+                f"latency bound is {spec.latency_bound}"))
     return out
 
 
@@ -317,29 +323,28 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
     same-cycle reservation order (access costs depend on it).  Intended for
     test graphs only, hence the op-count guard.
     """
-    cg = apply_io_constraints(build_constraint_graph(g, lib),
-                              build_transfer_graph(spec), spec)
-    windows = compute_time_windows(cg)
+    problem = lower(g, lib, spec)
+    cg, windows = problem.cg, problem.windows
     ops = [n.id for n in cg.operations]
     if len(ops) > max_ops:
         raise ValueError(f"brute force capped at {max_ops} operations, "
                          f"graph has {len(ops)}")
 
-    lat = [cg.nodes[o].latency for o in ops]
-    op_class = [cg.nodes[o].op_class for o in ops]
+    facts = SchedulerState(cg, windows, mapping,
+                           PortAccessTable(mapping, spec.cadence),
+                           Allocation("auto"))
     at = {o: i for i, o in enumerate(ops)}
+    lat = [facts.node[o].latency for o in ops]
+    op_class = [facts.op_class[o] for o in ops]
     asap = [windows.asap[o] for o in ops]  # not before an input's arrival
     alap = [windows.alap[o] for o in ops]
-    op_preds = [[at[p] for p in cg.predecessors(o)
-                 if cg.nodes[p].kind is CgKind.OP] for o in ops]
-    read_deps = [[at[cg.nodes[w].agent] for r in cg.accesses_of(o)[0]
-                  for w in cg.predecessors(r.id)] for o in ops]
+    op_preds = [[at[p] for p in facts.producers[o]] for o in ops]
+    read_deps = [[at[w] for w in facts.writers[o]] for o in ops]
     peers = [[j for j in range(len(ops)) if op_class[j] == op_class[i]]
              for i in range(len(ops))]
     bank_at = {b.id: k for k, b in enumerate(mapping.banks)}
-    requests = op_requests(cg, mapping)
     accesses = [[(bank_at[bank], mapping.bank(bank), address, offset)
-                 for bank, address, offset in requests[o]] for o in ops]
+                 for bank, address, offset in facts.requests[o]] for o in ops]
     outputs = cg.of_kind(CgKind.OUTPUT)
 
     best: list[int | None] = [None]
@@ -353,7 +358,8 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
                 return
         achieved = achieved_latency(cg, cycles, max(
             (started[o] + n for o, n in zip(ops, lat)), default=None))
-        if best[0] is None or achieved < best[0]:
+        if achieved <= spec.latency_bound and (best[0] is None
+                                               or achieved < best[0]):
             best[0] = achieved
 
     def dfs(t: int, starts: tuple, last: tuple, loads: tuple) -> None:

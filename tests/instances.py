@@ -138,9 +138,8 @@ def _random_io(rng: random.Random, g: s.SFG,
 
     probe = s.IoConstraintSpec(buses=tuple(buses), transfers=tuple(transfers),
                                cadence=64, latency_bound=64)
-    cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
-                                s.build_transfer_graph(probe), probe)
-    win = s.compute_time_windows(cg)
+    problem = s.lower(g, lib, probe)
+    cg, win = problem.cg, problem.windows
     out_asap = {n.id: win.asap[n.id] for n in cg.of_kind(s.CgKind.OUTPUT)}
     ceiling = max(out_asap.values())
 
@@ -226,9 +225,8 @@ def random_fft_problem(seed: int) -> Problem:
     buses = (s.BusDef("in0", "in"),) if paced else ()
     probe = s.IoConstraintSpec(buses=buses, transfers=transfers,
                                cadence=4096, latency_bound=4096)
-    cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
-                                s.build_transfer_graph(probe), probe)
-    win = s.compute_time_windows(cg)
+    problem = s.lower(g, lib, probe)
+    cg, win = problem.cg, problem.windows
     ceiling = max(win.asap[n.id] for n in cg.of_kind(s.CgKind.OUTPUT)) + 1
     if rng.random() < 0.1:
         bound = max(points, ceiling - rng.randint(0, 3))  # often too tight

@@ -46,6 +46,20 @@ def shift_output_transfer(sched: s.Schedule) -> s.Schedule:
     return replace(sched, transfers=tuple(xfers))
 
 
+def late_output_transfer(sched: s.Schedule) -> s.Schedule:
+    """Move the last output transfer to the first cycle past the latency
+    bound, counted from the first input transfer, and claim the span that
+    makes: a latency above the bound."""
+    first = min((t.cycle for t in sched.transfers if t.direction == "in"),
+                default=0)
+    victim = max((t for t in sched.transfers if t.direction == "out"),
+                 key=lambda t: t.cycle)
+    xfers = tuple(t._replace(cycle=first + sched.latency_bound)
+                  if t is victim else t for t in sched.transfers)
+    return replace(sched, transfers=xfers,
+                   achieved_latency=sched.latency_bound + 1)
+
+
 def shift_access_cycle(sched: s.Schedule) -> s.Schedule:
     victim = sched.accesses[0]
     mutated = victim._replace(cycle=victim.cycle + 1)
@@ -104,6 +118,7 @@ MUTATIONS = [
     ("corrupted-access-cost", corrupt_access_cost),
     ("dropped-operation", drop_operation),
     ("early-output-transfer", shift_output_transfer),
+    ("latency-over-bound", late_output_transfer),
     ("shifted-access-cycle", shift_access_cycle),
     ("collapsed-sequence-numbers", collapse_sequence_numbers),
     ("shared-bus-cycle", share_bus_cycle),

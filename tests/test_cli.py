@@ -57,6 +57,48 @@ def test_schedule_abort_exit_3(pairsum_dir, capsys):
     assert "bank0" in err and "cycle 0" in err and "mult" in err
 
 
+def _io_with_c_at_5(tmp_path, pin_inputs: bool) -> str:
+    """Pairsum's I/O with the output pinned at offset 5, past the bound
+    of 3 but inside the cadence of 6."""
+    buses = [{"id": "outC", "direction": "out"}]
+    transfers = [{"data": "c", "bus": "outC", "offset": 5}]
+    if pin_inputs:
+        buses += [{"id": "inA", "direction": "in"},
+                  {"id": "inB", "direction": "in"}]
+        transfers += [{"data": "a", "bus": "inA", "offset": 0},
+                      {"data": "b", "bus": "inB", "offset": 0}]
+    path = tmp_path / "io.json"
+    path.write_text(json.dumps({"cadence": 6, "latency": 3, "buses": buses,
+                                "transfers": transfers}))
+    return str(path)
+
+
+def test_pinned_transfers_past_the_bound_exit_2(pairsum_dir, tmp_path,
+                                                capsys):
+    io = _io_with_c_at_5(tmp_path, pin_inputs=True)
+    argv = ["report"] + _args(pairsum_dir, "--io", io, io=None,
+                              mem="mem_twobank.json")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cadence check: FAILED" in err
+    assert "pinned transfers span 6 cycles (cycles 0 to 5), latency bound " \
+           "is 3" in err
+
+
+def test_latency_past_the_bound_exit_3(pairsum_dir, tmp_path, capsys):
+    """Only the output is pinned: the inputs could arrive late enough, so
+    the static checks pass, but greedy starts early and overshoots."""
+    io = _io_with_c_at_5(tmp_path, pin_inputs=False)
+    argv = ["report"] + _args(pairsum_dir, "--io", io, io=None,
+                              mem="mem_twobank.json")
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "cadence check: ok" in err
+    assert "scheduling aborted: infeasible-windows at cycle 5, the " \
+           "transfers span 6 cycles, latency bound is 3" in err
+    assert "failed verification" not in err
+
+
 def test_huge_cadence_schedules_like_a_small_one(pairsum_dir, tmp_path):
     # the port tables store only reserved slots, not one per cycle
     docs = {}

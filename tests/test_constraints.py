@@ -13,12 +13,6 @@ C = s.CgKind
 ALU = s.OperatorLibrary(classes=(s.OperatorClass("alu", frozenset("+-*"), 1),))
 
 
-def _cg(pairsum_graph, pairsum_lib, spec):
-    return s.apply_io_constraints(
-        s.build_constraint_graph(pairsum_graph, pairsum_lib),
-        s.build_transfer_graph(spec), spec)
-
-
 def test_constraint_graph_structure(pairsum_graph, pairsum_lib):
     cg = s.build_constraint_graph(pairsum_graph, pairsum_lib)
     kinds = {}
@@ -52,7 +46,7 @@ def test_directly_built_invalid_graph_is_rejected():
 
 
 def test_edge_weights(pairsum_graph, pairsum_lib, io_lat3):
-    cg = _cg(pairsum_graph, pairsum_lib, io_lat3)
+    cg = s.lower(pairsum_graph, pairsum_lib, io_lat3).cg
     a, m1, add1, c = (pairsum_graph.node_by_label(x).id
                       for x in ("a", "m1", "add1", "c"))
     rd = cg.accesses_of(m1)[0][0].id
@@ -63,8 +57,7 @@ def test_edge_weights(pairsum_graph, pairsum_lib, io_lat3):
 
 
 def test_windows_match_hand_computed_values(pairsum_graph, pairsum_lib, io_lat3):
-    cg = _cg(pairsum_graph, pairsum_lib, io_lat3)
-    w = s.compute_time_windows(cg)
+    w = s.lower(pairsum_graph, pairsum_lib, io_lat3).windows
     expect = {4: (0, 1), 5: (0, 1), 6: (1, 2), 7: (1, 2)}
     for nid, (lo, hi) in expect.items():
         assert (w.asap[nid], w.alap[nid]) == (lo, hi)
@@ -72,8 +65,8 @@ def test_windows_match_hand_computed_values(pairsum_graph, pairsum_lib, io_lat3)
 
 
 def test_access_windows_follow_their_operation(pairsum_graph, pairsum_lib, io_lat3):
-    cg = _cg(pairsum_graph, pairsum_lib, io_lat3)
-    w = s.compute_time_windows(cg)
+    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
+    cg, w = problem.cg, problem.windows
     for n in cg.nodes.values():
         if n.kind is C.READ:
             assert w.asap[n.id] == w.asap[n.agent]
@@ -139,7 +132,7 @@ def test_uncovered_symbol_raises(pairsum_graph):
 
 
 def test_apply_io_constraints_sets_dates(pairsum_graph, pairsum_lib, io_lat3):
-    cg = _cg(pairsum_graph, pairsum_lib, io_lat3)
+    cg = s.lower(pairsum_graph, pairsum_lib, io_lat3).cg
     a = pairsum_graph.node_by_label("a").id
     c = pairsum_graph.node_by_label("c").id
     assert cg.nodes[a].arrival == 0
@@ -149,7 +142,7 @@ def test_apply_io_constraints_sets_dates(pairsum_graph, pairsum_lib, io_lat3):
 
 def test_apply_io_constraints_defaults_without_transfers(pairsum_graph, pairsum_lib):
     spec = s.IoConstraintSpec.unconstrained(latency_bound=5)
-    cg = _cg(pairsum_graph, pairsum_lib, spec)
+    cg = s.lower(pairsum_graph, pairsum_lib, spec).cg
     c = pairsum_graph.node_by_label("c").id
     assert cg.nodes[c].deadline == 4  # free outputs only face the bound
     assert cg.nodes[pairsum_graph.node_by_label("a").id].arrival == 0
@@ -173,10 +166,11 @@ def test_apply_io_constraints_rejects_bad_transfers(pairsum_graph, pairsum_lib):
 
 
 def test_apply_io_constraints_idempotent(pairsum_graph, pairsum_lib, io_lat3):
-    cg1 = _cg(pairsum_graph, pairsum_lib, io_lat3)
+    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
+    cg1, w1 = problem.cg, problem.windows
     tg = s.build_transfer_graph(io_lat3)
     cg2 = s.apply_io_constraints(cg1, tg, io_lat3)
-    w1, w2 = s.compute_time_windows(cg1), s.compute_time_windows(cg2)
+    w2 = s.compute_time_windows(cg2)
     assert w1.asap == w2.asap and w1.alap == w2.alap
     assert {i: n.deadline for i, n in cg1.nodes.items()} == \
            {i: n.deadline for i, n in cg2.nodes.items()}
@@ -184,8 +178,8 @@ def test_apply_io_constraints_idempotent(pairsum_graph, pairsum_lib, io_lat3):
 
 def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2):
     for spec in (io_lat3, io_lat2):
-        cg = _cg(pairsum_graph, pairsum_lib, spec)
-        rep = s.check_feasibility(cg, s.compute_time_windows(cg), spec)
+        problem = s.lower(pairsum_graph, pairsum_lib, spec)
+        rep = s.check_feasibility(problem.cg, problem.windows, spec)
         # the 2-cycle variant passes the static checks too; only the
         # memory-aware scheduler can expose its infeasibility
         assert rep.cadence_ok and rep.output_dates_ok and rep.feasible
@@ -194,8 +188,8 @@ def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2
 
 def test_feasibility_catches_short_bound(pairsum_graph, pairsum_lib):
     spec = s.IoConstraintSpec.unconstrained(latency_bound=1)
-    cg = _cg(pairsum_graph, pairsum_lib, spec)
-    rep = s.check_feasibility(cg, s.compute_time_windows(cg), spec)
+    problem = s.lower(pairsum_graph, pairsum_lib, spec)
+    rep = s.check_feasibility(problem.cg, problem.windows, spec)
     assert not rep.cadence_ok and not rep.feasible
     assert rep.critical_path_cycles == 2
     assert rep.diagnostics
@@ -212,19 +206,62 @@ def test_feasibility_catches_early_deadline(pairsum_graph, pairsum_lib):
         transfers=(s.Transfer(a, "bi", 0), s.Transfer(b, "bj", 0),
                    s.Transfer(c, "bo", 0)),
         cadence=3, latency_bound=3)
-    cg = _cg(pairsum_graph, pairsum_lib, spec)
-    rep = s.check_feasibility(cg, s.compute_time_windows(cg), spec)
+    problem = s.lower(pairsum_graph, pairsum_lib, spec)
+    rep = s.check_feasibility(problem.cg, problem.windows, spec)
     assert rep.cadence_ok and not rep.output_dates_ok and not rep.feasible
     assert any("c" in d or "7" in d for d in rep.diagnostics)
+
+
+def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
+                                                             pairsum_lib):
+    """The latency runs from the first input transfer to the last output
+    transfer: pinned offsets bound it from below, unpinned inputs only
+    move its start earlier."""
+    a, b, c = (pairsum_graph.node_by_label(x).id for x in "abc")
+    buses = (s.BusDef("bi", "in"), s.BusDef("bo", "out"))
+
+    def diagnose(transfers, bound):
+        spec = s.IoConstraintSpec(buses, transfers, cadence=8,
+                                  latency_bound=bound)
+        problem = s.lower(pairsum_graph, pairsum_lib, spec)
+        rep = s.check_feasibility(problem.cg, problem.windows, spec)
+        pinned = [d for d in rep.diagnostics if "pinned" in d]
+        assert not pinned or not rep.cadence_ok
+        return pinned
+
+    pinned = (s.Transfer(a, "bi", 2), s.Transfer(b, "bi", 3),
+              s.Transfer(c, "bo", 6))
+    assert diagnose(pinned, 5) == []
+    assert diagnose(pinned, 4) == [
+        "pinned transfers span 5 cycles (cycles 2 to 6), latency bound is 4"]
+    # the earliest pinned input bounds the start: a unpinned may come
+    # earlier than b, never later
+    assert diagnose(pinned[1:], 4) == []
+    assert diagnose(pinned[1:], 3) == [
+        "pinned transfers span 4 cycles (cycles 3 to 6), latency bound is 3"]
+    # no input pinned: they may all arrive as late as they are needed
+    assert diagnose(pinned[2:], 2) == []
+
+    # without inputs the span starts at cycle 0
+    nodes = [s.SfgNode(0, K.MEMDATA, label="m"),
+             s.SfgNode(1, K.OPERATION, op="+", label="s"),
+             s.SfgNode(2, K.OUTPUT, label="y")]
+    g = s.SFG(nodes, [(0, 1, 0), (0, 1, 1), (1, 2, 0)])
+    for bound, ok in ((4, False), (5, True)):
+        spec = s.IoConstraintSpec((s.BusDef("bo", "out"),),
+                                  (s.Transfer(2, "bo", 4),), cadence=8,
+                                  latency_bound=bound)
+        problem = s.lower(g, ALU, spec)
+        assert s.check_feasibility(problem.cg, problem.windows,
+                                   spec).cadence_ok is ok
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_window_edge_inequalities(seed):
     p = random_problem(seed)
-    cg = s.apply_io_constraints(s.build_constraint_graph(p.g, p.lib),
-                                s.build_transfer_graph(p.spec), p.spec)
-    w = s.compute_time_windows(cg)
+    problem = s.lower(p.g, p.lib, p.spec)
+    cg, w = problem.cg, problem.windows
     for u in cg.nodes:
         for v in cg.successors(u):
             wt = cg.edge_weight(u, v)
@@ -236,9 +273,8 @@ def test_window_edge_inequalities(seed):
 @given(st.integers(0, 10 ** 6))
 def test_feasible_problems_have_consistent_windows(seed):
     p = random_problem(seed)
-    cg = s.apply_io_constraints(s.build_constraint_graph(p.g, p.lib),
-                                s.build_transfer_graph(p.spec), p.spec)
-    w = s.compute_time_windows(cg)
+    problem = s.lower(p.g, p.lib, p.spec)
+    cg, w = problem.cg, problem.windows
     rep = s.check_feasibility(cg, w, p.spec)
     if rep.feasible:
         for n in cg.operations:
@@ -254,9 +290,8 @@ def test_static_checks_match_unlimited_resource_search():
         table = s.extract_memory_table(p.g)
         banks = (s.Bank(id="wide", ports=64, t_seq=1, t_rand=1),)
         mapping = s.apply_mapping(table, s.MappingSpec(mode="auto", banks=banks))
-        cg = s.apply_io_constraints(s.build_constraint_graph(p.g, p.lib),
-                                    s.build_transfer_graph(p.spec), p.spec)
-        rep = s.check_feasibility(cg, s.compute_time_windows(cg), p.spec)
+        problem = s.lower(p.g, p.lib, p.spec)
+        rep = s.check_feasibility(problem.cg, problem.windows, p.spec)
         bf = s.brute_force_min_latency(p.g, p.lib, p.spec, mapping,
                                        instances=None)
         assert rep.feasible == (bf is not None), f"seed {seed}"

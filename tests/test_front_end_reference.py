@@ -19,7 +19,6 @@ import pytest
 
 import sfgsched as s
 from sfgsched.constraints import OPTIMISTIC_ACCESS_LATENCY, UnsupportedGraphError
-from sfgsched.iospec import TransferNode
 from instances import random_fft_problem, random_problem
 
 K = s.NodeKind
@@ -208,13 +207,13 @@ def reference_build(g, lib):
 
 def reference_apply_io(cg, tg, spec):
     offset_of = {}
-    for t in tg.nodes:
-        if t.data not in cg.nodes or cg.nodes[t.data].kind not in (
+    for t in tg:
+        if t.node not in cg.nodes or cg.nodes[t.node].kind not in (
                 C.INPUT, C.OUTPUT):
-            raise s.IoSpecError(f"transfer references unknown I/O node {t.data}")
-        if t.data in offset_of:
-            raise s.IoSpecError(f"node {t.data} is transferred twice")
-        offset_of[t.data] = t.offset
+            raise s.IoSpecError(f"transfer references unknown I/O node {t.node}")
+        if t.node in offset_of:
+            raise s.IoSpecError(f"node {t.node} is transferred twice")
+        offset_of[t.node] = t.offset
     nodes = []
     for n in cg.nodes.values():
         if n.kind is C.INPUT:
@@ -455,11 +454,10 @@ def test_io_merge_errors_match_the_reference():
     p = random_problem(3)
     cg = s.build_constraint_graph(p.g, p.lib)
     op = cg.operations[0].id
-    for nodes in ((TransferNode(op, "b", 0),),
-                  (TransferNode(10 ** 6, "b", 0),),
-                  (TransferNode(p.g.inputs[0].id, "b", 0),
-                   TransferNode(p.g.inputs[0].id, "c", 1))):
-        tg = s.TransferGraph(nodes=nodes)
+    for tg in ((s.Transfer(op, "b", 0),),
+               (s.Transfer(10 ** 6, "b", 0),),
+               (s.Transfer(p.g.inputs[0].id, "b", 0),
+                s.Transfer(p.g.inputs[0].id, "c", 1))):
         got = _outcome(s.apply_io_constraints, cg, tg, p.spec)
         assert got[0] == "IoSpecError"
         assert got == _outcome(reference_apply_io, cg, tg, p.spec)

@@ -55,7 +55,7 @@ def test_transfer_graph_one_node_per_transfer(pairsum_graph):
         transfers=(s.Transfer(a, "bi", 2), s.Transfer(b, "bi", 0)),
         cadence=4, latency_bound=4)
     tg = s.build_transfer_graph(spec)
-    assert [(t.data, t.bus, t.offset) for t in tg.nodes] == \
+    assert [(t.node, t.bus, t.offset) for t in tg] == \
         [(a, "bi", 2), (b, "bi", 0)]
 
 

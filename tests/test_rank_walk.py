@@ -104,10 +104,7 @@ def test_shape_walk_matches_reference_on_random_ffts(monkeypatch):
         text, log = _same_walk(monkeypatch, p.run_scheduler)
         alap = {}
         if not text.startswith("ScheduleFailure"):
-            cg = s.build_constraint_graph(p.g, p.lib)
-            cg = s.apply_io_constraints(cg, s.build_transfer_graph(p.spec),
-                                        p.spec)
-            alap = s.compute_time_windows(cg).alap
+            alap = s.lower(p.g, p.lib, p.spec).windows.alap
         else:
             seen["aborts"] += 1
         seen["zero-margin yields"] += sum(

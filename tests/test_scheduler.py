@@ -128,10 +128,9 @@ def _burst_fixture(addresses=(0, 4, 5), z_op="*"):
         placements=tuple(s.Placement(data, "bank0", address)
                          for data, address in zip((1, 2, 3), addresses)))
     mapping = s.apply_mapping(s.extract_memory_table(g), mspec)
-    cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
-                                s.build_transfer_graph(spec), spec)
-    windows = s.compute_time_windows(cg)
-    state = s.SchedulerState(cg=cg, windows=windows, mapping=mapping,
+    problem = s.lower(g, lib, spec)
+    state = s.SchedulerState(cg=problem.cg, windows=problem.windows,
+                             mapping=mapping,
                              table=s.PortAccessTable(mapping, spec.cadence),
                              allocation=s.Allocation(mode="auto"))
     _seed_pool(state, lib)
@@ -347,9 +346,7 @@ def test_starts_stay_inside_windows():
             sched = p.run_scheduler()
         except s.ScheduleFailure:
             continue
-        cg = s.apply_io_constraints(s.build_constraint_graph(p.g, p.lib),
-                                    s.build_transfer_graph(p.spec), p.spec)
-        w = s.compute_time_windows(cg)
+        w = s.lower(p.g, p.lib, p.spec).windows
         for o in sched.ops:
             assert w.asap[o.node] <= o.start <= w.alap[o.node]
 

@@ -53,6 +53,10 @@ def test_traced_report_records_spans_and_the_ready_set_size(pairsum_dir,
     names = {sp.name for sp in tracer.spans}
     assert {"cli.parse_sfg", "cli.schedule", "cli.verify_schedule",
             "cli.build_report"} <= names
+    # the call lowers once, and the tracer sees it wherever it happens
+    for stage in ("build_constraint_graph", "compute_time_windows"):
+        assert sum(tracer.count(f"{module}.{stage}")
+                   for module in ("cli", "scheduling", "verify")) == 1, stage
     assert all(sp.duration >= sp.child_s >= 0 for sp in tracer.spans)
     rank = tracer.aggregates["scheduling.rank_executable"]
     # both products are ready in the first ranked cycle

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -38,12 +39,6 @@ def test_mutations_are_caught(name, mutate, which, golden_lat3, golden_lat2):
     assert violations, f"{name} slipped through on {which}"
 
 
-def _lower(g, lib, spec) -> s.Problem:
-    cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
-                                s.build_transfer_graph(spec), spec)
-    return s.Problem(cg, s.compute_time_windows(cg))
-
-
 @pytest.mark.parametrize("name,mutate", MUTATIONS)
 @pytest.mark.parametrize("which", ["lat3", "lat2"])
 def test_shared_problem_finds_the_same_violations(name, mutate, which,
@@ -51,7 +46,7 @@ def test_shared_problem_finds_the_same_violations(name, mutate, which,
     sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
         else golden_lat2
     broken = mutate(sched)
-    problem = _lower(g, lib, spec)
+    problem = s.lower(g, lib, spec)
     assert s.verify_schedule(broken, g, lib, spec, mapping, problem) == \
         s.verify_schedule(broken, g, lib, spec, mapping)
 
@@ -61,13 +56,13 @@ def test_schedule_leaves_the_shared_problem_unchanged(which, golden_lat3,
                                                       golden_lat2):
     sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
         else golden_lat2
-    problem = _lower(g, lib, spec)
+    problem = s.lower(g, lib, spec)
     shared = s.schedule(g, lib, spec, mapping, s.Allocation(mode="auto"),
                         problem=problem)
     assert shared.to_json() == sched.to_json()
     assert s.verify_schedule(shared, g, lib, spec, mapping,
                              problem=problem) == []
-    fresh = _lower(g, lib, spec)
+    fresh = s.lower(g, lib, spec)
     assert problem.windows == fresh.windows
     assert problem.cg.nodes == fresh.cg.nodes
     assert problem.cg.edges == fresh.cg.edges
@@ -78,7 +73,8 @@ def test_mutation_kinds_are_specific(golden_lat3):
     sched, g, lib, spec, mapping = golden_lat3
     from mutations import (late_start, corrupt_access_cost, drop_operation,
                            shift_output_transfer, collapse_sequence_numbers,
-                           shrink_pool, wrong_cadence, wrong_latency_bound)
+                           shrink_pool, wrong_cadence, wrong_latency_bound,
+                           late_output_transfer)
     kinds = {v.kind for v in s.verify_schedule(late_start(sched), g, lib,
                                                spec, mapping)}
     assert "window" in kinds
@@ -101,6 +97,11 @@ def test_mutation_kinds_are_specific(golden_lat3):
         kinds = {v.kind for v in s.verify_schedule(mutate(sched), g, lib,
                                                    spec, mapping)}
         assert kinds == {"spec"}
+    violations = s.verify_schedule(late_output_transfer(sched), g, lib, spec,
+                                   mapping)
+    assert {v.kind for v in violations} == {"io-timing"}
+    assert any("span 4 cycles, the latency bound is 3" in v.message
+               for v in violations)
 
 
 
@@ -120,6 +121,31 @@ def test_cap_mutations_are_caught_under_a_fixed_allocation(
     assert s.verify_schedule(broken, g, lib, spec, mapping) == []
     assert s.verify_schedule(broken, g, lib, spec, mapping, None,
                              s.Allocation(mode="auto")) == []
+
+
+def test_latency_over_the_bound_is_a_violation(pairsum_graph, pairsum_lib,
+                                               map_twobank):
+    """An output pinned past the bound: a schedule made under a wider bound
+    breaks no other rule once its record names the tighter one."""
+    ids = {x: pairsum_graph.node_by_label(x).id for x in ("a", "b", "c")}
+    buses = (s.BusDef("inA", "in"), s.BusDef("inB", "in"),
+             s.BusDef("outC", "out"))
+    transfers = (s.Transfer(ids["a"], "inA", 0), s.Transfer(ids["b"], "inB", 0),
+                 s.Transfer(ids["c"], "outC", 5))
+    wide = s.IoConstraintSpec(buses, transfers, cadence=6, latency_bound=6)
+    tight = s.IoConstraintSpec(buses, transfers, cadence=6, latency_bound=3)
+    sched = s.schedule(pairsum_graph, pairsum_lib, wide, map_twobank)
+    assert sched.achieved_latency == 6
+    violations = s.verify_schedule(
+        replace(sched, latency_bound=3), pairsum_graph, pairsum_lib, tight,
+        map_twobank)
+    assert [(v.kind, v.message) for v in violations] == [
+        ("io-timing", "transfers and operations span 6 cycles, the latency "
+                      "bound is 3")]
+    assert s.brute_force_min_latency(pairsum_graph, pairsum_lib, wide,
+                                     map_twobank) == 6
+    assert s.brute_force_min_latency(pairsum_graph, pairsum_lib, tight,
+                                     map_twobank) is None
 
 
 def test_fixed_allocation_caps_classes_it_does_not_list(golden_lat3):
