@@ -15,8 +15,8 @@ Construction has two stages over one graph type:
 Each stage is one linear pass: the lowering selects each symbol's
 operator class once and walks each node's in-edges in id order, sorting
 only the operation->memdata edges, and ``compute_time_windows`` reads the
-adjacency directly, weighing each edge once with
-``ConstraintGraph.edge_weight``.
+adjacency directly, weighing each edge once by the rule that
+``ConstraintGraph.edge_weight`` states for one edge.
 
 Timing model (all cycles 0-based):
 
@@ -156,12 +156,17 @@ class ConstraintGraph:
 
     def edge_weight(self, u: int, v: int) -> int:
         """Minimum start-to-start distance implied by edge u -> v."""
-        nu = self.nodes[u]
-        if nu.kind in _SAME_CYCLE_SOURCES:
-            return 0
-        if self.nodes[v].kind is CgKind.OUTPUT:
-            return max(nu.latency - 1, 0)  # transfer may overlap the last cycle
-        return nu.latency
+        to_output, other = _weights_from(self.nodes[u])
+        return to_output if self.nodes[v].kind is CgKind.OUTPUT else other
+
+
+def _weights_from(node: CgNode) -> tuple[int, int]:
+    """Minimum start-to-start distance implied by an edge out of ``node``
+    into an output, and into any other node."""
+    if node.kind in _SAME_CYCLE_SOURCES:
+        return 0, 0
+    # a transfer may overlap the producer's last cycle
+    return max(node.latency - 1, 0), node.latency
 
 
 @dataclass(frozen=True)
@@ -336,19 +341,26 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
     """
     if cg.latency_bound is None:
         raise ValueError("apply I/O constraints before computing windows")
-    nodes, succ, weight = cg.nodes, cg._succ, cg.edge_weight
-    # ASAP in topological order (Kahn), relaxing each edge once.  The
-    # weights are kept in one list, in the order this pass meets the
-    # edges, for the ALAP pass to walk back.
-    asap = {i: n.arrival if n.kind is CgKind.INPUT else 0
-            for i, n in nodes.items()}
+    nodes, succ = cg.nodes, cg._succ
+    OUTPUT = CgKind.OUTPUT
+    # ASAP in topological order (Kahn), relaxing each edge once; the
+    # weights of a node's out-edges come from one read of the node
+    # (``_weights_from``).  They are kept in one list, in the order this
+    # pass meets the edges, for the ALAP pass to walk back.
+    asap = dict.fromkeys(nodes, 0)
+    for n in cg._of_kind[CgKind.INPUT]:
+        asap[n.id] = n.arrival
     indeg = {i: len(p) for i, p in cg._pred.items()}
     order = [i for i, d in indeg.items() if d == 0]
     weights: list[int] = []
     for u in order:  # grows as nodes become ready
+        vs = succ[u]
+        if not vs:
+            continue
         t = asap[u]
-        for v in succ[u]:
-            w = weight(u, v)
+        to_output, other = _weights_from(nodes[u])
+        for v in vs:
+            w = to_output if nodes[v].kind is OUTPUT else other
             weights.append(w)
             if t + w > asap[v]:
                 asap[v] = t + w
@@ -364,7 +376,7 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
     for u in reversed(order):
         n, vs = nodes[u], succ[u]
         k -= len(vs)  # u's edge weights are weights[k:k + len(vs)]
-        if n.kind is CgKind.OUTPUT:
+        if n.kind is OUTPUT:
             alap[u] = n.deadline
         elif vs:
             late = None
@@ -398,7 +410,7 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
 
     offsets_ok = True
     for t in spec.transfers:
-        if not 0 <= t.offset < spec.cadence:
+        if not spec.offset_fits(t.offset):
             offsets_ok = False
             diagnostics.append(
                 f"transfer of node {t.node} at offset {t.offset} does not fit "

@@ -55,6 +55,11 @@ class IoConstraintSpec:
                    cadence=cadence if cadence is not None else latency_bound,
                    latency_bound=latency_bound)
 
+    def offset_fits(self, offset: int) -> bool:
+        """Whether a transfer offset lies within one iteration: in
+        ``[0, cadence)``."""
+        return 0 <= offset < self.cadence
+
     def validate(self, g: SFG) -> list[str]:
         """Check spec invariants against a graph; returns violations."""
         out: list[str] = []
@@ -79,7 +84,7 @@ class IoConstraintSpec:
                 out.append(f"node {t.node} on input bus {t.bus!r} is not an input")
             if direction == "out" and kind is not NodeKind.OUTPUT:
                 out.append(f"node {t.node} on output bus {t.bus!r} is not an output")
-            if not 0 <= t.offset < self.cadence:
+            if not self.offset_fits(t.offset):
                 out.append(f"transfer of node {t.node} at offset {t.offset} "
                            f"outside cadence {self.cadence}")
             key = (t.bus, t.offset)

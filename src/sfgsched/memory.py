@@ -15,7 +15,9 @@ past it raises ``HorizonError``.  ``Bank.cost`` and ``Bank.span`` hold the
 two rules for the scheduler, the verifier and the exhaustive oracle.
 ``PortAccessTable.fit`` places requests and ``commit`` reserves them as
 placed, handing back only their sequence numbers: the caller already
-holds the rest of each reservation.
+holds the rest of each reservation.  A ``probe`` of the held view places
+requests as ``fit`` would on the live table while ``unchanged`` holds for
+their banks, so its costs can be committed as they are.
 """
 
 from __future__ import annotations
@@ -364,15 +366,28 @@ class PortAccessTable:
             return None
         return [(cost, cls) for cost, cls, _ in fits]
 
+    def unchanged(self, requests: list[tuple[str, int, int]]) -> bool:
+        """Whether no reservation since ``hold_view`` touched the banks of
+        the (bank, address, cycle) requests, so that they fit the live
+        table as they fit the held view."""
+        view_last = self._view_last
+        for bank_id, _, _ in requests:
+            if bank_id in view_last:
+                return False
+        return True
+
     def commit(self, requests: list[tuple[str, int, int]],
-               fits: list[tuple[int, str, range]]) -> range:
-        """Reserve requests as ``fit`` placed them on the live table, which
-        must not have changed in between; returns their sequence numbers,
-        in request order (the requests and fits already hold the rest of
-        each reservation)."""
+               fits: list[tuple[int, str]] | list[tuple[int, str, range]]
+               ) -> range:
+        """Reserve requests at the costs ``fit`` (or ``probe``, while the
+        requests' banks are ``unchanged``) gave them on the live table,
+        which must not have changed in between; returns their sequence
+        numbers, in request order (the requests and fits already hold the
+        rest of each reservation)."""
         first = self._seq + 1
-        for (bank_id, address, _), (_, _, span) in zip(requests, fits):
+        for (bank_id, address, cycle), fit in zip(requests, fits):
             state = self._state[bank_id]
+            span = state.bank.span(cycle, fit[0], self.cadence)
             if self._holding:
                 self._view_last.setdefault(bank_id, state.last_address)
                 for s in span:

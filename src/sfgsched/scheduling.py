@@ -37,7 +37,18 @@ readers of the address after one of its reads.  A bucket's members share
 a signature except the burst candidates, whose first request on a bank
 continues that bank's run, and only members with such followers can win
 the lookahead; so a bucket is ranked from its candidates and its lowest
-enabler or lowest member, not member by member.
+enabler or lowest member, not member by member.  An access-free bucket
+(its ops make no port request) needs no probe at all: every member costs
+0 and enables no burst, so it puts its lowest member forward and the
+rest follow in id order.  The ready set also keeps its groups' alaps in
+order, so the per-cycle check for overdue ops and the idle skip read the
+earliest alap instead of scanning the groups.
+
+A start fits its accesses once.  An access-free op only takes a free
+instance.  A memory op reuses the probe its signature got at the start
+of the cycle while no reservation made since has touched its banks (the
+live table then reads as the view the probe saw), and is fitted on the
+live table otherwise.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
@@ -49,7 +60,8 @@ The records of a schedule (``ScheduledOp``, ``ScheduledAccess``,
 ``assign_step`` makes an access record straight from the request, its
 fit and the sequence number ``PortAccessTable.commit`` hands back, with
 the per-op facts (node, access ids and labels) looked up once per run in
-``SchedulerState``.
+``SchedulerState``.  ``estimate_registers`` reads the records by
+position, which costs less than reading their fields by name.
 """
 
 from __future__ import annotations
@@ -58,6 +70,8 @@ import bisect
 import heapq
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .constraints import (CgKind, CgNode, ConstraintGraph, Problem,
@@ -67,7 +81,7 @@ from .constraints import (CgKind, CgNode, ConstraintGraph, Problem,
 from .graph import SFG, NodeKind
 from .iospec import IoConstraintSpec, build_transfer_graph
 from .jsontext import dumps
-from .memory import (BlockedAccess, HorizonError, MemoryMapping,
+from .memory import (BlockedAccess, HorizonError, MemoryMapping, Placement,
                      PortAccessTable, is_burst)
 from .oplib import OperatorLibrary
 
@@ -158,6 +172,13 @@ class ScheduledTransfer(NamedTuple):
     synthesized: bool = False
 
 
+# sort keys of the records, by field position
+_START_NODE = itemgetter(4, 0)               # ScheduledOp: start, node
+_CYCLE_NODE = itemgetter(7, 0)               # ScheduledAccess: cycle, node
+_CYCLE_DIRECTION_NODE = itemgetter(2, 3, 0)  # ScheduledTransfer: cycle,
+                                             # direction, node
+
+
 @dataclass(frozen=True)
 class AllocationEvent:
     cycle: int
@@ -225,18 +246,17 @@ class Schedule:
                 {"node": s.node, "label": s.label, "class": s.op_class,
                  "instance": s.instance, "start": s.start,
                  "latency": s.latency}
-                for s in sorted(self.ops, key=lambda s: (s.start, s.node))],
+                for s in sorted(self.ops, key=_START_NODE)],
             "accesses": [
                 {"cycle": a.cycle, "node": a.node, "op": a.op, "kind": a.kind,
                  "data": a.data, "data_label": a.data_label, "bank": a.bank,
                  "address": a.address, "cost": a.cost,
                  "cost_class": a.cost_class, "seq": a.seq}
-                for a in sorted(self.accesses, key=lambda a: (a.cycle, a.node))],
+                for a in sorted(self.accesses, key=_CYCLE_NODE)],
             "transfers": [
                 {"cycle": t.cycle, "node": t.node, "bus": t.bus,
                  "direction": t.direction, "synthesized": t.synthesized}
-                for t in sorted(self.transfers,
-                                key=lambda t: (t.cycle, t.direction, t.node))],
+                for t in sorted(self.transfers, key=_CYCLE_DIRECTION_NODE)],
         }
         return dumps(doc) + "\n"
 
@@ -249,21 +269,26 @@ def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec) -> Problem:
     return Problem(cg, compute_time_windows(cg))
 
 
-def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
-                ) -> dict[int, tuple[tuple[str, int, int], ...]]:
-    """(bank, address, cycle offset) of each operation's port requests in
+def _port_requests(reads: list[CgNode], writes: list[CgNode], latency: int,
+                   placement_of: Callable[[int], Placement]
+                   ) -> tuple[tuple[str, int, int], ...]:
+    """(bank, address, cycle offset) of an operation's port requests in
     reservation order: its reads at offset 0, then its writes at its
     latency (the cycle after it completes)."""
-    out = {}
+    reqs = []
+    for accs, offset in ((reads, 0), (writes, latency)):
+        for a in accs:
+            p = placement_of(a.data)
+            reqs.append((p.bank, p.address, offset))
+    return tuple(reqs)
+
+
+def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
+                ) -> dict[int, tuple[tuple[str, int, int], ...]]:
+    """Each operation's port requests (``_port_requests``)."""
     placement_of = mapping.placement_of
-    for n in cg.operations:
-        reqs = []
-        for accs, offset in zip(cg.accesses_of(n.id), (0, n.latency)):
-            for a in accs:
-                p = placement_of(a.data)
-                reqs.append((p.bank, p.address, offset))
-        out[n.id] = tuple(reqs)
-    return out
+    return {n.id: _port_requests(*cg.accesses_of(n.id), n.latency,
+                                 placement_of) for n in cg.operations}
 
 
 @dataclass
@@ -271,19 +296,27 @@ class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps.
 
     Each operation of a ``Problem`` (see ``lower``) is lowered once, in
-    one pass: ``node`` holds its constraint-graph node, ``requests`` its
-    port requests (``op_requests``), ``records`` the (access node, kind,
-    data, data label) of each request in the same order, ``gated`` per
-    write the operations whose reads it gates, ``read_keys`` the (bank,
-    address) of its reads and ``op_class`` its operator class.  What it
-    waits for, read by the readiness counts and the oracle alike:
-    ``producers`` (one per edge), input ``arrivals`` after cycle 0, and
-    the ``writers`` whose memory writes gate its reads.
+    one pass over its neighbours: ``node`` holds its constraint-graph
+    node, ``op_class`` its operator class, ``requests`` its port requests
+    (``op_requests``), ``records`` the (access node, kind, data, data
+    label) of each request in the same order, ``gated`` per write the
+    operations whose reads it gates and ``read_keys`` the (bank, address)
+    of its reads.  What it waits for, read by the readiness counts and the
+    oracle alike: ``producers`` (one per edge), input ``arrivals`` after
+    cycle 0, and the ``writers`` whose memory writes gate its reads;
+    ``consumers`` are the operations it feeds (one per edge).
     ``shape`` is the op's class with, per request, the bank, the offset
     and whether the address continues the op's own previous request on
     that bank (None for the op's first request on the bank, whose burst
     bit depends on the table); ``firsts`` holds the (bank, address) of
-    those first requests."""
+    those first requests.  An access-free op (one with no port request)
+    gets the empty tuple for every per-access fact, and its accesses are
+    never looked up.
+
+    ``begin_cycle`` holds the port table's view for a cycle ``t``; until
+    the next one, ``cost`` probes that view once per signature and keeps
+    each probe in ``probed``, which ``view_fit`` hands on to the start.
+    """
 
     cg: ConstraintGraph
     windows: TimeWindows
@@ -304,41 +337,60 @@ class SchedulerState:
     producers: dict[int, tuple[int, ...]] = field(init=False)
     arrivals: dict[int, tuple[int, ...]] = field(init=False)
     writers: dict[int, tuple[int, ...]] = field(init=False)
+    consumers: dict[int, tuple[int, ...]] = field(init=False)
     shape: dict[int, tuple] = field(init=False)
     firsts: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
+    t: int = field(init=False, default=-1)
+    last: dict[str, int | None] = field(init=False, default_factory=dict)
+    probed: dict[tuple, tuple[int, list[tuple[int, str]]] | None] = field(
+        init=False, default_factory=dict)
 
     def __post_init__(self):
         cg = self.cg
-        self.requests = op_requests(cg, self.mapping)
-        self.node = {}
-        self.records = {}
-        self.gated = {}
-        self.read_keys = {}
-        self.op_class = {}
-        self.producers = {}
-        self.arrivals = {}
-        self.writers = {}
-        self.shape = {}
-        self.firsts = {}
+        self.node, self.op_class, self.requests = {}, {}, {}
+        self.records, self.gated, self.read_keys = {}, {}, {}
+        self.producers, self.arrivals, self.writers = {}, {}, {}
+        self.consumers, self.shape, self.firsts = {}, {}, {}
         nodes, successors, pred = cg.nodes, cg.successors, cg.predecessors
-        OP, INPUT = CgKind.OP, CgKind.INPUT
+        placement_of = self.mapping.placement_of
+        OP, INPUT, READ, WRITE = CgKind.OP, CgKind.INPUT, CgKind.READ, \
+            CgKind.WRITE
         for n in cg.operations:
-            op_id = n.id
+            op_id, cls = n.id, n.op_class
             self.node[op_id] = n
-            self.op_class[op_id] = n.op_class
-            producers = arrivals = writers = ()
+            self.op_class[op_id] = cls
+            producers = arrivals = consumers = ()
+            memory = False
             for p in pred(op_id):
                 pn = nodes[p]
-                if pn.kind is OP:
+                kind = pn.kind
+                if kind is OP:
                     producers += (p,)
-                elif pn.kind is INPUT and pn.arrival > 0:
-                    arrivals += (pn.arrival,)
+                elif kind is INPUT:
+                    if pn.arrival > 0:
+                        arrivals += (pn.arrival,)
+                elif kind is READ:
+                    memory = True
+            for c in successors(op_id):
+                kind = nodes[c].kind
+                if kind is OP:
+                    consumers += (c,)
+                elif kind is WRITE:
+                    memory = True
+            self.producers[op_id] = producers
+            self.arrivals[op_id] = arrivals
+            self.consumers[op_id] = consumers
+            if not memory:
+                self.requests[op_id] = self.records[op_id] = \
+                    self.gated[op_id] = self.read_keys[op_id] = \
+                    self.writers[op_id] = self.firsts[op_id] = ()
+                self.shape[op_id] = (cls, ())
+                continue
             reads, writes = cg.accesses_of(op_id)
+            writers = ()
             for r in reads:
                 for w in pred(r.id):
                     writers += (nodes[w].agent,)
-            self.producers[op_id] = producers
-            self.arrivals[op_id] = arrivals
             self.writers[op_id] = writers
             records = [(a.id, "read", a.data, a.label.split(":", 1)[-1])
                        for a in reads]
@@ -349,11 +401,13 @@ class SchedulerState:
                 gated.append(tuple([nodes[r].agent for r in successors(w.id)]))
             self.records[op_id] = tuple(records)
             self.gated[op_id] = tuple(gated)
+            requests = self.requests[op_id] = _port_requests(
+                reads, writes, n.latency, placement_of)
             prev: dict[str, int] = {}
             read_keys = []
             steps = []
             firsts = []
-            for bank, address, offset in self.requests[op_id]:
+            for bank, address, offset in requests:
                 if not offset:
                     read_keys.append((bank, address))
                 before = prev.get(bank)
@@ -364,14 +418,8 @@ class SchedulerState:
                     steps.append((bank, offset, is_burst(before, address)))
                 prev[bank] = address
             self.read_keys[op_id] = tuple(read_keys)
-            self.shape[op_id] = (n.op_class, tuple(steps))
+            self.shape[op_id] = (cls, tuple(steps))
             self.firsts[op_id] = tuple(firsts)
-
-    def free_instance(self, op_class: str, t: int) -> OperatorInstance | None:
-        for inst in self.instances.get(op_class, []):
-            if inst.busy_until <= t:
-                return inst
-        return None
 
     def allocate_instance(self, op_class: str, t: int) -> OperatorInstance:
         pool = self.instances.setdefault(op_class, [])
@@ -398,19 +446,43 @@ class SchedulerState:
             sig.append((bank, offset, burst))
         return tuple(sig)
 
-    def probe_access_cost(self, op_id: int, t: int) -> int | None:
-        """Total port cost of starting the op at t, or None if blocked,
-        against the port table's held view."""
-        reqs = self.access_requests(op_id, t)
-        if not reqs:
+    def begin_cycle(self, t: int) -> dict[str, int | None]:
+        """Hold the port table's view for cycle t and drop the probes of
+        the cycle before; returns each bank's last address in the view."""
+        self.t = t
+        self.probed = {}
+        self.last = self.table.hold_view()
+        return self.last
+
+    def cost(self, op_id: int) -> int | None:
+        """Total port cost of starting the op in the cycle begun last, or
+        None if blocked, against the held view.  Ops of one signature
+        share one probe."""
+        if not self.requests[op_id]:
             return 0
+        sig = self.signature(op_id, self.last)
         try:
-            costs = self.table.probe(reqs)
-        except HorizonError:
+            hit = self.probed[sig]
+        except KeyError:
+            try:
+                costs = self.table.probe(self.access_requests(op_id, self.t))
+            except HorizonError:
+                costs = None
+            hit = self.probed[sig] = None if costs is None else (
+                sum(c for c, _ in costs), costs)
+        return None if hit is None else hit[0]
+
+    def view_fit(self, op_id: int, t: int, reqs: list[tuple[str, int, int]]
+                 ) -> list[tuple[int, str]] | None:
+        """(cost, class) of each of the op's requests ``reqs`` at cycle t
+        from this cycle's probe of its signature, or None when there is
+        none to reuse.  The probe read the view; it holds on the live
+        table as long as no reservation since has touched the requests'
+        banks."""
+        if t != self.t or not self.table.unchanged(reqs):
             return None
-        if costs is None:
-            return None
-        return sum(c for c, _ in costs)
+        hit = self.probed.get(self.signature(op_id, self.last))
+        return None if hit is None else hit[1]
 
     def blocking_bank(self, op_id: int, t: int) -> str | None:
         """Bank of the first access request that cannot be served."""
@@ -441,16 +513,20 @@ class ReadySet:
 
     ``groups`` maps each (mobility, alap) prefix of the rank key to its
     members, bucketed by shape (``SchedulerState.shape``), and ``keys``
-    holds those prefixes in ascending order.  ``per_class`` counts members
-    by operator class, and ``readers`` indexes members by the (bank,
-    address) of their reads.  ``followers`` counts, per member, the
-    other members reading the address after one of its reads on the same
-    bank: only a member with followers can enable a burst.
+    holds those prefixes in ascending order; ``alaps`` holds the groups'
+    alaps in ascending order.  ``per_class`` counts members by operator
+    class, and ``readers`` indexes members by the (bank, address) of their
+    reads.  ``followers`` counts, per member with reads, the other members
+    reading the address after one of its reads on the same bank: only a
+    member with followers can enable a burst.
     """
 
     def __init__(self, state: SchedulerState, ops: Iterable[int] = ()):
         self.state = state
+        self.alap = state.windows.alap
+        self.mobility = state.windows.mobility
         self.keys: list[tuple[int, int]] = []
+        self.alaps: list[int] = []
         self.groups: dict[tuple[int, int], dict[tuple, _Bucket]] = {}
         self.per_class: dict[str, int] = {}
         self.readers: dict[tuple[str, int], list[int]] = {}
@@ -476,21 +552,28 @@ class ReadySet:
 
     def add(self, op_id: int) -> None:
         state = self.state
-        key = (state.windows.mobility[op_id], state.windows.alap[op_id])
+        alap = self.alap[op_id]
+        key = (self.mobility[op_id], alap)
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = {}
             bisect.insort(self.keys, key)
-        bucket = group.get(state.shape[op_id])
+            bisect.insort(self.alaps, alap)
+        shape = state.shape[op_id]
+        bucket = group.get(shape)
         if bucket is None:
-            bucket = group[state.shape[op_id]] = _Bucket()
+            bucket = group[shape] = _Bucket()
         bisect.insort(bucket.members, op_id)
-        for first in state.firsts[op_id]:
-            bucket.first_at.setdefault(first, []).append(op_id)
         cls = state.op_class[op_id]
         self.per_class[cls] = self.per_class.get(cls, 0) + 1
-        readers = self.readers
+        if not shape[1]:
+            return  # access-free: no reads, no first requests
+        for first in state.firsts[op_id]:
+            bucket.first_at.setdefault(first, []).append(op_id)
         read_keys = state.read_keys[op_id]
+        if not read_keys:
+            return
+        readers = self.readers
         for rk in read_keys:
             readers.setdefault(rk, []).append(op_id)
         followers = 0
@@ -506,20 +589,23 @@ class ReadySet:
 
     def discard(self, op_id: int) -> None:
         state = self.state
-        key = (state.windows.mobility[op_id], state.windows.alap[op_id])
+        alap = self.alap[op_id]
+        key = (self.mobility[op_id], alap)
         group = self.groups[key]
         shape = state.shape[op_id]
         bucket = group[shape]
         bucket.members.remove(op_id)
-        for first in state.firsts[op_id]:
-            bucket.first_at[first].remove(op_id)
-        if self.followers.pop(op_id):
-            bucket.enablers.remove(op_id)
+        if shape[1]:
+            for first in state.firsts[op_id]:
+                bucket.first_at[first].remove(op_id)
+            if self.followers.pop(op_id, 0):
+                bucket.enablers.remove(op_id)
         if not bucket.members:
             del group[shape]
             if not group:
                 del self.groups[key]
                 del self.keys[bisect.bisect_left(self.keys, key)]
+                del self.alaps[bisect.bisect_left(self.alaps, alap)]
         self.per_class[state.op_class[op_id]] -= 1
         readers = self.readers
         for bank, address in state.read_keys[op_id]:
@@ -529,10 +615,12 @@ class ReadySet:
                     self._follow(other, -1)
 
     def min_alap(self) -> int | None:
-        return min((alap for _, alap in self.keys), default=None)
+        return self.alaps[0] if self.alaps else None
 
     def due(self, t: int) -> list[int]:
         """Members whose latest start is t or earlier, in id order."""
+        if not self.alaps or self.alaps[0] > t:
+            return []
         return sorted(op_id for key in self.keys if key[1] <= t
                       for bucket in self.groups[key].values()
                       for op_id in bucket.members)
@@ -567,13 +655,20 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
     best other member, the walk merges the buckets by the full key, and a
     bucket moves on to its next member only while the class still has a
     free instance (always after a delay) or the group is at zero margin.
+    An access-free bucket needs no probe: its members cost 0, enable no
+    burst and come in id order.
 
     Before anything is yielded, a member whose latest start has passed
     aborts the schedule (lowest id first), as does a zero-margin member
     whose accesses cannot be served (in id order).
     """
-    free = {cls: sum(1 for inst in insts if inst.busy_until <= t)
-            for cls, insts in state.instances.items()}
+    free = {}
+    for cls, insts in state.instances.items():
+        n = 0
+        for inst in insts:
+            if inst.busy_until <= t:
+                n += 1
+        free[cls] = n
     alap = state.windows.alap
     due = ready.due(t)
     for op_id in due:
@@ -583,15 +678,8 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
                                   op_class=state.op_class[op_id],
                                   detail=f"latest feasible start was cycle "
                                          f"{alap[op_id]}")
-    last = state.table.hold_view()
-    probed: dict[tuple[tuple[str, int, bool], ...], int | None] = {}
-
-    def cost(op_id: int) -> int | None:
-        sig = state.signature(op_id, last)
-        if sig not in probed:
-            probed[sig] = state.probe_access_cost(op_id, t)
-        return probed[sig]
-
+    last = state.begin_cycle(t)
+    cost = state.cost
     for op_id in due:
         if cost(op_id) is None:
             raise ScheduleFailure(
@@ -609,6 +697,8 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
     read_keys = state.read_keys
     readers = ready.readers
     left = dict(ready.per_class)  # members in groups not visited yet
+    # of those, the members whose class has a free instance
+    open_left = sum(n for cls, n in left.items() if free.get(cls))
 
     # Burst lookahead: reading address x ranks ahead of a peer when some
     # other servable ready op reads x+1 on the same bank (starting the run
@@ -633,17 +723,24 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                 yield 1, op_id
 
     for key in ready.keys:
-        if not zero_left and not any(n and free.get(cls)
-                                     for cls, n in left.items()):
+        if not zero_left and not open_left:
             return
         group = ready.groups[key]
         zero = key[1] <= t
-        heads = []  # (cost, flag, id, rest of its bucket or None)
+        heads = []  # (cost, flag, id, cursor over the rest of its bucket)
         for (cls, steps), bucket in group.items():
-            left[cls] -= len(bucket.members)
+            members = bucket.members
+            n = len(members)
+            left[cls] -= n
+            if free.get(cls):
+                open_left -= n
+            elif not zero:
+                continue
             if zero:
-                zero_left -= len(bucket.members)
-            elif not free.get(cls):
+                zero_left -= n
+            if not steps:
+                # access-free: cost 0 and flag 1 for every member
+                heads.append((0, 1, members[0], _after_first(members)))
                 continue
             candidates = set()
             for bank, _, inop in steps:
@@ -655,11 +752,15 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                 if c is not None:
                     heads.append((c, enables_flag(op_id), op_id, None))
             # the other members share one signature, so one probe serves
-            first = next((op_id for op_id in bucket.members
+            first = next((op_id for op_id in members
                           if op_id not in candidates), None)
-            if first is not None and (c := cost(first)) is not None:
+            if first is None or (c := cost(first)) is None:
+                continue
+            if candidates or bucket.enablers:
                 others = rest(bucket, candidates)
                 heads.append((c, *next(others), others))
+            else:  # first is the lowest member, and every flag is 1
+                heads.append((c, 1, first, _after_first(members)))
         heapq.heapify(heads)
         while heads:
             c, _, op_id, others = heapq.heappop(heads)
@@ -669,10 +770,18 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
             yield op_id
             if op_id in state.started and free.get(cls):
                 free[cls] -= 1
+                if not free[cls]:
+                    open_left -= left[cls]
             if others is not None and (zero or free.get(cls)):
                 head = next(others, None)
                 if head is not None:
                     heapq.heappush(heads, (c, *head, others))
+
+
+def _after_first(members: list[int]) -> Iterator[tuple[int, int]]:
+    """(flag 1, id) of each member after the first, in id order: the rest
+    of a bucket whose members all share one cost and enable no burst."""
+    return zip(repeat(1), islice(members, 1, None))
 
 
 def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None:
@@ -681,45 +790,51 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
     Returns the record on success and None when the operation is delayed
     (a legal wait: it still has slack).  At zero margin a missing resource
     aborts the schedule instead; a port conflict is reported before a
-    missing instance.  The accesses are fitted once and committed as
-    fitted.
+    missing instance.  An access-free operation only needs an instance.
+    The accesses of another are fitted once, or not at all when this
+    cycle's probe of the op's signature still holds (``view_fit``), and
+    committed as fitted.
     """
-    node = state.node[op_id]
-    margin = state.windows.alap[op_id] - t
+    op_class = state.op_class[op_id]
+    reqs = state.requests[op_id]
+    if reqs:
+        reqs = state.access_requests(op_id, t)
+        fits = state.view_fit(op_id, t, reqs)
+        if fits is None:
+            try:
+                fits = state.table.fit(reqs)
+            except BlockedAccess as e:
+                if state.windows.alap[op_id] == t:
+                    raise ScheduleFailure("memory-conflict-at-zero-margin",
+                                          cycle=t, operation=op_id,
+                                          op_class=op_class,
+                                          bank=e.bank_id) from None
+                return None
 
-    reqs = state.access_requests(op_id, t)
-    try:
-        fits = state.table.fit(reqs) if reqs else []
-    except BlockedAccess as e:
-        if margin == 0:
-            raise ScheduleFailure("memory-conflict-at-zero-margin",
-                                  cycle=t, operation=op_id,
-                                  op_class=node.op_class,
-                                  bank=e.bank_id) from None
-        return None
-
-    inst = state.free_instance(node.op_class, t)
-    if inst is None:
-        if margin > 0:
+    for inst in state.instances.get(op_class, ()):
+        if inst.busy_until <= t:
+            break
+    else:
+        if state.windows.alap[op_id] > t:
             return None
         if state.allocation.mode == "auto":
-            inst = state.allocate_instance(node.op_class, t)
+            inst = state.allocate_instance(op_class, t)
         else:
             raise ScheduleFailure("fixed-allocation-exhausted", cycle=t,
-                                  operation=op_id, op_class=node.op_class)
+                                  operation=op_id, op_class=op_class)
 
     if reqs:
         append = state.accesses.append
-        for (acc, kind, data, data_label), (bank, address, cycle), \
-                (cost, cost_class, _), seq in zip(
-                    state.records[op_id], reqs, fits,
-                    state.table.commit(reqs, fits)):
+        for (acc, kind, data, data_label), (bank, address, cycle), fit, \
+                seq in zip(state.records[op_id], reqs, fits,
+                           state.table.commit(reqs, fits)):
             append(ScheduledAccess(acc, op_id, kind, data, data_label, bank,
-                                   address, cycle, cost, cost_class, seq))
+                                   address, cycle, fit[0], fit[1], seq))
 
-    inst.busy_until = t + node.latency
-    rec = ScheduledOp(op_id, node.label, node.op_class, inst.name, t,
-                      node.latency)
+    node = state.node[op_id]
+    latency = node.latency
+    inst.busy_until = t + latency
+    rec = ScheduledOp(op_id, node.label, op_class, inst.name, t, latency)
     state.started[op_id] = rec
     return rec
 
@@ -733,6 +848,18 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
         return
     for name in sorted(set(state.op_class.values())):
         state.instances[name] = [OperatorInstance(name=f"{name}0")]
+
+
+def _some_class_free(per_class: dict[str, int],
+                     instances: dict[str, list[OperatorInstance]],
+                     t: int) -> bool:
+    """Whether a class with ready members has an instance free at t."""
+    for cls, n in per_class.items():
+        if n:
+            for inst in instances.get(cls, ()):
+                if inst.busy_until <= t:
+                    return True
+    return False
 
 
 def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
@@ -780,15 +907,14 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
             len(state.writers[op_id])
 
     ready = ReadySet(state, (op for op in op_ids if remaining[op] == 0))
-
-    def release(op_id: int) -> None:
-        remaining[op_id] -= 1
-        if remaining[op_id] == 0:
-            ready.add(op_id)
+    per_class, instances = ready.per_class, state.instances
+    consumers, gated_of = state.consumers, state.gated
+    bound = spec.latency_bound
 
     t = 0
-    while len(state.started) < len(op_ids):
-        if t >= spec.latency_bound:
+    n_ops = len(op_ids)
+    while len(state.started) < n_ops:
+        if t >= bound:
             leftover = min(o for o in op_ids if o not in state.started)
             raise ScheduleFailure("infeasible-windows", cycle=t,
                                   operation=leftover,
@@ -796,11 +922,12 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                                   detail="latency bound reached with "
                                          "operations pending")
         for op_id in release_at.pop(t, ()):
-            release(op_id)
+            remaining[op_id] -= 1
+            if not remaining[op_id]:
+                ready.add(op_id)
         # Something can start only at zero margin or with a free instance:
         # instances only get busier within a cycle.
-        ready_classes = [cls for cls, n in ready.per_class.items() if n]
-        if not any(state.free_instance(cls, t) for cls in ready_classes):
+        if not _some_class_free(per_class, instances, t):
             first_alap = ready.min_alap()
             if first_alap is None or first_alap > t:
                 # Nothing can change before the next release, the next
@@ -808,10 +935,10 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                 # out of slack; the cycles up to there would all be idle.
                 # Each of these is later than t (operator latencies are
                 # >= 1), so the walk always moves forward.
-                t = min([spec.latency_bound, *release_at,
+                t = min([bound, *release_at,
                          *(() if first_alap is None else (first_alap,)),
-                         *(inst.busy_until for cls in ready_classes
-                           for inst in state.instances.get(cls, ()))])
+                         *(inst.busy_until for cls, n in per_class.items()
+                           if n for inst in instances.get(cls, ()))])
                 continue
         started: list[int] = []
         for op_id in rank_executable(state, ready, t):
@@ -819,17 +946,21 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
             if rec is None:
                 continue
             started.append(op_id)
-            for s in cg.successors(op_id):
-                if cg.nodes[s].kind is CgKind.OP:
-                    release_at.setdefault(rec.completion, []).append(s)
+            fed = consumers[op_id]
+            if fed:
+                done = t + rec.latency
+                waiting = release_at.get(done)
+                if waiting is None:
+                    release_at[done] = list(fed)
+                else:
+                    waiting.extend(fed)
             # Write completions gate reader ops through their read node;
             # the op's writes are the last accesses it reserved.
-            gated = state.gated[op_id]
+            gated = gated_of[op_id]
             if gated:
-                for acc, consumers in zip(state.accesses[-len(gated):],
-                                          gated):
+                for acc, readers in zip(state.accesses[-len(gated):], gated):
                     release_at.setdefault(acc.cycle + acc.cost, []).extend(
-                        consumers)
+                        readers)
         # Started ops leave only now: the lookahead counts every op that
         # was ready when the cycle began.
         for op_id in started:
@@ -848,7 +979,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                               detail=f"the transfers span {achieved} cycles, "
                                      f"latency bound is {spec.latency_bound}")
     return Schedule(ops=tuple(sorted(state.started.values(),
-                                     key=lambda s: (s.start, s.node))),
+                                     key=_START_NODE)),
                     accesses=tuple(state.accesses),
                     transfers=tuple(transfers),
                     pool=pool,
@@ -894,27 +1025,38 @@ def estimate_registers(sched: Schedule, g: SFG) -> int:
     consumer fires (an output consumes in its transfer cycle, so a result
     driven out during its production cycle never hits a register).  An
     input value is alive from the cycle after its transfer."""
-    start_of = {s.node: s.start for s in sched.ops}
-    end_of = {s.node: s.completion for s in sched.ops}
-    transfer_of = {t.node: t.cycle for t in sched.transfers}
+    start_of: dict[int, int] = {}
+    end_of: dict[int, int] = {}
+    for node, _, _, _, start, latency in sched.ops:  # by position
+        start_of[node] = start
+        end_of[node] = start + latency
+    transfer_of = {node: cycle for node, _, cycle, _, _ in sched.transfers}
+    OPERATION, INPUT, OUTPUT = \
+        NodeKind.OPERATION, NodeKind.INPUT, NodeKind.OUTPUT
+    kind_of = {i: n.kind for i, n in g._by_id.items()}
 
     intervals: list[tuple[int, int]] = []
     for n in g.nodes:
-        if n.kind is NodeKind.OPERATION and n.id in end_of:
-            born = end_of[n.id]
-        elif n.kind is NodeKind.INPUT and n.id in transfer_of:
-            born = transfer_of[n.id] + 1
+        node, kind = n.id, n.kind
+        if kind is OPERATION and node in end_of:
+            born = end_of[node]
+        elif kind is INPUT and node in transfer_of:
+            born = transfer_of[node] + 1
         else:
             continue
-        uses = []
-        for e in g.out_edges(n.id):
-            dk = g.node(e.dst).kind
-            if dk is NodeKind.OPERATION and e.dst in start_of:
-                uses.append(start_of[e.dst])
-            elif dk is NodeKind.OUTPUT and e.dst in transfer_of:
-                uses.append(transfer_of[e.dst])
-        if uses and max(uses) >= born:
-            intervals.append((born, max(uses)))
+        last_use = None
+        for _, dst, _ in g._out.get(node, ()):
+            dk = kind_of[dst]
+            if dk is OPERATION and dst in start_of:
+                use = start_of[dst]
+            elif dk is OUTPUT and dst in transfer_of:
+                use = transfer_of[dst]
+            else:
+                continue
+            if last_use is None or use > last_use:
+                last_use = use
+        if last_use is not None and last_use >= born:
+            intervals.append((born, last_use))
 
     peak = 0
     if intervals:

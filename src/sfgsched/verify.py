@@ -34,6 +34,7 @@ by the number of operations, not cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .constraints import (CgKind, Problem, achieved_latency, produced_cycle,
                           transfer_cycles)
@@ -88,23 +89,32 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                          f"{recorded}, the I/O constraints "
                                          f"give {wanted}"))
 
+    # Records are read by position, each once: a named tuple's field read
+    # costs more than unpacking it.
+    nodes = cg.nodes
+    OP, INPUT = CgKind.OP, CgKind.INPUT
     started = {}
+    start: dict[int, int] = {}  # operation -> start cycle
+    end: dict[int, int] = {}    # operation -> completion cycle
     for s in sched.ops:
-        if s.node in started:
+        node, _, op_class, _, begin, latency = s
+        if node in started:
             out.append(Violation("unscheduled",
-                                 f"operation scheduled twice", s.node))
+                                 f"operation scheduled twice", node))
             continue
-        n = cg.nodes.get(s.node)
-        if n is None or n.kind is not CgKind.OP:
+        n = nodes.get(node)
+        if n is None or n.kind is not OP:
             out.append(Violation("unscheduled",
-                                 "schedule names a non-operation node", s.node))
+                                 "schedule names a non-operation node", node))
             continue
-        if s.op_class != n.op_class or s.latency != n.latency:
+        if op_class != n.op_class or latency != n.latency:
             out.append(Violation("unscheduled",
-                                 f"operation bound to class {s.op_class} "
-                                 f"with latency {s.latency}, library says "
-                                 f"{n.op_class}/{n.latency}", s.node))
-        started[s.node] = s
+                                 f"operation bound to class {op_class} "
+                                 f"with latency {latency}, library says "
+                                 f"{n.op_class}/{n.latency}", node))
+        started[node] = s
+        start[node] = begin
+        end[node] = begin + latency
     for n in cg.operations:
         if n.id not in started:
             out.append(Violation("unscheduled",
@@ -114,86 +124,96 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
         return out  # remaining checks assume a complete assignment
 
     for u, v in cg.edges:
-        nu, nv = cg.nodes[u], cg.nodes[v]
-        if nu.kind is CgKind.OP and nv.kind is CgKind.OP:
-            if started[v].start < started[u].completion:
+        nu, kind_v = nodes[u], nodes[v].kind
+        if kind_v is not OP:
+            continue
+        kind_u = nu.kind
+        if kind_u is OP:
+            if start[v] < end[u]:
                 out.append(Violation(
                     "dependency",
-                    f"operation {v} starts at {started[v].start} before its "
-                    f"producer {u} completes at {started[u].completion}", v))
-        elif nu.kind is CgKind.INPUT and nv.kind is CgKind.OP:
-            if started[v].start < nu.arrival:
+                    f"operation {v} starts at {start[v]} before its "
+                    f"producer {u} completes at {end[u]}", v))
+        elif kind_u is INPUT:
+            if start[v] < nu.arrival:
                 out.append(Violation(
                     "dependency",
-                    f"operation {v} starts at {started[v].start} before "
+                    f"operation {v} starts at {start[v]} before "
                     f"input {nu.label or u} arrives at {nu.arrival}", v))
 
     acc_by_node = {}
     for a in sched.accesses:
-        if a.node in acc_by_node:
+        if a[0] in acc_by_node:
             out.append(Violation("port-overlap",
-                                 "access reserved twice", a.node))
+                                 "access reserved twice", a[0]))
             continue
-        acc_by_node[a.node] = a
-    for n in cg.nodes.values():
-        if n.kind not in (CgKind.READ, CgKind.WRITE):
+        acc_by_node[a[0]] = a
+    placement_of = mapping.placement_of
+    READ, WRITE = CgKind.READ, CgKind.WRITE
+    for n in nodes.values():
+        kind = n.kind
+        if kind is not READ and kind is not WRITE:
             continue
         a = acc_by_node.get(n.id)
         if a is None:
             out.append(Violation("port-overlap",
                                  f"no reservation for {n.label}", n.id))
             continue
-        p = mapping.placement_of(n.data)
-        if a.bank != p.bank or a.address != p.address or a.data != n.data:
+        _, _, _, data, _, bank, address, cycle, cost, _, _ = a
+        p = placement_of(n.data)
+        if bank != p.bank or address != p.address or data != n.data:
             out.append(Violation("port-overlap",
                                  f"access {n.label} reserved at "
-                                 f"{a.bank}@{a.address}, mapping places it "
+                                 f"{bank}@{address}, mapping places it "
                                  f"at {p.bank}@{p.address}", n.id))
-        owner = started[n.agent]
-        if n.kind is CgKind.READ and a.cycle != owner.start:
+        if kind is READ:
+            if cycle != start[n.agent]:
+                out.append(Violation("dependency",
+                                     f"read {n.label} at cycle {cycle}, its "
+                                     f"consumer starts at {start[n.agent]}",
+                                     n.id))
+            continue
+        if cycle != end[n.agent]:
             out.append(Violation("dependency",
-                                 f"read {n.label} at cycle {a.cycle}, its "
-                                 f"consumer starts at {owner.start}", n.id))
-        if n.kind is CgKind.WRITE and a.cycle != owner.completion:
-            out.append(Violation("dependency",
-                                 f"write {n.label} at cycle {a.cycle}, its "
-                                 f"producer completes at {owner.completion}",
+                                 f"write {n.label} at cycle {cycle}, its "
+                                 f"producer completes at {end[n.agent]}",
                                  n.id))
-        if n.kind is CgKind.WRITE:
-            for r in cg.successors(n.id):
-                reader = started[cg.nodes[r].agent]
-                if reader.start < a.cycle + a.cost:
-                    out.append(Violation(
-                        "dependency",
-                        f"operation {reader.node} reads {n.label.split(':')[-1]} "
-                        f"at {reader.start} before the write finishes at "
-                        f"{a.cycle + a.cost}", reader.node))
+        for r in cg.successors(n.id):
+            reader = nodes[r].agent
+            if start[reader] < cycle + cost:
+                out.append(Violation(
+                    "dependency",
+                    f"operation {reader} reads {n.label.split(':')[-1]} "
+                    f"at {start[reader]} before the write finishes at "
+                    f"{cycle + cost}", reader))
 
     # Replay reservations in sequence order: recompute costs and fill an
     # independent port table.
-    ordered = sorted(sched.accesses, key=lambda a: a.seq)
-    if [a.seq for a in ordered] != list(range(1, len(ordered) + 1)):
+    ordered = sorted(sched.accesses, key=itemgetter(10))  # seq
+    if [a[10] for a in ordered] != list(range(1, len(ordered) + 1)):
         out.append(Violation("access-cost",
                              "reservation sequence numbers are not 1..n"))
     last: dict[str, int | None] = {b.id: None for b in mapping.banks}
     slots: dict[str, dict[int, int]] = {b.id: {} for b in mapping.banks}
-    for a in ordered:
-        bank = mapping.bank(a.bank)
-        cost, cls = bank.cost(last[a.bank], a.address)
-        last[a.bank] = a.address
-        if (cost, cls) != (a.cost, a.cost_class):
+    bank_of = mapping.bank
+    for node, _, _, _, _, bank_id, address, cycle, cost, cost_class, _ \
+            in ordered:
+        bank = bank_of(bank_id)
+        replayed = bank.cost(last[bank_id], address)
+        last[bank_id] = address
+        if replayed != (cost, cost_class):
             out.append(Violation(
                 "access-cost",
-                f"access at cycle {a.cycle} on {a.bank}@{a.address} recorded "
-                f"as {a.cost_class}/{a.cost}, replay gives {cls}/{cost}",
-                a.node))
+                f"access at cycle {cycle} on {bank_id}@{address} recorded "
+                f"as {cost_class}/{cost}, replay gives "
+                f"{replayed[1]}/{replayed[0]}", node))
             continue
         try:
-            span = bank.span(a.cycle, a.cost, spec.cadence)
+            span = bank.span(cycle, cost, spec.cadence)
         except HorizonError as e:
-            out.append(Violation("port-overlap", str(e), a.node))
+            out.append(Violation("port-overlap", str(e), node))
             continue
-        used = slots[a.bank]
+        used = slots[bank_id]
         for s in span:
             used[s] = used.get(s, 0) + 1
     for bank in mapping.banks:
@@ -215,18 +235,19 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
 
     by_instance: dict[str, list] = {}
     for s in sched.ops:
-        by_instance.setdefault(s.instance, []).append(s)
-        if s.instance not in sched.pool.get(s.op_class, ()):
+        node, _, op_class, instance, _, _ = s
+        by_instance.setdefault(instance, []).append(s)
+        if instance not in sched.pool.get(op_class, ()):
             out.append(Violation("pool",
-                                 f"operation {s.node} runs on {s.instance}, "
-                                 f"which the {s.op_class} pool does not "
-                                 f"hold", s.node))
+                                 f"operation {node} runs on {instance}, "
+                                 f"which the {op_class} pool does not "
+                                 f"hold", node))
     for name, recs in sorted(by_instance.items()):
         classes = {r.op_class for r in recs}
         if len(classes) > 1:
             out.append(Violation("operator-overlap",
                                  f"instance {name} used as {sorted(classes)}"))
-        recs.sort(key=lambda r: r.start)
+        recs.sort(key=itemgetter(4))  # start
         for a, b in zip(recs, recs[1:]):
             if b.start < a.completion:
                 out.append(Violation(
@@ -248,7 +269,6 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     # production dates and the latency need every I/O transfer recorded
     io_nodes = cg.of_kind(CgKind.INPUT) + cg.of_kind(CgKind.OUTPUT)
     cycles = {node: t.cycle for node, t in transfer_of.items()}
-    start = {node: rec.start for node, rec in started.items()}
     complete = all(n.id in cycles for n in io_nodes)
     pinned = {tr.node: tr for tr in spec.transfers}
     for n in io_nodes:
@@ -265,10 +285,10 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                 f"constrained to {want.bus}@{want.offset}", n.id))
         if n.kind is CgKind.INPUT:
             for s in cg.successors(n.id):
-                if cg.nodes[s].kind is CgKind.OP and started[s].start < t.cycle:
+                if nodes[s].kind is OP and start[s] < t.cycle:
                     out.append(Violation(
                         "io-timing",
-                        f"operation {s} starts at {started[s].start} before "
+                        f"operation {s} starts at {start[s]} before "
                         f"input {n.label or n.id} is transferred at {t.cycle}",
                         s))
             continue
@@ -284,21 +304,22 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                 f"output {n.label or n.id} transferred at {t.cycle} "
                 f"after its deadline {n.deadline}", n.id))
 
-    for s in sched.ops:
-        if s.start > windows.alap[s.node]:
+    alap, asap = windows.alap, windows.asap
+    for node, _, _, _, begin, _ in sched.ops:
+        if begin > alap[node]:
             out.append(Violation(
                 "window",
-                f"operation {s.node} starts at {s.start}, latest feasible "
-                f"start is {windows.alap[s.node]}", s.node))
-        if s.start < windows.asap[s.node]:
+                f"operation {node} starts at {begin}, latest feasible "
+                f"start is {alap[node]}", node))
+        if begin < asap[node]:
             out.append(Violation(
                 "window",
-                f"operation {s.node} starts at {s.start}, earliest possible "
-                f"start is {windows.asap[s.node]}", s.node))
+                f"operation {node} starts at {begin}, earliest possible "
+                f"start is {asap[node]}", node))
 
     if complete:
-        achieved = achieved_latency(cg, cycles, max(
-            (rec.completion for rec in sched.ops), default=None))
+        achieved = achieved_latency(cg, cycles, max(end.values(),
+                                                    default=None))
         if achieved != sched.achieved_latency:
             out.append(Violation(
                 "io-timing",

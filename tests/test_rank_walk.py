@@ -6,6 +6,10 @@ request tuple, flags each for the burst lookahead and sorts the group by
 the full rank key.  Both walks run inside ``schedule()``; every cycle's
 yield sequence, whether each yielded op started, and the schedule bytes
 (or the abort message) must agree.
+
+Further cases pin the walk's fast paths: access-free buckets (no probe,
+members in id order), a bucket's later members under a pool above one,
+and the start that reuses the cycle's probe instead of fitting again.
 """
 
 import json
@@ -17,13 +21,26 @@ from instances import random_fft_problem
 K = s.NodeKind
 
 
+def probe_cost(state, op_id, t):
+    """Total port cost of starting the op at t, against the port table's
+    held view, or None if it is blocked."""
+    reqs = state.access_requests(op_id, t)
+    if not reqs:
+        return 0
+    try:
+        costs = state.table.probe(reqs)
+    except s.HorizonError:
+        return None
+    return None if costs is None else sum(c for c, _ in costs)
+
+
 def reference_walk(state, ready, t, cost, zero_left, free, last):
     probed = {}
 
     def exact_cost(op_id):
         reqs = state.requests[op_id]
         if reqs not in probed:
-            probed[reqs] = state.probe_access_cost(op_id, t)
+            probed[reqs] = probe_cost(state, op_id, t)
         return probed[reqs]
 
     op_class = state.op_class
@@ -116,7 +133,13 @@ def test_shape_walk_matches_reference_on_random_ffts(monkeypatch):
     assert all(seen.values()), seen
 
 
-def _problem(names, kinds, ops, edges, banks, placements, bound, alloc):
+MULT1_ADD3 = s.OperatorLibrary(classes=(
+    s.OperatorClass("mult", frozenset("*"), 1),
+    s.OperatorClass("add", frozenset("+"), 3)))
+
+
+def _problem(names, kinds, ops, edges, banks, placements, bound, alloc,
+             lib=MULT1_ADD3):
     """A hand-built problem: node i is ``names[i]`` of kind ``kinds[i]``;
     ``ops`` maps operation names to symbols; placements are (data name,
     bank, address)."""
@@ -124,9 +147,6 @@ def _problem(names, kinds, ops, edges, banks, placements, bound, alloc):
     nodes = [s.SfgNode(i, kind, op=ops.get(name), label=name)
              for i, (name, kind) in enumerate(zip(names, kinds))]
     g = s.SFG(nodes, [(ids[a], ids[b], pos) for a, b, pos in edges])
-    lib = s.OperatorLibrary(classes=(
-        s.OperatorClass("mult", frozenset("*"), 1),
-        s.OperatorClass("add", frozenset("+"), 3)))
     spec = s.IoConstraintSpec.unconstrained(latency_bound=bound)
     mapping = s.apply_mapping(s.extract_memory_table(g), s.MappingSpec(
         mode="strict", banks=banks,
@@ -243,3 +263,140 @@ def test_probe_signature_keeps_bursts_within_the_op(monkeypatch):
          ("m9", "m", 9)], 12, "fixed:mult=1")
     text, _ = _same_walk(monkeypatch, run)
     assert _starts(text) == {"p": 0, "r1": 1, "r2": 3}
+
+
+def _ops(text):
+    doc = json.loads(text)
+    return ({o["label"]: (o["start"], o["instance"]) for o in doc["ops"]},
+            [(e["cycle"], e["instance"]) for e in doc["allocation_events"]])
+
+
+def test_access_free_buckets_at_zero_margin_grow_the_pool_in_id_order(
+        monkeypatch):
+    # Four independent ops, no memory, every one due at cycle 0: one
+    # group, an add bucket and a mult bucket whose ids interleave.  The
+    # auto pool starts with add0 and mult0, so the rest allocate, in the
+    # order the walk yields them (by id): mult1 for m1, then add1 for a2.
+    lib = s.OperatorLibrary(classes=(
+        s.OperatorClass("mult", frozenset("*"), 1),
+        s.OperatorClass("add", frozenset("+"), 1)))
+    run = _problem(
+        ["x", "y", "m2", "a1", "m1", "a2", "om2", "oa1", "om1", "oa2"],
+        [K.INPUT] * 2 + [K.OPERATION] * 4 + [K.OUTPUT] * 4,
+        {"m2": "*", "a1": "+", "m1": "*", "a2": "+"},
+        [("x", op, 0) for op in ("m2", "a1", "m1", "a2")] +
+        [("y", op, 1) for op in ("m2", "a1", "m1", "a2")] +
+        [(op, "o" + op, 0) for op in ("m2", "a1", "m1", "a2")],
+        (), [], 1, "auto", lib)
+    text, log = _same_walk(monkeypatch, run)
+    assert log == [(0, [[2, True], [3, True], [4, True], [5, True]])]
+    assert _ops(text) == (
+        {"m2": (0, "mult0"), "a1": (0, "add0"), "m1": (0, "mult1"),
+         "a2": (0, "add1")},
+        [(0, "mult1"), (0, "add1")])
+
+
+def test_access_free_member_outranks_a_memory_member(monkeypatch):
+    # r and f share a group; r reads memory (cost 1) and f has no access
+    # (cost 0), so f takes the one multiplier first despite its higher id.
+    run = _problem(
+        ["x", "d0", "r", "f", "or", "of"],
+        [K.INPUT, K.MEMDATA] + [K.OPERATION] * 2 + [K.OUTPUT] * 2,
+        {"r": "*", "f": "*"},
+        [("x", "r", 0), ("d0", "r", 1), ("x", "f", 0), ("x", "f", 1),
+         ("r", "or", 0), ("f", "of", 0)],
+        (s.Bank(id="m", ports=1, t_seq=1, t_rand=2),), [("d0", "m", 0)],
+        6, "fixed:mult=1")
+    text, _ = _same_walk(monkeypatch, run)
+    assert _starts(text) == {"f": 0, "r": 1}
+
+
+def test_later_bucket_members_start_under_a_pool_above_one(monkeypatch):
+    # Five adds with slack in one access-free bucket and three mults
+    # reading bank m (two ports) at addresses that continue no run, in
+    # one memory bucket.  With three adders and two multipliers the walk
+    # yields past each bucket's head: a2 and a3 from the add bucket, and
+    # r2, whose fit differs from the probe's once r1 has left the bank at
+    # address 0 (random, not burst), so it must be fitted afresh.
+    adds = ["a1", "a2", "a3", "a4", "a5"]
+    reads = ["r1", "r2", "r3"]
+    data = {"r1": "d0", "r2": "d5", "r3": "d9"}
+    run = _problem(
+        ["x", "d0", "d5", "d9", *adds, *reads,
+         *("o" + op for op in adds + reads)],
+        [K.INPUT] + [K.MEMDATA] * 3 + [K.OPERATION] * 8 + [K.OUTPUT] * 8,
+        {**dict.fromkeys(adds, "+"), **dict.fromkeys(reads, "*")},
+        [("x", op, 0) for op in adds] + [("x", op, 1) for op in adds] +
+        [("x", op, 0) for op in reads] +
+        [(data[op], op, 1) for op in reads] +
+        [(op, "o" + op, 0) for op in adds + reads],
+        (s.Bank(id="m", ports=2, t_seq=1, t_rand=2),),
+        [("d0", "m", 0), ("d5", "m", 5), ("d9", "m", 9)], 12,
+        "fixed:mult=2,add=3")
+    text, _ = _same_walk(monkeypatch, run)
+    ops = _ops(text)[0]
+    assert [ops[op] for op in adds] == [
+        (0, "add0"), (0, "add1"), (0, "add2"), (3, "add0"), (3, "add1")]
+    assert [ops[op] for op in reads] == [(0, "mult0"), (0, "mult1"),
+                                         (1, "mult0")]
+    costs = {a["data_label"]: (a["cycle"], a["cost_class"])
+             for a in json.loads(text)["accesses"]}
+    assert costs == {"d0": (0, "burst"), "d5": (0, "random"),
+                     "d9": (1, "random")}
+
+
+def test_reused_fit_equals_a_fresh_fit(monkeypatch):
+    """Wherever a memory op's start takes its fit from the cycle's probe,
+    a fresh fit of its requests on the live table gives the same costs
+    and classes."""
+    view_fit = scheduling.SchedulerState.view_fit
+    seen = {"reused": 0, "fitted afresh": 0}
+
+    def checked(state, op_id, t, reqs):
+        fits = view_fit(state, op_id, t, reqs)
+        if fits is None:
+            seen["fitted afresh"] += 1
+        else:
+            fresh = state.table.fit(reqs)
+            assert [(c, cls) for c, cls, _ in fresh] == list(fits)
+            seen["reused"] += 1
+        return fits
+
+    monkeypatch.setattr(scheduling.SchedulerState, "view_fit", checked)
+    for seed in range(60):
+        try:
+            random_fft_problem(seed).run_scheduler()
+        except s.ScheduleFailure:
+            pass
+    assert all(seen.values()), seen
+
+
+def test_idle_checks_agree_with_a_full_scan(monkeypatch):
+    """The ready set answers ``min_alap`` and ``due`` from its sorted
+    alaps without scanning its groups, and the scheduler walks a cycle
+    only when a ready op is out of slack or has a free instance."""
+    rank = scheduling.rank_executable
+    walked = [0]
+
+    def checked(state, ready, t):
+        alaps = [alap for _, alap in ready.keys]
+        assert ready.alaps == sorted(alaps)
+        assert ready.min_alap() == min(alaps, default=None)
+        assert ready.due(t) == sorted(
+            op_id for key in ready.keys if key[1] <= t
+            for bucket in ready.groups[key].values()
+            for op_id in bucket.members)
+        assert min(alaps) <= t or any(
+            n and any(inst.busy_until <= t
+                      for inst in state.instances.get(cls, ()))
+            for cls, n in ready.per_class.items())
+        walked[0] += 1
+        return rank(state, ready, t)
+
+    monkeypatch.setattr(scheduling, "rank_executable", checked)
+    for seed in range(60):
+        try:
+            random_fft_problem(seed).run_scheduler()
+        except s.ScheduleFailure:
+            pass
+    assert walked[0]
