@@ -9,6 +9,16 @@ a flat dict, or a whole list of non-empty flat dicts (a table of records).
 Only the nesting above those containers is walked in Python.  The splice is
 exact because the encoder escapes every control character, so the only
 newlines in its output are the separators'.
+
+The record tables of ``schedule.json`` (its ops, accesses and transfers)
+are written without a dict per record: ``dumps_tables`` writes a head
+document with ``dumps`` and each table with ``table``, which fills one
+row template per table by position from the records' fields.  A string
+goes through ``encode_basestring_ascii`` (what ``json.dumps`` calls), an
+int through ``%d`` and a bool becomes ``true`` or ``false``.  ``OPS``,
+``ACCESSES`` and ``TRANSFERS`` state each table's keys, in document
+order, with the position of their field in the record
+(``scheduling.ScheduledOp``, ``ScheduledAccess``, ``ScheduledTransfer``).
 """
 
 from __future__ import annotations
@@ -18,6 +28,18 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
+# (key, record position, kind) of each column of a record table; the kind
+# is "d" for an int, "s" for a str and "b" for a bool
+OPS = (("node", 0, "d"), ("label", 1, "s"), ("class", 2, "s"),
+       ("instance", 3, "s"), ("start", 4, "d"), ("latency", 5, "d"))
+ACCESSES = (("cycle", 7, "d"), ("node", 0, "d"), ("op", 1, "d"),
+            ("kind", 2, "s"), ("data", 3, "d"), ("data_label", 4, "s"),
+            ("bank", 5, "s"), ("address", 6, "d"), ("cost", 8, "d"),
+            ("cost_class", 9, "s"), ("seq", 10, "d"))
+TRANSFERS = (("cycle", 2, "d"), ("node", 0, "d"), ("bus", 1, "s"),
+             ("direction", 3, "s"), ("synthesized", 4, "b"))
+
+_BOOLS = ("false", "true")
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _DICT = frozenset({dict})
 
@@ -95,4 +117,42 @@ def dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte."""
     out: list[str] = []
     _write(obj, 0, out)
+    return "".join(out)
+
+
+def table(rows, columns, depth: int) -> str:
+    """``dumps`` of the list of one dict per row, ``{key: row[position]}``
+    for each column (see ``OPS``), as a value at nesting ``depth``.
+
+    The rows are split into fields and the fields of each row written into
+    one template, so no dict is built per row.
+    """
+    if not rows:
+        return "[]"
+    inner = "  " * (depth + 1)
+    template = inner + "{\n" + ",\n".join(
+        inner + "  " + encode_basestring_ascii(key).replace("%", "%%")
+        + (": %d" if kind == "d" else ": %s")
+        for key, _, kind in columns) + "\n" + inner + "}"
+    fields = list(zip(*rows))
+    values = []
+    for _, position, kind in columns:
+        field = fields[position]
+        if kind == "s":
+            field = map(encode_basestring_ascii, field)
+        elif kind == "b":
+            field = map(_BOOLS.__getitem__, field)
+        values.append(field)
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*values))) + \
+        "\n" + "  " * depth + "]"
+
+
+def dumps_tables(head: dict, tables) -> str:
+    """``dumps`` of the non-empty dict ``head`` followed by one item per
+    ``(key, rows, columns)`` of ``tables``, each the ``table`` of its
+    rows."""
+    out = [dumps(head)[:-2]]
+    for key, rows, columns in tables:
+        out.append(",\n  " + _key(key) + ": " + table(rows, columns, 1))
+    out.append("\n}")
     return "".join(out)

@@ -80,7 +80,7 @@ from .constraints import (CgKind, CgNode, ConstraintGraph, Problem,
                           transfer_cycles)
 from .graph import SFG, NodeKind
 from .iospec import IoConstraintSpec, build_transfer_graph
-from .jsontext import dumps
+from .jsontext import ACCESSES, OPS, TRANSFERS, dumps_tables
 from .memory import (BlockedAccess, HorizonError, MemoryMapping, Placement,
                      PortAccessTable, is_burst)
 from .oplib import OperatorLibrary
@@ -233,7 +233,7 @@ class Schedule:
         return {cls: len(names) for cls, names in self.pool.items()}
 
     def to_json(self) -> str:
-        doc = {
+        head = {
             "latency": self.achieved_latency,
             "latency_bound": self.latency_bound,
             "cadence": self.cadence,
@@ -242,23 +242,12 @@ class Schedule:
             "allocation_events": [
                 {"cycle": e.cycle, "class": e.op_class, "instance": e.instance}
                 for e in self.allocation_events],
-            "ops": [
-                {"node": s.node, "label": s.label, "class": s.op_class,
-                 "instance": s.instance, "start": s.start,
-                 "latency": s.latency}
-                for s in sorted(self.ops, key=_START_NODE)],
-            "accesses": [
-                {"cycle": a.cycle, "node": a.node, "op": a.op, "kind": a.kind,
-                 "data": a.data, "data_label": a.data_label, "bank": a.bank,
-                 "address": a.address, "cost": a.cost,
-                 "cost_class": a.cost_class, "seq": a.seq}
-                for a in sorted(self.accesses, key=_CYCLE_NODE)],
-            "transfers": [
-                {"cycle": t.cycle, "node": t.node, "bus": t.bus,
-                 "direction": t.direction, "synthesized": t.synthesized}
-                for t in sorted(self.transfers, key=_CYCLE_DIRECTION_NODE)],
         }
-        return dumps(doc) + "\n"
+        return dumps_tables(head, (
+            ("ops", sorted(self.ops, key=_START_NODE), OPS),
+            ("accesses", sorted(self.accesses, key=_CYCLE_NODE), ACCESSES),
+            ("transfers", sorted(self.transfers, key=_CYCLE_DIRECTION_NODE),
+             TRANSFERS))) + "\n"
 
 
 def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec) -> Problem:
