@@ -14,13 +14,15 @@ module set.  The workload's problems come from the benchmark's generators
 
 A round is one pass of each tree over the workload's ``report`` calls
 through ``cli.main``, the two trees alternating which runs first.  Each
-tree's ``schedule`` (as its CLI calls it) is timed inside the pass.
+tree's ``schedule`` (as its CLI calls it) and ``Schedule.to_json`` (the
+writer of ``schedule.json``) are timed inside the pass, so one A/B splits
+a gain between the scheduler and the writer.
 Before the rounds one pass of each tree is checked: every call's exit
 code and its ``schedule.json`` and ``report.json`` bytes must be equal on
-both trees.  The script prints, for the whole pass and for ``schedule()``,
-each tree's median and minimum time, the median of the per-round ratios
-change/parent and the number of rounds the change was faster.  The
-standard library is all it needs.
+both trees.  The script prints, for the whole pass, for ``schedule()`` and
+for ``Schedule.to_json``, each tree's median and minimum time, the median
+of the per-round ratios change/parent and the number of rounds the change
+was faster.  The standard library is all it needs.
 """
 
 from __future__ import annotations
@@ -54,8 +56,12 @@ def load_tree(src: Path, name: str):
     return package, importlib.import_module(f"{name}.cli")
 
 
+TIMED = ("schedule", "to_json")
+
+
 class Tree:
-    """One loaded tree, its workload documents and its timed schedule."""
+    """One loaded tree, its workload documents and its timed
+    ``schedule`` and ``Schedule.to_json``."""
 
     def __init__(self, side: str, src: Path, workload: str, seed: int):
         self.side = side
@@ -63,24 +69,27 @@ class Tree:
         problems = workloads.GENERATORS[workload](self.s, seed)
         self.argvs = [workloads.write_problem(
             self.s, p, WORK / workload / side / p.name) for p in problems]
-        self.schedule_s = 0.0
-        schedule = self.cli.schedule
+        self.spent = dict.fromkeys(TIMED, 0.0)  # in the current pass
+        self.times: dict[str, list[float]] = {"cli.main": []}
+        for name, owner in (("schedule", self.cli),
+                            ("to_json", self.s.Schedule)):
+            setattr(owner, name, self._timed(name, getattr(owner, name)))
+            self.times[name] = []
 
+    def _timed(self, name: str, fn):
         def timed(*args, **kwargs):
             start = time.perf_counter()
             try:
-                return schedule(*args, **kwargs)
+                return fn(*args, **kwargs)
             finally:
-                self.schedule_s += time.perf_counter() - start
-        self.cli.schedule = timed
-        self.pass_s: list[float] = []
-        self.sched_s: list[float] = []
+                self.spent[name] += time.perf_counter() - start
+        return timed
 
     def run_pass(self) -> list[int]:
         """One pass over the calls; records its times and returns the exit
         codes."""
         main, codes = self.cli.main, []
-        self.schedule_s = 0.0
+        self.spent = dict.fromkeys(TIMED, 0.0)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
@@ -88,8 +97,9 @@ class Tree:
             for argv in self.argvs:
                 codes.append(main(argv))
             elapsed = time.perf_counter() - start
-        self.pass_s.append(elapsed)
-        self.sched_s.append(self.schedule_s)
+        self.times["cli.main"].append(elapsed)
+        for name in TIMED:
+            self.times[name].append(self.spent[name])
         return codes
 
     def outputs(self, codes: list[int]) -> list[tuple]:
@@ -134,15 +144,15 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {len(first[0])} calls, outputs byte-equal on "
           f"both trees", file=sys.stderr)
     for tree in trees:
-        tree.pass_s.clear()
-        tree.sched_s.clear()
+        for times in tree.times.values():
+            times.clear()
     for k in range(args.rounds):
         for tree in trees if k % 2 == 0 else trees[::-1]:
             tree.run_pass()
     parent, change = trees
     print(f"{args.workload}, {args.rounds} rounds, seed {args.seed}")
-    print(summary("cli.main", parent.pass_s, change.pass_s))
-    print(summary("schedule", parent.sched_s, change.sched_s))
+    for name in parent.times:
+        print(summary(name, parent.times[name], change.times[name]))
     return 0
 
 

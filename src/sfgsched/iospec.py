@@ -87,21 +87,30 @@ class IoConstraintSpec:
             if not self.offset_fits(t.offset):
                 out.append(f"transfer of node {t.node} at offset {t.offset} "
                            f"outside cadence {self.cadence}")
-            key = (t.bus, t.offset)
-            if key in slots:
-                out.append(f"bus {t.bus!r} carries two transfers at offset {t.offset}")
-            slots.add(key)
+            clash = slot_clash(t, slots)
+            if clash:
+                out.append(clash)
         return out
+
+
+def slot_clash(t: Transfer, taken: set[tuple[str, int]]) -> str | None:
+    """The bus-slot rule: one transfer per (bus, offset).  Returns the
+    message when ``t``'s slot is in ``taken``, else None; either way the
+    slot is in ``taken`` afterwards."""
+    key = (t.bus, t.offset)
+    if key in taken:
+        return f"bus {t.bus!r} carries two transfers at offset {t.offset}"
+    taken.add(key)
+    return None
 
 
 def build_transfer_graph(spec: IoConstraintSpec) -> tuple[Transfer, ...]:
     """The spec's transfers; rejects two transfers in one bus slot."""
-    seen: set[tuple[str, int]] = set()
+    taken: set[tuple[str, int]] = set()
     for t in spec.transfers:
-        key = (t.bus, t.offset)
-        if key in seen:
-            raise IoSpecError(f"bus {t.bus!r} carries two transfers at offset {t.offset}")
-        seen.add(key)
+        clash = slot_clash(t, taken)
+        if clash:
+            raise IoSpecError(clash)
     return spec.transfers
 
 

@@ -129,11 +129,6 @@ def table(rows, columns, depth: int) -> str:
     """
     if not rows:
         return "[]"
-    inner = "  " * (depth + 1)
-    template = inner + "{\n" + ",\n".join(
-        inner + "  " + encode_basestring_ascii(key).replace("%", "%%")
-        + (": %d" if kind == "d" else ": %s")
-        for key, _, kind in columns) + "\n" + inner + "}"
     fields = list(zip(*rows))
     values = []
     for _, position, kind in columns:
@@ -143,8 +138,19 @@ def table(rows, columns, depth: int) -> str:
         elif kind == "b":
             field = map(_BOOLS.__getitem__, field)
         values.append(field)
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*values))) + \
-        "\n" + "  " * depth + "]"
+    return "[\n" + ",\n".join(map(_row_template(columns, depth).__mod__,
+                                  zip(*values))) + "\n" + "  " * depth + "]"
+
+
+@cache
+def _row_template(columns, depth: int) -> str:
+    """The text of one row of a ``table`` at ``depth``, with a ``%``
+    conversion where each column's value goes."""
+    inner = "  " * (depth + 1)
+    return inner + "{\n" + ",\n".join(
+        inner + "  " + encode_basestring_ascii(key).replace("%", "%%")
+        + (": %d" if kind == "d" else ": %s")
+        for key, _, kind in columns) + "\n" + inner + "}"
 
 
 def dumps_tables(head: dict, tables) -> str:

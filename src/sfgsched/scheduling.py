@@ -55,13 +55,25 @@ cycle after their producer completes, and both atomically with the
 operation's start.  Access costs depend on reservation order; the global
 sequence number stored with every access lets a verifier replay them.
 
+Every per-op fact the scheduler reads (class, latency, time window,
+requests, what the op waits for and feeds) sits in one flat op table,
+``SchedulerState``: one column per fact, indexed by the op's position in
+ascending id order, never by its id.  The ready set, the walk, the
+readiness counts and the exhaustive oracle (``verify``) work on
+positions.  Ids appear only in the records, in failure messages and at
+the edges of ``rank_executable`` (which yields ids), ``assign_step``
+(which takes one) and ``ReadySet`` (whose ``add`` and ``discard`` take
+ids); each translates with the table's ``ids`` and ``at``.
+
 The records of a schedule (``ScheduledOp``, ``ScheduledAccess``,
 ``ScheduledTransfer``) are named tuples, built positionally, each once:
 ``assign_step`` makes an access record straight from the request, its
 fit and the sequence number ``PortAccessTable.commit`` hands back, with
 the per-op facts (node, access ids and labels) looked up once per run in
-``SchedulerState``.  ``estimate_registers`` reads the records by
-position, which costs less than reading their fields by name.
+the op table.  ``estimate_registers`` reads the records by position,
+which costs less than reading their fields by name, and
+``Schedule.to_json`` writes its three record tables straight from the
+records (``jsontext.dumps_tables``), with no dict per record.
 """
 
 from __future__ import annotations
@@ -282,25 +294,33 @@ def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
 
 @dataclass
 class SchedulerState:
-    """Mutable working state shared by the ranking and assignment steps.
+    """Mutable working state shared by the ranking and assignment steps,
+    and the op table they read.
 
-    Each operation of a ``Problem`` (see ``lower``) is lowered once, in
-    one pass over its neighbours: ``node`` holds its constraint-graph
-    node, ``op_class`` its operator class, ``requests`` its port requests
+    The op table holds one column (a tuple) per fact, indexed by op
+    position: the operations of a ``Problem`` (see ``lower``) take
+    positions in ascending id order, so position order is id order and
+    every id tie-break holds on positions.  Ids are unbounded, so no
+    column is ever indexed by one: ``ids`` maps a position to its op id
+    and ``at`` an op id to its position.  ``label``, ``op_class`` and
+    ``latency`` come from the op's node and ``asap``, ``alap`` and
+    ``mobility`` from its time window.  The rest is derived once, in one
+    pass over the op's neighbours: ``requests`` its port requests
     (``op_requests``), ``records`` the (access node, kind, data, data
     label) of each request in the same order, ``gated`` per write the
     operations whose reads it gates and ``read_keys`` the (bank, address)
     of its reads.  What it waits for, read by the readiness counts and the
     oracle alike: ``producers`` (one per edge), input ``arrivals`` after
     cycle 0, and the ``writers`` whose memory writes gate its reads;
-    ``consumers`` are the operations it feeds (one per edge).
-    ``shape`` is the op's class with, per request, the bank, the offset
-    and whether the address continues the op's own previous request on
-    that bank (None for the op's first request on the bank, whose burst
-    bit depends on the table); ``firsts`` holds the (bank, address) of
-    those first requests.  An access-free op (one with no port request)
-    gets the empty tuple for every per-access fact, and its accesses are
-    never looked up.
+    ``consumers`` are the operations it feeds (one per edge).  Every op
+    these name is named by position.  ``shape`` is the op's class with,
+    per request, the bank, the offset and whether the address continues
+    the op's own previous request on that bank (None for the op's first
+    request on the bank, whose burst bit depends on the table);
+    ``firsts`` holds the (bank, address) of those first requests.  An
+    access-free op (one with no port request) gets the empty tuple for
+    every per-access fact, and its accesses are never looked up.
+    ``started`` holds each op's record once it has started, else None.
 
     ``begin_cycle`` holds the port table's view for a cycle ``t``; until
     the next one, ``cost`` probes that view once per signature and keeps
@@ -313,48 +333,61 @@ class SchedulerState:
     table: PortAccessTable
     allocation: Allocation
     instances: dict[str, list[OperatorInstance]] = field(default_factory=dict)
-    started: dict[int, ScheduledOp] = field(default_factory=dict)
     accesses: list[ScheduledAccess] = field(default_factory=list)
     events: list[AllocationEvent] = field(default_factory=list)
-    node: dict[int, CgNode] = field(init=False)
-    requests: dict[int, tuple[tuple[str, int, int], ...]] = field(init=False)
-    records: dict[int, tuple[tuple[int, str, int, str], ...]] = field(
+    # the op table: one column per fact, indexed by op position
+    ids: tuple[int, ...] = field(init=False)
+    at: dict[int, int] = field(init=False)
+    label: tuple[str, ...] = field(init=False)
+    op_class: tuple[str, ...] = field(init=False)
+    latency: tuple[int, ...] = field(init=False)
+    asap: tuple[int, ...] = field(init=False)
+    alap: tuple[int, ...] = field(init=False)
+    mobility: tuple[int, ...] = field(init=False)
+    producers: tuple[tuple[int, ...], ...] = field(init=False)
+    arrivals: tuple[tuple[int, ...], ...] = field(init=False)
+    consumers: tuple[tuple[int, ...], ...] = field(init=False)
+    writers: tuple[tuple[int, ...], ...] = field(init=False)
+    requests: tuple[tuple[tuple[str, int, int], ...], ...] = field(init=False)
+    records: tuple[tuple[tuple[int, str, int, str], ...], ...] = field(
         init=False)
-    gated: dict[int, tuple[tuple[int, ...], ...]] = field(init=False)
-    read_keys: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
-    op_class: dict[int, str] = field(init=False)
-    producers: dict[int, tuple[int, ...]] = field(init=False)
-    arrivals: dict[int, tuple[int, ...]] = field(init=False)
-    writers: dict[int, tuple[int, ...]] = field(init=False)
-    consumers: dict[int, tuple[int, ...]] = field(init=False)
-    shape: dict[int, tuple] = field(init=False)
-    firsts: dict[int, tuple[tuple[str, int], ...]] = field(init=False)
+    gated: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False)
+    read_keys: tuple[tuple[tuple[str, int], ...], ...] = field(init=False)
+    shape: tuple[tuple, ...] = field(init=False)
+    firsts: tuple[tuple[tuple[str, int], ...], ...] = field(init=False)
+    started: list[ScheduledOp | None] = field(init=False)
     t: int = field(init=False, default=-1)
     last: dict[str, int | None] = field(init=False, default_factory=dict)
     probed: dict[tuple, tuple[int, list[tuple[int, str]]] | None] = field(
         init=False, default_factory=dict)
 
     def __post_init__(self):
-        cg = self.cg
-        self.node, self.op_class, self.requests = {}, {}, {}
-        self.records, self.gated, self.read_keys = {}, {}, {}
-        self.producers, self.arrivals, self.writers = {}, {}, {}
-        self.consumers, self.shape, self.firsts = {}, {}, {}
+        cg, windows = self.cg, self.windows
+        operations = cg.operations
+        n_ops = len(operations)
+        # the node fields, one column each (CgNode is a named tuple)
+        ids, _, self.latency, self.label, self.op_class = \
+            tuple(zip(*operations))[:5] if operations else ((),) * 5
+        self.ids = ids
+        at = self.at = dict(zip(ids, range(n_ops)))
+        self.asap = tuple(map(windows.asap.__getitem__, ids))
+        self.alap = tuple(map(windows.alap.__getitem__, ids))
+        self.mobility = tuple(map(windows.mobility.__getitem__, ids))
+        self.started = [None] * n_ops
         nodes, successors, pred = cg.nodes, cg.successors, cg.predecessors
         placement_of = self.mapping.placement_of
         OP, INPUT, READ, WRITE = CgKind.OP, CgKind.INPUT, CgKind.READ, \
             CgKind.WRITE
-        for n in cg.operations:
+        rows = []  # the derived facts of each op, one column each below
+        for n in operations:
             op_id, cls = n.id, n.op_class
-            self.node[op_id] = n
-            self.op_class[op_id] = cls
             producers = arrivals = consumers = ()
             memory = False
             for p in pred(op_id):
                 pn = nodes[p]
                 kind = pn.kind
                 if kind is OP:
-                    producers += (p,)
+                    producers += (at[p],)
                 elif kind is INPUT:
                     if pn.arrival > 0:
                         arrivals += (pn.arrival,)
@@ -363,35 +396,27 @@ class SchedulerState:
             for c in successors(op_id):
                 kind = nodes[c].kind
                 if kind is OP:
-                    consumers += (c,)
+                    consumers += (at[c],)
                 elif kind is WRITE:
                     memory = True
-            self.producers[op_id] = producers
-            self.arrivals[op_id] = arrivals
-            self.consumers[op_id] = consumers
             if not memory:
-                self.requests[op_id] = self.records[op_id] = \
-                    self.gated[op_id] = self.read_keys[op_id] = \
-                    self.writers[op_id] = self.firsts[op_id] = ()
-                self.shape[op_id] = (cls, ())
+                rows.append((producers, arrivals, consumers, (), (), (), (),
+                             (), (cls, ()), ()))
                 continue
             reads, writes = cg.accesses_of(op_id)
             writers = ()
             for r in reads:
                 for w in pred(r.id):
-                    writers += (nodes[w].agent,)
-            self.writers[op_id] = writers
+                    writers += (at[nodes[w].agent],)
             records = [(a.id, "read", a.data, a.label.split(":", 1)[-1])
                        for a in reads]
             gated = []
             for w in writes:
                 records.append((w.id, "write", w.data,
                                 w.label.split(":", 1)[-1]))
-                gated.append(tuple([nodes[r].agent for r in successors(w.id)]))
-            self.records[op_id] = tuple(records)
-            self.gated[op_id] = tuple(gated)
-            requests = self.requests[op_id] = _port_requests(
-                reads, writes, n.latency, placement_of)
+                gated.append(tuple([at[nodes[r].agent]
+                                    for r in successors(w.id)]))
+            requests = _port_requests(reads, writes, n.latency, placement_of)
             prev: dict[str, int] = {}
             read_keys = []
             steps = []
@@ -406,9 +431,12 @@ class SchedulerState:
                 else:
                     steps.append((bank, offset, is_burst(before, address)))
                 prev[bank] = address
-            self.read_keys[op_id] = tuple(read_keys)
-            self.shape[op_id] = (cls, tuple(steps))
-            self.firsts[op_id] = tuple(firsts)
+            rows.append((producers, arrivals, consumers, writers, requests,
+                         tuple(records), tuple(gated), tuple(read_keys),
+                         (cls, tuple(steps)), tuple(firsts)))
+        (self.producers, self.arrivals, self.consumers, self.writers,
+         self.requests, self.records, self.gated, self.read_keys, self.shape,
+         self.firsts) = zip(*rows) if rows else ((),) * 10
 
     def allocate_instance(self, op_class: str, t: int) -> OperatorInstance:
         pool = self.instances.setdefault(op_class, [])
@@ -418,18 +446,20 @@ class SchedulerState:
                                            instance=inst.name))
         return inst
 
-    def access_requests(self, op_id: int, t: int) -> list[tuple[str, int, int]]:
-        """(bank, address, cycle) of the op's requests, started at t."""
+    def access_requests(self, i: int, t: int) -> list[tuple[str, int, int]]:
+        """(bank, address, cycle) of the requests of the op at position i,
+        started at t."""
         return [(bank, address, t + offset)
-                for bank, address, offset in self.requests[op_id]]
+                for bank, address, offset in self.requests[i]]
 
-    def signature(self, op_id: int, last: dict[str, int | None]
+    def signature(self, i: int, last: dict[str, int | None]
                   ) -> tuple[tuple[str, int, bool], ...]:
-        """(bank, offset, is_burst) of each of the op's requests when the
-        banks last served the ``last`` addresses: all a fit depends on."""
+        """(bank, offset, is_burst) of each request of the op at position
+        i when the banks last served the ``last`` addresses: all a fit
+        depends on."""
         sig = []
         for (bank, address, _), (_, offset, burst) in zip(
-                self.requests[op_id], self.shape[op_id][1]):
+                self.requests[i], self.shape[i][1]):
             if burst is None:
                 burst = is_burst(last[bank], address)
             sig.append((bank, offset, burst))
@@ -443,40 +473,41 @@ class SchedulerState:
         self.last = self.table.hold_view()
         return self.last
 
-    def cost(self, op_id: int) -> int | None:
-        """Total port cost of starting the op in the cycle begun last, or
-        None if blocked, against the held view.  Ops of one signature
-        share one probe."""
-        if not self.requests[op_id]:
+    def cost(self, i: int) -> int | None:
+        """Total port cost of starting the op at position i in the cycle
+        begun last, or None if blocked, against the held view.  Ops of one
+        signature share one probe."""
+        if not self.requests[i]:
             return 0
-        sig = self.signature(op_id, self.last)
+        sig = self.signature(i, self.last)
         try:
             hit = self.probed[sig]
         except KeyError:
             try:
-                costs = self.table.probe(self.access_requests(op_id, self.t))
+                costs = self.table.probe(self.access_requests(i, self.t))
             except HorizonError:
                 costs = None
             hit = self.probed[sig] = None if costs is None else (
                 sum(c for c, _ in costs), costs)
         return None if hit is None else hit[0]
 
-    def view_fit(self, op_id: int, t: int, reqs: list[tuple[str, int, int]]
+    def view_fit(self, i: int, t: int, reqs: list[tuple[str, int, int]]
                  ) -> list[tuple[int, str]] | None:
-        """(cost, class) of each of the op's requests ``reqs`` at cycle t
-        from this cycle's probe of its signature, or None when there is
-        none to reuse.  The probe read the view; it holds on the live
-        table as long as no reservation since has touched the requests'
-        banks."""
+        """(cost, class) of each request ``reqs`` of the op at position i
+        at cycle t from this cycle's probe of its signature, or None when
+        there is none to reuse.  The probe read the view; it holds on the
+        live table as long as no reservation since has touched the
+        requests' banks."""
         if t != self.t or not self.table.unchanged(reqs):
             return None
-        hit = self.probed.get(self.signature(op_id, self.last))
+        hit = self.probed.get(self.signature(i, self.last))
         return None if hit is None else hit[1]
 
-    def blocking_bank(self, op_id: int, t: int) -> str | None:
-        """Bank of the first access request that cannot be served."""
+    def blocking_bank(self, i: int, t: int) -> str | None:
+        """Bank of the first access request of the op at position i that
+        cannot be served."""
         try:
-            self.table.fit(self.access_requests(op_id, t), view=True)
+            self.table.fit(self.access_requests(i, t), view=True)
         except BlockedAccess as e:
             return e.bank_id
         return None
@@ -485,9 +516,9 @@ class SchedulerState:
 class _Bucket:
     """Members of one (mobility, alap) group that share a shape.
 
-    ``members`` and ``enablers`` (members with a lookahead follower) are in
-    ascending id order; ``first_at`` maps the (bank, address) of a first
-    request on a bank to the members that make it."""
+    ``members`` and ``enablers`` (members with a lookahead follower) are
+    op positions in ascending order; ``first_at`` maps the (bank, address)
+    of a first request on a bank to the members that make it."""
 
     __slots__ = ("members", "enablers", "first_at")
 
@@ -500,119 +531,125 @@ class _Bucket:
 class ReadySet:
     """The ready operations of a run, kept up to date between cycles.
 
-    ``groups`` maps each (mobility, alap) prefix of the rank key to its
-    members, bucketed by shape (``SchedulerState.shape``), and ``keys``
-    holds those prefixes in ascending order; ``alaps`` holds the groups'
-    alaps in ascending order.  ``per_class`` counts members by operator
-    class, and ``readers`` indexes members by the (bank, address) of their
-    reads.  ``followers`` counts, per member with reads, the other members
-    reading the address after one of its reads on the same bank: only a
-    member with followers can enable a burst.
+    Ops come and go by id (``add``, ``discard``) and are kept by position
+    in the op table (``SchedulerState``).  ``groups`` maps each (mobility,
+    alap) prefix of the rank key to its members, bucketed by shape
+    (``SchedulerState.shape``), and ``keys`` holds those prefixes in
+    ascending order; ``alaps`` holds the groups' alaps in ascending order.
+    ``per_class`` counts members by operator class, and ``readers``
+    indexes members by the (bank, address) of their reads.  ``followers``
+    counts, per position, the other members reading the address after one
+    of the op's reads on the same bank: only a member with followers can
+    enable a burst.
     """
 
     def __init__(self, state: SchedulerState, ops: Iterable[int] = ()):
         self.state = state
-        self.alap = state.windows.alap
-        self.mobility = state.windows.mobility
+        self.at = state.at
+        self.alap = state.alap
+        self.mobility = state.mobility
         self.keys: list[tuple[int, int]] = []
         self.alaps: list[int] = []
         self.groups: dict[tuple[int, int], dict[tuple, _Bucket]] = {}
         self.per_class: dict[str, int] = {}
         self.readers: dict[tuple[str, int], list[int]] = {}
-        self.followers: dict[int, int] = {}
+        self.followers = [0] * len(state.ids)
         for op_id in ops:
             self.add(op_id)
 
     def __len__(self) -> int:
         return sum(self.per_class.values())
 
-    def _bucket(self, op_id: int) -> _Bucket:
-        windows = self.state.windows
-        return self.groups[windows.mobility[op_id], windows.alap[op_id]][
-            self.state.shape[op_id]]
+    def _bucket(self, i: int) -> _Bucket:
+        return self.groups[self.mobility[i], self.alap[i]][
+            self.state.shape[i]]
 
-    def _follow(self, op_id: int, delta: int) -> None:
-        before = self.followers[op_id]
-        self.followers[op_id] = before + delta
+    def _follow(self, i: int, delta: int) -> None:
+        before = self.followers[i]
+        self.followers[i] = before + delta
         if not before:
-            bisect.insort(self._bucket(op_id).enablers, op_id)
+            bisect.insort(self._bucket(i).enablers, i)
         elif not before + delta:
-            self._bucket(op_id).enablers.remove(op_id)
+            self._bucket(i).enablers.remove(i)
 
     def add(self, op_id: int) -> None:
         state = self.state
-        alap = self.alap[op_id]
-        key = (self.mobility[op_id], alap)
+        i = self.at[op_id]
+        alap = self.alap[i]
+        key = (self.mobility[i], alap)
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = {}
             bisect.insort(self.keys, key)
             bisect.insort(self.alaps, alap)
-        shape = state.shape[op_id]
+        shape = state.shape[i]
         bucket = group.get(shape)
         if bucket is None:
             bucket = group[shape] = _Bucket()
-        bisect.insort(bucket.members, op_id)
-        cls = state.op_class[op_id]
+        bisect.insort(bucket.members, i)
+        cls = state.op_class[i]
         self.per_class[cls] = self.per_class.get(cls, 0) + 1
         if not shape[1]:
             return  # access-free: no reads, no first requests
-        for first in state.firsts[op_id]:
-            bucket.first_at.setdefault(first, []).append(op_id)
-        read_keys = state.read_keys[op_id]
+        for first in state.firsts[i]:
+            bucket.first_at.setdefault(first, []).append(i)
+        read_keys = state.read_keys[i]
         if not read_keys:
             return
         readers = self.readers
         for rk in read_keys:
-            readers.setdefault(rk, []).append(op_id)
+            readers.setdefault(rk, []).append(i)
         followers = 0
         for bank, address in read_keys:
             for other in readers.get((bank, address + 1), ()):
-                followers += other != op_id
+                followers += other != i
             for other in readers.get((bank, address - 1), ()):
-                if other != op_id:
+                if other != i:
                     self._follow(other, 1)
-        self.followers[op_id] = followers
+        self.followers[i] = followers
         if followers:
-            bisect.insort(bucket.enablers, op_id)
+            bisect.insort(bucket.enablers, i)
 
     def discard(self, op_id: int) -> None:
         state = self.state
-        alap = self.alap[op_id]
-        key = (self.mobility[op_id], alap)
+        i = self.at[op_id]
+        alap = self.alap[i]
+        key = (self.mobility[i], alap)
         group = self.groups[key]
-        shape = state.shape[op_id]
+        shape = state.shape[i]
         bucket = group[shape]
-        bucket.members.remove(op_id)
+        bucket.members.remove(i)
         if shape[1]:
-            for first in state.firsts[op_id]:
-                bucket.first_at[first].remove(op_id)
-            if self.followers.pop(op_id, 0):
-                bucket.enablers.remove(op_id)
+            for first in state.firsts[i]:
+                bucket.first_at[first].remove(i)
+            if self.followers[i]:
+                self.followers[i] = 0
+                bucket.enablers.remove(i)
         if not bucket.members:
             del group[shape]
             if not group:
                 del self.groups[key]
                 del self.keys[bisect.bisect_left(self.keys, key)]
                 del self.alaps[bisect.bisect_left(self.alaps, alap)]
-        self.per_class[state.op_class[op_id]] -= 1
+        self.per_class[state.op_class[i]] -= 1
         readers = self.readers
-        for bank, address in state.read_keys[op_id]:
-            readers[bank, address].remove(op_id)
+        for bank, address in state.read_keys[i]:
+            readers[bank, address].remove(i)
             for other in readers.get((bank, address - 1), ()):
-                if other != op_id:
+                if other != i:
                     self._follow(other, -1)
 
     def min_alap(self) -> int | None:
         return self.alaps[0] if self.alaps else None
 
     def due(self, t: int) -> list[int]:
-        """Members whose latest start is t or earlier, in id order."""
+        """Positions of the members whose latest start is t or earlier,
+        in ascending order."""
         if not self.alaps or self.alaps[0] > t:
             return []
-        return sorted(op_id for key in self.keys if key[1] <= t
+        return sorted(i for key in self.keys if key[1] <= t
                       for bucket in self.groups[key].values()
-                      for op_id in bucket.members)
+                      for i in bucket.members)
 
 
 def rank_executable(state: SchedulerState, ready: ReadySet,
@@ -658,32 +695,35 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
             if inst.busy_until <= t:
                 n += 1
         free[cls] = n
-    alap = state.windows.alap
+    alap, ids = state.alap, state.ids
     due = ready.due(t)
-    for op_id in due:
-        if alap[op_id] < t:
+    for i in due:
+        if alap[i] < t:
             raise ScheduleFailure("infeasible-windows", cycle=t,
-                                  operation=op_id,
-                                  op_class=state.op_class[op_id],
+                                  operation=ids[i],
+                                  op_class=state.op_class[i],
                                   detail=f"latest feasible start was cycle "
-                                         f"{alap[op_id]}")
+                                         f"{alap[i]}")
     last = state.begin_cycle(t)
     cost = state.cost
-    for op_id in due:
-        if cost(op_id) is None:
+    for i in due:
+        if cost(i) is None:
             raise ScheduleFailure(
                 "memory-conflict-at-zero-margin", cycle=t,
-                operation=op_id, op_class=state.op_class[op_id],
-                bank=state.blocking_bank(op_id, t))
-    return _walk(state, ready, t, cost, len(due), free, last)
+                operation=ids[i], op_class=state.op_class[i],
+                bank=state.blocking_bank(i, t))
+    return map(ids.__getitem__,
+               _walk(state, ready, t, cost, len(due), free, last))
 
 
 def _walk(state: SchedulerState, ready: ReadySet, t: int,
           cost: Callable[[int], int | None], zero_left: int,
           free: dict[str, int], last: dict[str, int | None]
           ) -> Iterator[int]:
+    """``rank_executable``'s walk, by op position."""
     op_class = state.op_class
     read_keys = state.read_keys
+    started = state.started
     readers = ready.readers
     left = dict(ready.per_class)  # members in groups not visited yet
     # of those, the members whose class has a free instance
@@ -692,31 +732,32 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
     # Burst lookahead: reading address x ranks ahead of a peer when some
     # other servable ready op reads x+1 on the same bank (starting the run
     # keeps that follow-up access in burst mode).
-    def enables_flag(op_id: int) -> int:
-        for bank, address in read_keys[op_id]:
+    def enables_flag(i: int) -> int:
+        for bank, address in read_keys[i]:
             for other in readers.get((bank, address + 1), ()):
-                if other != op_id and cost(other) is not None:
+                if other != i and cost(other) is not None:
                     return 0
         return 1
 
     def rest(bucket: _Bucket, skip: set[int]) -> Iterator[tuple[int, int]]:
-        """(flag, id) of the bucket's members outside ``skip`` in rank
-        order: the burst enablers, then the others, each by id."""
+        """(flag, position) of the bucket's members outside ``skip`` in
+        rank order: the burst enablers, then the others, each by
+        position."""
         enabling = set()
-        for op_id in bucket.enablers:
-            if op_id not in skip and not enables_flag(op_id):
-                enabling.add(op_id)
-                yield 0, op_id
-        for op_id in bucket.members:
-            if op_id not in skip and op_id not in enabling:
-                yield 1, op_id
+        for i in bucket.enablers:
+            if i not in skip and not enables_flag(i):
+                enabling.add(i)
+                yield 0, i
+        for i in bucket.members:
+            if i not in skip and i not in enabling:
+                yield 1, i
 
     for key in ready.keys:
         if not zero_left and not open_left:
             return
         group = ready.groups[key]
         zero = key[1] <= t
-        heads = []  # (cost, flag, id, cursor over the rest of its bucket)
+        heads = []  # (cost, flag, position, cursor over its bucket's rest)
         for (cls, steps), bucket in group.items():
             members = bucket.members
             n = len(members)
@@ -736,13 +777,12 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                 if inop is None and last[bank] is not None:
                     candidates.update(
                         bucket.first_at.get((bank, last[bank] + 1), ()))
-            for op_id in candidates:
-                c = cost(op_id)
+            for i in candidates:
+                c = cost(i)
                 if c is not None:
-                    heads.append((c, enables_flag(op_id), op_id, None))
+                    heads.append((c, enables_flag(i), i, None))
             # the other members share one signature, so one probe serves
-            first = next((op_id for op_id in members
-                          if op_id not in candidates), None)
+            first = next((i for i in members if i not in candidates), None)
             if first is None or (c := cost(first)) is None:
                 continue
             if candidates or bucket.enablers:
@@ -752,12 +792,12 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                 heads.append((c, 1, first, _after_first(members)))
         heapq.heapify(heads)
         while heads:
-            c, _, op_id, others = heapq.heappop(heads)
-            cls = op_class[op_id]
+            c, _, i, others = heapq.heappop(heads)
+            cls = op_class[i]
             if not zero and not free.get(cls):
                 continue  # an earlier start took the last free instance
-            yield op_id
-            if op_id in state.started and free.get(cls):
+            yield i
+            if started[i] is not None and free.get(cls):
                 free[cls] -= 1
                 if not free[cls]:
                     open_left -= left[cls]
@@ -768,8 +808,8 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
 
 
 def _after_first(members: list[int]) -> Iterator[tuple[int, int]]:
-    """(flag 1, id) of each member after the first, in id order: the rest
-    of a bucket whose members all share one cost and enable no burst."""
+    """(flag 1, position) of each member after the first, in order: the
+    rest of a bucket whose members all share one cost and enable no burst."""
     return zip(repeat(1), islice(members, 1, None))
 
 
@@ -784,16 +824,17 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
     cycle's probe of the op's signature still holds (``view_fit``), and
     committed as fitted.
     """
-    op_class = state.op_class[op_id]
-    reqs = state.requests[op_id]
+    i = state.at[op_id]
+    op_class = state.op_class[i]
+    reqs = state.requests[i]
     if reqs:
-        reqs = state.access_requests(op_id, t)
-        fits = state.view_fit(op_id, t, reqs)
+        reqs = state.access_requests(i, t)
+        fits = state.view_fit(i, t, reqs)
         if fits is None:
             try:
                 fits = state.table.fit(reqs)
             except BlockedAccess as e:
-                if state.windows.alap[op_id] == t:
+                if state.alap[i] == t:
                     raise ScheduleFailure("memory-conflict-at-zero-margin",
                                           cycle=t, operation=op_id,
                                           op_class=op_class,
@@ -804,7 +845,7 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
         if inst.busy_until <= t:
             break
     else:
-        if state.windows.alap[op_id] > t:
+        if state.alap[i] > t:
             return None
         if state.allocation.mode == "auto":
             inst = state.allocate_instance(op_class, t)
@@ -815,16 +856,15 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
     if reqs:
         append = state.accesses.append
         for (acc, kind, data, data_label), (bank, address, cycle), fit, \
-                seq in zip(state.records[op_id], reqs, fits,
+                seq in zip(state.records[i], reqs, fits,
                            state.table.commit(reqs, fits)):
             append(ScheduledAccess(acc, op_id, kind, data, data_label, bank,
                                    address, cycle, fit[0], fit[1], seq))
 
-    node = state.node[op_id]
-    latency = node.latency
+    latency = state.latency[i]
     inst.busy_until = t + latency
-    rec = ScheduledOp(op_id, node.label, op_class, inst.name, t, latency)
-    state.started[op_id] = rec
+    rec = state.started[i] = ScheduledOp(op_id, state.label[i], op_class,
+                                         inst.name, t, latency)
     return rec
 
 
@@ -835,7 +875,7 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
             state.instances[name] = [OperatorInstance(name=f"{name}{i}")
                                      for i in range(n)]
         return
-    for name in sorted(set(state.op_class.values())):
+    for name in sorted(set(state.op_class)):
         state.instances[name] = [OperatorInstance(name=f"{name}0")]
 
 
@@ -884,36 +924,37 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
 
     # Readiness bookkeeping: each op counts what it waits for (its
     # producers, late input arrivals and gating writes) and an event queue
-    # decrements the count as each one completes.
-    remaining: dict[int, int] = {}
-    release_at: dict[int, list[int]] = {}  # cycle -> op ids to decrement
-    op_ids = list(state.node)
-    for op_id in op_ids:
-        arrivals = state.arrivals[op_id]
+    # decrements the count as each one completes; both hold op positions.
+    ids, at = state.ids, state.at
+    n_ops = len(ids)
+    remaining: list[int] = []
+    release_at: dict[int, list[int]] = {}  # cycle -> positions to decrement
+    for i, (producers, arrivals, writers) in enumerate(zip(
+            state.producers, state.arrivals, state.writers)):
         for cycle in arrivals:
-            release_at.setdefault(cycle, []).append(op_id)
-        remaining[op_id] = len(state.producers[op_id]) + len(arrivals) + \
-            len(state.writers[op_id])
+            release_at.setdefault(cycle, []).append(i)
+        remaining.append(len(producers) + len(arrivals) + len(writers))
 
-    ready = ReadySet(state, (op for op in op_ids if remaining[op] == 0))
+    ready = ReadySet(state, [op_id for op_id, n in zip(ids, remaining)
+                             if not n])
     per_class, instances = ready.per_class, state.instances
     consumers, gated_of = state.consumers, state.gated
     bound = spec.latency_bound
 
     t = 0
-    n_ops = len(op_ids)
-    while len(state.started) < n_ops:
+    n_started = 0
+    while n_started < n_ops:
         if t >= bound:
-            leftover = min(o for o in op_ids if o not in state.started)
+            i = state.started.index(None)
             raise ScheduleFailure("infeasible-windows", cycle=t,
-                                  operation=leftover,
-                                  op_class=cg.nodes[leftover].op_class,
+                                  operation=ids[i],
+                                  op_class=state.op_class[i],
                                   detail="latency bound reached with "
                                          "operations pending")
-        for op_id in release_at.pop(t, ()):
-            remaining[op_id] -= 1
-            if not remaining[op_id]:
-                ready.add(op_id)
+        for i in release_at.pop(t, ()):
+            remaining[i] -= 1
+            if not remaining[i]:
+                ready.add(ids[i])
         # Something can start only at zero margin or with a free instance:
         # instances only get busier within a cycle.
         if not _some_class_free(per_class, instances, t):
@@ -935,7 +976,8 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
             if rec is None:
                 continue
             started.append(op_id)
-            fed = consumers[op_id]
+            i = at[op_id]
+            fed = consumers[i]
             if fed:
                 done = t + rec.latency
                 waiting = release_at.get(done)
@@ -945,7 +987,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                     waiting.extend(fed)
             # Write completions gate reader ops through their read node;
             # the op's writes are the last accesses it reserved.
-            gated = gated_of[op_id]
+            gated = gated_of[i]
             if gated:
                 for acc, readers in zip(state.accesses[-len(gated):], gated):
                     release_at.setdefault(acc.cycle + acc.cost, []).extend(
@@ -954,21 +996,21 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
         # was ready when the cycle began.
         for op_id in started:
             ready.discard(op_id)
+        n_started += len(started)
         t += 1
 
     cycles = transfer_cycles(
-        cg, spec, {op_id: rec.start for op_id, rec in state.started.items()})
+        cg, spec, {rec.node: rec.start for rec in state.started})
     transfers = _build_transfers(cycles, cg, spec)
     pool = {cls: tuple(inst.name for inst in insts)
             for cls, insts in sorted(state.instances.items())}
     achieved = achieved_latency(cg, cycles, max(
-        (rec.completion for rec in state.started.values()), default=None))
+        (rec.completion for rec in state.started), default=None))
     if achieved > spec.latency_bound:  # outputs pinned past the bound
         raise ScheduleFailure("infeasible-windows", cycle=max(cycles.values()),
                               detail=f"the transfers span {achieved} cycles, "
                                      f"latency bound is {spec.latency_bound}")
-    return Schedule(ops=tuple(sorted(state.started.values(),
-                                     key=_START_NODE)),
+    return Schedule(ops=tuple(sorted(state.started, key=_START_NODE)),
                     accesses=tuple(state.accesses),
                     transfers=tuple(transfers),
                     pool=pool,

@@ -21,14 +21,14 @@ a record that breaks a rule is caught (the mutation tests guard this).
 ``brute_force_min_latency`` is an exhaustive oracle for small graphs: it
 searches every start-time assignment (and every same-cycle reservation
 order) and returns the best achievable latency, or None when no schedule
-exists under the given resources.  It reads each op's facts from a
-``SchedulerState``, as the scheduler does.  Its search state is only what
-cannot be worked out from the rest: the cycle, each op's start and the
-end of its writes, each bank's last address, and the load of each
-reserved slot.  Instances are interchangeable, so a pool cap bounds the
-ops of a class running at once, and no pool is kept.  The search recurses
-once per start and advances the cycle in a loop, so its depth is bounded
-by the number of operations, not cycles.
+exists under the given resources.  It reads each op's facts by position
+from the op table of a ``SchedulerState``, as the scheduler does.  Its
+search state is only what cannot be worked out from the rest: the cycle,
+each op's start and the end of its writes, each bank's last address, and
+the load of each reserved slot.  Instances are interchangeable, so a pool
+cap bounds the ops of a class running at once, and no pool is kept.  The
+search recurses once per start and advances the cycle in a loop, so its
+depth is bounded by the number of operations, not cycles.
 """
 
 from __future__ import annotations
@@ -345,27 +345,24 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
     test graphs only, hence the op-count guard.
     """
     problem = lower(g, lib, spec)
-    cg, windows = problem.cg, problem.windows
-    ops = [n.id for n in cg.operations]
-    if len(ops) > max_ops:
+    cg = problem.cg
+    n_ops = len(cg.of_kind(CgKind.OP))
+    if n_ops > max_ops:
         raise ValueError(f"brute force capped at {max_ops} operations, "
-                         f"graph has {len(ops)}")
+                         f"graph has {n_ops}")
 
-    facts = SchedulerState(cg, windows, mapping,
+    # the op table, read by position
+    facts = SchedulerState(cg, problem.windows, mapping,
                            PortAccessTable(mapping, spec.cadence),
                            Allocation("auto"))
-    at = {o: i for i, o in enumerate(ops)}
-    lat = [facts.node[o].latency for o in ops]
-    op_class = [facts.op_class[o] for o in ops]
-    asap = [windows.asap[o] for o in ops]  # not before an input's arrival
-    alap = [windows.alap[o] for o in ops]
-    op_preds = [[at[p] for p in facts.producers[o]] for o in ops]
-    read_deps = [[at[w] for w in facts.writers[o]] for o in ops]
-    peers = [[j for j in range(len(ops)) if op_class[j] == op_class[i]]
-             for i in range(len(ops))]
+    ops, lat, op_class = facts.ids, facts.latency, facts.op_class
+    asap, alap = facts.asap, facts.alap  # asap: not before an arrival
+    op_preds, read_deps = facts.producers, facts.writers
+    peers = [[j for j in range(n_ops) if op_class[j] == op_class[i]]
+             for i in range(n_ops)]
     bank_at = {b.id: k for k, b in enumerate(mapping.banks)}
     accesses = [[(bank_at[bank], mapping.bank(bank), address, offset)
-                 for bank, address, offset in facts.requests[o]] for o in ops]
+                 for bank, address, offset in reqs] for reqs in facts.requests]
     outputs = cg.of_kind(CgKind.OUTPUT)
 
     best: list[int | None] = [None]

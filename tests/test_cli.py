@@ -113,6 +113,36 @@ def test_huge_cadence_schedules_like_a_small_one(pairsum_dir, tmp_path):
     assert docs["1000000000"] == docs["2"]
 
 
+def test_report_on_sparse_node_ids(pairsum_dir, tmp_path):
+    """Node ids are unbounded: with every id shifted by 2**40 the report
+    gives the same starts, pool and latency.  A per-op table indexed by
+    id instead of position would fail here with MemoryError."""
+    shift = 2 ** 40
+    doc = json.loads((pairsum_dir / "graph.json").read_text())
+    for node in doc["nodes"]:
+        node["id"] += shift
+    for edge in doc["edges"]:
+        edge["from"] += shift
+        edge["to"] += shift
+    shifted = tmp_path / "graph.json"
+    shifted.write_text(json.dumps(doc))
+    docs = []
+    for name, graph in (("plain", pairsum_dir / "graph.json"),
+                        ("shifted", shifted)):
+        argv = _args(pairsum_dir, "--out", str(tmp_path / name),
+                     io="io_lat2.json", mem="mem_twobank.json")
+        argv[1] = str(graph)
+        assert main(["report"] + argv) == 0
+        docs.append(json.loads(
+            (tmp_path / name / "schedule.json").read_text()))
+    plain, sparse = docs
+    assert all(op["node"] >= shift for op in sparse["ops"])
+    assert [(op["label"], op["start"]) for op in sparse["ops"]] == \
+        [(op["label"], op["start"]) for op in plain["ops"]]
+    assert (sparse["pool"], sparse["latency"]) == \
+        (plain["pool"], plain["latency"])
+
+
 def test_report_writes_three_files(pairsum_dir, tmp_path, capsys):
     rc = main(["report"] + _args(pairsum_dir, "--out", str(tmp_path),
                                  io="io_lat2.json", mem="mem_twobank.json"))

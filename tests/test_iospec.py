@@ -66,8 +66,18 @@ def test_transfer_graph_rejects_slot_collision(pairsum_graph):
         buses=(s.BusDef(id="bi", direction="in"),),
         transfers=(s.Transfer(a, "bi", 1), s.Transfer(b, "bi", 1)),
         cadence=4, latency_bound=4)
-    with pytest.raises(s.IoSpecError):
+    with pytest.raises(s.IoSpecError) as err:
         s.build_transfer_graph(spec)
+    # the parser's validation states the same rule in the same words
+    assert spec.validate(pairsum_graph) == [str(err.value)] == \
+        ["bus 'bi' carries two transfers at offset 1"]
+    # validation skips a transfer on an unknown bus before the slot check
+    stray = s.IoConstraintSpec(
+        buses=(), transfers=(s.Transfer(a, "bx", 1), s.Transfer(b, "bx", 1)),
+        cadence=4, latency_bound=4)
+    assert stray.validate(pairsum_graph) == [
+        f"transfer of node {a}: unknown bus 'bx'",
+        f"transfer of node {b}: unknown bus 'bx'"]
 
 
 def test_parse_resolves_labels_and_rejects_junk(pairsum_graph):

@@ -1,6 +1,7 @@
 """Differential test of the scheduler's shape walk.
 
-``reference_walk`` is the per-member walk the shape walk replaced: it
+``reference_walk`` is the per-member walk the shape walk replaced (both
+walk ops by their position in the scheduler's op table): it
 probes every eligible member of a (mobility, alap) group by its exact
 request tuple, flags each for the burst lookahead and sorts the group by
 the full rank key.  Both walks run inside ``schedule()``; every cycle's
@@ -78,20 +79,21 @@ def reference_walk(state, ready, t, cost, zero_left, free, last):
             if not zero and not free.get(cls):
                 continue
             yield op_id
-            if op_id in state.started and free.get(cls):
+            if state.started[op_id] is not None and free.get(cls):
                 free[cls] -= 1
 
 
 def _recorded(walk, log):
-    """Wrap a walk to log, per ranked cycle, [op, started] for each yield."""
+    """Wrap a walk (which yields op positions) to log, per ranked cycle,
+    [op id, started] for each yield."""
     def recorded(state, ready, t, *args):
         cycle = (t, [])
         log.append(cycle)
-        for op_id in walk(state, ready, t, *args):
-            entry = [op_id, None]
+        for i in walk(state, ready, t, *args):
+            entry = [state.ids[i], None]
             cycle[1].append(entry)
-            yield op_id
-            entry[1] = op_id in state.started
+            yield i
+            entry[1] = state.started[i] is not None
     return recorded
 
 

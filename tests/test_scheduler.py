@@ -247,7 +247,7 @@ def test_assign_step_delays_when_instance_busy():
     # margin is positive and the only multiplier is busy: defer, do not grow
     assert s.assign_step(state, 5, 0) is None
     assert len(state.accesses) == before
-    assert 5 not in state.started
+    assert state.started[state.at[5]] is None
     # the deferred attempt consumed no sequence number
     assert s.assign_step(state, 5, 1) is not None
     assert state.accesses[before].seq == before + 1
