@@ -6,9 +6,10 @@ would go through the pure-Python encoder.  Here the C encoder writes every
 container that holds only scalars in one call, with the newline and the
 indentation of that container's items as its item separator: a flat list,
 a flat dict, or a whole list of non-empty flat dicts (a table of records).
-Only the nesting above those containers is walked in Python.  The splice is
-exact because the encoder escapes every control character, so the only
-newlines in its output are the separators'.
+Only the nesting above those containers is walked in Python, and an int or
+a str met there is written directly, as the encoder would write it.  The
+splice is exact because the encoder escapes every control character, so
+the only newlines in its output are the separators'.
 
 The record tables of ``schedule.json`` (its ops, accesses and transfers)
 are written without a dict per record: ``dumps_tables`` writes a head
@@ -109,6 +110,10 @@ def _write(obj, depth: int, out: list[str]) -> None:
                 _write(item, depth + 1, out)
                 sep = ",\n" + inner
             out.append("\n" + pad + "]")
+    elif type(obj) is int:  # as the encoder writes it, without its set-up
+        out.append(int.__repr__(obj))
+    elif type(obj) is str:
+        out.append(encode_basestring_ascii(obj))
     else:
         out.append(_encoder(0)(obj))
 

@@ -284,14 +284,6 @@ def _port_requests(reads: list[CgNode], writes: list[CgNode], latency: int,
     return tuple(reqs)
 
 
-def op_requests(cg: ConstraintGraph, mapping: MemoryMapping
-                ) -> dict[int, tuple[tuple[str, int, int], ...]]:
-    """Each operation's port requests (``_port_requests``)."""
-    placement_of = mapping.placement_of
-    return {n.id: _port_requests(*cg.accesses_of(n.id), n.latency,
-                                 placement_of) for n in cg.operations}
-
-
 @dataclass
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps,
@@ -306,7 +298,7 @@ class SchedulerState:
     ``latency`` come from the op's node and ``asap``, ``alap`` and
     ``mobility`` from its time window.  The rest is derived once, in one
     pass over the op's neighbours: ``requests`` its port requests
-    (``op_requests``), ``records`` the (access node, kind, data, data
+    (``_port_requests``), ``records`` the (access node, kind, data, data
     label) of each request in the same order, ``gated`` per write the
     operations whose reads it gates and ``read_keys`` the (bank, address)
     of its reads.  What it waits for, read by the readiness counts and the
@@ -1038,9 +1030,15 @@ def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
                     n.id, bus_of[n.id], cycles[n.id], direction))
             else:
                 by_cycle.setdefault(cycles[n.id], []).append(n.id)
-        names = [name for name in (f"{prefix}{k}" for k in
-                                   range(len(cycles) + len(declared)))
-                 if name not in declared]
+        # as many names as the busiest cycle needs
+        need = max(map(len, by_cycle.values()), default=0)
+        names: list[str] = []
+        k = 0
+        while len(names) < need:
+            name = f"{prefix}{k}"
+            if name not in declared:
+                names.append(name)
+            k += 1
         for cycle in sorted(by_cycle):
             for name, node in zip(names, by_cycle[cycle]):
                 transfers.append(ScheduledTransfer(

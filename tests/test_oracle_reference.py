@@ -17,10 +17,17 @@ import sfgsched as s
 from sfgsched.constraints import achieved_latency, produced_cycle, \
     transfer_cycles
 from sfgsched.memory import HorizonError
-from sfgsched.scheduling import op_requests
+from sfgsched.scheduling import _port_requests
 from instances import random_problem
 
 C = s.CgKind
+
+
+def op_requests(cg, mapping):
+    """Each operation's port requests, by op id."""
+    return {n.id: _port_requests(*cg.accesses_of(n.id), n.latency,
+                                 mapping.placement_of)
+            for n in cg.operations}
 
 
 def reference_min_latency(g, lib, spec, mapping, instances=None):
