@@ -14,13 +14,15 @@ module set.  The workload's problems come from the benchmark's generators
 
 A round is one pass of each tree over the workload's ``report`` calls
 through ``cli.main``, the two trees alternating which runs first.  Each
-tree's ``schedule`` (as its CLI calls it) and ``Schedule.to_json`` (the
-writer of ``schedule.json``) are timed inside the pass, so one A/B splits
-a gain between the scheduler and the writer.
+tree's ``lower`` and ``check_feasibility`` (the front end's lowering and
+static checks), ``schedule`` (all three as its CLI calls them) and
+``Schedule.to_json`` (the writer of ``schedule.json``) are timed inside
+the pass, so one A/B splits a gain between the front end, the scheduler
+and the writer.
 Before the rounds one pass of each tree is checked: every call's exit
 code and its ``schedule.json`` and ``report.json`` bytes must be equal on
-both trees.  The script prints, for the whole pass, for ``schedule()`` and
-for ``Schedule.to_json``, each tree's median and minimum time, the median
+both trees.  The script prints, for the whole pass and for each timed
+function, each tree's median and minimum time, the median
 of the per-round ratios change/parent and the number of rounds the change
 was faster.  The standard library is all it needs.
 """
@@ -56,12 +58,13 @@ def load_tree(src: Path, name: str):
     return package, importlib.import_module(f"{name}.cli")
 
 
-TIMED = ("schedule", "to_json")
+TIMED = ("lower", "check_feasibility", "schedule", "to_json")
 
 
 class Tree:
-    """One loaded tree, its workload documents and its timed
-    ``schedule`` and ``Schedule.to_json``."""
+    """One loaded tree, its workload documents and its timed functions
+    (``TIMED``): the CLI's ``lower``, ``check_feasibility`` and
+    ``schedule``, and ``Schedule.to_json``."""
 
     def __init__(self, side: str, src: Path, workload: str, seed: int):
         self.side = side
@@ -71,8 +74,8 @@ class Tree:
             self.s, p, WORK / workload / side / p.name) for p in problems]
         self.spent = dict.fromkeys(TIMED, 0.0)  # in the current pass
         self.times: dict[str, list[float]] = {"cli.main": []}
-        for name, owner in (("schedule", self.cli),
-                            ("to_json", self.s.Schedule)):
+        for name in TIMED:
+            owner = self.s.Schedule if name == "to_json" else self.cli
             setattr(owner, name, self._timed(name, getattr(owner, name)))
             self.times[name] = []
 
@@ -116,7 +119,7 @@ class Tree:
 def summary(label: str, parent: list[float], change: list[float]) -> str:
     ratios = [c / p for p, c in zip(parent, change)]
     won = sum(c < p for p, c in zip(parent, change))
-    return (f"{label:10s} parent median {statistics.median(parent):.4f} s "
+    return (f"{label:17s} parent median {statistics.median(parent):.4f} s "
             f"min {min(parent):.4f} s | change median "
             f"{statistics.median(change):.4f} s min {min(change):.4f} s | "
             f"median ratio {statistics.median(ratios):.3f}, change faster "

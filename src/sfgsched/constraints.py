@@ -75,8 +75,11 @@ _SAME_CYCLE_SOURCES = frozenset((CgKind.READ, CgKind.INPUT))
 
 
 class CgNode(NamedTuple):
-    """Constraint-graph node (a named tuple: immutable, and built at tuple
-    cost, positionally, on the lowering's per-node paths).
+    """Constraint-graph node (a named tuple: immutable and hashable).  The
+    lowering builds each one with ``tuple.__new__`` and all ten fields
+    spelled out, defaults included: calling the class would run its
+    Python-level ``__new__`` once per node, and ``tuple.__new__`` checks no
+    arity, so a missing field would go unnoticed.
 
     ``latency`` is the node's occupancy in cycles (operator latency for ops,
     optimistic access time for read/write nodes, 0 for I/O events).  Access
@@ -97,6 +100,10 @@ class CgNode(NamedTuple):
     deadline: int | None = None
 
 
+#: builds a record from a tuple of all its fields (see ``CgNode``)
+_tuple_new = tuple.__new__
+
+
 class ConstraintGraph:
     """Immutable DAG of CgNodes; ``latency_bound`` is set once I/O
     constraints have been applied."""
@@ -114,12 +121,16 @@ class ConstraintGraph:
         self._reads_of: dict[int, list[CgNode]] = {}
         self._writes_of: dict[int, list[CgNode]] = {}
         self._of_kind: dict[CgKind, list[CgNode]] = {k: [] for k in CgKind}
-        for i in sorted(self.nodes):
-            n = self.nodes[i]
-            self._of_kind[n.kind].append(n)
-            if n.kind is CgKind.READ:
+        # enum members as locals: a class lookup costs ten times a local's
+        READ, WRITE = CgKind.READ, CgKind.WRITE
+        nodes, of_kind = self.nodes, self._of_kind
+        for i in sorted(nodes):
+            n = nodes[i]
+            kind = n.kind
+            of_kind[kind].append(n)
+            if kind is READ:
                 self._reads_of.setdefault(n.agent, []).append(n)
-            elif n.kind is CgKind.WRITE:
+            elif kind is WRITE:
                 self._writes_of.setdefault(n.agent, []).append(n)
 
     def _with_io_nodes(self, io_nodes: dict[int, CgNode],
@@ -226,7 +237,9 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
 
     OPERATION, INPUT, OUTPUT, MEMDATA = (
         NodeKind.OPERATION, NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.MEMDATA)
+    # enum members as locals: a class lookup costs ten times a local's
     OP, READ, WRITE = CgKind.OP, CgKind.READ, CgKind.WRITE
+    CG_INPUT, CG_OUTPUT = CgKind.INPUT, CgKind.OUTPUT
     # Pick each symbol's class once, in symbol order, so that the first
     # symbol no class executes is reported before any unsupported memory use.
     selected = {sym: lib.select(sym)
@@ -245,8 +258,9 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
         if e.dst in writes_of_data:
             raise UnsupportedGraphError(
                 f"memdata node {e.dst} has multiple writers")
-        w = CgNode(next_id, WRITE, OPTIMISTIC_ACCESS_LATENCY,
-                   f"wr:{by_id[e.dst].name}", None, None, e.dst, e.src)
+        w = _tuple_new(CgNode, (next_id, WRITE, OPTIMISTIC_ACCESS_LATENCY,
+                                f"wr:{by_id[e.dst].name}", None, None, e.dst,
+                                e.src, None, None))
         next_id += 1
         writes.append(w)
         writes_of_data[e.dst] = w.id
@@ -262,12 +276,15 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
         dk = n.kind
         if dk is OPERATION:
             cls = selected[n.op]
-            nodes.append(CgNode(n.id, OP, cls.latency, n.name, cls.name,
-                                n.op))
+            nodes.append(_tuple_new(CgNode, (n.id, OP, cls.latency, n.name,
+                                             cls.name, n.op, None, None, None,
+                                             None)))
         elif dk is INPUT:
-            nodes.append(CgNode(n.id, CgKind.INPUT, 0, n.name))
+            nodes.append(_tuple_new(CgNode, (n.id, CG_INPUT, 0, n.name, None,
+                                             None, None, None, None, None)))
         elif dk is OUTPUT:
-            nodes.append(CgNode(n.id, CgKind.OUTPUT, 0, n.name))
+            nodes.append(_tuple_new(CgNode, (n.id, CG_OUTPUT, 0, n.name, None,
+                                             None, None, None, None, None)))
         ins = in_edges.get(n.id)
         if not ins:
             continue
@@ -290,8 +307,10 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
                     f"edge {e.src}->{e.dst}: an output must be fed by an "
                     f"input or operation node")
             elif sk is MEMDATA:
-                r = CgNode(next_id, READ, OPTIMISTIC_ACCESS_LATENCY,
-                           f"rd:{by_id[e.src].name}", None, None, e.src, e.dst)
+                r = _tuple_new(CgNode, (next_id, READ,
+                                        OPTIMISTIC_ACCESS_LATENCY,
+                                        f"rd:{by_id[e.src].name}", None, None,
+                                        e.src, e.dst, None, None))
                 next_id += 1
                 reads.append(r)
                 if e.src in writes_of_data:
@@ -321,13 +340,15 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
             raise IoSpecError(f"node {t.node} is transferred twice")
         offset_of[t.node] = t.offset
 
-    # each node rebuilt positionally: its fields up to ``agent``, then
-    # ``arrival`` and ``deadline``
+    # each node rebuilt from its fields up to ``agent``, then ``arrival``
+    # and ``deadline``
     default_deadline = spec.latency_bound - 1
-    io_nodes = {n.id: CgNode(*n[:8], offset_of.get(n.id, 0), n.deadline)
+    io_nodes = {n.id: _tuple_new(CgNode, (*n[:8], offset_of.get(n.id, 0),
+                                          n.deadline))
                 for n in cg._of_kind[CgKind.INPUT]}
     for n in cg._of_kind[CgKind.OUTPUT]:
-        io_nodes[n.id] = CgNode(*n[:9], offset_of.get(n.id, default_deadline))
+        io_nodes[n.id] = _tuple_new(CgNode, (
+            *n[:9], offset_of.get(n.id, default_deadline)))
     return cg._with_io_nodes(io_nodes, spec.latency_bound)
 
 
@@ -407,26 +428,53 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
     output can be produced by its deadline given the input arrival dates.
     Infeasibility is reported, never raised."""
     diagnostics: list[str] = []
+    # enum members as locals: a class lookup costs ten times a local's
+    INPUT, OUTPUT, READ, WRITE = \
+        CgKind.INPUT, CgKind.OUTPUT, CgKind.READ, CgKind.WRITE
+    nodes, asap = cg.nodes, windows.asap
 
     offsets_ok = True
+    pinned_in: list[int] = []
+    pinned_out: list[int] = []
     for t in spec.transfers:
         if not spec.offset_fits(t.offset):
             offsets_ok = False
             diagnostics.append(
                 f"transfer of node {t.node} at offset {t.offset} does not fit "
                 f"cadence {spec.cadence}")
+        kind = nodes[t.node].kind
+        if kind is INPUT:
+            pinned_in.append(t.offset)
+        elif kind is OUTPUT:
+            pinned_out.append(t.offset)
 
-    outputs = cg.of_kind(CgKind.OUTPUT)
-    # iteration cycles are absolute (deadlines default to bound - 1), so the
-    # critical path is the shortest prefix of the iteration that contains
-    # every node, including sinks that end in a memory write rather than an
-    # output transfer
+    # One pass over the nodes.  Iteration cycles are absolute (deadlines
+    # default to bound - 1), so the critical path is the shortest prefix of
+    # the iteration that contains every node, including sinks that end in
+    # a memory write rather than an output transfer.  The access and
+    # output faults it finds are worded after the latency checks.
     critical = 0
-    for n in cg.nodes.values():
-        if n.kind in (CgKind.OP, CgKind.READ, CgKind.WRITE):
-            critical = max(critical, windows.asap[n.id] + n.latency)
-        elif n.kind is CgKind.OUTPUT:
-            critical = max(critical, windows.asap[n.id] + 1)
+    late_accesses: list[str] = []
+    late_outputs: list[str] = []
+    for n in nodes.values():
+        kind = n.kind
+        if kind is INPUT:
+            continue
+        begin = asap[n.id]
+        if kind is OUTPUT:
+            end = begin + 1
+            if begin > n.deadline:
+                late_outputs.append(
+                    f"output {n.label or n.id} cannot be produced before "
+                    f"cycle {begin}, deadline is {n.deadline}")
+        else:
+            end = begin + n.latency
+            if (kind is READ or kind is WRITE) and end > spec.cadence:
+                late_accesses.append(
+                    f"access {n.label or n.id} at cycle {begin} falls "
+                    f"outside the {spec.cadence}-cycle access window")
+        if end > critical:
+            critical = end
     if critical > spec.latency_bound:
         diagnostics.append(
             f"critical path needs {critical} cycles, latency bound is "
@@ -434,32 +482,18 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
     # the latency runs from the first input transfer (cycle 0 without
     # inputs), which unpinned inputs only move earlier, to the last output
     # transfer, never before the latest pinned one
-    offsets = {k: [t.offset for t in spec.transfers
-                   if cg.nodes[t.node].kind is k] for k in CgKind}
-    first = min(offsets[CgKind.INPUT],
-                default=None if cg.of_kind(CgKind.INPUT) else 0)
-    last = max(offsets[CgKind.OUTPUT], default=None)
+    first = min(pinned_in, default=None if cg._of_kind[INPUT] else 0)
+    last = max(pinned_out, default=None)
     span = 0 if first is None or last is None else last - first + 1
     if span > spec.latency_bound:
         diagnostics.append(
             f"pinned transfers span {span} cycles (cycles {first} to "
             f"{last}), latency bound is {spec.latency_bound}")
-    cadence_ok = offsets_ok and max(critical, span) <= spec.latency_bound
-    for n in cg.nodes.values():
-        if n.kind in (CgKind.READ, CgKind.WRITE) and \
-                windows.asap[n.id] + n.latency > spec.cadence:
-            cadence_ok = False
-            diagnostics.append(
-                f"access {n.label or n.id} at cycle {windows.asap[n.id]} "
-                f"falls outside the {spec.cadence}-cycle access window")
-
-    output_dates_ok = True
-    for n in outputs:
-        if windows.asap[n.id] > n.deadline:
-            output_dates_ok = False
-            diagnostics.append(
-                f"output {n.label or n.id} cannot be produced before cycle "
-                f"{windows.asap[n.id]}, deadline is {n.deadline}")
+    cadence_ok = offsets_ok and max(critical, span) <= spec.latency_bound \
+        and not late_accesses
+    output_dates_ok = not late_outputs
+    diagnostics += late_accesses
+    diagnostics += late_outputs
 
     return FeasibilityReport(cadence_ok=cadence_ok,
                              output_dates_ok=output_dates_ok,
@@ -475,10 +509,12 @@ def transfer_cycles(cg: ConstraintGraph, spec: IoConstraintSpec,
     output in the cycle its value is produced."""
     pinned = {tr.node: tr.offset for tr in spec.transfers}
     cycles: dict[int, int] = {}
-    for n in cg.of_kind(CgKind.INPUT):
+    nodes, succ = cg.nodes, cg._succ
+    OP = CgKind.OP  # a local: a class lookup costs ten times a local's
+    for n in cg._of_kind[CgKind.INPUT]:
         cycles[n.id] = pinned[n.id] if n.id in pinned else min(
-            (start[s] if cg.nodes[s].kind is CgKind.OP
-             else pinned.get(s, n.arrival) for s in cg.successors(n.id)),
+            (start[s] if nodes[s].kind is OP
+             else pinned.get(s, n.arrival) for s in succ[n.id]),
             default=n.arrival)
     for n in cg.of_kind(CgKind.OUTPUT):
         cycles[n.id] = pinned[n.id] if n.id in pinned else \
@@ -490,7 +526,7 @@ def produced_cycle(cg: ConstraintGraph, out_id: int, start: dict[int, int],
                    cycles: dict[int, int]) -> int:
     """Cycle in which an output's value exists: its producer's last cycle,
     or the transfer cycle (from ``cycles``) of the input it passes on."""
-    p = cg.predecessors(out_id)[0]
+    p = cg._pred[out_id][0]
     if cg.nodes[p].kind is CgKind.OP:
         return start[p] + cg.nodes[p].latency - 1
     return cycles[p]

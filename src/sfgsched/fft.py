@@ -22,6 +22,9 @@ from __future__ import annotations
 
 from .graph import SFG, Edge, NodeKind, SfgNode
 
+#: builds a record from a tuple of all its fields (see ``graph``)
+_tuple_new = tuple.__new__
+
 
 def _bit_reverse(i: int, bits: int) -> int:
     r = 0
@@ -38,17 +41,17 @@ class _Builder:
 
     def add(self, kind: NodeKind, label: str, op: str | None = None) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(SfgNode(node_id, kind, op, label))
+        self.nodes.append(_tuple_new(SfgNode, (node_id, kind, op, label)))
         return node_id
 
     def op(self, symbol: str, label: str, lhs: int, rhs: int) -> int:
         node_id = self.add(NodeKind.OPERATION, label, op=symbol)
-        self.edges.append(Edge(lhs, node_id, 0))
-        self.edges.append(Edge(rhs, node_id, 1))
+        self.edges.append(_tuple_new(Edge, (lhs, node_id, 0)))
+        self.edges.append(_tuple_new(Edge, (rhs, node_id, 1)))
         return node_id
 
     def connect(self, src: int, dst: int, pos: int = 0) -> None:
-        self.edges.append(Edge(src, dst, pos))
+        self.edges.append(_tuple_new(Edge, (src, dst, pos)))
 
 
 def generate_fft_sfg(n_points: int) -> SFG:

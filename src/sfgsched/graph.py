@@ -11,8 +11,11 @@ Edges are ``(src, dst, pos)`` triples where ``pos`` is the operand position
 at the consumer; operand order is explicit so graph reconstruction and
 downstream scheduling are deterministic.
 
-Nodes and edges are named tuples: immutable, hashable, and built at
-tuple cost, positionally, by the parser.
+Nodes and edges are named tuples: immutable and hashable.  The parser
+builds each one with ``tuple.__new__`` and every field spelled out, not
+by calling the class: a named tuple's own ``__new__`` is a Python
+function, one interpreter call per record at about twice the cost, and
+it is only there to check the arity and fill in defaults.
 
 An ``SFG`` is immutable, so what is derived from it alone is derived once
 and kept on the instance.  The constructor indexes the nodes by id, by
@@ -71,7 +74,9 @@ class NodeKind(str, Enum):
 class SfgNode(NamedTuple):
     """One graph node.  ``op`` is the operation symbol, present iff the node
     kind is ``operation``.  A named tuple, as every per-element record of
-    the package is: immutable, hashable and built at tuple cost."""
+    the package is: immutable and hashable.  The package's own per-element
+    paths build records with ``tuple.__new__`` (see the module
+    docstring)."""
 
     id: int
     kind: NodeKind
@@ -90,6 +95,10 @@ class Edge(NamedTuple):
 
 
 _SRC, _DST, _POS = itemgetter(0), itemgetter(1), itemgetter(2)
+
+#: builds a record from a tuple of all its fields, with no Python-level
+#: ``__new__`` call and so no arity check: every field must be given
+_tuple_new = tuple.__new__
 
 
 class SFG:
@@ -367,7 +376,7 @@ def _nodes_from_json(items: list) -> list[SfgNode]:
         label = obj.get("label", "")
         if type(label) is not str:
             raise ParseError(f"nodes[{i}]: 'label' must be a string")
-        nodes.append(SfgNode(node_id, kind, op, label))
+        nodes.append(_tuple_new(SfgNode, (node_id, kind, op, label)))
     return nodes
 
 
@@ -384,7 +393,7 @@ def _edges_from_json(items: list) -> list[Edge]:
         pos = obj.get("pos", 0)
         if type(src) is int and type(dst) is int and type(pos) is int \
                 and src >= 0 and dst >= 0 and pos >= 0:
-            edges.append(Edge(src, dst, pos))
+            edges.append(_tuple_new(Edge, (src, dst, pos)))
             continue
         for name, val in (("from", src), ("to", dst), ("pos", pos)):
             if type(val) is not int or val < 0:  # the first bad field

@@ -2,14 +2,17 @@
 
 ``dumps(obj)`` returns exactly ``json.dumps(obj, indent=2)``.  The standard
 library runs its C encoder only without ``indent``, so an indented document
-would go through the pure-Python encoder.  Here the C encoder writes every
-container that holds only scalars in one call, with the newline and the
-indentation of that container's items as its item separator: a flat list,
-a flat dict, or a whole list of non-empty flat dicts (a table of records).
-Only the nesting above those containers is walked in Python, and an int or
-a str met there is written directly, as the encoder would write it.  The
-splice is exact because the encoder escapes every control character, so
-the only newlines in its output are the separators'.
+would go through the pure-Python encoder.  Here an int or a str is written
+directly, as the encoder would write it (``int.__repr__``,
+``encode_basestring_ascii``), and so is a flat list or dict whose values
+are all ints or all strs: setting up a C encoder costs more than writing
+a few such items.  The C encoder writes every other container that holds
+only scalars (floats, bools, None, or a mix) in one call, with the newline
+and the indentation of that container's items as its item separator, and
+so does a whole list of non-empty flat dicts (a table of records).  Only
+the nesting above those containers is walked in Python.  The splice is
+exact because the encoder escapes every control character, so the only
+newlines in its output are the separators'.
 
 The record tables of ``schedule.json`` (its ops, accesses and transfers)
 are written without a dict per record: ``dumps_tables`` writes a head
@@ -43,6 +46,8 @@ TRANSFERS = (("cycle", 2, "d"), ("node", 0, "d"), ("bus", 1, "s"),
 _BOOLS = ("false", "true")
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _DICT = frozenset({dict})
+# the scalars written without the encoder, each as the encoder writes it
+_WRITERS = {int: int.__repr__, str: encode_basestring_ascii}
 
 
 @cache
@@ -54,6 +59,14 @@ def _encoder(depth: int):
 
 def _flat(values) -> bool:
     return _SCALARS.issuperset(map(type, values))
+
+
+def _written(values) -> list[str] | None:
+    """Each of ``values`` as the encoder writes it when they are all ints
+    or all strs (a bool is neither), else None."""
+    kinds = set(map(type, values))
+    writer = _WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+    return None if writer is None else list(map(writer, values))
 
 
 def _records(items) -> bool:
@@ -77,6 +90,10 @@ def _write(obj, depth: int, out: list[str]) -> None:
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
+        elif (items := _written(obj.values())) is not None:
+            out.append("{\n" + inner + (",\n" + inner).join(
+                [_key(key) + ": " + item for key, item in zip(obj, items)])
+                + "\n" + pad + "}")
         elif _flat(obj.values()):
             text = _encoder(depth + 1)(obj)
             out.append("{\n" + inner + text[1:-1] + "\n" + pad + "}")
@@ -90,6 +107,9 @@ def _write(obj, depth: int, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
+        elif (items := _written(obj)) is not None:
+            out.append("[\n" + inner + (",\n" + inner).join(items) + "\n"
+                       + pad + "]")
         elif _flat(obj):
             text = _encoder(depth + 1)(obj)
             out.append("[\n" + inner + text[1:-1] + "\n" + pad + "]")
@@ -110,10 +130,8 @@ def _write(obj, depth: int, out: list[str]) -> None:
                 _write(item, depth + 1, out)
                 sep = ",\n" + inner
             out.append("\n" + pad + "]")
-    elif type(obj) is int:  # as the encoder writes it, without its set-up
-        out.append(int.__repr__(obj))
-    elif type(obj) is str:
-        out.append(encode_basestring_ascii(obj))
+    elif type(obj) in _WRITERS:  # without the encoder's set-up
+        out.append(_WRITERS[type(obj)](obj))
     else:
         out.append(_encoder(0)(obj))
 

@@ -13,11 +13,13 @@ with cost k occupies every slot overlapping cycles ``c .. c+k-1``.  The
 table covers one iteration (``cadence`` cycles); an access that would run
 past it raises ``HorizonError``.  ``Bank.cost`` and ``Bank.span`` hold the
 two rules for the scheduler, the verifier and the exhaustive oracle.
-``PortAccessTable.fit`` places requests and ``commit`` reserves them as
-placed, handing back only their sequence numbers: the caller already
-holds the rest of each reservation.  A ``probe`` of the held view places
-requests as ``fit`` would on the live table while ``unchanged`` holds for
-their banks, so its costs can be committed as they are.
+``PortAccessTable.fit`` places requests, giving each its (cost, class,
+slot span), and ``commit`` reserves them as placed, on the spans given,
+handing back only their sequence numbers: the caller already holds the
+rest of each reservation.  A ``probe`` of the held view returns the same
+triples as ``fit`` would on the live table while ``unchanged`` holds for
+the requests' banks, so they can be committed as they are.  So each
+access fitted takes one ``Bank.span`` call, not one more to commit.
 """
 
 from __future__ import annotations
@@ -353,18 +355,19 @@ class PortAccessTable:
             out.append((cost, cls, span))
         return out
 
-    def probe(self, requests: list[tuple[str, int, int]]) -> list[tuple[int, str]] | None:
+    def probe(self, requests: list[tuple[str, int, int]]
+              ) -> list[tuple[int, str, range]] | None:
         """Check whether (bank, address, cycle) requests all fit, in order,
         against the held view (the live table when none is held).
 
-        Returns their (cost, class) list without changing any state, or
-        None on a port conflict.  Raises HorizonError past the table end.
+        Returns ``fit``'s (cost, class, slot span) list without changing
+        any state, or None on a port conflict.  Raises HorizonError past
+        the table end.
         """
         try:
-            fits = self.fit(requests, view=True)
+            return self.fit(requests, view=True)
         except PortConflict:
             return None
-        return [(cost, cls) for cost, cls, _ in fits]
 
     def unchanged(self, requests: list[tuple[str, int, int]]) -> bool:
         """Whether no reservation since ``hold_view`` touched the banks of
@@ -377,17 +380,15 @@ class PortAccessTable:
         return True
 
     def commit(self, requests: list[tuple[str, int, int]],
-               fits: list[tuple[int, str]] | list[tuple[int, str, range]]
-               ) -> range:
-        """Reserve requests at the costs ``fit`` (or ``probe``, while the
-        requests' banks are ``unchanged``) gave them on the live table,
+               fits: list[tuple[int, str, range]]) -> range:
+        """Reserve requests on the slot spans ``fit`` (or ``probe``, while
+        the requests' banks are ``unchanged``) gave them on the live table,
         which must not have changed in between; returns their sequence
         numbers, in request order (the requests and fits already hold the
         rest of each reservation)."""
         first = self._seq + 1
-        for (bank_id, address, cycle), fit in zip(requests, fits):
+        for (bank_id, address, _), (_, _, span) in zip(requests, fits):
             state = self._state[bank_id]
-            span = state.bank.span(cycle, fit[0], self.cadence)
             if self._holding:
                 self._view_last.setdefault(bank_id, state.last_address)
                 for s in span:

@@ -45,10 +45,11 @@ order, so the per-cycle check for overdue ops and the idle skip read the
 earliest alap instead of scanning the groups.
 
 A start fits its accesses once.  An access-free op only takes a free
-instance.  A memory op reuses the probe its signature got at the start
-of the cycle while no reservation made since has touched its banks (the
-live table then reads as the view the probe saw), and is fitted on the
-live table otherwise.
+instance.  A memory op reuses the probe the walk put it forward with
+(its signature's probe at the start of the cycle, slot spans included)
+while no reservation made since has touched its banks (the live table
+then reads as the view the probe saw), and is fitted on the live table
+otherwise; either way the commit takes the fitted spans as they are.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
@@ -66,14 +67,19 @@ the edges of ``rank_executable`` (which yields ids), ``assign_step``
 ids); each translates with the table's ``ids`` and ``at``.
 
 The records of a schedule (``ScheduledOp``, ``ScheduledAccess``,
-``ScheduledTransfer``) are named tuples, built positionally, each once:
+``ScheduledTransfer``) are named tuples, each built once, with
+``tuple.__new__`` and every field spelled out: calling the class would
+run its Python-level ``__new__``, one more interpreter call per record
+for an arity check that the fixed field tuples here do not need.
 ``assign_step`` makes an access record straight from the request, its
 fit and the sequence number ``PortAccessTable.commit`` hands back, with
 the per-op facts (node, access ids and labels) looked up once per run in
-the op table.  ``estimate_registers`` reads the records by position,
-which costs less than reading their fields by name, and
-``Schedule.to_json`` writes its three record tables straight from the
-records (``jsontext.dumps_tables``), with no dict per record.
+the op table.  ``schedule()``, the verifier and ``estimate_registers``
+read the records by position (an op's completion is its start plus its
+latency), which costs less than reading their fields by name or through
+``ScheduledOp.completion``, and ``Schedule.to_json`` writes its three
+record tables straight from the records (``jsontext.dumps_tables``),
+with no dict per record.
 """
 
 from __future__ import annotations
@@ -184,6 +190,11 @@ class ScheduledTransfer(NamedTuple):
     synthesized: bool = False
 
 
+#: builds a record from a tuple of all its fields (see the module
+#: docstring); it checks no arity, so every field must be given
+_tuple_new = tuple.__new__
+
+
 # sort keys of the records, by field position
 _START_NODE = itemgetter(4, 0)               # ScheduledOp: start, node
 _CYCLE_NODE = itemgetter(7, 0)               # ScheduledAccess: cycle, node
@@ -284,6 +295,9 @@ def _port_requests(reads: list[CgNode], writes: list[CgNode], latency: int,
     return tuple(reqs)
 
 
+_ACCESS_FREE = (0, ())  # the ``hit`` of an op with no port request
+
+
 @dataclass
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps,
@@ -315,8 +329,10 @@ class SchedulerState:
     ``started`` holds each op's record once it has started, else None.
 
     ``begin_cycle`` holds the port table's view for a cycle ``t``; until
-    the next one, ``cost`` probes that view once per signature and keeps
-    each probe in ``probed``, which ``view_fit`` hands on to the start.
+    the next one, ``hit`` (and ``cost``, its total) probes that view once
+    per signature and keeps each probe in ``probed``.  The walk puts each
+    memory op forward with the probe of its signature and records it in
+    ``walked`` by position, and ``view_fit`` hands that on to the start.
     """
 
     cg: ConstraintGraph
@@ -350,7 +366,9 @@ class SchedulerState:
     started: list[ScheduledOp | None] = field(init=False)
     t: int = field(init=False, default=-1)
     last: dict[str, int | None] = field(init=False, default_factory=dict)
-    probed: dict[tuple, tuple[int, list[tuple[int, str]]] | None] = field(
+    probed: dict[tuple, tuple[int, list[tuple[int, str, range]]] | None] = \
+        field(init=False, default_factory=dict)
+    walked: dict[int, list[tuple[int, str, range]]] = field(
         init=False, default_factory=dict)
 
     def __post_init__(self):
@@ -366,8 +384,9 @@ class SchedulerState:
         self.alap = tuple(map(windows.alap.__getitem__, ids))
         self.mobility = tuple(map(windows.mobility.__getitem__, ids))
         self.started = [None] * n_ops
-        nodes, successors, pred = cg.nodes, cg.successors, cg.predecessors
+        nodes, succ, pred = cg.nodes, cg._succ, cg._pred
         placement_of = self.mapping.placement_of
+        # enum members as locals: a class lookup costs ten times a local's
         OP, INPUT, READ, WRITE = CgKind.OP, CgKind.INPUT, CgKind.READ, \
             CgKind.WRITE
         rows = []  # the derived facts of each op, one column each below
@@ -375,7 +394,7 @@ class SchedulerState:
             op_id, cls = n.id, n.op_class
             producers = arrivals = consumers = ()
             memory = False
-            for p in pred(op_id):
+            for p in pred[op_id]:
                 pn = nodes[p]
                 kind = pn.kind
                 if kind is OP:
@@ -385,7 +404,7 @@ class SchedulerState:
                         arrivals += (pn.arrival,)
                 elif kind is READ:
                     memory = True
-            for c in successors(op_id):
+            for c in succ[op_id]:
                 kind = nodes[c].kind
                 if kind is OP:
                     consumers += (at[c],)
@@ -398,7 +417,7 @@ class SchedulerState:
             reads, writes = cg.accesses_of(op_id)
             writers = ()
             for r in reads:
-                for w in pred(r.id):
+                for w in pred[r.id]:
                     writers += (at[nodes[w].agent],)
             records = [(a.id, "read", a.data, a.label.split(":", 1)[-1])
                        for a in reads]
@@ -407,7 +426,7 @@ class SchedulerState:
                 records.append((w.id, "write", w.data,
                                 w.label.split(":", 1)[-1]))
                 gated.append(tuple([at[nodes[r].agent]
-                                    for r in successors(w.id)]))
+                                    for r in succ[w.id]]))
             requests = _port_requests(reads, writes, n.latency, placement_of)
             prev: dict[str, int] = {}
             read_keys = []
@@ -462,38 +481,45 @@ class SchedulerState:
         the cycle before; returns each bank's last address in the view."""
         self.t = t
         self.probed = {}
+        self.walked = {}
         self.last = self.table.hold_view()
         return self.last
 
-    def cost(self, i: int) -> int | None:
-        """Total port cost of starting the op at position i in the cycle
-        begun last, or None if blocked, against the held view.  Ops of one
-        signature share one probe."""
+    def hit(self, i: int) -> tuple[int, list[tuple[int, str, range]]] | None:
+        """(total port cost, ``PortAccessTable.probe`` fits) of starting
+        the op at position i in the cycle begun last, against the held
+        view, or None if blocked.  Ops of one signature share one probe;
+        an access-free op costs 0 and has no fits."""
         if not self.requests[i]:
-            return 0
+            return _ACCESS_FREE
         sig = self.signature(i, self.last)
         try:
-            hit = self.probed[sig]
+            return self.probed[sig]
         except KeyError:
             try:
-                costs = self.table.probe(self.access_requests(i, self.t))
+                fits = self.table.probe(self.access_requests(i, self.t))
             except HorizonError:
-                costs = None
-            hit = self.probed[sig] = None if costs is None else (
-                sum(c for c, _ in costs), costs)
+                fits = None
+            hit = self.probed[sig] = None if fits is None else (
+                sum(fit[0] for fit in fits), fits)
+            return hit
+
+    def cost(self, i: int) -> int | None:
+        """The total of ``hit``: the port cost of starting the op at
+        position i in the cycle begun last, or None if blocked."""
+        hit = self.hit(i)
         return None if hit is None else hit[0]
 
     def view_fit(self, i: int, t: int, reqs: list[tuple[str, int, int]]
-                 ) -> list[tuple[int, str]] | None:
-        """(cost, class) of each request ``reqs`` of the op at position i
-        at cycle t from this cycle's probe of its signature, or None when
-        there is none to reuse.  The probe read the view; it holds on the
-        live table as long as no reservation since has touched the
-        requests' banks."""
+                 ) -> list[tuple[int, str, range]] | None:
+        """(cost, class, slot span) of each request ``reqs`` of the op at
+        position i at cycle t from the probe the walk put the op forward
+        with this cycle (``walked``), or None when there is none to reuse.
+        The probe read the view; it holds on the live table as long as no
+        reservation since has touched the requests' banks."""
         if t != self.t or not self.table.unchanged(reqs):
             return None
-        hit = self.probed.get(self.signature(i, self.last))
-        return None if hit is None else hit[1]
+        return self.walked.get(i)
 
     def blocking_bank(self, i: int, t: int) -> str | None:
         """Bank of the first access request of the op at position i that
@@ -716,6 +742,7 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
     op_class = state.op_class
     read_keys = state.read_keys
     started = state.started
+    hit_of, walked = state.hit, state.walked
     readers = ready.readers
     left = dict(ready.per_class)  # members in groups not visited yet
     # of those, the members whose class has a free instance
@@ -749,7 +776,9 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
             return
         group = ready.groups[key]
         zero = key[1] <= t
-        heads = []  # (cost, flag, position, cursor over its bucket's rest)
+        # (cost, flag, position, fits of its probe, cursor over its
+        # bucket's rest)
+        heads = []
         for (cls, steps), bucket in group.items():
             members = bucket.members
             n = len(members)
@@ -762,7 +791,7 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                 zero_left -= n
             if not steps:
                 # access-free: cost 0 and flag 1 for every member
-                heads.append((0, 1, members[0], _after_first(members)))
+                heads.append((0, 1, members[0], (), _after_first(members)))
                 continue
             candidates = set()
             for bank, _, inop in steps:
@@ -770,24 +799,28 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                     candidates.update(
                         bucket.first_at.get((bank, last[bank] + 1), ()))
             for i in candidates:
-                c = cost(i)
-                if c is not None:
-                    heads.append((c, enables_flag(i), i, None))
+                hit = hit_of(i)
+                if hit is not None:
+                    heads.append((hit[0], enables_flag(i), i, hit[1], None))
             # the other members share one signature, so one probe serves
-            first = next((i for i in members if i not in candidates), None)
-            if first is None or (c := cost(first)) is None:
+            first = members[0] if not candidates else next(
+                (i for i in members if i not in candidates), None)
+            if first is None or (hit := hit_of(first)) is None:
                 continue
+            c, fits = hit
             if candidates or bucket.enablers:
                 others = rest(bucket, candidates)
-                heads.append((c, *next(others), others))
+                heads.append((c, *next(others), fits, others))
             else:  # first is the lowest member, and every flag is 1
-                heads.append((c, 1, first, _after_first(members)))
+                heads.append((c, 1, first, fits, _after_first(members)))
         heapq.heapify(heads)
         while heads:
-            c, _, i, others = heapq.heappop(heads)
+            c, _, i, fits, others = heapq.heappop(heads)
             cls = op_class[i]
             if not zero and not free.get(cls):
                 continue  # an earlier start took the last free instance
+            if fits:
+                walked[i] = fits  # for the start to commit (``view_fit``)
             yield i
             if started[i] is not None and free.get(cls):
                 free[cls] -= 1
@@ -796,7 +829,7 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
             if others is not None and (zero or free.get(cls)):
                 head = next(others, None)
                 if head is not None:
-                    heapq.heappush(heads, (c, *head, others))
+                    heapq.heappush(heads, (c, *head, fits, others))
 
 
 def _after_first(members: list[int]) -> Iterator[tuple[int, int]]:
@@ -812,9 +845,9 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
     (a legal wait: it still has slack).  At zero margin a missing resource
     aborts the schedule instead; a port conflict is reported before a
     missing instance.  An access-free operation only needs an instance.
-    The accesses of another are fitted once, or not at all when this
-    cycle's probe of the op's signature still holds (``view_fit``), and
-    committed as fitted.
+    The accesses of another are fitted once, or not at all when the probe
+    the walk put it forward with still holds (``view_fit``), and committed
+    as fitted, slot spans included.
     """
     i = state.at[op_id]
     op_class = state.op_class[i]
@@ -847,16 +880,18 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
 
     if reqs:
         append = state.accesses.append
-        for (acc, kind, data, data_label), (bank, address, cycle), fit, \
-                seq in zip(state.records[i], reqs, fits,
-                           state.table.commit(reqs, fits)):
-            append(ScheduledAccess(acc, op_id, kind, data, data_label, bank,
-                                   address, cycle, fit[0], fit[1], seq))
+        for (acc, kind, data, data_label), (bank, address, cycle), \
+                (cost, cost_class, _), seq in zip(
+                    state.records[i], reqs, fits,
+                    state.table.commit(reqs, fits)):
+            append(_tuple_new(ScheduledAccess, (
+                acc, op_id, kind, data, data_label, bank, address, cycle,
+                cost, cost_class, seq)))
 
     latency = state.latency[i]
     inst.busy_until = t + latency
-    rec = state.started[i] = ScheduledOp(op_id, state.label[i], op_class,
-                                         inst.name, t, latency)
+    rec = state.started[i] = _tuple_new(ScheduledOp, (
+        op_id, state.label[i], op_class, inst.name, t, latency))
     return rec
 
 
@@ -997,7 +1032,8 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     pool = {cls: tuple(inst.name for inst in insts)
             for cls, insts in sorted(state.instances.items())}
     achieved = achieved_latency(cg, cycles, max(
-        (rec.completion for rec in state.started), default=None))
+        (start + latency for _, _, _, _, start, latency in state.started),
+        default=None))
     if achieved > spec.latency_bound:  # outputs pinned past the bound
         raise ScheduleFailure("infeasible-windows", cycle=max(cycles.values()),
                               detail=f"the transfers span {achieved} cycles, "
@@ -1026,8 +1062,8 @@ def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
         by_cycle: dict[int, list[int]] = {}
         for n in cg.of_kind(kind):
             if n.id in bus_of:
-                transfers.append(ScheduledTransfer(
-                    n.id, bus_of[n.id], cycles[n.id], direction))
+                transfers.append(_tuple_new(ScheduledTransfer, (
+                    n.id, bus_of[n.id], cycles[n.id], direction, False)))
             else:
                 by_cycle.setdefault(cycles[n.id], []).append(n.id)
         # as many names as the busiest cycle needs
@@ -1041,8 +1077,8 @@ def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
             k += 1
         for cycle in sorted(by_cycle):
             for name, node in zip(names, by_cycle[cycle]):
-                transfers.append(ScheduledTransfer(
-                    node, name, cycle, direction, True))
+                transfers.append(_tuple_new(ScheduledTransfer, (
+                    node, name, cycle, direction, True)))
     return transfers
 
 

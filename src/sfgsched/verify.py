@@ -91,8 +91,8 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
 
     # Records are read by position, each once: a named tuple's field read
     # costs more than unpacking it.
-    nodes = cg.nodes
-    OP, INPUT = CgKind.OP, CgKind.INPUT
+    nodes, succ = cg.nodes, cg._succ
+    OP, INPUT = CgKind.OP, CgKind.INPUT  # locals: cheaper than class lookups
     started = {}
     start: dict[int, int] = {}  # operation -> start cycle
     end: dict[int, int] = {}    # operation -> completion cycle
@@ -178,7 +178,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                  f"write {n.label} at cycle {cycle}, its "
                                  f"producer completes at {end[n.agent]}",
                                  n.id))
-        for r in cg.successors(n.id):
+        for r in succ[n.id]:
             reader = nodes[r].agent
             if start[reader] < cycle + cost:
                 out.append(Violation(
@@ -249,7 +249,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                  f"instance {name} used as {sorted(classes)}"))
         recs.sort(key=itemgetter(4))  # start
         for a, b in zip(recs, recs[1:]):
-            if b.start < a.completion:
+            if b[4] < a[4] + a[5]:  # b's start, a's start plus latency
                 out.append(Violation(
                     "operator-overlap",
                     f"instance {name} runs operations {a.node} and {b.node} "
@@ -283,8 +283,8 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                 "io-timing",
                 f"{n.label or n.id} transferred on {t.bus}@{t.cycle}, "
                 f"constrained to {want.bus}@{want.offset}", n.id))
-        if n.kind is CgKind.INPUT:
-            for s in cg.successors(n.id):
+        if n.kind is INPUT:
+            for s in succ[n.id]:
                 if nodes[s].kind is OP and start[s] < t.cycle:
                     out.append(Violation(
                         "io-timing",

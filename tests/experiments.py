@@ -12,11 +12,13 @@ of the design space:
   on a single bus, outputs free, minimal operator pool.
 
 ``scale_config`` builds the same paced-input shape on a 128-point FFT for
-the large smoke test.
+the large smoke test.  ``Config.report_argv`` writes a configuration's
+input documents for a ``report`` call through the CLI.
 """
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import sfgsched as s
 
@@ -43,6 +45,46 @@ class Config:
                            self.allocation)
         rep = s.build_report(sched, self.g, self.spec, self.mapping, self.lib)
         return sched, rep
+
+    def report_argv(self, directory: Path) -> list[str]:
+        """Write the four input documents into ``directory`` (the mapping
+        as strict placements) and return the ``cli.main`` arguments of a
+        ``report`` on them, with its outputs in ``directory / "out"``."""
+        def label(node: int) -> str:
+            return self.g.node(node).label
+
+        docs = {
+            "graph": s.serialize_sfg(self.g),
+            "lib": json.dumps({
+                "clock_mhz": self.lib.clock_hz / 1e6,
+                "classes": [{"name": c.name, "ops": sorted(c.ops),
+                             "latency": c.latency}
+                            for c in self.lib.classes]}),
+            "io": json.dumps({
+                "cadence": self.spec.cadence,
+                "latency": self.spec.latency_bound,
+                "buses": [{"id": b.id, "direction": b.direction}
+                          for b in self.spec.buses],
+                "transfers": [{"data": label(t.node), "bus": t.bus,
+                               "offset": t.offset}
+                              for t in self.spec.transfers]}),
+            "mem": json.dumps({
+                "mode": "strict",
+                "banks": [{"id": b.id, "ports": b.ports, "t_seq": b.t_seq,
+                           "t_rand": b.t_rand} for b in self.mapping.banks],
+                "placements": [{"data": label(p.data), "bank": p.bank,
+                                "address": p.address}
+                               for p in self.mapping.placements]}),
+        }
+        argv = ["report"]
+        for name, text in docs.items():
+            (directory / f"{name}.json").write_text(text)
+            argv += [f"--{name}", str(directory / f"{name}.json")]
+        alloc = self.allocation
+        return argv + ["--alloc", "auto" if alloc.mode == "auto" else
+                       "fixed:" + ",".join(f"{cls}={n}"
+                                           for cls, n in alloc.counts),
+                       "--out", str(directory / "out")]
 
 
 def _banks(g: s.SFG, n: int, ports: int) -> s.MemoryMapping:

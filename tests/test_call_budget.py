@@ -1,0 +1,74 @@
+"""No per-element interpreter calls that the code does not show.
+
+A named tuple built by calling its class runs the class's Python-level
+``__new__``; a property read, a bound-method call for an adjacency list
+and a slot-span computed again at commit time are each one more
+interpreter call.  The package's per-element paths avoid all of them, so
+a ``report`` call through the CLI on a 16-point FFT (``scale_config``:
+401 graph nodes and 688 edges) enters none of those code objects once
+per element, and ``Bank.span`` once per access fitted plus once per
+access the verifier replays.  A start takes the probe the walk put its
+op forward with, so only a probe builds an access signature.
+"""
+
+import json
+import sys
+from collections import Counter
+
+import experiments
+import sfgsched as s
+from sfgsched import cli
+from sfgsched.memory import PortAccessTable
+
+RECORDS = (s.SfgNode, s.Edge, s.CgNode, s.ScheduledOp, s.ScheduledAccess,
+           s.ScheduledTransfer)
+# a fixed number of entries, independent of the graph's size, stays legal
+BUDGET = 4
+
+
+def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
+    watched = {cls.__new__.__code__: f"{cls.__name__}.__new__"
+               for cls in RECORDS}
+    watched[s.ScheduledOp.completion.fget.__code__] = \
+        "ScheduledOp.completion"
+    for name in ("predecessors", "successors"):
+        watched[getattr(s.ConstraintGraph, name).__code__] = \
+            f"ConstraintGraph.{name}"
+    span, fit = s.Bank.span.__code__, PortAccessTable.fit.__code__
+    signature = s.SchedulerState.signature.__code__
+    entered: Counter = Counter()
+    span_callers: Counter = Counter()
+    signature_callers: Counter = Counter()
+    requests_fitted = 0
+
+    def profile(frame, event, arg):
+        nonlocal requests_fitted
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in watched:
+            entered[watched[code]] += 1
+        elif code is span:
+            span_callers[frame.f_back.f_code.co_name] += 1
+        elif code is signature:
+            signature_callers[frame.f_back.f_code.co_name] += 1
+        elif code is fit:
+            requests_fitted += len(frame.f_locals["requests"])
+
+    argv = experiments.scale_config(16).report_argv(tmp_path)
+    sys.setprofile(profile)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+
+    assert {name: n for name, n in entered.items() if n > BUDGET} == {}
+    accesses = len(json.loads(
+        (tmp_path / "out" / "schedule.json").read_text())["accesses"])
+    assert requests_fitted >= accesses > 0
+    # fits compute spans, the verifier replays each access; commits reuse
+    assert set(span_callers) == {"fit", "verify_schedule"}, span_callers
+    assert span_callers["fit"] <= requests_fitted
+    assert span_callers["verify_schedule"] == accesses
+    assert set(signature_callers) == {"hit"}, signature_callers

@@ -178,7 +178,10 @@ def test_access_cost_reservation_order(map_onebank):
 def test_probe_does_not_mutate(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
     got = table.probe([("bank0", 0, 0), ("bank0", 1, 1)])
-    assert got == [(1, "burst"), (1, "burst")]
+    # fit's (cost, class, slot span) triples, as a fit of the live table
+    # gives them with no view held
+    assert got == [(1, "burst", range(0, 1)), (1, "burst", range(1, 2))]
+    assert table.fit([("bank0", 0, 0), ("bank0", 1, 1)]) == got
     assert table.probe([("bank0", 0, 0), ("bank0", 1, 1)]) == got
     # a same-cycle pair on the single port is refused, still without mutation
     assert table.probe([("bank0", 0, 0), ("bank0", 1, 0)]) is None
@@ -237,7 +240,7 @@ def test_held_view_hides_later_reservations(map_onebank):
     # random access (last address 5): occupies slots 1 and 2 of the one port
     assert _reserve(table, [("bank0", 0, 1)])
     # probes still see address 5 last and slot 1 free; the live table not
-    assert table.probe([("bank0", 6, 1)]) == [(1, "burst")]
+    assert table.probe([("bank0", 6, 1)]) == [(1, "burst", range(1, 2))]
     with pytest.raises(PortConflict) as err:
         table.fit([("bank0", 3, 4), ("bank0", 6, 1)])
     assert (err.value.bank_id, err.value.cycle) == ("bank0", 1)
