@@ -15,16 +15,21 @@ module set.  The workload's problems come from the benchmark's generators
 A round is one pass of each tree over the workload's ``report`` calls
 through ``cli.main``, the two trees alternating which runs first.  Each
 tree's ``lower`` and ``check_feasibility`` (the front end's lowering and
-static checks), ``schedule`` (all three as its CLI calls them) and
+static checks), ``schedule``, ``verify_schedule`` and ``report_to_json``
+(the writer of ``report.json``), all five as its CLI calls them, and
 ``Schedule.to_json`` (the writer of ``schedule.json``) are timed inside
-the pass, so one A/B splits a gain between the front end, the scheduler
-and the writer.
+the pass, so one A/B splits a gain between the front end, the scheduler,
+the verifier and the writers.
 Before the rounds one pass of each tree is checked: every call's exit
 code and its ``schedule.json`` and ``report.json`` bytes must be equal on
 both trees.  The script prints, for the whole pass and for each timed
 function, each tree's median and minimum time, the median
 of the per-round ratios change/parent and the number of rounds the change
 was faster.  The standard library is all it needs.
+
+An A/A run, with ``--parent`` set to a copy of this same tree, gives the
+spread of the host: its ratios are what an A/B's ratios must clear
+before they show a change.
 """
 
 from __future__ import annotations
@@ -58,13 +63,14 @@ def load_tree(src: Path, name: str):
     return package, importlib.import_module(f"{name}.cli")
 
 
-TIMED = ("lower", "check_feasibility", "schedule", "to_json")
+TIMED = ("lower", "check_feasibility", "schedule", "verify_schedule",
+         "report_to_json", "to_json")
 
 
 class Tree:
     """One loaded tree, its workload documents and its timed functions
-    (``TIMED``): the CLI's ``lower``, ``check_feasibility`` and
-    ``schedule``, and ``Schedule.to_json``."""
+    (``TIMED``): the CLI's ``lower``, ``check_feasibility``, ``schedule``,
+    ``verify_schedule`` and ``report_to_json``, and ``Schedule.to_json``."""
 
     def __init__(self, side: str, src: Path, workload: str, seed: int):
         self.side = side

@@ -366,14 +366,12 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
     OUTPUT = CgKind.OUTPUT
     # ASAP in topological order (Kahn), relaxing each edge once; the
     # weights of a node's out-edges come from one read of the node
-    # (``_weights_from``).  They are kept in one list, in the order this
-    # pass meets the edges, for the ALAP pass to walk back.
+    # (``_weights_from``), in this pass and in the ALAP pass alike.
     asap = dict.fromkeys(nodes, 0)
     for n in cg._of_kind[CgKind.INPUT]:
         asap[n.id] = n.arrival
     indeg = {i: len(p) for i, p in cg._pred.items()}
     order = [i for i, d in indeg.items() if d == 0]
-    weights: list[int] = []
     for u in order:  # grows as nodes become ready
         vs = succ[u]
         if not vs:
@@ -382,7 +380,6 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
         to_output, other = _weights_from(nodes[u])
         for v in vs:
             w = to_output if nodes[v].kind is OUTPUT else other
-            weights.append(w)
             if t + w > asap[v]:
                 asap[v] = t + w
             d = indeg[v] - 1
@@ -393,15 +390,15 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
         raise ValueError("constraint graph contains a cycle")
 
     alap: dict[int, int] = {}
-    k = len(weights)
     for u in reversed(order):
         n, vs = nodes[u], succ[u]
-        k -= len(vs)  # u's edge weights are weights[k:k + len(vs)]
         if n.kind is OUTPUT:
             alap[u] = n.deadline
         elif vs:
+            to_output, other = _weights_from(n)
             late = None
-            for v, w in zip(vs, weights[k:k + len(vs)]):
+            for v in vs:
+                w = to_output if nodes[v].kind is OUTPUT else other
                 if late is None or alap[v] - w < late:
                     late = alap[v] - w
             alap[u] = late

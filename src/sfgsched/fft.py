@@ -25,6 +25,10 @@ from .graph import SFG, Edge, NodeKind, SfgNode
 #: builds a record from a tuple of all its fields (see ``graph``)
 _tuple_new = tuple.__new__
 
+#: the largest size built: 16,384 points already take about 2 GiB and
+#: half a minute to build, and the graph grows as n log2(n)
+MAX_POINTS = 2 ** 14
+
 
 def _bit_reverse(i: int, bits: int) -> int:
     r = 0
@@ -55,7 +59,8 @@ class _Builder:
 
 
 def generate_fft_sfg(n_points: int) -> SFG:
-    """Generate the SFG of an n-point radix-2 DIT FFT (n a power of two, >= 2).
+    """Generate the SFG of an n-point radix-2 DIT FFT (n a power of two,
+    from 2 to ``MAX_POINTS``).
 
     Inputs are labelled ``X0..X{n-1}``; outputs ``Yr{k}`` / ``Yi{k}`` carry
     the real/imaginary result parts; coefficient tables are ``Wr{k}`` and
@@ -64,6 +69,8 @@ def generate_fft_sfg(n_points: int) -> SFG:
     n = n_points
     if n < 2 or n & (n - 1):
         raise ValueError(f"n_points must be a power of two >= 2, got {n}")
+    if n > MAX_POINTS:
+        raise ValueError(f"n_points must be at most {MAX_POINTS}, got {n}")
     stages = n.bit_length() - 1
 
     b = _Builder()

@@ -2,17 +2,15 @@
 
 ``dumps(obj)`` returns exactly ``json.dumps(obj, indent=2)``.  The standard
 library runs its C encoder only without ``indent``, so an indented document
-would go through the pure-Python encoder.  Here an int or a str is written
-directly, as the encoder would write it (``int.__repr__``,
-``encode_basestring_ascii``), and so is a flat list or dict whose values
-are all ints or all strs: setting up a C encoder costs more than writing
-a few such items.  The C encoder writes every other container that holds
-only scalars (floats, bools, None, or a mix) in one call, with the newline
-and the indentation of that container's items as its item separator, and
-so does a whole list of non-empty flat dicts (a table of records).  Only
-the nesting above those containers is walked in Python.  The splice is
-exact because the encoder escapes every control character, so the only
-newlines in its output are the separators'.
+would go through the pure-Python encoder.  Here containers are walked in
+Python, and an int or a str is written directly, as the encoder would
+write it (``int.__repr__``, ``encode_basestring_ascii``): setting up a C
+encoder costs more than writing one such item.  Other scalars go through
+the C encoder, and so does a whole list of non-empty dicts whose values
+are all scalars (a table of records), in one call, with the newline and
+the indentation of a record's fields as its item separator.  The splice
+is exact because the encoder escapes every control character, so the
+only newlines in its output are the separators'.
 
 The record tables of ``schedule.json`` (its ops, accesses and transfers)
 are written without a dict per record: ``dumps_tables`` writes a head
@@ -61,14 +59,6 @@ def _flat(values) -> bool:
     return _SCALARS.issuperset(map(type, values))
 
 
-def _written(values) -> list[str] | None:
-    """Each of ``values`` as the encoder writes it when they are all ints
-    or all strs (a bool is neither), else None."""
-    kinds = set(map(type, values))
-    writer = _WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-    return None if writer is None else list(map(writer, values))
-
-
 def _records(items) -> bool:
     """A non-empty list of non-empty dicts whose values are all scalars."""
     return (_DICT.issuperset(map(type, items)) and all(items)
@@ -90,13 +80,6 @@ def _write(obj, depth: int, out: list[str]) -> None:
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
-        elif (items := _written(obj.values())) is not None:
-            out.append("{\n" + inner + (",\n" + inner).join(
-                [_key(key) + ": " + item for key, item in zip(obj, items)])
-                + "\n" + pad + "}")
-        elif _flat(obj.values()):
-            text = _encoder(depth + 1)(obj)
-            out.append("{\n" + inner + text[1:-1] + "\n" + pad + "}")
         else:
             sep = "{\n" + inner
             for key, value in obj.items():
@@ -107,12 +90,6 @@ def _write(obj, depth: int, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-        elif (items := _written(obj)) is not None:
-            out.append("[\n" + inner + (",\n" + inner).join(items) + "\n"
-                       + pad + "]")
-        elif _flat(obj):
-            text = _encoder(depth + 1)(obj)
-            out.append("[\n" + inner + text[1:-1] + "\n" + pad + "]")
         elif _records(obj):
             # Each record's fields sit two levels down; only the seams
             # between records ("}" + separator + "{") need the outer

@@ -16,10 +16,9 @@ two rules for the scheduler, the verifier and the exhaustive oracle.
 ``PortAccessTable.fit`` places requests, giving each its (cost, class,
 slot span), and ``commit`` reserves them as placed, on the spans given,
 handing back only their sequence numbers: the caller already holds the
-rest of each reservation.  A ``probe`` of the held view returns the same
-triples as ``fit`` would on the live table while ``unchanged`` holds for
-the requests' banks, so they can be committed as they are.  So each
-access fitted takes one ``Bank.span`` call, not one more to commit.
+rest of each reservation.  So each access fitted takes one ``Bank.span``
+call, not one more to commit.  A ``probe`` places requests against a
+held view of the table, for ranking; it reserves nothing.
 """
 
 from __future__ import annotations
@@ -369,23 +368,12 @@ class PortAccessTable:
         except PortConflict:
             return None
 
-    def unchanged(self, requests: list[tuple[str, int, int]]) -> bool:
-        """Whether no reservation since ``hold_view`` touched the banks of
-        the (bank, address, cycle) requests, so that they fit the live
-        table as they fit the held view."""
-        view_last = self._view_last
-        for bank_id, _, _ in requests:
-            if bank_id in view_last:
-                return False
-        return True
-
     def commit(self, requests: list[tuple[str, int, int]],
                fits: list[tuple[int, str, range]]) -> range:
-        """Reserve requests on the slot spans ``fit`` (or ``probe``, while
-        the requests' banks are ``unchanged``) gave them on the live table,
-        which must not have changed in between; returns their sequence
-        numbers, in request order (the requests and fits already hold the
-        rest of each reservation)."""
+        """Reserve requests on the slot spans ``fit`` gave them on the live
+        table, which must not have changed in between; returns their
+        sequence numbers, in request order (the requests and fits already
+        hold the rest of each reservation)."""
         first = self._seq + 1
         for (bank_id, address, _), (_, _, span) in zip(requests, fits):
             state = self._state[bank_id]

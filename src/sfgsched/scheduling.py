@@ -44,12 +44,9 @@ rest follow in id order.  The ready set also keeps its groups' alaps in
 order, so the per-cycle check for overdue ops and the idle skip read the
 earliest alap instead of scanning the groups.
 
-A start fits its accesses once.  An access-free op only takes a free
-instance.  A memory op reuses the probe the walk put it forward with
-(its signature's probe at the start of the cycle, slot spans included)
-while no reservation made since has touched its banks (the live table
-then reads as the view the probe saw), and is fitted on the live table
-otherwise; either way the commit takes the fitted spans as they are.
+A start fits its accesses once, on the live table, and the commit takes
+the fitted spans as they are.  An access-free op only takes a free
+instance.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
@@ -76,10 +73,9 @@ fit and the sequence number ``PortAccessTable.commit`` hands back, with
 the per-op facts (node, access ids and labels) looked up once per run in
 the op table.  ``schedule()``, the verifier and ``estimate_registers``
 read the records by position (an op's completion is its start plus its
-latency), which costs less than reading their fields by name or through
-``ScheduledOp.completion``, and ``Schedule.to_json`` writes its three
-record tables straight from the records (``jsontext.dumps_tables``),
-with no dict per record.
+latency), which costs less than reading their fields by name, and
+``Schedule.to_json`` writes its three record tables straight from the
+records (``jsontext.dumps_tables``), with no dict per record.
 """
 
 from __future__ import annotations
@@ -162,10 +158,6 @@ class ScheduledOp(NamedTuple):
     instance: str
     start: int
     latency: int
-
-    @property
-    def completion(self) -> int:
-        return self.start + self.latency
 
 
 class ScheduledAccess(NamedTuple):
@@ -295,9 +287,6 @@ def _port_requests(reads: list[CgNode], writes: list[CgNode], latency: int,
     return tuple(reqs)
 
 
-_ACCESS_FREE = (0, ())  # the ``hit`` of an op with no port request
-
-
 @dataclass
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps,
@@ -329,10 +318,8 @@ class SchedulerState:
     ``started`` holds each op's record once it has started, else None.
 
     ``begin_cycle`` holds the port table's view for a cycle ``t``; until
-    the next one, ``hit`` (and ``cost``, its total) probes that view once
-    per signature and keeps each probe in ``probed``.  The walk puts each
-    memory op forward with the probe of its signature and records it in
-    ``walked`` by position, and ``view_fit`` hands that on to the start.
+    the next one, ``cost`` probes that view once per signature and keeps
+    each probe's total in ``probed``.
     """
 
     cg: ConstraintGraph
@@ -366,10 +353,7 @@ class SchedulerState:
     started: list[ScheduledOp | None] = field(init=False)
     t: int = field(init=False, default=-1)
     last: dict[str, int | None] = field(init=False, default_factory=dict)
-    probed: dict[tuple, tuple[int, list[tuple[int, str, range]]] | None] = \
-        field(init=False, default_factory=dict)
-    walked: dict[int, list[tuple[int, str, range]]] = field(
-        init=False, default_factory=dict)
+    probed: dict[tuple, int | None] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         cg, windows = self.cg, self.windows
@@ -481,17 +465,15 @@ class SchedulerState:
         the cycle before; returns each bank's last address in the view."""
         self.t = t
         self.probed = {}
-        self.walked = {}
         self.last = self.table.hold_view()
         return self.last
 
-    def hit(self, i: int) -> tuple[int, list[tuple[int, str, range]]] | None:
-        """(total port cost, ``PortAccessTable.probe`` fits) of starting
-        the op at position i in the cycle begun last, against the held
-        view, or None if blocked.  Ops of one signature share one probe;
-        an access-free op costs 0 and has no fits."""
+    def cost(self, i: int) -> int | None:
+        """Total port cost of starting the op at position i in the cycle
+        begun last, against the held view, or None if blocked.  Ops of one
+        signature share one probe; an access-free op costs 0."""
         if not self.requests[i]:
-            return _ACCESS_FREE
+            return 0
         sig = self.signature(i, self.last)
         try:
             return self.probed[sig]
@@ -500,26 +482,9 @@ class SchedulerState:
                 fits = self.table.probe(self.access_requests(i, self.t))
             except HorizonError:
                 fits = None
-            hit = self.probed[sig] = None if fits is None else (
-                sum(fit[0] for fit in fits), fits)
-            return hit
-
-    def cost(self, i: int) -> int | None:
-        """The total of ``hit``: the port cost of starting the op at
-        position i in the cycle begun last, or None if blocked."""
-        hit = self.hit(i)
-        return None if hit is None else hit[0]
-
-    def view_fit(self, i: int, t: int, reqs: list[tuple[str, int, int]]
-                 ) -> list[tuple[int, str, range]] | None:
-        """(cost, class, slot span) of each request ``reqs`` of the op at
-        position i at cycle t from the probe the walk put the op forward
-        with this cycle (``walked``), or None when there is none to reuse.
-        The probe read the view; it holds on the live table as long as no
-        reservation since has touched the requests' banks."""
-        if t != self.t or not self.table.unchanged(reqs):
-            return None
-        return self.walked.get(i)
+            cost = self.probed[sig] = None if fits is None else sum(
+                fit[0] for fit in fits)
+            return cost
 
     def blocking_bank(self, i: int, t: int) -> str | None:
         """Bank of the first access request of the op at position i that
@@ -742,11 +707,8 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
     op_class = state.op_class
     read_keys = state.read_keys
     started = state.started
-    hit_of, walked = state.hit, state.walked
     readers = ready.readers
     left = dict(ready.per_class)  # members in groups not visited yet
-    # of those, the members whose class has a free instance
-    open_left = sum(n for cls, n in left.items() if free.get(cls))
 
     # Burst lookahead: reading address x ranks ahead of a peer when some
     # other servable ready op reads x+1 on the same bank (starting the run
@@ -772,26 +734,24 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                 yield 1, i
 
     for key in ready.keys:
-        if not zero_left and not open_left:
+        if not zero_left and not any(n and free.get(cls)
+                                     for cls, n in left.items()):
             return
         group = ready.groups[key]
         zero = key[1] <= t
-        # (cost, flag, position, fits of its probe, cursor over its
-        # bucket's rest)
+        # (cost, flag, position, cursor over its bucket's rest)
         heads = []
         for (cls, steps), bucket in group.items():
             members = bucket.members
             n = len(members)
             left[cls] -= n
-            if free.get(cls):
-                open_left -= n
-            elif not zero:
+            if not zero and not free.get(cls):
                 continue
             if zero:
                 zero_left -= n
             if not steps:
                 # access-free: cost 0 and flag 1 for every member
-                heads.append((0, 1, members[0], (), _after_first(members)))
+                heads.append((0, 1, members[0], _after_first(members)))
                 continue
             candidates = set()
             for bank, _, inop in steps:
@@ -799,37 +759,32 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                     candidates.update(
                         bucket.first_at.get((bank, last[bank] + 1), ()))
             for i in candidates:
-                hit = hit_of(i)
-                if hit is not None:
-                    heads.append((hit[0], enables_flag(i), i, hit[1], None))
+                c = cost(i)
+                if c is not None:
+                    heads.append((c, enables_flag(i), i, None))
             # the other members share one signature, so one probe serves
             first = members[0] if not candidates else next(
                 (i for i in members if i not in candidates), None)
-            if first is None or (hit := hit_of(first)) is None:
+            if first is None or (c := cost(first)) is None:
                 continue
-            c, fits = hit
             if candidates or bucket.enablers:
                 others = rest(bucket, candidates)
-                heads.append((c, *next(others), fits, others))
+                heads.append((c, *next(others), others))
             else:  # first is the lowest member, and every flag is 1
-                heads.append((c, 1, first, fits, _after_first(members)))
+                heads.append((c, 1, first, _after_first(members)))
         heapq.heapify(heads)
         while heads:
-            c, _, i, fits, others = heapq.heappop(heads)
+            c, _, i, others = heapq.heappop(heads)
             cls = op_class[i]
             if not zero and not free.get(cls):
                 continue  # an earlier start took the last free instance
-            if fits:
-                walked[i] = fits  # for the start to commit (``view_fit``)
             yield i
             if started[i] is not None and free.get(cls):
                 free[cls] -= 1
-                if not free[cls]:
-                    open_left -= left[cls]
             if others is not None and (zero or free.get(cls)):
                 head = next(others, None)
                 if head is not None:
-                    heapq.heappush(heads, (c, *head, fits, others))
+                    heapq.heappush(heads, (c, *head, others))
 
 
 def _after_first(members: list[int]) -> Iterator[tuple[int, int]]:
@@ -845,26 +800,23 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
     (a legal wait: it still has slack).  At zero margin a missing resource
     aborts the schedule instead; a port conflict is reported before a
     missing instance.  An access-free operation only needs an instance.
-    The accesses of another are fitted once, or not at all when the probe
-    the walk put it forward with still holds (``view_fit``), and committed
-    as fitted, slot spans included.
+    The accesses of another are fitted once, on the live table, and
+    committed as fitted, slot spans included.
     """
     i = state.at[op_id]
     op_class = state.op_class[i]
     reqs = state.requests[i]
     if reqs:
         reqs = state.access_requests(i, t)
-        fits = state.view_fit(i, t, reqs)
-        if fits is None:
-            try:
-                fits = state.table.fit(reqs)
-            except BlockedAccess as e:
-                if state.alap[i] == t:
-                    raise ScheduleFailure("memory-conflict-at-zero-margin",
-                                          cycle=t, operation=op_id,
-                                          op_class=op_class,
-                                          bank=e.bank_id) from None
-                return None
+        try:
+            fits = state.table.fit(reqs)
+        except BlockedAccess as e:
+            if state.alap[i] == t:
+                raise ScheduleFailure("memory-conflict-at-zero-margin",
+                                      cycle=t, operation=op_id,
+                                      op_class=op_class,
+                                      bank=e.bank_id) from None
+            return None
 
     for inst in state.instances.get(op_class, ()):
         if inst.busy_until <= t:

@@ -1,0 +1,39 @@
+"""The benchmark's workload generators build their problems through the
+package's public names (ROADMAP's "Names the benchmark depends on").
+Building and running some of them here makes a deletion or a rename of
+one of those names fail here, not in the first benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import sfgsched as s
+from sfgsched import cli
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
+    / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_problems_build_write_and_run(tmp_path):
+    workloads = _load_workloads()
+    sweep = [workloads.sweep_problem(s, seed) for seed in range(20)]
+    problems = sweep + workloads.fft64_pinned(s, 1)
+    codes = [cli.main(workloads.write_problem(s, p, tmp_path / p.name))
+             for p in problems]
+    assert codes[-1] == 0  # fft64_pinned
+    # the oracle call of the benchmark's kernel_sweep verdicts
+    optima = [s.brute_force_min_latency(p.g, p.lib, p.spec, p.mapping,
+                                        instances=p.caps) for p in sweep]
+    for p, code, optimum in zip(sweep, codes, optima):
+        assert code in (0, 2, 3), p.name
+        assert (code == 2) <= (optimum is None), p.name
+    assert set(codes) == {0, 2, 3}

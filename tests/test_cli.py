@@ -1,6 +1,7 @@
 import gc
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -431,6 +432,26 @@ def test_gen_fft(tmp_path, capsys):
 def test_gen_fft_bad_points(capsys):
     assert main(["gen-fft", "--points", "12"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_fft_refuses_a_size_above_its_ceiling():
+    """A huge power of two ends in exit 1 and one message, not in a
+    MemoryError traceback.  The child's address space is capped, so a
+    generator that starts building fails fast without taking the host's
+    memory."""
+    limit = 512 * 2 ** 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfgsched", "gen-fft", "--points",
+         str(2 ** 40)], capture_output=True, text=True,
+        preexec_fn=cap_memory, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: n_points must be at most 16384, got "
+                           "1099511627776\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_export_dot(pairsum_dir, capsys):

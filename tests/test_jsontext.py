@@ -13,9 +13,9 @@ SCALARS = (st.none() | st.booleans() | st.integers()
 KEYS = TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans() \
     | st.none()
 RECORDS = st.lists(st.dictionaries(KEYS, SCALARS, max_size=4), max_size=4)
-# flat containers of only ints or only strs, which are written without the
-# encoder; their neighbours (bools, which are ints to isinstance, and
-# mixes) still go through it
+# flat containers, walked item by item: of only ints or only strs, whose
+# items are written without the encoder, and of their neighbours (bools,
+# which are ints to isinstance, and mixes), whose items go through it
 ALIKE = st.integers() | TEXT
 FLAT = st.one_of(
     [st.lists(items, min_size=1, max_size=4) for items in (

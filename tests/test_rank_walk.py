@@ -9,8 +9,7 @@ yield sequence, whether each yielded op started, and the schedule bytes
 (or the abort message) must agree.
 
 Further cases pin the walk's fast paths: access-free buckets (no probe,
-members in id order), a bucket's later members under a pool above one,
-and the start that reuses the cycle's probe instead of fitting again.
+members in id order) and a bucket's later members under a pool above one.
 """
 
 import json
@@ -318,8 +317,9 @@ def test_later_bucket_members_start_under_a_pool_above_one(monkeypatch):
     # reading bank m (two ports) at addresses that continue no run, in
     # one memory bucket.  With three adders and two multipliers the walk
     # yields past each bucket's head: a2 and a3 from the add bucket, and
-    # r2, whose fit differs from the probe's once r1 has left the bank at
-    # address 0 (random, not burst), so it must be fitted afresh.
+    # r2, whose fit on the live table differs from its probe of the
+    # cycle-start view once r1 has left the bank at address 0 (random,
+    # not burst).
     adds = ["a1", "a2", "a3", "a4", "a5"]
     reads = ["r1", "r2", "r3"]
     data = {"r1": "d0", "r2": "d5", "r3": "d9"}
@@ -345,32 +345,6 @@ def test_later_bucket_members_start_under_a_pool_above_one(monkeypatch):
              for a in json.loads(text)["accesses"]}
     assert costs == {"d0": (0, "burst"), "d5": (0, "random"),
                      "d9": (1, "random")}
-
-
-def test_reused_fit_equals_a_fresh_fit(monkeypatch):
-    """Wherever a memory op's start takes its fit from the probe the walk
-    put it forward with, a fresh fit of its requests on the live table
-    gives the same costs, classes and slot spans."""
-    view_fit = scheduling.SchedulerState.view_fit
-    seen = {"reused": 0, "fitted afresh": 0}
-
-    def checked(state, op_id, t, reqs):
-        fits = view_fit(state, op_id, t, reqs)
-        if fits is None:
-            seen["fitted afresh"] += 1
-        else:
-            fresh = state.table.fit(reqs)
-            assert fresh == fits
-            seen["reused"] += 1
-        return fits
-
-    monkeypatch.setattr(scheduling.SchedulerState, "view_fit", checked)
-    for seed in range(60):
-        try:
-            random_fft_problem(seed).run_scheduler()
-        except s.ScheduleFailure:
-            pass
-    assert all(seen.values()), seen
 
 
 def test_idle_checks_agree_with_a_full_scan(monkeypatch):
