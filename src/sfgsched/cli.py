@@ -8,8 +8,8 @@ Subcommands:
 * ``gen-fft``    emit a radix-2 FFT dataflow graph
 * ``export-dot`` render a graph for graphviz
 
-Exit codes: 0 success, 1 bad input or usage, 2 constraints statically
-infeasible, 3 scheduling aborted.
+Exit codes: 0 success, 1 bad input or usage (running out of memory
+included), 2 constraints statically infeasible, 3 scheduling aborted.
 
 The argument parser is built on the first ``main`` call, not at import, and
 reused by every later call in the process.  Each ``check``, ``schedule`` and
@@ -264,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ABORTED
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if collecting:

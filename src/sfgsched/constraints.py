@@ -1,22 +1,16 @@
 """Constraint graph: dependency/latency model, I/O constraint merge, time
 windows, and static feasibility checks.
 
-Construction has two stages over one graph type:
+The problem is lowered once, by node position (see ``ConstraintGraph``):
 
 1. ``build_constraint_graph`` annotates the SFG's operations with operator
    latencies and materializes explicit memory-access nodes: every
    memdata->operation edge becomes a *read* node, every operation->memdata
    edge a *write* node.
-2. ``apply_io_constraints`` folds the bus transfer schedule in: input nodes
-   get an arrival cycle, output nodes a deadline cycle.  Only those nodes
-   are replaced; the result shares its input graph's successor,
-   predecessor and access indexes, which nothing mutates.
-
-Each stage is one linear pass: the lowering selects each symbol's
-operator class once and walks each node's in-edges in id order, sorting
-only the operation->memdata edges, and ``compute_time_windows`` reads the
-adjacency directly, weighing each edge once by the rule that
-``ConstraintGraph.edge_weight`` states for one edge.
+2. ``apply_io_constraints`` gives input nodes an arrival cycle and output
+   nodes a deadline cycle, sharing every other column with its input.
+3. ``compute_time_windows`` walks the topological order the SFG's
+   validation found, weighing each edge by ``_weights_from``.
 
 Timing model (all cycles 0-based):
 
@@ -43,11 +37,14 @@ this model to start cycles for the scheduler, verifier and oracle.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
+from operator import sub
 from typing import NamedTuple
 
-from .graph import SFG, NodeKind, validate_sfg
+from .graph import SFG, NodeKind, _OP, topological_order, validate_sfg
 from .iospec import IoConstraintSpec, IoSpecError, Transfer
 from .oplib import OperatorLibrary
 
@@ -75,11 +72,10 @@ _SAME_CYCLE_SOURCES = frozenset((CgKind.READ, CgKind.INPUT))
 
 
 class CgNode(NamedTuple):
-    """Constraint-graph node (a named tuple: immutable and hashable).  The
-    lowering builds each one with ``tuple.__new__`` and all ten fields
-    spelled out, defaults included: calling the class would run its
-    Python-level ``__new__`` once per node, and ``tuple.__new__`` checks no
-    arity, so a missing field would go unnoticed.
+    """Constraint-graph node (a named tuple: immutable and hashable).  A
+    ``ConstraintGraph`` keeps its nodes as columns and builds these records
+    from them, with ``tuple.__new__`` and all ten fields spelled out, only
+    when asked for them (``nodes``, ``of_kind``).
 
     ``latency`` is the node's occupancy in cycles (operator latency for ops,
     optimistic access time for read/write nodes, 0 for I/O events).  Access
@@ -105,57 +101,80 @@ _tuple_new = tuple.__new__
 
 
 class ConstraintGraph:
-    """Immutable DAG of CgNodes; ``latency_bound`` is set once I/O
-    constraints have been applied."""
+    """Immutable DAG of constraint-graph nodes, as columns by node position.
+
+    A graph lowered from an SFG keeps the SFG's positions, leaves those of
+    constants and memdata empty (kind None) and puts its access nodes after
+    them, writes first; one built from records numbers them in order.
+    ``ids`` and ``at`` translate positions and ids.  One column per
+    ``CgNode`` field holds it by position (``agent`` as a position),
+    ``positions`` each kind's positions in order, ``pred``/``succ`` the
+    adjacency and ``order`` a topological order (None on a cycle);
+    ``consumers`` lists the operations each operation feeds (one per edge),
+    ``reads``/``writes`` its accesses in creation order, and ``edges`` the
+    edges as id pairs.  The records (``nodes``, ``of_kind``) are built on
+    first use.  ``latency_bound`` is set once I/O constraints are applied.
+    """
 
     def __init__(self, nodes: list[CgNode], edges: list[tuple[int, int]],
                  latency_bound: int | None = None):
-        self.nodes: dict[int, CgNode] = {n.id: n for n in nodes}
-        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
+        at = {n.id: p for p, n in enumerate(nodes)}
+        pred: list[list[int]] = [[] for _ in at]
+        succ: list[list[int]] = [[] for _ in at]
+        for u, v in edges:
+            pred[at[v]].append(at[u])
+            succ[at[u]].append(at[v])
+        self._assign([(*n[:7], at.get(n.agent), *n[8:]) for n in nodes],
+                     pred, succ, topological_order(succ, map(len, pred)),
+                     [[q for q in qs if nodes[q].kind is CgKind.OP]
+                      for qs in succ])
         self.latency_bound = latency_bound
-        self._succ: dict[int, list[int]] = {i: [] for i in self.nodes}
-        self._pred: dict[int, list[int]] = {i: [] for i in self.nodes}
-        for u, v in self.edges:
-            self._succ[u].append(v)
-            self._pred[v].append(u)
-        self._reads_of: dict[int, list[CgNode]] = {}
-        self._writes_of: dict[int, list[CgNode]] = {}
-        self._of_kind: dict[CgKind, list[CgNode]] = {k: [] for k in CgKind}
-        # enum members as locals: a class lookup costs ten times a local's
-        READ, WRITE = CgKind.READ, CgKind.WRITE
-        nodes, of_kind = self.nodes, self._of_kind
-        for i in sorted(nodes):
-            n = nodes[i]
-            kind = n.kind
-            of_kind[kind].append(n)
-            if kind is READ:
-                self._reads_of.setdefault(n.agent, []).append(n)
-            elif kind is WRITE:
-                self._writes_of.setdefault(n.agent, []).append(n)
+        self.edges = tuple(edges)
 
-    def _with_io_nodes(self, io_nodes: dict[int, CgNode],
-                       latency_bound: int) -> ConstraintGraph:
-        """This graph with its input and output nodes replaced by
-        ``io_nodes`` (same ids) and ``latency_bound`` set.  Edges and the
-        other nodes stay, so the copy shares this graph's successor,
-        predecessor and access indexes."""
-        new = copy.copy(self)
-        new.nodes = self.nodes | io_nodes  # keeps this graph's node order
-        new.latency_bound = latency_bound
-        new._of_kind = self._of_kind | {
-            kind: [io_nodes[n.id] for n in self._of_kind[kind]]
-            for kind in (CgKind.INPUT, CgKind.OUTPUT)}
-        return new
+    def _assign(self, rows: list[tuple], pred: list, succ: list,
+                order: list[int] | None, consumers: list) -> None:
+        # rows: the CgNode fields by position, ``agent`` as a position
+        (self.ids, self.kind, self.latency, self.label, self.op_class,
+         self.symbol, self.data, self.agent, self.arrival,
+         self.deadline) = [list(c) for c in zip(*rows)] or [
+             [] for _ in range(10)]
+        self.at = dict(zip(self.ids, range(len(rows))))
+        self.pred, self.succ, self.order = pred, succ, order
+        self.consumers = consumers
+        self.latency_bound: int | None = None
+        self.positions: dict[CgKind | None, list[int]] = defaultdict(list)
+        for p, kind in enumerate(self.kind):
+            self.positions[kind].append(p)
+        self.reads: dict[int, list[int]] = {}
+        self.writes: dict[int, list[int]] = {}
+        for accesses, kind in ((self.reads, CgKind.READ),
+                               (self.writes, CgKind.WRITE)):
+            for p in self.positions[kind]:
+                accesses.setdefault(self.agent[p], []).append(p)
+
+    @cached_property
+    def nodes(self) -> dict[int, CgNode]:
+        """The node records by id, in position order."""
+        return {self.ids[p]: self._record(p) for p in range(len(self.ids))
+                if self.kind[p] is not None}
+
+    def _record(self, p: int) -> CgNode:
+        agent = self.agent[p]
+        return _tuple_new(CgNode, (
+            self.ids[p], self.kind[p], self.latency[p], self.label[p],
+            self.op_class[p], self.symbol[p], self.data[p],
+            None if agent is None else self.ids[agent], self.arrival[p],
+            self.deadline[p]))
 
     def successors(self, node_id: int) -> list[int]:
-        return self._succ[node_id]
+        return [self.ids[q] for q in self.succ[self.at[node_id]]]
 
     def predecessors(self, node_id: int) -> list[int]:
-        return self._pred[node_id]
+        return [self.ids[q] for q in self.pred[self.at[node_id]]]
 
     def of_kind(self, kind: CgKind) -> list[CgNode]:
-        """The nodes of one kind in id order."""
-        return list(self._of_kind[kind])
+        """The nodes of one kind in position order."""
+        return list(map(self._record, self.positions[kind]))
 
     @property
     def operations(self) -> list[CgNode]:
@@ -163,26 +182,30 @@ class ConstraintGraph:
 
     def accesses_of(self, op_id: int) -> tuple[list[CgNode], list[CgNode]]:
         """(reads, writes) belonging to an operation, in creation order."""
-        return (self._reads_of.get(op_id, []), self._writes_of.get(op_id, []))
+        p = self.at[op_id]
+        return (list(map(self._record, self.reads.get(p, ()))),
+                list(map(self._record, self.writes.get(p, ()))))
 
     def edge_weight(self, u: int, v: int) -> int:
         """Minimum start-to-start distance implied by edge u -> v."""
-        to_output, other = _weights_from(self.nodes[u])
-        return to_output if self.nodes[v].kind is CgKind.OUTPUT else other
+        pu = self.at[u]
+        to_output, other = _weights_from(self.kind[pu], self.latency[pu])
+        return to_output if self.kind[self.at[v]] is CgKind.OUTPUT else other
 
 
-def _weights_from(node: CgNode) -> tuple[int, int]:
-    """Minimum start-to-start distance implied by an edge out of ``node``
-    into an output, and into any other node."""
-    if node.kind in _SAME_CYCLE_SOURCES:
+def _weights_from(kind: CgKind, latency: int) -> tuple[int, int]:
+    """Minimum start-to-start distance implied by an edge out of a node of
+    ``kind`` and ``latency`` into an output, and into any other node."""
+    if kind in _SAME_CYCLE_SOURCES:
         return 0, 0
     # a transfer may overlap the producer's last cycle
-    return max(node.latency - 1, 0), node.latency
+    return max(latency - 1, 0), latency
 
 
 @dataclass(frozen=True)
 class TimeWindows:
-    """ASAP/ALAP start cycles and their difference (mobility) per node.
+    """ASAP/ALAP start cycles and their difference (mobility) per node id,
+    and by node position (``ConstraintGraph``) for the package's passes.
 
     Windows can be inconsistent (negative mobility) for infeasible
     constraint sets; ``check_feasibility`` reports that, the computation
@@ -192,6 +215,9 @@ class TimeWindows:
     asap: dict[int, int]
     alap: dict[int, int]
     mobility: dict[int, int]
+    asap_at: list[int] = field(default=(), compare=False, repr=False)
+    alap_at: list[int] = field(default=(), compare=False, repr=False)
+    mobility_at: list[int] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -224,12 +250,13 @@ class FeasibilityReport:
 
 def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     """Annotate the SFG with operator latencies and materialize memory-access
-    nodes.
+    nodes, in one pass over the SFG's positions.
 
     Supported edges: input/const/memdata -> operation, operation ->
     operation/memdata/output, input -> output.  Constants impose no timing
     constraint (they are folded into the operator datapath) and produce no
-    constraint-graph node.
+    constraint-graph node.  The SFG's topological order is kept, with each
+    memdata's write and reads in its place.
     """
     violations = validate_sfg(g)
     if violations:
@@ -240,85 +267,110 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     # enum members as locals: a class lookup costs ten times a local's
     OP, READ, WRITE = CgKind.OP, CgKind.READ, CgKind.WRITE
     CG_INPUT, CG_OUTPUT = CgKind.INPUT, CgKind.OUTPUT
+    sfg_nodes, sfg_kind, sfg_in, ids, at = \
+        g._ordered, g._kind, g._in, g.ids, g._at
     # Pick each symbol's class once, in symbol order, so that the first
     # symbol no class executes is reported before any unsupported memory use.
     selected = {sym: lib.select(sym)
-                for sym in sorted({n.op for n in g._of_kind[OPERATION]})}
-    by_id, in_edges = g._by_id, g._in
-    next_id = g._ordered[-1].id + 1 if g._ordered else 0
-    edges: list[tuple[int, int]] = []
+                for sym in sorted(set(map(_OP, sfg_nodes)) - {None})}
+    n = len(sfg_nodes)
+    rows: list = [None] * n  # the CgNode fields, by position
+    pred: list = [()] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    consumers: list = [[] if k is OPERATION else () for k in sfg_kind]
+    base = ids[-1] + 1 - n if ids else 0  # access ids follow the SFG's
+    of_data: dict[int, list[int]] = {}  # memdata -> its write, then reads
+    edges: list[tuple[int, int]] = []  # by id, in the order made
 
-    # Writes first, so that their ids come first and reads of the same
-    # datum can be chained after them; an Edge sorts as (src, dst, pos).
-    writes: list[CgNode] = []
-    writes_of_data: dict[int, int] = {}  # memdata id -> write node id
-    for e in sorted(e for m in g._of_kind[MEMDATA]
-                    for e in in_edges.get(m.id, ())
-                    if by_id[e.src].kind is OPERATION):
-        if e.dst in writes_of_data:
+    # Writes first, so that their positions come first and reads of the
+    # same datum can be chained after them, in (source, memdata) order.
+    for s, m, _ in sorted((at[e.src], m, e.pos)
+                          for m, mk in enumerate(sfg_kind) if mk is MEMDATA
+                          for e in sfg_in[m]
+                          if sfg_kind[at[e.src]] is OPERATION):
+        if m in of_data:
             raise UnsupportedGraphError(
-                f"memdata node {e.dst} has multiple writers")
-        w = _tuple_new(CgNode, (next_id, WRITE, OPTIMISTIC_ACCESS_LATENCY,
-                                f"wr:{by_id[e.dst].name}", None, None, e.dst,
-                                e.src, None, None))
-        next_id += 1
-        writes.append(w)
-        writes_of_data[e.dst] = w.id
-        edges.append((e.src, w.id))
+                f"memdata node {ids[m]} has multiple writers")
+        w = len(rows)
+        rows.append((base + w, WRITE, OPTIMISTIC_ACCESS_LATENCY,
+                     f"wr:{sfg_nodes[m].label or f'n{ids[m]}'}", None, None,
+                     ids[m], s, None, None))
+        pred.append((s,))
+        succ.append([])
+        succ[s].append(w)
+        edges.append((ids[s], base + w))
+        of_data[m] = [w]
+    first_read = len(rows)  # the positions below are writes'
 
     # Then, node by node in id order, the node itself and every other
     # edge into it.  A valid graph gives an operation distinct operand
-    # positions and an output one in-edge, so the edges come in (dst,
-    # pos, src) order.
-    nodes: list[CgNode] = []
-    reads: list[CgNode] = []
-    for n in g._ordered:
-        dk = n.kind
+    # positions and an output one in-edge.
+    for d, (node_id, dk, op, name) in enumerate(sfg_nodes):
+        name = name or f"n{node_id}"
         if dk is OPERATION:
-            cls = selected[n.op]
-            nodes.append(_tuple_new(CgNode, (n.id, OP, cls.latency, n.name,
-                                             cls.name, n.op, None, None, None,
-                                             None)))
-        elif dk is INPUT:
-            nodes.append(_tuple_new(CgNode, (n.id, CG_INPUT, 0, n.name, None,
-                                             None, None, None, None, None)))
-        elif dk is OUTPUT:
-            nodes.append(_tuple_new(CgNode, (n.id, CG_OUTPUT, 0, n.name, None,
-                                             None, None, None, None, None)))
-        ins = in_edges.get(n.id)
-        if not ins:
-            continue
-        if dk is MEMDATA:
-            foreign = [e for e in ins if by_id[e.src].kind is not OPERATION]
-            if foreign:
+            cls = selected[op]
+            rows[d] = (node_id, OP, cls.latency, name, cls.name, op, None,
+                       None, None, None)
+        elif dk is INPUT or dk is OUTPUT:
+            rows[d] = (node_id, CG_INPUT if dk is INPUT else CG_OUTPUT, 0,
+                       name, None, None, None, None, None, None)
+        else:
+            rows[d] = (node_id, None, 0, "", None, None, None, None, None,
+                       None)
+            foreign = [e for e in sfg_in[d]
+                       if sfg_kind[at[e.src]] is not OPERATION]
+            if foreign:  # into memdata: writes are handled above
                 e = min(foreign, key=lambda e: (e.pos, e.src))
                 raise UnsupportedGraphError(
-                    f"edge {e.src}->{e.dst}: only operations may write memdata")
-            continue  # writes, handled above
+                    f"edge {e.src}->{node_id}: only operations may write "
+                    f"memdata")
+            continue
+        ins = sfg_in[d]
+        if not ins:
+            continue
         # Here the node is an operation or an output: validation leaves
-        # inputs and constants without in-edges and outputs without
-        # out-edges.
+        # inputs without in-edges.
+        pred[d] = ps = []
         for e in ins:
-            sk = by_id[e.src].kind
-            if sk is INPUT or sk is OPERATION:
-                edges.append((e.src, e.dst))
+            s = at[e.src]
+            sk = sfg_kind[s]
+            if sk is OPERATION or sk is INPUT:
+                ps.append(s)
+                succ[s].append(d)
+                edges.append((ids[s], node_id))
+                if sk is OPERATION and dk is OPERATION:
+                    consumers[s].append(d)
             elif dk is OUTPUT:
                 raise UnsupportedGraphError(
-                    f"edge {e.src}->{e.dst}: an output must be fed by an "
+                    f"edge {e.src}->{node_id}: an output must be fed by an "
                     f"input or operation node")
             elif sk is MEMDATA:
-                r = _tuple_new(CgNode, (next_id, READ,
-                                        OPTIMISTIC_ACCESS_LATENCY,
-                                        f"rd:{by_id[e.src].name}", None, None,
-                                        e.src, e.dst, None, None))
-                next_id += 1
-                reads.append(r)
-                if e.src in writes_of_data:
-                    edges.append((writes_of_data[e.src], r.id))
-                edges.append((r.id, e.dst))
+                r = len(rows)
+                rows.append((base + r, READ, OPTIMISTIC_ACCESS_LATENCY,
+                             f"rd:{sfg_nodes[s].label or f'n{ids[s]}'}",
+                             None, None, ids[s], d, None, None))
+                chain = of_data.setdefault(s, [])
+                written = chain and chain[0] < first_read
+                pred.append((chain[0],) if written else ())
+                if written:
+                    succ[chain[0]].append(r)
+                    edges.append((base + chain[0], base + r))
+                chain.append(r)
+                succ.append([d])
+                ps.append(r)
+                edges.append((base + r, node_id))
             # a constant is folded into the operator: no timing edge
 
-    return ConstraintGraph(nodes + writes + reads, edges)
+    order = []
+    for p in g._order:  # kept by validation
+        if rows[p][1] is not None:
+            order.append(p)
+        elif p in of_data:
+            order += of_data[p]
+    cg = ConstraintGraph.__new__(ConstraintGraph)
+    cg._assign(rows, pred, succ, order, consumers + [()] * (len(rows) - n))
+    cg.edges = tuple(edges)
+    return cg
 
 
 def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
@@ -329,27 +381,26 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
     ``deadline = offset`` (the producer may occupy cycles up to and
     including the transfer cycle).  Unconstrained inputs arrive at cycle 0;
     unconstrained outputs may be produced through ``latency_bound - 1``.
-    The operation part of the graph (nodes, latencies, edges) is unchanged.
+    The result is a copy that shares every other column with ``cg``.
     """
-    offset_of: dict[int, int] = {}
+    offset_of: dict[int, int] = {}  # by position
     for t in transfers:
-        if t.node not in cg.nodes or cg.nodes[t.node].kind not in (
-                CgKind.INPUT, CgKind.OUTPUT):
+        p = cg.at.get(t.node)
+        if p is None or cg.kind[p] not in (CgKind.INPUT, CgKind.OUTPUT):
             raise IoSpecError(f"transfer references unknown I/O node {t.node}")
-        if t.node in offset_of:
+        if p in offset_of:
             raise IoSpecError(f"node {t.node} is transferred twice")
-        offset_of[t.node] = t.offset
+        offset_of[p] = t.offset
 
-    # each node rebuilt from its fields up to ``agent``, then ``arrival``
-    # and ``deadline``
-    default_deadline = spec.latency_bound - 1
-    io_nodes = {n.id: _tuple_new(CgNode, (*n[:8], offset_of.get(n.id, 0),
-                                          n.deadline))
-                for n in cg._of_kind[CgKind.INPUT]}
-    for n in cg._of_kind[CgKind.OUTPUT]:
-        io_nodes[n.id] = _tuple_new(CgNode, (
-            *n[:9], offset_of.get(n.id, default_deadline)))
-    return cg._with_io_nodes(io_nodes, spec.latency_bound)
+    new = copy.copy(cg)
+    new.latency_bound = spec.latency_bound
+    vars(new).pop("nodes", None)  # records of the old arrivals and deadlines
+    new.arrival, new.deadline = [None] * len(cg.ids), [None] * len(cg.ids)
+    for p in cg.positions[CgKind.INPUT]:
+        new.arrival[p] = offset_of.get(p, 0)
+    for p in cg.positions[CgKind.OUTPUT]:
+        new.deadline[p] = offset_of.get(p, spec.latency_bound - 1)
+    return new
 
 
 def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
@@ -362,60 +413,56 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
     """
     if cg.latency_bound is None:
         raise ValueError("apply I/O constraints before computing windows")
-    nodes, succ = cg.nodes, cg._succ
+    if cg.order is None:
+        raise ValueError("constraint graph contains a cycle")
+    kind, latency, succ, agent = cg.kind, cg.latency, cg.succ, cg.agent
     OUTPUT = CgKind.OUTPUT
-    # ASAP in topological order (Kahn), relaxing each edge once; the
-    # weights of a node's out-edges come from one read of the node
-    # (``_weights_from``), in this pass and in the ALAP pass alike.
-    asap = dict.fromkeys(nodes, 0)
-    for n in cg._of_kind[CgKind.INPUT]:
-        asap[n.id] = n.arrival
-    indeg = {i: len(p) for i, p in cg._pred.items()}
-    order = [i for i, d in indeg.items() if d == 0]
-    for u in order:  # grows as nodes become ready
+    # each node's out-edge weights, by ``_weights_from`` once per kind and
+    # latency; ASAP then relaxes each edge once, in topological order
+    rule: dict[tuple, tuple[int, int]] = {}
+    weights = [rule.get(kl) or rule.setdefault(kl, _weights_from(*kl))
+               for kl in zip(kind, latency)]
+    asap = [0] * len(kind)
+    for p in cg.positions[CgKind.INPUT]:
+        asap[p] = cg.arrival[p]
+    for u in cg.order:
         vs = succ[u]
         if not vs:
             continue
         t = asap[u]
-        to_output, other = _weights_from(nodes[u])
+        to_output, other = weights[u]
         for v in vs:
-            w = to_output if nodes[v].kind is OUTPUT else other
+            w = to_output if kind[v] is OUTPUT else other
             if t + w > asap[v]:
                 asap[v] = t + w
-            d = indeg[v] - 1
-            indeg[v] = d
-            if not d:
-                order.append(v)
-    if len(order) != len(nodes):
-        raise ValueError("constraint graph contains a cycle")
 
-    alap: dict[int, int] = {}
-    for u in reversed(order):
-        n, vs = nodes[u], succ[u]
-        if n.kind is OUTPUT:
-            alap[u] = n.deadline
+    alap = [0] * len(kind)
+    for u in reversed(cg.order):
+        vs = succ[u]
+        if kind[u] is OUTPUT:
+            alap[u] = cg.deadline[u]
         elif vs:
-            to_output, other = _weights_from(n)
-            late = None
-            for v in vs:
-                w = to_output if nodes[v].kind is OUTPUT else other
-                if late is None or alap[v] - w < late:
-                    late = alap[v] - w
-            alap[u] = late
+            to_output, other = weights[u]
+            alap[u] = min([alap[v] - (to_output if kind[v] is OUTPUT
+                                      else other) for v in vs])
         else:
-            alap[u] = cg.latency_bound - n.latency
+            alap[u] = cg.latency_bound - latency[u]
 
     # Access nodes track the operation they belong to.
-    for n in cg._of_kind[CgKind.READ]:
-        asap[n.id] = asap[n.agent]
-        alap[n.id] = alap[n.agent]
-    for n in cg._of_kind[CgKind.WRITE]:
-        latency = nodes[n.agent].latency
-        asap[n.id] = asap[n.agent] + latency
-        alap[n.id] = alap[n.agent] + latency
+    for p in cg.positions[CgKind.READ]:
+        asap[p] = asap[agent[p]]
+        alap[p] = alap[agent[p]]
+    for p in cg.positions[CgKind.WRITE]:
+        a = agent[p]
+        asap[p] = asap[a] + latency[a]
+        alap[p] = alap[a] + latency[a]
 
-    mobility = {i: alap[i] - asap[i] for i in nodes}
-    return TimeWindows(asap=asap, alap=alap, mobility=mobility)
+    mobility = list(map(sub, alap, asap))
+    asap_of, alap_of, mobility_of = {}, {}, {}
+    for p in cg.order:  # every node, and no empty position
+        i = cg.ids[p]
+        asap_of[i], alap_of[i], mobility_of[i] = asap[p], alap[p], mobility[p]
+    return TimeWindows(asap_of, alap_of, mobility_of, asap, alap, mobility)
 
 
 def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
@@ -428,7 +475,7 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
     # enum members as locals: a class lookup costs ten times a local's
     INPUT, OUTPUT, READ, WRITE = \
         CgKind.INPUT, CgKind.OUTPUT, CgKind.READ, CgKind.WRITE
-    nodes, asap = cg.nodes, windows.asap
+    kind, asap = cg.kind, windows.asap_at
 
     offsets_ok = True
     pinned_in: list[int] = []
@@ -439,10 +486,10 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
             diagnostics.append(
                 f"transfer of node {t.node} at offset {t.offset} does not fit "
                 f"cadence {spec.cadence}")
-        kind = nodes[t.node].kind
-        if kind is INPUT:
+        k = kind[cg.at[t.node]]
+        if k is INPUT:
             pinned_in.append(t.offset)
-        elif kind is OUTPUT:
+        elif k is OUTPUT:
             pinned_out.append(t.offset)
 
     # One pass over the nodes.  Iteration cycles are absolute (deadlines
@@ -453,22 +500,22 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
     critical = 0
     late_accesses: list[str] = []
     late_outputs: list[str] = []
-    for n in nodes.values():
-        kind = n.kind
-        if kind is INPUT:
+    latency, deadline, label, ids = cg.latency, cg.deadline, cg.label, cg.ids
+    for p, k in enumerate(kind):
+        if k is None or k is INPUT:
             continue
-        begin = asap[n.id]
-        if kind is OUTPUT:
+        begin = asap[p]
+        if k is OUTPUT:
             end = begin + 1
-            if begin > n.deadline:
+            if begin > deadline[p]:
                 late_outputs.append(
-                    f"output {n.label or n.id} cannot be produced before "
-                    f"cycle {begin}, deadline is {n.deadline}")
+                    f"output {label[p] or ids[p]} cannot be produced before "
+                    f"cycle {begin}, deadline is {deadline[p]}")
         else:
-            end = begin + n.latency
-            if (kind is READ or kind is WRITE) and end > spec.cadence:
+            end = begin + latency[p]
+            if (k is READ or k is WRITE) and end > spec.cadence:
                 late_accesses.append(
-                    f"access {n.label or n.id} at cycle {begin} falls "
+                    f"access {label[p] or ids[p]} at cycle {begin} falls "
                     f"outside the {spec.cadence}-cycle access window")
         if end > critical:
             critical = end
@@ -479,7 +526,7 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
     # the latency runs from the first input transfer (cycle 0 without
     # inputs), which unpinned inputs only move earlier, to the last output
     # transfer, never before the latest pinned one
-    first = min(pinned_in, default=None if cg._of_kind[INPUT] else 0)
+    first = min(pinned_in, default=None if cg.positions[INPUT] else 0)
     last = max(pinned_out, default=None)
     span = 0 if first is None or last is None else last - first + 1
     if span > spec.latency_bound:
@@ -499,44 +546,44 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
 
 
 def transfer_cycles(cg: ConstraintGraph, spec: IoConstraintSpec,
-                    start: dict[int, int]) -> dict[int, int]:
-    """Transfer cycle of every input and output node when each operation
-    ``o`` starts at ``start[o]``: a pinned transfer at its offset, an input
-    just in time for its first use (its arrival when it has none), an
-    output in the cycle its value is produced."""
-    pinned = {tr.node: tr.offset for tr in spec.transfers}
+                    start) -> dict[int, int]:
+    """Transfer cycle, by node position, of every input and output when the
+    operation at position ``o`` starts at ``start[o]``: a pinned transfer at
+    its offset, an input just in time for its first use (its arrival when it
+    has none), an output in the cycle its value is produced."""
+    pinned = {cg.at[tr.node]: tr.offset for tr in spec.transfers}
     cycles: dict[int, int] = {}
-    nodes, succ = cg.nodes, cg._succ
+    kind, succ, arrival = cg.kind, cg.succ, cg.arrival
     OP = CgKind.OP  # a local: a class lookup costs ten times a local's
-    for n in cg._of_kind[CgKind.INPUT]:
-        cycles[n.id] = pinned[n.id] if n.id in pinned else min(
-            (start[s] if nodes[s].kind is OP
-             else pinned.get(s, n.arrival) for s in succ[n.id]),
-            default=n.arrival)
-    for n in cg.of_kind(CgKind.OUTPUT):
-        cycles[n.id] = pinned[n.id] if n.id in pinned else \
-            produced_cycle(cg, n.id, start, cycles)
+    for p in cg.positions[CgKind.INPUT]:
+        cycles[p] = pinned[p] if p in pinned else min(
+            (start[s] if kind[s] is OP else pinned.get(s, arrival[p])
+             for s in succ[p]), default=arrival[p])
+    for p in cg.positions[CgKind.OUTPUT]:
+        cycles[p] = pinned[p] if p in pinned else \
+            produced_cycle(cg, p, start, cycles)
     return cycles
 
 
-def produced_cycle(cg: ConstraintGraph, out_id: int, start: dict[int, int],
+def produced_cycle(cg: ConstraintGraph, out: int, start,
                    cycles: dict[int, int]) -> int:
-    """Cycle in which an output's value exists: its producer's last cycle,
-    or the transfer cycle (from ``cycles``) of the input it passes on."""
-    p = cg._pred[out_id][0]
-    if cg.nodes[p].kind is CgKind.OP:
-        return start[p] + cg.nodes[p].latency - 1
+    """Cycle in which the value of the output at position ``out`` exists: its
+    producer's last cycle, or the transfer cycle (``cycles``) of its input."""
+    p = cg.pred[out][0]
+    if cg.kind[p] is CgKind.OP:
+        return start[p] + cg.latency[p] - 1
     return cycles[p]
 
 
 def achieved_latency(cg: ConstraintGraph, cycles: dict[int, int],
                      last_completion: int | None) -> int:
-    """Cycles from the first input transfer (cycle 0 without inputs)
-    through the last output transfer.  Without outputs the span ends with
-    the last operation cycle, ``last_completion - 1`` (memory writes after
-    it do not count); without operations either it is one cycle."""
-    first = min((cycles[n.id] for n in cg.of_kind(CgKind.INPUT)), default=0)
-    outs = [cycles[n.id] for n in cg.of_kind(CgKind.OUTPUT)]
+    """Cycles from the first input transfer (cycle 0 without inputs) through
+    the last output transfer (``cycles`` by position).  Without outputs the
+    span ends with the last operation cycle, ``last_completion - 1``
+    (memory writes after it do not count); without operations either it is
+    one cycle."""
+    first = min([cycles[p] for p in cg.positions[CgKind.INPUT]], default=0)
+    outs = [cycles[p] for p in cg.positions[CgKind.OUTPUT]]
     if outs:
         last = max(outs)
     elif last_completion is not None:

@@ -18,20 +18,21 @@ function, one interpreter call per record at about twice the cost, and
 it is only there to check the arity and fill in defaults.
 
 An ``SFG`` is immutable, so what is derived from it alone is derived once
-and kept on the instance.  The constructor indexes the nodes by id, by
-kind and in id order, and the edges by endpoint.  ``validate_sfg``
-computes the violation list on first use (``parse_sfg`` validates, and
-``build_constraint_graph`` then reads the kept result) and hands each
-caller a copy; ``node_by_label`` builds its label index on the first
-lookup.
+and kept on the instance.  The constructor numbers the nodes by position
+in id order, the numbering the lowering, the windows, the scheduler and
+the verifier keep; ids are read only where records and messages are
+written.  ``validate_sfg`` computes the violation list and the topological
+order on first use (``parse_sfg`` validates, and ``build_constraint_graph``
+then reads both) and hands each caller a copy of the list;
+``node_by_label`` builds its label index on the first lookup.
 
 Validation checks the edges as sets (it walks them one by one only to
 word the faults a set check found), makes one pass over the nodes, and
 then checks acyclicity: an in-degree count (Kahn's algorithm) clears an
-acyclic graph, and only when it leaves nodes over does a depth-first
-search run to name one cycle.  The parser checks each record's fields in
-a fixed order and words the ``nodes[i]``/``edges[i]`` context of an error
-only when it raises.
+acyclic graph and keeps its order, and only when it leaves nodes over does
+a depth-first search run to name one cycle.  The parser checks each
+record's fields in a fixed order and words the ``nodes[i]``/``edges[i]``
+context of an error only when it raises.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ OPERATION_SYMBOLS = ("+", "-", "*")
 
 #: Operand count per operation symbol.  All supported operations are binary.
 OP_ARITY = {sym: 2 for sym in OPERATION_SYMBOLS}
+#: the operand positions an operation of each arity takes
+_OPERANDS = {n: list(range(n)) for n in set(OP_ARITY.values())}
 
 
 class ParseError(ValueError):
@@ -95,10 +98,25 @@ class Edge(NamedTuple):
 
 
 _SRC, _DST, _POS = itemgetter(0), itemgetter(1), itemgetter(2)
+_ID, _KIND, _OP = _SRC, _DST, _POS  # the same fields of an SfgNode
 
 #: builds a record from a tuple of all its fields, with no Python-level
 #: ``__new__`` call and so no arity check: every field must be given
 _tuple_new = tuple.__new__
+
+
+def topological_order(succ: list[list[int]],
+                      indegree: Iterable[int]) -> list[int] | None:
+    """Positions in a topological order of the graph whose successor
+    lists are ``succ`` (Kahn's algorithm), or None if it has a cycle."""
+    indeg = list(indegree)
+    order = [p for p, d in enumerate(indeg) if not d]
+    for u in order:  # grows as nodes become ready
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    return order if len(order) == len(indeg) else None
 
 
 class SFG:
@@ -106,54 +124,74 @@ class SFG:
 
     Node and edge iteration order is the construction (document) order;
     equality is structural and order-insensitive.
+
+    ``ids`` maps a node position to its id (a repeated id keeps its first
+    node) and ``_at`` an id to its position.  By position, ``_ordered``
+    holds the nodes, ``_kind`` their kinds, ``_in`` the in-edges in operand
+    order and ``_out`` the targets of the out-edges; an edge with a missing
+    end is kept in ``edges`` only.
+    ``_of_kind`` lists each kind's nodes in id order.
     """
 
     def __init__(self, nodes: Iterable[SfgNode], edges: Iterable[Edge | tuple]):
         self.nodes: tuple[SfgNode, ...] = tuple(nodes)
-        self.edges: tuple[Edge, ...] = tuple(
-            e if type(e) is Edge else Edge(*e) for e in edges)
-        self._by_id: dict[int, SfgNode] = {}
+        self.edges: tuple[Edge, ...] = tuple(edges)
+        if {*map(type, self.edges)} - {Edge}:  # plain tuples: make records
+            self.edges = tuple(map(Edge._make, self.edges))
+        last_first = self.nodes[::-1]  # so the first node of an id wins
+        by_id = dict(zip(map(_ID, last_first), last_first))
         self._duplicate_ids: list[int] = []
-        for n in self.nodes:
-            if n.id in self._by_id:
-                self._duplicate_ids.append(n.id)
-            else:
-                self._by_id[n.id] = n
-        # unique nodes in id order, and per kind
-        self._ordered = [self._by_id[i] for i in sorted(self._by_id)]
-        self._of_kind: dict[NodeKind, list[SfgNode]] = {
-            k: [] for k in NodeKind}
-        for n in self._ordered:
-            self._of_kind[n.kind].append(n)
-        self._in: dict[int, list[Edge]] = defaultdict(list)
-        self._out: dict[int, list[Edge]] = defaultdict(list)
-        ins, outs = self._in, self._out
+        if len(by_id) != len(self.nodes):
+            seen: set[int] = set()
+            self._duplicate_ids = [i for i in map(_ID, self.nodes)
+                                   if i in seen or seen.add(i)]
+        self.ids: tuple[int, ...] = tuple(sorted(by_id))
+        n = len(self.ids)
+        self._at: dict[int, int] = dict(zip(self.ids, range(n)))
+        self._ordered: list[SfgNode] = list(map(by_id.__getitem__, self.ids))
+        self._kind: list[NodeKind] = list(map(_KIND, self._ordered))
+        self._of_kind: dict[NodeKind, list[SfgNode]] = defaultdict(list)
+        for node, kind in zip(self._ordered, self._kind):
+            self._of_kind[kind].append(node)
+        ins: list[list[Edge]] = [[] for _ in range(n)]
+        outs: list[list[int]] = [[] for _ in range(n)]
+        at = self._at.get
         for e in self.edges:
-            ins[e.dst].append(e)
-            outs[e.src].append(e)
-        for lst in ins.values():
+            s, d = at(e.src), at(e.dst)
+            if s is not None and d is not None:
+                ins[d].append(e)
+                outs[s].append(d)
+        for lst in ins:
             if len(lst) > 1:
                 lst.sort(key=_POS)
+        self._in, self._out = ins, outs
+        self._order: list[int] | None = None  # see find_cycle
         self._violations: tuple[str, ...] | None = None  # see validate_sfg
         self._by_label: dict[str, SfgNode | None] | None = None
 
     # -- lookup ------------------------------------------------------------
 
     def node(self, node_id: int) -> SfgNode:
-        return self._by_id[node_id]
+        return self._ordered[self._at[node_id]]
 
     def has_node(self, node_id: int) -> bool:
-        return node_id in self._by_id
+        return node_id in self._at
 
     def in_edges(self, node_id: int) -> list[Edge]:
-        return list(self._in.get(node_id, ()))
+        """The edges into ``node_id`` from known nodes, in operand order."""
+        p = self._at.get(node_id)
+        return [] if p is None else list(self._in[p])
 
     def out_edges(self, node_id: int) -> list[Edge]:
-        return list(self._out.get(node_id, ()))
+        """The edges out of ``node_id`` into known nodes."""
+        p = self._at.get(node_id)
+        return [] if p is None else [
+            e for d in dict.fromkeys(self._out[p])
+            for e in self.in_edges(self.ids[d]) if e.src == node_id]
 
     def operands(self, node_id: int) -> list[int]:
         """Producer ids of ``node_id`` in operand-position order."""
-        return [e.src for e in self._in.get(node_id, ())]
+        return [e.src for e in self.in_edges(node_id)]
 
     def of_kind(self, kind: NodeKind) -> list[SfgNode]:
         """The nodes of one kind in id order."""
@@ -195,53 +233,36 @@ class SFG:
         """Return one cycle as a node-id path, or None if acyclic.
 
         Edges to or from missing nodes are ignored.  An in-degree count
-        (Kahn's algorithm) clears an acyclic graph in one pass; the
+        (Kahn's algorithm) clears an acyclic graph in one pass and keeps its
+        topological order in ``_order``, which the lowering reads; the
         depth-first search that names a cycle runs only when the count
         leaves nodes over.
         """
-        # an edge from a missing node keeps its target's count above zero,
-        # so such a graph goes on to the search
-        indeg = {i: len(self._in.get(i, ())) for i in self._by_id}
-        ready = [i for i, d in indeg.items() if not d]
-        left = len(indeg)
-        while ready:
-            left -= 1
-            for _, v, _ in self._out.get(ready.pop(), ()):
-                if v in indeg:
-                    indeg[v] -= 1
-                    if not indeg[v]:
-                        ready.append(v)
-        if not left:
+        self._order = topological_order(self._out, map(len, self._in))
+        if self._order is not None:
             return None
         WHITE, GRAY, BLACK = 0, 1, 2
-        color = {n.id: WHITE for n in self._ordered}
-        parent: dict[int, int] = {}
-        for root in color:
+        color = [WHITE] * len(self.ids)
+        outs = self._out
+        for root in range(len(color)):
             if color[root] != WHITE:
                 continue
-            stack = [(root, iter(sorted(e.dst for e in self._out.get(root, ())))) ]
+            # the stack holds the path from the root, so a gray target
+            # closes a cycle on it
+            stack = [(root, iter(sorted(outs[root])))]
             color[root] = GRAY
             while stack:
                 u, it = stack[-1]
-                advanced = False
                 for v in it:
-                    if v not in color:
-                        continue  # dangling endpoint; reported elsewhere
                     if color[v] == WHITE:
                         color[v] = GRAY
-                        parent[v] = u
-                        stack.append((v, iter(sorted(e.dst for e in self._out.get(v, ())))))
-                        advanced = True
+                        stack.append((v, iter(sorted(outs[v]))))
                         break
                     if color[v] == GRAY:
-                        path = [v, u]
-                        w = u
-                        while w != v:
-                            w = parent[w]
-                            path.append(w)
-                        path.reverse()
-                        return path
-                if not advanced:
+                        path = [w for w, _ in stack]
+                        path = path[path.index(v):] + [v]
+                        return [self.ids[w] for w in path]
+                else:
                     color[u] = BLACK
                     stack.pop()
         return None
@@ -275,16 +296,15 @@ def validate_sfg(g: SFG) -> list[str]:
 
 def _find_violations(g: SFG) -> list[str]:
     out = [f"duplicate node id {dup}" for dup in g._duplicate_ids]
-    by_id, edges = g._by_id, g.edges
+    at, edges = g._at, g.edges
     ends = set(map(_SRC, edges)) | set(map(_DST, edges))
-    dangling = not by_id.keys() >= ends
-    if dangling or min(map(_POS, edges), default=0) < 0 \
+    if not at.keys() >= ends or min(map(_POS, edges), default=0) < 0 \
             or len(set(edges)) != len(edges):  # word each fault, in order
         duplicates: list[str] = []
         seen: set[Edge] = set()
         for e in edges:
             for end in (e.src, e.dst):
-                if end not in by_id:
+                if end not in at:
                     out.append(f"edge {e.src}->{e.dst} references missing "
                                f"node {end}")
             if e.pos < 0:
@@ -296,47 +316,41 @@ def _find_violations(g: SFG) -> list[str]:
             seen.add(e)
         out += duplicates
 
-    fan_in, fan_out = g._in, g._out
-    if dangling:  # count only the edges between known nodes
-        fan_in = {v: [e for e in es if e.src in by_id]
-                  for v, es in fan_in.items()}
-        fan_out = {u: [e for e in es if e.dst in by_id]
-                   for u, es in fan_out.items()}
+    # the in- and out-edges by position hold only edges between known nodes
     OPERATION, INPUT, CONSTANT, OUTPUT = (
         NodeKind.OPERATION, NodeKind.INPUT, NodeKind.CONSTANT, NodeKind.OUTPUT)
-    for n in g._ordered:
-        ins = fan_in.get(n.id, ())
-        kind = n.kind
+    for (node_id, kind, op, _), ins, outs in zip(g._ordered, g._in, g._out):
         if kind is OPERATION:
-            if n.op is None:
-                out.append(f"operation node {n.id} has no operation symbol")
+            if op is None:
+                out.append(f"operation node {node_id} has no operation symbol")
                 continue
-            if n.op not in OP_ARITY:
-                out.append(f"operation node {n.id} has unknown symbol {n.op!r}")
+            if op not in OP_ARITY:
+                out.append(f"operation node {node_id} has unknown symbol "
+                           f"{op!r}")
                 continue
-            arity = OP_ARITY[n.op]
+            arity = OP_ARITY[op]
             if len(ins) != arity:
-                out.append(f"operation node {n.id} ({n.op!r}) has "
+                out.append(f"operation node {node_id} ({op!r}) has "
                            f"{len(ins)} operands, expected {arity}")
             else:
                 positions = [e.pos for e in ins]  # in-edges are sorted by pos
-                if positions != list(range(arity)):
-                    out.append(f"operation node {n.id} operand positions "
+                if positions != _OPERANDS[arity]:
+                    out.append(f"operation node {node_id} operand positions "
                                f"{positions} are not 0..{arity - 1}")
         else:
-            if n.op is not None:
-                out.append(f"node {n.id} is {kind.value} but carries an "
+            if op is not None:
+                out.append(f"node {node_id} is {kind.value} but carries an "
                            f"operation symbol")
             if kind is INPUT and ins:
-                out.append(f"input node {n.id} has incoming edges")
+                out.append(f"input node {node_id} has incoming edges")
             if kind is CONSTANT and ins:
-                out.append(f"constant node {n.id} has incoming edges")
+                out.append(f"constant node {node_id} has incoming edges")
             if kind is OUTPUT:
                 if len(ins) != 1:
-                    out.append(f"output node {n.id} has {len(ins)} incoming "
-                               f"edges, expected 1")
-                if fan_out.get(n.id):
-                    out.append(f"output node {n.id} has outgoing edges")
+                    out.append(f"output node {node_id} has {len(ins)} "
+                               f"incoming edges, expected 1")
+                if outs:
+                    out.append(f"output node {node_id} has outgoing edges")
 
     cycle = g.find_cycle()
     if cycle is not None:

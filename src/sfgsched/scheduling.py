@@ -53,15 +53,14 @@ cycle after their producer completes, and both atomically with the
 operation's start.  Access costs depend on reservation order; the global
 sequence number stored with every access lets a verifier replay them.
 
-Every per-op fact the scheduler reads (class, latency, time window,
-requests, what the op waits for and feeds) sits in one flat op table,
-``SchedulerState``: one column per fact, indexed by the op's position in
-ascending id order, never by its id.  The ready set, the walk, the
-readiness counts and the exhaustive oracle (``verify``) work on
-positions.  Ids appear only in the records, in failure messages and at
-the edges of ``rank_executable`` (which yields ids), ``assign_step``
-(which takes one) and ``ReadySet`` (whose ``add`` and ``discard`` take
-ids); each translates with the table's ``ids`` and ``at``.
+Every per-op fact the scheduler reads sits in a column indexed by the
+op's node position, the numbering the SFG gives its nodes (see
+``ConstraintGraph``): class, latency and neighbours in the lowering's
+columns, the window in the windows', the requests in the op table of
+``SchedulerState``.  The ready set, the walk, the readiness counts,
+``rank_executable``, ``assign_step`` and the exhaustive oracle
+(``verify``) all work on positions; ids are read from the ``ids`` column
+only for the records and failure messages.
 
 The records of a schedule (``ScheduledOp``, ``ScheduledAccess``,
 ``ScheduledTransfer``) are named tuples, each built once, with
@@ -69,13 +68,12 @@ The records of a schedule (``ScheduledOp``, ``ScheduledAccess``,
 run its Python-level ``__new__``, one more interpreter call per record
 for an arity check that the fixed field tuples here do not need.
 ``assign_step`` makes an access record straight from the request, its
-fit and the sequence number ``PortAccessTable.commit`` hands back, with
-the per-op facts (node, access ids and labels) looked up once per run in
-the op table.  ``schedule()``, the verifier and ``estimate_registers``
-read the records by position (an op's completion is its start plus its
-latency), which costs less than reading their fields by name, and
-``Schedule.to_json`` writes its three record tables straight from the
-records (``jsontext.dumps_tables``), with no dict per record.
+fit, the sequence number ``PortAccessTable.commit`` hands back and the
+access's facts in the op table.  ``schedule()``, the verifier and
+``estimate_registers`` unpack the records by field index, which costs
+less than reading their fields by name, and ``Schedule.to_json`` writes
+its three record tables straight from the records
+(``jsontext.dumps_tables``), with no dict per record.
 """
 
 from __future__ import annotations
@@ -88,20 +86,25 @@ from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .constraints import (CgKind, CgNode, ConstraintGraph, Problem,
+from .constraints import (CgKind, ConstraintGraph, Problem,
                           TimeWindows, achieved_latency, apply_io_constraints,
                           build_constraint_graph, compute_time_windows,
                           transfer_cycles)
-from .graph import SFG, NodeKind
+from .graph import SFG
 from .iospec import IoConstraintSpec, build_transfer_graph
 from .jsontext import ACCESSES, OPS, TRANSFERS, dumps_tables
-from .memory import (BlockedAccess, HorizonError, MemoryMapping, Placement,
+from .memory import (BlockedAccess, HorizonError, MemoryMapping,
                      PortAccessTable, is_burst)
 from .oplib import OperatorLibrary
 
 
 class AllocationError(ValueError):
     """Invalid allocation request."""
+
+
+#: the largest per-class count a fixed allocation may give: the pool holds
+#: one instance per unit, so a larger count would exhaust memory
+MAX_INSTANCES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,9 @@ class Allocation:
         for name, n in self.counts:
             if name in seen:
                 raise AllocationError(f"operator class {name!r} listed twice")
-            if n < 0:
-                raise AllocationError(f"operator class {name!r}: negative count")
+            if not 0 <= n <= MAX_INSTANCES:
+                raise AllocationError(f"operator class {name!r}: count {n} "
+                                      f"is not in 0..{MAX_INSTANCES}")
             seen.add(name)
 
 
@@ -273,49 +277,26 @@ def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec) -> Problem:
     return Problem(cg, compute_time_windows(cg))
 
 
-def _port_requests(reads: list[CgNode], writes: list[CgNode], latency: int,
-                   placement_of: Callable[[int], Placement]
-                   ) -> tuple[tuple[str, int, int], ...]:
-    """(bank, address, cycle offset) of an operation's port requests in
-    reservation order: its reads at offset 0, then its writes at its
-    latency (the cycle after it completes)."""
-    reqs = []
-    for accs, offset in ((reads, 0), (writes, latency)):
-        for a in accs:
-            p = placement_of(a.data)
-            reqs.append((p.bank, p.address, offset))
-    return tuple(reqs)
-
-
 @dataclass
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps,
     and the op table they read.
 
-    The op table holds one column (a tuple) per fact, indexed by op
-    position: the operations of a ``Problem`` (see ``lower``) take
-    positions in ascending id order, so position order is id order and
-    every id tie-break holds on positions.  Ids are unbounded, so no
-    column is ever indexed by one: ``ids`` maps a position to its op id
-    and ``at`` an op id to its position.  ``label``, ``op_class`` and
-    ``latency`` come from the op's node and ``asap``, ``alap`` and
-    ``mobility`` from its time window.  The rest is derived once, in one
-    pass over the op's neighbours: ``requests`` its port requests
-    (``_port_requests``), ``records`` the (access node, kind, data, data
-    label) of each request in the same order, ``gated`` per write the
-    operations whose reads it gates and ``read_keys`` the (bank, address)
-    of its reads.  What it waits for, read by the readiness counts and the
-    oracle alike: ``producers`` (one per edge), input ``arrivals`` after
-    cycle 0, and the ``writers`` whose memory writes gate its reads;
-    ``consumers`` are the operations it feeds (one per edge).  Every op
-    these name is named by position.  ``shape`` is the op's class with,
-    per request, the bank, the offset and whether the address continues
-    the op's own previous request on that bank (None for the op's first
-    request on the bank, whose burst bit depends on the table);
-    ``firsts`` holds the (bank, address) of those first requests.  An
-    access-free op (one with no port request) gets the empty tuple for
-    every per-access fact, and its accesses are never looked up.
-    ``started`` holds each op's record once it has started, else None.
+    The op table's columns are indexed by node position (see
+    ``ConstraintGraph``); operations take positions in id order, so every
+    id tie-break holds on positions, and ids, being unbounded, index no
+    column.  Beside the lowering's and the windows' columns (``ids`` and
+    ``op_class`` are kept here too) it holds what the mapping decides,
+    derived once per op with accesses: ``requests``, its port requests as
+    (bank, address, cycle offset), reads at offset 0 and then writes at its
+    latency; ``records``, the (access node, kind, data, data label) of each;
+    ``writers``, the ops whose writes gate its reads; ``gated``, per write
+    the ops whose reads it gates; ``read_keys``, the (bank, address) of its
+    reads; ``shape``, its class and per request the bank, the offset and
+    whether the address continues the op's previous request on that bank
+    (None for its first there, which depends on the table); ``firsts``,
+    the (bank, address) of those first requests.  An access-free op gets
+    empty tuples.  ``started`` holds each op's record once started.
 
     ``begin_cycle`` holds the port table's view for a cycle ``t``; until
     the next one, ``cost`` probes that view once per signature and keeps
@@ -330,88 +311,47 @@ class SchedulerState:
     instances: dict[str, list[OperatorInstance]] = field(default_factory=dict)
     accesses: list[ScheduledAccess] = field(default_factory=list)
     events: list[AllocationEvent] = field(default_factory=list)
-    # the op table: one column per fact, indexed by op position
-    ids: tuple[int, ...] = field(init=False)
-    at: dict[int, int] = field(init=False)
-    label: tuple[str, ...] = field(init=False)
-    op_class: tuple[str, ...] = field(init=False)
-    latency: tuple[int, ...] = field(init=False)
-    asap: tuple[int, ...] = field(init=False)
-    alap: tuple[int, ...] = field(init=False)
-    mobility: tuple[int, ...] = field(init=False)
-    producers: tuple[tuple[int, ...], ...] = field(init=False)
-    arrivals: tuple[tuple[int, ...], ...] = field(init=False)
-    consumers: tuple[tuple[int, ...], ...] = field(init=False)
-    writers: tuple[tuple[int, ...], ...] = field(init=False)
-    requests: tuple[tuple[tuple[str, int, int], ...], ...] = field(init=False)
-    records: tuple[tuple[tuple[int, str, int, str], ...], ...] = field(
-        init=False)
-    gated: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False)
-    read_keys: tuple[tuple[tuple[str, int], ...], ...] = field(init=False)
-    shape: tuple[tuple, ...] = field(init=False)
-    firsts: tuple[tuple[tuple[str, int], ...], ...] = field(init=False)
+    # the op table's own columns, indexed by node position
+    ids: list[int] = field(init=False)
+    op_class: list[str | None] = field(init=False)
+    writers: list[tuple[int, ...]] = field(init=False)
+    requests: list[tuple[tuple[str, int, int], ...]] = field(init=False)
+    records: list[tuple[tuple[int, str, int, str], ...]] = field(init=False)
+    gated: list[tuple[tuple[int, ...], ...]] = field(init=False)
+    read_keys: list[tuple[tuple[str, int], ...]] = field(init=False)
+    shape: list[tuple] = field(init=False)
+    firsts: list[tuple[tuple[str, int], ...]] = field(init=False)
     started: list[ScheduledOp | None] = field(init=False)
     t: int = field(init=False, default=-1)
     last: dict[str, int | None] = field(init=False, default_factory=dict)
     probed: dict[tuple, int | None] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        cg, windows = self.cg, self.windows
-        operations = cg.operations
-        n_ops = len(operations)
-        # the node fields, one column each (CgNode is a named tuple)
-        ids, _, self.latency, self.label, self.op_class = \
-            tuple(zip(*operations))[:5] if operations else ((),) * 5
-        self.ids = ids
-        at = self.at = dict(zip(ids, range(n_ops)))
-        self.asap = tuple(map(windows.asap.__getitem__, ids))
-        self.alap = tuple(map(windows.alap.__getitem__, ids))
-        self.mobility = tuple(map(windows.mobility.__getitem__, ids))
-        self.started = [None] * n_ops
-        nodes, succ, pred = cg.nodes, cg._succ, cg._pred
-        placement_of = self.mapping.placement_of
-        # enum members as locals: a class lookup costs ten times a local's
-        OP, INPUT, READ, WRITE = CgKind.OP, CgKind.INPUT, CgKind.READ, \
-            CgKind.WRITE
-        rows = []  # the derived facts of each op, one column each below
-        for n in operations:
-            op_id, cls = n.id, n.op_class
-            producers = arrivals = consumers = ()
-            memory = False
-            for p in pred[op_id]:
-                pn = nodes[p]
-                kind = pn.kind
-                if kind is OP:
-                    producers += (at[p],)
-                elif kind is INPUT:
-                    if pn.arrival > 0:
-                        arrivals += (pn.arrival,)
-                elif kind is READ:
-                    memory = True
-            for c in succ[op_id]:
-                kind = nodes[c].kind
-                if kind is OP:
-                    consumers += (at[c],)
-                elif kind is WRITE:
-                    memory = True
-            if not memory:
-                rows.append((producers, arrivals, consumers, (), (), (), (),
-                             (), (cls, ()), ()))
-                continue
-            reads, writes = cg.accesses_of(op_id)
-            writers = ()
-            for r in reads:
-                for w in pred[r.id]:
-                    writers += (at[nodes[w].agent],)
-            records = [(a.id, "read", a.data, a.label.split(":", 1)[-1])
-                       for a in reads]
-            gated = []
-            for w in writes:
-                records.append((w.id, "write", w.data,
-                                w.label.split(":", 1)[-1]))
-                gated.append(tuple([at[nodes[r].agent]
-                                    for r in succ[w.id]]))
-            requests = _port_requests(reads, writes, n.latency, placement_of)
+        cg = self.cg
+        ids, label, latency = cg.ids, cg.label, cg.latency
+        pred, succ, agent, data = cg.pred, cg.succ, cg.agent, cg.data
+        self.ids, self.op_class = ids, cg.op_class
+        n = len(ids)
+        self.started = [None] * n
+        self.writers, self.requests, self.records, self.gated, \
+            self.read_keys, self.firsts = [[()] * n for _ in range(6)]
+        # an access-free op's shape: one tuple per class, shared
+        free_of = {cls: (cls, ()) for cls in set(self.op_class)}
+        self.shape = list(map(free_of.__getitem__, self.op_class))
+        placement = self.mapping._by_data  # memdata id -> Placement
+        reads_of, writes_of = cg.reads, cg.writes
+        for p in reads_of.keys() | writes_of.keys():
+            reads, writes = reads_of.get(p, ()), writes_of.get(p, ())
+            self.writers[p] = tuple([agent[w] for r in reads for w in pred[r]])
+            self.gated[p] = tuple([tuple([agent[r] for r in succ[w]])
+                                   for w in writes])
+            requests, records = [], []
+            for accs, offset, name in ((reads, 0, "read"),
+                                       (writes, latency[p], "write")):
+                for a in accs:
+                    place = placement[data[a]]
+                    requests.append((place.bank, place.address, offset))
+                    records.append((ids[a], name, data[a], label[a][3:]))
             prev: dict[str, int] = {}
             read_keys = []
             steps = []
@@ -426,12 +366,11 @@ class SchedulerState:
                 else:
                     steps.append((bank, offset, is_burst(before, address)))
                 prev[bank] = address
-            rows.append((producers, arrivals, consumers, writers, requests,
-                         tuple(records), tuple(gated), tuple(read_keys),
-                         (cls, tuple(steps)), tuple(firsts)))
-        (self.producers, self.arrivals, self.consumers, self.writers,
-         self.requests, self.records, self.gated, self.read_keys, self.shape,
-         self.firsts) = zip(*rows) if rows else ((),) * 10
+            self.requests[p] = tuple(requests)
+            self.records[p] = tuple(records)
+            self.read_keys[p] = tuple(read_keys)
+            self.shape[p] = (self.op_class[p], tuple(steps))
+            self.firsts[p] = tuple(firsts)
 
     def allocate_instance(self, op_class: str, t: int) -> OperatorInstance:
         pool = self.instances.setdefault(op_class, [])
@@ -514,8 +453,8 @@ class _Bucket:
 class ReadySet:
     """The ready operations of a run, kept up to date between cycles.
 
-    Ops come and go by id (``add``, ``discard``) and are kept by position
-    in the op table (``SchedulerState``).  ``groups`` maps each (mobility,
+    Ops come and go (``add``, ``discard``) and are kept by their position
+    in the op table (``SchedulerState``).  ``groups maps each (mobility,
     alap) prefix of the rank key to its members, bucketed by shape
     (``SchedulerState.shape``), and ``keys`` holds those prefixes in
     ascending order; ``alaps`` holds the groups' alaps in ascending order.
@@ -528,17 +467,16 @@ class ReadySet:
 
     def __init__(self, state: SchedulerState, ops: Iterable[int] = ()):
         self.state = state
-        self.at = state.at
-        self.alap = state.alap
-        self.mobility = state.mobility
+        self.alap = state.windows.alap_at
+        self.mobility = state.windows.mobility_at
         self.keys: list[tuple[int, int]] = []
         self.alaps: list[int] = []
         self.groups: dict[tuple[int, int], dict[tuple, _Bucket]] = {}
         self.per_class: dict[str, int] = {}
         self.readers: dict[tuple[str, int], list[int]] = {}
         self.followers = [0] * len(state.ids)
-        for op_id in ops:
-            self.add(op_id)
+        for i in ops:
+            self.add(i)
 
     def __len__(self) -> int:
         return sum(self.per_class.values())
@@ -555,9 +493,8 @@ class ReadySet:
         elif not before + delta:
             self._bucket(i).enablers.remove(i)
 
-    def add(self, op_id: int) -> None:
+    def add(self, i: int) -> None:
         state = self.state
-        i = self.at[op_id]
         alap = self.alap[i]
         key = (self.mobility[i], alap)
         group = self.groups.get(key)
@@ -593,9 +530,8 @@ class ReadySet:
         if followers:
             bisect.insort(bucket.enablers, i)
 
-    def discard(self, op_id: int) -> None:
+    def discard(self, i: int) -> None:
         state = self.state
-        i = self.at[op_id]
         alap = self.alap[i]
         key = (self.mobility[i], alap)
         group = self.groups[key]
@@ -637,7 +573,7 @@ class ReadySet:
 
 def rank_executable(state: SchedulerState, ready: ReadySet,
                     t: int) -> Iterator[int]:
-    """Walk the ready operations for cycle t in rank order.
+    """Walk the ready operations for cycle t in rank order, by position.
 
     The rank key is (mobility, alap, access cost, burst lookahead, id):
     tight windows first, and among equals an access whose address starts a
@@ -678,7 +614,7 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
             if inst.busy_until <= t:
                 n += 1
         free[cls] = n
-    alap, ids = state.alap, state.ids
+    alap, ids = state.windows.alap_at, state.ids
     due = ready.due(t)
     for i in due:
         if alap[i] < t:
@@ -695,15 +631,14 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
                 "memory-conflict-at-zero-margin", cycle=t,
                 operation=ids[i], op_class=state.op_class[i],
                 bank=state.blocking_bank(i, t))
-    return map(ids.__getitem__,
-               _walk(state, ready, t, cost, len(due), free, last))
+    return _walk(state, ready, t, cost, len(due), free, last)
 
 
 def _walk(state: SchedulerState, ready: ReadySet, t: int,
           cost: Callable[[int], int | None], zero_left: int,
           free: dict[str, int], last: dict[str, int | None]
           ) -> Iterator[int]:
-    """``rank_executable``'s walk, by op position."""
+    """``rank_executable``'s walk."""
     op_class = state.op_class
     read_keys = state.read_keys
     started = state.started
@@ -793,8 +728,8 @@ def _after_first(members: list[int]) -> Iterator[tuple[int, int]]:
     return zip(repeat(1), islice(members, 1, None))
 
 
-def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None:
-    """Try to start one operation at cycle t.
+def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
+    """Try to start the operation at position i at cycle t.
 
     Returns the record on success and None when the operation is delayed
     (a legal wait: it still has slack).  At zero margin a missing resource
@@ -803,7 +738,7 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
     The accesses of another are fitted once, on the live table, and
     committed as fitted, slot spans included.
     """
-    i = state.at[op_id]
+    op_id, alap = state.ids[i], state.windows.alap_at[i]
     op_class = state.op_class[i]
     reqs = state.requests[i]
     if reqs:
@@ -811,7 +746,7 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
         try:
             fits = state.table.fit(reqs)
         except BlockedAccess as e:
-            if state.alap[i] == t:
+            if alap == t:
                 raise ScheduleFailure("memory-conflict-at-zero-margin",
                                       cycle=t, operation=op_id,
                                       op_class=op_class,
@@ -822,7 +757,7 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
         if inst.busy_until <= t:
             break
     else:
-        if state.alap[i] > t:
+        if alap > t:
             return None
         if state.allocation.mode == "auto":
             inst = state.allocate_instance(op_class, t)
@@ -840,10 +775,10 @@ def assign_step(state: SchedulerState, op_id: int, t: int) -> ScheduledOp | None
                 acc, op_id, kind, data, data_label, bank, address, cycle,
                 cost, cost_class, seq)))
 
-    latency = state.latency[i]
+    latency = state.cg.latency[i]
     inst.busy_until = t + latency
     rec = state.started[i] = _tuple_new(ScheduledOp, (
-        op_id, state.label[i], op_class, inst.name, t, latency))
+        op_id, state.cg.label[i], op_class, inst.name, t, latency))
     return rec
 
 
@@ -854,7 +789,7 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
             state.instances[name] = [OperatorInstance(name=f"{name}{i}")
                                      for i in range(n)]
         return
-    for name in sorted(set(state.op_class)):
+    for name in sorted(set(state.op_class) - {None}):
         state.instances[name] = [OperatorInstance(name=f"{name}0")]
 
 
@@ -887,15 +822,16 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     if problem is None:
         problem = lower(g, lib, spec)
     cg, windows = problem.cg, problem.windows
+    ids, label, deadline = cg.ids, cg.label, cg.deadline
     # outputs with no operation on their path (pass-through) never hit the
     # per-op margin check, so reject impossible output dates up front
-    for n in cg.of_kind(CgKind.OUTPUT):
-        if windows.asap[n.id] > n.deadline:
-            raise ScheduleFailure("infeasible-windows", cycle=n.deadline,
-                                  operation=n.id,
-                                  detail=f"output {cg.nodes[n.id].label or n.id} "
+    for p in cg.positions[CgKind.OUTPUT]:
+        if windows.asap_at[p] > deadline[p]:
+            raise ScheduleFailure("infeasible-windows", cycle=deadline[p],
+                                  operation=ids[p],
+                                  detail=f"output {label[p] or ids[p]} "
                                          f"cannot be ready before cycle "
-                                         f"{windows.asap[n.id]}")
+                                         f"{windows.asap_at[p]}")
     table = PortAccessTable(mapping, spec.cadence)
     state = SchedulerState(cg=cg, windows=windows, mapping=mapping,
                            table=table, allocation=allocation)
@@ -904,27 +840,29 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     # Readiness bookkeeping: each op counts what it waits for (its
     # producers, late input arrivals and gating writes) and an event queue
     # decrements the count as each one completes; both hold op positions.
-    ids, at = state.ids, state.at
-    n_ops = len(ids)
-    remaining: list[int] = []
+    ops, kind = cg.positions[CgKind.OP], cg.kind
+    remaining = list(map(len, state.writers))
+    for i in ops:
+        for c in cg.consumers[i]:
+            remaining[c] += 1
     release_at: dict[int, list[int]] = {}  # cycle -> positions to decrement
-    for i, (producers, arrivals, writers) in enumerate(zip(
-            state.producers, state.arrivals, state.writers)):
-        for cycle in arrivals:
-            release_at.setdefault(cycle, []).append(i)
-        remaining.append(len(producers) + len(arrivals) + len(writers))
+    for q in cg.positions[CgKind.INPUT]:  # inputs arriving after cycle 0
+        if cg.arrival[q] > 0:
+            for i in cg.succ[q]:
+                if kind[i] is CgKind.OP:
+                    release_at.setdefault(cg.arrival[q], []).append(i)
+                    remaining[i] += 1
 
-    ready = ReadySet(state, [op_id for op_id, n in zip(ids, remaining)
-                             if not n])
+    ready = ReadySet(state, [i for i in ops if not remaining[i]])
     per_class, instances = ready.per_class, state.instances
-    consumers, gated_of = state.consumers, state.gated
+    consumers, gated_of = cg.consumers, state.gated
     bound = spec.latency_bound
 
     t = 0
     n_started = 0
-    while n_started < n_ops:
+    while n_started < len(ops):
         if t >= bound:
-            i = state.started.index(None)
+            i = next(i for i in ops if state.started[i] is None)
             raise ScheduleFailure("infeasible-windows", cycle=t,
                                   operation=ids[i],
                                   op_class=state.op_class[i],
@@ -933,7 +871,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
         for i in release_at.pop(t, ()):
             remaining[i] -= 1
             if not remaining[i]:
-                ready.add(ids[i])
+                ready.add(i)
         # Something can start only at zero margin or with a free instance:
         # instances only get busier within a cycle.
         if not _some_class_free(per_class, instances, t):
@@ -950,12 +888,11 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                            if n for inst in instances.get(cls, ()))])
                 continue
         started: list[int] = []
-        for op_id in rank_executable(state, ready, t):
-            rec = assign_step(state, op_id, t)
+        for i in rank_executable(state, ready, t):
+            rec = assign_step(state, i, t)
             if rec is None:
                 continue
-            started.append(op_id)
-            i = at[op_id]
+            started.append(i)
             fed = consumers[i]
             if fed:
                 done = t + rec.latency
@@ -973,24 +910,25 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                         readers)
         # Started ops leave only now: the lookahead counts every op that
         # was ready when the cycle began.
-        for op_id in started:
-            ready.discard(op_id)
+        for i in started:
+            ready.discard(i)
         n_started += len(started)
         t += 1
 
+    records = [rec for rec in state.started if rec is not None]
     cycles = transfer_cycles(
-        cg, spec, {rec.node: rec.start for rec in state.started})
+        cg, spec, [None if rec is None else rec[4] for rec in state.started])
     transfers = _build_transfers(cycles, cg, spec)
     pool = {cls: tuple(inst.name for inst in insts)
             for cls, insts in sorted(state.instances.items())}
     achieved = achieved_latency(cg, cycles, max(
-        (start + latency for _, _, _, _, start, latency in state.started),
+        (start + latency for _, _, _, _, start, latency in records),
         default=None))
     if achieved > spec.latency_bound:  # outputs pinned past the bound
         raise ScheduleFailure("infeasible-windows", cycle=max(cycles.values()),
                               detail=f"the transfers span {achieved} cycles, "
                                      f"latency bound is {spec.latency_bound}")
-    return Schedule(ops=tuple(sorted(state.started, key=_START_NODE)),
+    return Schedule(ops=tuple(sorted(records, key=_START_NODE)),
                     accesses=tuple(state.accesses),
                     transfers=tuple(transfers),
                     pool=pool,
@@ -1006,18 +944,19 @@ def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
     on its declared bus and the others on generated buses, distinct within
     a cycle and reused across cycles (one physical bus serves many
     cycles); generated names skip the ids of declared buses."""
-    bus_of = {tr.node: tr.bus for tr in spec.transfers}
+    bus_of = {cg.at[tr.node]: tr.bus for tr in spec.transfers}
     declared = {b.id for b in spec.buses}
+    ids = cg.ids
     transfers: list[ScheduledTransfer] = []
     for kind, direction, prefix in ((CgKind.INPUT, "in", "auto_in"),
                                     (CgKind.OUTPUT, "out", "auto_out")):
         by_cycle: dict[int, list[int]] = {}
-        for n in cg.of_kind(kind):
-            if n.id in bus_of:
+        for p in cg.positions[kind]:
+            if p in bus_of:
                 transfers.append(_tuple_new(ScheduledTransfer, (
-                    n.id, bus_of[n.id], cycles[n.id], direction, False)))
+                    ids[p], bus_of[p], cycles[p], direction, False)))
             else:
-                by_cycle.setdefault(cycles[n.id], []).append(n.id)
+                by_cycle.setdefault(cycles[p], []).append(ids[p])
         # as many names as the busiest cycle needs
         need = max(map(len, by_cycle.values()), default=0)
         names: list[str] = []
@@ -1042,39 +981,31 @@ def estimate_registers(sched: Schedule, g: SFG) -> int:
     consumer fires (an output consumes in its transfer cycle, so a result
     driven out during its production cycle never hits a register).  An
     input value is alive from the cycle after its transfer."""
-    start_of: dict[int, int] = {}
-    end_of: dict[int, int] = {}
-    for node, _, _, _, start, latency in sched.ops:  # by position
-        start_of[node] = start
-        end_of[node] = start + latency
-    transfer_of = {node: cycle for node, _, cycle, _, _ in sched.transfers}
-    OPERATION, INPUT, OUTPUT = \
-        NodeKind.OPERATION, NodeKind.INPUT, NodeKind.OUTPUT
-    kind_of = {i: n.kind for i, n in g._by_id.items()}
+    # By node position: the cycle a node takes its operands in (an
+    # operation's start, an output's transfer) and the first cycle its
+    # value is held (an operation's completion, the cycle after an input's
+    # transfer).  No other node has a record, nor a value to hold.
+    at = g._at
+    used: list[int | None] = [None] * len(at)
+    born: list[int | None] = [None] * len(at)
+    for node, _, _, _, begin, latency in sched.ops:  # by position
+        p = at[node]
+        used[p], born[p] = begin, begin + latency
+    for node, _, cycle, _, _ in sched.transfers:
+        p = at[node]
+        used[p], born[p] = cycle, cycle + 1
 
     intervals: list[tuple[int, int]] = []
-    for n in g.nodes:
-        node, kind = n.id, n.kind
-        if kind is OPERATION and node in end_of:
-            born = end_of[node]
-        elif kind is INPUT and node in transfer_of:
-            born = transfer_of[node] + 1
-        else:
+    for b, outs in zip(born, g._out):
+        if b is None:
             continue
         last_use = None
-        for _, dst, _ in g._out.get(node, ()):
-            dk = kind_of[dst]
-            if dk is OPERATION and dst in start_of:
-                use = start_of[dst]
-            elif dk is OUTPUT and dst in transfer_of:
-                use = transfer_of[dst]
-            else:
-                continue
-            if last_use is None or use > last_use:
+        for d in outs:
+            use = used[d]
+            if use is not None and (last_use is None or use > last_use):
                 last_use = use
-        if last_use is not None and last_use >= born:
-            intervals.append((born, last_use))
-
+        if last_use is not None and last_use >= b:
+            intervals.append((b, last_use))
     peak = 0
     if intervals:
         delta: dict[int, int] = {}

@@ -12,18 +12,20 @@ caller; both are derived from the graph, library and I/O constraints
 alone, and the verifier only reads them.  It takes the timing rules from
 their one home, as the scheduler does: access cost and slot span from
 ``memory.Bank``, output production and achieved latency from
-``constraints``.  It still trusts nothing from the scheduler beyond the
-schedule record: it walks the graph's edges for dependencies, replays the
-recorded accesses in sequence order into its own port counts and dates
-outputs and the latency from the recorded starts and transfer cycles, so
-a record that breaks a rule is caught (the mutation tests guard this).
+``constraints``.  It trusts nothing from the scheduler beyond the
+schedule record: it reads the records into starts by node position, walks
+each operation's in-edges for dependencies, replays the accesses in
+sequence order into its own port counts and dates outputs and the latency
+from the starts and transfer cycles, so a record that breaks a rule is
+caught (the mutation tests guard this).
 
 ``brute_force_min_latency`` is an exhaustive oracle for small graphs: it
 searches every start-time assignment (and every same-cycle reservation
 order) and returns the best achievable latency, or None when no schedule
-exists under the given resources.  It reads each op's facts by position
-from the op table of a ``SchedulerState``, as the scheduler does.  Its
-search state is only what cannot be worked out from the rest: the cycle,
+exists under the given resources.  It reads each op's facts by node
+position, from the lowering and the op table of a ``SchedulerState``, as
+the scheduler does.  Its search state is only what cannot be worked out
+from the rest: the cycle,
 each op's start and the end of its writes, each bank's last address, and
 the load of each reserved slot.  Instances are interchangeable, so a pool
 cap bounds the ops of a class running at once, and no pool is kept.  The
@@ -90,56 +92,55 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                          f"give {wanted}"))
 
     # Records are read by position, each once: a named tuple's field read
-    # costs more than unpacking it.
-    nodes, succ = cg.nodes, cg._succ
+    # costs more than unpacking it.  What they name is looked up by node
+    # position in the lowering's columns (see ``ConstraintGraph``).
+    at, ids, kind, label, agent = cg.at, cg.ids, cg.kind, cg.label, cg.agent
+    pred, succ = cg.pred, cg.succ
     OP, INPUT = CgKind.OP, CgKind.INPUT  # locals: cheaper than class lookups
-    started = {}
-    start: dict[int, int] = {}  # operation -> start cycle
-    end: dict[int, int] = {}    # operation -> completion cycle
-    for s in sched.ops:
-        node, _, op_class, _, begin, latency = s
-        if node in started:
+    start: list[int | None] = [None] * len(ids)  # by position
+    end: list[int | None] = [None] * len(ids)    # completion cycle
+    for node, _, op_class, _, begin, latency in sched.ops:
+        p = at.get(node)
+        if p is not None and start[p] is not None:
             out.append(Violation("unscheduled",
                                  f"operation scheduled twice", node))
             continue
-        n = nodes.get(node)
-        if n is None or n.kind is not OP:
+        if p is None or kind[p] is not OP:
             out.append(Violation("unscheduled",
                                  "schedule names a non-operation node", node))
             continue
-        if op_class != n.op_class or latency != n.latency:
+        if op_class != cg.op_class[p] or latency != cg.latency[p]:
             out.append(Violation("unscheduled",
                                  f"operation bound to class {op_class} "
                                  f"with latency {latency}, library says "
-                                 f"{n.op_class}/{n.latency}", node))
-        started[node] = s
-        start[node] = begin
-        end[node] = begin + latency
-    for n in cg.operations:
-        if n.id not in started:
+                                 f"{cg.op_class[p]}/{cg.latency[p]}", node))
+        start[p] = begin
+        end[p] = begin + latency
+    ops = cg.positions[OP]
+    for p in ops:
+        if start[p] is None:
             out.append(Violation("unscheduled",
-                                 f"operation {n.label or n.id} never starts",
-                                 n.id))
+                                 f"operation {label[p] or ids[p]} never "
+                                 f"starts", ids[p]))
     if any(v.kind == "unscheduled" for v in out):
         return out  # remaining checks assume a complete assignment
 
-    for u, v in cg.edges:
-        nu, kind_v = nodes[u], nodes[v].kind
-        if kind_v is not OP:
-            continue
-        kind_u = nu.kind
-        if kind_u is OP:
-            if start[v] < end[u]:
-                out.append(Violation(
-                    "dependency",
-                    f"operation {v} starts at {start[v]} before its "
-                    f"producer {u} completes at {end[u]}", v))
-        elif kind_u is INPUT:
-            if start[v] < nu.arrival:
-                out.append(Violation(
-                    "dependency",
-                    f"operation {v} starts at {start[v]} before "
-                    f"input {nu.label or u} arrives at {nu.arrival}", v))
+    arrival = cg.arrival
+    for v in ops:
+        for u in pred[v]:
+            if kind[u] is OP:
+                if start[v] < end[u]:
+                    out.append(Violation(
+                        "dependency",
+                        f"operation {ids[v]} starts at {start[v]} before its "
+                        f"producer {ids[u]} completes at {end[u]}", ids[v]))
+            elif kind[u] is INPUT:
+                if start[v] < arrival[u]:
+                    out.append(Violation(
+                        "dependency",
+                        f"operation {ids[v]} starts at {start[v]} before "
+                        f"input {label[u] or ids[u]} arrives at "
+                        f"{arrival[u]}", ids[v]))
 
     acc_by_node = {}
     for a in sched.accesses:
@@ -148,44 +149,42 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                  "access reserved twice", a[0]))
             continue
         acc_by_node[a[0]] = a
-    placement_of = mapping.placement_of
+    placement = mapping._by_data  # memdata id -> Placement
     READ, WRITE = CgKind.READ, CgKind.WRITE
-    for n in nodes.values():
-        kind = n.kind
-        if kind is not READ and kind is not WRITE:
-            continue
-        a = acc_by_node.get(n.id)
+    for p in sorted(cg.positions[READ] + cg.positions[WRITE]):
+        a = acc_by_node.get(ids[p])
         if a is None:
             out.append(Violation("port-overlap",
-                                 f"no reservation for {n.label}", n.id))
+                                 f"no reservation for {label[p]}", ids[p]))
             continue
         _, _, _, data, _, bank, address, cycle, cost, _, _ = a
-        p = placement_of(n.data)
-        if bank != p.bank or address != p.address or data != n.data:
+        want = placement[cg.data[p]]
+        if bank != want.bank or address != want.address \
+                or data != cg.data[p]:
             out.append(Violation("port-overlap",
-                                 f"access {n.label} reserved at "
+                                 f"access {label[p]} reserved at "
                                  f"{bank}@{address}, mapping places it "
-                                 f"at {p.bank}@{p.address}", n.id))
-        if kind is READ:
-            if cycle != start[n.agent]:
+                                 f"at {want.bank}@{want.address}", ids[p]))
+        op = agent[p]
+        if kind[p] is READ:
+            if cycle != start[op]:
                 out.append(Violation("dependency",
-                                     f"read {n.label} at cycle {cycle}, its "
-                                     f"consumer starts at {start[n.agent]}",
-                                     n.id))
+                                     f"read {label[p]} at cycle {cycle}, its "
+                                     f"consumer starts at {start[op]}",
+                                     ids[p]))
             continue
-        if cycle != end[n.agent]:
+        if cycle != end[op]:
             out.append(Violation("dependency",
-                                 f"write {n.label} at cycle {cycle}, its "
-                                 f"producer completes at {end[n.agent]}",
-                                 n.id))
-        for r in succ[n.id]:
-            reader = nodes[r].agent
+                                 f"write {label[p]} at cycle {cycle}, its "
+                                 f"producer completes at {end[op]}", ids[p]))
+        for r in succ[p]:
+            reader = agent[r]
             if start[reader] < cycle + cost:
                 out.append(Violation(
                     "dependency",
-                    f"operation {reader} reads {n.label.split(':')[-1]} "
+                    f"operation {ids[reader]} reads {label[p].split(':')[-1]} "
                     f"at {start[reader]} before the write finishes at "
-                    f"{cycle + cost}", reader))
+                    f"{cycle + cost}", ids[reader]))
 
     # Replay reservations in sequence order: recompute costs and fill an
     # independent port table.
@@ -267,59 +266,60 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                  f"bus {t.bus} carries {other} and {t.node} "
                                  f"in cycle {t.cycle}", t.node))
     # production dates and the latency need every I/O transfer recorded
-    io_nodes = cg.of_kind(CgKind.INPUT) + cg.of_kind(CgKind.OUTPUT)
-    cycles = {node: t.cycle for node, t in transfer_of.items()}
-    complete = all(n.id in cycles for n in io_nodes)
+    io_nodes = cg.positions[INPUT] + cg.positions[CgKind.OUTPUT]
+    cycles = {p: transfer_of[ids[p]].cycle for p in io_nodes
+              if ids[p] in transfer_of}  # by position
+    complete = len(cycles) == len(io_nodes)
     pinned = {tr.node: tr for tr in spec.transfers}
-    for n in io_nodes:
-        t = transfer_of.get(n.id)
+    for p in io_nodes:
+        node, name = ids[p], label[p] or ids[p]
+        t = transfer_of.get(node)
         if t is None:
-            out.append(Violation("io-timing",
-                                 f"no transfer for {n.label or n.id}", n.id))
+            out.append(Violation("io-timing", f"no transfer for {name}", node))
             continue
-        want = pinned.get(n.id)
+        want = pinned.get(node)
         if want is not None and (t.bus != want.bus or t.cycle != want.offset):
             out.append(Violation(
                 "io-timing",
-                f"{n.label or n.id} transferred on {t.bus}@{t.cycle}, "
-                f"constrained to {want.bus}@{want.offset}", n.id))
-        if n.kind is INPUT:
-            for s in succ[n.id]:
-                if nodes[s].kind is OP and start[s] < t.cycle:
+                f"{name} transferred on {t.bus}@{t.cycle}, "
+                f"constrained to {want.bus}@{want.offset}", node))
+        if kind[p] is INPUT:
+            for s in succ[p]:
+                if kind[s] is OP and start[s] < t.cycle:
                     out.append(Violation(
                         "io-timing",
-                        f"operation {s} starts at {start[s]} before "
-                        f"input {n.label or n.id} is transferred at {t.cycle}",
-                        s))
+                        f"operation {ids[s]} starts at {start[s]} before "
+                        f"input {name} is transferred at {t.cycle}", ids[s]))
             continue
         if complete and t.cycle < (produced := produced_cycle(
-                cg, n.id, start, cycles)):
+                cg, p, start, cycles)):
             out.append(Violation(
                 "io-timing",
-                f"output {n.label or n.id} transferred at {t.cycle} "
-                f"before it is produced at {produced}", n.id))
-        if t.cycle > n.deadline:
+                f"output {name} transferred at {t.cycle} "
+                f"before it is produced at {produced}", node))
+        if t.cycle > cg.deadline[p]:
             out.append(Violation(
                 "io-timing",
-                f"output {n.label or n.id} transferred at {t.cycle} "
-                f"after its deadline {n.deadline}", n.id))
+                f"output {name} transferred at {t.cycle} "
+                f"after its deadline {cg.deadline[p]}", node))
 
-    alap, asap = windows.alap, windows.asap
+    alap, asap = windows.alap_at, windows.asap_at
     for node, _, _, _, begin, _ in sched.ops:
-        if begin > alap[node]:
+        p = at[node]
+        if begin > alap[p]:
             out.append(Violation(
                 "window",
                 f"operation {node} starts at {begin}, latest feasible "
-                f"start is {alap[node]}", node))
-        if begin < asap[node]:
+                f"start is {alap[p]}", node))
+        if begin < asap[p]:
             out.append(Violation(
                 "window",
                 f"operation {node} starts at {begin}, earliest possible "
-                f"start is {asap[node]}", node))
+                f"start is {asap[p]}", node))
 
     if complete:
-        achieved = achieved_latency(cg, cycles, max(end.values(),
-                                                    default=None))
+        achieved = achieved_latency(cg, cycles, max(
+            map(end.__getitem__, ops), default=None))
         if achieved != sched.achieved_latency:
             out.append(Violation(
                 "io-timing",
@@ -346,24 +346,25 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
     """
     problem = lower(g, lib, spec)
     cg = problem.cg
-    n_ops = len(cg.of_kind(CgKind.OP))
-    if n_ops > max_ops:
+    ops = cg.positions[CgKind.OP]
+    if len(ops) > max_ops:
         raise ValueError(f"brute force capped at {max_ops} operations, "
-                         f"graph has {n_ops}")
+                         f"graph has {len(ops)}")
 
-    # the op table, read by position
+    # the op table, read by node position
     facts = SchedulerState(cg, problem.windows, mapping,
                            PortAccessTable(mapping, spec.cadence),
                            Allocation("auto"))
-    ops, lat, op_class = facts.ids, facts.latency, facts.op_class
-    asap, alap = facts.asap, facts.alap  # asap: not before an arrival
-    op_preds, read_deps = facts.producers, facts.writers
-    peers = [[j for j in range(n_ops) if op_class[j] == op_class[i]]
-             for i in range(n_ops)]
+    lat, op_class = cg.latency, facts.op_class
+    # asap: not before an arrival
+    asap, alap = problem.windows.asap_at, problem.windows.alap_at
+    op_preds = [[q for q in qs if cg.kind[q] is CgKind.OP] for qs in cg.pred]
+    read_deps = facts.writers
+    peers = {i: [j for j in ops if op_class[j] == op_class[i]] for i in ops}
     bank_at = {b.id: k for k, b in enumerate(mapping.banks)}
     accesses = [[(bank_at[bank], mapping.bank(bank), address, offset)
                  for bank, address, offset in reqs] for reqs in facts.requests]
-    outputs = cg.of_kind(CgKind.OUTPUT)
+    outputs = cg.positions[CgKind.OUTPUT]
 
     best: list[int | None] = [None]
     seen: set = set()
@@ -371,11 +372,11 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
     def finish(started: dict[int, int]) -> None:
         cycles = transfer_cycles(cg, spec, started)
         for o in outputs:
-            if not produced_cycle(cg, o.id, started, cycles) <= \
-                    cycles[o.id] <= o.deadline:
+            if not produced_cycle(cg, o, started, cycles) <= \
+                    cycles[o] <= cg.deadline[o]:
                 return
         achieved = achieved_latency(cg, cycles, max(
-            (started[o] + n for o, n in zip(ops, lat)), default=None))
+            (started[o] + lat[o] for o in ops), default=None))
         if achieved <= spec.latency_bound and (best[0] is None
                                                or achieved < best[0]):
             best[0] = achieved
@@ -384,9 +385,9 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
         """Every way on from cycle t: each op that can start in a cycle
         is started one recursion level down, and the cycle advances in
         this frame, so the depth is bounded by the number of ops."""
-        todo = [i for i, s in enumerate(starts) if s is None]
+        todo = [i for i in ops if starts[i] is None]
         if not todo:
-            finish({o: s[0] for o, s in zip(ops, starts)})
+            finish({o: starts[o][0] for o in ops})
             return
         horizon = max(alap[i] for i in todo)
         while t <= horizon:
@@ -433,6 +434,6 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
                         tuple(nlast), tuple(nloads))
             t += 1
 
-    dfs(0, (None,) * len(ops), (None,) * len(mapping.banks),
+    dfs(0, (None,) * len(cg.ids), (None,) * len(mapping.banks),
         (frozenset(),) * len(mapping.banks))
     return best[0]

@@ -56,7 +56,8 @@ class Config:
         docs = {
             "graph": s.serialize_sfg(self.g),
             "lib": json.dumps({
-                "clock_mhz": self.lib.clock_hz / 1e6,
+                **({} if self.lib.clock_hz is None else
+                   {"clock_mhz": self.lib.clock_hz / 1e6}),
                 "classes": [{"name": c.name, "ops": sorted(c.ops),
                              "latency": c.latency}
                             for c in self.lib.classes]}),

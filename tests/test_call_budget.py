@@ -5,7 +5,8 @@ A named tuple built by calling its class runs the class's Python-level
 computed again at commit time are each one more interpreter call.  The
 package's per-element paths avoid all of them, so a ``report`` call
 through the CLI on a 16-point FFT (``scale_config``: 401 graph nodes and
-688 edges) enters none of those code objects once per element, and
+688 edges) enters none of those code objects once per element, nor the
+``SfgNode.name`` property or ``MemoryMapping.placement_of``, and
 ``Bank.span`` once per access fitted plus once per access the verifier
 replays.  Only a probe's cost builds an access signature.
 """
@@ -31,6 +32,10 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
     for name in ("predecessors", "successors"):
         watched[getattr(s.ConstraintGraph, name).__code__] = \
             f"ConstraintGraph.{name}"
+    # a label read through the name rule, a placement through the method
+    watched[s.SfgNode.name.fget.__code__] = "SfgNode.name"
+    watched[s.MemoryMapping.placement_of.__code__] = \
+        "MemoryMapping.placement_of"
     span, fit = s.Bank.span.__code__, PortAccessTable.fit.__code__
     signature = s.SchedulerState.signature.__code__
     entered: Counter = Counter()

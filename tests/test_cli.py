@@ -9,6 +9,7 @@ import pytest
 
 import sfgsched as s
 from sfgsched.cli import main
+from sfgsched.scheduling import MAX_INSTANCES
 
 
 def _args(pairsum_dir, *extra, io="io_lat3.json", mem="mem_onebank.json"):
@@ -452,6 +453,38 @@ def test_gen_fft_refuses_a_size_above_its_ceiling():
     assert proc.stderr == ("error: n_points must be at most 16384, got "
                            "1099511627776\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_out_of_memory_exit_1():
+    """A command that runs out of memory ends in exit 1 and one message,
+    not in a MemoryError traceback.  The child's address space is capped
+    at 256 MiB, below what an 8,192-point FFT graph needs."""
+    limit = 256 * 2 ** 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfgsched", "gen-fft", "--points", "8192"],
+        capture_output=True, text=True, preexec_fn=cap_memory, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: out of memory\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_fixed_count_above_the_ceiling_exit_1(pairsum_dir, capsys):
+    """A fixed count above ``MAX_INSTANCES`` ends in exit 1 and one message
+    before any pool is built, not in a MemoryError traceback; a count at
+    the ceiling still parses."""
+    code = main(["report"] + _args(pairsum_dir, "--alloc",
+                                   "fixed:mult=100000000,add=1"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: operator class 'mult': count 100000000 is not in 0..65536"]
+    assert "Traceback" not in err
+    ceiling = s.parse_allocation(f"fixed:mult={MAX_INSTANCES},add=1")
+    assert ceiling.counts == (("mult", 2 ** 16), ("add", 1))
 
 
 def test_export_dot(pairsum_dir, capsys):

@@ -17,17 +17,22 @@ import sfgsched as s
 from sfgsched.constraints import achieved_latency, produced_cycle, \
     transfer_cycles
 from sfgsched.memory import HorizonError
-from sfgsched.scheduling import _port_requests
 from instances import random_problem
 
 C = s.CgKind
 
 
 def op_requests(cg, mapping):
-    """Each operation's port requests, by op id."""
-    return {n.id: _port_requests(*cg.accesses_of(n.id), n.latency,
-                                 mapping.placement_of)
-            for n in cg.operations}
+    """Each operation's port requests, by op id: the (bank, address, cycle
+    offset) of its reads at offset 0, then of its writes at its latency."""
+    requests = {}
+    for n in cg.operations:
+        reads, writes = cg.accesses_of(n.id)
+        requests[n.id] = [
+            (p.bank, p.address, offset)
+            for accs, offset in ((reads, 0), (writes, n.latency))
+            for p in (mapping.placement_of(a.data) for a in accs)]
+    return requests
 
 
 def reference_min_latency(g, lib, spec, mapping, instances=None):
@@ -51,10 +56,12 @@ def reference_min_latency(g, lib, spec, mapping, instances=None):
     seen = set()
 
     def finish(started):
-        cycles = transfer_cycles(cg, spec, started)
+        # the timing helpers read starts and give cycles by node position
+        at = {cg.at[o]: start for o, start in started.items()}
+        cycles = transfer_cycles(cg, spec, at)
         for o in outputs:
-            if not produced_cycle(cg, o.id, started, cycles) <= \
-                    cycles[o.id] <= o.deadline:
+            if not produced_cycle(cg, cg.at[o.id], at, cycles) <= \
+                    cycles[cg.at[o.id]] <= o.deadline:
                 return
         achieved = achieved_latency(cg, cycles, max(
             (started[o] + lat[o] for o in ops), default=None))

@@ -105,7 +105,8 @@ def test_fixed_allocation_unknown_class(pairsum_graph, pairsum_lib, io_lat3,
 def _burst_fixture(addresses=(0, 4, 5), z_op="*"):
     """Ops x (4) and y (5) multiply input a by d4 and d0, and z (6) combines
     a and d5 with ``z_op``; (d0, d4, d5) sit at the given addresses of one
-    dual-port bank."""
+    dual-port bank.  The ids run from 0 without gaps, so each node's
+    position, which the ranking and assignment steps take, is its id."""
     nodes = [s.SfgNode(0, K.INPUT, label="a"),
              s.SfgNode(1, K.MEMDATA, label="d0"),
              s.SfgNode(2, K.MEMDATA, label="d4"),
@@ -247,7 +248,7 @@ def test_assign_step_delays_when_instance_busy():
     # margin is positive and the only multiplier is busy: defer, do not grow
     assert s.assign_step(state, 5, 0) is None
     assert len(state.accesses) == before
-    assert state.started[state.at[5]] is None
+    assert state.started[state.cg.at[5]] is None
     # the deferred attempt consumed no sequence number
     assert s.assign_step(state, 5, 1) is not None
     assert state.accesses[before].seq == before + 1
