@@ -1,31 +1,40 @@
 #!/usr/bin/env python3
-"""In-process A/B of two source trees on one benchmark workload.
+"""In-process A/B of two source trees, per pipeline stage.
 
     python3 bench/ab.py --parent DIR [--workload fft128_paced] [--rounds 30]
-                        [--seed 1]
+                        [--seed 1] [--out FILE]
 
 ``DIR`` is a checkout of the commit to compare against (for example one
 made with ``git archive``); the change is this checkout.  Both trees'
 ``sfgsched`` packages are loaded into this one process, each under its own
 package name (``ab_parent`` and ``ab_change``), so each keeps its own
-module set.  The workload's problems come from the benchmark's generators
-(``perfbench/workloads.py``, imported and only read), built and written as
-``report`` documents once per tree.
+module set.
 
-A round is one pass of each tree over the workload's ``report`` calls
-through ``cli.main``, the two trees alternating which runs first.  Each
-tree's ``lower`` and ``check_feasibility`` (the front end's lowering and
-static checks), ``schedule``, ``verify_schedule`` and ``report_to_json``
-(the writer of ``report.json``), all five as its CLI calls them, and
-``Schedule.to_json`` (the writer of ``schedule.json``) are timed inside
-the pass, so one A/B splits a gain between the front end, the scheduler,
-the verifier and the writers.
-Before the rounds one pass of each tree is checked: every call's exit
-code and its ``schedule.json`` and ``report.json`` bytes must be equal on
-both trees.  The script prints, for the whole pass and for each timed
-function, each tree's median and minimum time, the median
-of the per-round ratios change/parent and the number of rounds the change
-was faster.  The standard library is all it needs.
+A workload is one or more entries, each a list of ``report`` calls made
+through ``cli.main``.  A benchmark workload (``perfbench/workloads.py``,
+imported and only read) is one entry; its problems are built and written
+as documents once per tree.  ``ladder`` is one entry per size in
+``POINTS``: the one call on ``tests/experiments.scale_config(points)`` (a
+radix-2 FFT, inputs paced one per cycle on one bus, two single-port banks,
+auto allocation).  Its documents are written once, by this checkout, and
+both trees read them, since ``scale_config`` builds its graph with this
+checkout's package.  A default ladder run (30 rounds) takes about 5.5
+minutes on 2 vCPU, most of it at 1,024 points (about 7.5 s a round).
+
+Per entry, one pass of each tree is checked first: every call's exit code
+and its ``schedule.json`` and ``report.json`` bytes must be equal on both
+trees.  Then a round is one pass of each tree over the entry's calls, the
+two trees alternating which runs first.  Each stage in ``STAGES`` is a set
+of names on the tree's ``cli`` module (``to_json`` is ``Schedule``'s),
+each called by ``cli.main`` outside any other, and is timed by a plain
+wrapper; ``other`` is the rest of the pass (argument parsing, file
+reads).  A name a tree lacks is skipped, so its time shows under
+``other``.  The script prints, per entry and for the whole pass and each
+stage, each tree's median and minimum time, the median of the per-round
+ratios change/parent and the number of rounds the change was faster.
+``--out`` writes the same, with every round's times, the SHA-256 of the
+``schedule.json`` and ``report.json`` bytes (over the entry's calls in
+order) and the host, as JSON.  The standard library is all it needs.
 
 An A/A run, with ``--parent`` set to a copy of this same tree, gives the
 spread of the host: its ratios are what an A/B's ratios must clear
@@ -36,9 +45,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
+import json
+import os
+import platform
 import statistics
 import sys
 import time
@@ -46,9 +59,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work" / "ab"
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / d) for d in ("perfbench", "tests", "src")]
 
 import workloads  # noqa: E402  (found through the path set above)
+
+POINTS = (16, 64, 128, 256, 1024)
+STAGES = {
+    "parse": ("parse_sfg", "parse_operator_library", "parse_io_spec",
+              "parse_memory_mapping", "extract_memory_table",
+              "apply_mapping"),
+    "lowering": ("lower",),
+    "feasibility": ("check_feasibility",),
+    "schedule": ("schedule",),
+    "verify": ("verify_schedule",),
+    "report_serialize": ("build_report", "report_to_json",
+                         "render_report_text", "to_json"),
+    "write": ("_write_file",),
+}
 
 
 def load_tree(src: Path, name: str):
@@ -63,73 +90,109 @@ def load_tree(src: Path, name: str):
     return package, importlib.import_module(f"{name}.cli")
 
 
-TIMED = ("lower", "check_feasibility", "schedule", "verify_schedule",
-         "report_to_json", "to_json")
-
-
 class Tree:
-    """One loaded tree, its workload documents and its timed functions
-    (``TIMED``): the CLI's ``lower``, ``check_feasibility``, ``schedule``,
-    ``verify_schedule`` and ``report_to_json``, and ``Schedule.to_json``."""
+    """One loaded tree with a timing wrapper on each stage's names."""
 
-    def __init__(self, side: str, src: Path, workload: str, seed: int):
+    def __init__(self, side: str, src: Path):
         self.side = side
         self.s, self.cli = load_tree(src, f"ab_{side}")
-        problems = workloads.GENERATORS[workload](self.s, seed)
-        self.argvs = [workloads.write_problem(
-            self.s, p, WORK / workload / side / p.name) for p in problems]
-        self.spent = dict.fromkeys(TIMED, 0.0)  # in the current pass
-        self.times: dict[str, list[float]] = {"cli.main": []}
-        for name in TIMED:
-            owner = self.s.Schedule if name == "to_json" else self.cli
-            setattr(owner, name, self._timed(name, getattr(owner, name)))
-            self.times[name] = []
+        self.spent = dict.fromkeys(STAGES, 0.0)  # in the current pass
+        for stage, names in STAGES.items():
+            for name in names:
+                owner = self.s.Schedule if name == "to_json" else self.cli
+                if hasattr(owner, name):
+                    setattr(owner, name,
+                            self._timed(stage, getattr(owner, name)))
 
-    def _timed(self, name: str, fn):
+    def _timed(self, stage: str, fn):
         def timed(*args, **kwargs):
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.spent[name] += time.perf_counter() - start
+                self.spent[stage] += time.perf_counter() - start
         return timed
 
-    def run_pass(self) -> list[int]:
-        """One pass over the calls; records its times and returns the exit
-        codes."""
+    def run_pass(self, argvs: list[list[str]]) -> tuple[list[int], dict]:
+        """One pass over the calls: their exit codes, and the pass's time
+        per stage, ``other`` and ``total``."""
         main, codes = self.cli.main, []
-        self.spent = dict.fromkeys(TIMED, 0.0)
+        self.spent = dict.fromkeys(STAGES, 0.0)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
             start = time.perf_counter()
-            for argv in self.argvs:
+            for argv in argvs:
                 codes.append(main(argv))
-            elapsed = time.perf_counter() - start
-        self.times["cli.main"].append(elapsed)
-        for name in TIMED:
-            self.times[name].append(self.spent[name])
-        return codes
-
-    def outputs(self, codes: list[int]) -> list[tuple]:
-        out = []
-        for code, argv in zip(codes, self.argvs):
-            directory = Path(argv[argv.index("--out") + 1])
-            files = tuple((directory / f"{name}.json").read_bytes()
-                          if code == 0 else None
-                          for name in ("schedule", "report"))
-            out.append((code, *files))
-        return out
+            total = time.perf_counter() - start
+        return codes, {**self.spent, "other": total - sum(self.spent.values()),
+                       "total": total}
 
 
-def summary(label: str, parent: list[float], change: list[float]) -> str:
-    ratios = [c / p for p, c in zip(parent, change)]
-    won = sum(c < p for p, c in zip(parent, change))
-    return (f"{label:17s} parent median {statistics.median(parent):.4f} s "
-            f"min {min(parent):.4f} s | change median "
-            f"{statistics.median(change):.4f} s min {min(change):.4f} s | "
-            f"median ratio {statistics.median(ratios):.3f}, change faster "
-            f"in {won}/{len(ratios)} rounds")
+def outputs(codes: list[int], argvs: list[list[str]]) -> list[tuple]:
+    out = []
+    for code, argv in zip(codes, argvs):
+        directory = Path(argv[argv.index("--out") + 1])
+        out.append((code, *((directory / f"{name}.json").read_bytes()
+                            if code == 0 else b""
+                            for name in ("schedule", "report"))))
+    return out
+
+
+def ladder_argvs(points: int) -> list[str]:
+    """Write the ``scale_config(points)`` documents with this checkout and
+    the benchmark's writer; return the ``report`` arguments."""
+    import experiments
+    import sfgsched as s
+
+    cfg = experiments.scale_config(points)
+    problem = workloads.Problem(
+        f"scale{points}", cfg.g, cfg.lib, cfg.spec,
+        s.MappingSpec(mode="auto", banks=cfg.mapping.banks), cfg.mapping,
+        "auto", None)
+    return workloads.write_problem(s, problem, WORK / "ladder" / problem.name)
+
+
+def measure(name: str, trees: list[Tree], argvs: dict, rounds: int) -> dict:
+    """Check one entry's outputs on both trees, time its rounds, print and
+    return its record."""
+    first = [outputs(tree.run_pass(argvs[tree.side])[0], argvs[tree.side])
+             for tree in trees]
+    for k, (a, b) in enumerate(zip(*first)):
+        if a != b:
+            raise SystemExit(f"{name}, call {k}: exit codes or output bytes "
+                             f"differ")
+    print(f"{name}: {len(first[0])} calls, outputs byte-equal on both trees",
+          file=sys.stderr)
+    times = {tree.side: {} for tree in trees}
+    for k in range(rounds):
+        for tree in trees if k % 2 == 0 else trees[::-1]:
+            for stage, t in tree.run_pass(argvs[tree.side])[1].items():
+                times[tree.side].setdefault(stage, []).append(t)
+    parent, change = times["parent"], times["change"]
+    entry = {"name": name, "calls": len(first[0])}
+    for k, file in enumerate(("schedule", "report"), 1):
+        entry[f"{file}_sha256"] = hashlib.sha256(
+            b"".join(call[k] for call in first[0])).hexdigest()
+    for side in times:
+        entry[side] = {
+            "median_s": {stage: round(statistics.median(ts), 4)
+                         for stage, ts in times[side].items()},
+            "rounds_s": {stage: [round(t, 4) for t in ts]
+                         for stage, ts in times[side].items()}}
+    entry["ratio_median"], entry["change_faster"] = {}, {}
+    print(f"{name}, {rounds} rounds")
+    for stage in parent:
+        p, c = parent[stage], change[stage]
+        ratio = statistics.median(b / a if a else 1.0 for a, b in zip(p, c))
+        won = sum(b < a for a, b in zip(p, c))
+        entry["ratio_median"][stage] = round(ratio, 3)
+        entry["change_faster"][stage] = won
+        print(f"{stage:17s} parent median {statistics.median(p):.4f} s min "
+              f"{min(p):.4f} s | change median {statistics.median(c):.4f} s "
+              f"min {min(c):.4f} s | median ratio {ratio:.3f}, change faster "
+              f"in {won}/{len(p)} rounds")
+    return entry
 
 
 def main(argv=None) -> int:
@@ -137,31 +200,38 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True,
                    help="checkout of the commit to compare against")
     p.add_argument("--workload", default="fft128_paced",
-                   choices=sorted(workloads.GENERATORS))
+                   choices=sorted(workloads.GENERATORS) + ["ladder"])
     p.add_argument("--rounds", type=int, default=30)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--out", type=Path, help="JSON record to write")
     args = p.parse_args(argv)
 
-    trees = [Tree("parent", args.parent.resolve() / "src", args.workload,
-                  args.seed),
-             Tree("change", ROOT / "src", args.workload, args.seed)]
-    first = [tree.outputs(tree.run_pass()) for tree in trees]
-    for k, (a, b) in enumerate(zip(*first)):
-        if a != b:
-            raise SystemExit(f"call {k} ({trees[0].argvs[k][2]}): exit "
-                             f"codes or output bytes differ")
-    print(f"{args.workload}: {len(first[0])} calls, outputs byte-equal on "
-          f"both trees", file=sys.stderr)
-    for tree in trees:
-        for times in tree.times.values():
-            times.clear()
-    for k in range(args.rounds):
-        for tree in trees if k % 2 == 0 else trees[::-1]:
-            tree.run_pass()
-    parent, change = trees
-    print(f"{args.workload}, {args.rounds} rounds, seed {args.seed}")
-    for name in parent.times:
-        print(summary(name, parent.times[name], change.times[name]))
+    trees = [Tree("parent", args.parent.resolve() / "src"),
+             Tree("change", ROOT / "src")]
+    if args.workload == "ladder":
+        entries = [(f"ladder{n}", dict.fromkeys(("parent", "change"),
+                                                [ladder_argvs(n)]))
+                   for n in POINTS]
+    else:
+        entries = [(args.workload, {tree.side: [workloads.write_problem(
+            tree.s, problem, WORK / args.workload / tree.side / problem.name)
+            for problem in workloads.GENERATORS[args.workload](
+                tree.s, args.seed)] for tree in trees})]
+    record = {
+        "what": "Per-stage wall time of sfgsched report calls made through "
+                "cli.main, two trees interleaved in one process; see "
+                "bench/ab.py.",
+        "workload": args.workload, "rounds": args.rounds, "seed": args.seed,
+        "stages": {stage: ", ".join(names) for stage, names in STAGES.items()}
+        | {"other": "the rest of cli.main: argument parsing, file reads"},
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "entries": [measure(name, trees, argvs, args.rounds)
+                    for name, argvs in entries],
+    }
+    if args.out:
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

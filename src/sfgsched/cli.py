@@ -142,9 +142,6 @@ def _load_problem(args) -> tuple:
                 spec = replace(spec, latency_bound=args.latency)
             if args.cadence is not None:
                 spec = replace(spec, cadence=args.cadence)
-            problems = spec.validate(g)
-            if problems:
-                raise ValueError(problems[0])
     else:
         if args.latency is None:
             raise ValueError("need --latency when no --io file is given")

@@ -467,25 +467,19 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
 
 def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
                       spec: IoConstraintSpec) -> FeasibilityReport:
-    """Two static analyses: (1) transfer offsets fit the cadence, and the
-    critical path and the pinned transfers fit the latency bound; (2) every
-    output can be produced by its deadline given the input arrival dates.
-    Infeasibility is reported, never raised."""
+    """Two static analyses: (1) the critical path and the pinned transfers
+    fit the latency bound; (2) every output can be produced by its deadline
+    given the input arrival dates.  Infeasibility is reported, never
+    raised."""
     diagnostics: list[str] = []
     # enum members as locals: a class lookup costs ten times a local's
     INPUT, OUTPUT, READ, WRITE = \
         CgKind.INPUT, CgKind.OUTPUT, CgKind.READ, CgKind.WRITE
     kind, asap = cg.kind, windows.asap_at
 
-    offsets_ok = True
     pinned_in: list[int] = []
     pinned_out: list[int] = []
     for t in spec.transfers:
-        if not spec.offset_fits(t.offset):
-            offsets_ok = False
-            diagnostics.append(
-                f"transfer of node {t.node} at offset {t.offset} does not fit "
-                f"cadence {spec.cadence}")
         k = kind[cg.at[t.node]]
         if k is INPUT:
             pinned_in.append(t.offset)
@@ -533,7 +527,7 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
         diagnostics.append(
             f"pinned transfers span {span} cycles (cycles {first} to "
             f"{last}), latency bound is {spec.latency_bound}")
-    cadence_ok = offsets_ok and max(critical, span) <= spec.latency_bound \
+    cadence_ok = max(critical, span) <= spec.latency_bound \
         and not late_accesses
     output_dates_ok = not late_outputs
     diagnostics += late_accesses

@@ -301,8 +301,6 @@ class PortAccessTable:
     """
 
     def __init__(self, mapping: MemoryMapping, cadence: int):
-        if cadence < 1:
-            raise MappingError("cadence must be >= 1")
         self.cadence = cadence
         self._state = {b.id: _BankState(bank=b, slots={}, last_address=None)
                        for b in mapping.banks}

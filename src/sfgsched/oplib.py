@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .graph import OPERATION_SYMBOLS
@@ -33,7 +34,8 @@ class OperatorClass:
 class OperatorLibrary:
     """Ordered operator classes.  Selection picks the first class in library
     order that executes a symbol, so the order is the user's selection policy.
-    ``clock_hz`` is informational (reports only)."""
+    ``clock_hz`` is informational (reports only); when given, it is finite
+    and above 0."""
 
     classes: tuple[OperatorClass, ...]
     clock_hz: float | None = None
@@ -42,6 +44,9 @@ class OperatorLibrary:
         names = [c.name for c in self.classes]
         if len(names) != len(set(names)):
             raise LibraryError("duplicate operator class names")
+        if self.clock_hz is not None and not 0 < self.clock_hz < math.inf:
+            raise LibraryError(f"clock must be finite and above 0 Hz, got "
+                               f"{self.clock_hz!r}")
 
     def select(self, symbol: str) -> OperatorClass:
         for c in self.classes:
@@ -84,9 +89,11 @@ def parse_operator_library(text: str) -> OperatorLibrary:
             raise LibraryError(f"classes[{i}]: 'latency' must be an integer")
         classes.append(OperatorClass(name=name, ops=frozenset(ops), latency=latency))
     clock_mhz = doc.get("clock_mhz")
+    if not isinstance(clock_mhz, (int, float, type(None))) or \
+            isinstance(clock_mhz, bool):
+        raise LibraryError(f"'clock_mhz' must be a number, got {clock_mhz!r}")
     try:
-        clock_hz = float(clock_mhz) * 1e6 if clock_mhz is not None else None
-    except (TypeError, ValueError):
-        raise LibraryError(f"'clock_mhz' must be a number, got "
-                           f"{clock_mhz!r}") from None
+        clock_hz = clock_mhz * 1e6 if clock_mhz is not None else None
+    except OverflowError:  # an int past the float range
+        clock_hz = math.inf
     return OperatorLibrary(classes=tuple(classes), clock_hz=clock_hz)

@@ -256,6 +256,31 @@ def test_wrong_shape_document_exit_1(pairsum_dir, tmp_path, capsys, kind,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("clock", ["0", "1e999", "NaN", "-5", "true",
+                                   '"200"', "200.5"])
+def test_clock_must_be_a_finite_positive_number(pairsum_dir, tmp_path,
+                                                 capsys, clock):
+    """A clock of zero, below zero or past the float range, a bool or a
+    string ends in exit 1 and one message: no traceback, and no report
+    with a clock strict JSON readers refuse."""
+    lib = json.loads((pairsum_dir / "lib.json").read_text())
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps(lib)[:-1] + f', "clock_mhz": {clock}}}')
+    argv = _args(pairsum_dir, "--out", str(tmp_path / "out"),
+                 mem="mem_twobank.json")
+    argv[argv.index("--lib") + 1] = str(path)
+    code = main(["report"] + argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if clock == "200.5":
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["clock_hz"] == 200.5e6
+        return
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_declared_bus_named_like_a_synthesized_one(pairsum_dir, tmp_path,
                                                    capsys):
     """A declared bus may carry a generated name; the scheduler's own

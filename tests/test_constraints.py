@@ -256,24 +256,19 @@ def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
                                    spec).cadence_ok is ok
 
 
-def test_feasibility_reports_offsets_outside_the_cadence(pairsum_graph,
-                                                        pairsum_lib):
-    """A spec built directly, as the benchmark builds them, skips
-    ``validate``: the static checks must still catch an offset at or past
-    the cadence."""
+def test_feasibility_reports_offsets_outside_the_cadence(pairsum_graph):
+    """A spec built directly, as the benchmark builds them, checks its
+    offsets itself: one at or past the cadence never reaches the static
+    checks."""
     a, b = (pairsum_graph.node_by_label(x).id for x in "ab")
     for offset in (4, 5):
-        spec = s.IoConstraintSpec(
-            (s.BusDef("bi", "in"),),
-            (s.Transfer(a, "bi", 0), s.Transfer(b, "bi", offset)),
-            cadence=4, latency_bound=8)
-        assert spec.validate(pairsum_graph) == [
-            f"transfer of node {b} at offset {offset} outside cadence 4"]
-        problem = s.lower(pairsum_graph, pairsum_lib, spec)
-        rep = s.check_feasibility(problem.cg, problem.windows, spec)
-        assert not rep.cadence_ok and not rep.feasible
-        assert f"transfer of node {b} at offset {offset} does not fit " \
-               f"cadence 4" in rep.diagnostics
+        with pytest.raises(s.IoSpecError) as err:
+            s.IoConstraintSpec(
+                (s.BusDef("bi", "in"),),
+                (s.Transfer(a, "bi", 0), s.Transfer(b, "bi", offset)),
+                cadence=4, latency_bound=8)
+        assert str(err.value) == \
+            f"transfer of node {b} at offset {offset} outside cadence 4"
 
 
 @settings(max_examples=50, deadline=None)

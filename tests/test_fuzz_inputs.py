@@ -5,16 +5,22 @@ partly from the real schema, so that parsers get past their first check),
 and copies of the pairsum documents with one field replaced by a value of
 the wrong type or sign (or removed).  Each parser may raise only its
 documented error type; ``sfgsched check`` on the same documents written as
-files must exit 0, 1 or 2 without a traceback.
+files must exit 0, 1 or 2 without a traceback.  Last, one numeric field of
+the documents or one cycle-count flag is set to an extreme number and
+``sfgsched report`` runs in a child process with capped memory: it must
+exit 0, 1, 2 or 3 without a traceback, and write strict JSON.
 """
 
 import contextlib
 import io
 import json
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import sfgsched as s
 from sfgsched.cli import main
@@ -161,3 +167,61 @@ def test_pairsum_documents_pass_the_harness():
     for name, text in _pairsum_texts().items():
         PARSERS[name][0](text)
     _check_cli(_pairsum_texts())
+
+
+# Numbers at the edges: zero, negatives, past 64 bits, past the float range
+# (Python's JSON reader accepts NaN and Infinity), a bool and a numeric
+# string.  Each goes into one numeric field of the documents, or into a
+# flag of ``report``.
+EXTREMES = (0, -1, -(2 ** 63), 2 ** 63, 1e308, float("inf"), float("nan"),
+            True, "3")
+NUMERIC_FIELDS = (
+    [("graph", ("nodes", 4, "id")), ("graph", ("edges", 0, "pos")),
+     ("lib", ("clock_mhz",)), ("lib", ("classes", 0, "latency")),
+     ("io", ("cadence",)), ("io", ("latency",)),
+     ("io", ("transfers", 2, "offset")),
+     ("mem", ("placements", 0, "address"))]
+    + [("mem", ("banks", 0, key)) for key in ("ports", "t_seq", "t_rand")]
+    + [("flag", (flag,)) for flag in ("--latency", "--cadence", "--alloc")])
+CHILD_MEMORY = 2 ** 30
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# One child process per example, about 0.3 s each: the two explicit
+# examples and 18 drawn ones.
+@settings(PARSER_FUZZ, max_examples=18)
+@given(st.sampled_from(NUMERIC_FIELDS), st.sampled_from(EXTREMES))
+@example(("lib", ("clock_mhz",)), 0)
+@example(("lib", ("clock_mhz",)), float("inf"))
+def test_report_on_an_extreme_number_exits_cleanly(field, value):
+    name, path = field
+    texts = _pairsum_texts()
+    flags = []
+    if name == "flag":
+        text = value if isinstance(value, str) else json.dumps(value)
+        flags = [path[0], f"fixed:mult={text},add=1" if path[0] == "--alloc"
+                 else text]
+    else:
+        texts[name] = json.dumps(_corrupt(DOCS[name], path, value))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [sys.executable, "-m", "sfgsched", "report", "--out", str(out)]
+        for doc, text in texts.items():
+            (Path(tmp) / f"{doc}.json").write_text(text)
+            argv += [f"--{doc}", str(Path(tmp) / f"{doc}.json")]
+        proc = subprocess.run(argv + flags, capture_output=True, text=True,
+                              preexec_fn=_cap_memory, timeout=60)
+        assert proc.returncode in (0, 1, 2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        if proc.returncode == 0:
+            for result in ("schedule.json", "report.json"):
+                _strict_json((out / result).read_text())
