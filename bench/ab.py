@@ -24,14 +24,17 @@ minutes on 2 vCPU, most of it at 1,024 points (about 7.5 s a round).
 Per entry, one pass of each tree is checked first: every call's exit code
 and its ``schedule.json`` and ``report.json`` bytes must be equal on both
 trees.  Then a round is one pass of each tree over the entry's calls, the
-two trees alternating which runs first.  Each stage in ``STAGES`` is a set
-of names on the tree's ``cli`` module (``to_json`` is ``Schedule``'s),
-each called by ``cli.main`` outside any other, and is timed by a plain
-wrapper; ``other`` is the rest of the pass (argument parsing, file
-reads).  A name a tree lacks is skipped, so its time shows under
-``other``.  The script prints, per entry and for the whole pass and each
-stage, each tree's median and minimum time, the median of the per-round
-ratios change/parent and the number of rounds the change was faster.
+two trees alternating which runs first; the garbage collector runs before
+each pass, as in ``perfbench/run.py``, so neither tree pays for the
+garbage the other left.  Each stage in ``STAGES`` is a set of names on the
+tree's ``cli`` module (``to_json`` is ``Schedule``'s), each called by
+``cli.main`` outside any other, and is timed by a plain wrapper;
+``other`` is the rest of the pass (output directories, messages, the
+collector switch).  A name a tree lacks is skipped, so its time shows
+under ``other``.  The script prints, per entry and for the whole pass and
+each stage, each tree's median and minimum time, the median of the
+per-round ratios change/parent and the number of rounds the change was
+faster.
 ``--out`` writes the same, with every round's times, the SHA-256 of the
 ``schedule.json`` and ``report.json`` bytes (over the entry's calls in
 order) and the host, as JSON.  The standard library is all it needs.
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -65,6 +69,8 @@ import workloads  # noqa: E402  (found through the path set above)
 
 POINTS = (16, 64, 128, 256, 1024)
 STAGES = {
+    "arguments": ("_parse_arguments",),
+    "read": ("_read_text",),
     "parse": ("parse_sfg", "parse_operator_library", "parse_io_spec",
               "parse_memory_mapping", "extract_memory_table",
               "apply_mapping"),
@@ -119,6 +125,7 @@ class Tree:
         main, codes = self.cli.main, []
         self.spent = dict.fromkeys(STAGES, 0.0)
         sink = io.StringIO()
+        gc.collect()
         with contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
             start = time.perf_counter()
@@ -223,7 +230,8 @@ def main(argv=None) -> int:
                 "bench/ab.py.",
         "workload": args.workload, "rounds": args.rounds, "seed": args.seed,
         "stages": {stage: ", ".join(names) for stage, names in STAGES.items()}
-        | {"other": "the rest of cli.main: argument parsing, file reads"},
+        | {"other": "the rest of cli.main: output directories, messages, "
+                    "the collector switch"},
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),

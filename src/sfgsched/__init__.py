@@ -26,27 +26,3 @@ from .scheduling import (Allocation, AllocationError, AllocationEvent,
 from .verify import Violation, brute_force_min_latency, verify_schedule
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "SFG", "SfgNode", "Edge", "NodeKind", "ParseError", "ValidationError",
-    "parse_sfg", "serialize_sfg", "validate_sfg", "export_dot",
-    "generate_fft_sfg",
-    "OperatorClass", "OperatorLibrary", "LibraryError",
-    "parse_operator_library",
-    "BusDef", "Transfer", "IoConstraintSpec", "IoSpecError",
-    "build_transfer_graph", "parse_io_spec",
-    "CgKind", "CgNode", "ConstraintGraph", "TimeWindows", "Problem",
-    "FeasibilityReport",
-    "UnsupportedGraphError", "build_constraint_graph", "apply_io_constraints",
-    "compute_time_windows", "check_feasibility",
-    "MemoryTable", "Bank", "Placement", "MappingError", "MappingSpec", "MemoryMapping",
-    "PortAccessTable", "HorizonError",
-    "extract_memory_table", "apply_mapping", "parse_memory_mapping",
-    "Allocation", "AllocationError", "AllocationEvent", "OperatorInstance",
-    "Schedule", "ScheduledOp", "ScheduledAccess", "ScheduledTransfer",
-    "ScheduleFailure", "SchedulerState", "lower", "parse_allocation",
-    "rank_executable", "assign_step", "schedule", "estimate_registers",
-    "Violation", "verify_schedule", "brute_force_min_latency",
-    "ArchitectureReport", "build_report", "render_report_text",
-    "report_to_json",
-]

@@ -1,21 +1,19 @@
-"""Command line front end.
-
-Subcommands:
-
-* ``check``      validate inputs and run the static feasibility analyses
-* ``schedule``   produce a schedule (written as schedule.json with --out)
-* ``report``     schedule and summarize the resulting architecture
-* ``gen-fft``    emit a radix-2 FFT dataflow graph
-* ``export-dot`` render a graph for graphviz
+"""Command line front end: ``check`` validates the inputs and runs the
+static feasibility analyses, ``schedule`` writes a schedule, ``report``
+schedules and summarizes the architecture, ``gen-fft`` emits a radix-2
+FFT graph and ``export-dot`` renders a graph for graphviz.
 
 Exit codes: 0 success, 1 bad input or usage (running out of memory
 included), 2 constraints statically infeasible, 3 scheduling aborted.
 
-The argument parser is built on the first ``main`` call, not at import, and
-reused by every later call in the process.  Each ``check``, ``schedule`` and
-``report`` call parses its documents and lowers the problem once, with
-``scheduling.lower``, for the static checks, the scheduler and the
-verifier.  Every output file goes through ``_write_file``.
+The parsers are built on the first ``main`` call and reused by later
+ones; ``_parse_arguments`` parses a named command's arguments in one
+pass, by that command's parser alone.  Each ``check``, ``schedule`` and
+``report`` call reads its documents with ``_read_text`` and lowers the
+problem once, with ``scheduling.lower``, for the static checks, the
+scheduler and the verifier.  Files are read and directories made by plain
+``os`` calls on pathlib's spelling of each path, from ``_path``; every
+output file goes through ``_write_file``.
 
 ``main`` turns the cyclic garbage collector off while a command runs and
 then restores the caller's setting: a call builds tens of thousands of
@@ -31,7 +29,6 @@ import gc
 import os
 import sys
 from functools import cache
-from pathlib import Path
 
 from .constraints import check_feasibility
 # unused here, but perfbench/tracing.py wraps these names on this module
@@ -73,7 +70,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_file(path: str | Path, text: str) -> None:
+def _path(path: str, name: str = "") -> str:
+    """``str(Path(path, name))`` on POSIX, spelled without building a path:
+    empty and ``.`` parts dropped, a leading ``//`` kept as it is."""
+    lead = len(path) - len(path.lstrip("/"))  # POSIX: 2 kept, 3 or more 1
+    root = "//" if lead == 2 else "/" if lead else ""
+    return root + "/".join(part for part in f"{path}/{name}".split("/")
+                           if part not in ("", ".")) or "."
+
+
+def _read_text(path: str) -> str:
+    with open(_path(path)) as f:  # as ``Path(path).read_text()``
+        return f.read()
+
+
+def _write_file(path: str, text: str) -> None:
     """Write ``text`` to ``path`` as ``open(path, "w")`` would, but over an
     existing file in place, then cut to the length written: ext4 flushes a
     file emptied by ``O_TRUNC`` when it is closed, at many times the cost
@@ -95,7 +106,7 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
 
 
 @cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = _Parser(prog="sfgsched",
                 description="Schedule DSP dataflow graphs under I/O timing "
                             "and memory-bank constraints.")
@@ -125,17 +136,30 @@ def _build_parser() -> _Parser:
     pd = sub.add_parser("export-dot", help="render a graph for graphviz")
     pd.add_argument("--graph", required=True)
     pd.add_argument("--out", help="output file (default stdout)")
-    return p
+    return p, sub.choices
+
+
+def _parse_arguments(argv: list[str]):
+    """Parse ``argv`` as the top-level parser would, but a named command's
+    arguments in one pass, by that command's parser alone."""
+    top, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return top.parse_args(argv)
+    args, rest = commands[argv[0]].parse_known_args(argv[1:])
+    if rest:
+        top.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.command = argv[0]
+    return args
 
 
 def _load_problem(args) -> tuple:
     """Parse the problem documents and lower them once: (g, lib, spec,
     mapping, problem), where ``problem`` serves the static checks, the
     scheduler and the verifier."""
-    g = parse_sfg(Path(args.graph).read_text())
-    lib = parse_operator_library(Path(args.lib).read_text())
+    g = parse_sfg(_read_text(args.graph))
+    lib = parse_operator_library(_read_text(args.lib))
     if args.io is not None:
-        spec = parse_io_spec(Path(args.io).read_text(), g)
+        spec = parse_io_spec(_read_text(args.io), g)
         if args.latency is not None or args.cadence is not None:
             from dataclasses import replace
             if args.latency is not None:
@@ -149,7 +173,7 @@ def _load_problem(args) -> tuple:
     table = extract_memory_table(g)
     if args.mem is not None:
         mapping = apply_mapping(table, parse_memory_mapping(
-            Path(args.mem).read_text(), g))
+            _read_text(args.mem), g))
     else:
         if table.entries:
             raise ValueError("graph stores data in memory but no --mem "
@@ -197,10 +221,9 @@ def _cmd_schedule(args) -> int:
         return rc
     text = sched.to_json()
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_file(out / "schedule.json", text)
-        print(f"wrote {out / 'schedule.json'}")
+        os.makedirs(_path(args.out), exist_ok=True)
+        _write_file(path := _path(args.out, "schedule.json"), text)
+        print(f"wrote {path}")
     else:
         sys.stdout.write(text)
     print(f"scheduled {len(sched.ops)} operations, latency "
@@ -216,12 +239,11 @@ def _cmd_report(args) -> int:
     rep = build_report(sched, g, spec, mapping, lib)
     text = render_report_text(rep)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_file(out / "schedule.json", sched.to_json())
-        _write_file(out / "report.json", report_to_json(rep))
-        _write_file(out / "report.txt", text)
-        print(f"wrote {out / 'report.txt'}")
+        os.makedirs(_path(args.out), exist_ok=True)
+        _write_file(_path(args.out, "schedule.json"), sched.to_json())
+        _write_file(_path(args.out, "report.json"), report_to_json(rep))
+        _write_file(path := _path(args.out, "report.txt"), text)
+        print(f"wrote {path}")
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -240,22 +262,16 @@ def _cmd_gen_fft(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    return _emit(export_dot(parse_sfg(Path(args.graph).read_text())), args.out)
+    return _emit(export_dot(parse_sfg(_read_text(args.graph))), args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "check": _cmd_check,
-        "schedule": _cmd_schedule,
-        "report": _cmd_report,
-        "gen-fft": _cmd_gen_fft,
-        "export-dot": _cmd_export_dot,
-    }
+    args = _parse_arguments(sys.argv[1:] if argv is None else argv)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return handlers[args.command](args)
+        # looked up when called, so a handler replaced on the module runs
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except ScheduleFailure as e:
         print(f"scheduling aborted: {e}", file=sys.stderr)
         return EXIT_ABORTED

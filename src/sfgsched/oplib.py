@@ -35,7 +35,7 @@ class OperatorLibrary:
     """Ordered operator classes.  Selection picks the first class in library
     order that executes a symbol, so the order is the user's selection policy.
     ``clock_hz`` is informational (reports only); when given, it is finite
-    and above 0."""
+    and at least 1 Hz, so a report's latency in seconds is too."""
 
     classes: tuple[OperatorClass, ...]
     clock_hz: float | None = None
@@ -44,8 +44,8 @@ class OperatorLibrary:
         names = [c.name for c in self.classes]
         if len(names) != len(set(names)):
             raise LibraryError("duplicate operator class names")
-        if self.clock_hz is not None and not 0 < self.clock_hz < math.inf:
-            raise LibraryError(f"clock must be finite and above 0 Hz, got "
+        if self.clock_hz is not None and not 1 <= self.clock_hz < math.inf:
+            raise LibraryError(f"clock must be finite and at least 1 Hz, got "
                                f"{self.clock_hz!r}")
 
     def select(self, symbol: str) -> OperatorClass:

@@ -9,9 +9,14 @@ through the CLI on a 16-point FFT (``scale_config``: 401 graph nodes and
 ``SfgNode.name`` property or ``MemoryMapping.placement_of``, and
 ``Bank.span`` once per access fitted plus once per access the verifier
 replays.  Only a probe's cost builds an access signature.
+
+The fixed cost of a call is held the same way: its arguments go through
+one argparse pass, and its files are read and written without pathlib.
 """
 
+import argparse
 import json
+import pathlib
 import sys
 from collections import Counter
 
@@ -74,3 +79,31 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
     assert span_callers["fit"] <= requests_fitted
     assert span_callers["verify_schedule"] == accesses
     assert set(signature_callers) == {"cost"}, signature_callers
+
+
+def test_report_parses_once_and_builds_no_path(tmp_path, capsys):
+    """A named command's arguments are parsed by its own parser alone, not
+    first by the top-level one, and no ``pathlib`` path is built."""
+    parse = argparse.ArgumentParser._parse_known_args.__code__
+    parses = 0
+    in_pathlib: Counter = Counter()
+
+    def profile(frame, event, arg):
+        nonlocal parses
+        if event != "call":
+            return
+        code = frame.f_code
+        if code is parse:
+            parses += 1
+        elif code.co_filename == pathlib.__file__:
+            in_pathlib[code.co_name] += 1
+
+    argv = experiments.scale_config(16).report_argv(tmp_path)
+    sys.setprofile(profile)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert parses == 1
+    assert in_pathlib == {}

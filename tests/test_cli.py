@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import sfgsched as s
-from sfgsched.cli import main
+from sfgsched.cli import _build_parser, main
 from sfgsched.scheduling import MAX_INSTANCES
 
 
@@ -257,12 +257,13 @@ def test_wrong_shape_document_exit_1(pairsum_dir, tmp_path, capsys, kind,
 
 
 @pytest.mark.parametrize("clock", ["0", "1e999", "NaN", "-5", "true",
-                                   '"200"', "200.5"])
+                                   '"200"', "5e-324", "1e-300", "200.5"])
 def test_clock_must_be_a_finite_positive_number(pairsum_dir, tmp_path,
                                                  capsys, clock):
-    """A clock of zero, below zero or past the float range, a bool or a
-    string ends in exit 1 and one message: no traceback, and no report
-    with a clock strict JSON readers refuse."""
+    """A clock of zero, below 1 Hz, below zero or past the float range, a
+    bool or a string ends in exit 1 and one message: no traceback, and no
+    report with a latency in seconds strict JSON readers refuse or a
+    hundred digits long."""
     lib = json.loads((pairsum_dir / "lib.json").read_text())
     path = tmp_path / "lib.json"
     path.write_text(json.dumps(lib)[:-1] + f', "clock_mhz": {clock}}}')
@@ -445,6 +446,86 @@ def test_missing_required_arg_exits_1(pairsum_dir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["schedule", "--lib", str(pairsum_dir / "lib.json")])
     assert exc.value.code == 1
+
+
+TOP_USAGE = ("usage: sfgsched [-h] {check,schedule,report,gen-fft,export-dot} "
+             "...\n")
+
+
+@pytest.mark.parametrize("argv,stderr", [
+    ([], TOP_USAGE + "sfgsched: error: the following arguments are "
+                     "required: command\n"),
+    (["frobnicate"], TOP_USAGE + "sfgsched: error: argument command: invalid "
+     "choice: 'frobnicate' (choose from 'check', 'schedule', 'report', "
+     "'gen-fft', 'export-dot')\n"),
+    (["schedule", "--lib", "L"],
+     "usage: sfgsched schedule [-h] --graph GRAPH --lib LIB [--io IO] "
+     "[--mem MEM]\n"
+     "                         [--latency LATENCY] [--cadence CADENCE]\n"
+     "                         [--alloc ALLOC] [--out OUT]\n"
+     "sfgsched schedule: error: the following arguments are required: "
+     "--graph\n"),
+    (["report", "--graph", "G", "--lib", "L", "--seed", "1"],
+     TOP_USAGE + "sfgsched: error: unrecognized arguments: --seed 1\n"),
+    (["report", "--graph", "G", "--lib", "L", "--latency", "0"],
+     "usage: sfgsched report [-h] --graph GRAPH --lib LIB [--io IO] "
+     "[--mem MEM]\n"
+     "                       [--latency LATENCY] [--cadence CADENCE] "
+     "[--alloc ALLOC]\n"
+     "                       [--out OUT]\n"
+     "sfgsched report: error: argument --latency: expected a positive "
+     "number of cycles, got '0'\n"),
+], ids=["none", "unknown-command", "missing-graph", "leftover", "bad-type"])
+def test_usage_errors_keep_their_bytes(monkeypatch, capsys, argv, stderr):
+    """Each usage error reads as argparse's one-pass parse printed it:
+    the command's usage for its own errors, the top-level usage for no
+    command, an unknown one, or arguments the command leaves over."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at this width
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", stderr)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["report", "-h"]])
+def test_help_is_the_parsers_help(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    top, commands = _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    parser = commands[argv[0]] if len(argv) > 1 else top
+    assert capsys.readouterr().out == parser.format_help()
+
+
+@pytest.mark.parametrize("out,spelled", [
+    ("out", "out"), ("out/", "out"), ("./out", "out"), ("a//b", "a/b")])
+@pytest.mark.parametrize("command,last", [("schedule", "schedule.json"),
+                                          ("report", "report.txt")])
+def test_out_directory_is_named_as_pathlib_spells_it(
+        pairsum_dir, tmp_path, monkeypatch, capsys, out, spelled, command,
+        last):
+    monkeypatch.chdir(tmp_path)
+    assert main([command] + _args(pairsum_dir, "--out", out)) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"wrote {spelled}/{last}"
+    assert (tmp_path / spelled / last).is_file()
+
+
+@pytest.mark.parametrize("graph,code,stderr", [
+    ("nope.json", 1, "error: [Errno 2] No such file or directory: "
+                     "'nope.json'\n"),
+    ("", 1, "error: [Errno 21] Is a directory: '.'\n"),
+    ("pairsum/./graph.json/", 0, ""),
+], ids=["missing", "empty", "unnormalized"])
+def test_input_path_read_as_pathlib_reads_it(data_dir, monkeypatch, capsys,
+                                             graph, code, stderr):
+    """An input path is opened as pathlib spells it: empty and ``.`` parts
+    and a trailing ``/`` dropped, and messages name it so."""
+    monkeypatch.chdir(data_dir)
+    assert main(["export-dot", "--graph", graph]) == code
+    assert capsys.readouterr().err == stderr
 
 
 def test_gen_fft(tmp_path, capsys):
