@@ -262,16 +262,19 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
             if key not in p:
                 raise MappingError(f"placement entry without {key!r}")
         ref = p["data"]
-        if isinstance(ref, int):
+        if type(ref) is int:  # JSON: a bool is no node id
             if not g.has_node(ref):
                 raise MappingError(f"placement references unknown node {ref}")
             node = g.node(ref)
-        else:
+        elif isinstance(ref, str):
             try:
-                node = g.node_by_label(str(ref))
+                node = g.node_by_label(ref)
             except KeyError as e:
                 raise MappingError(f"placement references unknown data "
                                    f"{ref!r}") from e
+        else:
+            raise MappingError(f"placement 'data' must be a node id or a "
+                               f"label, got {ref!r}")
         if node.kind is not NodeKind.MEMDATA:
             raise MappingError(f"placement target {ref!r} is not a memdata node")
         placements.append(Placement(data=node.id, bank=str(p["bank"]),

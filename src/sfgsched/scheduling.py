@@ -26,23 +26,23 @@ completion or input arrival, an instance a ready operation can use
 becoming free, a ready operation running out of slack, or the latency
 bound.
 
-A fit reads an op's requests only through their signature: per request
-the bank, the cycle offset and whether the address continues the bank's
-run.  Probes are made once per signature and cycle.  Each group keeps
-its members in buckets of one static shape (class, and per request the
-bank, the offset and whether it continues the op's own previous request
-on that bank), with two indexes: the members by the address of their
-first request on each bank, and per member the count of other ready
-readers of the address after one of its reads.  A bucket's members share
-a signature except the burst candidates, whose first request on a bank
-continues that bank's run, and only members with such followers can win
-the lookahead; so a bucket is ranked from its candidates and its lowest
-enabler or lowest member, not member by member.  An access-free bucket
-(its ops make no port request) needs no probe at all: every member costs
-0 and enables no burst, so it puts its lowest member forward and the
-rest follow in id order.  The ready set also keeps its groups' alaps in
-order, so the per-cycle check for overdue ops and the idle skip read the
-earliest alap instead of scanning the groups.
+A fit depends on an op's requests only through, per request, the bank,
+the cycle offset and whether the address continues the bank's run.  Each
+group keeps its members in buckets of one static shape (class, and per
+request the bank, the offset and whether it continues the op's own
+previous request on that bank), with two indexes: the members by the
+address of their first request on each bank, and per member the count of
+other ready readers of the address after one of its reads.  A bucket's
+members share one fit except the burst candidates, whose first request
+on a bank continues that bank's run, and only members with such
+followers can win the lookahead; so a bucket is ranked from its
+candidates and its lowest enabler or lowest member, one probe each, not
+member by member.  An access-free bucket (its ops make no port request)
+needs no probe at all: every member costs 0 and enables no burst, so it
+puts its lowest member forward and the rest follow in id order.  The
+ready set also keeps its groups' alaps in order, so the per-cycle check
+for overdue ops and the idle skip read the earliest alap instead of
+scanning the groups.
 
 A start fits its accesses once, on the live table, and the commit takes
 the fitted spans as they are.  An access-free op only takes a free
@@ -298,9 +298,8 @@ class SchedulerState:
     the (bank, address) of those first requests.  An access-free op gets
     empty tuples.  ``started`` holds each op's record once started.
 
-    ``begin_cycle`` holds the port table's view for a cycle ``t``; until
-    the next one, ``cost`` probes that view once per signature and keeps
-    each probe's total in ``probed``.
+    ``rank_executable`` sets ``t`` to the cycle it ranks and holds the
+    port table's view for it; ``cost`` probes that view.
     """
 
     cg: ConstraintGraph
@@ -323,8 +322,6 @@ class SchedulerState:
     firsts: list[tuple[tuple[str, int], ...]] = field(init=False)
     started: list[ScheduledOp | None] = field(init=False)
     t: int = field(init=False, default=-1)
-    last: dict[str, int | None] = field(init=False, default_factory=dict)
-    probed: dict[tuple, int | None] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         cg = self.cg
@@ -386,44 +383,17 @@ class SchedulerState:
         return [(bank, address, t + offset)
                 for bank, address, offset in self.requests[i]]
 
-    def signature(self, i: int, last: dict[str, int | None]
-                  ) -> tuple[tuple[str, int, bool], ...]:
-        """(bank, offset, is_burst) of each request of the op at position
-        i when the banks last served the ``last`` addresses: all a fit
-        depends on."""
-        sig = []
-        for (bank, address, _), (_, offset, burst) in zip(
-                self.requests[i], self.shape[i][1]):
-            if burst is None:
-                burst = is_burst(last[bank], address)
-            sig.append((bank, offset, burst))
-        return tuple(sig)
-
-    def begin_cycle(self, t: int) -> dict[str, int | None]:
-        """Hold the port table's view for cycle t and drop the probes of
-        the cycle before; returns each bank's last address in the view."""
-        self.t = t
-        self.probed = {}
-        self.last = self.table.hold_view()
-        return self.last
-
     def cost(self, i: int) -> int | None:
-        """Total port cost of starting the op at position i in the cycle
-        begun last, against the held view, or None if blocked.  Ops of one
-        signature share one probe; an access-free op costs 0."""
+        """Total port cost of starting the op at position i at cycle ``t``,
+        against the held view, or None if blocked; an access-free op costs
+        0."""
         if not self.requests[i]:
             return 0
-        sig = self.signature(i, self.last)
         try:
-            return self.probed[sig]
-        except KeyError:
-            try:
-                fits = self.table.probe(self.access_requests(i, self.t))
-            except HorizonError:
-                fits = None
-            cost = self.probed[sig] = None if fits is None else sum(
-                fit[0] for fit in fits)
-            return cost
+            fits = self.table.probe(self.access_requests(i, self.t))
+        except HorizonError:
+            return None
+        return None if fits is None else sum(fit[0] for fit in fits)
 
     def blocking_bank(self, i: int, t: int) -> str | None:
         """Bank of the first access request of the op at position i that
@@ -591,15 +561,15 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
     sorted by the full key.
 
     A fit depends on an op's requests only through their bank, their
-    cycle offset and whether each continues its bank's run, so probes are
-    made once per such signature.  Members of one shape bucket share a
-    signature unless their first request on some bank continues that
-    bank's run (a burst candidate); the others rank by the lookahead and
-    id alone: first the members whose reads a servable peer continues,
-    then the rest.  So each bucket puts forward its candidates and its
-    best other member, the walk merges the buckets by the full key, and a
-    bucket moves on to its next member only while the class still has a
-    free instance (always after a delay) or the group is at zero margin.
+    cycle offset and whether each continues its bank's run.  So members
+    of one shape bucket share one fit, and one probe serves them all,
+    unless their first request on some bank continues that bank's run (a
+    burst candidate); the others rank by the lookahead and id alone:
+    first the members whose reads a servable peer continues, then the
+    rest.  So each bucket puts forward its candidates and its best other
+    member, the walk merges the buckets by the full key, and a bucket
+    moves on to its next member only while the class still has a free
+    instance (always after a delay) or the group is at zero margin.
     An access-free bucket needs no probe: its members cost 0, enable no
     burst and come in id order.
 
@@ -623,7 +593,8 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
                                   op_class=state.op_class[i],
                                   detail=f"latest feasible start was cycle "
                                          f"{alap[i]}")
-    last = state.begin_cycle(t)
+    state.t = t
+    last = state.table.hold_view()
     cost = state.cost
     for i in due:
         if cost(i) is None:
@@ -697,7 +668,7 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                 c = cost(i)
                 if c is not None:
                     heads.append((c, enables_flag(i), i, None))
-            # the other members share one signature, so one probe serves
+            # the other members share one fit, so one probe serves
             first = members[0] if not candidates else next(
                 (i for i in members if i not in candidates), None)
             if first is None or (c := cost(first)) is None:

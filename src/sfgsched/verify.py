@@ -5,19 +5,21 @@ lowered problem (constraint graph and time windows) and the mapping:
 dependencies, operator exclusivity, instances drawn from the recorded pool
 (and, under a fixed allocation, pools no larger than its counts), port
 capacity, access costs (replayed in reservation order), I/O timing and the
-latency bound, one transfer per bus and cycle, time windows, and the
-record's cadence and latency bound against the I/O constraints'.  The
-lowering is either its own (``lower``) or a ``Problem`` shared by the
-caller; both are derived from the graph, library and I/O constraints
-alone, and the verifier only reads them.  It takes the timing rules from
-their one home, as the scheduler does: access cost and slot span from
-``memory.Bank``, output production and achieved latency from
-``constraints``.  It trusts nothing from the scheduler beyond the
-schedule record: it reads the records into starts by node position, walks
-each operation's in-edges for dependencies, replays the accesses in
-sequence order into its own port counts and dates outputs and the latency
-from the starts and transfer cycles, so a record that breaks a rule is
-caught (the mutation tests guard this).
+latency bound, one transfer per bus and cycle, time windows, the
+record's cadence and latency bound against the I/O constraints', and
+every record field the lowering fixes (the kind of node a record names,
+labels, an access's operation and kind, a transfer's direction and
+whether it is synthesized).  The lowering is either its own (``lower``)
+or a ``Problem`` shared by the caller; both are derived from the graph,
+library and I/O constraints alone, and the verifier only reads them.  It
+takes the timing rules from their one home, as the scheduler does: access
+cost and slot span from ``memory.Bank``, output production and achieved
+latency from ``constraints``.  It trusts nothing from the scheduler
+beyond the schedule record: it reads the records into starts by node
+position, walks each operation's in-edges for dependencies, replays the
+accesses in sequence order into its own port counts and dates outputs
+and the latency from the starts and transfer cycles, so a record that
+breaks a rule is caught (the mutation tests guard this).
 
 ``brute_force_min_latency`` is an exhaustive oracle for small graphs: it
 searches every start-time assignment (and every same-cycle reservation
@@ -54,7 +56,7 @@ from .scheduling import Allocation, Schedule, SchedulerState, lower
 class Violation:
     kind: str  # dependency | operator-overlap | port-overlap | io-timing
                # | bus-overlap | window | unscheduled | access-cost | pool
-               # | spec
+               # | spec | record
     message: str
     node: int | None = None
 
@@ -99,7 +101,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     OP, INPUT = CgKind.OP, CgKind.INPUT  # locals: cheaper than class lookups
     start: list[int | None] = [None] * len(ids)  # by position
     end: list[int | None] = [None] * len(ids)    # completion cycle
-    for node, _, op_class, _, begin, latency in sched.ops:
+    for node, op_label, op_class, _, begin, latency in sched.ops:
         p = at.get(node)
         if p is not None and start[p] is not None:
             out.append(Violation("unscheduled",
@@ -114,6 +116,10 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                  f"operation bound to class {op_class} "
                                  f"with latency {latency}, library says "
                                  f"{cg.op_class[p]}/{cg.latency[p]}", node))
+        if op_label != label[p]:
+            out.append(Violation("record", f"operation labelled "
+                                           f"{op_label!r}, the graph says "
+                                           f"{label[p]!r}", node))
         start[p] = begin
         end[p] = begin + latency
     ops = cg.positions[OP]
@@ -143,21 +149,33 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                         f"{arrival[u]}", ids[v]))
 
     acc_by_node = {}
+    READ, WRITE = CgKind.READ, CgKind.WRITE
     for a in sched.accesses:
         if a[0] in acc_by_node:
             out.append(Violation("port-overlap",
                                  "access reserved twice", a[0]))
             continue
+        p = at.get(a[0])
+        if p is None or kind[p] not in (READ, WRITE):
+            out.append(Violation("port-overlap",
+                                 "reservation for a non-access node", a[0]))
         acc_by_node[a[0]] = a
     placement = mapping._by_data  # memdata id -> Placement
-    READ, WRITE = CgKind.READ, CgKind.WRITE
     for p in sorted(cg.positions[READ] + cg.positions[WRITE]):
         a = acc_by_node.get(ids[p])
         if a is None:
             out.append(Violation("port-overlap",
                                  f"no reservation for {label[p]}", ids[p]))
             continue
-        _, _, _, data, _, bank, address, cycle, cost, _, _ = a
+        _, op_id, acc_kind, data, data_label, bank, address, cycle, cost, \
+            _, _ = a
+        op, reads = agent[p], kind[p] is READ
+        if op_id != ids[op] or acc_kind != ("read" if reads else "write") \
+                or data_label != label[p][3:]:
+            out.append(Violation("record",
+                                 f"access {label[p]} of operation {ids[op]} "
+                                 f"recorded as {acc_kind} of {data_label!r} "
+                                 f"by operation {op_id}", ids[p]))
         want = placement[cg.data[p]]
         if bank != want.bank or address != want.address \
                 or data != cg.data[p]:
@@ -165,8 +183,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                  f"access {label[p]} reserved at "
                                  f"{bank}@{address}, mapping places it "
                                  f"at {want.bank}@{want.address}", ids[p]))
-        op = agent[p]
-        if kind[p] is READ:
+        if reads:
             if cycle != start[op]:
                 out.append(Violation("dependency",
                                      f"read {label[p]} at cycle {cycle}, its "
@@ -197,6 +214,11 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     bank_of = mapping.bank
     for node, _, _, _, _, bank_id, address, cycle, cost, cost_class, _ \
             in ordered:
+        if bank_id not in last:
+            out.append(Violation("port-overlap",
+                                 f"access at cycle {cycle} names bank "
+                                 f"{bank_id}, which the mapping lacks", node))
+            continue
         bank = bank_of(bank_id)
         replayed = bank.cost(last[bank_id], address)
         last[bank_id] = address
@@ -256,9 +278,14 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
 
     transfer_of = {}
     bus_user: dict[tuple[str, int], int] = {}
+    OUTPUT = CgKind.OUTPUT
     for t in sched.transfers:
         if t.node in transfer_of:
             out.append(Violation("io-timing", "node transferred twice", t.node))
+        p = at.get(t.node)
+        if p is None or kind[p] not in (INPUT, OUTPUT):
+            out.append(Violation("io-timing", "transfer of a node that is "
+                                              "no input or output", t.node))
         transfer_of[t.node] = t
         other = bus_user.setdefault((t.bus, t.cycle), t.node)
         if other != t.node:
@@ -266,7 +293,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                                  f"bus {t.bus} carries {other} and {t.node} "
                                  f"in cycle {t.cycle}", t.node))
     # production dates and the latency need every I/O transfer recorded
-    io_nodes = cg.positions[INPUT] + cg.positions[CgKind.OUTPUT]
+    io_nodes = cg.positions[INPUT] + cg.positions[OUTPUT]
     cycles = {p: transfer_of[ids[p]].cycle for p in io_nodes
               if ids[p] in transfer_of}  # by position
     complete = len(cycles) == len(io_nodes)
@@ -278,6 +305,13 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
             out.append(Violation("io-timing", f"no transfer for {name}", node))
             continue
         want = pinned.get(node)
+        direction = "in" if kind[p] is INPUT else "out"
+        if t.direction != direction or t.synthesized != (want is None):
+            out.append(Violation(
+                "record",
+                f"transfer of {name} recorded as {t.direction}, synthesized "
+                f"{t.synthesized}, the constraints make it {direction}, "
+                f"synthesized {want is None}", node))
         if want is not None and (t.bus != want.bus or t.cycle != want.offset):
             out.append(Violation(
                 "io-timing",

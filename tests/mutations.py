@@ -112,6 +112,146 @@ def wrong_latency_bound(sched: s.Schedule) -> s.Schedule:
     return replace(sched, latency_bound=sched.latency_bound + 100)
 
 
+def _change_first(sched: s.Schedule, table: str, **fields) -> s.Schedule:
+    """Change the given fields of the first record of one table."""
+    records = getattr(sched, table)
+    return replace(sched, **{table: (records[0]._replace(**fields),)
+                             + records[1:]})
+
+
+def duplicate_operation(sched: s.Schedule) -> s.Schedule:
+    return replace(sched, ops=sched.ops + sched.ops[:1])
+
+
+def record_non_operation(sched: s.Schedule) -> s.Schedule:
+    """Schedule the node of the first transfer, an input or output, as if
+    it were an operation."""
+    node = sched.transfers[0].node
+    return replace(sched, ops=sched.ops + (sched.ops[0]._replace(node=node),))
+
+
+def wrong_operation_latency(sched: s.Schedule) -> s.Schedule:
+    return _change_first(sched, "ops", latency=sched.ops[0].latency + 1)
+
+
+def early_start(sched: s.Schedule) -> s.Schedule:
+    """Start the last operation, which consumes another's result, at
+    cycle 0."""
+    victim = max(sched.ops, key=lambda o: (o.start, o.node))
+    ops = tuple(o._replace(start=0) if o is victim else o for o in sched.ops)
+    return replace(sched, ops=ops)
+
+
+def start_before_input(sched: s.Schedule) -> s.Schedule:
+    """Start the first operation, which reads an input arriving at cycle
+    0, at cycle -1."""
+    return _change_first(sched, "ops", start=-1)
+
+
+def duplicate_access(sched: s.Schedule) -> s.Schedule:
+    return replace(sched, accesses=sched.accesses + sched.accesses[:1])
+
+
+def drop_access(sched: s.Schedule) -> s.Schedule:
+    """Drop the last reservation (the others keep sequence numbers 1..n)."""
+    return replace(sched, accesses=sched.accesses[:-1])
+
+
+def access_past_horizon(sched: s.Schedule) -> s.Schedule:
+    return _change_first(sched, "accesses", cycle=sched.cadence)
+
+
+def foreign_instance(sched: s.Schedule) -> s.Schedule:
+    """Run the last operation on an instance of another class."""
+    victim = sched.ops[-1]
+    other = next(names[0] for cls, names in sorted(sched.pool.items())
+                 if cls != victim.op_class)
+    ops = tuple(o._replace(instance=other) if o is victim else o
+                for o in sched.ops)
+    return replace(sched, ops=ops)
+
+
+def duplicate_transfer(sched: s.Schedule) -> s.Schedule:
+    return replace(sched, transfers=sched.transfers + sched.transfers[:1])
+
+
+def drop_transfer(sched: s.Schedule) -> s.Schedule:
+    return replace(sched, transfers=sched.transfers[:-1])
+
+
+def stray_transfer(sched: s.Schedule) -> s.Schedule:
+    """Transfer the first operation's node, which is no input or output,
+    on a bus of its own."""
+    stray = sched.transfers[0]._replace(node=sched.ops[0].node, bus="stray")
+    return replace(sched, transfers=sched.transfers + (stray,))
+
+
+def stray_access(sched: s.Schedule) -> s.Schedule:
+    """Reserve, after every other access, a slot for the first operation's
+    node, which is no access node."""
+    last = sched.accesses[-1]
+    stray = last._replace(node=sched.ops[0].node, seq=last.seq + 1)
+    return replace(sched, accesses=sched.accesses + (stray,))
+
+
+def flip_direction(sched: s.Schedule) -> s.Schedule:
+    direction = sched.transfers[0].direction
+    return _change_first(sched, "transfers",
+                         direction="out" if direction == "in" else "in")
+
+
+def flip_synthesized(sched: s.Schedule) -> s.Schedule:
+    return _change_first(sched, "transfers",
+                         synthesized=not sched.transfers[0].synthesized)
+
+
+def wrong_access_op(sched: s.Schedule) -> s.Schedule:
+    """Credit the first access to an operation it does not belong to."""
+    op = sched.accesses[0].op
+    return _change_first(sched, "accesses",
+                         op=next(o.node for o in sched.ops if o.node != op))
+
+
+def wrong_access_kind(sched: s.Schedule) -> s.Schedule:
+    kind = sched.accesses[0].kind
+    return _change_first(sched, "accesses",
+                         kind="write" if kind == "read" else "read")
+
+
+def wrong_data_label(sched: s.Schedule) -> s.Schedule:
+    return _change_first(sched, "accesses",
+                         data_label=sched.accesses[0].data_label + "x")
+
+
+def wrong_operation_label(sched: s.Schedule) -> s.Schedule:
+    return _change_first(sched, "ops", label=sched.ops[0].label + "x")
+
+
+def unknown_bank(sched: s.Schedule) -> s.Schedule:
+    """Reserve the first access on a bank the mapping does not have."""
+    return _change_first(sched, "accesses", bank="nobank")
+
+
+def shift_write(sched: s.Schedule) -> s.Schedule:
+    """Move the first write one cycle after its producer completes."""
+    victim = next(a for a in sched.accesses if a.kind == "write")
+    accs = tuple(a._replace(cycle=a.cycle + 1) if a is victim else a
+                 for a in sched.accesses)
+    return replace(sched, accesses=accs)
+
+
+def reader_before_write(sched: s.Schedule) -> s.Schedule:
+    """Start the operation of the last read, and its reads, one cycle
+    earlier: before the value it reads is written."""
+    reader = [a for a in sched.accesses if a.kind == "read"][-1].op
+    ops = tuple(o._replace(start=o.start - 1) if o.node == reader else o
+                for o in sched.ops)
+    accs = tuple(a._replace(cycle=a.cycle - 1)
+                 if a.op == reader and a.kind == "read" else a
+                 for a in sched.accesses)
+    return replace(sched, ops=ops, accesses=accs)
+
+
 MUTATIONS = [
     ("late-start", late_start),
     ("overlapping-instances", overlap_instances),
@@ -125,6 +265,33 @@ MUTATIONS = [
     ("instance-outside-pool", shrink_pool),
     ("wrong-cadence", wrong_cadence),
     ("wrong-latency-bound", wrong_latency_bound),
+    ("duplicated-operation", duplicate_operation),
+    ("non-operation-record", record_non_operation),
+    ("wrong-operation-latency", wrong_operation_latency),
+    ("early-start", early_start),
+    ("start-before-input", start_before_input),
+    ("duplicated-access", duplicate_access),
+    ("dropped-access", drop_access),
+    ("access-past-horizon", access_past_horizon),
+    ("foreign-instance", foreign_instance),
+    ("duplicated-transfer", duplicate_transfer),
+    ("dropped-transfer", drop_transfer),
+    ("stray-transfer", stray_transfer),
+    ("stray-access", stray_access),
+    ("flipped-direction", flip_direction),
+    ("flipped-synthesized", flip_synthesized),
+    ("wrong-access-op", wrong_access_op),
+    ("wrong-access-kind", wrong_access_kind),
+    ("wrong-data-label", wrong_data_label),
+    ("wrong-operation-label", wrong_operation_label),
+    ("unknown-bank", unknown_bank),
+]
+
+# Need a written value and its reader, which the pairsum goldens lack:
+# check these on a schedule with a write that gates a read.
+WRITE_MUTATIONS = [
+    ("shifted-write", shift_write),
+    ("reader-before-write", reader_before_write),
 ]
 
 # Breaks only a fixed allocation's caps, which the verifier knows when it

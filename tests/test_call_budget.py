@@ -8,7 +8,8 @@ through the CLI on a 16-point FFT (``scale_config``: 401 graph nodes and
 688 edges) enters none of those code objects once per element, nor the
 ``SfgNode.name`` property or ``MemoryMapping.placement_of``, and
 ``Bank.span`` once per access fitted plus once per access the verifier
-replays.  Only a probe's cost builds an access signature.
+replays.  Only ``SchedulerState.cost`` probes the port table, once per
+call on an op with accesses.
 
 The fixed cost of a call is held the same way: its arguments go through
 one argparse pass, and its files are read and written without pathlib.
@@ -42,14 +43,16 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
     watched[s.MemoryMapping.placement_of.__code__] = \
         "MemoryMapping.placement_of"
     span, fit = s.Bank.span.__code__, PortAccessTable.fit.__code__
-    signature = s.SchedulerState.signature.__code__
+    probe = PortAccessTable.probe.__code__
+    cost = s.SchedulerState.cost.__code__
     entered: Counter = Counter()
     span_callers: Counter = Counter()
-    signature_callers: Counter = Counter()
+    probe_callers: Counter = Counter()
     requests_fitted = 0
+    costs_with_requests = 0
 
     def profile(frame, event, arg):
-        nonlocal requests_fitted
+        nonlocal requests_fitted, costs_with_requests
         if event != "call":
             return
         code = frame.f_code
@@ -57,8 +60,11 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
             entered[watched[code]] += 1
         elif code is span:
             span_callers[frame.f_back.f_code.co_name] += 1
-        elif code is signature:
-            signature_callers[frame.f_back.f_code.co_name] += 1
+        elif code is probe:
+            probe_callers[frame.f_back.f_code.co_name] += 1
+        elif code is cost:
+            local = frame.f_locals
+            costs_with_requests += bool(local["self"].requests[local["i"]])
         elif code is fit:
             requests_fitted += len(frame.f_locals["requests"])
 
@@ -78,7 +84,9 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
     assert set(span_callers) == {"fit", "verify_schedule"}, span_callers
     assert span_callers["fit"] <= requests_fitted
     assert span_callers["verify_schedule"] == accesses
-    assert set(signature_callers) == {"cost"}, signature_callers
+    # one probe per cost call on an op with accesses, and no other probe
+    assert costs_with_requests > 0
+    assert probe_callers == {"cost": costs_with_requests}, probe_callers
 
 
 def test_report_parses_once_and_builds_no_path(tmp_path, capsys):

@@ -256,6 +256,34 @@ def test_wrong_shape_document_exit_1(pairsum_dir, tmp_path, capsys, kind,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ref", ["true", "false", "null", "1.0", "[1]"])
+def test_placement_data_must_be_a_node_id_or_label(pairsum_dir, tmp_path,
+                                                   capsys, ref):
+    """A bool is no node id: ``"data": true`` must not place node 1, the
+    graph's one memdata node.  It and every other reference that is
+    neither an integer nor a string end in exit 1 and one message."""
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "nodes": [{"id": 0, "kind": "input", "label": "a"},
+                  {"id": 1, "kind": "memdata", "label": "w"},
+                  {"id": 2, "kind": "operation", "op": "*", "label": "m"},
+                  {"id": 3, "kind": "output", "label": "y"}],
+        "edges": [{"from": 0, "to": 2, "pos": 0},
+                  {"from": 1, "to": 2, "pos": 1},
+                  {"from": 2, "to": 3, "pos": 0}]}))
+    mem = tmp_path / "mem.json"
+    mem.write_text(
+        '{"mode": "strict", "banks": [{"id": "bank0"}], "placements": '
+        f'[{{"data": {ref}, "bank": "bank0", "address": 7}}]}}')
+    argv = _args(pairsum_dir, "--latency", "4", io=None, mem=str(mem))
+    argv[argv.index("--graph") + 1] = str(graph)
+    assert main(["schedule"] + argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "placement 'data' must be a node " \
+        "id or a label, got " in err
+
+
 @pytest.mark.parametrize("clock", ["0", "1e999", "NaN", "-5", "true",
                                    '"200"', "5e-324", "1e-300", "200.5"])
 def test_clock_must_be_a_finite_positive_number(pairsum_dir, tmp_path,

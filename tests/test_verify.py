@@ -8,7 +8,8 @@ import pytest
 import sfgsched as s
 import experiments
 from instances import random_fft_problem, random_problem
-from mutations import CAP_MUTATIONS, MUTATIONS, fixed_allocation
+from mutations import (CAP_MUTATIONS, MUTATIONS, WRITE_MUTATIONS,
+                       fixed_allocation)
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +24,28 @@ def golden_lat2(pairsum_graph, pairsum_lib, io_lat2, map_twobank):
     return sched, pairsum_graph, pairsum_lib, io_lat2, map_twobank
 
 
-def test_clean_schedules_verify(golden_lat3, golden_lat2):
-    for sched, g, lib, spec, mapping in (golden_lat3, golden_lat2):
+@pytest.fixture(scope="module")
+def gated_write():
+    """o0 writes w0 and o1 reads it back; every transfer is synthesized."""
+    K = s.NodeKind
+    nodes = [s.SfgNode(0, K.INPUT, label="a"),
+             s.SfgNode(1, K.OPERATION, op="+", label="o0"),
+             s.SfgNode(2, K.MEMDATA, label="w0"),
+             s.SfgNode(3, K.OPERATION, op="+", label="o1"),
+             s.SfgNode(4, K.OUTPUT, label="y")]
+    edges = [(0, 1, 0), (0, 1, 1), (1, 2, 0), (2, 3, 0), (0, 3, 1), (3, 4, 0)]
+    g = s.SFG(nodes, edges)
+    lib = s.OperatorLibrary(
+        classes=(s.OperatorClass("add", frozenset("+"), 1),))
+    spec = s.IoConstraintSpec.unconstrained(latency_bound=6)
+    mapping = s.apply_mapping(s.extract_memory_table(g), s.MappingSpec(
+        mode="auto", banks=(s.Bank(id="b0", ports=1, t_seq=1, t_rand=2),)))
+    return s.schedule(g, lib, spec, mapping), g, lib, spec, mapping
+
+
+def test_clean_schedules_verify(golden_lat3, golden_lat2, gated_write):
+    for sched, g, lib, spec, mapping in (golden_lat3, golden_lat2,
+                                         gated_write):
         assert s.verify_schedule(sched, g, lib, spec, mapping) == []
 
 
@@ -69,7 +90,51 @@ def test_schedule_leaves_the_shared_problem_unchanged(which, golden_lat3,
     assert problem.cg.latency_bound == fresh.cg.latency_bound
 
 
-def test_mutation_kinds_are_specific(golden_lat3):
+# Per mutation, every kind it is flagged with on the lat3 golden, and a
+# piece of the message of each check it is there to fire.
+SPECIFIC = [
+    ("duplicated-operation", {"unscheduled"}, ["scheduled twice"]),
+    ("non-operation-record", {"unscheduled"}, ["non-operation node"]),
+    ("wrong-operation-latency", {"unscheduled"}, ["library says mult/1"]),
+    ("early-start", {"dependency", "window"},
+     ["before its producer 4 completes", "earliest possible start is 1"]),
+    ("start-before-input", {"dependency", "io-timing", "window"},
+     ["before input b arrives", "before input b is transferred"]),
+    ("duplicated-access", {"port-overlap", "access-cost"},
+     ["access reserved twice"]),
+    ("dropped-access", {"port-overlap"}, ["no reservation for rd:var1"]),
+    ("access-past-horizon", {"dependency", "port-overlap"},
+     ["runs past the iteration horizon"]),
+    ("foreign-instance", {"operator-overlap", "pool"},
+     ["instance mult0 used as ['add', 'mult']"]),
+    ("duplicated-transfer", {"io-timing"}, ["node transferred twice"]),
+    ("dropped-transfer", {"io-timing"}, ["no transfer for c"]),
+    ("stray-transfer", {"io-timing"},
+     ["transfer of a node that is no input or output"]),
+    ("stray-access", {"port-overlap", "access-cost"},
+     ["reservation for a non-access node"]),
+    ("flipped-direction", {"record"}, ["recorded as out"]),
+    ("flipped-synthesized", {"record"}, ["synthesized True, the"]),
+    ("wrong-access-op", {"record"},
+     ["rd:var2 of operation 5 recorded as read of 'var2' by operation 4"]),
+    ("wrong-access-kind", {"record"}, ["recorded as write"]),
+    ("wrong-data-label", {"record"}, ["'var2x'"]),
+    ("wrong-operation-label", {"record"}, ["labelled 'm2x'"]),
+    ("unknown-bank", {"port-overlap"}, ["bank nobank, which the mapping "
+                                       "lacks"]),
+]
+
+# The same on the gated-write schedule.
+SPECIFIC_WRITE = [
+    ("shifted-write", {"dependency", "port-overlap"},
+     ["write wr:w0 at cycle 2, its producer completes at 1"]),
+    ("reader-before-write", {"dependency", "port-overlap", "window"},
+     ["reads w0 at 1 before the write finishes at 2"]),
+    ("flipped-synthesized", {"record"}, ["synthesized False, the"]),
+]
+
+
+def test_mutation_kinds_are_specific(golden_lat3, gated_write):
     sched, g, lib, spec, mapping = golden_lat3
     from mutations import (late_start, corrupt_access_cost, drop_operation,
                            shift_output_transfer, collapse_sequence_numbers,
@@ -102,7 +167,17 @@ def test_mutation_kinds_are_specific(golden_lat3):
     assert {v.kind for v in violations} == {"io-timing"}
     assert any("span 4 cycles, the latency bound is 3" in v.message
                for v in violations)
-
+    by_name = dict(MUTATIONS + WRITE_MUTATIONS)
+    for table, (sched, g, lib, spec, mapping) in (
+            (SPECIFIC, golden_lat3), (SPECIFIC_WRITE, gated_write)):
+        for name, kinds, fragments in table:
+            broken = by_name[name](sched)
+            assert broken.to_json() != sched.to_json(), name
+            violations = s.verify_schedule(broken, g, lib, spec, mapping)
+            assert {v.kind for v in violations} == kinds, name
+            for fragment in fragments:
+                assert any(fragment in v.message for v in violations), \
+                    (name, fragment)
 
 
 @pytest.mark.parametrize("name,mutate", CAP_MUTATIONS)
