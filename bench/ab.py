@@ -3,6 +3,7 @@
 
     python3 bench/ab.py --parent DIR [--workload fft128_paced] [--rounds 30]
                         [--seed 1] [--out FILE]
+    python3 bench/ab.py --parent DIR --workload setup [--rounds 30] [--out FILE]
 
 ``DIR`` is a checkout of the commit to compare against (for example one
 made with ``git archive``); the change is this checkout.  Both trees'
@@ -39,6 +40,18 @@ faster.
 ``schedule.json`` and ``report.json`` bytes (over the entry's calls in
 order) and the host, as JSON.  The standard library is all it needs.
 
+``setup`` times instead what perfbench's ``setup_s`` times for
+``SETUP_WORKLOAD``: a round is one set-up by each tree, the two
+alternating which goes first, and a set-up is three stages, each timed on
+its own.  ``import`` imports the tree's package and its ``cli`` afresh
+(its modules are dropped from ``sys.modules`` first, so the sources are
+compiled again unless Python may read cached bytecode), ``generate`` runs
+the workload's generator and ``write`` writes its documents with
+``workloads.write_problem``, which writes a file only when its text
+changed.  The documents of both trees must be byte-equal after the first
+round.  Each stage is printed on its own line, so the import, mostly
+compiling the sources, does not hide what the other two gain.
+
 An A/A run, with ``--parent`` set to a copy of this same tree, gives the
 spread of the host: its ratios are what an A/B's ratios must clear
 before they show a change.
@@ -68,6 +81,7 @@ sys.path[:0] = [str(ROOT / d) for d in ("perfbench", "tests", "src")]
 import workloads  # noqa: E402  (found through the path set above)
 
 POINTS = (16, 64, 128, 256, 1024)
+SETUP_WORKLOAD = "fft128_paced"
 STAGES = {
     "arguments": ("_parse_arguments",),
     "read": ("_read_text",),
@@ -176,11 +190,18 @@ def measure(name: str, trees: list[Tree], argvs: dict, rounds: int) -> dict:
         for tree in trees if k % 2 == 0 else trees[::-1]:
             for stage, t in tree.run_pass(argvs[tree.side])[1].items():
                 times[tree.side].setdefault(stage, []).append(t)
-    parent, change = times["parent"], times["change"]
     entry = {"name": name, "calls": len(first[0])}
     for k, file in enumerate(("schedule", "report"), 1):
         entry[f"{file}_sha256"] = hashlib.sha256(
             b"".join(call[k] for call in first[0])).hexdigest()
+    return summarize(entry, times, rounds)
+
+
+def summarize(entry: dict, times: dict, rounds: int) -> dict:
+    """Add each side's per-stage times (``times[side][stage]``, one per
+    round) to the record ``entry``, with medians, the median ratio
+    change/parent and the change's wins; print them, a line per stage."""
+    parent, change = times["parent"], times["change"]
     for side in times:
         entry[side] = {
             "median_s": {stage: round(statistics.median(ts), 4)
@@ -188,7 +209,7 @@ def measure(name: str, trees: list[Tree], argvs: dict, rounds: int) -> dict:
             "rounds_s": {stage: [round(t, 4) for t in ts]
                          for stage, ts in times[side].items()}}
     entry["ratio_median"], entry["change_faster"] = {}, {}
-    print(f"{name}, {rounds} rounds")
+    print(f"{entry['name']}, {rounds} rounds")
     for stage in parent:
         p, c = parent[stage], change[stage]
         ratio = statistics.median(b / a if a else 1.0 for a, b in zip(p, c))
@@ -202,42 +223,99 @@ def measure(name: str, trees: list[Tree], argvs: dict, rounds: int) -> dict:
     return entry
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", type=Path, required=True,
-                   help="checkout of the commit to compare against")
-    p.add_argument("--workload", default="fft128_paced",
-                   choices=sorted(workloads.GENERATORS) + ["ladder"])
-    p.add_argument("--rounds", type=int, default=30)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", type=Path, help="JSON record to write")
-    args = p.parse_args(argv)
+def set_up(side: str, src: Path, seed: int) -> dict:
+    """One set-up of ``SETUP_WORKLOAD`` by the tree at ``src``, imported
+    afresh as ``ab_<side>``: its time per stage."""
+    name = f"ab_{side}"
+    for module in [m for m in sys.modules
+                   if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    importlib.invalidate_caches()
+    gc.collect()
+    start = time.perf_counter()
+    s, _ = load_tree(src, name)
+    imported = time.perf_counter()
+    problems = workloads.GENERATORS[SETUP_WORKLOAD](s, seed)
+    generated = time.perf_counter()
+    for problem in problems:
+        workloads.write_problem(s, problem,
+                                WORK / "setup" / side / problem.name)
+    written = time.perf_counter()
+    return {"import": imported - start, "generate": generated - imported,
+            "write": written - generated, "total": written - start}
 
-    trees = [Tree("parent", args.parent.resolve() / "src"),
-             Tree("change", ROOT / "src")]
+
+def measure_setup(sources: dict, rounds: int, seed: int) -> dict:
+    """Time ``rounds`` interleaved set-ups of each tree (``sources`` maps a
+    side to its ``src``), check that both wrote the same documents, and
+    print and return the record."""
+    times: dict = {side: {} for side in sources}
+    sides = list(sources)
+    for k in range(rounds):
+        for side in sides if k % 2 == 0 else sides[::-1]:
+            for stage, t in set_up(side, sources[side], seed).items():
+                times[side].setdefault(stage, []).append(t)
+        if k == 0:
+            written = [{f.relative_to(WORK / "setup" / side): f.read_bytes()
+                        for f in (WORK / "setup" / side).rglob("*.json")}
+                       for side in sides]
+            if written[0] != written[1]:
+                raise SystemExit("setup: the trees wrote different documents")
+            print(f"setup: {len(written[0])} documents byte-equal on both "
+                  f"trees", file=sys.stderr)
+    return summarize({"name": f"setup {SETUP_WORKLOAD}"}, times, rounds)
+
+
+def measure_calls(args, sources: dict) -> list[dict]:
+    """The records of ``args.workload``'s entries, each a list of
+    ``report`` calls timed by ``measure``."""
+    trees = [Tree(side, src) for side, src in sources.items()]
     if args.workload == "ladder":
-        entries = [(f"ladder{n}", dict.fromkeys(("parent", "change"),
-                                                [ladder_argvs(n)]))
+        entries = [(f"ladder{n}", dict.fromkeys(sources, [ladder_argvs(n)]))
                    for n in POINTS]
     else:
         entries = [(args.workload, {tree.side: [workloads.write_problem(
             tree.s, problem, WORK / args.workload / tree.side / problem.name)
             for problem in workloads.GENERATORS[args.workload](
                 tree.s, args.seed)] for tree in trees})]
-    record = {
-        "what": "Per-stage wall time of sfgsched report calls made through "
-                "cli.main, two trees interleaved in one process; see "
-                "bench/ab.py.",
-        "workload": args.workload, "rounds": args.rounds, "seed": args.seed,
-        "stages": {stage: ", ".join(names) for stage, names in STAGES.items()}
-        | {"other": "the rest of cli.main: output directories, messages, "
-                    "the collector switch"},
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "entries": [measure(name, trees, argvs, args.rounds)
-                    for name, argvs in entries],
-    }
+    return [measure(name, trees, argvs, args.rounds)
+            for name, argvs in entries]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, required=True,
+                   help="checkout of the commit to compare against")
+    p.add_argument("--workload", default="fft128_paced",
+                   choices=sorted(workloads.GENERATORS) + ["ladder", "setup"])
+    p.add_argument("--rounds", type=int, default=30)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--out", type=Path, help="JSON record to write")
+    args = p.parse_args(argv)
+
+    sources = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
+    if args.workload == "setup":
+        record = {
+            "what": f"Set-up time of perfbench's {SETUP_WORKLOAD} workload "
+                    f"per stage, two trees interleaved in one process; see "
+                    f"bench/ab.py.",
+            "stages": {"import": "the package and its cli, imported afresh",
+                       "generate": "the workload's generator",
+                       "write": "workloads.write_problem"},
+            "entries": [measure_setup(sources, args.rounds, args.seed)]}
+    else:
+        record = {
+            "what": "Per-stage wall time of sfgsched report calls made "
+                    "through cli.main, two trees interleaved in one process; "
+                    "see bench/ab.py.",
+            "stages": {stage: ", ".join(names)
+                       for stage, names in STAGES.items()}
+            | {"other": "the rest of cli.main: output directories, "
+                        "messages, the collector switch"},
+            "entries": measure_calls(args, sources)}
+    record |= {"workload": args.workload, "rounds": args.rounds,
+               "seed": args.seed, "python": platform.python_version(),
+               "cpu_count": os.cpu_count(), "platform": platform.platform()}
     if args.out:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

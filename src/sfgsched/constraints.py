@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 from operator import sub
 from typing import NamedTuple
 
-from .graph import SFG, NodeKind, _OP, topological_order, validate_sfg
+from .graph import SFG, NodeKind, validate_sfg
 from .iospec import IoConstraintSpec, IoSpecError, Transfer
 from .oplib import OperatorLibrary
 
@@ -103,9 +103,8 @@ _tuple_new = tuple.__new__
 class ConstraintGraph:
     """Immutable DAG of constraint-graph nodes, as columns by node position.
 
-    A graph lowered from an SFG keeps the SFG's positions, leaves those of
-    constants and memdata empty (kind None) and puts its access nodes after
-    them, writes first; one built from records numbers them in order.
+    It keeps the SFG's positions, leaves those of constants and memdata
+    empty (kind None) and puts its access nodes after them, writes first.
     ``ids`` and ``at`` translate positions and ids.  One column per
     ``CgNode`` field holds it by position (``agent`` as a position),
     ``positions`` each kind's positions in order, ``pred``/``succ`` the
@@ -116,23 +115,10 @@ class ConstraintGraph:
     first use.  ``latency_bound`` is set once I/O constraints are applied.
     """
 
-    def __init__(self, nodes: list[CgNode], edges: list[tuple[int, int]],
+    def __init__(self, rows: list[tuple], pred: list, succ: list,
+                 order: list[int] | None, consumers: list,
+                 edges: list[tuple[int, int]],
                  latency_bound: int | None = None):
-        at = {n.id: p for p, n in enumerate(nodes)}
-        pred: list[list[int]] = [[] for _ in at]
-        succ: list[list[int]] = [[] for _ in at]
-        for u, v in edges:
-            pred[at[v]].append(at[u])
-            succ[at[u]].append(at[v])
-        self._assign([(*n[:7], at.get(n.agent), *n[8:]) for n in nodes],
-                     pred, succ, topological_order(succ, map(len, pred)),
-                     [[q for q in qs if nodes[q].kind is CgKind.OP]
-                      for qs in succ])
-        self.latency_bound = latency_bound
-        self.edges = tuple(edges)
-
-    def _assign(self, rows: list[tuple], pred: list, succ: list,
-                order: list[int] | None, consumers: list) -> None:
         # rows: the CgNode fields by position, ``agent`` as a position
         (self.ids, self.kind, self.latency, self.label, self.op_class,
          self.symbol, self.data, self.agent, self.arrival,
@@ -141,7 +127,8 @@ class ConstraintGraph:
         self.at = dict(zip(self.ids, range(len(rows))))
         self.pred, self.succ, self.order = pred, succ, order
         self.consumers = consumers
-        self.latency_bound: int | None = None
+        self.edges = tuple(edges)
+        self.latency_bound = latency_bound
         self.positions: dict[CgKind | None, list[int]] = defaultdict(list)
         for p, kind in enumerate(self.kind):
             self.positions[kind].append(p)
@@ -202,22 +189,46 @@ def _weights_from(kind: CgKind, latency: int) -> tuple[int, int]:
     return max(latency - 1, 0), latency
 
 
-@dataclass(frozen=True)
 class TimeWindows:
-    """ASAP/ALAP start cycles and their difference (mobility) per node id,
-    and by node position (``ConstraintGraph``) for the package's passes.
+    """ASAP/ALAP start cycles and their difference (mobility), by node
+    position (``ConstraintGraph``) for the package's passes in ``asap_at``,
+    ``alap_at`` and ``mobility_at``, and by node id in ``asap``, ``alap``
+    and ``mobility``.  ``compute_time_windows`` gives the lists and the
+    graph's ``ids`` and ``order``, and each id-keyed dict is built from
+    them on first read; the dicts may be given instead.  Windows are equal
+    when their id-keyed dicts are.
 
     Windows can be inconsistent (negative mobility) for infeasible
     constraint sets; ``check_feasibility`` reports that, the computation
     itself never fails.
     """
 
-    asap: dict[int, int]
-    alap: dict[int, int]
-    mobility: dict[int, int]
-    asap_at: list[int] = field(default=(), compare=False, repr=False)
-    alap_at: list[int] = field(default=(), compare=False, repr=False)
-    mobility_at: list[int] = field(default=(), compare=False, repr=False)
+    def __init__(self, asap: dict[int, int] | None = None,
+                 alap: dict[int, int] | None = None,
+                 mobility: dict[int, int] | None = None, *,
+                 asap_at: list[int] = (), alap_at: list[int] = (),
+                 mobility_at: list[int] = (), ids: list[int] = (),
+                 order: list[int] = ()):
+        self.asap_at, self.alap_at, self.mobility_at = \
+            asap_at, alap_at, mobility_at
+        self._ids, self._order = ids, order  # every node, no empty position
+        vars(self).update((name, given) for name, given in (
+            ("asap", asap), ("alap", alap), ("mobility", mobility))
+            if given is not None)
+
+    def _by_id(self, column: list[int]) -> dict[int, int]:
+        return dict(zip(map(self._ids.__getitem__, self._order),
+                        map(column.__getitem__, self._order)))
+
+    asap = cached_property(lambda self: self._by_id(self.asap_at))
+    alap = cached_property(lambda self: self._by_id(self.alap_at))
+    mobility = cached_property(lambda self: self._by_id(self.mobility_at))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimeWindows):
+            return NotImplemented
+        return (self.asap, self.alap, self.mobility) == (
+            other.asap, other.alap, other.mobility)
 
 
 @dataclass(frozen=True)
@@ -267,13 +278,11 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     # enum members as locals: a class lookup costs ten times a local's
     OP, READ, WRITE = CgKind.OP, CgKind.READ, CgKind.WRITE
     CG_INPUT, CG_OUTPUT = CgKind.INPUT, CgKind.OUTPUT
-    sfg_nodes, sfg_kind, sfg_in, ids, at = \
-        g._ordered, g._kind, g._in, g.ids, g._at
+    sfg_kind, sfg_label, sfg_in, ids = g._kind, g._label, g._in, g.ids
     # Pick each symbol's class once, in symbol order, so that the first
     # symbol no class executes is reported before any unsupported memory use.
-    selected = {sym: lib.select(sym)
-                for sym in sorted(set(map(_OP, sfg_nodes)) - {None})}
-    n = len(sfg_nodes)
+    selected = {sym: lib.select(sym) for sym in sorted(set(g._op) - {None})}
+    n = len(ids)
     rows: list = [None] * n  # the CgNode fields, by position
     pred: list = [()] * n
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -284,16 +293,15 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
 
     # Writes first, so that their positions come first and reads of the
     # same datum can be chained after them, in (source, memdata) order.
-    for s, m, _ in sorted((at[e.src], m, e.pos)
-                          for m, mk in enumerate(sfg_kind) if mk is MEMDATA
-                          for e in sfg_in[m]
-                          if sfg_kind[at[e.src]] is OPERATION):
+    for s, m in sorted((s, m) for m, mk in enumerate(sfg_kind)
+                       if mk is MEMDATA for s in sfg_in[m]
+                       if sfg_kind[s] is OPERATION):
         if m in of_data:
             raise UnsupportedGraphError(
                 f"memdata node {ids[m]} has multiple writers")
         w = len(rows)
         rows.append((base + w, WRITE, OPTIMISTIC_ACCESS_LATENCY,
-                     f"wr:{sfg_nodes[m].label or f'n{ids[m]}'}", None, None,
+                     f"wr:{sfg_label[m] or f'n{ids[m]}'}", None, None,
                      ids[m], s, None, None))
         pred.append((s,))
         succ.append([])
@@ -305,7 +313,8 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     # Then, node by node in id order, the node itself and every other
     # edge into it.  A valid graph gives an operation distinct operand
     # positions and an output one in-edge.
-    for d, (node_id, dk, op, name) in enumerate(sfg_nodes):
+    for d, (node_id, dk, op, name) in enumerate(
+            zip(ids, sfg_kind, g._op, sfg_label)):
         name = name or f"n{node_id}"
         if dk is OPERATION:
             cls = selected[op]
@@ -317,10 +326,11 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
         else:
             rows[d] = (node_id, None, 0, "", None, None, None, None, None,
                        None)
-            foreign = [e for e in sfg_in[d]
-                       if sfg_kind[at[e.src]] is not OPERATION]
-            if foreign:  # into memdata: writes are handled above
-                e = min(foreign, key=lambda e: (e.pos, e.src))
+            if [s for s in sfg_in[d] if sfg_kind[s] is not OPERATION]:
+                # into memdata: writes are handled above
+                e = min((e for e in g.in_edges(node_id)
+                         if sfg_kind[g._at[e.src]] is not OPERATION),
+                        key=lambda e: (e.pos, e.src))
                 raise UnsupportedGraphError(
                     f"edge {e.src}->{node_id}: only operations may write "
                     f"memdata")
@@ -331,8 +341,7 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
         # Here the node is an operation or an output: validation leaves
         # inputs without in-edges.
         pred[d] = ps = []
-        for e in ins:
-            s = at[e.src]
+        for s in ins:
             sk = sfg_kind[s]
             if sk is OPERATION or sk is INPUT:
                 ps.append(s)
@@ -342,12 +351,12 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
                     consumers[s].append(d)
             elif dk is OUTPUT:
                 raise UnsupportedGraphError(
-                    f"edge {e.src}->{node_id}: an output must be fed by an "
+                    f"edge {ids[s]}->{node_id}: an output must be fed by an "
                     f"input or operation node")
             elif sk is MEMDATA:
                 r = len(rows)
                 rows.append((base + r, READ, OPTIMISTIC_ACCESS_LATENCY,
-                             f"rd:{sfg_nodes[s].label or f'n{ids[s]}'}",
+                             f"rd:{sfg_label[s] or f'n{ids[s]}'}",
                              None, None, ids[s], d, None, None))
                 chain = of_data.setdefault(s, [])
                 written = chain and chain[0] < first_read
@@ -367,10 +376,8 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
             order.append(p)
         elif p in of_data:
             order += of_data[p]
-    cg = ConstraintGraph.__new__(ConstraintGraph)
-    cg._assign(rows, pred, succ, order, consumers + [()] * (len(rows) - n))
-    cg.edges = tuple(edges)
-    return cg
+    return ConstraintGraph(rows, pred, succ, order,
+                           consumers + [()] * (len(rows) - n), edges)
 
 
 def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
@@ -457,12 +464,9 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
         asap[p] = asap[a] + latency[a]
         alap[p] = alap[a] + latency[a]
 
-    mobility = list(map(sub, alap, asap))
-    asap_of, alap_of, mobility_of = {}, {}, {}
-    for p in cg.order:  # every node, and no empty position
-        i = cg.ids[p]
-        asap_of[i], alap_of[i], mobility_of[i] = asap[p], alap[p], mobility[p]
-    return TimeWindows(asap_of, alap_of, mobility_of, asap, alap, mobility)
+    return TimeWindows(asap_at=asap, alap_at=alap,
+                       mobility_at=list(map(sub, alap, asap)), ids=cg.ids,
+                       order=cg.order)
 
 
 def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,

@@ -16,18 +16,29 @@ Twiddle coefficients are memory-resident data: one real table Wr[0..n-1]
 and one imaginary table Wi[0..n-1] (full tables, even though only indices
 0..n/2-1 are referenced), mirroring a coefficient-ROM layout of one word
 per root of unity.
+
+The graph is built as the ``SFG``'s columns (``SFG.from_columns``), with no
+record per node or edge: node ids are positions, given in order, and each
+butterfly appends its ten operations' kinds, symbols and labels and their
+twenty operand edges a column at a time.
 """
 
 from __future__ import annotations
 
-from .graph import SFG, Edge, NodeKind, SfgNode
-
-#: builds a record from a tuple of all its fields (see ``graph``)
-_tuple_new = tuple.__new__
+from .graph import SFG, NodeKind
 
 #: the largest size built: 16,384 points already take about 2 GiB and
 #: half a minute to build, and the graph grows as n log2(n)
 MAX_POINTS = 2 ** 14
+
+# A butterfly's operations in the order they are added: their symbols and
+# label suffixes, and the target of each of their operand edges, as an
+# offset from the butterfly's first id, with its operand position.
+_SYMBOLS = ("*", "*", "*", "*", "-", "+", "+", "+", "-", "-")
+_SUFFIXES = (".m_rr", ".m_ii", ".m_ri", ".m_ir", ".tr", ".ti", ".sum_r",
+             ".sum_i", ".dif_r", ".dif_i")
+_TARGETS = tuple(k for k in range(10) for _ in (0, 1))
+_POSITIONS = (0, 1) * 10
 
 
 def _bit_reverse(i: int, bits: int) -> int:
@@ -36,26 +47,6 @@ def _bit_reverse(i: int, bits: int) -> int:
         r = (r << 1) | (i & 1)
         i >>= 1
     return r
-
-
-class _Builder:
-    def __init__(self) -> None:
-        self.nodes: list[SfgNode] = []
-        self.edges: list[Edge] = []
-
-    def add(self, kind: NodeKind, label: str, op: str | None = None) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(_tuple_new(SfgNode, (node_id, kind, op, label)))
-        return node_id
-
-    def op(self, symbol: str, label: str, lhs: int, rhs: int) -> int:
-        node_id = self.add(NodeKind.OPERATION, label, op=symbol)
-        self.edges.append(_tuple_new(Edge, (lhs, node_id, 0)))
-        self.edges.append(_tuple_new(Edge, (rhs, node_id, 1)))
-        return node_id
-
-    def connect(self, src: int, dst: int, pos: int = 0) -> None:
-        self.edges.append(_tuple_new(Edge, (src, dst, pos)))
 
 
 def generate_fft_sfg(n_points: int) -> SFG:
@@ -73,15 +64,20 @@ def generate_fft_sfg(n_points: int) -> SFG:
         raise ValueError(f"n_points must be at most {MAX_POINTS}, got {n}")
     stages = n.bit_length() - 1
 
-    b = _Builder()
-    xs = [b.add(NodeKind.INPUT, f"X{i}") for i in range(n)]
-    zero = b.add(NodeKind.CONSTANT, "zero")
-    wr = [b.add(NodeKind.MEMDATA, f"Wr{k}") for k in range(n)]
-    wi = [b.add(NodeKind.MEMDATA, f"Wi{k}") for k in range(n)]
+    # inputs X{i} (id i), the zero constant (id n), then Wr{k} and Wi{k}
+    kinds = [NodeKind.INPUT] * n + [NodeKind.CONSTANT] \
+        + [NodeKind.MEMDATA] * (2 * n)
+    labels = [f"X{i}" for i in range(n)] + ["zero"] \
+        + [f"Wr{k}" for k in range(n)] + [f"Wi{k}" for k in range(n)]
+    ops: list[str | None] = [None] * len(kinds)
+    src: list[int] = []
+    dst: list[int] = []
+    pos: list[int] = []
+    operations = (NodeKind.OPERATION,) * 10
 
     # Complex value lines threaded through the stages, bit-reversed at entry.
     lines: list[tuple[int, int]] = [
-        (xs[_bit_reverse(i, stages)], zero) for i in range(n)
+        (_bit_reverse(i, stages), n) for i in range(n)
     ]
 
     for s in range(stages):
@@ -92,31 +88,31 @@ def generate_fft_sfg(n_points: int) -> SFG:
             for j in range(half):
                 hi = base + j
                 lo = base + j + half
-                k = j * step
+                wr = n + 1 + j * step
+                wi = wr + n
                 ar, ai = lines[hi]
                 br, bi = lines[lo]
-                tag = f"s{s}b{hi}"
-                # t = (br + i*bi) * (Wr[k] + i*Wi[k])
-                m_rr = b.op("*", f"{tag}.m_rr", br, wr[k])
-                m_ii = b.op("*", f"{tag}.m_ii", bi, wi[k])
-                m_ri = b.op("*", f"{tag}.m_ri", br, wi[k])
-                m_ir = b.op("*", f"{tag}.m_ir", bi, wr[k])
-                tr = b.op("-", f"{tag}.tr", m_rr, m_ii)
-                ti = b.op("+", f"{tag}.ti", m_ri, m_ir)
-                lines[hi] = (
-                    b.op("+", f"{tag}.sum_r", ar, tr),
-                    b.op("+", f"{tag}.sum_i", ai, ti),
-                )
-                lines[lo] = (
-                    b.op("-", f"{tag}.dif_r", ar, tr),
-                    b.op("-", f"{tag}.dif_i", ai, ti),
-                )
+                d = len(kinds)  # the id of the butterfly's first operation
+                kinds += operations
+                ops += _SYMBOLS
+                labels += map(f"s{s}b{hi}".__add__, _SUFFIXES)
+                # t = (br + i*bi) * (Wr[k] + i*Wi[k]) as m_rr, m_ii, m_ri and
+                # m_ir, tr = m_rr - m_ii, ti = m_ri + m_ir; then a +- t
+                src += (br, wr, bi, wi, br, wi, bi, wr, d, d + 1, d + 2,
+                        d + 3, ar, d + 4, ai, d + 5, ar, d + 4, ai, d + 5)
+                dst += map(d.__add__, _TARGETS)
+                pos += _POSITIONS
+                lines[hi] = (d + 6, d + 7)  # sum_r, sum_i
+                lines[lo] = (d + 8, d + 9)  # dif_r, dif_i
 
     for k in range(n):
-        re, im = lines[k]
-        yr = b.add(NodeKind.OUTPUT, f"Yr{k}")
-        yi = b.add(NodeKind.OUTPUT, f"Yi{k}")
-        b.connect(re, yr)
-        b.connect(im, yi)
+        d = len(kinds)
+        kinds += (NodeKind.OUTPUT, NodeKind.OUTPUT)
+        ops += (None, None)
+        labels += (f"Yr{k}", f"Yi{k}")
+        src += lines[k]
+        dst += (d, d + 1)
+        pos += (0, 0)
 
-    return SFG(b.nodes, b.edges)
+    return SFG.from_columns(list(range(len(kinds))), kinds, ops, labels,
+                            src, dst, pos)

@@ -11,47 +11,57 @@ Edges are ``(src, dst, pos)`` triples where ``pos`` is the operand position
 at the consumer; operand order is explicit so graph reconstruction and
 downstream scheduling are deterministic.
 
-Nodes and edges are named tuples: immutable and hashable.  The parser
-builds each one with ``tuple.__new__`` and every field spelled out, not
-by calling the class: a named tuple's own ``__new__`` is a Python
-function, one interpreter call per record at about twice the cost, and
-it is only there to check the arity and fill in defaults.
+An ``SFG`` is kept as columns, with no record per node or edge.  Its
+nodes are numbered by position in id order, the numbering the lowering,
+the windows, the scheduler and the verifier keep, and by position it
+holds each node's id, kind, operation symbol and label, and (once linked)
+the positions of its in-edges' sources in operand order and those of its
+out-edges' targets; the edges are three columns of ids in document order.  Ids are
+read only where records and messages are written.  The parser, the FFT
+generator and ``SFG(nodes, edges)`` all fill the columns
+(``SFG.from_columns``).  The records, ``SfgNode`` and ``Edge`` (named
+tuples: immutable and hashable), are built only when ``nodes``,
+``edges``, ``node``, ``of_kind`` or ``in_edges`` asks for them, with
+``tuple.__new__`` and every field spelled out: a named tuple's own
+``__new__`` is a Python function, one interpreter call per record at
+about twice the cost, and it is only there to check the arity and fill in
+defaults.
 
 An ``SFG`` is immutable, so what is derived from it alone is derived once
-and kept on the instance.  The constructor numbers the nodes by position
-in id order, the numbering the lowering, the windows, the scheduler and
-the verifier keep; ids are read only where records and messages are
-written.  ``validate_sfg`` computes the violation list and the topological
-order on first use (``parse_sfg`` validates, and ``build_constraint_graph``
-then reads both) and hands each caller a copy of the list;
-``node_by_label`` builds its label index on the first lookup.
+and kept on the instance: the links between positions, on first use (see
+``SFG``).  ``validate_sfg`` computes the violation list and the
+topological order on first use (``parse_sfg`` validates, and
+``build_constraint_graph`` then reads both) and hands each caller a copy
+of the list; ``node_by_label`` builds its label index on the first lookup.
 
-Validation checks the edges as sets (it walks them one by one only to
-word the faults a set check found), makes one pass over the nodes, and
-then checks acyclicity: an in-degree count (Kahn's algorithm) clears an
-acyclic graph and keeps its order, and only when it leaves nodes over does
-a depth-first search run to name one cycle.  The parser checks each
-record's fields in a fixed order and words the ``nodes[i]``/``edges[i]``
-context of an error only when it raises.
+Validation learns from the links whether some edge is faulty (it walks
+the edges one by one only then, to word the faults), makes one pass over
+the nodes, and then checks acyclicity: an in-degree count (Kahn's
+algorithm) clears an acyclic graph and keeps its order, and only when it
+leaves nodes over does a depth-first search run to name one cycle.  The parser checks the
+document's records a column at a time, and only when a check fails does
+it walk the records in order, to word the ``nodes[i]``/``edges[i]``
+context of the first fault.  ``serialize_sfg`` writes the node and edge
+tables straight from the columns, with one row template per node shape
+(``jsontext.rows``).
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from enum import Enum
-from operator import itemgetter
+from functools import cached_property
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter, lt
 from typing import Iterable, NamedTuple
 
-from .jsontext import dumps
+from .jsontext import EDGES, NODES, array, rows
 
 
 OPERATION_SYMBOLS = ("+", "-", "*")
 
 #: Operand count per operation symbol.  All supported operations are binary.
 OP_ARITY = {sym: 2 for sym in OPERATION_SYMBOLS}
-#: the operand positions an operation of each arity takes
-_OPERANDS = {n: list(range(n)) for n in set(OP_ARITY.values())}
 
 
 class ParseError(ValueError):
@@ -97,8 +107,7 @@ class Edge(NamedTuple):
     pos: int
 
 
-_SRC, _DST, _POS = itemgetter(0), itemgetter(1), itemgetter(2)
-_ID, _KIND, _OP = _SRC, _DST, _POS  # the same fields of an SfgNode
+_POS = itemgetter(2)  # an edge's operand position
 
 #: builds a record from a tuple of all its fields, with no Python-level
 #: ``__new__`` call and so no arity check: every field must be given
@@ -120,67 +129,147 @@ def topological_order(succ: list[list[int]],
 
 
 class SFG:
-    """Immutable signal-flow graph.
+    """Immutable signal-flow graph, as columns.
 
     Node and edge iteration order is the construction (document) order;
     equality is structural and order-insensitive.
 
-    ``ids`` maps a node position to its id (a repeated id keeps its first
-    node) and ``_at`` an id to its position.  By position, ``_ordered``
-    holds the nodes, ``_kind`` their kinds, ``_in`` the in-edges in operand
-    order and ``_out`` the targets of the out-edges; an edge with a missing
-    end is kept in ``edges`` only.
-    ``_of_kind`` lists each kind's nodes in id order.
+    By position, the rank of a node's id (a repeated id keeps its first
+    node): ``ids`` holds the ids and ``_kind``, ``_op`` and ``_label`` the
+    other node fields, and ``_at`` maps an id to its position.
+    ``_nodes`` holds the node columns in document order, and ``_src``,
+    ``_dst`` and ``_pos`` the edges' fields in document order.
+
+    The links between positions are derived on first use, since writing a
+    graph needs none of them.  ``_links`` holds four: by position, the
+    positions of the in-edges' sources in operand order (by document order
+    among equal operand positions), also ``_in``, and those of the
+    out-edges' targets in document order, also ``_out``, both leaving out
+    an edge with a missing end; the positions whose in-edges' operand
+    positions, in order, are not 0, 1, ...; and whether some edge has a
+    missing end.
     """
 
-    def __init__(self, nodes: Iterable[SfgNode], edges: Iterable[Edge | tuple]):
-        self.nodes: tuple[SfgNode, ...] = tuple(nodes)
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        if {*map(type, self.edges)} - {Edge}:  # plain tuples: make records
-            self.edges = tuple(map(Edge._make, self.edges))
-        last_first = self.nodes[::-1]  # so the first node of an id wins
-        by_id = dict(zip(map(_ID, last_first), last_first))
+    def __init__(self, nodes: Iterable[SfgNode | tuple],
+                 edges: Iterable[Edge | tuple]):
+        node_columns = list(zip(*nodes, strict=True)) or [()] * 4
+        edge_columns = list(zip(*edges, strict=True)) or [()] * 3
+        if len(node_columns) != 4 or len(edge_columns) != 3:
+            raise TypeError("a node is (id, kind, op, label) and an edge "
+                            "(src, dst, pos)")
+        self._fill(*node_columns, *edge_columns)
+
+    @classmethod
+    def from_columns(cls, ids, kinds, ops, labels, src, dst, pos) -> SFG:
+        """The graph of the nodes ``zip(ids, kinds, ops, labels)`` and the
+        edges ``zip(src, dst, pos)``, each in document order; it keeps the
+        sequences given, which must not change afterwards."""
+        g = cls.__new__(cls)
+        g._fill(ids, kinds, ops, labels, src, dst, pos)
+        return g
+
+    def _fill(self, ids, kinds, ops, labels, src, dst, pos) -> None:
+        self._nodes = (ids, kinds, ops, labels)
+        self._src, self._dst, self._pos = src, dst, pos
         self._duplicate_ids: list[int] = []
-        if len(by_id) != len(self.nodes):
-            seen: set[int] = set()
-            self._duplicate_ids = [i for i in map(_ID, self.nodes)
-                                   if i in seen or seen.add(i)]
-        self.ids: tuple[int, ...] = tuple(sorted(by_id))
-        n = len(self.ids)
-        self._at: dict[int, int] = dict(zip(self.ids, range(n)))
-        self._ordered: list[SfgNode] = list(map(by_id.__getitem__, self.ids))
-        self._kind: list[NodeKind] = list(map(_KIND, self._ordered))
-        self._of_kind: dict[NodeKind, list[SfgNode]] = defaultdict(list)
-        for node, kind in zip(self._ordered, self._kind):
-            self._of_kind[kind].append(node)
-        ins: list[list[Edge]] = [[] for _ in range(n)]
-        outs: list[list[int]] = [[] for _ in range(n)]
-        at = self._at.get
-        for e in self.edges:
-            s, d = at(e.src), at(e.dst)
-            if s is not None and d is not None:
-                ins[d].append(e)
-                outs[s].append(d)
-        for lst in ins:
-            if len(lst) > 1:
-                lst.sort(key=_POS)
-        self._in, self._out = ins, outs
+        if all(map(lt, ids, islice(ids, 1, None))):  # already by position
+            self.ids, self._kind, self._op, self._label = self._nodes
+        else:
+            n = len(ids)  # the first node of an id wins
+            first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+            if len(first) != n:
+                seen: set[int] = set()
+                self._duplicate_ids = [i for i in ids
+                                       if i in seen or seen.add(i)]
+            order = list(map(first.__getitem__, sorted(first)))
+            self.ids, self._kind, self._op, self._label = (
+                list(map(column.__getitem__, order))
+                for column in self._nodes)
+        self._at = dict(zip(self.ids, range(len(self.ids))))
         self._order: list[int] | None = None  # see find_cycle
         self._violations: tuple[str, ...] | None = None  # see validate_sfg
-        self._by_label: dict[str, SfgNode | None] | None = None
+
+    @cached_property
+    def _links(self) -> tuple[list[list[int]], list[list[int]], set[int],
+                              bool]:
+        """In, out, misnumbered and dangling: see the class docstring."""
+        at, n = self._at, len(self.ids)
+        dangling = False
+        try:
+            sources, targets = list(map(at.__getitem__, self._src)), \
+                list(map(at.__getitem__, self._dst))
+        except KeyError:  # an edge with a missing end: leave it out
+            dangling = True
+            sources = list(map(at.get, self._src))
+            targets = list(map(at.get, self._dst))
+        edges = zip(sources, targets, self._pos)
+        if dangling:
+            edges = [e for e in edges if None not in e[:2]]
+        ins: list[list[int]] = [[] for _ in range(n)]
+        outs: list[list[int]] = [[] for _ in range(n)]
+        misnumbered: set[int] = set()  # for now, also the ones out of order
+        for s, d, k in edges:
+            operands = ins[d]
+            if k != len(operands):
+                misnumbered.add(d)
+            operands.append(s)
+            outs[s].append(d)
+        for d in list(misnumbered):  # put those in operand order
+            into = self.in_edges(self.ids[d])
+            ins[d] = [at[e.src] for e in into]
+            if [e.pos for e in into] == list(range(len(into))):
+                misnumbered.discard(d)
+        return ins, outs, misnumbered, dangling
+
+    _in = property(lambda self: self._links[0])
+    _out = property(lambda self: self._links[1])
+
+    # -- records -----------------------------------------------------------
+
+    @cached_property
+    def nodes(self) -> tuple[SfgNode, ...]:
+        """The node records, in document order."""
+        return tuple(map(_tuple_new, repeat(SfgNode), zip(*self._nodes)))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge records, in document order."""
+        return tuple(map(_tuple_new, repeat(Edge),
+                         zip(self._src, self._dst, self._pos)))
+
+    @cached_property
+    def _edges_into(self) -> dict[int, list[Edge]]:
+        """The edges between known nodes by target id, each target's in
+        operand order (by document order among equal positions)."""
+        at, into = self._at, {}
+        for e in sorted(self.edges, key=_POS):
+            if e.src in at and e.dst in at:
+                into.setdefault(e.dst, []).append(e)
+        return into
+
+    @cached_property
+    def _by_label(self) -> dict[str, int | None]:
+        """The document index of each label's node; None for a label
+        several nodes share."""
+        index: dict[str, int | None] = {}
+        for j, name in enumerate(self._nodes[3]):
+            index[name] = None if name in index else j
+        return index
 
     # -- lookup ------------------------------------------------------------
 
     def node(self, node_id: int) -> SfgNode:
-        return self._ordered[self._at[node_id]]
+        p = self._at[node_id]
+        return _tuple_new(SfgNode, (self.ids[p], self._kind[p], self._op[p],
+                                    self._label[p]))
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._at
 
     def in_edges(self, node_id: int) -> list[Edge]:
-        """The edges into ``node_id`` from known nodes, in operand order."""
-        p = self._at.get(node_id)
-        return [] if p is None else list(self._in[p])
+        """The edges into ``node_id`` from known nodes, in operand order
+        (by document order among equal operand positions)."""
+        return list(self._edges_into.get(node_id, ()))
 
     def out_edges(self, node_id: int) -> list[Edge]:
         """The edges out of ``node_id`` into known nodes."""
@@ -191,11 +280,13 @@ class SFG:
 
     def operands(self, node_id: int) -> list[int]:
         """Producer ids of ``node_id`` in operand-position order."""
-        return [e.src for e in self.in_edges(node_id)]
+        p = self._at.get(node_id)
+        return [] if p is None else [self.ids[s] for s in self._in[p]]
 
     def of_kind(self, kind: NodeKind) -> list[SfgNode]:
         """The nodes of one kind in id order."""
-        return list(self._of_kind[kind])
+        return [_tuple_new(SfgNode, node) for node in zip(
+            self.ids, self._kind, self._op, self._label) if node[1] is kind]
 
     @property
     def inputs(self) -> list[SfgNode]:
@@ -214,18 +305,14 @@ class SFG:
         return self.of_kind(NodeKind.MEMDATA)
 
     def node_by_label(self, label: str) -> SfgNode:
-        if self._by_label is None:
-            index: dict[str, SfgNode | None] = {}
-            for n in self.nodes:  # None marks a label several nodes share
-                index[n.label] = None if n.label in index else n
-            self._by_label = index
         if label not in self._by_label:
             raise KeyError(f"no node labelled {label!r}")
-        node = self._by_label[label]
-        if node is None:
+        j = self._by_label[label]
+        if j is None:
+            ids, _, _, labels = self._nodes
             raise KeyError(f"label {label!r} is ambiguous (nodes "
-                           f"{[n.id for n in self.nodes if n.label == label]})")
-        return node
+                           f"{[i for i, x in zip(ids, labels) if x == label]})")
+        return _tuple_new(SfgNode, tuple(column[j] for column in self._nodes))
 
     # -- structure ---------------------------------------------------------
 
@@ -267,17 +354,20 @@ class SFG:
                     stack.pop()
         return None
 
+    def _sets(self) -> tuple[frozenset, frozenset]:
+        return (frozenset(zip(*self._nodes)),
+                frozenset(zip(self._src, self._dst, self._pos)))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SFG):
             return NotImplemented
-        return (frozenset(self.nodes) == frozenset(other.nodes)
-                and frozenset(self.edges) == frozenset(other.edges))
+        return self._sets() == other._sets()
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.nodes), frozenset(self.edges)))
+        return hash(self._sets())
 
     def __repr__(self) -> str:
-        return f"SFG({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        return f"SFG({len(self._nodes[0])} nodes, {len(self._src)} edges)"
 
 
 def validate_sfg(g: SFG) -> list[str]:
@@ -296,13 +386,14 @@ def validate_sfg(g: SFG) -> list[str]:
 
 def _find_violations(g: SFG) -> list[str]:
     out = [f"duplicate node id {dup}" for dup in g._duplicate_ids]
-    at, edges = g._at, g.edges
-    ends = set(map(_SRC, edges)) | set(map(_DST, edges))
-    if not at.keys() >= ends or min(map(_POS, edges), default=0) < 0 \
-            or len(set(edges)) != len(edges):  # word each fault, in order
+    # A missing end makes an edge dangle, and a negative or repeated operand
+    # position between known nodes misnumbers its target's operands.
+    at = g._at
+    ins, outs, misnumbered, dangling = g._links
+    if dangling or misnumbered:  # word each fault, if any, in order
         duplicates: list[str] = []
         seen: set[Edge] = set()
-        for e in edges:
+        for e in g.edges:
             for end in (e.src, e.dst):
                 if end not in at:
                     out.append(f"edge {e.src}->{e.dst} references missing "
@@ -319,7 +410,8 @@ def _find_violations(g: SFG) -> list[str]:
     # the in- and out-edges by position hold only edges between known nodes
     OPERATION, INPUT, CONSTANT, OUTPUT = (
         NodeKind.OPERATION, NodeKind.INPUT, NodeKind.CONSTANT, NodeKind.OUTPUT)
-    for (node_id, kind, op, _), ins, outs in zip(g._ordered, g._in, g._out):
+    for p, (node_id, kind, op, ins, outs) in enumerate(
+            zip(g.ids, g._kind, g._op, ins, outs)):
         if kind is OPERATION:
             if op is None:
                 out.append(f"operation node {node_id} has no operation symbol")
@@ -332,11 +424,10 @@ def _find_violations(g: SFG) -> list[str]:
             if len(ins) != arity:
                 out.append(f"operation node {node_id} ({op!r}) has "
                            f"{len(ins)} operands, expected {arity}")
-            else:
-                positions = [e.pos for e in ins]  # in-edges are sorted by pos
-                if positions != _OPERANDS[arity]:
-                    out.append(f"operation node {node_id} operand positions "
-                               f"{positions} are not 0..{arity - 1}")
+            elif p in misnumbered:
+                positions = [e.pos for e in g.in_edges(node_id)]
+                out.append(f"operation node {node_id} operand positions "
+                           f"{positions} are not 0..{arity - 1}")
         else:
             if op is not None:
                 out.append(f"node {node_id} is {kind.value} but carries an "
@@ -365,12 +456,29 @@ def _find_violations(g: SFG) -> list[str]:
 #  "edges": [{"from": 0, "to": 5, "pos": 0}, ...]}
 
 _KINDS = {k.value: k for k in NodeKind}
+_DICT, _INT, _STR = frozenset({dict}), frozenset({int}), frozenset({str})
+_OPTIONAL_STR = frozenset({str, type(None)})
 
 
-def _nodes_from_json(items: list) -> list[SfgNode]:
-    """Each record's checks in order; the ``nodes[i]`` context is built
-    only for the error."""
-    nodes = []
+def _node_columns(items: list) -> tuple[list, list, list, list]:
+    """The (ids, kinds, ops, labels) of the node records.  The checks run
+    a column at a time; only when one fails are the records checked in
+    order, each record's checks in order, to word the first fault with
+    its ``nodes[i]`` context."""
+    try:
+        if _DICT.issuperset(map(type, items)):
+            ids = list(map(itemgetter("id"), items))
+            kinds = list(map(_KINDS.get, map(itemgetter("kind"), items)))
+            ops = list(map(dict.get, items, repeat("op")))
+            labels = list(map(dict.get, items, repeat("label"), repeat("")))
+            if _INT.issuperset(map(type, ids)) and min(ids, default=0) >= 0 \
+                    and None not in kinds \
+                    and _OPTIONAL_STR.issuperset(map(type, ops)) \
+                    and _STR.issuperset(map(type, labels)):
+                return ids, kinds, ops, labels
+    except (KeyError, TypeError):  # a missing key, an unhashable kind
+        pass
+    records = []
     for i, obj in enumerate(items):
         if not isinstance(obj, dict):
             raise ParseError(f"nodes[{i}]: expected an object")
@@ -390,13 +498,24 @@ def _nodes_from_json(items: list) -> list[SfgNode]:
         label = obj.get("label", "")
         if type(label) is not str:
             raise ParseError(f"nodes[{i}]: 'label' must be a string")
-        nodes.append(_tuple_new(SfgNode, (node_id, kind, op, label)))
-    return nodes
+        records.append((node_id, kind, op, label))
+    return tuple(map(list, zip(*records))) or ([], [], [], [])
 
 
-def _edges_from_json(items: list) -> list[Edge]:
-    """As ``_nodes_from_json``, for the ``edges[i]`` records."""
-    edges = []
+def _edge_columns(items: list) -> tuple[list, list, list]:
+    """As ``_node_columns``, the (src, dst, pos) of the ``edges[i]``
+    records."""
+    try:
+        if _DICT.issuperset(map(type, items)):
+            src = list(map(itemgetter("from"), items))
+            dst = list(map(itemgetter("to"), items))
+            pos = list(map(dict.get, items, repeat("pos"), repeat(0)))
+            if _INT.issuperset(map(type, chain(src, dst, pos))) \
+                    and min(chain(src, dst, pos), default=0) >= 0:
+                return src, dst, pos
+    except KeyError:
+        pass
+    records = []
     for i, obj in enumerate(items):
         if not isinstance(obj, dict):
             raise ParseError(f"edges[{i}]: expected an object")
@@ -405,14 +524,11 @@ def _edges_from_json(items: list) -> list[Edge]:
         except KeyError as exc:
             raise ParseError(f"edges[{i}]: missing field {exc.args[0]!r}") from None
         pos = obj.get("pos", 0)
-        if type(src) is int and type(dst) is int and type(pos) is int \
-                and src >= 0 and dst >= 0 and pos >= 0:
-            edges.append(_tuple_new(Edge, (src, dst, pos)))
-            continue
         for name, val in (("from", src), ("to", dst), ("pos", pos)):
             if type(val) is not int or val < 0:  # the first bad field
                 raise ParseError(f"edges[{i}]: {name!r} must be a non-negative integer")
-    return edges
+        records.append((src, dst, pos))
+    return tuple(map(list, zip(*records))) or ([], [], [])
 
 
 def parse_sfg(text: str) -> SFG:
@@ -434,7 +550,7 @@ def parse_sfg(text: str) -> SFG:
         raise ParseError("'nodes' must be an array")
     if not isinstance(edges_raw, list):
         raise ParseError("'edges' must be an array")
-    g = SFG(_nodes_from_json(nodes_raw), _edges_from_json(edges_raw))
+    g = SFG.from_columns(*_node_columns(nodes_raw), *_edge_columns(edges_raw))
     violations = validate_sfg(g)
     if violations:
         raise ValidationError(violations)
@@ -442,18 +558,22 @@ def parse_sfg(text: str) -> SFG:
 
 
 def serialize_sfg(g: SFG) -> str:
-    """Deterministic JSON form: nodes sorted by id, edges by (to, pos)."""
-    doc = {
-        "nodes": [
-            {k: v for k, v in (
-                ("id", n.id), ("kind", n.kind.value),
-                ("op", n.op), ("label", n.label),
-            ) if v not in (None, "")}
-            for n in g._ordered
-        ],
-        "edges": [
-            {"from": e.src, "to": e.dst, "pos": e.pos}
-            for e in sorted(set(g.edges), key=lambda e: (e.dst, e.pos, e.src))
-        ],
-    }
-    return dumps(doc) + "\n"
+    """Deterministic JSON form: nodes sorted by id, edges by (to, pos,
+    from), duplicate edges once, and a node's ``op`` and ``label`` only
+    when set.  Byte for byte ``json.dumps(doc, indent=2) + "\\n"`` of that
+    document, but written from the columns: the nodes run by run of one
+    shape (with or without ``op``, with or without ``label``), each run
+    through its shape's row template (``jsontext.NODES``)."""
+    columns = (g.ids, g._kind, g._op, g._label)
+    nodes: list[str] = []
+    start = 0
+    for shape, run in groupby(zip(map(bool, g._op), map(bool, g._label))):
+        end = start + len(list(run))
+        nodes += rows([c[start:end] for c in columns], NODES[shape], 1)
+        start = end
+    # each edge once; document order first, so that a sorted document sorts
+    # in one pass
+    edges = sorted(dict.fromkeys(zip(g._dst, g._pos, g._src)))
+    return ('{\n  "nodes": ' + array(nodes, 1) + ',\n  "edges": '
+            + array(rows(list(zip(*edges)), EDGES, 1) if edges else [], 1)
+            + "\n}\n")

@@ -13,14 +13,18 @@ is exact because the encoder escapes every control character, so the
 only newlines in its output are the separators'.
 
 The record tables of ``schedule.json`` (its ops, accesses and transfers)
-are written without a dict per record: ``dumps_tables`` writes a head
-document with ``dumps`` and each table with ``table``, which fills one
-row template per table by position from the records' fields.  A string
-goes through ``encode_basestring_ascii`` (what ``json.dumps`` calls), an
-int through ``%d`` and a bool becomes ``true`` or ``false``.  ``OPS``,
-``ACCESSES`` and ``TRANSFERS`` state each table's keys, in document
-order, with the position of their field in the record
-(``scheduling.ScheduledOp``, ``ScheduledAccess``, ``ScheduledTransfer``).
+and of a graph document (its nodes and edges) are written without a dict
+per record.  ``rows`` fills one row template per table by position from
+the records' fields, given a column at a time: a string goes through
+``encode_basestring_ascii`` (what ``json.dumps`` calls), an int through
+``%d`` and a bool becomes ``true`` or ``false``; ``array`` joins the rows.
+``dumps_tables`` writes a head document with ``dumps`` and each table of
+records with ``table``.  ``OPS``, ``ACCESSES`` and ``TRANSFERS`` state each
+table's keys, in document order, with the position of their field in the
+record (``scheduling.ScheduledOp``, ``ScheduledAccess``,
+``ScheduledTransfer``); ``NODES`` does so for each shape of a graph node
+(``graph.SfgNode``), since a node leaves out an ``op`` or ``label`` it does
+not have, and ``EDGES`` for an edge as ``(to, pos, from)``, its sort key.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ ACCESSES = (("cycle", 7, "d"), ("node", 0, "d"), ("op", 1, "d"),
             ("cost_class", 9, "s"), ("seq", 10, "d"))
 TRANSFERS = (("cycle", 2, "d"), ("node", 0, "d"), ("bus", 1, "s"),
              ("direction", 3, "s"), ("synthesized", 4, "b"))
+# by (has an op, has a label)
+NODES = {(op, label): (("id", 0, "d"), ("kind", 1, "s"))
+         + (("op", 2, "s"),) * op + (("label", 3, "s"),) * label
+         for op in (False, True) for label in (False, True)}
+EDGES = (("from", 2, "d"), ("to", 0, "d"), ("pos", 1, "d"))
 
 _BOOLS = ("false", "true")
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -120,16 +129,19 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def table(rows, columns, depth: int) -> str:
-    """``dumps`` of the list of one dict per row, ``{key: row[position]}``
-    for each column (see ``OPS``), as a value at nesting ``depth``.
+def table(records, columns, depth: int) -> str:
+    """``dumps`` of the list of one dict per record, ``{key:
+    record[position]}`` for each column (see ``OPS``), as a value at
+    nesting ``depth``."""
+    return array(rows(list(zip(*records)), columns, depth) if records
+                 else [], depth)
 
-    The rows are split into fields and the fields of each row written into
-    one template, so no dict is built per row.
-    """
-    if not rows:
-        return "[]"
-    fields = list(zip(*rows))
+
+def rows(fields, columns, depth: int) -> list[str]:
+    """The text of each row of a ``table`` at ``depth`` whose records are
+    given split into ``fields``, one sequence per record position: the
+    fields of each row go into one template, so no dict is built per
+    row."""
     values = []
     for _, position, kind in columns:
         field = fields[position]
@@ -138,8 +150,14 @@ def table(rows, columns, depth: int) -> str:
         elif kind == "b":
             field = map(_BOOLS.__getitem__, field)
         values.append(field)
-    return "[\n" + ",\n".join(map(_row_template(columns, depth).__mod__,
-                                  zip(*values))) + "\n" + "  " * depth + "]"
+    return list(map(_row_template(columns, depth).__mod__, zip(*values)))
+
+
+def array(texts: list[str], depth: int) -> str:
+    """The list of the values written as ``texts``, at nesting ``depth``."""
+    if not texts:
+        return "[]"
+    return "[\n" + ",\n".join(texts) + "\n" + "  " * depth + "]"
 
 
 @cache
@@ -155,10 +173,10 @@ def _row_template(columns, depth: int) -> str:
 
 def dumps_tables(head: dict, tables) -> str:
     """``dumps`` of the non-empty dict ``head`` followed by one item per
-    ``(key, rows, columns)`` of ``tables``, each the ``table`` of its
-    rows."""
+    ``(key, records, columns)`` of ``tables``, each the ``table`` of its
+    records."""
     out = [dumps(head)[:-2]]
-    for key, rows, columns in tables:
-        out.append(",\n  " + _key(key) + ": " + table(rows, columns, 1))
+    for key, records, columns in tables:
+        out.append(",\n  " + _key(key) + ": " + table(records, columns, 1))
     out.append("\n}")
     return "".join(out)

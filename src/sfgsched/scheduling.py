@@ -609,39 +609,17 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
           cost: Callable[[int], int | None], zero_left: int,
           free: dict[str, int], last: dict[str, int | None]
           ) -> Iterator[int]:
-    """``rank_executable``'s walk."""
+    """``rank_executable``'s walk.  ``open_left`` counts the members, in
+    groups not visited yet, of the classes with a free instance."""
     op_class = state.op_class
     read_keys = state.read_keys
     started = state.started
     readers = ready.readers
     left = dict(ready.per_class)  # members in groups not visited yet
-
-    # Burst lookahead: reading address x ranks ahead of a peer when some
-    # other servable ready op reads x+1 on the same bank (starting the run
-    # keeps that follow-up access in burst mode).
-    def enables_flag(i: int) -> int:
-        for bank, address in read_keys[i]:
-            for other in readers.get((bank, address + 1), ()):
-                if other != i and cost(other) is not None:
-                    return 0
-        return 1
-
-    def rest(bucket: _Bucket, skip: set[int]) -> Iterator[tuple[int, int]]:
-        """(flag, position) of the bucket's members outside ``skip`` in
-        rank order: the burst enablers, then the others, each by
-        position."""
-        enabling = set()
-        for i in bucket.enablers:
-            if i not in skip and not enables_flag(i):
-                enabling.add(i)
-                yield 0, i
-        for i in bucket.members:
-            if i not in skip and i not in enabling:
-                yield 1, i
+    open_left = sum(n for cls, n in left.items() if free.get(cls))
 
     for key in ready.keys:
-        if not zero_left and not any(n and free.get(cls)
-                                     for cls, n in left.items()):
+        if not zero_left and not open_left:
             return
         group = ready.groups[key]
         zero = key[1] <= t
@@ -651,7 +629,9 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
             members = bucket.members
             n = len(members)
             left[cls] -= n
-            if not zero and not free.get(cls):
+            if free.get(cls):
+                open_left -= n
+            elif not zero:
                 continue
             if zero:
                 zero_left -= n
@@ -667,14 +647,15 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
             for i in candidates:
                 c = cost(i)
                 if c is not None:
-                    heads.append((c, enables_flag(i), i, None))
+                    heads.append((c, _enables_flag(i, read_keys, readers,
+                                                   cost), i, None))
             # the other members share one fit, so one probe serves
             first = members[0] if not candidates else next(
                 (i for i in members if i not in candidates), None)
             if first is None or (c := cost(first)) is None:
                 continue
             if candidates or bucket.enablers:
-                others = rest(bucket, candidates)
+                others = _rest(bucket, candidates, read_keys, readers, cost)
                 heads.append((c, *next(others), others))
             else:  # first is the lowest member, and every flag is 1
                 heads.append((c, 1, first, _after_first(members)))
@@ -687,10 +668,39 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
             yield i
             if started[i] is not None and free.get(cls):
                 free[cls] -= 1
+                if not free[cls]:  # its unvisited members cannot start
+                    open_left -= left[cls]
             if others is not None and (zero or free.get(cls)):
                 head = next(others, None)
                 if head is not None:
                     heapq.heappush(heads, (c, *head, others))
+
+
+def _enables_flag(i: int, read_keys: list, readers: dict,
+                  cost: Callable[[int], int | None]) -> int:
+    """Burst lookahead of the op at position i: 0 (first) when some other
+    servable ready op (``readers``) reads the address after one of its
+    reads (``read_keys[i]``) on the same bank, since starting the run keeps
+    that follow-up access in burst mode, and 1 otherwise."""
+    for bank, address in read_keys[i]:
+        for other in readers.get((bank, address + 1), ()):
+            if other != i and cost(other) is not None:
+                return 0
+    return 1
+
+
+def _rest(bucket: _Bucket, skip: set[int], read_keys: list, readers: dict,
+          cost: Callable[[int], int | None]) -> Iterator[tuple[int, int]]:
+    """(flag, position) of the bucket's members outside ``skip`` in rank
+    order: the burst enablers, then the others, each by position."""
+    enabling = set()
+    for i in bucket.enablers:
+        if i not in skip and not _enables_flag(i, read_keys, readers, cost):
+            enabling.add(i)
+            yield 0, i
+    for i in bucket.members:
+        if i not in skip and i not in enabling:
+            yield 1, i
 
 
 def _after_first(members: list[int]) -> Iterator[tuple[int, int]]:

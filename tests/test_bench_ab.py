@@ -1,22 +1,62 @@
 """The A/B harness times each pipeline stage by wrapping names on the CLI
 module and skips a name a tree lacks: renaming one in ``src/`` must fail
-here, not move that stage's time silently into ``other``."""
+here, not move that stage's time silently into ``other``.  Its ``setup``
+workload times a fresh import, the generator and the documents of each
+tree on their own, and refuses trees whose documents differ."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 import sfgsched as s
 from sfgsched import cli
 
-AB = Path(__file__).resolve().parent.parent / "bench" / "ab.py"
+ROOT = Path(__file__).resolve().parent.parent
+AB = ROOT / "bench" / "ab.py"
 
 
-def test_every_stage_name_is_on_the_cli(monkeypatch):
+@pytest.fixture
+def ab(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "path", list(sys.path))  # ab.py prepends to it
     spec = importlib.util.spec_from_file_location("bench_ab", AB)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "WORK", tmp_path / "work")
+    yield module
+    for name in [m for m in sys.modules
+                 if m.split(".")[0] in ("ab_parent", "ab_change")]:
+        del sys.modules[name]
+
+
+def test_every_stage_name_is_on_the_cli(ab):
     missing = [name for names in ab.STAGES.values() for name in names
                if not hasattr(s.Schedule if name == "to_json" else cli, name)]
     assert missing == []
+
+
+def test_setup_times_each_stage_of_both_trees(ab, capsys):
+    entry = ab.measure_setup({"parent": ROOT / "src", "change": ROOT / "src"},
+                             rounds=2, seed=1)
+    for side in ("parent", "change"):
+        rounds = entry[side]["rounds_s"]
+        assert set(rounds) == {"import", "generate", "write", "total"}
+        assert all(len(ts) == 2 and min(ts) > 0 for ts in rounds.values())
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "setup fft128_paced, 2 rounds"
+    assert [line.split()[0] for line in out[1:]] == [
+        "import", "generate", "write", "total"]
+
+
+def test_setup_refuses_different_documents(ab, tmp_path, capsys):
+    other = tmp_path / "src"
+    shutil.copytree(ROOT / "src", other,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(other / "sfgsched" / "graph.py", "a") as f:
+        f.write("\n_serialize = serialize_sfg\n\n\n"
+                "def serialize_sfg(g):\n    return _serialize(g) + ' '\n")
+    with pytest.raises(SystemExit, match="different documents"):
+        ab.measure_setup({"parent": other, "change": ROOT / "src"},
+                         rounds=1, seed=1)

@@ -176,6 +176,19 @@ def test_apply_io_constraints_idempotent(pairsum_graph, pairsum_lib, io_lat3):
            {i: n.deadline for i, n in cg2.nodes.items()}
 
 
+def test_windows_by_id_are_built_on_first_read(pairsum_graph, pairsum_lib,
+                                               io_lat3):
+    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
+    cg, w = problem.cg, problem.windows
+    assert {"asap", "alap", "mobility"}.isdisjoint(vars(w))
+    ids = [n.id for n in cg.nodes.values()]
+    assert w.asap == {i: w.asap_at[cg.at[i]] for i in ids}
+    assert w.mobility == {i: w.alap[i] - w.asap[i] for i in ids}
+    assert w == s.TimeWindows(asap=dict(w.asap), alap=dict(w.alap),
+                              mobility=dict(w.mobility))
+    assert w != s.TimeWindows(asap={}, alap=w.alap, mobility=w.mobility)
+
+
 def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2):
     for spec in (io_lat3, io_lat2):
         problem = s.lower(pairsum_graph, pairsum_lib, spec)

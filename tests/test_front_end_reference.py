@@ -5,7 +5,8 @@ replaced: validation with a per-node edge scan and a depth-first cycle
 search, the lowering that sorted every edge twice and selected an
 operator class per operation, the I/O merge that rebuilt the whole
 constraint graph, and windows over a heap-ordered topological sort.  They
-rely only on the public graph API and the ``ConstraintGraph`` constructor.
+rely only on the public graph API and on ``record_graph``, which builds a
+``ConstraintGraph`` from ``CgNode`` records and id-pair edges.
 On hand-built invalid graphs the violation lists and raised messages must
 match; on the seeded random problems the lowered graphs (nodes in order,
 edges, per-kind lists, accesses, adjacency) and the windows must be equal.
@@ -19,6 +20,7 @@ import pytest
 
 import sfgsched as s
 from sfgsched.constraints import OPTIMISTIC_ACCESS_LATENCY, UnsupportedGraphError
+from sfgsched.graph import topological_order
 from instances import random_fft_problem, random_problem
 
 K = s.NodeKind
@@ -127,6 +129,22 @@ def reference_violations(g):
 
 # -- reference: lowering ------------------------------------------------------
 
+def record_graph(nodes, edges, latency_bound=None):
+    """The constraint graph of ``CgNode`` records and ``(u, v)`` id pairs,
+    numbered in record order, with its own adjacency and Kahn pass."""
+    at = {n.id: p for p, n in enumerate(nodes)}
+    pred = [[] for _ in at]
+    succ = [[] for _ in at]
+    for u, v in edges:
+        pred[at[v]].append(at[u])
+        succ[at[u]].append(at[v])
+    return s.ConstraintGraph(
+        [(*n[:7], at.get(n.agent), *n[8:]) for n in nodes], pred, succ,
+        topological_order(succ, map(len, pred)),
+        [[q for q in qs if nodes[q].kind is C.OP] for qs in succ], edges,
+        latency_bound)
+
+
 def reference_build(g, lib):
     violations = reference_violations(g)
     if violations:
@@ -202,7 +220,7 @@ def reference_build(g, lib):
         else:
             raise UnsupportedGraphError(
                 f"edge {e.src}->{e.dst}: {dk.value} cannot consume values")
-    return s.ConstraintGraph(nodes, edges)
+    return record_graph(nodes, edges)
 
 
 def reference_apply_io(cg, tg, spec):
@@ -223,8 +241,8 @@ def reference_apply_io(cg, tg, spec):
                 n.id, spec.latency_bound - 1)))
         else:
             nodes.append(n)
-    return s.ConstraintGraph(nodes, list(cg.edges),
-                             latency_bound=spec.latency_bound)
+    return record_graph(nodes, list(cg.edges),
+                        latency_bound=spec.latency_bound)
 
 
 # -- reference: windows -------------------------------------------------------
@@ -468,9 +486,8 @@ def test_windows_of_a_cyclic_graph_fail_as_the_reference_does():
     cg = s.apply_io_constraints(s.build_constraint_graph(p.g, p.lib),
                                 s.build_transfer_graph(p.spec), p.spec)
     u, v = cg.edges[0]
-    looped = s.ConstraintGraph(list(cg.nodes.values()),
-                               list(cg.edges) + [(v, u)],
-                               latency_bound=cg.latency_bound)
+    looped = record_graph(list(cg.nodes.values()), list(cg.edges) + [(v, u)],
+                          latency_bound=cg.latency_bound)
     got = _outcome(s.compute_time_windows, looped)
     assert got == ("ValueError", "constraint graph contains a cycle")
     assert got == _outcome(reference_windows, looped)
