@@ -36,9 +36,11 @@ under ``other``.  The script prints, per entry and for the whole pass and
 each stage, each tree's median and minimum time, the median of the
 per-round ratios change/parent and the number of rounds the change was
 faster.
-``--out`` writes the same, with every round's times, the SHA-256 of the
+It also prints each tree's ``src/sfgsched/*.py`` line count.  ``--out``
+writes the same, with every round's times, the SHA-256 of the
 ``schedule.json`` and ``report.json`` bytes (over the entry's calls in
-order) and the host, as JSON.  The standard library is all it needs.
+order), the line counts (``src_lines``) and the host, as JSON.  The
+standard library is all it needs.
 
 ``setup`` times instead what perfbench's ``setup_s`` times for
 ``SETUP_WORKLOAD``: a round is one set-up by each tree, the two
@@ -282,6 +284,12 @@ def measure_calls(args, sources: dict) -> list[dict]:
             for name, argvs in entries]
 
 
+def src_lines(src: Path) -> int:
+    """The number of lines of the tree's ``sfgsched/*.py`` under ``src``."""
+    return sum(len(f.read_bytes().splitlines())
+               for f in (src / "sfgsched").glob("*.py"))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True,
@@ -294,6 +302,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     sources = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
+    lines = {side: src_lines(src) for side, src in sources.items()}
+    print(f"src/sfgsched/*.py lines: parent {lines['parent']}, change "
+          f"{lines['change']}")
     if args.workload == "setup":
         record = {
             "what": f"Set-up time of perfbench's {SETUP_WORKLOAD} workload "
@@ -314,7 +325,8 @@ def main(argv=None) -> int:
                         "messages, the collector switch"},
             "entries": measure_calls(args, sources)}
     record |= {"workload": args.workload, "rounds": args.rounds,
-               "seed": args.seed, "python": platform.python_version(),
+               "seed": args.seed, "src_lines": lines,
+               "python": platform.python_version(),
                "cpu_count": os.cpu_count(), "platform": platform.platform()}
     if args.out:
         args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -19,10 +19,10 @@ from .oplib import (LibraryError, OperatorClass, OperatorLibrary,
 from .report import (ArchitectureReport, build_report, render_report_text,
                      report_to_json)
 from .scheduling import (Allocation, AllocationError, AllocationEvent,
-                         OperatorInstance, Schedule, ScheduledAccess,
-                         ScheduledOp, ScheduledTransfer, ScheduleFailure,
-                         SchedulerState, assign_step, estimate_registers,
-                         lower, parse_allocation, rank_executable, schedule)
+                         Schedule, ScheduledAccess, ScheduledOp,
+                         ScheduledTransfer, ScheduleFailure, SchedulerState,
+                         assign_step, estimate_registers, lower,
+                         parse_allocation, rank_executable, schedule)
 from .verify import Violation, brute_force_min_latency, verify_schedule
 
 __version__ = "0.1.0"

@@ -293,10 +293,6 @@ class SFG:
         return self.of_kind(NodeKind.INPUT)
 
     @property
-    def outputs(self) -> list[SfgNode]:
-        return self.of_kind(NodeKind.OUTPUT)
-
-    @property
     def operations(self) -> list[SfgNode]:
         return self.of_kind(NodeKind.OPERATION)
 

@@ -4,24 +4,20 @@
 library runs its C encoder only without ``indent``, so an indented document
 would go through the pure-Python encoder.  Here containers are walked in
 Python, and an int or a str is written directly, as the encoder would
-write it (``int.__repr__``, ``encode_basestring_ascii``): setting up a C
-encoder costs more than writing one such item.  Other scalars go through
-the C encoder, and so does a whole list of non-empty dicts whose values
-are all scalars (a table of records), in one call, with the newline and
-the indentation of a record's fields as its item separator.  The splice
-is exact because the encoder escapes every control character, so the
-only newlines in its output are the separators'.
+write it (``int.__repr__``, ``encode_basestring_ascii``).  Other scalars,
+and keys that are not strings, go through one C encoder made at import.
 
-The record tables of ``schedule.json`` (its ops, accesses and transfers)
-and of a graph document (its nodes and edges) are written without a dict
-per record.  ``rows`` fills one row template per table by position from
-the records' fields, given a column at a time: a string goes through
-``encode_basestring_ascii`` (what ``json.dumps`` calls), an int through
-``%d`` and a bool becomes ``true`` or ``false``; ``array`` joins the rows.
-``dumps_tables`` writes a head document with ``dumps`` and each table of
-records with ``table``.  ``OPS``, ``ACCESSES`` and ``TRANSFERS`` state each
-table's keys, in document order, with the position of their field in the
-record (``scheduling.ScheduledOp``, ``ScheduledAccess``,
+The record tables of ``schedule.json`` (its allocation events, ops,
+accesses and transfers) and of a graph document (its nodes and edges) are
+written without a dict per record.  ``rows`` fills one row template per
+table by position from the records' fields, given a column at a time: a
+string goes through ``encode_basestring_ascii`` (what ``json.dumps``
+calls), an int through ``%d`` and a bool becomes ``true`` or ``false``;
+``array`` joins the rows.  ``dumps_tables`` writes a head document with
+``dumps`` and each table of records with ``table``.  ``EVENTS``, ``OPS``,
+``ACCESSES`` and ``TRANSFERS`` state each table's keys, in document order,
+with the position of their field in the record
+(``scheduling.AllocationEvent``, ``ScheduledOp``, ``ScheduledAccess``,
 ``ScheduledTransfer``); ``NODES`` does so for each shape of a graph node
 (``graph.SfgNode``), since a node leaves out an ``op`` or ``label`` it does
 not have, and ``EDGES`` for an edge as ``(to, pos, from)``, its sort key.
@@ -31,11 +27,11 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 # (key, record position, kind) of each column of a record table; the kind
 # is "d" for an int, "s" for a str and "b" for a bool
+EVENTS = (("cycle", 0, "d"), ("class", 1, "s"), ("instance", 2, "s"))
 OPS = (("node", 0, "d"), ("label", 1, "s"), ("class", 2, "s"),
        ("instance", 3, "s"), ("start", 4, "d"), ("latency", 5, "d"))
 ACCESSES = (("cycle", 7, "d"), ("node", 0, "d"), ("op", 1, "d"),
@@ -51,27 +47,10 @@ NODES = {(op, label): (("id", 0, "d"), ("kind", 1, "s"))
 EDGES = (("from", 2, "d"), ("to", 0, "d"), ("pos", 1, "d"))
 
 _BOOLS = ("false", "true")
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_DICT = frozenset({dict})
 # the scalars written without the encoder, each as the encoder writes it
 _WRITERS = {int: int.__repr__, str: encode_basestring_ascii}
-
-
-@cache
-def _encoder(depth: int):
-    """``encode`` of an encoder without ``indent`` (so the C one) whose
-    items are separated by a newline and the indentation of ``depth``."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
-
-
-def _flat(values) -> bool:
-    return _SCALARS.issuperset(map(type, values))
-
-
-def _records(items) -> bool:
-    """A non-empty list of non-empty dicts whose values are all scalars."""
-    return (_DICT.issuperset(map(type, items)) and all(items)
-            and _flat(chain.from_iterable(map(dict.values, items))))
+# ``encode`` of an encoder without ``indent`` (so the C one), for scalars
+_encoder = json.JSONEncoder().encode
 
 
 def _key(key) -> str:
@@ -79,7 +58,7 @@ def _key(key) -> str:
         if not (key is None or isinstance(key, (int, float))):
             raise TypeError(f"keys must be str, int, float, bool or None, "
                             f"not {key.__class__.__name__}")
-        key = _encoder(0)(key)
+        key = _encoder(key)
     return encode_basestring_ascii(key)
 
 
@@ -99,16 +78,6 @@ def _write(obj, depth: int, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-        elif _records(obj):
-            # Each record's fields sit two levels down; only the seams
-            # between records ("}" + separator + "{") need the outer
-            # indentation instead.
-            field = inner + "  "
-            text = _encoder(depth + 2)(obj)[2:-2].replace(
-                "},\n" + field + "{",
-                "\n" + inner + "},\n" + inner + "{\n" + field)
-            out.append("[\n" + inner + "{\n" + field + text + "\n" + inner
-                       + "}\n" + pad + "]")
         else:
             sep = "[\n" + inner
             for item in obj:
@@ -119,7 +88,7 @@ def _write(obj, depth: int, out: list[str]) -> None:
     elif type(obj) in _WRITERS:  # without the encoder's set-up
         out.append(_WRITERS[type(obj)](obj))
     else:
-        out.append(_encoder(0)(obj))
+        out.append(_encoder(obj))
 
 
 def dumps(obj) -> str:

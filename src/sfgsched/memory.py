@@ -18,7 +18,8 @@ slot span), and ``commit`` reserves them as placed, on the spans given,
 handing back only their sequence numbers: the caller already holds the
 rest of each reservation.  So each access fitted takes one ``Bank.span``
 call, not one more to commit.  A ``probe`` places requests against a
-held view of the table, for ranking; it reserves nothing.
+held view of the table, for ranking; it reserves nothing.  The table is
+two dicts: each bank's last address, and the reservations per (bank, slot).
 """
 
 from __future__ import annotations
@@ -283,13 +284,6 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
                        placements=tuple(placements))
 
 
-@dataclass
-class _BankState:
-    bank: Bank
-    slots: dict[int, int]     # reservations per slot, for slots holding any
-    last_address: int | None  # address of the most recent reservation
-
-
 class PortAccessTable:
     """Mutable port reservation state for one scheduling run.
 
@@ -305,8 +299,9 @@ class PortAccessTable:
 
     def __init__(self, mapping: MemoryMapping, cadence: int):
         self.cadence = cadence
-        self._state = {b.id: _BankState(bank=b, slots={}, last_address=None)
-                       for b in mapping.banks}
+        self._banks = {b.id: b for b in mapping.banks}
+        self._last: dict[str, int | None] = dict.fromkeys(self._banks)
+        self._slots: dict[tuple[str, int], int] = {}  # only slots in use
         self._seq = 0
         # Held view: each touched bank's last address when the view was
         # taken, and minus the reservations made since, per (bank, slot).
@@ -321,8 +316,7 @@ class PortAccessTable:
         self._holding = True
         self._view_last = {}
         self._view_add = {}
-        return {bank_id: state.last_address
-                for bank_id, state in self._state.items()}
+        return dict(self._last)
 
     def fit(self, requests: list[tuple[str, int, int]], view: bool = False
             ) -> list[tuple[int, str, range]]:
@@ -337,18 +331,17 @@ class PortAccessTable:
         """
         scratch_last = dict(self._view_last) if view else {}
         scratch_add = dict(self._view_add) if view else {}
+        last, slots = self._last, self._slots
         out = []
         for bank_id, address, cycle in requests:
-            state = self._state[bank_id]
-            bank = state.bank
+            bank = self._banks[bank_id]
             cost, cls = bank.cost(
-                scratch_last.get(bank_id, state.last_address), address)
+                scratch_last.get(bank_id, last[bank_id]), address)
             span = bank.span(cycle, cost, self.cadence)
-            slots = state.slots
             for s in span:
                 key = (bank_id, s)
                 taken = scratch_add.get(key, 0)
-                if slots.get(s, 0) + taken >= bank.ports:
+                if slots.get(key, 0) + taken >= bank.ports:
                     raise PortConflict(bank_id, cycle)
                 scratch_add[key] = taken + 1
             scratch_last[bank_id] = address
@@ -376,16 +369,16 @@ class PortAccessTable:
         sequence numbers, in request order (the requests and fits already
         hold the rest of each reservation)."""
         first = self._seq + 1
+        last, slots = self._last, self._slots
+        holding, view_add = self._holding, self._view_add
         for (bank_id, address, _), (_, _, span) in zip(requests, fits):
-            state = self._state[bank_id]
-            if self._holding:
-                self._view_last.setdefault(bank_id, state.last_address)
-                for s in span:
-                    key = (bank_id, s)
-                    self._view_add[key] = self._view_add.get(key, 0) - 1
-            slots = state.slots
+            if holding:
+                self._view_last.setdefault(bank_id, last[bank_id])
             for s in span:
-                slots[s] = slots.get(s, 0) + 1
-            state.last_address = address
+                key = (bank_id, s)
+                slots[key] = slots.get(key, 0) + 1
+                if holding:
+                    view_add[key] = view_add.get(key, 0) - 1
+            last[bank_id] = address
             self._seq += 1
         return range(first, self._seq + 1)

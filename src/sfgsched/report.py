@@ -34,13 +34,10 @@ class ArchitectureReport:
 
 
 def _bus_count(sched: Schedule, spec: IoConstraintSpec, direction: str) -> int:
-    """Declared buses plus the peak per-cycle demand of synthesized ones."""
+    """Declared buses plus the synthesized ones the schedule names."""
     declared = sum(1 for b in spec.buses if b.direction == direction)
-    per_cycle: dict[int, int] = {}
-    for t in sched.transfers:
-        if t.direction == direction and t.synthesized:
-            per_cycle[t.cycle] = per_cycle.get(t.cycle, 0) + 1
-    return declared + max(per_cycle.values(), default=0)
+    return declared + len({t.bus for t in sched.transfers
+                           if t.direction == direction and t.synthesized})
 
 
 def build_report(sched: Schedule, g: SFG, spec: IoConstraintSpec,

@@ -46,7 +46,10 @@ scanning the groups.
 
 A start fits its accesses once, on the live table, and the commit takes
 the fitted spans as they are.  An access-free op only takes a free
-instance.
+instance.  Every start takes the lowest-numbered instance of its class
+free at its cycle, and an auto pool grows by the next number; each
+instance is a busy-until int in ``SchedulerState.instances``, and
+instance k of class c is named ``f"{c}{k}"``.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
@@ -63,16 +66,17 @@ columns, the window in the windows', the requests in the op table of
 only for the records and failure messages.
 
 The records of a schedule (``ScheduledOp``, ``ScheduledAccess``,
-``ScheduledTransfer``) are named tuples, each built once, with
-``tuple.__new__`` and every field spelled out: calling the class would
-run its Python-level ``__new__``, one more interpreter call per record
-for an arity check that the fixed field tuples here do not need.
+``ScheduledTransfer``, ``AllocationEvent``) are named tuples.  The first
+three are each built once, with ``tuple.__new__`` and every field spelled
+out: calling the class would run its Python-level ``__new__``, one more
+interpreter call per record for an arity check that the fixed field
+tuples here do not need.
 ``assign_step`` makes an access record straight from the request, its
 fit, the sequence number ``PortAccessTable.commit`` hands back and the
 access's facts in the op table.  ``schedule()``, the verifier and
 ``estimate_registers`` unpack the records by field index, which costs
 less than reading their fields by name, and ``Schedule.to_json`` writes
-its three record tables straight from the records
+its four record tables straight from the records
 (``jsontext.dumps_tables``), with no dict per record.
 """
 
@@ -81,7 +85,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -92,7 +96,7 @@ from .constraints import (CgKind, ConstraintGraph, Problem,
                           transfer_cycles)
 from .graph import SFG
 from .iospec import IoConstraintSpec, build_transfer_graph
-from .jsontext import ACCESSES, OPS, TRANSFERS, dumps_tables
+from .jsontext import ACCESSES, EVENTS, OPS, TRANSFERS, dumps_tables
 from .memory import (BlockedAccess, HorizonError, MemoryMapping,
                      PortAccessTable, is_burst)
 from .oplib import OperatorLibrary
@@ -149,12 +153,6 @@ def parse_allocation(text: str) -> Allocation:
                           f"'fixed:class=count,...'")
 
 
-@dataclass
-class OperatorInstance:
-    name: str
-    busy_until: int = 0  # first cycle the instance is free again
-
-
 class ScheduledOp(NamedTuple):
     node: int
     label: str
@@ -198,8 +196,7 @@ _CYCLE_DIRECTION_NODE = itemgetter(2, 3, 0)  # ScheduledTransfer: cycle,
                                              # direction, node
 
 
-@dataclass(frozen=True)
-class AllocationEvent:
+class AllocationEvent(NamedTuple):
     cycle: int
     op_class: str
     instance: str
@@ -258,11 +255,9 @@ class Schedule:
             "cadence": self.cadence,
             "pool": {cls: list(names)
                      for cls, names in sorted(self.pool.items())},
-            "allocation_events": [
-                {"cycle": e.cycle, "class": e.op_class, "instance": e.instance}
-                for e in self.allocation_events],
         }
         return dumps_tables(head, (
+            ("allocation_events", self.allocation_events, EVENTS),
             ("ops", sorted(self.ops, key=_START_NODE), OPS),
             ("accesses", sorted(self.accesses, key=_CYCLE_NODE), ACCESSES),
             ("transfers", sorted(self.transfers, key=_CYCLE_DIRECTION_NODE),
@@ -277,10 +272,13 @@ def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec) -> Problem:
     return Problem(cg, compute_time_windows(cg))
 
 
-@dataclass
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps,
     and the op table they read.
+
+    ``instances`` and ``names`` hold per operator class each instance's
+    busy-until cycle (the first cycle it is free again) and name;
+    ``accesses`` and ``events`` collect the records as they are made.
 
     The op table's columns are indexed by node position (see
     ``ConstraintGraph``); operations take positions in id order, so every
@@ -302,29 +300,16 @@ class SchedulerState:
     port table's view for it; ``cost`` probes that view.
     """
 
-    cg: ConstraintGraph
-    windows: TimeWindows
-    mapping: MemoryMapping
-    table: PortAccessTable
-    allocation: Allocation
-    instances: dict[str, list[OperatorInstance]] = field(default_factory=dict)
-    accesses: list[ScheduledAccess] = field(default_factory=list)
-    events: list[AllocationEvent] = field(default_factory=list)
-    # the op table's own columns, indexed by node position
-    ids: list[int] = field(init=False)
-    op_class: list[str | None] = field(init=False)
-    writers: list[tuple[int, ...]] = field(init=False)
-    requests: list[tuple[tuple[str, int, int], ...]] = field(init=False)
-    records: list[tuple[tuple[int, str, int, str], ...]] = field(init=False)
-    gated: list[tuple[tuple[int, ...], ...]] = field(init=False)
-    read_keys: list[tuple[tuple[str, int], ...]] = field(init=False)
-    shape: list[tuple] = field(init=False)
-    firsts: list[tuple[tuple[str, int], ...]] = field(init=False)
-    started: list[ScheduledOp | None] = field(init=False)
-    t: int = field(init=False, default=-1)
-
-    def __post_init__(self):
-        cg = self.cg
+    def __init__(self, cg: ConstraintGraph, windows: TimeWindows,
+                 mapping: MemoryMapping, table: PortAccessTable,
+                 allocation: Allocation):
+        self.cg, self.windows, self.table = cg, windows, table
+        self.allocation = allocation
+        self.instances: dict[str, list[int]] = {}
+        self.names: dict[str, list[str]] = {}
+        self.accesses: list[ScheduledAccess] = []
+        self.events: list[AllocationEvent] = []
+        self.t = -1
         ids, label, latency = cg.ids, cg.label, cg.latency
         pred, succ, agent, data = cg.pred, cg.succ, cg.agent, cg.data
         self.ids, self.op_class = ids, cg.op_class
@@ -335,7 +320,7 @@ class SchedulerState:
         # an access-free op's shape: one tuple per class, shared
         free_of = {cls: (cls, ()) for cls in set(self.op_class)}
         self.shape = list(map(free_of.__getitem__, self.op_class))
-        placement = self.mapping._by_data  # memdata id -> Placement
+        placement = mapping._by_data  # memdata id -> Placement
         reads_of, writes_of = cg.reads, cg.writes
         for p in reads_of.keys() | writes_of.keys():
             reads, writes = reads_of.get(p, ()), writes_of.get(p, ())
@@ -369,13 +354,15 @@ class SchedulerState:
             self.shape[p] = (self.op_class[p], tuple(steps))
             self.firsts[p] = tuple(firsts)
 
-    def allocate_instance(self, op_class: str, t: int) -> OperatorInstance:
-        pool = self.instances.setdefault(op_class, [])
-        inst = OperatorInstance(name=f"{op_class}{len(pool)}")
-        pool.append(inst)
-        self.events.append(AllocationEvent(cycle=t, op_class=op_class,
-                                           instance=inst.name))
-        return inst
+    def allocate_instance(self, op_class: str, t: int) -> int:
+        """Grow the class's pool by one instance; return its number."""
+        busy = self.instances.setdefault(op_class, [])
+        k = len(busy)
+        busy.append(t)
+        name = f"{op_class}{k}"
+        self.names.setdefault(op_class, []).append(name)
+        self.events.append(AllocationEvent(t, op_class, name))
+        return k
 
     def access_requests(self, i: int, t: int) -> list[tuple[str, int, int]]:
         """(bank, address, cycle) of the requests of the op at position i,
@@ -578,10 +565,10 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
     whose accesses cannot be served (in id order).
     """
     free = {}
-    for cls, insts in state.instances.items():
+    for cls, busy in state.instances.items():
         n = 0
-        for inst in insts:
-            if inst.busy_until <= t:
+        for until in busy:
+            if until <= t:
                 n += 1
         free[cls] = n
     alap, ids = state.windows.alap_at, state.ids
@@ -734,14 +721,18 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
                                       bank=e.bank_id) from None
             return None
 
-    for inst in state.instances.get(op_class, ()):
-        if inst.busy_until <= t:
+    busy = state.instances.get(op_class, ())
+    k = 0  # the lowest-numbered instance free at t
+    for until in busy:
+        if until <= t:
             break
+        k += 1
     else:
         if alap > t:
             return None
         if state.allocation.mode == "auto":
-            inst = state.allocate_instance(op_class, t)
+            k = state.allocate_instance(op_class, t)
+            busy = state.instances[op_class]
         else:
             raise ScheduleFailure("fixed-allocation-exhausted", cycle=t,
                                   operation=op_id, op_class=op_class)
@@ -757,9 +748,10 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
                 cost, cost_class, seq)))
 
     latency = state.cg.latency[i]
-    inst.busy_until = t + latency
+    busy[k] = t + latency
     rec = state.started[i] = _tuple_new(ScheduledOp, (
-        op_id, state.cg.label[i], op_class, inst.name, t, latency))
+        op_id, state.cg.label[i], op_class, state.names[op_class][k], t,
+        latency))
     return rec
 
 
@@ -767,21 +759,21 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
     if state.allocation.mode == "fixed":
         for name, n in state.allocation.counts:
             lib.by_name(name)  # raises on an unknown class
-            state.instances[name] = [OperatorInstance(name=f"{name}{i}")
-                                     for i in range(n)]
+            state.instances[name] = [0] * n
+            state.names[name] = [f"{name}{k}" for k in range(n)]
         return
     for name in sorted(set(state.op_class) - {None}):
-        state.instances[name] = [OperatorInstance(name=f"{name}0")]
+        state.instances[name] = [0]
+        state.names[name] = [f"{name}0"]
 
 
 def _some_class_free(per_class: dict[str, int],
-                     instances: dict[str, list[OperatorInstance]],
-                     t: int) -> bool:
+                     instances: dict[str, list[int]], t: int) -> bool:
     """Whether a class with ready members has an instance free at t."""
     for cls, n in per_class.items():
         if n:
-            for inst in instances.get(cls, ()):
-                if inst.busy_until <= t:
+            for until in instances.get(cls, ()):
+                if until <= t:
                     return True
     return False
 
@@ -814,8 +806,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                                          f"cannot be ready before cycle "
                                          f"{windows.asap_at[p]}")
     table = PortAccessTable(mapping, spec.cadence)
-    state = SchedulerState(cg=cg, windows=windows, mapping=mapping,
-                           table=table, allocation=allocation)
+    state = SchedulerState(cg, windows, mapping, table, allocation)
     _seed_pool(state, lib)
 
     # Readiness bookkeeping: each op counts what it waits for (its
@@ -865,8 +856,8 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                 # >= 1), so the walk always moves forward.
                 t = min([bound, *release_at,
                          *(() if first_alap is None else (first_alap,)),
-                         *(inst.busy_until for cls, n in per_class.items()
-                           if n for inst in instances.get(cls, ()))])
+                         *(until for cls, n in per_class.items()
+                           if n for until in instances.get(cls, ()))])
                 continue
         started: list[int] = []
         for i in rank_executable(state, ready, t):
@@ -900,8 +891,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     cycles = transfer_cycles(
         cg, spec, [None if rec is None else rec[4] for rec in state.started])
     transfers = _build_transfers(cycles, cg, spec)
-    pool = {cls: tuple(inst.name for inst in insts)
-            for cls, insts in sorted(state.instances.items())}
+    pool = {cls: tuple(names) for cls, names in sorted(state.names.items())}
     achieved = achieved_latency(cg, cycles, max(
         (start + latency for _, _, _, _, start, latency in records),
         default=None))

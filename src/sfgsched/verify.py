@@ -367,22 +367,26 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     return out
 
 
+#: the most operations ``brute_force_min_latency`` searches
+ORACLE_MAX_OPS = 10
+
+
 def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
                             spec: IoConstraintSpec, mapping: MemoryMapping,
-                            instances: dict[str, int] | None = None,
-                            max_ops: int = 10) -> int | None:
+                            instances: dict[str, int] | None = None
+                            ) -> int | None:
     """Exhaustive minimum achievable latency, or None if infeasible.
 
     ``instances`` caps the operator pool per class; None means unlimited.
     Searches all start assignments within the time windows, including every
     same-cycle reservation order (access costs depend on it).  Intended for
-    test graphs only, hence the op-count guard.
+    test graphs only, hence the op-count guard (``ORACLE_MAX_OPS``).
     """
     problem = lower(g, lib, spec)
     cg = problem.cg
     ops = cg.positions[CgKind.OP]
-    if len(ops) > max_ops:
-        raise ValueError(f"brute force capped at {max_ops} operations, "
+    if len(ops) > ORACLE_MAX_OPS:
+        raise ValueError(f"brute force capped at {ORACLE_MAX_OPS} operations, "
                          f"graph has {len(ops)}")
 
     # the op table, read by node position

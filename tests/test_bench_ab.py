@@ -2,9 +2,11 @@
 module and skips a name a tree lacks: renaming one in ``src/`` must fail
 here, not move that stage's time silently into ``other``.  Its ``setup``
 workload times a fresh import, the generator and the documents of each
-tree on their own, and refuses trees whose documents differ."""
+tree on their own, and refuses trees whose documents differ.  Its record
+carries each tree's ``src/sfgsched`` line count."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -60,3 +62,14 @@ def test_setup_refuses_different_documents(ab, tmp_path, capsys):
     with pytest.raises(SystemExit, match="different documents"):
         ab.measure_setup({"parent": other, "change": ROOT / "src"},
                          rounds=1, seed=1)
+
+
+def test_record_carries_the_src_line_counts(ab, tmp_path, capsys):
+    out = tmp_path / "record.json"
+    assert ab.main(["--parent", str(ROOT), "--workload", "setup",
+                    "--rounds", "1", "--out", str(out)]) == 0
+    n = sum(len(f.read_text().splitlines())
+            for f in (ROOT / "src" / "sfgsched").glob("*.py"))
+    assert json.loads(out.read_text())["src_lines"] == {"parent": n,
+                                                        "change": n}
+    assert f"lines: parent {n}, change {n}" in capsys.readouterr().out

@@ -363,8 +363,7 @@ def test_idle_checks_agree_with_a_full_scan(monkeypatch):
             for bucket in ready.groups[key].values()
             for op_id in bucket.members)
         assert min(alaps) <= t or any(
-            n and any(inst.busy_until <= t
-                      for inst in state.instances.get(cls, ()))
+            n and any(until <= t for until in state.instances.get(cls, ()))
             for cls, n in ready.per_class.items())
         walked[0] += 1
         return rank(state, ready, t)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 import sfgsched as s
+import experiments
+from instances import random_fft_problem, random_problem
 
 K = s.NodeKind
 
@@ -110,3 +112,36 @@ def test_report_json_round_trip(lat2_report):
     assert set(doc) == {"operators", "banks_used", "bank_ids", "in_buses",
                         "out_buses", "registers", "latency_cycles",
                         "latency_bound", "cadence"}
+
+
+def _declared_plus_peak(sched, spec, direction):
+    """The bus count as declared buses plus the peak number of synthesized
+    transfers in one cycle."""
+    per_cycle = {}
+    for tr in sched.transfers:
+        if tr.direction == direction and tr.synthesized:
+            per_cycle[tr.cycle] = per_cycle.get(tr.cycle, 0) + 1
+    return sum(1 for b in spec.buses if b.direction == direction) + max(
+        per_cycle.values(), default=0)
+
+
+def test_bus_counts_are_declared_plus_peak_demand():
+    runs = []
+    for problems, n in ((random_problem, 200), (random_fft_problem, 60)):
+        for seed in range(n):
+            p = problems(seed)
+            try:
+                runs.append((p.run_scheduler(), p.g, p.spec, p.mapping))
+            except s.ScheduleFailure:
+                pass
+    for cfg in (experiments.io_constrained(),
+                experiments.two_bank_free_io({"mult": 2, "add": 1, "sub": 1}),
+                experiments.two_bank_paced_input()):
+        runs.append((cfg.run()[0], cfg.g, cfg.spec, cfg.mapping))
+    for sched, g, spec, mapping in runs:
+        rep = s.build_report(sched, g, spec, mapping)
+        assert rep.in_buses == _declared_plus_peak(sched, spec, "in")
+        assert rep.out_buses == _declared_plus_peak(sched, spec, "out")
+    # many runs name more than one synthesized bus in some direction
+    assert sum(len({tr.bus for tr in sched.transfers if tr.synthesized}) > 1
+               for sched, *_ in runs) > 10

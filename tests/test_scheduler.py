@@ -3,6 +3,7 @@ import json
 import pytest
 
 import sfgsched as s
+import experiments
 from sfgsched import scheduling
 from sfgsched.scheduling import ReadySet, _seed_pool
 from instances import random_problem
@@ -163,7 +164,7 @@ def test_waiting_follow_up_reader_still_demotes_burst_flag():
     # burst mode, so y outranks x (address 5) even while z only waits for
     # the busy adder and is not ranked itself
     state = _burst_fixture(addresses=(0, 5, 1), z_op="+")
-    state.instances["add"][0].busy_until = 1
+    state.instances["add"][0] = 1  # busy until cycle 1
     assert _rank(state, [4, 5, 6]) == [5, 4]
     assert _rank(state, [4, 5]) == [4, 5]
 
@@ -473,3 +474,47 @@ def test_commit_does_not_unblock_an_op_in_the_same_cycle():
         latencies=(2, 2, 1), alloc="fixed:mult=2,add=1,sub=1", bound=12)
     assert starts == [("m1", 0), ("m2", 0), ("x", 1), ("x2", 3), ("z", 4),
                       ("x3", 5)]
+
+
+def _check_binding(sched):
+    """The binding rule, read from the op records alone: per class and
+    cycle t, the ops of the class starting at t run on the lowest-numbered
+    instances free at t.  An instance is busy at t if an earlier op on it
+    ends after t, and a grown instance takes the next number, so the
+    numbers taken are the lowest ones not busy at t."""
+    by_class = {}
+    for op in sched.ops:
+        k = int(op.instance[len(op.op_class):])
+        assert op.instance == f"{op.op_class}{k}"
+        by_class.setdefault(op.op_class, []).append((op.start, k,
+                                                     op.latency))
+    for cls, runs in by_class.items():
+        for t in sorted({start for start, _, _ in runs}):
+            busy = {k for start, k, latency in runs
+                    if start < t < start + latency}
+            taken = sorted(k for start, k, _ in runs if start == t)
+            free = [k for k in range(len(busy) + len(taken))
+                    if k not in busy]
+            assert taken == free[:len(taken)], (cls, t, taken, busy)
+
+
+def test_each_start_takes_the_lowest_free_instance():
+    checked = 0
+    for seed in range(200):
+        p = random_problem(seed)
+        used = sorted({p.lib.select(n.op).name for n in p.g.operations})
+        caps = p.instance_caps or dict.fromkeys(used, 1)
+        for allocation in (s.Allocation("auto"), s.Allocation(
+                "fixed", tuple(sorted(caps.items())))):
+            try:
+                sched = s.schedule(p.g, p.lib, p.spec, p.mapping, allocation)
+            except s.ScheduleFailure:
+                continue
+            _check_binding(sched)
+            checked += 1
+    for cfg in (experiments.io_constrained(),
+                experiments.two_bank_free_io({"mult": 2, "add": 1, "sub": 1}),
+                experiments.two_bank_paced_input()):
+        _check_binding(cfg.run()[0])
+        checked += 1
+    assert checked > 200
