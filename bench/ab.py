@@ -37,10 +37,10 @@ each stage, each tree's median and minimum time, the median of the
 per-round ratios change/parent and the number of rounds the change was
 faster.
 It also prints each tree's ``src/sfgsched/*.py`` line count.  ``--out``
-writes the same, with every round's times, the SHA-256 of the
-``schedule.json`` and ``report.json`` bytes (over the entry's calls in
-order), the line counts (``src_lines``) and the host, as JSON.  The
-standard library is all it needs.
+writes the same, with every round's times (to the microsecond), the
+SHA-256 of the ``schedule.json`` and ``report.json`` bytes (over the
+entry's calls in order), the line counts (``src_lines``) and the host, as
+JSON.  The standard library is all it needs.
 
 ``setup`` times instead what perfbench's ``setup_s`` times for
 ``SETUP_WORKLOAD``: a round is one set-up by each tree, the two
@@ -206,9 +206,9 @@ def summarize(entry: dict, times: dict, rounds: int) -> dict:
     parent, change = times["parent"], times["change"]
     for side in times:
         entry[side] = {
-            "median_s": {stage: round(statistics.median(ts), 4)
+            "median_s": {stage: round(statistics.median(ts), 6)
                          for stage, ts in times[side].items()},
-            "rounds_s": {stage: [round(t, 4) for t in ts]
+            "rounds_s": {stage: [round(t, 6) for t in ts]
                          for stage, ts in times[side].items()}}
     entry["ratio_median"], entry["change_faster"] = {}, {}
     print(f"{entry['name']}, {rounds} rounds")

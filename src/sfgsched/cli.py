@@ -208,10 +208,9 @@ def _schedule_with_gate(args):
     sched = schedule(g, lib, spec, mapping, alloc, problem)
     violations = verify_schedule(sched, g, lib, spec, mapping, problem, alloc)
     if violations:  # defensive: a scheduler bug, not a user error
-        for v in violations:
-            print(str(v), file=sys.stderr)
-        raise ScheduleFailure("infeasible-windows", cycle=0,
-                              detail="schedule failed verification")
+        print(*violations, "scheduling aborted: schedule failed verification",
+              sep="\n", file=sys.stderr)
+        return EXIT_ABORTED, None, None, None, None, None
     return EXIT_OK, g, lib, spec, mapping, sched
 
 

@@ -7,8 +7,8 @@ The problem is lowered once, by node position (see ``ConstraintGraph``):
    latencies and materializes explicit memory-access nodes: every
    memdata->operation edge becomes a *read* node, every operation->memdata
    edge a *write* node.
-2. ``apply_io_constraints`` gives input nodes an arrival cycle and output
-   nodes a deadline cycle, sharing every other column with its input.
+2. ``apply_io_constraints`` checks the transfers, then gives input nodes
+   an arrival cycle and output nodes a deadline, sharing other columns.
 3. ``compute_time_windows`` walks the topological order the SFG's
    validation found, weighing each edge by ``_weights_from``.
 
@@ -74,7 +74,7 @@ _SAME_CYCLE_SOURCES = frozenset((CgKind.READ, CgKind.INPUT))
 class CgNode(NamedTuple):
     """Constraint-graph node (a named tuple: immutable and hashable).  A
     ``ConstraintGraph`` keeps its nodes as columns and builds these records
-    from them, with ``tuple.__new__`` and all ten fields spelled out, only
+    from them, with ``tuple.__new__`` and all nine fields spelled out, only
     when asked for them (``nodes``, ``of_kind``).
 
     ``latency`` is the node's occupancy in cycles (operator latency for ops,
@@ -89,7 +89,6 @@ class CgNode(NamedTuple):
     latency: int
     label: str = ""
     op_class: str | None = None
-    symbol: str | None = None
     data: int | None = None
     agent: int | None = None
     arrival: int | None = None
@@ -110,24 +109,21 @@ class ConstraintGraph:
     ``positions`` each kind's positions in order, ``pred``/``succ`` the
     adjacency and ``order`` a topological order (None on a cycle);
     ``consumers`` lists the operations each operation feeds (one per edge),
-    ``reads``/``writes`` its accesses in creation order, and ``edges`` the
-    edges as id pairs.  The records (``nodes``, ``of_kind``) are built on
-    first use.  ``latency_bound`` is set once I/O constraints are applied.
+    and ``reads``/``writes`` its accesses in creation order.  The records
+    (``nodes``, ``of_kind``) are built on first use.  ``latency_bound`` is
+    set once I/O constraints are applied.
     """
 
     def __init__(self, rows: list[tuple], pred: list, succ: list,
                  order: list[int] | None, consumers: list,
-                 edges: list[tuple[int, int]],
                  latency_bound: int | None = None):
         # rows: the CgNode fields by position, ``agent`` as a position
         (self.ids, self.kind, self.latency, self.label, self.op_class,
-         self.symbol, self.data, self.agent, self.arrival,
-         self.deadline) = [list(c) for c in zip(*rows)] or [
-             [] for _ in range(10)]
+         self.data, self.agent, self.arrival, self.deadline) = [
+             list(c) for c in zip(*rows)] or [[] for _ in range(9)]
         self.at = dict(zip(self.ids, range(len(rows))))
         self.pred, self.succ, self.order = pred, succ, order
         self.consumers = consumers
-        self.edges = tuple(edges)
         self.latency_bound = latency_bound
         self.positions: dict[CgKind | None, list[int]] = defaultdict(list)
         for p, kind in enumerate(self.kind):
@@ -149,7 +145,7 @@ class ConstraintGraph:
         agent = self.agent[p]
         return _tuple_new(CgNode, (
             self.ids[p], self.kind[p], self.latency[p], self.label[p],
-            self.op_class[p], self.symbol[p], self.data[p],
+            self.op_class[p], self.data[p],
             None if agent is None else self.ids[agent], self.arrival[p],
             self.deadline[p]))
 
@@ -162,10 +158,6 @@ class ConstraintGraph:
     def of_kind(self, kind: CgKind) -> list[CgNode]:
         """The nodes of one kind in position order."""
         return list(map(self._record, self.positions[kind]))
-
-    @property
-    def operations(self) -> list[CgNode]:
-        return self.of_kind(CgKind.OP)
 
     def accesses_of(self, op_id: int) -> tuple[list[CgNode], list[CgNode]]:
         """(reads, writes) belonging to an operation, in creation order."""
@@ -195,26 +187,18 @@ class TimeWindows:
     ``alap_at`` and ``mobility_at``, and by node id in ``asap``, ``alap``
     and ``mobility``.  ``compute_time_windows`` gives the lists and the
     graph's ``ids`` and ``order``, and each id-keyed dict is built from
-    them on first read; the dicts may be given instead.  Windows are equal
-    when their id-keyed dicts are.
+    them on first read.
 
     Windows can be inconsistent (negative mobility) for infeasible
     constraint sets; ``check_feasibility`` reports that, the computation
     itself never fails.
     """
 
-    def __init__(self, asap: dict[int, int] | None = None,
-                 alap: dict[int, int] | None = None,
-                 mobility: dict[int, int] | None = None, *,
-                 asap_at: list[int] = (), alap_at: list[int] = (),
-                 mobility_at: list[int] = (), ids: list[int] = (),
-                 order: list[int] = ()):
+    def __init__(self, asap_at: list[int], alap_at: list[int],
+                 mobility_at: list[int], ids: list[int], order: list[int]):
         self.asap_at, self.alap_at, self.mobility_at = \
             asap_at, alap_at, mobility_at
         self._ids, self._order = ids, order  # every node, no empty position
-        vars(self).update((name, given) for name, given in (
-            ("asap", asap), ("alap", alap), ("mobility", mobility))
-            if given is not None)
 
     def _by_id(self, column: list[int]) -> dict[int, int]:
         return dict(zip(map(self._ids.__getitem__, self._order),
@@ -223,12 +207,6 @@ class TimeWindows:
     asap = cached_property(lambda self: self._by_id(self.asap_at))
     alap = cached_property(lambda self: self._by_id(self.alap_at))
     mobility = cached_property(lambda self: self._by_id(self.mobility_at))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TimeWindows):
-            return NotImplemented
-        return (self.asap, self.alap, self.mobility) == (
-            other.asap, other.alap, other.mobility)
 
 
 @dataclass(frozen=True)
@@ -289,7 +267,6 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
     consumers: list = [[] if k is OPERATION else () for k in sfg_kind]
     base = ids[-1] + 1 - n if ids else 0  # access ids follow the SFG's
     of_data: dict[int, list[int]] = {}  # memdata -> its write, then reads
-    edges: list[tuple[int, int]] = []  # by id, in the order made
 
     # Writes first, so that their positions come first and reads of the
     # same datum can be chained after them, in (source, memdata) order.
@@ -301,12 +278,11 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
                 f"memdata node {ids[m]} has multiple writers")
         w = len(rows)
         rows.append((base + w, WRITE, OPTIMISTIC_ACCESS_LATENCY,
-                     f"wr:{sfg_label[m] or f'n{ids[m]}'}", None, None,
-                     ids[m], s, None, None))
+                     f"wr:{sfg_label[m] or f'n{ids[m]}'}", None, ids[m], s,
+                     None, None))
         pred.append((s,))
         succ.append([])
         succ[s].append(w)
-        edges.append((ids[s], base + w))
         of_data[m] = [w]
     first_read = len(rows)  # the positions below are writes'
 
@@ -318,14 +294,13 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
         name = name or f"n{node_id}"
         if dk is OPERATION:
             cls = selected[op]
-            rows[d] = (node_id, OP, cls.latency, name, cls.name, op, None,
-                       None, None, None)
+            rows[d] = (node_id, OP, cls.latency, name, cls.name, None, None,
+                       None, None)
         elif dk is INPUT or dk is OUTPUT:
             rows[d] = (node_id, CG_INPUT if dk is INPUT else CG_OUTPUT, 0,
-                       name, None, None, None, None, None, None)
+                       name, None, None, None, None, None)
         else:
-            rows[d] = (node_id, None, 0, "", None, None, None, None, None,
-                       None)
+            rows[d] = (node_id, None, 0, "", None, None, None, None, None)
             if [s for s in sfg_in[d] if sfg_kind[s] is not OPERATION]:
                 # into memdata: writes are handled above
                 e = min((e for e in g.in_edges(node_id)
@@ -346,7 +321,6 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
             if sk is OPERATION or sk is INPUT:
                 ps.append(s)
                 succ[s].append(d)
-                edges.append((ids[s], node_id))
                 if sk is OPERATION and dk is OPERATION:
                     consumers[s].append(d)
             elif dk is OUTPUT:
@@ -357,17 +331,15 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
                 r = len(rows)
                 rows.append((base + r, READ, OPTIMISTIC_ACCESS_LATENCY,
                              f"rd:{sfg_label[s] or f'n{ids[s]}'}",
-                             None, None, ids[s], d, None, None))
+                             None, ids[s], d, None, None))
                 chain = of_data.setdefault(s, [])
                 written = chain and chain[0] < first_read
                 pred.append((chain[0],) if written else ())
                 if written:
                     succ[chain[0]].append(r)
-                    edges.append((base + chain[0], base + r))
                 chain.append(r)
                 succ.append([d])
                 ps.append(r)
-                edges.append((base + r, node_id))
             # a constant is folded into the operator: no timing edge
 
     order = []
@@ -377,24 +349,32 @@ def build_constraint_graph(g: SFG, lib: OperatorLibrary) -> ConstraintGraph:
         elif p in of_data:
             order += of_data[p]
     return ConstraintGraph(rows, pred, succ, order,
-                           consumers + [()] * (len(rows) - n), edges)
+                           consumers + [()] * (len(rows) - n))
 
 
 def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
                          spec: IoConstraintSpec) -> ConstraintGraph:
     """Merge the transfer schedule into the constraint graph.
 
+    Each transfer must name an input on an ``in`` bus or an output on an
+    ``out`` bus, each node once, or ``IoSpecError`` is raised.
     Constrained inputs get ``arrival = offset``; constrained outputs get
     ``deadline = offset`` (the producer may occupy cycles up to and
     including the transfer cycle).  Unconstrained inputs arrive at cycle 0;
     unconstrained outputs may be produced through ``latency_bound - 1``.
     The result is a copy that shares every other column with ``cg``.
     """
+    carries = {b.id: CgKind.INPUT if b.direction == "in" else CgKind.OUTPUT
+               for b in spec.buses}
     offset_of: dict[int, int] = {}  # by position
     for t in transfers:
         p = cg.at.get(t.node)
         if p is None or cg.kind[p] not in (CgKind.INPUT, CgKind.OUTPUT):
             raise IoSpecError(f"transfer references unknown I/O node {t.node}")
+        if cg.kind[p] is not carries[t.bus]:
+            side = carries[t.bus].value
+            raise IoSpecError(f"node {t.node} on {side} bus {t.bus!r} is "
+                              f"not an {side}")
         if p in offset_of:
             raise IoSpecError(f"node {t.node} is transferred twice")
         offset_of[p] = t.offset
@@ -483,12 +463,9 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
 
     pinned_in: list[int] = []
     pinned_out: list[int] = []
-    for t in spec.transfers:
-        k = kind[cg.at[t.node]]
-        if k is INPUT:
-            pinned_in.append(t.offset)
-        elif k is OUTPUT:
-            pinned_out.append(t.offset)
+    for t in spec.transfers:  # the lowering checked: an input or output
+        (pinned_in if kind[cg.at[t.node]] is INPUT
+         else pinned_out).append(t.offset)
 
     # One pass over the nodes.  Iteration cycles are absolute (deadlines
     # default to bound - 1), so the critical path is the shortest prefix of

@@ -3,7 +3,9 @@
 A constrained component exchanges data with its environment on buses at
 fixed cycle offsets within an iteration of ``cadence`` cycles.  The
 ``latency_bound`` caps the distance (in cycles) from the first input
-transfer to the last output transfer of one iteration.
+transfer to the last output transfer of one iteration.  A spec checks
+its graph-free rules when built; ``constraints.apply_io_constraints``
+checks the transfers against the graph.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import SFG, NodeKind
+from .graph import SFG
 
 
 class IoSpecError(ValueError):
@@ -80,23 +82,6 @@ class IoConstraintSpec:
                    cadence=cadence if cadence is not None else latency_bound,
                    latency_bound=latency_bound)
 
-    def validate(self, g: SFG) -> list[str]:
-        """Check the transfers against a graph: each names a node of the
-        kind its bus's direction carries.  Returns violations."""
-        out: list[str] = []
-        bus_by_id = {b.id: b for b in self.buses}
-        for t in self.transfers:
-            if not g.has_node(t.node):
-                out.append(f"transfer references unknown node {t.node}")
-                continue
-            kind = g.node(t.node).kind
-            direction = bus_by_id[t.bus].direction
-            if direction == "in" and kind is not NodeKind.INPUT:
-                out.append(f"node {t.node} on input bus {t.bus!r} is not an input")
-            if direction == "out" and kind is not NodeKind.OUTPUT:
-                out.append(f"node {t.node} on output bus {t.bus!r} is not an output")
-        return out
-
 
 def build_transfer_graph(spec: IoConstraintSpec) -> tuple[Transfer, ...]:
     """The spec's transfers, which its construction checked."""
@@ -147,9 +132,5 @@ def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:
         if not isinstance(offset, int) or isinstance(offset, bool):
             raise IoSpecError(f"transfers[{i}]: 'offset' must be an integer")
         transfers.append(Transfer(node=node.id, bus=str(bus), offset=offset))
-    spec = IoConstraintSpec(buses=tuple(buses), transfers=tuple(transfers),
+    return IoConstraintSpec(buses=tuple(buses), transfers=tuple(transfers),
                             cadence=cadence, latency_bound=latency)
-    problems = spec.validate(g)
-    if problems:
-        raise IoSpecError(problems[0])
-    return spec

@@ -5,8 +5,9 @@ lowered problem (constraint graph and time windows) and the mapping:
 dependencies, operator exclusivity, instances drawn from the recorded pool
 (and, under a fixed allocation, pools no larger than its counts), port
 capacity, access costs (replayed in reservation order), I/O timing and the
-latency bound, one transfer per bus and cycle, time windows, the
-record's cadence and latency bound against the I/O constraints', and
+latency bound, one transfer per bus and cycle (a declared bus only its
+pinned ones), time windows, the record's cadence and latency bound
+against the I/O constraints', and
 every record field the lowering fixes (the kind of node a record names,
 labels, an access's operation and kind, a transfer's direction and
 whether it is synthesized).  The lowering is either its own (``lower``)
@@ -298,6 +299,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
               if ids[p] in transfer_of}  # by position
     complete = len(cycles) == len(io_nodes)
     pinned = {tr.node: tr for tr in spec.transfers}
+    declared = {b.id for b in spec.buses}
     for p in io_nodes:
         node, name = ids[p], label[p] or ids[p]
         t = transfer_of.get(node)
@@ -312,6 +314,9 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                 f"transfer of {name} recorded as {t.direction}, synthesized "
                 f"{t.synthesized}, the constraints make it {direction}, "
                 f"synthesized {want is None}", node))
+        if want is None and t.bus in declared:
+            out.append(Violation("record", f"{name} synthesized on declared "
+                                           f"bus {t.bus}", node))
         if want is not None and (t.bus != want.bus or t.cycle != want.offset):
             out.append(Violation(
                 "io-timing",

@@ -171,7 +171,7 @@ def random_problem(seed: int) -> Problem:
     lib = _random_library(rng)
     mapping = _random_mapping(rng, g)
     spec = _random_io(rng, g, lib)
-    assert not spec.validate(g), spec.validate(g)
+    s.lower(g, lib, spec)  # refuses a transfer its bus cannot carry
 
     used = {lib.select(n.op).name for n in g.operations}
     if rng.random() < 0.5:
@@ -235,7 +235,7 @@ def random_fft_problem(seed: int) -> Problem:
     spec = s.IoConstraintSpec(buses=buses, transfers=transfers,
                               cadence=bound + rng.randint(0, 4),
                               latency_bound=bound)
-    assert not spec.validate(g), spec.validate(g)
+    s.lower(g, lib, spec)  # refuses a transfer its bus cannot carry
 
     used = {lib.select(n.op).name for n in g.operations}
     if rng.random() < 0.4:

@@ -294,6 +294,22 @@ WRITE_MUTATIONS = [
     ("reader-before-write", reader_before_write),
 ]
 
+def synthesized_on_declared_bus(sched: s.Schedule) -> s.Schedule:
+    """Move the first synthesized input transfer onto ``outC``, a bus the
+    I/O constraints declare but pin nothing on."""
+    victim = next(t for t in sched.transfers
+                  if t.synthesized and t.direction == "in")
+    return replace(sched, transfers=tuple(
+        t._replace(bus="outC") if t is victim else t
+        for t in sched.transfers))
+
+
+# Need a declared bus that carries no pinned transfer, which the pairsum
+# goldens lack: check these on a schedule with an unused declared bus.
+DECLARED_BUS_MUTATIONS = [
+    ("synthesized-on-declared-bus", synthesized_on_declared_bus),
+]
+
 # Breaks only a fixed allocation's caps, which the verifier knows when it
 # is given the allocation: check these under ``fixed_allocation(sched)``.
 CAP_MUTATIONS = [

@@ -3,7 +3,8 @@ module and skips a name a tree lacks: renaming one in ``src/`` must fail
 here, not move that stage's time silently into ``other``.  Its ``setup``
 workload times a fresh import, the generator and the documents of each
 tree on their own, and refuses trees whose documents differ.  Its record
-carries each tree's ``src/sfgsched`` line count."""
+carries each tree's ``src/sfgsched`` line count and keeps sub-millisecond
+times to the microsecond."""
 
 import importlib.util
 import json
@@ -73,3 +74,15 @@ def test_record_carries_the_src_line_counts(ab, tmp_path, capsys):
     assert json.loads(out.read_text())["src_lines"] == {"parent": n,
                                                         "change": n}
     assert f"lines: parent {n}, change {n}" in capsys.readouterr().out
+
+
+def test_record_keeps_sub_millisecond_times(ab, capsys):
+    """A stage that takes tens of microseconds keeps its per-round times,
+    so its ratios can be read back from the record."""
+    times = {"parent": {"write": [0.000041, 0.000052, 0.000047]},
+             "change": {"write": [0.000039, 0.000061, 0.000044]}}
+    entry = ab.summarize({"name": "x"}, times, 3)
+    for side in times:
+        assert entry[side]["rounds_s"] == times[side]
+    assert entry["parent"]["median_s"] == {"write": 0.000047}
+    assert entry["change"]["median_s"] == {"write": 0.000044}

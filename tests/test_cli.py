@@ -101,6 +101,73 @@ def test_latency_past_the_bound_exit_3(pairsum_dir, tmp_path, capsys):
     assert "failed verification" not in err
 
 
+def test_latency_bound_reached_with_operations_pending_exit_3(tmp_path,
+                                                             capsys):
+    """The static checks pass, but ``w``'s read of ``e`` and its random
+    write of ``d`` on the one single-port bank hold the reader ``r`` past
+    the last cycle of the bound."""
+    docs = {
+        "graph": {"nodes": [{"id": 0, "kind": "input", "label": "a"},
+                            {"id": 1, "kind": "memdata", "label": "e"},
+                            {"id": 2, "kind": "memdata", "label": "d"},
+                            {"id": 3, "kind": "operation", "op": "+",
+                             "label": "w"},
+                            {"id": 4, "kind": "operation", "op": "+",
+                             "label": "r"},
+                            {"id": 5, "kind": "output", "label": "y"}],
+                  "edges": [{"from": 0, "to": 3, "pos": 0},
+                            {"from": 1, "to": 3, "pos": 1},
+                            {"from": 3, "to": 2, "pos": 0},
+                            {"from": 2, "to": 4, "pos": 0},
+                            {"from": 0, "to": 4, "pos": 1},
+                            {"from": 4, "to": 5, "pos": 0}]},
+        "lib": {"classes": [{"name": "add", "ops": ["+"], "latency": 1}]},
+        "mem": {"mode": "strict",
+                "banks": [{"id": "b0", "ports": 1, "t_seq": 1, "t_rand": 3}],
+                "placements": [{"data": "e", "bank": "b0", "address": 0},
+                               {"data": "d", "bank": "b0", "address": 5}]}}
+    argv = ["report", "--latency", "4"]
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "cadence check: ok" in err
+    assert err.endswith(
+        "scheduling aborted: infeasible-windows at cycle 4, operation 4, "
+        "class add, latency bound reached with operations pending\n")
+
+
+def test_verifier_rejection_exit_3(pairsum_dir, monkeypatch, capsys):
+    """A schedule the verifier rejects is reported as such, after its
+    violations, not as a time window at cycle 0."""
+    import sfgsched.cli
+    monkeypatch.setattr(sfgsched.cli, "verify_schedule", lambda *a: [
+        s.Violation("window", "operation 4 starts at 9", 4)])
+    assert main(["schedule"] + _args(pairsum_dir)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "window: operation 4 starts at 9 (node 4)\n"
+        "scheduling aborted: schedule failed verification\n")
+    assert "infeasible-windows" not in captured.err
+
+
+def test_input_on_an_output_bus_exit_1(pairsum_dir, tmp_path, capsys):
+    io = tmp_path / "io.json"
+    io.write_text(json.dumps({
+        "cadence": 3, "latency": 3,
+        "buses": [{"id": "bi", "direction": "in"},
+                  {"id": "bo", "direction": "out"}],
+        "transfers": [{"data": "a", "bus": "bo", "offset": 0}]}))
+    for command in ("check", "schedule", "report"):
+        argv = _args(pairsum_dir, "--io", str(io), io=None,
+                     mem="mem_twobank.json")
+        assert main([command] + argv) == 1
+        assert capsys.readouterr().err == \
+            "error: node 0 on output bus 'bo' is not an output\n"
+
+
 def test_huge_cadence_schedules_like_a_small_one(pairsum_dir, tmp_path):
     # the port tables store only reserved slots, not one per cycle
     docs = {}
@@ -282,6 +349,30 @@ def test_placement_data_must_be_a_node_id_or_label(pairsum_dir, tmp_path,
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "placement 'data' must be a node " \
         "id or a label, got " in err
+
+
+def test_placement_data_may_be_a_memdata_id(pairsum_dir, tmp_path, capsys):
+    """An integer ``data`` names a node by id: a memdata node's id places
+    it, as its label would; any other node's id is refused."""
+    graph = s.parse_sfg((pairsum_dir / "graph.json").read_text())
+    by_label = json.loads((pairsum_dir / "mem_onebank.json").read_text())
+    by_id = json.loads(json.dumps(by_label))
+    for p in by_id["placements"]:
+        p["data"] = graph.node_by_label(p["data"]).id
+    outputs = {}
+    for name, doc in (("label", by_label), ("id", by_id)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert main(["schedule"] + _args(
+            pairsum_dir, mem=str(tmp_path / f"{name}.json"))) == 0
+        outputs[name] = capsys.readouterr().out
+    assert outputs["id"] == outputs["label"]
+    m1 = graph.node_by_label("m1").id
+    by_id["placements"][0]["data"] = m1
+    (tmp_path / "op.json").write_text(json.dumps(by_id))
+    assert main(["schedule"] + _args(pairsum_dir,
+                                     mem=str(tmp_path / "op.json"))) == 1
+    assert capsys.readouterr().err == \
+        f"error: placement target {m1} is not a memdata node\n"
 
 
 @pytest.mark.parametrize("clock", ["0", "1e999", "NaN", "-5", "true",

@@ -184,9 +184,8 @@ def test_windows_by_id_are_built_on_first_read(pairsum_graph, pairsum_lib,
     ids = [n.id for n in cg.nodes.values()]
     assert w.asap == {i: w.asap_at[cg.at[i]] for i in ids}
     assert w.mobility == {i: w.alap[i] - w.asap[i] for i in ids}
-    assert w == s.TimeWindows(asap=dict(w.asap), alap=dict(w.alap),
-                              mobility=dict(w.mobility))
-    assert w != s.TimeWindows(asap={}, alap=w.alap, mobility=w.mobility)
+    assert w.alap == {i: w.alap_at[cg.at[i]] for i in ids}
+    assert list(w.asap) == [cg.ids[p] for p in cg.order]  # topological
 
 
 def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2):
@@ -305,7 +304,7 @@ def test_feasible_problems_have_consistent_windows(seed):
     cg, w = problem.cg, problem.windows
     rep = s.check_feasibility(cg, w, p.spec)
     if rep.feasible:
-        for n in cg.operations:
+        for n in cg.of_kind(s.CgKind.OP):
             assert w.asap[n.id] <= w.alap[n.id]
 
 

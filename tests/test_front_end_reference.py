@@ -9,7 +9,8 @@ rely only on the public graph API and on ``record_graph``, which builds a
 ``ConstraintGraph`` from ``CgNode`` records and id-pair edges.
 On hand-built invalid graphs the violation lists and raised messages must
 match; on the seeded random problems the lowered graphs (nodes in order,
-edges, per-kind lists, accesses, adjacency) and the windows must be equal.
+per-kind lists, accesses, adjacency, edge weights) and the windows must be
+equal.
 """
 
 import heapq
@@ -139,10 +140,15 @@ def record_graph(nodes, edges, latency_bound=None):
         pred[at[v]].append(at[u])
         succ[at[u]].append(at[v])
     return s.ConstraintGraph(
-        [(*n[:7], at.get(n.agent), *n[8:]) for n in nodes], pred, succ,
+        [(*n[:6], at.get(n.agent), *n[7:]) for n in nodes], pred, succ,
         topological_order(succ, map(len, pred)),
-        [[q for q in qs if nodes[q].kind is C.OP] for qs in succ], edges,
+        [[q for q in qs if nodes[q].kind is C.OP] for qs in succ],
         latency_bound)
+
+
+def edges_of(cg):
+    """The edges of ``cg`` as (u, v) id pairs, by source."""
+    return [(u, v) for u in cg.nodes for v in cg.successors(u)]
 
 
 def reference_build(g, lib):
@@ -160,8 +166,7 @@ def reference_build(g, lib):
         if n.kind is K.OPERATION:
             cls = lib.select(n.op)
             nodes.append(s.CgNode(id=n.id, kind=C.OP, latency=cls.latency,
-                                  label=n.name, op_class=cls.name,
-                                  symbol=n.op))
+                                  label=n.name, op_class=cls.name))
         elif n.kind is K.INPUT:
             nodes.append(s.CgNode(id=n.id, kind=C.INPUT, latency=0,
                                   label=n.name))
@@ -224,11 +229,19 @@ def reference_build(g, lib):
 
 
 def reference_apply_io(cg, tg, spec):
+    direction = {b.id: b.direction for b in spec.buses}
     offset_of = {}
     for t in tg:
         if t.node not in cg.nodes or cg.nodes[t.node].kind not in (
                 C.INPUT, C.OUTPUT):
             raise s.IoSpecError(f"transfer references unknown I/O node {t.node}")
+        kind = cg.nodes[t.node].kind
+        if direction[t.bus] == "in" and kind is not C.INPUT:
+            raise s.IoSpecError(
+                f"node {t.node} on input bus {t.bus!r} is not an input")
+        if direction[t.bus] == "out" and kind is not C.OUTPUT:
+            raise s.IoSpecError(
+                f"node {t.node} on output bus {t.bus!r} is not an output")
         if t.node in offset_of:
             raise s.IoSpecError(f"node {t.node} is transferred twice")
         offset_of[t.node] = t.offset
@@ -241,8 +254,10 @@ def reference_apply_io(cg, tg, spec):
                 n.id, spec.latency_bound - 1)))
         else:
             nodes.append(n)
-    return record_graph(nodes, list(cg.edges),
-                        latency_bound=spec.latency_bound)
+    # the same adjacency, lists in the same order
+    return s.ConstraintGraph(
+        [(*n[:6], cg.at.get(n.agent), *n[7:]) for n in nodes], cg.pred,
+        cg.succ, cg.order, cg.consumers, spec.latency_bound)
 
 
 # -- reference: windows -------------------------------------------------------
@@ -302,7 +317,7 @@ def reference_windows(cg):
             asap[n.id] = asap[n.agent] + cg.nodes[n.agent].latency
             alap[n.id] = alap[n.agent] + cg.nodes[n.agent].latency
     mobility = {i: alap[i] - asap[i] for i in cg.nodes}
-    return s.TimeWindows(asap=asap, alap=alap, mobility=mobility)
+    return asap, alap, mobility
 
 
 # -- comparisons --------------------------------------------------------------
@@ -316,7 +331,7 @@ def _outcome(fn, *args):
 
 def assert_same_graph(got, want):
     assert list(got.nodes.items()) == list(want.nodes.items())
-    assert got.edges == want.edges
+    assert edges_of(got) == edges_of(want)
     assert got.latency_bound == want.latency_bound
     for kind in C:
         assert got.of_kind(kind) == want.of_kind(kind), kind
@@ -324,7 +339,7 @@ def assert_same_graph(got, want):
         assert got.successors(i) == want.successors(i), i
         assert got.predecessors(i) == want.predecessors(i), i
         assert got.accesses_of(i) == want.accesses_of(i), i
-    for u, v in want.edges:
+    for u, v in edges_of(want):
         assert got.edge_weight(u, v) == reference_edge_weight(want, u, v)
 
 
@@ -337,7 +352,9 @@ def assert_same_lowering(g, lib, spec):
     want_io = reference_apply_io(want, tg, spec)
     assert_same_graph(got_io, want_io)
     assert_same_graph(got, want)  # the merge left its input as it was
-    assert s.compute_time_windows(got_io) == reference_windows(want_io)
+    got_windows = s.compute_time_windows(got_io)
+    assert (got_windows.asap, got_windows.alap, got_windows.mobility) == \
+        reference_windows(want_io)
 
 
 def test_random_problems_lower_as_the_reference_does():
@@ -471,22 +488,35 @@ def test_lowering_follows_ids_not_document_order():
 def test_io_merge_errors_match_the_reference():
     p = random_problem(3)
     cg = s.build_constraint_graph(p.g, p.lib)
-    op = cg.operations[0].id
-    for tg in ((s.Transfer(op, "b", 0),),
-               (s.Transfer(10 ** 6, "b", 0),),
-               (s.Transfer(p.g.inputs[0].id, "b", 0),
-                s.Transfer(p.g.inputs[0].id, "c", 1))):
-        got = _outcome(s.apply_io_constraints, cg, tg, p.spec)
-        assert got[0] == "IoSpecError"
-        assert got == _outcome(reference_apply_io, cg, tg, p.spec)
+    op = cg.of_kind(C.OP)[0].id
+    a, y = p.g.inputs[0].id, p.g.of_kind(K.OUTPUT)[0].id
+    spec = s.IoConstraintSpec(
+        buses=(s.BusDef("b", "in"), s.BusDef("c", "in"), s.BusDef("o", "out")),
+        transfers=(), cadence=4, latency_bound=4)
+    for tg, message in (
+            ((s.Transfer(op, "b", 0),),
+             f"transfer references unknown I/O node {op}"),
+            ((s.Transfer(10 ** 6, "b", 0),),
+             "transfer references unknown I/O node 1000000"),
+            ((s.Transfer(a, "b", 0), s.Transfer(a, "c", 1)),
+             f"node {a} is transferred twice"),
+            ((s.Transfer(a, "o", 0),),
+             f"node {a} on output bus 'o' is not an output"),
+            ((s.Transfer(a, "b", 0), s.Transfer(y, "c", 1),
+              s.Transfer(op, "o", 2)),
+             f"node {y} on input bus 'c' is not an input")):
+        got = _outcome(s.apply_io_constraints, cg, tg, spec)
+        assert got == ("IoSpecError", message)
+        assert got == _outcome(reference_apply_io, cg, tg, spec)
 
 
 def test_windows_of_a_cyclic_graph_fail_as_the_reference_does():
     p = random_problem(5)
     cg = s.apply_io_constraints(s.build_constraint_graph(p.g, p.lib),
                                 s.build_transfer_graph(p.spec), p.spec)
-    u, v = cg.edges[0]
-    looped = record_graph(list(cg.nodes.values()), list(cg.edges) + [(v, u)],
+    edges = edges_of(cg)
+    u, v = edges[0]
+    looped = record_graph(list(cg.nodes.values()), edges + [(v, u)],
                           latency_bound=cg.latency_bound)
     got = _outcome(s.compute_time_windows, looped)
     assert got == ("ValueError", "constraint graph contains a cycle")

@@ -5,13 +5,13 @@ import pytest
 import sfgsched as s
 
 
-def test_parse_io_spec(io_lat3, pairsum_graph):
+def test_parse_io_spec(io_lat3, pairsum_graph, pairsum_lib):
     assert io_lat3.cadence == 3
     assert io_lat3.latency_bound == 3
     assert {b.id for b in io_lat3.buses} == {"inA", "inB", "outC"}
     a = pairsum_graph.node_by_label("a").id
     assert any(t.node == a and t.offset == 0 for t in io_lat3.transfers)
-    assert io_lat3.validate(pairsum_graph) == []
+    s.lower(pairsum_graph, pairsum_lib, io_lat3)  # the graph's rules hold
 
 
 def test_unconstrained_defaults():
@@ -22,7 +22,7 @@ def test_unconstrained_defaults():
     assert spec2.cadence == 9
 
 
-def test_validate_catches_spec_problems(pairsum_graph):
+def test_validate_catches_spec_problems(pairsum_graph, pairsum_lib):
     a = pairsum_graph.node_by_label("a").id
     c = pairsum_graph.node_by_label("c").id
     bus_in = s.BusDef(id="bi", direction="in")
@@ -32,13 +32,18 @@ def test_validate_catches_spec_problems(pairsum_graph):
         return s.IoConstraintSpec(buses=buses, transfers=tuple(transfers),
                                   cadence=cadence, latency_bound=4)
 
-    # the graph's rules: a known node, of the kind its bus carries
-    assert spec([s.Transfer(999, "bi", 0)]).validate(pairsum_graph) == [
-        "transfer references unknown node 999"]
-    assert spec([s.Transfer(c, "bi", 0)]).validate(pairsum_graph) == [
-        f"node {c} on input bus 'bi' is not an input"]
-    assert spec([s.Transfer(a, "bo", 0)]).validate(pairsum_graph) == [
-        f"node {a} on output bus 'bo' is not an output"]
+    # the graph's rules, checked when lowering: a known input or output,
+    # of the kind its bus carries
+    for transfers, message in (
+            ([s.Transfer(999, "bi", 0)],
+             "transfer references unknown I/O node 999"),
+            ([s.Transfer(c, "bi", 0)],
+             f"node {c} on input bus 'bi' is not an input"),
+            ([s.Transfer(a, "bo", 0)],
+             f"node {a} on output bus 'bo' is not an output")):
+        with pytest.raises(s.IoSpecError) as err:
+            s.lower(pairsum_graph, pairsum_lib, spec(transfers))
+        assert str(err.value) == message
     # the rules that need no graph are checked when the spec is built
     two = [s.Transfer(a, "bi", 1),
            s.Transfer(pairsum_graph.node_by_label("b").id, "bi", 1)]
@@ -115,3 +120,24 @@ def test_parse_resolves_labels_and_rejects_junk(pairsum_graph):
     ):
         with pytest.raises(s.IoSpecError):
             s.parse_io_spec(json.dumps(broken), pairsum_graph)
+
+
+def test_an_input_on_an_output_bus_is_refused_on_every_path(
+        pairsum_graph, pairsum_lib, map_twobank):
+    """Pinning input ``a`` on an output bus fails the lowering, so neither
+    the scheduler nor the verifier, each lowering for itself, takes it."""
+    a = pairsum_graph.node_by_label("a").id
+    spec = s.IoConstraintSpec(
+        buses=(s.BusDef("bi", "in"), s.BusDef("bo", "out")),
+        transfers=(s.Transfer(a, "bo", 0),), cadence=3, latency_bound=3)
+    clean = s.schedule(pairsum_graph, pairsum_lib,
+                       s.IoConstraintSpec.unconstrained(3), map_twobank)
+    message = f"node {a} on output bus 'bo' is not an output"
+    for call, args in (
+            (s.lower, (pairsum_graph, pairsum_lib, spec)),
+            (s.schedule, (pairsum_graph, pairsum_lib, spec, map_twobank)),
+            (s.verify_schedule, (clean, pairsum_graph, pairsum_lib, spec,
+                                 map_twobank))):
+        with pytest.raises(s.IoSpecError) as err:
+            call(*args)
+        assert str(err.value) == message

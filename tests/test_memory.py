@@ -61,6 +61,12 @@ def test_auto_mapping_round_robin(pairsum_graph):
                                                banks=(s.Bank(id="b0"),)))
     assert one.placement_of(var1).address == 0
     assert one.placement_of(var2).address == 1
+    # an address a placement takes is stepped past
+    taken = s.apply_mapping(table, s.MappingSpec(
+        mode="auto", banks=(s.Bank(id="b0"),),
+        placements=(s.Placement(var1, "b0", 0),)))
+    assert taken.placement_of(var1).address == 0
+    assert taken.placement_of(var2).address == 1
 
 
 def test_mapping_rejects_conflicts(pairsum_graph):

@@ -26,7 +26,7 @@ def op_requests(cg, mapping):
     """Each operation's port requests, by op id: the (bank, address, cycle
     offset) of its reads at offset 0, then of its writes at its latency."""
     requests = {}
-    for n in cg.operations:
+    for n in cg.of_kind(C.OP):
         reads, writes = cg.accesses_of(n.id)
         requests[n.id] = [
             (p.bank, p.address, offset)
@@ -39,7 +39,7 @@ def reference_min_latency(g, lib, spec, mapping, instances=None):
     cg = s.apply_io_constraints(s.build_constraint_graph(g, lib),
                                 s.build_transfer_graph(spec), spec)
     windows = s.compute_time_windows(cg)
-    ops = [n.id for n in cg.operations]
+    ops = [n.id for n in cg.of_kind(C.OP)]
     lat = {o: cg.nodes[o].latency for o in ops}
     op_preds = {o: [p for p in cg.predecessors(o)
                     if cg.nodes[p].kind is C.OP] for o in ops}

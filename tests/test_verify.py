@@ -8,8 +8,8 @@ import pytest
 import sfgsched as s
 import experiments
 from instances import random_fft_problem, random_problem
-from mutations import (CAP_MUTATIONS, MUTATIONS, WRITE_MUTATIONS,
-                       fixed_allocation)
+from mutations import (CAP_MUTATIONS, DECLARED_BUS_MUTATIONS, MUTATIONS,
+                       WRITE_MUTATIONS, fixed_allocation)
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,23 @@ def gated_write():
     return s.schedule(g, lib, spec, mapping), g, lib, spec, mapping
 
 
-def test_clean_schedules_verify(golden_lat3, golden_lat2, gated_write):
+@pytest.fixture(scope="module")
+def spare_bus(pairsum_graph, pairsum_lib, map_twobank):
+    """Only ``a`` is pinned, on ``inA``; ``outC`` is declared but carries
+    nothing, and ``b`` goes on ``auto_in0`` at cycle 1."""
+    spec = s.IoConstraintSpec(
+        buses=(s.BusDef("inA", "in"), s.BusDef("outC", "out")),
+        transfers=(s.Transfer(pairsum_graph.node_by_label("a").id, "inA",
+                              0),),
+        cadence=4, latency_bound=4)
+    sched = s.schedule(pairsum_graph, pairsum_lib, spec, map_twobank)
+    return sched, pairsum_graph, pairsum_lib, spec, map_twobank
+
+
+def test_clean_schedules_verify(golden_lat3, golden_lat2, gated_write,
+                                spare_bus):
     for sched, g, lib, spec, mapping in (golden_lat3, golden_lat2,
-                                         gated_write):
+                                         gated_write, spare_bus):
         assert s.verify_schedule(sched, g, lib, spec, mapping) == []
 
 
@@ -84,9 +98,12 @@ def test_schedule_leaves_the_shared_problem_unchanged(which, golden_lat3,
     assert s.verify_schedule(shared, g, lib, spec, mapping,
                              problem=problem) == []
     fresh = s.lower(g, lib, spec)
-    assert problem.windows == fresh.windows
+    for column in ("asap_at", "alap_at", "mobility_at"):
+        assert getattr(problem.windows, column) == \
+            getattr(fresh.windows, column)
     assert problem.cg.nodes == fresh.cg.nodes
-    assert problem.cg.edges == fresh.cg.edges
+    assert (problem.cg.pred, problem.cg.succ) == (fresh.cg.pred,
+                                                  fresh.cg.succ)
     assert problem.cg.latency_bound == fresh.cg.latency_bound
 
 
@@ -133,8 +150,14 @@ SPECIFIC_WRITE = [
     ("flipped-synthesized", {"record"}, ["synthesized False, the"]),
 ]
 
+# The same on the schedule with a declared bus that carries nothing.
+SPECIFIC_DECLARED_BUS = [
+    ("synthesized-on-declared-bus", {"record"},
+     ["b synthesized on declared bus outC"]),
+]
 
-def test_mutation_kinds_are_specific(golden_lat3, gated_write):
+
+def test_mutation_kinds_are_specific(golden_lat3, gated_write, spare_bus):
     sched, g, lib, spec, mapping = golden_lat3
     from mutations import (late_start, corrupt_access_cost, drop_operation,
                            shift_output_transfer, collapse_sequence_numbers,
@@ -167,9 +190,10 @@ def test_mutation_kinds_are_specific(golden_lat3, gated_write):
     assert {v.kind for v in violations} == {"io-timing"}
     assert any("span 4 cycles, the latency bound is 3" in v.message
                for v in violations)
-    by_name = dict(MUTATIONS + WRITE_MUTATIONS)
+    by_name = dict(MUTATIONS + WRITE_MUTATIONS + DECLARED_BUS_MUTATIONS)
     for table, (sched, g, lib, spec, mapping) in (
-            (SPECIFIC, golden_lat3), (SPECIFIC_WRITE, gated_write)):
+            (SPECIFIC, golden_lat3), (SPECIFIC_WRITE, gated_write),
+            (SPECIFIC_DECLARED_BUS, spare_bus)):
         for name, kinds, fragments in table:
             broken = by_name[name](sched)
             assert broken.to_json() != sched.to_json(), name
