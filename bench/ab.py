@@ -36,11 +36,13 @@ under ``other``.  The script prints, per entry and for the whole pass and
 each stage, each tree's median and minimum time, the median of the
 per-round ratios change/parent and the number of rounds the change was
 faster.
-It also prints each tree's ``src/sfgsched/*.py`` line count.  ``--out``
+It also prints each tree's ``src/sfgsched/*.py`` line count, and the
+count of those lines that hold code (not blank, not only a comment, not
+in a docstring), so that a cut can be told from trimmed prose.  ``--out``
 writes the same, with every round's times (to the microsecond), the
 SHA-256 of the ``schedule.json`` and ``report.json`` bytes (over the
-entry's calls in order), the line counts (``src_lines``) and the host, as
-JSON.  The standard library is all it needs.
+entry's calls in order), the line counts (``src_lines`` and
+``src_code_lines``) and the host, as JSON.  The standard library is all it needs.
 
 ``setup`` times instead what perfbench's ``setup_s`` times for
 ``SETUP_WORKLOAD``: a round is one set-up by each tree, the two
@@ -62,6 +64,7 @@ before they show a change.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import gc
 import hashlib
@@ -74,6 +77,7 @@ import platform
 import statistics
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -290,6 +294,34 @@ def src_lines(src: Path) -> int:
                for f in (src / "sfgsched").glob("*.py"))
 
 
+#: tokens that make no line code
+NOT_CODE = frozenset((tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                      tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER))
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def src_code_lines(src: Path) -> int:
+    """The number of lines of the tree's ``sfgsched/*.py`` under ``src``
+    that hold code: not blank, not only a comment, not in a docstring."""
+    total = 0
+    for f in (src / "sfgsched").glob("*.py"):
+        text = f.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, DOCUMENTED) and node.body \
+                    and isinstance(node.body[0], ast.Expr) \
+                    and isinstance(node.body[0].value, ast.Constant) \
+                    and isinstance(node.body[0].value.value, str):
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+        code = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in NOT_CODE:
+                code.update(range(token.start[0], token.end[0] + 1))
+        total += len(code - docstrings)
+    return total
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True,
@@ -303,8 +335,11 @@ def main(argv=None) -> int:
 
     sources = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
     lines = {side: src_lines(src) for side, src in sources.items()}
+    code_lines = {side: src_code_lines(src) for side, src in sources.items()}
     print(f"src/sfgsched/*.py lines: parent {lines['parent']}, change "
           f"{lines['change']}")
+    print(f"src/sfgsched/*.py code lines: parent {code_lines['parent']}, "
+          f"change {code_lines['change']}")
     if args.workload == "setup":
         record = {
             "what": f"Set-up time of perfbench's {SETUP_WORKLOAD} workload "
@@ -326,6 +361,7 @@ def main(argv=None) -> int:
             "entries": measure_calls(args, sources)}
     record |= {"workload": args.workload, "rounds": args.rounds,
                "seed": args.seed, "src_lines": lines,
+               "src_code_lines": code_lines,
                "python": platform.python_version(),
                "cpu_count": os.cpu_count(), "platform": platform.platform()}
     if args.out:

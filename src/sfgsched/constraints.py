@@ -75,7 +75,7 @@ class CgNode(NamedTuple):
     """Constraint-graph node (a named tuple: immutable and hashable).  A
     ``ConstraintGraph`` keeps its nodes as columns and builds these records
     from them, with ``tuple.__new__`` and all nine fields spelled out, only
-    when asked for them (``nodes``, ``of_kind``).
+    when ``of_kind`` asks for them.
 
     ``latency`` is the node's occupancy in cycles (operator latency for ops,
     optimistic access time for read/write nodes, 0 for I/O events).  Access
@@ -95,10 +95,6 @@ class CgNode(NamedTuple):
     deadline: int | None = None
 
 
-#: builds a record from a tuple of all its fields (see ``CgNode``)
-_tuple_new = tuple.__new__
-
-
 class ConstraintGraph:
     """Immutable DAG of constraint-graph nodes, as columns by node position.
 
@@ -109,14 +105,13 @@ class ConstraintGraph:
     ``positions`` each kind's positions in order, ``pred``/``succ`` the
     adjacency and ``order`` a topological order (None on a cycle);
     ``consumers`` lists the operations each operation feeds (one per edge),
-    and ``reads``/``writes`` its accesses in creation order.  The records
-    (``nodes``, ``of_kind``) are built on first use.  ``latency_bound`` is
-    set once I/O constraints are applied.
+    and ``reads``/``writes`` its accesses in creation order.  ``of_kind``
+    builds the records of one kind.  ``latency_bound`` is set once I/O
+    constraints are applied.
     """
 
     def __init__(self, rows: list[tuple], pred: list, succ: list,
-                 order: list[int] | None, consumers: list,
-                 latency_bound: int | None = None):
+                 order: list[int] | None, consumers: list):
         # rows: the CgNode fields by position, ``agent`` as a position
         (self.ids, self.kind, self.latency, self.label, self.op_class,
          self.data, self.agent, self.arrival, self.deadline) = [
@@ -124,7 +119,7 @@ class ConstraintGraph:
         self.at = dict(zip(self.ids, range(len(rows))))
         self.pred, self.succ, self.order = pred, succ, order
         self.consumers = consumers
-        self.latency_bound = latency_bound
+        self.latency_bound: int | None = None
         self.positions: dict[CgKind | None, list[int]] = defaultdict(list)
         for p, kind in enumerate(self.kind):
             self.positions[kind].append(p)
@@ -135,41 +130,13 @@ class ConstraintGraph:
             for p in self.positions[kind]:
                 accesses.setdefault(self.agent[p], []).append(p)
 
-    @cached_property
-    def nodes(self) -> dict[int, CgNode]:
-        """The node records by id, in position order."""
-        return {self.ids[p]: self._record(p) for p in range(len(self.ids))
-                if self.kind[p] is not None}
-
-    def _record(self, p: int) -> CgNode:
-        agent = self.agent[p]
-        return _tuple_new(CgNode, (
-            self.ids[p], self.kind[p], self.latency[p], self.label[p],
-            self.op_class[p], self.data[p],
-            None if agent is None else self.ids[agent], self.arrival[p],
-            self.deadline[p]))
-
-    def successors(self, node_id: int) -> list[int]:
-        return [self.ids[q] for q in self.succ[self.at[node_id]]]
-
-    def predecessors(self, node_id: int) -> list[int]:
-        return [self.ids[q] for q in self.pred[self.at[node_id]]]
-
     def of_kind(self, kind: CgKind) -> list[CgNode]:
         """The nodes of one kind in position order."""
-        return list(map(self._record, self.positions[kind]))
-
-    def accesses_of(self, op_id: int) -> tuple[list[CgNode], list[CgNode]]:
-        """(reads, writes) belonging to an operation, in creation order."""
-        p = self.at[op_id]
-        return (list(map(self._record, self.reads.get(p, ()))),
-                list(map(self._record, self.writes.get(p, ()))))
-
-    def edge_weight(self, u: int, v: int) -> int:
-        """Minimum start-to-start distance implied by edge u -> v."""
-        pu = self.at[u]
-        to_output, other = _weights_from(self.kind[pu], self.latency[pu])
-        return to_output if self.kind[self.at[v]] is CgKind.OUTPUT else other
+        ids, agent = self.ids, self.agent
+        return [tuple.__new__(CgNode, (
+            ids[p], kind, self.latency[p], self.label[p], self.op_class[p],
+            self.data[p], None if agent[p] is None else ids[agent[p]],
+            self.arrival[p], self.deadline[p])) for p in self.positions[kind]]
 
 
 def _weights_from(kind: CgKind, latency: int) -> tuple[int, int]:
@@ -183,11 +150,10 @@ def _weights_from(kind: CgKind, latency: int) -> tuple[int, int]:
 
 class TimeWindows:
     """ASAP/ALAP start cycles and their difference (mobility), by node
-    position (``ConstraintGraph``) for the package's passes in ``asap_at``,
-    ``alap_at`` and ``mobility_at``, and by node id in ``asap``, ``alap``
-    and ``mobility``.  ``compute_time_windows`` gives the lists and the
-    graph's ``ids`` and ``order``, and each id-keyed dict is built from
-    them on first read.
+    position (``ConstraintGraph``) in ``asap_at``, ``alap_at`` and
+    ``mobility_at``.  ``compute_time_windows`` gives the lists and the
+    graph's ``ids`` and ``order``; ``asap``, the ASAP cycles by node id in
+    topological order, is built from them on first read.
 
     Windows can be inconsistent (negative mobility) for infeasible
     constraint sets; ``check_feasibility`` reports that, the computation
@@ -200,13 +166,10 @@ class TimeWindows:
             asap_at, alap_at, mobility_at
         self._ids, self._order = ids, order  # every node, no empty position
 
-    def _by_id(self, column: list[int]) -> dict[int, int]:
+    @cached_property
+    def asap(self) -> dict[int, int]:
         return dict(zip(map(self._ids.__getitem__, self._order),
-                        map(column.__getitem__, self._order)))
-
-    asap = cached_property(lambda self: self._by_id(self.asap_at))
-    alap = cached_property(lambda self: self._by_id(self.alap_at))
-    mobility = cached_property(lambda self: self._by_id(self.mobility_at))
+                        map(self.asap_at.__getitem__, self._order)))
 
 
 @dataclass(frozen=True)
@@ -356,8 +319,9 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
                          spec: IoConstraintSpec) -> ConstraintGraph:
     """Merge the transfer schedule into the constraint graph.
 
-    Each transfer must name an input on an ``in`` bus or an output on an
-    ``out`` bus, each node once, or ``IoSpecError`` is raised.
+    Each transfer must name an input on a declared ``in`` bus or an output
+    on a declared ``out`` bus, each node once, or ``IoSpecError`` is
+    raised.
     Constrained inputs get ``arrival = offset``; constrained outputs get
     ``deadline = offset`` (the producer may occupy cycles up to and
     including the transfer cycle).  Unconstrained inputs arrive at cycle 0;
@@ -368,6 +332,9 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
                for b in spec.buses}
     offset_of: dict[int, int] = {}  # by position
     for t in transfers:
+        if t.bus not in carries:
+            raise IoSpecError(
+                f"transfer of node {t.node}: unknown bus {t.bus!r}")
         p = cg.at.get(t.node)
         if p is None or cg.kind[p] not in (CgKind.INPUT, CgKind.OUTPUT):
             raise IoSpecError(f"transfer references unknown I/O node {t.node}")
@@ -381,7 +348,6 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
 
     new = copy.copy(cg)
     new.latency_bound = spec.latency_bound
-    vars(new).pop("nodes", None)  # records of the old arrivals and deadlines
     new.arrival, new.deadline = [None] * len(cg.ids), [None] * len(cg.ids)
     for p in cg.positions[CgKind.INPUT]:
         new.arrival[p] = offset_of.get(p, 0)

@@ -271,18 +271,6 @@ class SFG:
         (by document order among equal operand positions)."""
         return list(self._edges_into.get(node_id, ()))
 
-    def out_edges(self, node_id: int) -> list[Edge]:
-        """The edges out of ``node_id`` into known nodes."""
-        p = self._at.get(node_id)
-        return [] if p is None else [
-            e for d in dict.fromkeys(self._out[p])
-            for e in self.in_edges(self.ids[d]) if e.src == node_id]
-
-    def operands(self, node_id: int) -> list[int]:
-        """Producer ids of ``node_id`` in operand-position order."""
-        p = self._at.get(node_id)
-        return [] if p is None else [self.ids[s] for s in self._in[p]]
-
     def of_kind(self, kind: NodeKind) -> list[SfgNode]:
         """The nodes of one kind in id order."""
         return [_tuple_new(SfgNode, node) for node in zip(
@@ -358,9 +346,6 @@ class SFG:
         if not isinstance(other, SFG):
             return NotImplemented
         return self._sets() == other._sets()
-
-    def __hash__(self) -> int:
-        return hash(self._sets())
 
     def __repr__(self) -> str:
         return f"SFG({len(self._nodes[0])} nodes, {len(self._src)} edges)"
@@ -459,8 +444,8 @@ _OPTIONAL_STR = frozenset({str, type(None)})
 def _node_columns(items: list) -> tuple[list, list, list, list]:
     """The (ids, kinds, ops, labels) of the node records.  The checks run
     a column at a time; only when one fails are the records checked in
-    order, each record's checks in order, to word the first fault with
-    its ``nodes[i]`` context."""
+    order, each record's checks in order, and then one of them raises,
+    worded with its ``nodes[i]`` context."""
     try:
         if _DICT.issuperset(map(type, items)):
             ids = list(map(itemgetter("id"), items))
@@ -474,7 +459,6 @@ def _node_columns(items: list) -> tuple[list, list, list, list]:
                 return ids, kinds, ops, labels
     except (KeyError, TypeError):  # a missing key, an unhashable kind
         pass
-    records = []
     for i, obj in enumerate(items):
         if not isinstance(obj, dict):
             raise ParseError(f"nodes[{i}]: expected an object")
@@ -494,8 +478,6 @@ def _node_columns(items: list) -> tuple[list, list, list, list]:
         label = obj.get("label", "")
         if type(label) is not str:
             raise ParseError(f"nodes[{i}]: 'label' must be a string")
-        records.append((node_id, kind, op, label))
-    return tuple(map(list, zip(*records))) or ([], [], [], [])
 
 
 def _edge_columns(items: list) -> tuple[list, list, list]:
@@ -511,7 +493,6 @@ def _edge_columns(items: list) -> tuple[list, list, list]:
                 return src, dst, pos
     except KeyError:
         pass
-    records = []
     for i, obj in enumerate(items):
         if not isinstance(obj, dict):
             raise ParseError(f"edges[{i}]: expected an object")
@@ -523,8 +504,6 @@ def _edge_columns(items: list) -> tuple[list, list, list]:
         for name, val in (("from", src), ("to", dst), ("pos", pos)):
             if type(val) is not int or val < 0:  # the first bad field
                 raise ParseError(f"edges[{i}]: {name!r} must be a non-negative integer")
-        records.append((src, dst, pos))
-    return tuple(map(list, zip(*records))) or ([], [], [])
 
 
 def parse_sfg(text: str) -> SFG:

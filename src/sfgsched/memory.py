@@ -137,7 +137,9 @@ class MappingSpec:
 
 @dataclass(frozen=True)
 class MemoryMapping:
-    """Complete data-to-(bank, address) assignment."""
+    """Complete data-to-(bank, address) assignment: ``placements`` in
+    order, and by memdata id in ``_by_data``, which the scheduler and the
+    verifier read."""
 
     banks: tuple[Bank, ...]
     placements: tuple[Placement, ...]
@@ -167,9 +169,6 @@ class MemoryMapping:
 
     def bank(self, bank_id: str) -> Bank:
         return self._by_bank[bank_id]
-
-    def placement_of(self, data: int) -> Placement:
-        return self._by_data[data]
 
     def banks_used(self) -> tuple[str, ...]:
         used = {p.bank for p in self.placements}

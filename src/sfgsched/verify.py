@@ -5,12 +5,12 @@ lowered problem (constraint graph and time windows) and the mapping:
 dependencies, operator exclusivity, instances drawn from the recorded pool
 (and, under a fixed allocation, pools no larger than its counts), port
 capacity, access costs (replayed in reservation order), I/O timing and the
-latency bound, one transfer per bus and cycle (a declared bus only its
-pinned ones), time windows, the record's cadence and latency bound
-against the I/O constraints', and
-every record field the lowering fixes (the kind of node a record names,
-labels, an access's operation and kind, a transfer's direction and
-whether it is synthesized).  The lowering is either its own (``lower``)
+latency bound, one transfer per bus and cycle and one direction per bus
+(a declared bus only its pinned ones), time windows, the record's cadence
+and latency bound against the I/O constraints', and every record field
+the lowering fixes (the kind of node a record names, labels, an access's
+operation and kind, a transfer's direction and whether it is
+synthesized).  The lowering is either its own (``lower``)
 or a ``Problem`` shared by the caller; both are derived from the graph,
 library and I/O constraints alone, and the verifier only reads them.  It
 takes the timing rules from their one home, as the scheduler does: access
@@ -279,6 +279,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
 
     transfer_of = {}
     bus_user: dict[tuple[str, int], int] = {}
+    bus_side: dict[str, str] = {}  # the direction of a bus's first transfer
     OUTPUT = CgKind.OUTPUT
     for t in sched.transfers:
         if t.node in transfer_of:
@@ -293,6 +294,9 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
             out.append(Violation("bus-overlap",
                                  f"bus {t.bus} carries {other} and {t.node} "
                                  f"in cycle {t.cycle}", t.node))
+        if bus_side.setdefault(t.bus, t.direction) != t.direction:
+            out.append(Violation("bus-overlap", f"bus {t.bus} carries in "
+                                                f"and out transfers", t.node))
     # production dates and the latency need every I/O transfer recorded
     io_nodes = cg.positions[INPUT] + cg.positions[OUTPUT]
     cycles = {p: transfer_of[ids[p]].cycle for p in io_nodes

@@ -1,18 +1,38 @@
-"""Seeded random scheduling problems, small enough for the exhaustive
-oracle in verify.brute_force_min_latency.
+"""Seeded random scheduling problems.
 
 Every generator decision flows from one random.Random(seed) stream, so a
-seed pins the whole problem. Instances mix unconstrained and pinned I/O,
-one and two banks, single and dual ports, auto and fixed allocation, and
-include a slice of deliberately infeasible latency bounds.
+seed pins the whole problem.  ``random_problem`` draws the benchmark's
+own small problems (``perfbench/workloads.py``), small enough for the
+exhaustive oracle in verify.brute_force_min_latency: they mix
+unconstrained and pinned I/O, one and two banks, single and dual ports,
+auto and fixed allocation, and include a slice of deliberately infeasible
+latency bounds.  ``random_fft_problem`` draws FFTs under a random
+resource mix.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import sfgsched as s
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
 
 
 @dataclass
@@ -49,136 +69,12 @@ def _random_library(rng: random.Random) -> s.OperatorLibrary:
     return s.OperatorLibrary(classes=classes)
 
 
-def _random_graph(rng: random.Random) -> s.SFG:
-    nodes: list[s.SfgNode] = []
-    edges: list[tuple[int, int, int]] = []
-
-    def add(kind: s.NodeKind, op: str | None = None, label: str = "") -> int:
-        nodes.append(s.SfgNode(id=len(nodes), kind=kind, op=op, label=label))
-        return len(nodes) - 1
-
-    inputs = [add(s.NodeKind.INPUT, label=f"in{i}")
-              for i in range(rng.randint(1, 3))]
-    romem = [add(s.NodeKind.MEMDATA, label=f"d{i}")
-             for i in range(rng.randint(0, 2))]
-    const = add(s.NodeKind.CONSTANT, label="one") if rng.random() < 0.3 else None
-
-    n_ops = rng.randint(1, 6)
-    # at most one memory write; readers must be later ops (keeps the DAG)
-    writer_pos = rng.randrange(n_ops) if n_ops >= 2 and rng.random() < 0.35 \
-        else None
-    ops: list[int] = []
-    written: int | None = None
-    for i in range(n_ops):
-        pool = inputs + romem + ops
-        if written is not None:
-            pool = pool + [written]
-        if const is not None and rng.random() < 0.25:
-            pool = pool + [const]
-        o = add(s.NodeKind.OPERATION, op=rng.choice("+-*"), label=f"o{i}")
-        for pos in range(2):
-            edges.append((rng.choice(pool), o, pos))
-        ops.append(o)
-        if writer_pos == i:
-            written = add(s.NodeKind.MEMDATA, label="w0")
-            edges.append((o, written, 0))
-
-    consumed = {e[0] for e in edges}
-    n_out = 0
-    for o in ops:
-        if o not in consumed or rng.random() < 0.2:
-            out = add(s.NodeKind.OUTPUT, label=f"out{n_out}")
-            edges.append((o, out, 0))
-            n_out += 1
-    if rng.random() < 0.15:
-        out = add(s.NodeKind.OUTPUT, label=f"out{n_out}")
-        edges.append((rng.choice(inputs), out, 0))
-        n_out += 1
-    if n_out == 0:
-        out = add(s.NodeKind.OUTPUT, label="out0")
-        edges.append((ops[-1], out, 0))
-
-    g = s.SFG(nodes, edges)
-    assert not s.validate_sfg(g), s.validate_sfg(g)
-    return g
-
-
-def _random_mapping(rng: random.Random, g: s.SFG) -> s.MemoryMapping:
-    banks = tuple(s.Bank(id=f"bank{i}", ports=rng.randint(1, 2), t_seq=1,
-                         t_rand=rng.randint(1, 2))
-                  for i in range(rng.randint(1, 2)))
-    table = s.extract_memory_table(g)
-    if rng.random() < 0.3 and table.data_ids:
-        # strict placement with occasional address gaps (breaks bursts)
-        placements = []
-        nxt = {b.id: 0 for b in banks}
-        order = sorted(table.data_ids)
-        rng.shuffle(order)
-        for d in order:
-            b = rng.choice(banks).id
-            nxt[b] += rng.randint(0, 1)
-            placements.append(s.Placement(data=d, bank=b, address=nxt[b]))
-            nxt[b] += 1
-        spec = s.MappingSpec(mode="strict", banks=banks,
-                             placements=tuple(placements))
-    else:
-        spec = s.MappingSpec(mode="auto", banks=banks)
-    return s.apply_mapping(table, spec)
-
-
-def _random_io(rng: random.Random, g: s.SFG,
-               lib: s.OperatorLibrary) -> s.IoConstraintSpec:
-    buses: list[s.BusDef] = []
-    transfers: list[s.Transfer] = []
-    if rng.random() < 0.5:
-        for k, n in enumerate(g.inputs):
-            buses.append(s.BusDef(id=f"bi{k}", direction="in"))
-            transfers.append(s.Transfer(node=n.id, bus=f"bi{k}",
-                                        offset=rng.randint(0, 2)))
-
-    probe = s.IoConstraintSpec(buses=tuple(buses), transfers=tuple(transfers),
-                               cadence=64, latency_bound=64)
-    problem = s.lower(g, lib, probe)
-    cg, win = problem.cg, problem.windows
-    out_asap = {n.id: win.asap[n.id] for n in cg.of_kind(s.CgKind.OUTPUT)}
-    ceiling = max(out_asap.values())
-
-    if rng.random() < 0.15:
-        bound = max(1, ceiling - rng.randint(0, 2))  # usually too tight
-    else:
-        bound = ceiling + 1 + rng.randint(0, 3)
-        if transfers:
-            for k, n in enumerate(cg.of_kind(s.CgKind.OUTPUT)):
-                if rng.random() >= 0.5:
-                    continue
-                if rng.random() < 0.1:
-                    off = max(0, out_asap[n.id] - 1)  # usually unmeetable
-                else:
-                    off = min(out_asap[n.id] + rng.randint(0, 2), bound - 1)
-                buses.append(s.BusDef(id=f"bo{k}", direction="out"))
-                transfers.append(s.Transfer(node=n.id, bus=f"bo{k}",
-                                            offset=off))
-
-    floor = max((t.offset + 1 for t in transfers), default=1)
-    return s.IoConstraintSpec(buses=tuple(buses), transfers=tuple(transfers),
-                              cadence=max(bound, floor) + rng.randint(0, 2),
-                              latency_bound=bound)
-
-
 def random_problem(seed: int) -> Problem:
-    rng = random.Random(seed)
-    g = _random_graph(rng)
-    lib = _random_library(rng)
-    mapping = _random_mapping(rng, g)
-    spec = _random_io(rng, g, lib)
-    s.lower(g, lib, spec)  # refuses a transfer its bus cannot carry
-
-    used = {lib.select(n.op).name for n in g.operations}
-    if rng.random() < 0.5:
-        caps = {c: rng.randint(1, 2) for c in sorted(used)}
-        alloc = s.Allocation(mode="fixed", counts=tuple(sorted(caps.items())))
-        return Problem(seed, g, lib, spec, mapping, alloc, caps)
-    return Problem(seed, g, lib, spec, mapping, s.Allocation(mode="auto"), None)
+    """The benchmark's kernel_sweep problem of ``seed``
+    (``workloads.sweep_problem``)."""
+    p = workloads.sweep_problem(s, seed)
+    return Problem(seed, p.g, p.lib, p.spec, p.mapping,
+                   s.parse_allocation(p.alloc), p.caps)
 
 
 def random_fft_problem(seed: int) -> Problem:

@@ -310,6 +310,21 @@ DECLARED_BUS_MUTATIONS = [
     ("synthesized-on-declared-bus", synthesized_on_declared_bus),
 ]
 
+def output_on_input_bus(sched: s.Schedule) -> s.Schedule:
+    """Move the last output transfer onto the bus of the first input
+    transfer, in a cycle that bus leaves free."""
+    bus = next(t.bus for t in sched.transfers if t.direction == "in")
+    victim = [t for t in sched.transfers if t.direction == "out"][-1]
+    return replace(sched, transfers=tuple(
+        t._replace(bus=bus) if t is victim else t for t in sched.transfers))
+
+
+# Need every transfer synthesized, so that no pinned bus is moved: check
+# these on a schedule with free I/O.
+FREE_IO_MUTATIONS = [
+    ("output-on-input-bus", output_on_input_bus),
+]
+
 # Breaks only a fixed allocation's caps, which the verifier knows when it
 # is given the allocation: check these under ``fixed_allocation(sched)``.
 CAP_MUTATIONS = [

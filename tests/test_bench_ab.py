@@ -3,8 +3,8 @@ module and skips a name a tree lacks: renaming one in ``src/`` must fail
 here, not move that stage's time silently into ``other``.  Its ``setup``
 workload times a fresh import, the generator and the documents of each
 tree on their own, and refuses trees whose documents differ.  Its record
-carries each tree's ``src/sfgsched`` line count and keeps sub-millisecond
-times to the microsecond."""
+carries each tree's ``src/sfgsched`` line count, and its count of code
+lines, and keeps sub-millisecond times to the microsecond."""
 
 import importlib.util
 import json
@@ -71,9 +71,34 @@ def test_record_carries_the_src_line_counts(ab, tmp_path, capsys):
                     "--rounds", "1", "--out", str(out)]) == 0
     n = sum(len(f.read_text().splitlines())
             for f in (ROOT / "src" / "sfgsched").glob("*.py"))
-    assert json.loads(out.read_text())["src_lines"] == {"parent": n,
-                                                        "change": n}
-    assert f"lines: parent {n}, change {n}" in capsys.readouterr().out
+    code = ab.src_code_lines(ROOT / "src")
+    record = json.loads(out.read_text())
+    assert record["src_lines"] == {"parent": n, "change": n}
+    assert record["src_code_lines"] == {"parent": code, "change": code}
+    printed = capsys.readouterr().out
+    assert f"lines: parent {n}, change {n}" in printed
+    assert f"code lines: parent {code}, change {code}" in printed
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings(ab, tmp_path):
+    package = tmp_path / "sfgsched"
+    package.mkdir()
+    (package / "m.py").write_text(
+        '"""A module\n\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # a comment after code\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """One line."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Two\n        lines."""\n'
+        '        return """a string\n        in code"""\n')
+    assert ab.src_lines(tmp_path) == 16
+    # X = 1, class C, def f and the two lines of the returned string
+    assert ab.src_code_lines(tmp_path) == 5
 
 
 def test_record_keeps_sub_millisecond_times(ab, capsys):

@@ -3,28 +3,12 @@ package's public names (ROADMAP's "Names the benchmark depends on").
 Building and running some of them here makes a deletion or a rename of
 one of those names fail here, not in the first benchmark run."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import sfgsched as s
+from instances import workloads
 from sfgsched import cli
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
-    / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_workload_problems_build_write_and_run(tmp_path):
-    workloads = _load_workloads()
     sweep = [workloads.sweep_problem(s, seed) for seed in range(20)]
     problems = sweep + workloads.fft64_pinned(s, 1)
     codes = [cli.main(workloads.write_problem(s, p, tmp_path / p.name))

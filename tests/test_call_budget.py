@@ -1,14 +1,12 @@
 """No per-element interpreter calls that the code does not show.
 
 A named tuple built by calling its class runs the class's Python-level
-``__new__``; a bound-method call for an adjacency list and a slot-span
-computed again at commit time are each one more interpreter call.  The
-package's per-element paths avoid all of them, so a ``report`` call
-through the CLI on a 16-point FFT (``scale_config``: 401 graph nodes and
-688 edges) enters none of those code objects once per element, nor the
-``SfgNode.name`` property or ``MemoryMapping.placement_of``, and
-``Bank.span`` once per access fitted plus once per access the verifier
-replays.  Only ``SchedulerState.cost`` probes the port table, once per
+``__new__``, and a slot-span computed again at commit time is one more
+interpreter call.  The package's per-element paths avoid both, so a
+``report`` call through the CLI on a 16-point FFT (``scale_config``: 401
+graph nodes and 688 edges) enters none of those code objects once per
+element, nor the ``SfgNode.name`` property, and ``Bank.span`` once per
+access fitted plus once per access the verifier replays.  Only ``SchedulerState.cost`` probes the port table, once per
 call on an op with accesses.
 
 The fixed cost of a call is held the same way: its arguments go through
@@ -35,13 +33,8 @@ BUDGET = 4
 def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
     watched = {cls.__new__.__code__: f"{cls.__name__}.__new__"
                for cls in RECORDS}
-    for name in ("predecessors", "successors"):
-        watched[getattr(s.ConstraintGraph, name).__code__] = \
-            f"ConstraintGraph.{name}"
-    # a label read through the name rule, a placement through the method
+    # a label read through the name rule
     watched[s.SfgNode.name.fget.__code__] = "SfgNode.name"
-    watched[s.MemoryMapping.placement_of.__code__] = \
-        "MemoryMapping.placement_of"
     span, fit = s.Bank.span.__code__, PortAccessTable.fit.__code__
     probe = PortAccessTable.probe.__code__
     cost = s.SchedulerState.cost.__code__

@@ -138,6 +138,28 @@ def test_latency_bound_reached_with_operations_pending_exit_3(tmp_path,
         "class add, latency bound reached with operations pending\n")
 
 
+def test_a_lone_input_schedules_in_one_cycle(tmp_path, capsys):
+    """With no operation and no output the achieved latency is the one
+    cycle of the input transfer."""
+    graph = {"nodes": [{"id": 0, "kind": "input", "label": "a"}],
+             "edges": []}
+    lib = {"classes": [{"name": "add", "ops": ["+"], "latency": 1}]}
+    g = s.parse_sfg(json.dumps(graph))
+    sched = s.schedule(g, s.parse_operator_library(json.dumps(lib)),
+                       s.IoConstraintSpec.unconstrained(3),
+                       s.apply_mapping(s.extract_memory_table(g),
+                                       s.MappingSpec(mode="auto", banks=())))
+    assert (sched.ops, sched.achieved_latency) == ((), 1)
+    argv = ["report", "--latency", "3", "--out", str(tmp_path / "out")]
+    for name, doc in (("graph", graph), ("lib", lib)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "latency             1 cycles (bound 3, cadence 3)" in lines
+    assert "registers (est.)    1" in lines
+
+
 def test_verifier_rejection_exit_3(pairsum_dir, monkeypatch, capsys):
     """A schedule the verifier rejects is reported as such, after its
     violations, not as a time window at cycle 0."""

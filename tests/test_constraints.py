@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import sfgsched as s
 from instances import random_problem
+from sfgsched.constraints import _weights_from as weights_from
 
 K = s.NodeKind
 C = s.CgKind
@@ -15,25 +16,22 @@ ALU = s.OperatorLibrary(classes=(s.OperatorClass("alu", frozenset("+-*"), 1),))
 
 def test_constraint_graph_structure(pairsum_graph, pairsum_lib):
     cg = s.build_constraint_graph(pairsum_graph, pairsum_lib)
-    kinds = {}
-    for n in cg.nodes.values():
-        kinds.setdefault(n.kind, []).append(n.id)
+    kinds = {k: [n.id for n in cg.of_kind(k)] for k in C}
     assert len(kinds[C.INPUT]) == 2
     assert len(kinds[C.OP]) == 3
     assert len(kinds[C.OUTPUT]) == 1
     assert len(kinds[C.READ]) == 2
-    assert C.WRITE not in kinds
+    assert kinds[C.WRITE] == []
     # operations, inputs, outputs keep their graph ids
     assert set(kinds[C.OP]) == {4, 5, 6}
-    m1 = pairsum_graph.node_by_label("m1").id
-    reads, writes = cg.accesses_of(m1)
-    assert writes == []
-    assert len(reads) == 1
-    rd = reads[0]
-    assert rd.agent == m1
-    assert rd.data == pairsum_graph.node_by_label("var1").id
-    assert cg.nodes[m1].op_class == "mult"
-    assert cg.nodes[m1].latency == 1
+    m1 = cg.at[pairsum_graph.node_by_label("m1").id]
+    assert m1 not in cg.writes
+    assert len(cg.reads[m1]) == 1
+    rd = cg.reads[m1][0]
+    assert cg.agent[rd] == m1
+    assert cg.data[rd] == pairsum_graph.node_by_label("var1").id
+    assert cg.op_class[m1] == "mult"
+    assert cg.latency[m1] == 1
 
 
 def test_directly_built_invalid_graph_is_rejected():
@@ -47,30 +45,37 @@ def test_directly_built_invalid_graph_is_rejected():
 
 def test_edge_weights(pairsum_graph, pairsum_lib, io_lat3):
     cg = s.lower(pairsum_graph, pairsum_lib, io_lat3).cg
-    a, m1, add1, c = (pairsum_graph.node_by_label(x).id
+    a, m1, add1, c = (cg.at[pairsum_graph.node_by_label(x).id]
                       for x in ("a", "m1", "add1", "c"))
-    rd = cg.accesses_of(m1)[0][0].id
-    assert cg.edge_weight(a, m1) == 0       # value usable the arrival cycle
-    assert cg.edge_weight(rd, m1) == 0      # read feeds the consumer directly
-    assert cg.edge_weight(m1, add1) == 1    # full operator latency
-    assert cg.edge_weight(add1, c) == 0     # drive the bus while producing
+    rd = cg.reads[m1][0]
+    assert cg.pred[m1] == [a, rd] and m1 in cg.pred[add1] \
+        and cg.pred[c] == [add1]
+    # (into an output, into any other node), by the source's kind and latency
+    weights = {p: weights_from(cg.kind[p], cg.latency[p])
+               for p in (a, rd, m1, add1)}
+    assert weights[a][1] == 0       # value usable the arrival cycle
+    assert weights[rd][1] == 0      # read feeds the consumer directly
+    assert weights[m1][1] == 1      # full operator latency
+    assert weights[add1][0] == 0    # drive the bus while producing
 
 
 def test_windows_match_hand_computed_values(pairsum_graph, pairsum_lib, io_lat3):
-    w = s.lower(pairsum_graph, pairsum_lib, io_lat3).windows
+    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
+    cg, w = problem.cg, problem.windows
     expect = {4: (0, 1), 5: (0, 1), 6: (1, 2), 7: (1, 2)}
     for nid, (lo, hi) in expect.items():
-        assert (w.asap[nid], w.alap[nid]) == (lo, hi)
-        assert w.mobility[nid] == hi - lo == 1
+        p = cg.at[nid]
+        assert (w.asap_at[p], w.alap_at[p]) == (lo, hi)
+        assert w.mobility_at[p] == hi - lo == 1
 
 
 def test_access_windows_follow_their_operation(pairsum_graph, pairsum_lib, io_lat3):
     problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
     cg, w = problem.cg, problem.windows
-    for n in cg.nodes.values():
-        if n.kind is C.READ:
-            assert w.asap[n.id] == w.asap[n.agent]
-            assert w.alap[n.id] == w.alap[n.agent]
+    assert cg.positions[C.READ]
+    for p in cg.positions[C.READ]:
+        assert w.asap_at[p] == w.asap_at[cg.agent[p]]
+        assert w.alap_at[p] == w.alap_at[cg.agent[p]]
 
 
 def test_windows_require_latency_bound(pairsum_graph, pairsum_lib):
@@ -88,12 +93,11 @@ def test_write_nodes_created_for_stored_results():
     edges = [(0, 1, 0), (0, 1, 1), (1, 2, 0), (2, 3, 0), (0, 3, 1), (3, 4, 0)]
     g = s.SFG(nodes, edges)
     cg = s.build_constraint_graph(g, ALU)
-    r0, w0 = cg.accesses_of(1)
-    assert len(w0) == 1 and not r0
-    r1, w1 = cg.accesses_of(3)
-    assert len(r1) == 1 and not w1
+    o0, o1 = cg.at[1], cg.at[3]
+    assert len(cg.writes[o0]) == 1 and o0 not in cg.reads
+    assert len(cg.reads[o1]) == 1 and o1 not in cg.writes
     # the stored value chains writer -> read -> consumer
-    assert r1[0].id in cg.successors(w0[0].id)
+    assert cg.reads[o1][0] in cg.succ[cg.writes[o0][0]]
 
 
 @pytest.mark.parametrize("nodes,edges", [
@@ -135,8 +139,8 @@ def test_apply_io_constraints_sets_dates(pairsum_graph, pairsum_lib, io_lat3):
     cg = s.lower(pairsum_graph, pairsum_lib, io_lat3).cg
     a = pairsum_graph.node_by_label("a").id
     c = pairsum_graph.node_by_label("c").id
-    assert cg.nodes[a].arrival == 0
-    assert cg.nodes[c].deadline == 2
+    assert cg.arrival[cg.at[a]] == 0
+    assert cg.deadline[cg.at[c]] == 2
     assert cg.latency_bound == 3
 
 
@@ -144,8 +148,8 @@ def test_apply_io_constraints_defaults_without_transfers(pairsum_graph, pairsum_
     spec = s.IoConstraintSpec.unconstrained(latency_bound=5)
     cg = s.lower(pairsum_graph, pairsum_lib, spec).cg
     c = pairsum_graph.node_by_label("c").id
-    assert cg.nodes[c].deadline == 4  # free outputs only face the bound
-    assert cg.nodes[pairsum_graph.node_by_label("a").id].arrival == 0
+    assert cg.deadline[cg.at[c]] == 4  # free outputs only face the bound
+    assert cg.arrival[cg.at[pairsum_graph.node_by_label("a").id]] == 0
 
 
 def test_apply_io_constraints_rejects_bad_transfers(pairsum_graph, pairsum_lib):
@@ -163,6 +167,11 @@ def test_apply_io_constraints_rejects_bad_transfers(pairsum_graph, pairsum_lib):
         cadence=3, latency_bound=3)
     with pytest.raises(ValueError):
         s.apply_io_constraints(base, s.build_transfer_graph(dup), dup)
+    # transfers given apart from the spec may name a bus it lacks
+    spec = s.IoConstraintSpec.unconstrained(3)
+    with pytest.raises(s.IoSpecError) as err:
+        s.apply_io_constraints(base, (s.Transfer(a, "zz", 0),), spec)
+    assert str(err.value) == f"transfer of node {a}: unknown bus 'zz'"
 
 
 def test_apply_io_constraints_idempotent(pairsum_graph, pairsum_lib, io_lat3):
@@ -171,20 +180,17 @@ def test_apply_io_constraints_idempotent(pairsum_graph, pairsum_lib, io_lat3):
     tg = s.build_transfer_graph(io_lat3)
     cg2 = s.apply_io_constraints(cg1, tg, io_lat3)
     w2 = s.compute_time_windows(cg2)
-    assert w1.asap == w2.asap and w1.alap == w2.alap
-    assert {i: n.deadline for i, n in cg1.nodes.items()} == \
-           {i: n.deadline for i, n in cg2.nodes.items()}
+    assert w1.asap_at == w2.asap_at and w1.alap_at == w2.alap_at
+    assert cg1.deadline == cg2.deadline and cg1.arrival == cg2.arrival
 
 
 def test_windows_by_id_are_built_on_first_read(pairsum_graph, pairsum_lib,
                                                io_lat3):
     problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
     cg, w = problem.cg, problem.windows
-    assert {"asap", "alap", "mobility"}.isdisjoint(vars(w))
-    ids = [n.id for n in cg.nodes.values()]
-    assert w.asap == {i: w.asap_at[cg.at[i]] for i in ids}
-    assert w.mobility == {i: w.alap[i] - w.asap[i] for i in ids}
-    assert w.alap == {i: w.alap_at[cg.at[i]] for i in ids}
+    assert "asap" not in vars(w)
+    assert w.asap == {cg.ids[p]: w.asap_at[p]
+                      for p, k in enumerate(cg.kind) if k is not None}
     assert list(w.asap) == [cg.ids[p] for p in cg.order]  # topological
 
 
@@ -289,11 +295,12 @@ def test_window_edge_inequalities(seed):
     p = random_problem(seed)
     problem = s.lower(p.g, p.lib, p.spec)
     cg, w = problem.cg, problem.windows
-    for u in cg.nodes:
-        for v in cg.successors(u):
-            wt = cg.edge_weight(u, v)
-            assert w.asap[v] >= w.asap[u] + wt
-            assert w.alap[u] <= w.alap[v] - wt
+    for u, vs in enumerate(cg.succ):
+        to_output, other = weights_from(cg.kind[u], cg.latency[u])
+        for v in vs:
+            wt = to_output if cg.kind[v] is C.OUTPUT else other
+            assert w.asap_at[v] >= w.asap_at[u] + wt
+            assert w.alap_at[u] <= w.alap_at[v] - wt
 
 
 @settings(max_examples=50, deadline=None)
@@ -304,8 +311,8 @@ def test_feasible_problems_have_consistent_windows(seed):
     cg, w = problem.cg, problem.windows
     rep = s.check_feasibility(cg, w, p.spec)
     if rep.feasible:
-        for n in cg.of_kind(s.CgKind.OP):
-            assert w.asap[n.id] <= w.alap[n.id]
+        for p in cg.positions[C.OP]:
+            assert w.asap_at[p] <= w.alap_at[p]
 
 
 def test_static_checks_match_unlimited_resource_search():

@@ -57,10 +57,10 @@ def _evaluate(g: s.SFG, x: list[float]) -> np.ndarray:
     for nd in sorted(g.nodes, key=lambda nd: nd.id):
         nid = nd.id
         if nd.kind is K.OPERATION:
-            a, b = (val[p] for p in g.operands(nid))
+            a, b = (val[e.src] for e in g.in_edges(nid))
             val[nid] = fn[nd.op](a, b)
         elif nd.kind is K.OUTPUT:
-            val[nid] = val[g.operands(nid)[0]]
+            val[nid] = val[g.in_edges(nid)[0].src]
     out = np.zeros(n, dtype=complex)
     for nd in g.of_kind(K.OUTPUT):
         k = int(nd.label[2:])

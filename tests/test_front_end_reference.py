@@ -5,16 +5,17 @@ replaced: validation with a per-node edge scan and a depth-first cycle
 search, the lowering that sorted every edge twice and selected an
 operator class per operation, the I/O merge that rebuilt the whole
 constraint graph, and windows over a heap-ordered topological sort.  They
-rely only on the public graph API and on ``record_graph``, which builds a
-``ConstraintGraph`` from ``CgNode`` records and id-pair edges.
-On hand-built invalid graphs the violation lists and raised messages must
-match; on the seeded random problems the lowered graphs (nodes in order,
-per-kind lists, accesses, adjacency, edge weights) and the windows must be
-equal.
+rely only on the public graph API, the constraint graph's columns and
+``record_graph``, which builds a ``ConstraintGraph`` from ``CgNode``
+records and id-pair edges.  On hand-built invalid graphs the violation
+lists and raised messages must match; on the seeded random problems the
+lowered graphs (node ids in position order, per-kind records, adjacency,
+accesses) and the windows must be equal.
 """
 
 import heapq
 import json
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -38,10 +39,12 @@ def reference_find_cycle(g):
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {i: WHITE for i in by_id}
     parent = {}
+    targets = {u: [e.dst for e in out]  # by source, in target order
+               for u, out in groupby(sorted(g.edges), key=lambda e: e.src)}
     for root in sorted(color):
         if color[root] != WHITE:
             continue
-        stack = [(root, iter(sorted(e.dst for e in g.out_edges(root))))]
+        stack = [(root, iter(targets.get(root, ())))]
         color[root] = GRAY
         while stack:
             u, it = stack[-1]
@@ -52,8 +55,7 @@ def reference_find_cycle(g):
                 if color[v] == WHITE:
                     color[v] = GRAY
                     parent[v] = u
-                    stack.append((v, iter(sorted(e.dst
-                                                 for e in g.out_edges(v)))))
+                    stack.append((v, iter(targets.get(v, ()))))
                     advanced = True
                     break
                 if color[v] == GRAY:
@@ -89,9 +91,9 @@ def reference_violations(g):
         if e in seen:
             out.append(f"duplicate edge {e.src}->{e.dst} at position {e.pos}")
         seen.add(e)
+    feeding = {e.src for e in g.edges if e.dst in by_id}
     for n in sorted(by_id.values(), key=lambda n: n.id):
         fan_in = [e for e in g.in_edges(n.id) if e.src in by_id]
-        fan_out = [e for e in g.out_edges(n.id) if e.dst in by_id]
         if n.kind is K.OPERATION:
             if n.op is None:
                 out.append(f"operation node {n.id} has no operation symbol")
@@ -120,7 +122,7 @@ def reference_violations(g):
                 if len(fan_in) != 1:
                     out.append(f"output node {n.id} has {len(fan_in)} incoming "
                                f"edges, expected 1")
-                if fan_out:
+                if n.id in feeding:
                     out.append(f"output node {n.id} has outgoing edges")
     cycle = reference_find_cycle(g)
     if cycle is not None:
@@ -139,16 +141,18 @@ def record_graph(nodes, edges, latency_bound=None):
     for u, v in edges:
         pred[at[v]].append(at[u])
         succ[at[u]].append(at[v])
-    return s.ConstraintGraph(
+    cg = s.ConstraintGraph(
         [(*n[:6], at.get(n.agent), *n[7:]) for n in nodes], pred, succ,
         topological_order(succ, map(len, pred)),
-        [[q for q in qs if nodes[q].kind is C.OP] for qs in succ],
-        latency_bound)
+        [[q for q in qs if nodes[q].kind is C.OP] for qs in succ])
+    cg.latency_bound = latency_bound
+    return cg
 
 
 def edges_of(cg):
-    """The edges of ``cg`` as (u, v) id pairs, by source."""
-    return [(u, v) for u in cg.nodes for v in cg.successors(u)]
+    """The edges of ``cg`` as (u, v) id pairs, by source position."""
+    return [(cg.ids[u], cg.ids[v]) for u, vs in enumerate(cg.succ)
+            for v in vs]
 
 
 def reference_build(g, lib):
@@ -232,10 +236,13 @@ def reference_apply_io(cg, tg, spec):
     direction = {b.id: b.direction for b in spec.buses}
     offset_of = {}
     for t in tg:
-        if t.node not in cg.nodes or cg.nodes[t.node].kind not in (
+        if t.bus not in direction:
+            raise s.IoSpecError(
+                f"transfer of node {t.node}: unknown bus {t.bus!r}")
+        if t.node not in cg.at or cg.kind[cg.at[t.node]] not in (
                 C.INPUT, C.OUTPUT):
             raise s.IoSpecError(f"transfer references unknown I/O node {t.node}")
-        kind = cg.nodes[t.node].kind
+        kind = cg.kind[cg.at[t.node]]
         if direction[t.bus] == "in" and kind is not C.INPUT:
             raise s.IoSpecError(
                 f"node {t.node} on input bus {t.bus!r} is not an input")
@@ -245,79 +252,80 @@ def reference_apply_io(cg, tg, spec):
         if t.node in offset_of:
             raise s.IoSpecError(f"node {t.node} is transferred twice")
         offset_of[t.node] = t.offset
-    nodes = []
-    for n in cg.nodes.values():
-        if n.kind is C.INPUT:
-            nodes.append(n._replace(arrival=offset_of.get(n.id, 0)))
-        elif n.kind is C.OUTPUT:
-            nodes.append(n._replace(deadline=offset_of.get(
-                n.id, spec.latency_bound - 1)))
-        else:
-            nodes.append(n)
-    # the same adjacency, lists in the same order
-    return s.ConstraintGraph(
-        [(*n[:6], cg.at.get(n.agent), *n[7:]) for n in nodes], cg.pred,
-        cg.succ, cg.order, cg.consumers, spec.latency_bound)
+    arrival = [offset_of.get(i, 0) if k is C.INPUT else a
+               for i, k, a in zip(cg.ids, cg.kind, cg.arrival)]
+    deadline = [offset_of.get(i, spec.latency_bound - 1) if k is C.OUTPUT
+                else d for i, k, d in zip(cg.ids, cg.kind, cg.deadline)]
+    # every row rebuilt; the same adjacency, lists in the same order
+    new = s.ConstraintGraph(
+        list(zip(cg.ids, cg.kind, cg.latency, cg.label, cg.op_class, cg.data,
+                 cg.agent, arrival, deadline)), cg.pred,
+        cg.succ, cg.order, cg.consumers)
+    new.latency_bound = spec.latency_bound
+    return new
 
 
 # -- reference: windows -------------------------------------------------------
 
+# On a graph ``record_graph`` built, so with no empty position.
+
 def reference_edge_weight(cg, u, v):
-    nu, nv = cg.nodes[u], cg.nodes[v]
-    if nu.kind is C.READ or nu.kind is C.INPUT:
+    """The weight of the edge between positions ``u`` and ``v``."""
+    if cg.kind[u] is C.READ or cg.kind[u] is C.INPUT:
         return 0
-    if nv.kind is C.OUTPUT:
-        return max(nu.latency - 1, 0)
-    return nu.latency
+    if cg.kind[v] is C.OUTPUT:
+        return max(cg.latency[u] - 1, 0)
+    return cg.latency[u]
 
 
 def reference_topological_order(cg):
-    indeg = {i: len(cg.predecessors(i)) for i in cg.nodes}
-    ready = [i for i, d in indeg.items() if d == 0]
+    """The positions in a topological order, the lowest id first."""
+    indeg = [len(ps) for ps in cg.pred]
+    ready = [(cg.ids[p], p) for p, d in enumerate(indeg) if d == 0]
     heapq.heapify(ready)
     order = []
     while ready:
-        u = heapq.heappop(ready)
+        _, u = heapq.heappop(ready)
         order.append(u)
-        for v in cg.successors(u):
+        for v in cg.succ[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != len(cg.nodes):
+                heapq.heappush(ready, (cg.ids[v], v))
+    if len(order) != len(cg.ids):
         raise ValueError("constraint graph contains a cycle")
     return order
 
 
 def reference_windows(cg):
+    """The ASAP, ALAP and mobility dicts by node id."""
     order = reference_topological_order(cg)
     asap = {}
     for u in order:
-        n = cg.nodes[u]
-        t = n.arrival if n.kind is C.INPUT else 0
-        for p in cg.predecessors(u):
+        t = cg.arrival[u] if cg.kind[u] is C.INPUT else 0
+        for p in cg.pred[u]:
             t = max(t, asap[p] + reference_edge_weight(cg, p, u))
         asap[u] = t
     alap = {}
     for u in reversed(order):
-        n = cg.nodes[u]
-        if n.kind is C.OUTPUT:
-            alap[u] = n.deadline
+        if cg.kind[u] is C.OUTPUT:
+            alap[u] = cg.deadline[u]
             continue
-        succs = cg.successors(u)
+        succs = cg.succ[u]
         if not succs:
-            alap[u] = cg.latency_bound - n.latency
+            alap[u] = cg.latency_bound - cg.latency[u]
         else:
             alap[u] = min(alap[v] - reference_edge_weight(cg, u, v)
                           for v in succs)
-    for n in cg.nodes.values():
-        if n.kind is C.READ:
-            asap[n.id] = asap[n.agent]
-            alap[n.id] = alap[n.agent]
-        elif n.kind is C.WRITE:
-            asap[n.id] = asap[n.agent] + cg.nodes[n.agent].latency
-            alap[n.id] = alap[n.agent] + cg.nodes[n.agent].latency
-    mobility = {i: alap[i] - asap[i] for i in cg.nodes}
-    return asap, alap, mobility
+    for p, (kind, a) in enumerate(zip(cg.kind, cg.agent)):
+        if kind is C.READ:
+            asap[p] = asap[a]
+            alap[p] = alap[a]
+        elif kind is C.WRITE:
+            asap[p] = asap[a] + cg.latency[a]
+            alap[p] = alap[a] + cg.latency[a]
+    return tuple({cg.ids[p]: column[p] for p in order}
+                 for column in (asap, alap, {p: alap[p] - asap[p]
+                                             for p in order}))
 
 
 # -- comparisons --------------------------------------------------------------
@@ -330,17 +338,22 @@ def _outcome(fn, *args):
 
 
 def assert_same_graph(got, want):
-    assert list(got.nodes.items()) == list(want.nodes.items())
+    """``want`` has no empty position: each of ``got``'s nodes sits in
+    ``want`` at its rank among ``got``'s nodes."""
+    held = [p for p, k in enumerate(got.kind) if k is not None]
+    assert [got.ids[p] for p in held] == want.ids
     assert edges_of(got) == edges_of(want)
     assert got.latency_bound == want.latency_bound
     for kind in C:
         assert got.of_kind(kind) == want.of_kind(kind), kind
-    for i in want.nodes:
-        assert got.successors(i) == want.successors(i), i
-        assert got.predecessors(i) == want.predecessors(i), i
-        assert got.accesses_of(i) == want.accesses_of(i), i
-    for u, v in edges_of(want):
-        assert got.edge_weight(u, v) == reference_edge_weight(want, u, v)
+    rank = dict(zip(held, range(len(held))))  # got's position -> want's
+    for p, q in rank.items():
+        assert [rank[v] for v in got.succ[p]] == want.succ[q], want.ids[q]
+        assert [rank[u] for u in got.pred[p]] == want.pred[q], want.ids[q]
+        for got_of, want_of in ((got.reads, want.reads),
+                                (got.writes, want.writes)):
+            assert [rank[a] for a in got_of.get(p, ())] == \
+                want_of.get(q, []), want.ids[q]
 
 
 def assert_same_lowering(g, lib, spec):
@@ -353,8 +366,11 @@ def assert_same_lowering(g, lib, spec):
     assert_same_graph(got_io, want_io)
     assert_same_graph(got, want)  # the merge left its input as it was
     got_windows = s.compute_time_windows(got_io)
-    assert (got_windows.asap, got_windows.alap, got_windows.mobility) == \
-        reference_windows(want_io)
+    assert (got_windows.asap, *({got_io.ids[p]: column[p]
+                                 for p in got_io.order}
+                                for column in (got_windows.alap_at,
+                                               got_windows.mobility_at))) \
+        == reference_windows(want_io)
 
 
 def test_random_problems_lower_as_the_reference_does():
@@ -502,6 +518,8 @@ def test_io_merge_errors_match_the_reference():
              f"node {a} is transferred twice"),
             ((s.Transfer(a, "o", 0),),
              f"node {a} on output bus 'o' is not an output"),
+            ((s.Transfer(a, "b", 0), s.Transfer(op, "zz", 1)),
+             f"transfer of node {op}: unknown bus 'zz'"),
             ((s.Transfer(a, "b", 0), s.Transfer(y, "c", 1),
               s.Transfer(op, "o", 2)),
              f"node {y} on input bus 'c' is not an input")):
@@ -516,8 +534,8 @@ def test_windows_of_a_cyclic_graph_fail_as_the_reference_does():
                                 s.build_transfer_graph(p.spec), p.spec)
     edges = edges_of(cg)
     u, v = edges[0]
-    looped = record_graph(list(cg.nodes.values()), edges + [(v, u)],
-                          latency_bound=cg.latency_bound)
+    looped = record_graph([n for k in C for n in cg.of_kind(k)],
+                          edges + [(v, u)], latency_bound=cg.latency_bound)
     got = _outcome(s.compute_time_windows, looped)
     assert got == ("ValueError", "constraint graph contains a cycle")
     assert got == _outcome(reference_windows, looped)

@@ -1,12 +1,11 @@
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfgsched as s
-from instances import _random_graph
+from instances import random_problem
 
 K = s.NodeKind
 
@@ -21,7 +20,7 @@ def test_round_trip_pairsum(pairsum_dir, pairsum_graph):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_round_trip_random(seed):
-    g = _random_graph(random.Random(seed))
+    g = random_problem(seed).g
     text = s.serialize_sfg(g)
     g2 = s.parse_sfg(text)
     assert g2 == g
@@ -105,7 +104,8 @@ def test_operands_in_position_order():
              s.SfgNode(2, K.OPERATION, op="-"), s.SfgNode(3, K.OUTPUT)]
     edges = [(1, 2, 1), (0, 2, 0), (2, 3, 0)]
     g = _g(nodes, edges)
-    assert g.operands(2) == [0, 1]
+    assert [e.src for e in g.in_edges(2)] == [0, 1]
+    assert g._in[g._at[2]] == [g._at[0], g._at[1]]
 
 
 def test_export_dot(pairsum_graph):

@@ -103,7 +103,8 @@ def test_graph_from_tuples_equals_the_parse(k, doc):
     for i in parsed.ids:
         want = sorted(parsed.in_edges(i), key=lambda e: e.pos)
         assert parsed.in_edges(i) == want
-        assert parsed.operands(i) == [e.src for e in want]
+        assert [parsed.ids[p] for p in parsed._in[parsed._at[i]]] == \
+            [e.src for e in want]
     assert s.validate_sfg(built) == [] == s.validate_sfg(parsed)
     assert s.serialize_sfg(built) == s.serialize_sfg(parsed)
 

@@ -33,8 +33,8 @@ def test_extract_memory_table(pairsum_graph):
 def test_strict_mapping_is_exact(map_onebank, pairsum_graph):
     var1 = pairsum_graph.node_by_label("var1").id
     var2 = pairsum_graph.node_by_label("var2").id
-    assert map_onebank.placement_of(var2).address == 0
-    assert map_onebank.placement_of(var1).address == 1
+    assert {p.data: (p.bank, p.address) for p in map_onebank.placements} \
+        == {var2: ("bank0", 0), var1: ("bank0", 1)}
     assert map_onebank.banks_used() == ("bank0",)
     assert map_onebank.bank("bank0").ports == 1
 
@@ -54,19 +54,16 @@ def test_auto_mapping_round_robin(pairsum_graph):
     var2 = pairsum_graph.node_by_label("var2").id  # id 3
     two = s.apply_mapping(table, s.MappingSpec(
         mode="auto", banks=(s.Bank(id="b0"), s.Bank(id="b1"))))
-    assert two.placement_of(var1).bank == "b0"
-    assert two.placement_of(var2).bank == "b1"
-    assert two.placement_of(var1).address == 0
+    assert {p.data: (p.bank, p.address) for p in two.placements} == \
+        {var1: ("b0", 0), var2: ("b1", 0)}
     one = s.apply_mapping(table, s.MappingSpec(mode="auto",
                                                banks=(s.Bank(id="b0"),)))
-    assert one.placement_of(var1).address == 0
-    assert one.placement_of(var2).address == 1
+    assert {p.data: p.address for p in one.placements} == {var1: 0, var2: 1}
     # an address a placement takes is stepped past
     taken = s.apply_mapping(table, s.MappingSpec(
         mode="auto", banks=(s.Bank(id="b0"),),
         placements=(s.Placement(var1, "b0", 0),)))
-    assert taken.placement_of(var1).address == 0
-    assert taken.placement_of(var2).address == 1
+    assert {p.data: p.address for p in taken.placements} == {var1: 0, var2: 1}
 
 
 def test_mapping_rejects_conflicts(pairsum_graph):

@@ -25,13 +25,14 @@ C = s.CgKind
 def op_requests(cg, mapping):
     """Each operation's port requests, by op id: the (bank, address, cycle
     offset) of its reads at offset 0, then of its writes at its latency."""
+    placement = {p.data: p for p in mapping.placements}
     requests = {}
-    for n in cg.of_kind(C.OP):
-        reads, writes = cg.accesses_of(n.id)
-        requests[n.id] = [
+    for o in cg.positions[C.OP]:
+        requests[cg.ids[o]] = [
             (p.bank, p.address, offset)
-            for accs, offset in ((reads, 0), (writes, n.latency))
-            for p in (mapping.placement_of(a.data) for a in accs)]
+            for accs, offset in ((cg.reads.get(o, ()), 0),
+                                 (cg.writes.get(o, ()), cg.latency[o]))
+            for p in (placement[cg.data[a]] for a in accs)]
     return requests
 
 
@@ -40,13 +41,15 @@ def reference_min_latency(g, lib, spec, mapping, instances=None):
                                 s.build_transfer_graph(spec), spec)
     windows = s.compute_time_windows(cg)
     ops = [n.id for n in cg.of_kind(C.OP)]
-    lat = {o: cg.nodes[o].latency for o in ops}
-    op_preds = {o: [p for p in cg.predecessors(o)
-                    if cg.nodes[p].kind is C.OP] for o in ops}
-    in_preds = {o: [cg.nodes[p].arrival for p in cg.predecessors(o)
-                    if cg.nodes[p].kind is C.INPUT] for o in ops}
-    read_deps = {o: [cg.nodes[w].agent for r in cg.accesses_of(o)[0]
-                     for w in cg.predecessors(r.id)] for o in ops}
+    lat = {o: cg.latency[cg.at[o]] for o in ops}
+    op_preds = {o: [cg.ids[p] for p in cg.pred[cg.at[o]]
+                    if cg.kind[p] is C.OP] for o in ops}
+    in_preds = {o: [cg.arrival[p] for p in cg.pred[cg.at[o]]
+                    if cg.kind[p] is C.INPUT] for o in ops}
+    read_deps = {o: [cg.ids[cg.agent[w]] for r in cg.reads.get(cg.at[o], ())
+                     for w in cg.pred[r]] for o in ops}
+    asap, alap = ({o: column[cg.at[o]] for o in ops}
+                  for column in (windows.asap_at, windows.alap_at))
     accesses = {o: [(mapping.bank(bank), address, offset)
                     for bank, address, offset in reqs]
                 for o, reqs in op_requests(cg, mapping).items()}
@@ -73,7 +76,7 @@ def reference_min_latency(g, lib, spec, mapping, instances=None):
         if not todo:
             finish(started)
             return
-        if t > max(windows.alap[o] for o in todo):
+        if t > max(alap[o] for o in todo):
             return
         key = (t, tuple(sorted(started.items())),
                tuple(sorted(write_done.items())), last, slots, busy)
@@ -84,7 +87,7 @@ def reference_min_latency(g, lib, spec, mapping, instances=None):
         busy_d = {c: list(v) for c, v in busy}
 
         for o in sorted(todo):
-            if not (windows.asap[o] <= t <= windows.alap[o]):
+            if not (asap[o] <= t <= alap[o]):
                 continue
             if any(p not in started or started[p] + lat[p] > t
                    for p in op_preds[o]):
@@ -94,7 +97,7 @@ def reference_min_latency(g, lib, spec, mapping, instances=None):
             if any(w not in started or write_done.get(w, 10 ** 9) > t
                    for w in read_deps[o]):
                 continue
-            cls = cg.nodes[o].op_class
+            cls = cg.op_class[cg.at[o]]
             pool = busy_d.get(cls, [])
             free_idx = next((i for i, f in enumerate(pool) if f <= t), None)
             if instances is not None and free_idx is None:

@@ -122,7 +122,8 @@ def test_shape_walk_matches_reference_on_random_ffts(monkeypatch):
         text, log = _same_walk(monkeypatch, p.run_scheduler)
         alap = {}
         if not text.startswith("ScheduleFailure"):
-            alap = s.lower(p.g, p.lib, p.spec).windows.alap
+            problem = s.lower(p.g, p.lib, p.spec)
+            alap = dict(zip(problem.cg.ids, problem.windows.alap_at))
         else:
             seen["aborts"] += 1
         seen["zero-margin yields"] += sum(

@@ -57,7 +57,8 @@ def _report_records(monkeypatch, argv) -> dict[str, tuple]:
     assert cli.main(argv) == 0
     (g, problem, sched), = seen
     return {"SFG.nodes": g.nodes, "SFG.edges": g.edges,
-            "Problem.cg.nodes": tuple(problem.cg.nodes.values()),
+            "Problem.cg.of_kind": tuple(n for k in s.CgKind
+                                        for n in problem.cg.of_kind(k)),
             "Schedule.ops": sched.ops, "Schedule.accesses": sched.accesses,
             "Schedule.transfers": sched.transfers}
 

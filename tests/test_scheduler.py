@@ -348,9 +348,11 @@ def test_starts_stay_inside_windows():
             sched = p.run_scheduler()
         except s.ScheduleFailure:
             continue
-        w = s.lower(p.g, p.lib, p.spec).windows
+        problem = s.lower(p.g, p.lib, p.spec)
+        w = problem.windows
         for o in sched.ops:
-            assert w.asap[o.node] <= o.start <= w.alap[o.node]
+            q = problem.cg.at[o.node]
+            assert w.asap_at[q] <= o.start <= w.alap_at[q]
 
 
 def test_tighter_bound_never_needs_fewer_operators(fft_lib):

@@ -8,8 +8,9 @@ import pytest
 import sfgsched as s
 import experiments
 from instances import random_fft_problem, random_problem
-from mutations import (CAP_MUTATIONS, DECLARED_BUS_MUTATIONS, MUTATIONS,
-                       WRITE_MUTATIONS, fixed_allocation)
+from mutations import (CAP_MUTATIONS, DECLARED_BUS_MUTATIONS,
+                       FREE_IO_MUTATIONS, MUTATIONS, WRITE_MUTATIONS,
+                       fixed_allocation)
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +57,19 @@ def spare_bus(pairsum_graph, pairsum_lib, map_twobank):
     return sched, pairsum_graph, pairsum_lib, spec, map_twobank
 
 
+@pytest.fixture(scope="module")
+def free_io(pairsum_graph, pairsum_lib, map_twobank):
+    """Every transfer synthesized: ``a`` and ``b`` on ``auto_in0`` at
+    cycles 0 and 1, ``c`` on ``auto_out0`` at cycle 2."""
+    spec = s.IoConstraintSpec.unconstrained(3)
+    sched = s.schedule(pairsum_graph, pairsum_lib, spec, map_twobank)
+    return sched, pairsum_graph, pairsum_lib, spec, map_twobank
+
+
 def test_clean_schedules_verify(golden_lat3, golden_lat2, gated_write,
-                                spare_bus):
+                                spare_bus, free_io):
     for sched, g, lib, spec, mapping in (golden_lat3, golden_lat2,
-                                         gated_write, spare_bus):
+                                         gated_write, spare_bus, free_io):
         assert s.verify_schedule(sched, g, lib, spec, mapping) == []
 
 
@@ -101,10 +111,7 @@ def test_schedule_leaves_the_shared_problem_unchanged(which, golden_lat3,
     for column in ("asap_at", "alap_at", "mobility_at"):
         assert getattr(problem.windows, column) == \
             getattr(fresh.windows, column)
-    assert problem.cg.nodes == fresh.cg.nodes
-    assert (problem.cg.pred, problem.cg.succ) == (fresh.cg.pred,
-                                                  fresh.cg.succ)
-    assert problem.cg.latency_bound == fresh.cg.latency_bound
+    assert vars(problem.cg) == vars(fresh.cg)  # every column
 
 
 # Per mutation, every kind it is flagged with on the lat3 golden, and a
@@ -156,8 +163,15 @@ SPECIFIC_DECLARED_BUS = [
      ["b synthesized on declared bus outC"]),
 ]
 
+# The same on the schedule with free I/O.
+SPECIFIC_FREE_IO = [
+    ("output-on-input-bus", {"bus-overlap"},
+     ["bus auto_in0 carries in and out transfers"]),
+]
 
-def test_mutation_kinds_are_specific(golden_lat3, gated_write, spare_bus):
+
+def test_mutation_kinds_are_specific(golden_lat3, gated_write, spare_bus,
+                                     free_io):
     sched, g, lib, spec, mapping = golden_lat3
     from mutations import (late_start, corrupt_access_cost, drop_operation,
                            shift_output_transfer, collapse_sequence_numbers,
@@ -190,10 +204,11 @@ def test_mutation_kinds_are_specific(golden_lat3, gated_write, spare_bus):
     assert {v.kind for v in violations} == {"io-timing"}
     assert any("span 4 cycles, the latency bound is 3" in v.message
                for v in violations)
-    by_name = dict(MUTATIONS + WRITE_MUTATIONS + DECLARED_BUS_MUTATIONS)
+    by_name = dict(MUTATIONS + WRITE_MUTATIONS + DECLARED_BUS_MUTATIONS
+                   + FREE_IO_MUTATIONS)
     for table, (sched, g, lib, spec, mapping) in (
             (SPECIFIC, golden_lat3), (SPECIFIC_WRITE, gated_write),
-            (SPECIFIC_DECLARED_BUS, spare_bus)):
+            (SPECIFIC_DECLARED_BUS, spare_bus), (SPECIFIC_FREE_IO, free_io)):
         for name, kinds, fragments in table:
             broken = by_name[name](sched)
             assert broken.to_json() != sched.to_json(), name
