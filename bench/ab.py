@@ -34,8 +34,8 @@ tree's ``cli`` module (``to_json`` is ``Schedule``'s), each called by
 collector switch).  A name a tree lacks is skipped, so its time shows
 under ``other``.  The script prints, per entry and for the whole pass and
 each stage, each tree's median and minimum time, the median of the
-per-round ratios change/parent and the number of rounds the change was
-faster.
+per-round ratios change/parent, the ratio of the two minima and the
+number of rounds the change was faster.
 It also prints each tree's ``src/sfgsched/*.py`` line count, and the
 count of those lines that hold code (not blank, not only a comment, not
 in a docstring), so that a cut can be told from trimmed prose.  ``--out``
@@ -206,7 +206,10 @@ def measure(name: str, trees: list[Tree], argvs: dict, rounds: int) -> dict:
 def summarize(entry: dict, times: dict, rounds: int) -> dict:
     """Add each side's per-stage times (``times[side][stage]``, one per
     round) to the record ``entry``, with medians, the median ratio
-    change/parent and the change's wins; print them, a line per stage."""
+    change/parent, the ratio of the minima and the change's wins; print
+    them, a line per stage.  The minima are the times least touched by
+    the host's slow spells, so their ratio can tell a change from an A/A
+    that leans one way when the median ratios cannot."""
     parent, change = times["parent"], times["change"]
     for side in times:
         entry[side] = {
@@ -214,18 +217,21 @@ def summarize(entry: dict, times: dict, rounds: int) -> dict:
                          for stage, ts in times[side].items()},
             "rounds_s": {stage: [round(t, 6) for t in ts]
                          for stage, ts in times[side].items()}}
-    entry["ratio_median"], entry["change_faster"] = {}, {}
+    entry["ratio_median"], entry["ratio_min"], entry["change_faster"] = \
+        {}, {}, {}
     print(f"{entry['name']}, {rounds} rounds")
     for stage in parent:
         p, c = parent[stage], change[stage]
         ratio = statistics.median(b / a if a else 1.0 for a, b in zip(p, c))
+        ratio_min = min(c) / min(p) if min(p) else 1.0
         won = sum(b < a for a, b in zip(p, c))
         entry["ratio_median"][stage] = round(ratio, 3)
+        entry["ratio_min"][stage] = round(ratio_min, 3)
         entry["change_faster"][stage] = won
         print(f"{stage:17s} parent median {statistics.median(p):.4f} s min "
               f"{min(p):.4f} s | change median {statistics.median(c):.4f} s "
-              f"min {min(c):.4f} s | median ratio {ratio:.3f}, change faster "
-              f"in {won}/{len(p)} rounds")
+              f"min {min(c):.4f} s | median ratio {ratio:.3f}, min ratio "
+              f"{ratio_min:.3f}, change faster in {won}/{len(p)} rounds")
     return entry
 
 

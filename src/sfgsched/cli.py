@@ -175,7 +175,7 @@ def _load_problem(args) -> tuple:
         mapping = apply_mapping(table, parse_memory_mapping(
             _read_text(args.mem), g))
     else:
-        if table.entries:
+        if table.data_ids:
             raise ValueError("graph stores data in memory but no --mem "
                              "document is given")
         mapping = apply_mapping(table, MappingSpec(mode="auto", banks=()))

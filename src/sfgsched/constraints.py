@@ -441,7 +441,7 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
     critical = 0
     late_accesses: list[str] = []
     late_outputs: list[str] = []
-    latency, deadline, label, ids = cg.latency, cg.deadline, cg.label, cg.ids
+    latency, deadline, label = cg.latency, cg.deadline, cg.label
     for p, k in enumerate(kind):
         if k is None or k is INPUT:
             continue
@@ -450,13 +450,13 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
             end = begin + 1
             if begin > deadline[p]:
                 late_outputs.append(
-                    f"output {label[p] or ids[p]} cannot be produced before "
+                    f"output {label[p]} cannot be produced before "
                     f"cycle {begin}, deadline is {deadline[p]}")
         else:
             end = begin + latency[p]
             if (k is READ or k is WRITE) and end > spec.cadence:
                 late_accesses.append(
-                    f"access {label[p] or ids[p]} at cycle {begin} falls "
+                    f"access {label[p]} at cycle {begin} falls "
                     f"outside the {spec.cadence}-cycle access window")
         if end > critical:
             critical = end
@@ -482,7 +482,7 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
 
     return FeasibilityReport(cadence_ok=cadence_ok,
                              output_dates_ok=output_dates_ok,
-                             critical_path_cycles=max(critical, 0),
+                             critical_path_cycles=critical,
                              diagnostics=tuple(diagnostics))
 
 

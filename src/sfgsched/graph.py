@@ -263,9 +263,6 @@ class SFG:
         return _tuple_new(SfgNode, (self.ids[p], self._kind[p], self._op[p],
                                     self._label[p]))
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._at
-
     def in_edges(self, node_id: int) -> list[Edge]:
         """The edges into ``node_id`` from known nodes, in operand order
         (by document order among equal operand positions)."""
@@ -284,10 +281,6 @@ class SFG:
     def operations(self) -> list[SfgNode]:
         return self.of_kind(NodeKind.OPERATION)
 
-    @property
-    def memdata(self) -> list[SfgNode]:
-        return self.of_kind(NodeKind.MEMDATA)
-
     def node_by_label(self, label: str) -> SfgNode:
         if label not in self._by_label:
             raise KeyError(f"no node labelled {label!r}")
@@ -298,6 +291,18 @@ class SFG:
                            f"{[i for i, x in zip(ids, labels) if x == label]})")
         return _tuple_new(SfgNode, tuple(column[j] for column in self._nodes))
 
+    def node_by_ref(self, ref: object) -> SfgNode:
+        """The node a document's ``data`` names: a label (a string) or an
+        id (an int; a bool is none).  Raises KeyError for an unknown or
+        ambiguous one and TypeError for any other value."""
+        if isinstance(ref, str):
+            return self.node_by_label(ref)
+        if type(ref) is not int:
+            raise TypeError(f"'data' must be a node id or a label, got {ref!r}")
+        if ref not in self._at:
+            raise KeyError(f"no node with id {ref}")
+        return self.node(ref)
+
     # -- structure ---------------------------------------------------------
 
     def find_cycle(self) -> list[int] | None:
@@ -307,7 +312,7 @@ class SFG:
         (Kahn's algorithm) clears an acyclic graph in one pass and keeps its
         topological order in ``_order``, which the lowering reads; the
         depth-first search that names a cycle runs only when the count
-        leaves nodes over.
+        leaves nodes over, and those nodes hold a cycle it finds.
         """
         self._order = topological_order(self._out, map(len, self._in))
         if self._order is not None:
@@ -336,7 +341,6 @@ class SFG:
                 else:
                     color[u] = BLACK
                     stack.pop()
-        return None
 
     def _sets(self) -> tuple[frozenset, frozenset]:
         return (frozenset(zip(*self._nodes)),

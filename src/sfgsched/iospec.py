@@ -89,7 +89,8 @@ def build_transfer_graph(spec: IoConstraintSpec) -> tuple[Transfer, ...]:
 
 
 def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:
-    """Parse an I/O constraint document, resolving node labels to ids:
+    """Parse an I/O constraint document, resolving each transfer's
+    ``data``, a node label or id (``SFG.node_by_ref``), to an id:
 
     {"cadence": 3, "latency": 3,
      "buses": [{"id": "bus1", "direction": "in"}, ...],
@@ -116,7 +117,9 @@ def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:
     for i, obj in enumerate(doc.get("buses", [])):
         if not isinstance(obj, dict) or "id" not in obj or "direction" not in obj:
             raise IoSpecError(f"buses[{i}]: need 'id' and 'direction'")
-        buses.append(BusDef(id=str(obj["id"]), direction=str(obj["direction"])))
+        if not isinstance(obj["id"], str):
+            raise IoSpecError(f"buses[{i}]: 'id' must be a string")
+        buses.append(BusDef(id=obj["id"], direction=obj["direction"]))
     transfers = []
     for i, obj in enumerate(doc.get("transfers", [])):
         if not isinstance(obj, dict):
@@ -126,11 +129,13 @@ def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:
         except KeyError as exc:
             raise IoSpecError(f"transfers[{i}]: missing field {exc.args[0]!r}") from None
         try:
-            node = g.node_by_label(str(label))
-        except KeyError as exc:
+            node = g.node_by_ref(label)
+        except (KeyError, TypeError) as exc:
             raise IoSpecError(f"transfers[{i}]: {exc.args[0]}") from None
+        if not isinstance(bus, str):
+            raise IoSpecError(f"transfers[{i}]: 'bus' must be a string")
         if not isinstance(offset, int) or isinstance(offset, bool):
             raise IoSpecError(f"transfers[{i}]: 'offset' must be an integer")
-        transfers.append(Transfer(node=node.id, bus=str(bus), offset=offset))
+        transfers.append(Transfer(node=node.id, bus=bus, offset=offset))
     return IoConstraintSpec(buses=tuple(buses), transfers=tuple(transfers),
                             cadence=cadence, latency_bound=latency)

@@ -18,8 +18,9 @@ slot span), and ``commit`` reserves them as placed, on the spans given,
 handing back only their sequence numbers: the caller already holds the
 rest of each reservation.  So each access fitted takes one ``Bank.span``
 call, not one more to commit.  A ``probe`` places requests against a
-held view of the table, for ranking; it reserves nothing.  The table is
-two dicts: each bank's last address, and the reservations per (bank, slot).
+held view of the table, for ranking; it reserves nothing, and answers
+None for any request that cannot be served.  The table is two dicts: each
+bank's last address, and the reservations per (bank, slot).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import SFG, NodeKind, SfgNode
+from .graph import SFG, NodeKind
 
 
 class MappingError(ValueError):
@@ -61,17 +62,14 @@ class PortConflict(BlockedAccess):
 
 @dataclass(frozen=True)
 class MemoryTable:
-    """The memdata nodes of a graph, in id order."""
+    """The ids of a graph's memdata nodes, in id order."""
 
-    entries: tuple[SfgNode, ...]
-
-    @property
-    def data_ids(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.entries)
+    data_ids: tuple[int, ...]
 
 
 def extract_memory_table(g: SFG) -> MemoryTable:
-    return MemoryTable(entries=tuple(g.memdata))
+    return MemoryTable(data_ids=tuple(
+        i for i, k in zip(g.ids, g._kind) if k is NodeKind.MEMDATA))
 
 
 def is_burst(last: int | None, address: int) -> bool:
@@ -183,7 +181,7 @@ def apply_mapping(table: MemoryTable, spec: MappingSpec) -> MemoryMapping:
     round-robin across the banks in declaration order, each at the lowest
     free address of its bank.
     """
-    if table.entries and not spec.banks:
+    if table.data_ids and not spec.banks:
         raise MappingError("graph uses memory but no banks are declared")
     known = set(table.data_ids)
     for p in spec.placements:
@@ -231,6 +229,14 @@ def _int(entry: dict, key: str, default: int) -> int:
     return value
 
 
+def _str(entry: dict, key: str) -> str:
+    """The string under ``key``."""
+    value = entry[key]
+    if not isinstance(value, str):
+        raise MappingError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
     """Parse a placement document.
 
@@ -240,7 +246,8 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
          "banks": [{"id": "bank0", "ports": 1, "t_seq": 1, "t_rand": 2}],
          "placements": [{"data": "var2", "bank": "bank0", "address": 0}]}
 
-    ``placements`` entries name memdata nodes by label (or id).
+    ``placements`` entries name memdata nodes by label or id
+    (``SFG.node_by_ref``).
     """
     try:
         doc = json.loads(text)
@@ -253,7 +260,7 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
     for b in _entries(doc, "banks"):
         if "id" not in b:
             raise MappingError("bank entry without id")
-        banks.append(Bank(id=str(b["id"]), ports=_int(b, "ports", 1),
+        banks.append(Bank(id=_str(b, "id"), ports=_int(b, "ports", 1),
                           t_seq=_int(b, "t_seq", 1),
                           t_rand=_int(b, "t_rand", _int(b, "t_seq", 1))))
     placements = []
@@ -262,24 +269,19 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
             if key not in p:
                 raise MappingError(f"placement entry without {key!r}")
         ref = p["data"]
-        if type(ref) is int:  # JSON: a bool is no node id
-            if not g.has_node(ref):
-                raise MappingError(f"placement references unknown node {ref}")
-            node = g.node(ref)
-        elif isinstance(ref, str):
-            try:
-                node = g.node_by_label(ref)
-            except KeyError as e:
-                raise MappingError(f"placement references unknown data "
-                                   f"{ref!r}") from e
-        else:
-            raise MappingError(f"placement 'data' must be a node id or a "
-                               f"label, got {ref!r}")
+        try:
+            node = g.node_by_ref(ref)
+        except KeyError as e:
+            raise MappingError(f"placement references unknown "
+                               f"{'data' if isinstance(ref, str) else 'node'} "
+                               f"{ref!r}") from e
+        except TypeError as e:
+            raise MappingError(f"placement {e}") from None
         if node.kind is not NodeKind.MEMDATA:
             raise MappingError(f"placement target {ref!r} is not a memdata node")
-        placements.append(Placement(data=node.id, bank=str(p["bank"]),
+        placements.append(Placement(data=node.id, bank=_str(p, "bank"),
                                     address=_int(p, "address", 0)))
-    return MappingSpec(mode=str(mode), banks=tuple(banks),
+    return MappingSpec(mode=mode, banks=tuple(banks),
                        placements=tuple(placements))
 
 
@@ -291,9 +293,10 @@ class PortAccessTable:
     it together with the global sequence counter.
 
     ``hold_view`` pins what ``probe`` sees: until the next call, probes
-    read the table as it stood then, although reservations go on.  The
-    scheduler holds a view at the start of each cycle, so every operation
-    is ranked against the same cycle-start state.
+    read the table as it stood then, although reservations go on.  Before
+    the first call, probes read the table as it was created.  The scheduler
+    holds a view at the start of each cycle, so every operation is ranked
+    against the same cycle-start state.
     """
 
     def __init__(self, mapping: MemoryMapping, cadence: int):
@@ -304,7 +307,6 @@ class PortAccessTable:
         self._seq = 0
         # Held view: each touched bank's last address when the view was
         # taken, and minus the reservations made since, per (bank, slot).
-        self._holding = False
         self._view_last: dict[str, int | None] = {}
         self._view_add: dict[tuple[str, int], int] = {}
 
@@ -312,7 +314,6 @@ class PortAccessTable:
         """Make ``probe`` see the table as it stands now until the next
         call, while reservations still go to the live table.  Returns each
         bank's last reserved address in that view."""
-        self._holding = True
         self._view_last = {}
         self._view_add = {}
         return dict(self._last)
@@ -350,15 +351,15 @@ class PortAccessTable:
     def probe(self, requests: list[tuple[str, int, int]]
               ) -> list[tuple[int, str, range]] | None:
         """Check whether (bank, address, cycle) requests all fit, in order,
-        against the held view (the live table when none is held).
+        against the held view (the table as created when none was held).
 
         Returns ``fit``'s (cost, class, slot span) list without changing
-        any state, or None on a port conflict.  Raises HorizonError past
-        the table end.
+        any state, or None when a request cannot be served: a port conflict
+        or an access past the table end.
         """
         try:
             return self.fit(requests, view=True)
-        except PortConflict:
+        except BlockedAccess:
             return None
 
     def commit(self, requests: list[tuple[str, int, int]],
@@ -366,18 +367,17 @@ class PortAccessTable:
         """Reserve requests on the slot spans ``fit`` gave them on the live
         table, which must not have changed in between; returns their
         sequence numbers, in request order (the requests and fits already
-        hold the rest of each reservation)."""
+        hold the rest of each reservation).  The held view keeps the
+        differences, so its probes do not see the reservations."""
         first = self._seq + 1
         last, slots = self._last, self._slots
-        holding, view_add = self._holding, self._view_add
+        view_last, view_add = self._view_last, self._view_add
         for (bank_id, address, _), (_, _, span) in zip(requests, fits):
-            if holding:
-                self._view_last.setdefault(bank_id, last[bank_id])
+            view_last.setdefault(bank_id, last[bank_id])
             for s in span:
                 key = (bank_id, s)
                 slots[key] = slots.get(key, 0) + 1
-                if holding:
-                    view_add[key] = view_add.get(key, 0) - 1
+                view_add[key] = view_add.get(key, 0) - 1
             last[bank_id] = address
             self._seq += 1
         return range(first, self._seq + 1)

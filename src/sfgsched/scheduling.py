@@ -97,8 +97,7 @@ from .constraints import (CgKind, ConstraintGraph, Problem,
 from .graph import SFG
 from .iospec import IoConstraintSpec, build_transfer_graph
 from .jsontext import ACCESSES, EVENTS, OPS, TRANSFERS, dumps_tables
-from .memory import (BlockedAccess, HorizonError, MemoryMapping,
-                     PortAccessTable, is_burst)
+from .memory import BlockedAccess, MemoryMapping, PortAccessTable, is_burst
 from .oplib import OperatorLibrary
 
 
@@ -372,24 +371,20 @@ class SchedulerState:
 
     def cost(self, i: int) -> int | None:
         """Total port cost of starting the op at position i at cycle ``t``,
-        against the held view, or None if blocked; an access-free op costs
-        0."""
+        against the held view, or None if blocked (a port conflict or an
+        access past the horizon); an access-free op costs 0."""
         if not self.requests[i]:
             return 0
-        try:
-            fits = self.table.probe(self.access_requests(i, self.t))
-        except HorizonError:
-            return None
+        fits = self.table.probe(self.access_requests(i, self.t))
         return None if fits is None else sum(fit[0] for fit in fits)
 
-    def blocking_bank(self, i: int, t: int) -> str | None:
+    def blocking_bank(self, i: int, t: int) -> str:
         """Bank of the first access request of the op at position i that
-        cannot be served."""
+        cannot be served; ``cost`` found the op blocked."""
         try:
             self.table.fit(self.access_requests(i, t), view=True)
         except BlockedAccess as e:
             return e.bank_id
-        return None
 
 
 class _Bucket:
@@ -641,11 +636,8 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
                 (i for i in members if i not in candidates), None)
             if first is None or (c := cost(first)) is None:
                 continue
-            if candidates or bucket.enablers:
-                others = _rest(bucket, candidates, read_keys, readers, cost)
-                heads.append((c, *next(others), others))
-            else:  # first is the lowest member, and every flag is 1
-                heads.append((c, 1, first, _after_first(members)))
+            others = _rest(bucket, candidates, read_keys, readers, cost)
+            heads.append((c, *next(others), others))
         heapq.heapify(heads)
         while heads:
             c, _, i, others = heapq.heappop(heads)
@@ -802,7 +794,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
         if windows.asap_at[p] > deadline[p]:
             raise ScheduleFailure("infeasible-windows", cycle=deadline[p],
                                   operation=ids[p],
-                                  detail=f"output {label[p] or ids[p]} "
+                                  detail=f"output {label[p]} "
                                          f"cannot be ready before cycle "
                                          f"{windows.asap_at[p]}")
     table = PortAccessTable(mapping, spec.cadence)
@@ -977,16 +969,14 @@ def estimate_registers(sched: Schedule, g: SFG) -> int:
                 last_use = use
         if last_use is not None and last_use >= b:
             intervals.append((b, last_use))
-    peak = 0
-    if intervals:
-        delta: dict[int, int] = {}
-        for b, e in intervals:
-            delta[b] = delta.get(b, 0) + 1
-            delta[e + 1] = delta.get(e + 1, 0) - 1
-        live = 0
-        for t in sorted(delta):
-            live += delta[t]
-            peak = max(peak, live)
+    delta: dict[int, int] = {}
+    for b, e in intervals:
+        delta[b] = delta.get(b, 0) + 1
+        delta[e + 1] = delta.get(e + 1, 0) - 1
+    peak = live = 0
+    for t in sorted(delta):
+        live += delta[t]
+        peak = max(peak, live)
 
     buses = len({t.bus for t in sched.transfers})
     return peak + buses

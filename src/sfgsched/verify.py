@@ -127,7 +127,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     for p in ops:
         if start[p] is None:
             out.append(Violation("unscheduled",
-                                 f"operation {label[p] or ids[p]} never "
+                                 f"operation {label[p]} never "
                                  f"starts", ids[p]))
     if any(v.kind == "unscheduled" for v in out):
         return out  # remaining checks assume a complete assignment
@@ -146,7 +146,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                     out.append(Violation(
                         "dependency",
                         f"operation {ids[v]} starts at {start[v]} before "
-                        f"input {label[u] or ids[u]} arrives at "
+                        f"input {label[u]} arrives at "
                         f"{arrival[u]}", ids[v]))
 
     acc_by_node = {}
@@ -305,7 +305,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     pinned = {tr.node: tr for tr in spec.transfers}
     declared = {b.id for b in spec.buses}
     for p in io_nodes:
-        node, name = ids[p], label[p] or ids[p]
+        node, name = ids[p], label[p]
         t = transfer_of.get(node)
         if t is None:
             out.append(Violation("io-timing", f"no transfer for {name}", node))

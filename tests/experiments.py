@@ -13,7 +13,9 @@ of the design space:
 
 ``scale_config`` builds the same paced-input shape on a 128-point FFT for
 the large smoke test.  ``Config.report_argv`` writes a configuration's
-input documents for a ``report`` call through the CLI.
+input documents for a ``report`` call through the CLI.  Each FFT, its
+library, its banks and its paced inputs are built by the benchmark's
+own FFT builder (``perfbench/workloads.py``, through ``instances``).
 """
 
 import json
@@ -21,14 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import sfgsched as s
-
-FFT_LIB = s.parse_operator_library(json.dumps({
-    "clock_mhz": 200,
-    "classes": [
-        {"name": "mult", "ops": ["*"], "latency": 2},
-        {"name": "add", "ops": ["+"], "latency": 1},
-        {"name": "sub", "ops": ["-"], "latency": 1},
-    ]}))
+from instances import workloads
 
 
 @dataclass
@@ -88,57 +83,54 @@ class Config:
                        "--out", str(directory / "out")]
 
 
-def _banks(g: s.SFG, n: int, ports: int) -> s.MemoryMapping:
-    banks = tuple(s.Bank(id=f"bank{i}", ports=ports, t_seq=1, t_rand=2)
-                  for i in range(n))
-    return s.apply_mapping(s.extract_memory_table(g),
-                           s.MappingSpec(mode="auto", banks=banks))
-
-
-def _paced_inputs(g: s.SFG, points: int) -> tuple:
-    return tuple(s.Transfer(g.node_by_label(f"X{k}").id, "in0", k)
-                 for k in range(points))
+def _fft_config(name: str, points: int, spec_for, n_banks: int, ports: int,
+                alloc: str) -> Config:
+    """A ``points``-point FFT with the I/O spec ``spec_for(g)`` and
+    ``n_banks`` banks of ``ports`` ports under ``alloc``."""
+    p = workloads._fft_problem(s, name, points, spec_for, n_banks, ports,
+                               alloc)
+    return Config(name, p.g, p.lib, p.spec, p.mapping,
+                  s.parse_allocation(alloc))
 
 
 def io_constrained(points: int = 16) -> Config:
     """Inputs one per cycle, both result streams drained back to back
     starting at cycle 8 * points; bound equal to the last transfer + 1."""
-    g = s.generate_fft_sfg(points)
     first_out = 8 * points
     bound = first_out + points
-    transfers = _paced_inputs(g, points)
-    transfers += tuple(s.Transfer(g.node_by_label(f"Yr{k}").id, "out_re",
-                                  first_out + k) for k in range(points))
-    transfers += tuple(s.Transfer(g.node_by_label(f"Yi{k}").id, "out_im",
-                                  first_out + k) for k in range(points))
-    spec = s.IoConstraintSpec(
-        buses=(s.BusDef("in0", "in"), s.BusDef("out_re", "out"),
-               s.BusDef("out_im", "out")),
-        transfers=transfers, cadence=bound, latency_bound=bound)
-    return Config("io_constrained", g, FFT_LIB, spec, _banks(g, 8, ports=2),
-                  s.parse_allocation("fixed:mult=20,add=10,sub=10"))
+
+    def spec_for(g):
+        transfers = workloads._paced_inputs(s, g, points)
+        transfers += tuple(s.Transfer(g.node_by_label(f"Yr{k}").id, "out_re",
+                                      first_out + k) for k in range(points))
+        transfers += tuple(s.Transfer(g.node_by_label(f"Yi{k}").id, "out_im",
+                                      first_out + k) for k in range(points))
+        return s.IoConstraintSpec(
+            buses=(s.BusDef("in0", "in"), s.BusDef("out_re", "out"),
+                   s.BusDef("out_im", "out")),
+            transfers=transfers, cadence=bound, latency_bound=bound)
+    return _fft_config("io_constrained", points, spec_for, 8, 2,
+                       "fixed:mult=20,add=10,sub=10")
 
 
 def two_bank_free_io(operator_counts: dict[str, int],
                      points: int = 16) -> Config:
-    g = s.generate_fft_sfg(points)
-    alloc = s.parse_allocation("fixed:" + ",".join(
-        f"{cls}={n}" for cls, n in sorted(operator_counts.items())))
-    return Config("two_bank_free_io", g, FFT_LIB,
-                  s.IoConstraintSpec.unconstrained(latency_bound=512),
-                  _banks(g, 2, ports=2), alloc)
+    return _fft_config(
+        "two_bank_free_io", points,
+        lambda g: s.IoConstraintSpec.unconstrained(latency_bound=512), 2, 2,
+        "fixed:" + ",".join(f"{cls}={n}"
+                            for cls, n in sorted(operator_counts.items())))
 
 
 def two_bank_paced_input(points: int = 16, bound: int = 1024,
                          ports: int = 2) -> Config:
-    g = s.generate_fft_sfg(points)
-    spec = s.IoConstraintSpec(
-        buses=(s.BusDef("in0", "in"),),
-        transfers=_paced_inputs(g, points),
-        cadence=bound, latency_bound=bound)
-    return Config("two_bank_paced_input", g, FFT_LIB, spec,
-                  _banks(g, 2, ports=ports),
-                  s.parse_allocation("auto"))
+    def spec_for(g):
+        return s.IoConstraintSpec(
+            buses=(s.BusDef("in0", "in"),),
+            transfers=workloads._paced_inputs(s, g, points),
+            cadence=bound, latency_bound=bound)
+    return _fft_config("two_bank_paced_input", points, spec_for, 2, ports,
+                       "auto")
 
 
 def scale_config(points: int = 128) -> Config:

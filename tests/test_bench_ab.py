@@ -4,7 +4,8 @@ here, not move that stage's time silently into ``other``.  Its ``setup``
 workload times a fresh import, the generator and the documents of each
 tree on their own, and refuses trees whose documents differ.  Its record
 carries each tree's ``src/sfgsched`` line count, and its count of code
-lines, and keeps sub-millisecond times to the microsecond."""
+lines, keeps sub-millisecond times to the microsecond, and gives the
+ratio of the minima beside the median ratio."""
 
 import importlib.util
 import json
@@ -111,3 +112,18 @@ def test_record_keeps_sub_millisecond_times(ab, capsys):
         assert entry[side]["rounds_s"] == times[side]
     assert entry["parent"]["median_s"] == {"write": 0.000047}
     assert entry["change"]["median_s"] == {"write": 0.000044}
+
+
+def test_summary_gives_the_ratio_of_the_minima(ab, capsys):
+    """The minima's ratio is its own figure: here the change is slower in
+    the median of the per-round ratios but faster at its best."""
+    times = {"parent": {"schedule": [0.080, 0.070, 0.090],
+                        "other": [0.0, 0.0, 0.0]},
+             "change": {"schedule": [0.100, 0.077, 0.063],
+                        "other": [0.0, 0.0, 0.0]}}
+    entry = ab.summarize({"name": "x"}, times, 3)
+    assert entry["ratio_median"] == {"schedule": 1.1, "other": 1.0}
+    assert entry["ratio_min"] == {"schedule": 0.9, "other": 1.0}
+    out = capsys.readouterr().out
+    assert "median ratio 1.100, min ratio 0.900, change faster in 1/3 " \
+        "rounds" in out

@@ -397,6 +397,99 @@ def test_placement_data_may_be_a_memdata_id(pairsum_dir, tmp_path, capsys):
         f"error: placement target {m1} is not a memdata node\n"
 
 
+_NO_TRANSFERS = '{"cadence": 3, "latency": 3, "buses": [], "transfers": '
+_ONE_BANK = '{"mode": "strict", "banks": [{"id": "b0"}], "placements": '
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    # each refusal that no other test reaches, with its exact words
+    ("mem", '{"banks": [{"id": "b0"}, {"id": "b0"}]}', "duplicate bank id"),
+    ("mem", _ONE_BANK + '[{"data": "var1", "bank": "b0", "address": -1}, '
+                        '{"data": "var2", "bank": "b0", "address": 0}]}',
+     "placement of data 2: negative address"),
+    ("io", _NO_TRANSFERS + "[1]}", "transfers[0]: expected an object"),
+    ("lib", '{"classes": [1]}', "classes[0]: expected an object"),
+    ("io", "{", "line 1, column 2: Expecting property name enclosed in "
+                "double quotes"),
+    ("lib", "{", "line 1, column 2: Expecting property name enclosed in "
+                 "double quotes"),
+    ("mem", "{", "placement document is not valid JSON: Expecting property "
+                 "name enclosed in double quotes: line 1 column 2 (char 1)"),
+    # io.json's data follows mem.json's rule: a label or an int id
+    ("io", _NO_TRANSFERS + '[{"data": 99, "bus": "b", "offset": 0}]}',
+     "transfers[0]: no node with id 99"),
+    ("io", _NO_TRANSFERS + '[{"data": true, "bus": "b", "offset": 0}]}',
+     "transfers[0]: 'data' must be a node id or a label, got True"),
+    ("io", _NO_TRANSFERS + '[{"data": null, "bus": "b", "offset": 0}]}',
+     "transfers[0]: 'data' must be a node id or a label, got None"),
+    ("io", _NO_TRANSFERS + '[{"data": [0], "bus": "b", "offset": 0}]}',
+     "transfers[0]: 'data' must be a node id or a label, got [0]"),
+    ("mem", _ONE_BANK + '[{"data": 99, "bank": "b0", "address": 0}]}',
+     "placement references unknown node 99"),
+    # an id, bus, bank, direction or mode is a string, never str() of one
+    ("io", '{"cadence": 3, "latency": 3, "buses": [{"id": null, '
+           '"direction": "in"}], "transfers": []}',
+     "buses[0]: 'id' must be a string"),
+    ("io", '{"cadence": 3, "latency": 3, "buses": [{"id": 5, '
+           '"direction": "in"}], "transfers": []}',
+     "buses[0]: 'id' must be a string"),
+    ("io", '{"cadence": 3, "latency": 3, "buses": [{"id": "b", '
+           '"direction": null}], "transfers": []}',
+     "bus 'b': direction must be 'in' or 'out'"),
+    ("io", '{"cadence": 3, "latency": 3, "buses": [{"id": "None", '
+           '"direction": "in"}], "transfers": [{"data": "a", "bus": null, '
+           '"offset": 0}]}',
+     "transfers[0]: 'bus' must be a string"),
+    ("mem", '{"banks": [{"id": null}]}', "'id' must be a string, got None"),
+    ("mem", '{"banks": [{"id": 0}]}', "'id' must be a string, got 0"),
+    ("mem", '{"banks": [{"id": "None"}], "placements": [{"data": "var1", '
+            '"bank": null, "address": 0}]}',
+     "'bank' must be a string, got None"),
+    ("mem", '{"mode": null, "banks": [{"id": "b0"}]}',
+     "unknown placement mode None"),
+    ("mem", '{"mode": 1, "banks": [{"id": "b0"}]}',
+     "unknown placement mode 1"),
+], ids=["mem-duplicate-bank", "mem-negative-address", "io-transfer-number",
+        "lib-class-number", "io-not-json", "lib-not-json", "mem-not-json",
+        "io-data-unknown-id", "io-data-bool", "io-data-null", "io-data-list",
+        "mem-data-unknown-id", "io-bus-id-null", "io-bus-id-number",
+        "io-direction-null", "io-transfer-bus-null", "mem-bank-id-null",
+        "mem-bank-id-number", "mem-placement-bank-null", "mem-mode-null",
+        "mem-mode-number"])
+def test_refused_document_exit_1(pairsum_dir, tmp_path, capsys, kind, text,
+                                 message):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    argv = _args(pairsum_dir)
+    argv[argv.index(f"--{kind}") + 1] = str(path)
+    assert main(["schedule"] + argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_transfer_data_may_be_a_node_id(pairsum_dir, tmp_path, capsys):
+    """An integer transfer ``data`` names a node by id, as in a placement,
+    and schedules as its label would; it is no label, so a node labelled
+    with the digits is not found by them."""
+    graph = s.parse_sfg((pairsum_dir / "graph.json").read_text())
+    by_label = json.loads((pairsum_dir / "io_lat3.json").read_text())
+    by_id = json.loads(json.dumps(by_label))
+    for t in by_id["transfers"]:
+        t["data"] = graph.node_by_label(t["data"]).id
+    outputs = {}
+    for name, doc in (("label", by_label), ("id", by_id)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert main(["schedule"] + _args(
+            pairsum_dir, io=str(tmp_path / f"{name}.json"))) == 0
+        outputs[name] = capsys.readouterr().out
+    assert outputs["id"] == outputs["label"]
+    by_id["transfers"][0]["data"] = str(by_id["transfers"][0]["data"])
+    (tmp_path / "digits.json").write_text(json.dumps(by_id))
+    assert main(["schedule"] + _args(
+        pairsum_dir, io=str(tmp_path / "digits.json"))) == 1
+    assert capsys.readouterr().err == "error: transfers[0]: no node " \
+        "labelled '0'\n"
+
+
 @pytest.mark.parametrize("clock", ["0", "1e999", "NaN", "-5", "true",
                                    '"200"', "5e-324", "1e-300", "200.5"])
 def test_clock_must_be_a_finite_positive_number(pairsum_dir, tmp_path,

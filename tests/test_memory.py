@@ -88,6 +88,13 @@ def test_mapping_rejects_conflicts(pairsum_graph):
                         s.Placement(var2, "b0", 2))))
     with pytest.raises(MappingError):  # memory used but no banks declared
         s.apply_mapping(table, s.MappingSpec(mode="auto", banks=()))
+    # an id that is no memdata node; a document cannot name one, since
+    # parse_memory_mapping refuses any other node first
+    m1 = pairsum_graph.node_by_label("m1").id
+    with pytest.raises(MappingError) as err:
+        s.apply_mapping(table, s.MappingSpec(
+            mode="auto", banks=b, placements=(s.Placement(m1, "b0", 0),)))
+    assert str(err.value) == f"placement references non-memdata node {m1}"
 
 
 def test_parse_memory_mapping(pairsum_dir, pairsum_graph):
@@ -208,7 +215,7 @@ def test_reserve_all_is_atomic(map_onebank):
 def test_reservation_spans_slots():
     spec = s.MappingSpec(mode="auto", banks=(s.Bank(id="b", ports=1,
                                                     t_seq=1, t_rand=3),))
-    m = s.apply_mapping(s.MemoryTable(entries=()), spec)
+    m = s.apply_mapping(s.MemoryTable(data_ids=()), spec)
     table = s.PortAccessTable(m, cadence=8)
     (r,) = _reserve(table, [("b", 9, 2)])  # idle: burst, cost 1
     assert r.cost == 1
@@ -227,12 +234,11 @@ def test_reservation_spans_slots():
 
 def test_horizon_error(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=4)
-    with pytest.raises(s.HorizonError):
-        table.probe([("bank0", 0, 4)])
+    assert table.probe([("bank0", 0, 4)]) is None  # a probe is only blocked
     with pytest.raises(s.HorizonError):
         table.fit([("bank0", 0, 4)])
-    with pytest.raises(s.HorizonError):
-        table.probe([("bank0", 0, 3), ("bank0", 0, 3)])  # cost 2 spills past end
+    # cost 2 spills past the end
+    assert table.probe([("bank0", 0, 3), ("bank0", 0, 3)]) is None
 
 
 def test_held_view_hides_later_reservations(map_onebank):

@@ -27,10 +27,7 @@ def probe_cost(state, op_id, t):
     reqs = state.access_requests(op_id, t)
     if not reqs:
         return 0
-    try:
-        costs = state.table.probe(reqs)
-    except s.HorizonError:
-        return None
+    costs = state.table.probe(reqs)
     return None if costs is None else sum(c for c, _, _ in costs)
 
 

@@ -25,6 +25,9 @@ def test_allocation_parsing():
                 "fixed:mult=-1", "fixed:mult=1,mult=2"):
         with pytest.raises(s.AllocationError):
             s.parse_allocation(bad)
+    with pytest.raises(s.AllocationError) as err:
+        s.Allocation(mode="x")
+    assert str(err.value) == "unknown allocation mode 'x'"
 
 
 def test_three_cycle_schedule_exact(pairsum_graph, pairsum_lib, io_lat3,
