@@ -179,7 +179,7 @@ def _load_problem(args) -> tuple:
             raise ValueError("graph stores data in memory but no --mem "
                              "document is given")
         mapping = apply_mapping(table, MappingSpec(mode="auto", banks=()))
-    return g, lib, spec, mapping, lower(g, lib, spec)
+    return g, lib, spec, mapping, lower(g, lib, spec, mapping)
 
 
 def _run_static_checks(problem, spec, stream) -> int:

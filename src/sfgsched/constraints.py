@@ -11,6 +11,11 @@ The problem is lowered once, by node position (see ``ConstraintGraph``):
    an arrival cycle and output nodes a deadline, sharing other columns.
 3. ``compute_time_windows`` walks the topological order the SFG's
    validation found, weighing each edge by ``_weights_from``.
+4. ``OpTable`` derives what the memory mapping decides for each
+   operation: its port requests and the facts the scheduler and the
+   oracle read with them.
+
+``scheduling.lower`` chains these steps into a ``Problem``.
 
 Timing model (all cycles 0-based):
 
@@ -46,6 +51,7 @@ from typing import NamedTuple
 
 from .graph import SFG, NodeKind, validate_sfg
 from .iospec import IoConstraintSpec, IoSpecError, Transfer
+from .memory import MemoryMapping, is_burst
 from .oplib import OperatorLibrary
 
 #: Optimistic memory-access latency used before bank timings are known.
@@ -172,20 +178,79 @@ class TimeWindows:
                         map(self.asap_at.__getitem__, self._order)))
 
 
+class OpTable:
+    """What the mapping decides for each op, derived once per op with
+    accesses, in columns indexed by node position (see ``ConstraintGraph``;
+    operations take positions in id order, so every id tie-break holds on
+    positions): ``requests``, its port requests as (bank, address, cycle
+    offset), reads at offset 0 and then writes at its latency;
+    ``records``, the (access node, kind, data, data label) of each;
+    ``writers``, the ops whose writes gate its reads; ``gated``, per write
+    the ops whose reads it gates; ``read_keys``, the (bank, address) of its
+    reads; ``shape``, its class and per request the bank, the offset and
+    whether the address continues the op's previous request on that bank
+    (None for its first there, which depends on the port table);
+    ``firsts``, the (bank, address) of those first requests.  An
+    access-free op gets empty tuples.
+    """
+
+    def __init__(self, cg: ConstraintGraph, mapping: MemoryMapping):
+        ids, label, latency, op_class = cg.ids, cg.label, cg.latency, \
+            cg.op_class
+        pred, succ, agent, data = cg.pred, cg.succ, cg.agent, cg.data
+        self.writers, self.requests, self.records, self.gated, \
+            self.read_keys, self.firsts = [[()] * len(ids) for _ in range(6)]
+        # an access-free op's shape: one tuple per class, shared
+        free_of = {cls: (cls, ()) for cls in set(op_class)}
+        self.shape = list(map(free_of.__getitem__, op_class))
+        placement = mapping._by_data  # memdata id -> Placement
+        reads_of, writes_of = cg.reads, cg.writes
+        for p in reads_of.keys() | writes_of.keys():
+            reads, writes = reads_of.get(p, ()), writes_of.get(p, ())
+            self.writers[p] = tuple([agent[w] for r in reads for w in pred[r]])
+            self.gated[p] = tuple([tuple([agent[r] for r in succ[w]])
+                                   for w in writes])
+            requests, records = [], []
+            for accs, offset, name in ((reads, 0, "read"),
+                                       (writes, latency[p], "write")):
+                for a in accs:
+                    place = placement[data[a]]
+                    requests.append((place.bank, place.address, offset))
+                    records.append((ids[a], name, data[a], label[a][3:]))
+            prev, read_keys, steps, firsts = {}, [], [], []
+            for bank, address, offset in requests:
+                if not offset:
+                    read_keys.append((bank, address))
+                before = prev.get(bank)
+                if before is None:
+                    firsts.append((bank, address))
+                    steps.append((bank, offset, None))
+                else:
+                    steps.append((bank, offset, is_burst(before, address)))
+                prev[bank] = address
+            self.requests[p] = tuple(requests)
+            self.records[p] = tuple(records)
+            self.read_keys[p] = tuple(read_keys)
+            self.shape[p] = (op_class[p], tuple(steps))
+            self.firsts[p] = tuple(firsts)
+
+
 @dataclass(frozen=True)
 class Problem:
-    """A problem lowered once: the I/O-constrained constraint graph and its
-    time windows, kept together so that no stage pairs a graph with another
-    graph's windows.
+    """A problem lowered once: the I/O-constrained constraint graph, its
+    time windows and the op table its mapping decides
+    (``OpTable``), kept together so that no stage pairs a graph
+    with another graph's windows or ops.
 
-    ``scheduling.lower(g, lib, spec)`` builds it, the one place the
-    lowering stages are chained.  The static checks, the scheduler, the
-    verifier and the oracle only read it, so one instance serves a whole
-    CLI call.
+    ``scheduling.lower(g, lib, spec, mapping)`` builds it, the one place
+    the lowering stages are chained.  The static checks, the scheduler,
+    the verifier and the oracle only read it, so one instance serves a
+    whole CLI call.
     """
 
     cg: ConstraintGraph
     windows: TimeWindows
+    ops: OpTable
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,8 @@ sequence number stored with every access lets a verifier replay them.
 Every per-op fact the scheduler reads sits in a column indexed by the
 op's node position, the numbering the SFG gives its nodes (see
 ``ConstraintGraph``): class, latency and neighbours in the lowering's
-columns, the window in the windows', the requests in the op table of
-``SchedulerState``.  The ready set, the walk, the readiness counts,
+columns, the window in the windows', the requests in the problem's op
+table (``OpTable``).  The ready set, the walk, the readiness counts,
 ``rank_executable``, ``assign_step`` and the exhaustive oracle
 (``verify``) all work on positions; ids are read from the ``ids`` column
 only for the records and failure messages.
@@ -90,14 +90,14 @@ from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .constraints import (CgKind, ConstraintGraph, Problem,
-                          TimeWindows, achieved_latency, apply_io_constraints,
+from .constraints import (CgKind, ConstraintGraph, OpTable, Problem,
+                          achieved_latency, apply_io_constraints,
                           build_constraint_graph, compute_time_windows,
                           transfer_cycles)
 from .graph import SFG
 from .iospec import IoConstraintSpec, build_transfer_graph
 from .jsontext import ACCESSES, EVENTS, OPS, TRANSFERS, dumps_tables
-from .memory import BlockedAccess, MemoryMapping, PortAccessTable, is_burst
+from .memory import BlockedAccess, MemoryMapping, PortAccessTable
 from .oplib import OperatorLibrary
 
 
@@ -263,95 +263,41 @@ class Schedule:
              TRANSFERS))) + "\n"
 
 
-def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec) -> Problem:
+def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
+          mapping: MemoryMapping) -> Problem:
     """The problem lowered once: the one chain of the lowering stages, by
-    the names this module imports (wrapping them here sees every call)."""
+    the names this module imports (wrapping them here sees every call),
+    and the op table the mapping decides."""
     cg = apply_io_constraints(build_constraint_graph(g, lib),
                               build_transfer_graph(spec), spec)
-    return Problem(cg, compute_time_windows(cg))
+    return Problem(cg, compute_time_windows(cg), OpTable(cg, mapping))
 
 
 class SchedulerState:
-    """Mutable working state shared by the ranking and assignment steps,
-    and the op table they read.
+    """Mutable working state shared by the ranking and assignment steps.
 
-    ``instances`` and ``names`` hold per operator class each instance's
-    busy-until cycle (the first cycle it is free again) and name;
-    ``accesses`` and ``events`` collect the records as they are made.
-
-    The op table's columns are indexed by node position (see
-    ``ConstraintGraph``); operations take positions in id order, so every
-    id tie-break holds on positions, and ids, being unbounded, index no
-    column.  Beside the lowering's and the windows' columns (``ids`` and
-    ``op_class`` are kept here too) it holds what the mapping decides,
-    derived once per op with accesses: ``requests``, its port requests as
-    (bank, address, cycle offset), reads at offset 0 and then writes at its
-    latency; ``records``, the (access node, kind, data, data label) of each;
-    ``writers``, the ops whose writes gate its reads; ``gated``, per write
-    the ops whose reads it gates; ``read_keys``, the (bank, address) of its
-    reads; ``shape``, its class and per request the bank, the offset and
-    whether the address continues the op's previous request on that bank
-    (None for its first there, which depends on the table); ``firsts``,
-    the (bank, address) of those first requests.  An access-free op gets
-    empty tuples.  ``started`` holds each op's record once started.
+    It reads the problem's columns in place: the lowering's (``cg``), the
+    windows' and the op table's (``ops``).  ``instances`` and ``names``
+    hold per operator class each instance's busy-until cycle (the first
+    cycle it is free again) and name; ``accesses`` and ``events`` collect
+    the records as they are made, and ``started`` holds each op's record
+    once started, by node position.
 
     ``rank_executable`` sets ``t`` to the cycle it ranks and holds the
     port table's view for it; ``cost`` probes that view.
     """
 
-    def __init__(self, cg: ConstraintGraph, windows: TimeWindows,
-                 mapping: MemoryMapping, table: PortAccessTable,
+    def __init__(self, problem: Problem, table: PortAccessTable,
                  allocation: Allocation):
-        self.cg, self.windows, self.table = cg, windows, table
-        self.allocation = allocation
+        self.cg, self.windows, self.ops = problem.cg, problem.windows, \
+            problem.ops
+        self.table, self.allocation = table, allocation
         self.instances: dict[str, list[int]] = {}
         self.names: dict[str, list[str]] = {}
         self.accesses: list[ScheduledAccess] = []
         self.events: list[AllocationEvent] = []
+        self.started = [None] * len(self.cg.ids)
         self.t = -1
-        ids, label, latency = cg.ids, cg.label, cg.latency
-        pred, succ, agent, data = cg.pred, cg.succ, cg.agent, cg.data
-        self.ids, self.op_class = ids, cg.op_class
-        n = len(ids)
-        self.started = [None] * n
-        self.writers, self.requests, self.records, self.gated, \
-            self.read_keys, self.firsts = [[()] * n for _ in range(6)]
-        # an access-free op's shape: one tuple per class, shared
-        free_of = {cls: (cls, ()) for cls in set(self.op_class)}
-        self.shape = list(map(free_of.__getitem__, self.op_class))
-        placement = mapping._by_data  # memdata id -> Placement
-        reads_of, writes_of = cg.reads, cg.writes
-        for p in reads_of.keys() | writes_of.keys():
-            reads, writes = reads_of.get(p, ()), writes_of.get(p, ())
-            self.writers[p] = tuple([agent[w] for r in reads for w in pred[r]])
-            self.gated[p] = tuple([tuple([agent[r] for r in succ[w]])
-                                   for w in writes])
-            requests, records = [], []
-            for accs, offset, name in ((reads, 0, "read"),
-                                       (writes, latency[p], "write")):
-                for a in accs:
-                    place = placement[data[a]]
-                    requests.append((place.bank, place.address, offset))
-                    records.append((ids[a], name, data[a], label[a][3:]))
-            prev: dict[str, int] = {}
-            read_keys = []
-            steps = []
-            firsts = []
-            for bank, address, offset in requests:
-                if not offset:
-                    read_keys.append((bank, address))
-                before = prev.get(bank)
-                if before is None:
-                    firsts.append((bank, address))
-                    steps.append((bank, offset, None))
-                else:
-                    steps.append((bank, offset, is_burst(before, address)))
-                prev[bank] = address
-            self.requests[p] = tuple(requests)
-            self.records[p] = tuple(records)
-            self.read_keys[p] = tuple(read_keys)
-            self.shape[p] = (self.op_class[p], tuple(steps))
-            self.firsts[p] = tuple(firsts)
 
     def allocate_instance(self, op_class: str, t: int) -> int:
         """Grow the class's pool by one instance; return its number."""
@@ -367,13 +313,13 @@ class SchedulerState:
         """(bank, address, cycle) of the requests of the op at position i,
         started at t."""
         return [(bank, address, t + offset)
-                for bank, address, offset in self.requests[i]]
+                for bank, address, offset in self.ops.requests[i]]
 
     def cost(self, i: int) -> int | None:
         """Total port cost of starting the op at position i at cycle ``t``,
         against the held view, or None if blocked (a port conflict or an
         access past the horizon); an access-free op costs 0."""
-        if not self.requests[i]:
+        if not self.ops.requests[i]:
             return 0
         fits = self.table.probe(self.access_requests(i, self.t))
         return None if fits is None else sum(fit[0] for fit in fits)
@@ -406,9 +352,9 @@ class ReadySet:
     """The ready operations of a run, kept up to date between cycles.
 
     Ops come and go (``add``, ``discard``) and are kept by their position
-    in the op table (``SchedulerState``).  ``groups maps each (mobility,
-    alap) prefix of the rank key to its members, bucketed by shape
-    (``SchedulerState.shape``), and ``keys`` holds those prefixes in
+    in the op table (``OpTable``).  ``groups`` maps each (mobility, alap)
+    prefix of the rank key to its members, bucketed by shape
+    (``OpTable.shape``), and ``keys`` holds those prefixes in
     ascending order; ``alaps`` holds the groups' alaps in ascending order.
     ``per_class`` counts members by operator class, and ``readers``
     indexes members by the (bank, address) of their reads.  ``followers``
@@ -418,7 +364,7 @@ class ReadySet:
     """
 
     def __init__(self, state: SchedulerState, ops: Iterable[int] = ()):
-        self.state = state
+        self.ops, self.op_class = state.ops, state.cg.op_class
         self.alap = state.windows.alap_at
         self.mobility = state.windows.mobility_at
         self.keys: list[tuple[int, int]] = []
@@ -426,7 +372,7 @@ class ReadySet:
         self.groups: dict[tuple[int, int], dict[tuple, _Bucket]] = {}
         self.per_class: dict[str, int] = {}
         self.readers: dict[tuple[str, int], list[int]] = {}
-        self.followers = [0] * len(state.ids)
+        self.followers = [0] * len(self.op_class)
         for i in ops:
             self.add(i)
 
@@ -435,7 +381,7 @@ class ReadySet:
 
     def _bucket(self, i: int) -> _Bucket:
         return self.groups[self.mobility[i], self.alap[i]][
-            self.state.shape[i]]
+            self.ops.shape[i]]
 
     def _follow(self, i: int, delta: int) -> None:
         before = self.followers[i]
@@ -446,7 +392,7 @@ class ReadySet:
             self._bucket(i).enablers.remove(i)
 
     def add(self, i: int) -> None:
-        state = self.state
+        ops = self.ops
         alap = self.alap[i]
         key = (self.mobility[i], alap)
         group = self.groups.get(key)
@@ -454,18 +400,18 @@ class ReadySet:
             group = self.groups[key] = {}
             bisect.insort(self.keys, key)
             bisect.insort(self.alaps, alap)
-        shape = state.shape[i]
+        shape = ops.shape[i]
         bucket = group.get(shape)
         if bucket is None:
             bucket = group[shape] = _Bucket()
         bisect.insort(bucket.members, i)
-        cls = state.op_class[i]
+        cls = self.op_class[i]
         self.per_class[cls] = self.per_class.get(cls, 0) + 1
         if not shape[1]:
             return  # access-free: no reads, no first requests
-        for first in state.firsts[i]:
+        for first in ops.firsts[i]:
             bucket.first_at.setdefault(first, []).append(i)
-        read_keys = state.read_keys[i]
+        read_keys = ops.read_keys[i]
         if not read_keys:
             return
         readers = self.readers
@@ -483,15 +429,15 @@ class ReadySet:
             bisect.insort(bucket.enablers, i)
 
     def discard(self, i: int) -> None:
-        state = self.state
+        ops = self.ops
         alap = self.alap[i]
         key = (self.mobility[i], alap)
         group = self.groups[key]
-        shape = state.shape[i]
+        shape = ops.shape[i]
         bucket = group[shape]
         bucket.members.remove(i)
         if shape[1]:
-            for first in state.firsts[i]:
+            for first in ops.firsts[i]:
                 bucket.first_at[first].remove(i)
             if self.followers[i]:
                 self.followers[i] = 0
@@ -502,9 +448,9 @@ class ReadySet:
                 del self.groups[key]
                 del self.keys[bisect.bisect_left(self.keys, key)]
                 del self.alaps[bisect.bisect_left(self.alaps, alap)]
-        self.per_class[state.op_class[i]] -= 1
+        self.per_class[self.op_class[i]] -= 1
         readers = self.readers
-        for bank, address in state.read_keys[i]:
+        for bank, address in ops.read_keys[i]:
             readers[bank, address].remove(i)
             for other in readers.get((bank, address - 1), ()):
                 if other != i:
@@ -566,13 +512,13 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
             if until <= t:
                 n += 1
         free[cls] = n
-    alap, ids = state.windows.alap_at, state.ids
+    alap, ids, op_class = state.windows.alap_at, state.cg.ids, \
+        state.cg.op_class
     due = ready.due(t)
     for i in due:
         if alap[i] < t:
             raise ScheduleFailure("infeasible-windows", cycle=t,
-                                  operation=ids[i],
-                                  op_class=state.op_class[i],
+                                  operation=ids[i], op_class=op_class[i],
                                   detail=f"latest feasible start was cycle "
                                          f"{alap[i]}")
     state.t = t
@@ -582,7 +528,7 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
         if cost(i) is None:
             raise ScheduleFailure(
                 "memory-conflict-at-zero-margin", cycle=t,
-                operation=ids[i], op_class=state.op_class[i],
+                operation=ids[i], op_class=op_class[i],
                 bank=state.blocking_bank(i, t))
     return _walk(state, ready, t, cost, len(due), free, last)
 
@@ -593,8 +539,8 @@ def _walk(state: SchedulerState, ready: ReadySet, t: int,
           ) -> Iterator[int]:
     """``rank_executable``'s walk.  ``open_left`` counts the members, in
     groups not visited yet, of the classes with a free instance."""
-    op_class = state.op_class
-    read_keys = state.read_keys
+    op_class = state.cg.op_class
+    read_keys = state.ops.read_keys
     started = state.started
     readers = ready.readers
     left = dict(ready.per_class)  # members in groups not visited yet
@@ -698,9 +644,9 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
     The accesses of another are fitted once, on the live table, and
     committed as fitted, slot spans included.
     """
-    op_id, alap = state.ids[i], state.windows.alap_at[i]
-    op_class = state.op_class[i]
-    reqs = state.requests[i]
+    op_id, alap = state.cg.ids[i], state.windows.alap_at[i]
+    op_class = state.cg.op_class[i]
+    reqs = state.ops.requests[i]
     if reqs:
         reqs = state.access_requests(i, t)
         try:
@@ -733,7 +679,7 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
         append = state.accesses.append
         for (acc, kind, data, data_label), (bank, address, cycle), \
                 (cost, cost_class, _), seq in zip(
-                    state.records[i], reqs, fits,
+                    state.ops.records[i], reqs, fits,
                     state.table.commit(reqs, fits)):
             append(_tuple_new(ScheduledAccess, (
                 acc, op_id, kind, data, data_label, bank, address, cycle,
@@ -754,7 +700,7 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
             state.instances[name] = [0] * n
             state.names[name] = [f"{name}{k}" for k in range(n)]
         return
-    for name in sorted(set(state.op_class) - {None}):
+    for name in sorted(set(state.cg.op_class) - {None}):
         state.instances[name] = [0]
         state.names[name] = [f"{name}0"]
 
@@ -776,16 +722,16 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
              problem: Problem | None = None) -> Schedule:
     """Schedule one iteration of the graph within the latency bound.
 
-    ``problem`` is the lowering of ``g``, ``lib`` and ``spec`` when the
-    caller already holds one; it is only read.  Without it the problem is
-    lowered here, with ``lower``.
+    ``problem`` is the lowering of ``g``, ``lib``, ``spec`` and ``mapping``
+    when the caller already holds one; it is only read.  Without it the
+    problem is lowered here, with ``lower``.
 
     Raises ScheduleFailure when no legal schedule can be produced under the
     given resources, a latency above the bound among them; static
     infeasibility should be caught beforehand with ``check_feasibility``.
     """
     if problem is None:
-        problem = lower(g, lib, spec)
+        problem = lower(g, lib, spec, mapping)
     cg, windows = problem.cg, problem.windows
     ids, label, deadline = cg.ids, cg.label, cg.deadline
     # outputs with no operation on their path (pass-through) never hit the
@@ -797,15 +743,15 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                                   detail=f"output {label[p]} "
                                          f"cannot be ready before cycle "
                                          f"{windows.asap_at[p]}")
-    table = PortAccessTable(mapping, spec.cadence)
-    state = SchedulerState(cg, windows, mapping, table, allocation)
+    state = SchedulerState(problem, PortAccessTable(mapping, spec.cadence),
+                           allocation)
     _seed_pool(state, lib)
 
     # Readiness bookkeeping: each op counts what it waits for (its
     # producers, late input arrivals and gating writes) and an event queue
     # decrements the count as each one completes; both hold op positions.
     ops, kind = cg.positions[CgKind.OP], cg.kind
-    remaining = list(map(len, state.writers))
+    remaining = list(map(len, problem.ops.writers))
     for i in ops:
         for c in cg.consumers[i]:
             remaining[c] += 1
@@ -819,7 +765,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
 
     ready = ReadySet(state, [i for i in ops if not remaining[i]])
     per_class, instances = ready.per_class, state.instances
-    consumers, gated_of = cg.consumers, state.gated
+    consumers, gated_of = cg.consumers, problem.ops.gated
     bound = spec.latency_bound
 
     t = 0
@@ -829,7 +775,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
             i = next(i for i in ops if state.started[i] is None)
             raise ScheduleFailure("infeasible-windows", cycle=t,
                                   operation=ids[i],
-                                  op_class=state.op_class[i],
+                                  op_class=cg.op_class[i],
                                   detail="latency bound reached with "
                                          "operations pending")
         for i in release_at.pop(t, ()):

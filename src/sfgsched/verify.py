@@ -12,7 +12,8 @@ the lowering fixes (the kind of node a record names, labels, an access's
 operation and kind, a transfer's direction and whether it is
 synthesized).  The lowering is either its own (``lower``)
 or a ``Problem`` shared by the caller; both are derived from the graph,
-library and I/O constraints alone, and the verifier only reads them.  It
+library, I/O constraints and mapping alone, and the verifier only reads
+them.  It
 takes the timing rules from their one home, as the scheduler does: access
 cost and slot span from ``memory.Bank``, output production and achieved
 latency from ``constraints``.  It trusts nothing from the scheduler
@@ -26,8 +27,8 @@ breaks a rule is caught (the mutation tests guard this).
 searches every start-time assignment (and every same-cycle reservation
 order) and returns the best achievable latency, or None when no schedule
 exists under the given resources.  It reads each op's facts by node
-position, from the lowering and the op table of a ``SchedulerState``, as
-the scheduler does.  Its search state is only what cannot be worked out
+position, from the lowering and its op table (``problem.ops``), as the
+scheduler does.  Its search state is only what cannot be worked out
 from the rest: the cycle,
 each op's start and the end of its writes, each bank's last address, and
 the load of each reserved slot.  Instances are interchangeable, so a pool
@@ -48,9 +49,9 @@ from .constraints import (apply_io_constraints, build_constraint_graph,
                           compute_time_windows)
 from .graph import SFG
 from .iospec import IoConstraintSpec
-from .memory import HorizonError, MemoryMapping, PortAccessTable
+from .memory import HorizonError, MemoryMapping
 from .oplib import OperatorLibrary
-from .scheduling import Allocation, Schedule, SchedulerState, lower
+from .scheduling import Allocation, Schedule, lower
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,16 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                     allocation: Allocation | None = None) -> list[Violation]:
     """All rule violations in the schedule, empty when it is valid.
 
-    ``problem`` is the lowering of ``g``, ``lib`` and ``spec`` when the
-    caller already holds one; without it ``lower`` lowers it here.
+    ``problem`` is the lowering of ``g``, ``lib``, ``spec`` and
+    ``mapping`` when the caller already holds one; without it ``lower``
+    lowers it here.
     ``allocation`` is the pool policy the schedule was made under: a
     fixed one caps each class's pool at its count (a class it does not
     list at zero).
     """
     out: list[Violation] = []
     if problem is None:
-        problem = lower(g, lib, spec)
+        problem = lower(g, lib, spec, mapping)
     cg, windows = problem.cg, problem.windows
 
     # the record's own cadence and bound must be the constraints': the
@@ -391,26 +393,23 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
     same-cycle reservation order (access costs depend on it).  Intended for
     test graphs only, hence the op-count guard (``ORACLE_MAX_OPS``).
     """
-    problem = lower(g, lib, spec)
+    problem = lower(g, lib, spec, mapping)
     cg = problem.cg
     ops = cg.positions[CgKind.OP]
     if len(ops) > ORACLE_MAX_OPS:
         raise ValueError(f"brute force capped at {ORACLE_MAX_OPS} operations, "
                          f"graph has {len(ops)}")
 
-    # the op table, read by node position
-    facts = SchedulerState(cg, problem.windows, mapping,
-                           PortAccessTable(mapping, spec.cadence),
-                           Allocation("auto"))
-    lat, op_class = cg.latency, facts.op_class
+    lat, op_class = cg.latency, cg.op_class
     # asap: not before an arrival
     asap, alap = problem.windows.asap_at, problem.windows.alap_at
     op_preds = [[q for q in qs if cg.kind[q] is CgKind.OP] for qs in cg.pred]
-    read_deps = facts.writers
+    read_deps = problem.ops.writers
     peers = {i: [j for j in ops if op_class[j] == op_class[i]] for i in ops}
     bank_at = {b.id: k for k, b in enumerate(mapping.banks)}
     accesses = [[(bank_at[bank], mapping.bank(bank), address, offset)
-                 for bank, address, offset in reqs] for reqs in facts.requests]
+                 for bank, address, offset in reqs]
+                for reqs in problem.ops.requests]
     outputs = cg.positions[CgKind.OUTPUT]
 
     best: list[int | None] = [None]

@@ -121,7 +121,7 @@ def random_fft_problem(seed: int) -> Problem:
     buses = (s.BusDef("in0", "in"),) if paced else ()
     probe = s.IoConstraintSpec(buses=buses, transfers=transfers,
                                cadence=4096, latency_bound=4096)
-    problem = s.lower(g, lib, probe)
+    problem = s.lower(g, lib, probe, mapping)
     cg, win = problem.cg, problem.windows
     ceiling = max(win.asap[n.id] for n in cg.of_kind(s.CgKind.OUTPUT)) + 1
     if rng.random() < 0.1:
@@ -131,7 +131,7 @@ def random_fft_problem(seed: int) -> Problem:
     spec = s.IoConstraintSpec(buses=buses, transfers=transfers,
                               cadence=bound + rng.randint(0, 4),
                               latency_bound=bound)
-    s.lower(g, lib, spec)  # refuses a transfer its bus cannot carry
+    s.lower(g, lib, spec, mapping)  # refuses a transfer its bus cannot carry
 
     used = {lib.select(n.op).name for n in g.operations}
     if rng.random() < 0.4:

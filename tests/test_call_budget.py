@@ -57,7 +57,7 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
             probe_callers[frame.f_back.f_code.co_name] += 1
         elif code is cost:
             local = frame.f_locals
-            costs_with_requests += bool(local["self"].requests[local["i"]])
+            costs_with_requests += bool(local["self"].ops.requests[local["i"]])
         elif code is fit:
             requests_fitted += len(frame.f_locals["requests"])
 

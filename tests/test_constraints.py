@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfgsched as s
+from conftest import auto_banks
 from instances import random_problem
 from sfgsched.constraints import _weights_from as weights_from
 
@@ -43,8 +44,8 @@ def test_directly_built_invalid_graph_is_rejected():
             s.build_constraint_graph(g, ALU)
 
 
-def test_edge_weights(pairsum_graph, pairsum_lib, io_lat3):
-    cg = s.lower(pairsum_graph, pairsum_lib, io_lat3).cg
+def test_edge_weights(pairsum_graph, pairsum_lib, io_lat3, map_onebank):
+    cg = s.lower(pairsum_graph, pairsum_lib, io_lat3, map_onebank).cg
     a, m1, add1, c = (cg.at[pairsum_graph.node_by_label(x).id]
                       for x in ("a", "m1", "add1", "c"))
     rd = cg.reads[m1][0]
@@ -59,8 +60,9 @@ def test_edge_weights(pairsum_graph, pairsum_lib, io_lat3):
     assert weights[add1][0] == 0    # drive the bus while producing
 
 
-def test_windows_match_hand_computed_values(pairsum_graph, pairsum_lib, io_lat3):
-    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
+def test_windows_match_hand_computed_values(pairsum_graph, pairsum_lib, io_lat3,
+                                            map_onebank):
+    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3, map_onebank)
     cg, w = problem.cg, problem.windows
     expect = {4: (0, 1), 5: (0, 1), 6: (1, 2), 7: (1, 2)}
     for nid, (lo, hi) in expect.items():
@@ -69,8 +71,9 @@ def test_windows_match_hand_computed_values(pairsum_graph, pairsum_lib, io_lat3)
         assert w.mobility_at[p] == hi - lo == 1
 
 
-def test_access_windows_follow_their_operation(pairsum_graph, pairsum_lib, io_lat3):
-    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
+def test_access_windows_follow_their_operation(pairsum_graph, pairsum_lib,
+                                               io_lat3, map_onebank):
+    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3, map_onebank)
     cg, w = problem.cg, problem.windows
     assert cg.positions[C.READ]
     for p in cg.positions[C.READ]:
@@ -135,8 +138,9 @@ def test_uncovered_symbol_raises(pairsum_graph):
         s.build_constraint_graph(pairsum_graph, sub_only)
 
 
-def test_apply_io_constraints_sets_dates(pairsum_graph, pairsum_lib, io_lat3):
-    cg = s.lower(pairsum_graph, pairsum_lib, io_lat3).cg
+def test_apply_io_constraints_sets_dates(pairsum_graph, pairsum_lib, io_lat3,
+                                         map_onebank):
+    cg = s.lower(pairsum_graph, pairsum_lib, io_lat3, map_onebank).cg
     a = pairsum_graph.node_by_label("a").id
     c = pairsum_graph.node_by_label("c").id
     assert cg.arrival[cg.at[a]] == 0
@@ -144,9 +148,10 @@ def test_apply_io_constraints_sets_dates(pairsum_graph, pairsum_lib, io_lat3):
     assert cg.latency_bound == 3
 
 
-def test_apply_io_constraints_defaults_without_transfers(pairsum_graph, pairsum_lib):
+def test_apply_io_constraints_defaults_without_transfers(pairsum_graph, pairsum_lib,
+                                                         map_onebank):
     spec = s.IoConstraintSpec.unconstrained(latency_bound=5)
-    cg = s.lower(pairsum_graph, pairsum_lib, spec).cg
+    cg = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank).cg
     c = pairsum_graph.node_by_label("c").id
     assert cg.deadline[cg.at[c]] == 4  # free outputs only face the bound
     assert cg.arrival[cg.at[pairsum_graph.node_by_label("a").id]] == 0
@@ -174,8 +179,9 @@ def test_apply_io_constraints_rejects_bad_transfers(pairsum_graph, pairsum_lib):
     assert str(err.value) == f"transfer of node {a}: unknown bus 'zz'"
 
 
-def test_apply_io_constraints_idempotent(pairsum_graph, pairsum_lib, io_lat3):
-    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
+def test_apply_io_constraints_idempotent(pairsum_graph, pairsum_lib, io_lat3,
+                                         map_onebank):
+    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3, map_onebank)
     cg1, w1 = problem.cg, problem.windows
     tg = s.build_transfer_graph(io_lat3)
     cg2 = s.apply_io_constraints(cg1, tg, io_lat3)
@@ -185,8 +191,8 @@ def test_apply_io_constraints_idempotent(pairsum_graph, pairsum_lib, io_lat3):
 
 
 def test_windows_by_id_are_built_on_first_read(pairsum_graph, pairsum_lib,
-                                               io_lat3):
-    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3)
+                                               io_lat3, map_onebank):
+    problem = s.lower(pairsum_graph, pairsum_lib, io_lat3, map_onebank)
     cg, w = problem.cg, problem.windows
     assert "asap" not in vars(w)
     assert w.asap == {cg.ids[p]: w.asap_at[p]
@@ -194,9 +200,10 @@ def test_windows_by_id_are_built_on_first_read(pairsum_graph, pairsum_lib,
     assert list(w.asap) == [cg.ids[p] for p in cg.order]  # topological
 
 
-def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2):
+def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2,
+                                    map_onebank):
     for spec in (io_lat3, io_lat2):
-        problem = s.lower(pairsum_graph, pairsum_lib, spec)
+        problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
         rep = s.check_feasibility(problem.cg, problem.windows, spec)
         # the 2-cycle variant passes the static checks too; only the
         # memory-aware scheduler can expose its infeasibility
@@ -204,16 +211,18 @@ def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2
         assert rep.critical_path_cycles == 2
 
 
-def test_feasibility_catches_short_bound(pairsum_graph, pairsum_lib):
+def test_feasibility_catches_short_bound(pairsum_graph, pairsum_lib,
+                                        map_onebank):
     spec = s.IoConstraintSpec.unconstrained(latency_bound=1)
-    problem = s.lower(pairsum_graph, pairsum_lib, spec)
+    problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
     rep = s.check_feasibility(problem.cg, problem.windows, spec)
     assert not rep.cadence_ok and not rep.feasible
     assert rep.critical_path_cycles == 2
     assert rep.diagnostics
 
 
-def test_feasibility_catches_early_deadline(pairsum_graph, pairsum_lib):
+def test_feasibility_catches_early_deadline(pairsum_graph, pairsum_lib,
+                                            map_onebank):
     a = pairsum_graph.node_by_label("a").id
     b = pairsum_graph.node_by_label("b").id
     c = pairsum_graph.node_by_label("c").id
@@ -224,14 +233,15 @@ def test_feasibility_catches_early_deadline(pairsum_graph, pairsum_lib):
         transfers=(s.Transfer(a, "bi", 0), s.Transfer(b, "bj", 0),
                    s.Transfer(c, "bo", 0)),
         cadence=3, latency_bound=3)
-    problem = s.lower(pairsum_graph, pairsum_lib, spec)
+    problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
     rep = s.check_feasibility(problem.cg, problem.windows, spec)
     assert rep.cadence_ok and not rep.output_dates_ok and not rep.feasible
     assert any("c" in d or "7" in d for d in rep.diagnostics)
 
 
 def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
-                                                             pairsum_lib):
+                                                             pairsum_lib,
+                                                             map_onebank):
     """The latency runs from the first input transfer to the last output
     transfer: pinned offsets bound it from below, unpinned inputs only
     move its start earlier."""
@@ -241,7 +251,7 @@ def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
     def diagnose(transfers, bound):
         spec = s.IoConstraintSpec(buses, transfers, cadence=8,
                                   latency_bound=bound)
-        problem = s.lower(pairsum_graph, pairsum_lib, spec)
+        problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
         rep = s.check_feasibility(problem.cg, problem.windows, spec)
         pinned = [d for d in rep.diagnostics if "pinned" in d]
         assert not pinned or not rep.cadence_ok
@@ -265,11 +275,12 @@ def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
              s.SfgNode(1, K.OPERATION, op="+", label="s"),
              s.SfgNode(2, K.OUTPUT, label="y")]
     g = s.SFG(nodes, [(0, 1, 0), (0, 1, 1), (1, 2, 0)])
+    mapping = auto_banks(g, 1)
     for bound, ok in ((4, False), (5, True)):
         spec = s.IoConstraintSpec((s.BusDef("bo", "out"),),
                                   (s.Transfer(2, "bo", 4),), cadence=8,
                                   latency_bound=bound)
-        problem = s.lower(g, ALU, spec)
+        problem = s.lower(g, ALU, spec, mapping)
         assert s.check_feasibility(problem.cg, problem.windows,
                                    spec).cadence_ok is ok
 
@@ -293,7 +304,7 @@ def test_feasibility_reports_offsets_outside_the_cadence(pairsum_graph):
 @given(st.integers(0, 10 ** 6))
 def test_window_edge_inequalities(seed):
     p = random_problem(seed)
-    problem = s.lower(p.g, p.lib, p.spec)
+    problem = s.lower(p.g, p.lib, p.spec, p.mapping)
     cg, w = problem.cg, problem.windows
     for u, vs in enumerate(cg.succ):
         to_output, other = weights_from(cg.kind[u], cg.latency[u])
@@ -307,7 +318,7 @@ def test_window_edge_inequalities(seed):
 @given(st.integers(0, 10 ** 6))
 def test_feasible_problems_have_consistent_windows(seed):
     p = random_problem(seed)
-    problem = s.lower(p.g, p.lib, p.spec)
+    problem = s.lower(p.g, p.lib, p.spec, p.mapping)
     cg, w = problem.cg, problem.windows
     rep = s.check_feasibility(cg, w, p.spec)
     if rep.feasible:
@@ -324,7 +335,7 @@ def test_static_checks_match_unlimited_resource_search():
         table = s.extract_memory_table(p.g)
         banks = (s.Bank(id="wide", ports=64, t_seq=1, t_rand=1),)
         mapping = s.apply_mapping(table, s.MappingSpec(mode="auto", banks=banks))
-        problem = s.lower(p.g, p.lib, p.spec)
+        problem = s.lower(p.g, p.lib, p.spec, mapping)
         rep = s.check_feasibility(problem.cg, problem.windows, p.spec)
         bf = s.brute_force_min_latency(p.g, p.lib, p.spec, mapping,
                                        instances=None)

@@ -5,13 +5,14 @@ import pytest
 import sfgsched as s
 
 
-def test_parse_io_spec(io_lat3, pairsum_graph, pairsum_lib):
+def test_parse_io_spec(io_lat3, pairsum_graph, pairsum_lib, map_twobank):
     assert io_lat3.cadence == 3
     assert io_lat3.latency_bound == 3
     assert {b.id for b in io_lat3.buses} == {"inA", "inB", "outC"}
     a = pairsum_graph.node_by_label("a").id
     assert any(t.node == a and t.offset == 0 for t in io_lat3.transfers)
-    s.lower(pairsum_graph, pairsum_lib, io_lat3)  # the graph's rules hold
+    # the graph's rules hold
+    s.lower(pairsum_graph, pairsum_lib, io_lat3, map_twobank)
 
 
 def test_unconstrained_defaults():
@@ -22,7 +23,8 @@ def test_unconstrained_defaults():
     assert spec2.cadence == 9
 
 
-def test_validate_catches_spec_problems(pairsum_graph, pairsum_lib):
+def test_validate_catches_spec_problems(pairsum_graph, pairsum_lib,
+                                       map_twobank):
     a = pairsum_graph.node_by_label("a").id
     c = pairsum_graph.node_by_label("c").id
     bus_in = s.BusDef(id="bi", direction="in")
@@ -42,7 +44,7 @@ def test_validate_catches_spec_problems(pairsum_graph, pairsum_lib):
             ([s.Transfer(a, "bo", 0)],
              f"node {a} on output bus 'bo' is not an output")):
         with pytest.raises(s.IoSpecError) as err:
-            s.lower(pairsum_graph, pairsum_lib, spec(transfers))
+            s.lower(pairsum_graph, pairsum_lib, spec(transfers), map_twobank)
         assert str(err.value) == message
     # the rules that need no graph are checked when the spec is built
     two = [s.Transfer(a, "bi", 1),
@@ -134,7 +136,7 @@ def test_an_input_on_an_output_bus_is_refused_on_every_path(
                        s.IoConstraintSpec.unconstrained(3), map_twobank)
     message = f"node {a} on output bus 'bo' is not an output"
     for call, args in (
-            (s.lower, (pairsum_graph, pairsum_lib, spec)),
+            (s.lower, (pairsum_graph, pairsum_lib, spec, map_twobank)),
             (s.schedule, (pairsum_graph, pairsum_lib, spec, map_twobank)),
             (s.verify_schedule, (clean, pairsum_graph, pairsum_lib, spec,
                                  map_twobank))):

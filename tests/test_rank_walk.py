@@ -35,13 +35,13 @@ def reference_walk(state, ready, t, cost, zero_left, free, last):
     probed = {}
 
     def exact_cost(op_id):
-        reqs = state.requests[op_id]
+        reqs = state.ops.requests[op_id]
         if reqs not in probed:
             probed[reqs] = probe_cost(state, op_id, t)
         return probed[reqs]
 
-    op_class = state.op_class
-    read_keys = state.read_keys
+    op_class = state.cg.op_class
+    read_keys = state.ops.read_keys
     readers = ready.readers
     left = dict(ready.per_class)
 
@@ -86,7 +86,7 @@ def _recorded(walk, log):
         cycle = (t, [])
         log.append(cycle)
         for i in walk(state, ready, t, *args):
-            entry = [state.ids[i], None]
+            entry = [state.cg.ids[i], None]
             cycle[1].append(entry)
             yield i
             entry[1] = state.started[i] is not None
@@ -119,7 +119,7 @@ def test_shape_walk_matches_reference_on_random_ffts(monkeypatch):
         text, log = _same_walk(monkeypatch, p.run_scheduler)
         alap = {}
         if not text.startswith("ScheduleFailure"):
-            problem = s.lower(p.g, p.lib, p.spec)
+            problem = s.lower(p.g, p.lib, p.spec, p.mapping)
             alap = dict(zip(problem.cg.ids, problem.windows.alap_at))
         else:
             seen["aborts"] += 1

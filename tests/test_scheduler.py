@@ -133,11 +133,9 @@ def _burst_fixture(addresses=(0, 4, 5), z_op="*"):
         placements=tuple(s.Placement(data, "bank0", address)
                          for data, address in zip((1, 2, 3), addresses)))
     mapping = s.apply_mapping(s.extract_memory_table(g), mspec)
-    problem = s.lower(g, lib, spec)
-    state = s.SchedulerState(cg=problem.cg, windows=problem.windows,
-                             mapping=mapping,
-                             table=s.PortAccessTable(mapping, spec.cadence),
-                             allocation=s.Allocation(mode="auto"))
+    state = s.SchedulerState(s.lower(g, lib, spec, mapping),
+                             s.PortAccessTable(mapping, spec.cadence),
+                             s.Allocation(mode="auto"))
     _seed_pool(state, lib)
     return state
 
@@ -351,7 +349,7 @@ def test_starts_stay_inside_windows():
             sched = p.run_scheduler()
         except s.ScheduleFailure:
             continue
-        problem = s.lower(p.g, p.lib, p.spec)
+        problem = s.lower(p.g, p.lib, p.spec, p.mapping)
         w = problem.windows
         for o in sched.ops:
             q = problem.cg.at[o.node]

@@ -91,7 +91,7 @@ def test_shared_problem_finds_the_same_violations(name, mutate, which,
     sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
         else golden_lat2
     broken = mutate(sched)
-    problem = s.lower(g, lib, spec)
+    problem = s.lower(g, lib, spec, mapping)
     assert s.verify_schedule(broken, g, lib, spec, mapping, problem) == \
         s.verify_schedule(broken, g, lib, spec, mapping)
 
@@ -101,17 +101,18 @@ def test_schedule_leaves_the_shared_problem_unchanged(which, golden_lat3,
                                                       golden_lat2):
     sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
         else golden_lat2
-    problem = s.lower(g, lib, spec)
+    problem = s.lower(g, lib, spec, mapping)
     shared = s.schedule(g, lib, spec, mapping, s.Allocation(mode="auto"),
                         problem=problem)
     assert shared.to_json() == sched.to_json()
     assert s.verify_schedule(shared, g, lib, spec, mapping,
                              problem=problem) == []
-    fresh = s.lower(g, lib, spec)
+    fresh = s.lower(g, lib, spec, mapping)
     for column in ("asap_at", "alap_at", "mobility_at"):
         assert getattr(problem.windows, column) == \
             getattr(fresh.windows, column)
     assert vars(problem.cg) == vars(fresh.cg)  # every column
+    assert vars(problem.ops) == vars(fresh.ops)  # every op-table column
 
 
 # Per mutation, every kind it is flagged with on the lat3 golden, and a
