@@ -183,7 +183,7 @@ def _load_problem(args) -> tuple:
 
 
 def _run_static_checks(problem, spec, stream) -> int:
-    rep = check_feasibility(problem.cg, problem.windows, spec)
+    rep = check_feasibility(problem, spec)
     print(f"cadence check: {'ok' if rep.cadence_ok else 'FAILED'} "
           f"(critical path {rep.critical_path_cycles} cycles, "
           f"bound {spec.latency_bound})", file=stream)

@@ -9,11 +9,13 @@ The problem is lowered once, by node position (see ``ConstraintGraph``):
    edge a *write* node.
 2. ``apply_io_constraints`` checks the transfers, then gives input nodes
    an arrival cycle and output nodes a deadline, sharing other columns.
-3. ``compute_time_windows`` walks the topological order the SFG's
-   validation found, weighing each edge by ``_weights_from``.
-4. ``OpTable`` derives what the memory mapping decides for each
-   operation: its port requests and the facts the scheduler and the
-   oracle read with them.
+3. ``OpTable`` derives what the memory mapping decides for each
+   operation: its port requests, the facts the scheduler and the oracle
+   read with them, and ``latest``, the last start at which its accesses
+   fit the port horizon.
+4. ``compute_time_windows`` walks the topological order the SFG's
+   validation found, weighing each edge by ``_weights_from`` and capping
+   each ALAP start by ``latest``.
 
 ``scheduling.lower`` chains these steps into a ``Problem``.
 
@@ -192,9 +194,16 @@ class OpTable:
     (None for its first there, which depends on the port table);
     ``firsts``, the (bank, address) of those first requests.  An
     access-free op gets empty tuples.
+
+    ``latest`` holds the port horizon (``Bank.last_issue``) at the
+    cheapest access cost, ``t_seq``: per access node the last cycle it can
+    issue, and per op with accesses the last start at which all of them
+    can (each its offset earlier); None elsewhere.  A dearer access only
+    ends later, so no start past ``latest`` can fit.
     """
 
-    def __init__(self, cg: ConstraintGraph, mapping: MemoryMapping):
+    def __init__(self, cg: ConstraintGraph, mapping: MemoryMapping,
+                 cadence: int):
         ids, label, latency, op_class = cg.ids, cg.label, cg.latency, \
             cg.op_class
         pred, succ, agent, data = cg.pred, cg.succ, cg.agent, cg.data
@@ -204,6 +213,8 @@ class OpTable:
         free_of = {cls: (cls, ()) for cls in set(op_class)}
         self.shape = list(map(free_of.__getitem__, op_class))
         placement = mapping._by_data  # memdata id -> Placement
+        limit = {b.id: b.last_issue(cadence) for b in mapping.banks}
+        self.latest = latest = [None] * len(ids)
         reads_of, writes_of = cg.reads, cg.writes
         for p in reads_of.keys() | writes_of.keys():
             reads, writes = reads_of.get(p, ()), writes_of.get(p, ())
@@ -217,6 +228,9 @@ class OpTable:
                     place = placement[data[a]]
                     requests.append((place.bank, place.address, offset))
                     records.append((ids[a], name, data[a], label[a][3:]))
+                    latest[a] = limit[place.bank]
+            latest[p] = min([limit[bank] - offset
+                             for bank, _, offset in requests])
             prev, read_keys, steps, firsts = {}, [], [], []
             for bank, address, offset in requests:
                 if not offset:
@@ -421,9 +435,15 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
     return new
 
 
-def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
+def compute_time_windows(cg: ConstraintGraph,
+                         latest: list[int | None] | None = None
+                         ) -> TimeWindows:
     """Longest-path ASAP/ALAP start cycles and mobility.
 
+    ``latest`` (``OpTable.latest``, by position) caps each node's ALAP
+    start where it is not None, in the one ALAP pass, so the cap passes
+    back through write->read chains and output deadlines as any other
+    bound does.
     Read nodes are pinned to their consumer's window and writes to their
     producer's completion (their start is not a free scheduling choice).
     Negative mobility is returned as-is; feasibility reporting is the
@@ -455,6 +475,7 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
                 asap[v] = t + w
 
     alap = [0] * len(kind)
+    cap = latest or [None] * len(kind)
     for u in reversed(cg.order):
         vs = succ[u]
         if kind[u] is OUTPUT:
@@ -465,6 +486,8 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
                                       else other) for v in vs])
         else:
             alap[u] = cg.latency_bound - latency[u]
+        if cap[u] is not None and cap[u] < alap[u]:
+            alap[u] = cap[u]
 
     # Access nodes track the operation they belong to.
     for p in cg.positions[CgKind.READ]:
@@ -480,17 +503,29 @@ def compute_time_windows(cg: ConstraintGraph) -> TimeWindows:
                        order=cg.order)
 
 
-def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
+def check_feasibility(problem: Problem,
                       spec: IoConstraintSpec) -> FeasibilityReport:
     """Two static analyses: (1) the critical path and the pinned transfers
-    fit the latency bound; (2) every output can be produced by its deadline
-    given the input arrival dates.  Infeasibility is reported, never
-    raised."""
+    fit the latency bound, and every access fits its bank's port horizon;
+    (2) every output can be produced by its deadline given the input
+    arrival dates.  Infeasibility is reported, never raised.
+
+    An access is late when its earliest cycle passes its own
+    ``OpTable.latest``, which happens exactly when its op's earliest start
+    passes the op's own ``latest``: then no start of the op fits.  Each
+    node's own limit is enough, although ``compute_time_windows`` also
+    passes the limits back to producers: a window closed by propagation
+    leads, edge by edge through closed windows, to a node closed by its
+    own bound, so to an op whose own ``latest`` is below its ``asap``
+    (reported here), to a late output or to a sink past the latency bound
+    (reported by the other checks).
+    """
     diagnostics: list[str] = []
     # enum members as locals: a class lookup costs ten times a local's
     INPUT, OUTPUT, READ, WRITE = \
         CgKind.INPUT, CgKind.OUTPUT, CgKind.READ, CgKind.WRITE
-    kind, asap = cg.kind, windows.asap_at
+    cg, latest = problem.cg, problem.ops.latest
+    kind, asap = cg.kind, problem.windows.asap_at
 
     pinned_in: list[int] = []
     pinned_out: list[int] = []
@@ -519,10 +554,12 @@ def check_feasibility(cg: ConstraintGraph, windows: TimeWindows,
                     f"cycle {begin}, deadline is {deadline[p]}")
         else:
             end = begin + latency[p]
-            if (k is READ or k is WRITE) and end > spec.cadence:
+            if (k is READ or k is WRITE) and begin > latest[p]:
                 late_accesses.append(
                     f"access {label[p]} at cycle {begin} falls "
-                    f"outside the {spec.cadence}-cycle access window")
+                    f"outside the {spec.cadence}-cycle access window"
+                    + ("" if latest[p] == spec.cadence - 1 else
+                       f", its bank's last issue cycle is {latest[p]}"))
         if end > critical:
             critical = end
     if critical > spec.latency_bound:

@@ -12,7 +12,9 @@ with P ports can serve P accesses per slot, and an access issued at cycle c
 with cost k occupies every slot overlapping cycles ``c .. c+k-1``.  The
 table covers one iteration (``cadence`` cycles); an access that would run
 past it raises ``HorizonError``.  ``Bank.cost`` and ``Bank.span`` hold the
-two rules for the scheduler, the verifier and the exhaustive oracle.
+two rules for the scheduler, the verifier and the exhaustive oracle, and
+``Bank.last_issue`` the last cycle ``span`` admits at the cheapest cost,
+which bounds the time windows and the static check.
 ``PortAccessTable.fit`` places requests, giving each its (cost, class,
 slot span), and ``commit`` reserves them as placed, on the spans given,
 handing back only their sequence numbers: the caller already holds the
@@ -110,6 +112,12 @@ class Bank:
         if cycle < 0 or final >= cadence // self.t_seq:
             raise HorizonError(self.id, cycle)
         return range(cycle // self.t_seq, final + 1)
+
+    def last_issue(self, cadence: int) -> int:
+        """The last cycle at which ``span`` admits an access of cost
+        ``t_seq``, the cheapest: the start of the last of the iteration's
+        ``cadence // t_seq`` slots (negative when it has none)."""
+        return (cadence // self.t_seq - 1) * self.t_seq
 
 
 @dataclass(frozen=True)

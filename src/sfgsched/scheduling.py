@@ -270,7 +270,8 @@ def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     and the op table the mapping decides."""
     cg = apply_io_constraints(build_constraint_graph(g, lib),
                               build_transfer_graph(spec), spec)
-    return Problem(cg, compute_time_windows(cg), OpTable(cg, mapping))
+    ops = OpTable(cg, mapping, spec.cadence)
+    return Problem(cg, compute_time_windows(cg, ops.latest), ops)
 
 
 class SchedulerState:

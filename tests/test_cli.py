@@ -101,6 +101,59 @@ def test_latency_past_the_bound_exit_3(pairsum_dir, tmp_path, capsys):
     assert "failed verification" not in err
 
 
+def test_cadence_below_the_bound_caps_the_windows_exit_0(pairsum_dir,
+                                                         tmp_path, capsys):
+    """At cadence 1 each bank has one port slot, at cycle 0, so both reads
+    must issue there.  The windows are capped by that horizon, so m2 is
+    at zero margin in cycle 0 and a second mult is allocated at once; an
+    uncapped window would let m2 wait until cycle 4, past the horizon,
+    and the run would abort there."""
+    io = tmp_path / "io.json"
+    io.write_text(json.dumps({"cadence": 1, "latency": 6, "buses": [],
+                              "transfers": []}))
+    argv = ["report"] + _args(pairsum_dir, "--io", str(io), "--alloc",
+                              "auto", "--out", str(tmp_path / "out"),
+                              io=None, mem="mem_twobank.json")
+    assert main(argv) == 0
+    cap = capsys.readouterr()
+    assert "operator mult         x2" in cap.out
+    doc = json.loads((tmp_path / "out" / "schedule.json").read_text())
+    assert doc["latency"] == 2
+    assert [(o["label"], o["start"]) for o in doc["ops"]] == \
+        [("m1", 0), ("m2", 0), ("add1", 1)]
+
+
+def test_access_past_a_slow_banks_horizon_exit_2(pairsum_dir, tmp_path,
+                                                 capsys):
+    """With t_seq 2 a cadence of 3 holds one port slot, so a read can
+    issue only at cycle 0; a pinned at offset 2 puts m1's read at cycle 2.
+    The static check names that read, and no schedule exists."""
+    io = tmp_path / "io.json"
+    io.write_text(json.dumps({
+        "cadence": 3, "latency": 6,
+        "buses": [{"id": "inA", "direction": "in"}],
+        "transfers": [{"data": "a", "bus": "inA", "offset": 2}]}))
+    mem = tmp_path / "mem.json"
+    mem.write_text(json.dumps({"mode": "auto", "banks": [
+        {"id": "bank0", "ports": 1, "t_seq": 2, "t_rand": 2}]}))
+    extra = ["--io", str(io), "--mem", str(mem)]
+    late = ("  access rd:var1 at cycle 2 falls outside the 3-cycle access "
+            "window, its bank's last issue cycle is 0\n")
+    assert main(["check"] + _args(pairsum_dir, *extra, io=None,
+                                  mem=None)) == 2
+    out = capsys.readouterr().out
+    assert "cadence check: FAILED" in out and late in out
+    assert main(["report"] + _args(pairsum_dir, *extra, io=None,
+                                   mem=None)) == 2
+    assert late in capsys.readouterr().err
+    g = s.parse_sfg((pairsum_dir / "graph.json").read_text())
+    assert s.brute_force_min_latency(
+        g, s.parse_operator_library((pairsum_dir / "lib.json").read_text()),
+        s.parse_io_spec(io.read_text(), g),
+        s.apply_mapping(s.extract_memory_table(g),
+                        s.parse_memory_mapping(mem.read_text(), g))) is None
+
+
 def test_latency_bound_reached_with_operations_pending_exit_3(tmp_path,
                                                              capsys):
     """The static checks pass, but ``w``'s read of ``e`` and its random

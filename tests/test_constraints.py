@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -204,7 +205,7 @@ def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2
                                     map_onebank):
     for spec in (io_lat3, io_lat2):
         problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
-        rep = s.check_feasibility(problem.cg, problem.windows, spec)
+        rep = s.check_feasibility(problem, spec)
         # the 2-cycle variant passes the static checks too; only the
         # memory-aware scheduler can expose its infeasibility
         assert rep.cadence_ok and rep.output_dates_ok and rep.feasible
@@ -215,7 +216,7 @@ def test_feasibility_catches_short_bound(pairsum_graph, pairsum_lib,
                                         map_onebank):
     spec = s.IoConstraintSpec.unconstrained(latency_bound=1)
     problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
-    rep = s.check_feasibility(problem.cg, problem.windows, spec)
+    rep = s.check_feasibility(problem, spec)
     assert not rep.cadence_ok and not rep.feasible
     assert rep.critical_path_cycles == 2
     assert rep.diagnostics
@@ -234,7 +235,7 @@ def test_feasibility_catches_early_deadline(pairsum_graph, pairsum_lib,
                    s.Transfer(c, "bo", 0)),
         cadence=3, latency_bound=3)
     problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
-    rep = s.check_feasibility(problem.cg, problem.windows, spec)
+    rep = s.check_feasibility(problem, spec)
     assert rep.cadence_ok and not rep.output_dates_ok and not rep.feasible
     assert any("c" in d or "7" in d for d in rep.diagnostics)
 
@@ -252,7 +253,7 @@ def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
         spec = s.IoConstraintSpec(buses, transfers, cadence=8,
                                   latency_bound=bound)
         problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
-        rep = s.check_feasibility(problem.cg, problem.windows, spec)
+        rep = s.check_feasibility(problem, spec)
         pinned = [d for d in rep.diagnostics if "pinned" in d]
         assert not pinned or not rep.cadence_ok
         return pinned
@@ -281,8 +282,7 @@ def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
                                   (s.Transfer(2, "bo", 4),), cadence=8,
                                   latency_bound=bound)
         problem = s.lower(g, ALU, spec, mapping)
-        assert s.check_feasibility(problem.cg, problem.windows,
-                                   spec).cadence_ok is ok
+        assert s.check_feasibility(problem, spec).cadence_ok is ok
 
 
 def test_feasibility_reports_offsets_outside_the_cadence(pairsum_graph):
@@ -320,7 +320,7 @@ def test_feasible_problems_have_consistent_windows(seed):
     p = random_problem(seed)
     problem = s.lower(p.g, p.lib, p.spec, p.mapping)
     cg, w = problem.cg, problem.windows
-    rep = s.check_feasibility(cg, w, p.spec)
+    rep = s.check_feasibility(problem, p.spec)
     if rep.feasible:
         for p in cg.positions[C.OP]:
             assert w.asap_at[p] <= w.alap_at[p]
@@ -336,9 +336,38 @@ def test_static_checks_match_unlimited_resource_search():
         banks = (s.Bank(id="wide", ports=64, t_seq=1, t_rand=1),)
         mapping = s.apply_mapping(table, s.MappingSpec(mode="auto", banks=banks))
         problem = s.lower(p.g, p.lib, p.spec, mapping)
-        rep = s.check_feasibility(problem.cg, problem.windows, p.spec)
+        rep = s.check_feasibility(problem, p.spec)
         bf = s.brute_force_min_latency(p.g, p.lib, p.spec, mapping,
                                        instances=None)
         assert rep.feasible == (bf is not None), f"seed {seed}"
         agree += 1
     assert agree == 60
+
+
+def test_static_checks_match_the_search_on_slow_banks():
+    """The port-horizon part of the static checks is exact: with unlimited
+    operators and one wide bank whose every access costs ``t_seq`` cycles,
+    they decide schedulability as the search does on problems without a
+    memory write, at cadences short enough for the horizon to bind.  (A
+    write's reader waits for the write's real cost, and the windows weigh
+    a write with the optimistic access latency, so writes stay out.)"""
+    late = 0
+    for seed in range(60):
+        p = random_problem(seed)
+        if s.build_constraint_graph(p.g, p.lib).positions[C.WRITE]:
+            continue
+        for t_seq in (2, 3):
+            banks = (s.Bank(id="wide", ports=64, t_seq=t_seq, t_rand=t_seq),)
+            mapping = s.apply_mapping(s.extract_memory_table(p.g),
+                                      s.MappingSpec(mode="auto", banks=banks))
+            for cadence in {p.spec.cadence // 2, p.spec.cadence // 3} - {0}:
+                if any(tr.offset >= cadence for tr in p.spec.transfers):
+                    continue
+                spec = replace(p.spec, cadence=cadence)
+                rep = s.check_feasibility(s.lower(p.g, p.lib, spec, mapping),
+                                          spec)
+                bf = s.brute_force_min_latency(p.g, p.lib, spec, mapping)
+                assert rep.feasible == (bf is not None), \
+                    (seed, t_seq, cadence)
+                late += any(d.startswith("access ") for d in rep.diagnostics)
+    assert late >= 10

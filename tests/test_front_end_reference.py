@@ -10,11 +10,14 @@ rely only on the public graph API, the constraint graph's columns and
 records and id-pair edges.  On hand-built invalid graphs the violation
 lists and raised messages must match; on the seeded random problems the
 lowered graphs (node ids in position order, per-kind records, adjacency,
-accesses) and the windows must be equal.
+accesses) and the windows must be equal, both without the mapping and
+with the port-horizon cap it implies, which the reference works out from
+each bank's ``t_seq`` and the cadence.
 """
 
 import heapq
 import json
+from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
 
@@ -296,8 +299,36 @@ def reference_topological_order(cg):
     return order
 
 
-def reference_windows(cg):
-    """The ASAP, ALAP and mobility dicts by node id."""
+def reference_horizon(t_seq, cadence):
+    """The last cycle at which an access of ``t_seq`` cycles, the
+    cheapest a bank serves, still ends inside the iteration's whole
+    ``t_seq``-cycle port slots (``-t_seq`` when there is none)."""
+    slots = cadence // t_seq
+    return next((c for c in range(cadence - 1, -1, -1)
+                 if (c + t_seq - 1) // t_seq < slots), -t_seq)
+
+
+def reference_caps(cg, mapping, cadence):
+    """The latest start, by position, of each operation whose accesses
+    would otherwise run past their bank's horizon: a read issues as its
+    operation starts, a write as it completes."""
+    bank_of = {p.data: p.bank for p in mapping.placements}
+    horizon = {b.id: reference_horizon(b.t_seq, cadence)
+               for b in mapping.banks}
+    caps = {}
+    for p, kind in enumerate(cg.kind):
+        if kind is C.READ or kind is C.WRITE:
+            op = cg.agent[p]
+            offset = 0 if kind is C.READ else cg.latency[op]
+            last = horizon[bank_of[cg.data[p]]] - offset
+            caps[op] = min(caps.get(op, last), last)
+    return caps
+
+
+def reference_windows(cg, mapping=None, cadence=None):
+    """The ASAP, ALAP and mobility dicts by node id; with a mapping, each
+    operation's ALAP is capped by its accesses' port horizon."""
+    caps = {} if mapping is None else reference_caps(cg, mapping, cadence)
     order = reference_topological_order(cg)
     asap = {}
     for u in order:
@@ -316,6 +347,7 @@ def reference_windows(cg):
         else:
             alap[u] = min(alap[v] - reference_edge_weight(cg, u, v)
                           for v in succs)
+        alap[u] = min(alap[u], caps.get(u, alap[u]))
     for p, (kind, a) in enumerate(zip(cg.kind, cg.agent)):
         if kind is C.READ:
             asap[p] = asap[a]
@@ -356,7 +388,15 @@ def assert_same_graph(got, want):
                 want_of.get(q, []), want.ids[q]
 
 
-def assert_same_lowering(g, lib, spec):
+def _by_id(cg, windows):
+    return (windows.asap, *({cg.ids[p]: column[p] for p in cg.order}
+                            for column in (windows.alap_at,
+                                           windows.mobility_at)))
+
+
+def assert_same_lowering(g, lib, spec, mapping):
+    """Compare the lowering with the reference; return whether the
+    mapping's horizon changed the windows."""
     got = s.build_constraint_graph(g, lib)
     want = reference_build(g, lib)
     assert_same_graph(got, want)
@@ -365,27 +405,41 @@ def assert_same_lowering(g, lib, spec):
     want_io = reference_apply_io(want, tg, spec)
     assert_same_graph(got_io, want_io)
     assert_same_graph(got, want)  # the merge left its input as it was
-    got_windows = s.compute_time_windows(got_io)
-    assert (got_windows.asap, *({got_io.ids[p]: column[p]
-                                 for p in got_io.order}
-                                for column in (got_windows.alap_at,
-                                               got_windows.mobility_at))) \
-        == reference_windows(want_io)
+    unmapped = _by_id(got_io, s.compute_time_windows(got_io))
+    assert unmapped == reference_windows(want_io)
+    problem = s.lower(g, lib, spec, mapping)
+    mapped = _by_id(problem.cg, problem.windows)
+    assert mapped == reference_windows(want_io, mapping, spec.cadence)
+    return mapped != unmapped
+
+
+def _specs(spec):
+    """The spec, and the same at a third of its cadence when its transfers
+    still fit there: a shorter iteration, whose port horizon binds."""
+    cadence = max(1, spec.cadence // 3)
+    if all(t.offset < cadence for t in spec.transfers):
+        return spec, replace(spec, cadence=cadence)
+    return spec,
 
 
 def test_random_problems_lower_as_the_reference_does():
-    writes = 0
+    writes = capped = 0
     for seed in range(120):
         p = random_problem(seed)
-        assert_same_lowering(p.g, p.lib, p.spec)
+        for spec in _specs(p.spec):
+            capped += assert_same_lowering(p.g, p.lib, spec, p.mapping)
         writes += bool(s.build_constraint_graph(p.g, p.lib).of_kind(C.WRITE))
     assert writes >= 10  # write chains are exercised
+    assert capped >= 30  # and so is the horizon cap
 
 
 def test_random_ffts_lower_as_the_reference_does():
+    capped = 0
     for seed in range(60):
         p = random_fft_problem(seed)
-        assert_same_lowering(p.g, p.lib, p.spec)
+        for spec in _specs(p.spec):
+            capped += assert_same_lowering(p.g, p.lib, spec, p.mapping)
+    assert capped >= 30  # the horizon cap binds
 
 
 LIB = s.OperatorLibrary(classes=(
@@ -498,7 +552,15 @@ def test_lowering_follows_ids_not_document_order():
         buses=(s.BusDef("i", "in"), s.BusDef("o", "out")),
         transfers=(s.Transfer(1, "i", 2), s.Transfer(9, "o", 11)),
         cadence=12, latency_bound=12)
-    assert_same_lowering(g, LIB, spec)
+    # 4 slots of 3 cycles: the last issue is cycle 9, which caps r1 and
+    # r2 at 9, and so w at 7: its write, at its completion, must end
+    # before r2 reads
+    mapping = s.apply_mapping(s.extract_memory_table(g), s.MappingSpec(
+        mode="auto", banks=(s.Bank("m", t_seq=3, t_rand=3),)))
+    assert assert_same_lowering(g, LIB, spec, mapping)
+    problem = s.lower(g, LIB, spec, mapping)
+    assert [problem.windows.alap_at[problem.cg.at[i]] for i in (2, 4)] == \
+        [7, 9]
 
 
 def test_io_merge_errors_match_the_reference():

@@ -166,6 +166,26 @@ def test_port_table_slots(map_onebank):
         big.fit([("bank0", 1, 10**9)])
 
 
+@pytest.mark.parametrize("t_seq,cadence,last", [
+    (1, 7, 6), (1, 1, 0),   # one slot per cycle
+    (2, 7, 4), (2, 3, 0),   # 3 slots (cycles 0-5), then 1 slot (0-1)
+    (3, 7, 3), (3, 9, 6)])  # 2 slots (cycles 0-5), then 3 slots (0-8)
+def test_last_issue_is_the_last_cycle_span_admits(t_seq, cadence, last):
+    bank = s.Bank(id="b", t_seq=t_seq, t_rand=t_seq + 1)
+    assert bank.last_issue(cadence) == last
+    assert bank.span(last, t_seq, cadence) == range(last // t_seq,
+                                                   last // t_seq + 1)
+    with pytest.raises(s.HorizonError):
+        bank.span(last + 1, t_seq, cadence)
+
+
+def test_last_issue_without_a_slot_is_negative():
+    bank = s.Bank(id="b", t_seq=3, t_rand=3)
+    assert bank.last_issue(2) == -3  # 2 // 3 = 0 slots
+    with pytest.raises(s.HorizonError):
+        bank.span(0, 3, 2)
+
+
 def test_access_cost_reservation_order(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
 
