@@ -221,16 +221,17 @@ class OpTable:
             self.writers[p] = tuple([agent[w] for r in reads for w in pred[r]])
             self.gated[p] = tuple([tuple([agent[r] for r in succ[w]])
                                    for w in writes])
-            requests, records = [], []
+            requests, records, low = [], [], cadence  # low: latest[p]
             for accs, offset, name in ((reads, 0, "read"),
                                        (writes, latency[p], "write")):
                 for a in accs:
                     place = placement[data[a]]
                     requests.append((place.bank, place.address, offset))
                     records.append((ids[a], name, data[a], label[a][3:]))
-                    latest[a] = limit[place.bank]
-            latest[p] = min([limit[bank] - offset
-                             for bank, _, offset in requests])
+                    latest[a] = last = limit[place.bank]
+                    if last - offset < low:
+                        low = last - offset
+            latest[p] = low
             prev, read_keys, steps, firsts = {}, [], [], []
             for bank, address, offset in requests:
                 if not offset:
