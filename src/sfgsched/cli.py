@@ -10,8 +10,9 @@ The parsers are built on the first ``main`` call and reused by later
 ones; ``_parse_arguments`` parses a named command's arguments in one
 pass, by that command's parser alone.  Each ``check``, ``schedule`` and
 ``report`` call reads its documents with ``_read_text`` and lowers the
-problem once, with ``scheduling.lower``, for the static checks, the
-scheduler and the verifier.  Files are read and directories made by plain
+problem once, with ``scheduling.lower``; the static checks, the
+scheduler, the verifier and the report take only that ``Problem``.
+Files are read and directories made by plain
 ``os`` calls on pathlib's spelling of each path, from ``_path``; every
 output file goes through ``_write_file``.
 
@@ -30,7 +31,7 @@ import os
 import sys
 from functools import cache
 
-from .constraints import check_feasibility
+from .constraints import Problem, check_feasibility
 # unused here, but perfbench/tracing.py wraps these names on this module
 from .constraints import (apply_io_constraints, build_constraint_graph,
                           compute_time_windows)
@@ -152,10 +153,9 @@ def _parse_arguments(argv: list[str]):
     return args
 
 
-def _load_problem(args) -> tuple:
-    """Parse the problem documents and lower them once: (g, lib, spec,
-    mapping, problem), where ``problem`` serves the static checks, the
-    scheduler and the verifier."""
+def _load_problem(args) -> Problem:
+    """Parse the problem documents and lower them once, into a
+    ``Problem``."""
     g = parse_sfg(_read_text(args.graph))
     lib = parse_operator_library(_read_text(args.lib))
     if args.io is not None:
@@ -179,14 +179,14 @@ def _load_problem(args) -> tuple:
             raise ValueError("graph stores data in memory but no --mem "
                              "document is given")
         mapping = apply_mapping(table, MappingSpec(mode="auto", banks=()))
-    return g, lib, spec, mapping, lower(g, lib, spec, mapping)
+    return lower(g, lib, spec, mapping)
 
 
-def _run_static_checks(problem, spec, stream) -> int:
-    rep = check_feasibility(problem, spec)
+def _run_static_checks(problem: Problem, stream) -> int:
+    rep = check_feasibility(problem)
     print(f"cadence check: {'ok' if rep.cadence_ok else 'FAILED'} "
           f"(critical path {rep.critical_path_cycles} cycles, "
-          f"bound {spec.latency_bound})", file=stream)
+          f"bound {problem.spec.latency_bound})", file=stream)
     print(f"output dates:  {'ok' if rep.output_dates_ok else 'FAILED'}",
           file=stream)
     for d in rep.diagnostics:
@@ -195,29 +195,30 @@ def _run_static_checks(problem, spec, stream) -> int:
 
 
 def _cmd_check(args) -> int:
-    _, _, spec, _, problem = _load_problem(args)
-    return _run_static_checks(problem, spec, sys.stdout)
+    return _run_static_checks(_load_problem(args), sys.stdout)
 
 
 def _schedule_with_gate(args):
-    g, lib, spec, mapping, problem = _load_problem(args)
-    rc = _run_static_checks(problem, spec, sys.stderr)
+    problem = _load_problem(args)
+    rc = _run_static_checks(problem, sys.stderr)
     if rc != EXIT_OK:
-        return rc, None, None, None, None, None
+        return rc, None, None
     alloc = parse_allocation(args.alloc)
-    sched = schedule(g, lib, spec, mapping, alloc, problem)
-    violations = verify_schedule(sched, g, lib, spec, mapping, problem, alloc)
+    sched = schedule(problem.g, problem.lib, problem.spec, problem.mapping,
+                     alloc, problem)
+    violations = verify_schedule(sched, problem, alloc)
     if violations:  # defensive: a scheduler bug, not a user error
         print(*violations, "scheduling aborted: schedule failed verification",
               sep="\n", file=sys.stderr)
-        return EXIT_ABORTED, None, None, None, None, None
-    return EXIT_OK, g, lib, spec, mapping, sched
+        return EXIT_ABORTED, None, None
+    return EXIT_OK, problem, sched
 
 
 def _cmd_schedule(args) -> int:
-    rc, g, lib, spec, mapping, sched = _schedule_with_gate(args)
+    rc, problem, sched = _schedule_with_gate(args)
     if rc != EXIT_OK:
         return rc
+    del problem  # the writes need no lowering: free it before them
     text = sched.to_json()
     if args.out:
         os.makedirs(_path(args.out), exist_ok=True)
@@ -232,10 +233,11 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rc, g, lib, spec, mapping, sched = _schedule_with_gate(args)
+    rc, problem, sched = _schedule_with_gate(args)
     if rc != EXIT_OK:
         return rc
-    rep = build_report(sched, g, spec, mapping, lib)
+    rep = build_report(sched, problem)
+    del problem  # the writes need no lowering: free it before them
     text = render_report_text(rep)
     if args.out:
         os.makedirs(_path(args.out), exist_ok=True)

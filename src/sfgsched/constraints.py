@@ -7,8 +7,9 @@ The problem is lowered once, by node position (see ``ConstraintGraph``):
    latencies and materializes explicit memory-access nodes: every
    memdata->operation edge becomes a *read* node, every operation->memdata
    edge a *write* node.
-2. ``apply_io_constraints`` checks the transfers, then gives input nodes
-   an arrival cycle and output nodes a deadline, sharing other columns.
+2. ``apply_io_constraints`` checks the transfers and keeps them by node
+   position (``pinned``), then gives input nodes an arrival cycle and
+   output nodes a deadline, sharing other columns.
 3. ``OpTable`` derives what the memory mapping decides for each
    operation: its port requests, the facts the scheduler and the oracle
    read with them, and ``latest``, the last start at which its accesses
@@ -17,7 +18,8 @@ The problem is lowered once, by node position (see ``ConstraintGraph``):
    validation found, weighing each edge by ``_weights_from`` and capping
    each ALAP start by ``latest``.
 
-``scheduling.lower`` chains these steps into a ``Problem``.
+``scheduling.lower`` chains these steps into a ``Problem``, which also
+keeps the four documents: the later stages take only the ``Problem``.
 
 Timing model (all cycles 0-based):
 
@@ -114,8 +116,9 @@ class ConstraintGraph:
     adjacency and ``order`` a topological order (None on a cycle);
     ``consumers`` lists the operations each operation feeds (one per edge),
     and ``reads``/``writes`` its accesses in creation order.  ``of_kind``
-    builds the records of one kind.  ``latency_bound`` is set once I/O
-    constraints are applied.
+    builds the records of one kind.  ``latency_bound``, ``cadence`` and
+    ``pinned``, each pinned ``Transfer`` by the position of its node, are
+    set once I/O constraints are applied.
     """
 
     def __init__(self, rows: list[tuple], pred: list, succ: list,
@@ -128,6 +131,8 @@ class ConstraintGraph:
         self.pred, self.succ, self.order = pred, succ, order
         self.consumers = consumers
         self.latency_bound: int | None = None
+        self.cadence: int | None = None
+        self.pinned: dict[int, Transfer] = {}
         self.positions: dict[CgKind | None, list[int]] = defaultdict(list)
         for p, kind in enumerate(self.kind):
             self.positions[kind].append(p)
@@ -195,15 +200,16 @@ class OpTable:
     ``firsts``, the (bank, address) of those first requests.  An
     access-free op gets empty tuples.
 
-    ``latest`` holds the port horizon (``Bank.last_issue``) at the
-    cheapest access cost, ``t_seq``: per access node the last cycle it can
+    ``latest`` holds the port horizon (``Bank.last_issue`` over the
+    graph's ``cadence``) at the cheapest access cost, ``t_seq``: per
+    access node the last cycle it can
     issue, and per op with accesses the last start at which all of them
     can (each its offset earlier); None elsewhere.  A dearer access only
     ends later, so no start past ``latest`` can fit.
     """
 
-    def __init__(self, cg: ConstraintGraph, mapping: MemoryMapping,
-                 cadence: int):
+    def __init__(self, cg: ConstraintGraph, mapping: MemoryMapping):
+        cadence = cg.cadence
         ids, label, latency, op_class = cg.ids, cg.label, cg.latency, \
             cg.op_class
         pred, succ, agent, data = cg.pred, cg.succ, cg.agent, cg.data
@@ -252,17 +258,21 @@ class OpTable:
 
 @dataclass(frozen=True)
 class Problem:
-    """A problem lowered once: the I/O-constrained constraint graph, its
-    time windows and the op table its mapping decides
-    (``OpTable``), kept together so that no stage pairs a graph
-    with another graph's windows or ops.
+    """A problem lowered once: its four documents, the I/O-constrained
+    constraint graph, its time windows and the op table its mapping
+    decides (``OpTable``), kept together so that no stage pairs a
+    lowering with another's parts or with other documents.
 
     ``scheduling.lower(g, lib, spec, mapping)`` builds it, the one place
     the lowering stages are chained.  The static checks, the scheduler,
-    the verifier and the oracle only read it, so one instance serves a
-    whole CLI call.
+    the verifier, the oracle and the report only read it, so one instance
+    serves a whole CLI call.
     """
 
+    g: SFG
+    lib: OperatorLibrary
+    spec: IoConstraintSpec
+    mapping: MemoryMapping
     cg: ConstraintGraph
     windows: TimeWindows
     ops: OpTable
@@ -401,7 +411,8 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
 
     Each transfer must name an input on a declared ``in`` bus or an output
     on a declared ``out`` bus, each node once, or ``IoSpecError`` is
-    raised.
+    raised.  The result keeps them by node position in ``pinned``, and
+    the spec's ``latency_bound`` and ``cadence``.
     Constrained inputs get ``arrival = offset``; constrained outputs get
     ``deadline = offset`` (the producer may occupy cycles up to and
     including the transfer cycle).  Unconstrained inputs arrive at cycle 0;
@@ -410,7 +421,7 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
     """
     carries = {b.id: CgKind.INPUT if b.direction == "in" else CgKind.OUTPUT
                for b in spec.buses}
-    offset_of: dict[int, int] = {}  # by position
+    pinned: dict[int, Transfer] = {}  # by position
     for t in transfers:
         if t.bus not in carries:
             raise IoSpecError(
@@ -422,17 +433,19 @@ def apply_io_constraints(cg: ConstraintGraph, transfers: tuple[Transfer, ...],
             side = carries[t.bus].value
             raise IoSpecError(f"node {t.node} on {side} bus {t.bus!r} is "
                               f"not an {side}")
-        if p in offset_of:
+        if p in pinned:
             raise IoSpecError(f"node {t.node} is transferred twice")
-        offset_of[p] = t.offset
+        pinned[p] = t
 
     new = copy.copy(cg)
-    new.latency_bound = spec.latency_bound
+    new.latency_bound, new.cadence, new.pinned = \
+        spec.latency_bound, spec.cadence, pinned
     new.arrival, new.deadline = [None] * len(cg.ids), [None] * len(cg.ids)
     for p in cg.positions[CgKind.INPUT]:
-        new.arrival[p] = offset_of.get(p, 0)
+        new.arrival[p] = pinned[p].offset if p in pinned else 0
     for p in cg.positions[CgKind.OUTPUT]:
-        new.deadline[p] = offset_of.get(p, spec.latency_bound - 1)
+        new.deadline[p] = pinned[p].offset if p in pinned else \
+            spec.latency_bound - 1
     return new
 
 
@@ -504,8 +517,7 @@ def compute_time_windows(cg: ConstraintGraph,
                        order=cg.order)
 
 
-def check_feasibility(problem: Problem,
-                      spec: IoConstraintSpec) -> FeasibilityReport:
+def check_feasibility(problem: Problem) -> FeasibilityReport:
     """Two static analyses: (1) the critical path and the pinned transfers
     fit the latency bound, and every access fits its bank's port horizon;
     (2) every output can be produced by its deadline given the input
@@ -525,14 +537,13 @@ def check_feasibility(problem: Problem,
     # enum members as locals: a class lookup costs ten times a local's
     INPUT, OUTPUT, READ, WRITE = \
         CgKind.INPUT, CgKind.OUTPUT, CgKind.READ, CgKind.WRITE
-    cg, latest = problem.cg, problem.ops.latest
+    cg, latest, spec = problem.cg, problem.ops.latest, problem.spec
     kind, asap = cg.kind, problem.windows.asap_at
 
     pinned_in: list[int] = []
     pinned_out: list[int] = []
-    for t in spec.transfers:  # the lowering checked: an input or output
-        (pinned_in if kind[cg.at[t.node]] is INPUT
-         else pinned_out).append(t.offset)
+    for p, t in cg.pinned.items():  # the lowering checked: an input or output
+        (pinned_in if kind[p] is INPUT else pinned_out).append(t.offset)
 
     # One pass over the nodes.  Iteration cycles are absolute (deadlines
     # default to bound - 1), so the critical path is the shortest prefix of
@@ -589,22 +600,23 @@ def check_feasibility(problem: Problem,
                              diagnostics=tuple(diagnostics))
 
 
-def transfer_cycles(cg: ConstraintGraph, spec: IoConstraintSpec,
-                    start) -> dict[int, int]:
+def transfer_cycles(cg: ConstraintGraph, start) -> dict[int, int]:
     """Transfer cycle, by node position, of every input and output when the
-    operation at position ``o`` starts at ``start[o]``: a pinned transfer at
-    its offset, an input just in time for its first use (its arrival when it
-    has none), an output in the cycle its value is produced."""
-    pinned = {cg.at[tr.node]: tr.offset for tr in spec.transfers}
+    operation at position ``o`` starts at ``start[o]``: a pinned transfer
+    (``cg.pinned``) at its offset, an input just in time for its first use
+    (its arrival when it has none), an output in the cycle its value is
+    produced."""
+    pinned = cg.pinned
     cycles: dict[int, int] = {}
     kind, succ, arrival = cg.kind, cg.succ, cg.arrival
     OP = CgKind.OP  # a local: a class lookup costs ten times a local's
     for p in cg.positions[CgKind.INPUT]:
-        cycles[p] = pinned[p] if p in pinned else min(
-            (start[s] if kind[s] is OP else pinned.get(s, arrival[p])
+        cycles[p] = pinned[p].offset if p in pinned else min(
+            (start[s] if kind[s] is OP else
+             pinned[s].offset if s in pinned else arrival[p]
              for s in succ[p]), default=arrival[p])
     for p in cg.positions[CgKind.OUTPUT]:
-        cycles[p] = pinned[p] if p in pinned else \
+        cycles[p] = pinned[p].offset if p in pinned else \
             produced_cycle(cg, p, start, cycles)
     return cycles
 

@@ -40,10 +40,9 @@ class MappingError(ValueError):
 class BlockedAccess(MappingError):
     """A port request cannot be served; ``bank_id`` names its bank."""
 
-    def __init__(self, message: str, bank_id: str, cycle: int):
+    def __init__(self, message: str, bank_id: str):
         super().__init__(message)
         self.bank_id = bank_id
-        self.cycle = cycle
 
 
 class HorizonError(BlockedAccess):
@@ -51,7 +50,7 @@ class HorizonError(BlockedAccess):
 
     def __init__(self, bank_id: str, cycle: int):
         super().__init__(f"access on bank {bank_id} at cycle {cycle} runs "
-                         f"past the iteration horizon", bank_id, cycle)
+                         f"past the iteration horizon", bank_id)
 
 
 class PortConflict(BlockedAccess):
@@ -59,7 +58,7 @@ class PortConflict(BlockedAccess):
 
     def __init__(self, bank_id: str, cycle: int):
         super().__init__(f"no free port on bank {bank_id} for an access at "
-                         f"cycle {cycle}", bank_id, cycle)
+                         f"cycle {cycle}", bank_id)
 
 
 @dataclass(frozen=True)

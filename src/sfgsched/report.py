@@ -1,15 +1,14 @@
 """Architecture summary derived from a finished schedule: operator counts,
-memory banks touched, bus counts, a register estimate, and timing."""
+memory banks touched, bus counts, a register estimate, and timing, read
+from the schedule and the documents its ``Problem`` carries."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import SFG
+from .constraints import Problem
 from .iospec import IoConstraintSpec
 from .jsontext import dumps
-from .memory import MemoryMapping
-from .oplib import OperatorLibrary
 from .scheduling import Schedule, estimate_registers
 
 
@@ -40,21 +39,20 @@ def _bus_count(sched: Schedule, spec: IoConstraintSpec, direction: str) -> int:
                            if t.direction == direction and t.synthesized})
 
 
-def build_report(sched: Schedule, g: SFG, spec: IoConstraintSpec,
-                 mapping: MemoryMapping,
-                 lib: OperatorLibrary | None = None) -> ArchitectureReport:
-    used = mapping.banks_used()
+def build_report(sched: Schedule, problem: Problem) -> ArchitectureReport:
+    spec = problem.spec
+    used = problem.mapping.banks_used()
     return ArchitectureReport(
         operators=tuple(sorted(sched.pool_counts().items())),
         banks_used=len(used),
         bank_ids=used,
         in_buses=_bus_count(sched, spec, "in"),
         out_buses=_bus_count(sched, spec, "out"),
-        registers=estimate_registers(sched, g),
+        registers=estimate_registers(sched, problem.g),
         latency_cycles=sched.achieved_latency,
         latency_bound=sched.latency_bound,
         cadence=sched.cadence,
-        clock_hz=lib.clock_hz if lib is not None else None)
+        clock_hz=problem.lib.clock_hz)
 
 
 def render_report_text(r: ArchitectureReport) -> str:

@@ -49,12 +49,16 @@ the fitted spans as they are.  An access-free op only takes a free
 instance.  Every start takes the lowest-numbered instance of its class
 free at its cycle, and an auto pool grows by the next number; each
 instance is a busy-until int in ``SchedulerState.instances``, and
-instance k of class c is named ``f"{c}{k}"``.
+instance k of class c is named ``f"{c}{k}"``, formatted where a record,
+an allocation event or the pool names it.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
 operation's start.  Access costs depend on reservation order; the global
 sequence number stored with every access lets a verifier replay them.
+
+``schedule`` reads every document through the ``Problem`` (``lower``),
+and the pinned transfers from its ``cg.pinned``.
 
 Every per-op fact the scheduler reads sits in a column indexed by the
 op's node position, the numbering the SFG gives its nodes (see
@@ -270,17 +274,18 @@ def lower(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     and the op table the mapping decides."""
     cg = apply_io_constraints(build_constraint_graph(g, lib),
                               build_transfer_graph(spec), spec)
-    ops = OpTable(cg, mapping, spec.cadence)
-    return Problem(cg, compute_time_windows(cg, ops.latest), ops)
+    ops = OpTable(cg, mapping)
+    return Problem(g, lib, spec, mapping, cg,
+                   compute_time_windows(cg, ops.latest), ops)
 
 
 class SchedulerState:
     """Mutable working state shared by the ranking and assignment steps.
 
     It reads the problem's columns in place: the lowering's (``cg``), the
-    windows' and the op table's (``ops``).  ``instances`` and ``names``
-    hold per operator class each instance's busy-until cycle (the first
-    cycle it is free again) and name; ``accesses`` and ``events`` collect
+    windows' and the op table's (``ops``).  ``instances`` holds per
+    operator class each instance's busy-until cycle (the first cycle it
+    is free again); ``accesses`` and ``events`` collect
     the records as they are made, and ``started`` holds each op's record
     once started, by node position.
 
@@ -294,21 +299,10 @@ class SchedulerState:
             problem.ops
         self.table, self.allocation = table, allocation
         self.instances: dict[str, list[int]] = {}
-        self.names: dict[str, list[str]] = {}
         self.accesses: list[ScheduledAccess] = []
         self.events: list[AllocationEvent] = []
         self.started = [None] * len(self.cg.ids)
         self.t = -1
-
-    def allocate_instance(self, op_class: str, t: int) -> int:
-        """Grow the class's pool by one instance; return its number."""
-        busy = self.instances.setdefault(op_class, [])
-        k = len(busy)
-        busy.append(t)
-        name = f"{op_class}{k}"
-        self.names.setdefault(op_class, []).append(name)
-        self.events.append(AllocationEvent(t, op_class, name))
-        return k
 
     def access_requests(self, i: int, t: int) -> list[tuple[str, int, int]]:
         """(bank, address, cycle) of the requests of the op at position i,
@@ -669,12 +663,11 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
     else:
         if alap > t:
             return None
-        if state.allocation.mode == "auto":
-            k = state.allocate_instance(op_class, t)
-            busy = state.instances[op_class]
-        else:
+        if state.allocation.mode != "auto":
             raise ScheduleFailure("fixed-allocation-exhausted", cycle=t,
                                   operation=op_id, op_class=op_class)
+        busy.append(t)  # an auto pool holds every class in use
+        state.events.append(AllocationEvent(t, op_class, f"{op_class}{k}"))
 
     if reqs:
         append = state.accesses.append
@@ -689,8 +682,7 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
     latency = state.cg.latency[i]
     busy[k] = t + latency
     rec = state.started[i] = _tuple_new(ScheduledOp, (
-        op_id, state.cg.label[i], op_class, state.names[op_class][k], t,
-        latency))
+        op_id, state.cg.label[i], op_class, f"{op_class}{k}", t, latency))
     return rec
 
 
@@ -699,11 +691,9 @@ def _seed_pool(state: SchedulerState, lib: OperatorLibrary) -> None:
         for name, n in state.allocation.counts:
             lib.by_name(name)  # raises on an unknown class
             state.instances[name] = [0] * n
-            state.names[name] = [f"{name}{k}" for k in range(n)]
         return
     for name in sorted(set(state.cg.op_class) - {None}):
         state.instances[name] = [0]
-        state.names[name] = [f"{name}0"]
 
 
 def _some_class_free(per_class: dict[str, int],
@@ -725,7 +715,8 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
 
     ``problem`` is the lowering of ``g``, ``lib``, ``spec`` and ``mapping``
     when the caller already holds one; it is only read.  Without it the
-    problem is lowered here, with ``lower``.
+    problem is lowered here, with ``lower``.  Either way every document is
+    then read through the problem.
 
     Raises ScheduleFailure when no legal schedule can be produced under the
     given resources, a latency above the bound among them; static
@@ -733,7 +724,7 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     """
     if problem is None:
         problem = lower(g, lib, spec, mapping)
-    cg, windows = problem.cg, problem.windows
+    cg, windows, spec = problem.cg, problem.windows, problem.spec
     ids, label, deadline = cg.ids, cg.label, cg.deadline
     # outputs with no operation on their path (pass-through) never hit the
     # per-op margin check, so reject impossible output dates up front
@@ -744,9 +735,9 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
                                   detail=f"output {label[p]} "
                                          f"cannot be ready before cycle "
                                          f"{windows.asap_at[p]}")
-    state = SchedulerState(problem, PortAccessTable(mapping, spec.cadence),
-                           allocation)
-    _seed_pool(state, lib)
+    state = SchedulerState(problem, PortAccessTable(problem.mapping,
+                                                    spec.cadence), allocation)
+    _seed_pool(state, problem.lib)
 
     # Readiness bookkeeping: each op counts what it waits for (its
     # producers, late input arrivals and gating writes) and an event queue
@@ -828,9 +819,10 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
 
     records = [rec for rec in state.started if rec is not None]
     cycles = transfer_cycles(
-        cg, spec, [None if rec is None else rec[4] for rec in state.started])
+        cg, [None if rec is None else rec[4] for rec in state.started])
     transfers = _build_transfers(cycles, cg, spec)
-    pool = {cls: tuple(names) for cls, names in sorted(state.names.items())}
+    pool = {cls: tuple(f"{cls}{k}" for k in range(len(busy)))
+            for cls, busy in sorted(state.instances.items())}
     achieved = achieved_latency(cg, cycles, max(
         (start + latency for _, _, _, _, start, latency in records),
         default=None))
@@ -851,10 +843,11 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
 def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
                      spec: IoConstraintSpec) -> list[ScheduledTransfer]:
     """The transfers at ``cycles`` (``transfer_cycles``), each pinned one
-    on its declared bus and the others on generated buses, distinct within
-    a cycle and reused across cycles (one physical bus serves many
-    cycles); generated names skip the ids of declared buses."""
-    bus_of = {cg.at[tr.node]: tr.bus for tr in spec.transfers}
+    (``cg.pinned``) on its declared bus and the others on generated buses,
+    distinct within a cycle and reused across cycles (one physical bus
+    serves many cycles); generated names skip the ids of the spec's
+    declared buses."""
+    pinned = cg.pinned
     declared = {b.id for b in spec.buses}
     ids = cg.ids
     transfers: list[ScheduledTransfer] = []
@@ -862,9 +855,9 @@ def _build_transfers(cycles: dict[int, int], cg: ConstraintGraph,
                                     (CgKind.OUTPUT, "out", "auto_out")):
         by_cycle: dict[int, list[int]] = {}
         for p in cg.positions[kind]:
-            if p in bus_of:
+            if p in pinned:
                 transfers.append(_tuple_new(ScheduledTransfer, (
-                    ids[p], bus_of[p], cycles[p], direction, False)))
+                    ids[p], pinned[p].bus, cycles[p], direction, False)))
             else:
                 by_cycle.setdefault(cycles[p], []).append(ids[p])
         # as many names as the busiest cycle needs

@@ -1,7 +1,8 @@
 """Independent schedule checking.
 
-``verify_schedule`` checks every rule a schedule must satisfy against the
-lowered problem (constraint graph and time windows) and the mapping:
+``verify_schedule(sched, problem, allocation)`` checks every rule a
+schedule must satisfy against the lowered problem (constraint graph, time
+windows and pinned transfers) and the documents it carries:
 dependencies, operator exclusivity, instances drawn from the recorded pool
 (and, under a fixed allocation, pools no larger than its counts), port
 capacity, access costs (replayed in reservation order), I/O timing and the
@@ -10,11 +11,9 @@ latency bound, one transfer per bus and cycle and one direction per bus
 and latency bound against the I/O constraints', and every record field
 the lowering fixes (the kind of node a record names, labels, an access's
 operation and kind, a transfer's direction and whether it is
-synthesized).  The lowering is either its own (``lower``)
-or a ``Problem`` shared by the caller; both are derived from the graph,
-library, I/O constraints and mapping alone, and the verifier only reads
-them.  It
-takes the timing rules from their one home, as the scheduler does: access
+synthesized).  The ``Problem`` is the one the scheduler read, derived
+from its four documents alone; the verifier only reads it.  It takes the
+timing rules from their one home, as the scheduler does: access
 cost and slot span from ``memory.Bank``, output production and achieved
 latency from ``constraints``.  It trusts nothing from the scheduler
 beyond the schedule record: it reads the records into starts by node
@@ -67,24 +66,17 @@ class Violation:
         return f"{self.kind}: {self.message}{where}"
 
 
-def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
-                    spec: IoConstraintSpec,
-                    mapping: MemoryMapping,
-                    problem: Problem | None = None,
-                    allocation: Allocation | None = None) -> list[Violation]:
+def verify_schedule(sched: Schedule, problem: Problem,
+                    allocation: Allocation) -> list[Violation]:
     """All rule violations in the schedule, empty when it is valid.
 
-    ``problem`` is the lowering of ``g``, ``lib``, ``spec`` and
-    ``mapping`` when the caller already holds one; without it ``lower``
-    lowers it here.
-    ``allocation`` is the pool policy the schedule was made under: a
-    fixed one caps each class's pool at its count (a class it does not
-    list at zero).
+    ``problem`` is the lowering the schedule was made for (``lower``), and
+    ``allocation`` the pool policy it was made under: a fixed one caps
+    each class's pool at its count (a class it does not list at zero).
     """
     out: list[Violation] = []
-    if problem is None:
-        problem = lower(g, lib, spec, mapping)
     cg, windows = problem.cg, problem.windows
+    spec, mapping = problem.spec, problem.mapping
 
     # the record's own cadence and bound must be the constraints': the
     # port horizon below and the deadlines come from the spec
@@ -248,7 +240,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
                     f"bank {bank.id} slot {s} serves {n_used} accesses with "
                     f"{bank.ports} port(s)"))
 
-    if allocation is not None and allocation.mode == "fixed":
+    if allocation.mode == "fixed":
         caps = dict(allocation.counts)
         for cls, names in sorted(sched.pool.items()):
             if len(names) > caps.get(cls, 0):
@@ -304,7 +296,6 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
     cycles = {p: transfer_of[ids[p]].cycle for p in io_nodes
               if ids[p] in transfer_of}  # by position
     complete = len(cycles) == len(io_nodes)
-    pinned = {tr.node: tr for tr in spec.transfers}
     declared = {b.id for b in spec.buses}
     for p in io_nodes:
         node, name = ids[p], label[p]
@@ -312,7 +303,7 @@ def verify_schedule(sched: Schedule, g: SFG, lib: OperatorLibrary,
         if t is None:
             out.append(Violation("io-timing", f"no transfer for {name}", node))
             continue
-        want = pinned.get(node)
+        want = cg.pinned.get(p)
         direction = "in" if kind[p] is INPUT else "out"
         if t.direction != direction or t.synthesized != (want is None):
             out.append(Violation(
@@ -416,7 +407,7 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
     seen: set = set()
 
     def finish(started: dict[int, int]) -> None:
-        cycles = transfer_cycles(cg, spec, started)
+        cycles = transfer_cycles(cg, started)
         for o in outputs:
             if not produced_cycle(cg, o, started, cycles) <= \
                     cycles[o] <= cg.deadline[o]:

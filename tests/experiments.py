@@ -35,11 +35,17 @@ class Config:
     mapping: s.MemoryMapping
     allocation: s.Allocation
 
+    def lower(self) -> s.Problem:
+        return s.lower(self.g, self.lib, self.spec, self.mapping)
+
     def run(self) -> tuple[s.Schedule, s.ArchitectureReport]:
+        problem = self.lower()
         sched = s.schedule(self.g, self.lib, self.spec, self.mapping,
-                           self.allocation)
-        rep = s.build_report(sched, self.g, self.spec, self.mapping, self.lib)
-        return sched, rep
+                           self.allocation, problem)
+        return sched, s.build_report(sched, problem)
+
+    def verify(self, sched: s.Schedule) -> list[s.Violation]:
+        return s.verify_schedule(sched, self.lower(), self.allocation)
 
     def report_argv(self, directory: Path) -> list[str]:
         """Write the four input documents into ``directory`` (the mapping

@@ -45,6 +45,12 @@ class Problem:
     allocation: s.Allocation
     instance_caps: dict[str, int] | None  # None = unlimited (auto mode)
 
+    def lower(self) -> s.Problem:
+        return s.lower(self.g, self.lib, self.spec, self.mapping)
+
+    def verify(self, sched: s.Schedule) -> list[s.Violation]:
+        return s.verify_schedule(sched, self.lower(), self.allocation)
+
     def run_scheduler(self) -> s.Schedule:
         return s.schedule(self.g, self.lib, self.spec, self.mapping,
                           self.allocation)

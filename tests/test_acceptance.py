@@ -16,6 +16,8 @@ from instances import random_problem
 from mutations import MUTATIONS
 from sfgsched.cli import main
 
+AUTO = s.Allocation(mode="auto")
+
 
 @contextmanager
 def criterion(capsys, num, limit, facts):
@@ -47,8 +49,9 @@ def test_criterion_1_worked_example(pairsum_graph, pairsum_lib, io_lat3,
         second = [a for a in sched.accesses if a.data_label == "var1"]
         assert [(a.cost, a.cost_class) for a in second] == [(1, "burst")]
         assert sched.achieved_latency == 3
-        assert s.verify_schedule(sched, pairsum_graph, pairsum_lib, io_lat3,
-                                 map_onebank) == []
+        assert s.verify_schedule(sched, s.lower(pairsum_graph, pairsum_lib,
+                                                io_lat3, map_onebank),
+                                 AUTO) == []
         golden = (pairsum_dir / "golden_schedule_lat3.json").read_text()
         assert sched.to_json() == golden
         facts["latency"] = sched.achieved_latency
@@ -83,14 +86,13 @@ def test_criterion_3_two_bank_architecture(pairsum_graph, pairsum_lib,
                                            capsys):
     facts = {}
     with criterion(capsys, 3, 1.0, facts):
+        problem = s.lower(pairsum_graph, pairsum_lib, io_lat2, map_twobank)
         sched = s.schedule(pairsum_graph, pairsum_lib, io_lat2, map_twobank)
-        rep = s.build_report(sched, pairsum_graph, io_lat2, map_twobank,
-                             pairsum_lib)
+        rep = s.build_report(sched, problem)
         assert sched.achieved_latency == 2
         assert sched.pool_counts() == {"mult": 2, "add": 1}
         assert rep.banks_used == 2
-        assert s.verify_schedule(sched, pairsum_graph, pairsum_lib, io_lat2,
-                                 map_twobank) == []
+        assert s.verify_schedule(sched, problem, AUTO) == []
         assert sched.to_json() == \
             (pairsum_dir / "golden_schedule_lat2_twobank.json").read_text()
         assert s.report_to_json(rep) == \
@@ -114,8 +116,7 @@ def test_criterion_4_random_instances_vs_oracle(capsys):
                 else:
                     greedy_misses += 1  # greedy is allowed to miss
                 continue
-            violations = s.verify_schedule(sched, p.g, p.lib, p.spec,
-                                           p.mapping)
+            violations = p.verify(sched)
             assert violations == [], f"seed {seed}: {violations[0]}"
             best = p.brute_minimum()
             assert best is not None, \
@@ -145,9 +146,9 @@ def test_criterion_5_mutations_all_caught(pairsum_graph, pairsum_lib,
         assert len(MUTATIONS) >= 5
         caught = 0
         for sched, spec, mapping in goldens:
+            problem = s.lower(pairsum_graph, pairsum_lib, spec, mapping)
             for name, mutate in MUTATIONS:
-                violations = s.verify_schedule(mutate(sched), pairsum_graph,
-                                               pairsum_lib, spec, mapping)
+                violations = s.verify_schedule(mutate(sched), problem, AUTO)
                 assert violations, f"{name} slipped through"
                 caught += 1
         facts["operators"] = len(MUTATIONS)
@@ -165,8 +166,7 @@ def test_criterion_6_architecture_tradeoffs(capsys):
         s3, r3 = e3.run()
         for cfg, (sched, _) in ((e1, (s1, r1)), (e2, (s2, r2)),
                                 (e3, (s3, r3))):
-            assert s.verify_schedule(sched, cfg.g, cfg.lib, cfg.spec,
-                                     cfg.mapping) == [], cfg.name
+            assert cfg.verify(sched) == [], cfg.name
         assert r1.banks_used > 2
         assert r3.banks_used == 2
         assert r3.in_buses == 1
@@ -187,9 +187,9 @@ def test_criterion_7_large_fft_smoke(capsys):
         sched = s.schedule(cfg.g, cfg.lib, cfg.spec, cfg.mapping,
                            cfg.allocation)
         t_sched = time.perf_counter() - t0
+        problem = cfg.lower()
         t0 = time.perf_counter()
-        violations = s.verify_schedule(sched, cfg.g, cfg.lib, cfg.spec,
-                                       cfg.mapping)
+        violations = s.verify_schedule(sched, problem, cfg.allocation)
         t_verify = time.perf_counter() - t0
         assert violations == []
         # schedule.json bytes as the scheduler produced them before its

@@ -14,6 +14,14 @@ def test_workload_problems_build_write_and_run(tmp_path):
     codes = [cli.main(workloads.write_problem(s, p, tmp_path / p.name))
              for p in problems]
     assert codes[-1] == 0  # fft64_pinned
+    # the in-memory call of perfbench/run.py's ``in_memory_mismatch``: five
+    # positional arguments, the schedule the CLI wrote on every exit 0
+    for p, code in zip(problems, codes):
+        if code == 0:
+            text = s.schedule(p.g, p.lib, p.spec, p.mapping,
+                              s.parse_allocation(p.alloc)).to_json()
+            assert text == (tmp_path / p.name / "out" /
+                            "schedule.json").read_text(), p.name
     # the oracle call of the benchmark's kernel_sweep verdicts
     optima = [s.brute_force_min_latency(p.g, p.lib, p.spec, p.mapping,
                                         instances=p.caps) for p in sweep]

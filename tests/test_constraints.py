@@ -146,7 +146,19 @@ def test_apply_io_constraints_sets_dates(pairsum_graph, pairsum_lib, io_lat3,
     c = pairsum_graph.node_by_label("c").id
     assert cg.arrival[cg.at[a]] == 0
     assert cg.deadline[cg.at[c]] == 2
-    assert cg.latency_bound == 3
+    assert (cg.latency_bound, cg.cadence) == (3, io_lat3.cadence)
+    # every pinned transfer, by the position of its node
+    assert cg.pinned == {cg.at[t.node]: t for t in io_lat3.transfers}
+    assert len(cg.pinned) == 3 and cg.pinned[cg.at[c]].offset == 2
+    # taken from the transfers given, not from the spec's own, which pin
+    # c at cycle 2
+    base = s.build_constraint_graph(pairsum_graph, pairsum_lib)
+    only_a = tuple(t for t in io_lat3.transfers if t.node == a)
+    wide = replace(io_lat3, cadence=5, latency_bound=5)
+    cg = s.apply_io_constraints(base, only_a, wide)
+    assert cg.pinned == {cg.at[a]: only_a[0]}
+    assert cg.deadline[cg.at[c]] == 4  # unpinned: latency bound - 1
+    assert base.pinned == {}  # the input graph is left as it was
 
 
 def test_apply_io_constraints_defaults_without_transfers(pairsum_graph, pairsum_lib,
@@ -156,6 +168,7 @@ def test_apply_io_constraints_defaults_without_transfers(pairsum_graph, pairsum_
     c = pairsum_graph.node_by_label("c").id
     assert cg.deadline[cg.at[c]] == 4  # free outputs only face the bound
     assert cg.arrival[cg.at[pairsum_graph.node_by_label("a").id]] == 0
+    assert cg.pinned == {}
 
 
 def test_apply_io_constraints_rejects_bad_transfers(pairsum_graph, pairsum_lib):
@@ -205,7 +218,7 @@ def test_feasibility_worked_example(pairsum_graph, pairsum_lib, io_lat3, io_lat2
                                     map_onebank):
     for spec in (io_lat3, io_lat2):
         problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
-        rep = s.check_feasibility(problem, spec)
+        rep = s.check_feasibility(problem)
         # the 2-cycle variant passes the static checks too; only the
         # memory-aware scheduler can expose its infeasibility
         assert rep.cadence_ok and rep.output_dates_ok and rep.feasible
@@ -216,7 +229,7 @@ def test_feasibility_catches_short_bound(pairsum_graph, pairsum_lib,
                                         map_onebank):
     spec = s.IoConstraintSpec.unconstrained(latency_bound=1)
     problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
-    rep = s.check_feasibility(problem, spec)
+    rep = s.check_feasibility(problem)
     assert not rep.cadence_ok and not rep.feasible
     assert rep.critical_path_cycles == 2
     assert rep.diagnostics
@@ -235,7 +248,7 @@ def test_feasibility_catches_early_deadline(pairsum_graph, pairsum_lib,
                    s.Transfer(c, "bo", 0)),
         cadence=3, latency_bound=3)
     problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
-    rep = s.check_feasibility(problem, spec)
+    rep = s.check_feasibility(problem)
     assert rep.cadence_ok and not rep.output_dates_ok and not rep.feasible
     assert any("c" in d or "7" in d for d in rep.diagnostics)
 
@@ -253,7 +266,7 @@ def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
         spec = s.IoConstraintSpec(buses, transfers, cadence=8,
                                   latency_bound=bound)
         problem = s.lower(pairsum_graph, pairsum_lib, spec, map_onebank)
-        rep = s.check_feasibility(problem, spec)
+        rep = s.check_feasibility(problem)
         pinned = [d for d in rep.diagnostics if "pinned" in d]
         assert not pinned or not rep.cadence_ok
         return pinned
@@ -282,7 +295,7 @@ def test_feasibility_catches_pinned_transfers_past_the_bound(pairsum_graph,
                                   (s.Transfer(2, "bo", 4),), cadence=8,
                                   latency_bound=bound)
         problem = s.lower(g, ALU, spec, mapping)
-        assert s.check_feasibility(problem, spec).cadence_ok is ok
+        assert s.check_feasibility(problem).cadence_ok is ok
 
 
 def test_feasibility_reports_offsets_outside_the_cadence(pairsum_graph):
@@ -320,7 +333,7 @@ def test_feasible_problems_have_consistent_windows(seed):
     p = random_problem(seed)
     problem = s.lower(p.g, p.lib, p.spec, p.mapping)
     cg, w = problem.cg, problem.windows
-    rep = s.check_feasibility(problem, p.spec)
+    rep = s.check_feasibility(problem)
     if rep.feasible:
         for p in cg.positions[C.OP]:
             assert w.asap_at[p] <= w.alap_at[p]
@@ -336,7 +349,7 @@ def test_static_checks_match_unlimited_resource_search():
         banks = (s.Bank(id="wide", ports=64, t_seq=1, t_rand=1),)
         mapping = s.apply_mapping(table, s.MappingSpec(mode="auto", banks=banks))
         problem = s.lower(p.g, p.lib, p.spec, mapping)
-        rep = s.check_feasibility(problem, p.spec)
+        rep = s.check_feasibility(problem)
         bf = s.brute_force_min_latency(p.g, p.lib, p.spec, mapping,
                                        instances=None)
         assert rep.feasible == (bf is not None), f"seed {seed}"
@@ -364,8 +377,7 @@ def test_static_checks_match_the_search_on_slow_banks():
                 if any(tr.offset >= cadence for tr in p.spec.transfers):
                     continue
                 spec = replace(p.spec, cadence=cadence)
-                rep = s.check_feasibility(s.lower(p.g, p.lib, spec, mapping),
-                                          spec)
+                rep = s.check_feasibility(s.lower(p.g, p.lib, spec, mapping))
                 bf = s.brute_force_min_latency(p.g, p.lib, spec, mapping)
                 assert rep.feasible == (bf is not None), \
                     (seed, t_seq, cadence)

@@ -272,7 +272,8 @@ def test_held_view_hides_later_reservations(map_onebank):
     assert table.probe([("bank0", 6, 1)]) == [(1, "burst", range(1, 2))]
     with pytest.raises(PortConflict) as err:
         table.fit([("bank0", 3, 4), ("bank0", 6, 1)])
-    assert (err.value.bank_id, err.value.cycle) == ("bank0", 1)
+    assert (err.value.bank_id, str(err.value)) == \
+        ("bank0", "no free port on bank bank0 for an access at cycle 1")
     assert table.hold_view() == {"bank0": 0}
     assert table.probe([("bank0", 6, 1)]) is None
 

@@ -61,7 +61,7 @@ def reference_min_latency(g, lib, spec, mapping, instances=None):
     def finish(started):
         # the timing helpers read starts and give cycles by node position
         at = {cg.at[o]: start for o, start in started.items()}
-        cycles = transfer_cycles(cg, spec, at)
+        cycles = transfer_cycles(cg, at)
         for o in outputs:
             if not produced_cycle(cg, cg.at[o.id], at, cycles) <= \
                     cycles[cg.at[o.id]] <= o.deadline:

@@ -153,8 +153,10 @@ def _problem(names, kinds, ops, edges, banks, placements, bound, alloc,
                          for d, bank, address in placements)))
 
     def run():
-        sched = s.schedule(g, lib, spec, mapping, s.parse_allocation(alloc))
-        assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+        allocation = s.parse_allocation(alloc)
+        sched = s.schedule(g, lib, spec, mapping, allocation)
+        assert s.verify_schedule(sched, s.lower(g, lib, spec, mapping),
+                                 allocation) == []
         return sched
     return run
 

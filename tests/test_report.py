@@ -12,8 +12,8 @@ K = s.NodeKind
 @pytest.fixture(scope="module")
 def lat2_report(pairsum_graph, pairsum_lib, io_lat2, map_twobank):
     sched = s.schedule(pairsum_graph, pairsum_lib, io_lat2, map_twobank)
-    return sched, s.build_report(sched, pairsum_graph, io_lat2, map_twobank,
-                                 pairsum_lib)
+    return sched, s.build_report(sched, s.lower(pairsum_graph, pairsum_lib,
+                                                io_lat2, map_twobank))
 
 
 def test_report_matches_golden(lat2_report, pairsum_dir):
@@ -57,7 +57,8 @@ def test_render_text(lat2_report):
 def test_clock_line(pairsum_graph, fft_lib, pairsum_lib, io_lat2, map_twobank):
     lib = s.OperatorLibrary(classes=pairsum_lib.classes, clock_hz=200e6)
     sched = s.schedule(pairsum_graph, lib, io_lat2, map_twobank)
-    rep = s.build_report(sched, pairsum_graph, io_lat2, map_twobank, lib)
+    rep = s.build_report(sched, s.lower(pairsum_graph, lib, io_lat2,
+                                        map_twobank))
     assert rep.clock_hz == 200e6
     assert rep.latency_seconds == 2 / 200e6
     text = s.render_report_text(rep)
@@ -67,7 +68,8 @@ def test_clock_line(pairsum_graph, fft_lib, pairsum_lib, io_lat2, map_twobank):
 def test_synthesized_bus_demand_peaks(pairsum_graph, pairsum_lib, map_twobank):
     spec = s.IoConstraintSpec.unconstrained(latency_bound=2)
     sched = s.schedule(pairsum_graph, pairsum_lib, spec, map_twobank)
-    rep = s.build_report(sched, pairsum_graph, spec, map_twobank, pairsum_lib)
+    rep = s.build_report(sched, s.lower(pairsum_graph, pairsum_lib, spec,
+                                        map_twobank))
     # both products start at cycle 0, so both inputs arrive together
     assert rep.in_buses == 2
     assert rep.out_buses == 1
@@ -86,7 +88,8 @@ def test_declared_plus_synthesized_buses(pairsum_graph, pairsum_lib):
         s.MappingSpec(mode="auto", banks=(s.Bank(id="b0", ports=2, t_rand=2),
                                           s.Bank(id="b1", ports=2, t_rand=2))))
     sched = s.schedule(pairsum_graph, pairsum_lib, spec, mapping)
-    rep = s.build_report(sched, pairsum_graph, spec, mapping, pairsum_lib)
+    rep = s.build_report(sched, s.lower(pairsum_graph, pairsum_lib, spec,
+                                        mapping))
     assert rep.in_buses == 2  # 1 declared + 1 synthesized peak
     assert rep.out_buses == 1
 
@@ -98,7 +101,7 @@ def test_pass_through_report(pairsum_lib):
     mapping = s.apply_mapping(s.extract_memory_table(g),
                               s.MappingSpec(mode="auto", banks=()))
     sched = s.schedule(g, pairsum_lib, spec, mapping)
-    rep = s.build_report(sched, g, spec, mapping, pairsum_lib)
+    rep = s.build_report(sched, s.lower(g, pairsum_lib, spec, mapping))
     assert rep.operators == ()
     assert rep.banks_used == 0
     assert rep.registers == 2
@@ -131,17 +134,18 @@ def test_bus_counts_are_declared_plus_peak_demand():
         for seed in range(n):
             p = problems(seed)
             try:
-                runs.append((p.run_scheduler(), p.g, p.spec, p.mapping))
+                runs.append((p.run_scheduler(), p.lower()))
             except s.ScheduleFailure:
                 pass
     for cfg in (experiments.io_constrained(),
                 experiments.two_bank_free_io({"mult": 2, "add": 1, "sub": 1}),
                 experiments.two_bank_paced_input()):
-        runs.append((cfg.run()[0], cfg.g, cfg.spec, cfg.mapping))
-    for sched, g, spec, mapping in runs:
-        rep = s.build_report(sched, g, spec, mapping)
-        assert rep.in_buses == _declared_plus_peak(sched, spec, "in")
-        assert rep.out_buses == _declared_plus_peak(sched, spec, "out")
+        runs.append((cfg.run()[0], cfg.lower()))
+    for sched, problem in runs:
+        rep = s.build_report(sched, problem)
+        assert rep.in_buses == _declared_plus_peak(sched, problem.spec, "in")
+        assert rep.out_buses == _declared_plus_peak(sched, problem.spec,
+                                                    "out")
     # many runs name more than one synthesized bus in some direction
     assert sum(len({tr.bus for tr in sched.transfers if tr.synthesized}) > 1
                for sched, *_ in runs) > 10

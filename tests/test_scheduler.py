@@ -9,6 +9,7 @@ from sfgsched.scheduling import ReadySet, _seed_pool
 from instances import random_problem
 
 K = s.NodeKind
+AUTO = s.Allocation(mode="auto")
 
 
 def _run(pairsum_graph, pairsum_lib, spec, mapping, alloc="auto"):
@@ -46,8 +47,8 @@ def test_three_cycle_schedule_exact(pairsum_graph, pairsum_lib, io_lat3,
     assert sched.pool_counts() == {"mult": 1, "add": 1}
     assert sched.allocation_events == ()
     assert sched.achieved_latency == 3
-    assert s.verify_schedule(sched, pairsum_graph, pairsum_lib, io_lat3,
-                             map_onebank) == []
+    assert s.verify_schedule(sched, s.lower(pairsum_graph, pairsum_lib,
+                                            io_lat3, map_onebank), AUTO) == []
     assert s.estimate_registers(sched, pairsum_graph) == 5
 
 
@@ -75,8 +76,8 @@ def test_two_cycle_two_banks_grows_pool(pairsum_graph, pairsum_lib, io_lat2,
     ev = sched.allocation_events[0]
     assert (ev.cycle, ev.op_class, ev.instance) == (0, "mult", "mult1")
     assert sched.achieved_latency == 2
-    assert s.verify_schedule(sched, pairsum_graph, pairsum_lib, io_lat2,
-                             map_twobank) == []
+    assert s.verify_schedule(sched, s.lower(pairsum_graph, pairsum_lib,
+                                            io_lat2, map_twobank), AUTO) == []
 
 
 def test_fixed_allocation_matches_auto_when_sufficient(
@@ -195,7 +196,8 @@ def test_waiting_reader_counts_in_the_walk():
     sched = s.schedule(g, lib, spec, mapping)
     assert [(o.label, o.start) for o in sched.ops] == [
         ("m0", 0), ("p", 0), ("y", 1), ("x", 2), ("q", 4), ("z", 8)]
-    assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+    assert s.verify_schedule(sched, s.lower(g, lib, spec, mapping),
+                             AUTO) == []
 
 
 def _long_multiply_problem():
@@ -235,7 +237,8 @@ def test_idle_stretch_keeps_allocation_and_abort_cycles(monkeypatch):
         [("m1", 0, "mult0"), ("m2", 5, "mult1")]
     assert sched.allocation_events == (
         s.AllocationEvent(cycle=5, op_class="mult", instance="mult1"),)
-    assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+    assert s.verify_schedule(sched, s.lower(g, lib, spec, mapping),
+                             AUTO) == []
 
     with pytest.raises(s.ScheduleFailure) as err:
         s.schedule(g, lib, spec, mapping, s.parse_allocation("fixed:mult=1"))
@@ -294,7 +297,8 @@ def test_written_value_gates_reader():
     assert starts == {"o0": 0, "o1": 2}
     kinds = {(a.kind, a.cycle) for a in sched.accesses}
     assert kinds == {("write", 1), ("read", 2)}
-    assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+    assert s.verify_schedule(sched, s.lower(g, lib, spec, mapping),
+                             AUTO) == []
 
 
 def test_schedule_is_deterministic(pairsum_graph, pairsum_lib, io_lat3,
@@ -366,7 +370,8 @@ def test_tighter_bound_never_needs_fewer_operators(fft_lib):
     for bound in (16, 22, 76, 160):
         spec = s.IoConstraintSpec.unconstrained(latency_bound=bound)
         sched = s.schedule(g, fft_lib, spec, mapping)
-        assert s.verify_schedule(sched, g, fft_lib, spec, mapping) == []
+        assert s.verify_schedule(sched, s.lower(g, fft_lib, spec, mapping),
+                                 AUTO) == []
         pool = sched.pool_counts()
         totals.append((bound, sum(pool.values()), pool))
     for (b1, t1, p1), (b2, t2, p2) in zip(totals, totals[1:]):
@@ -384,7 +389,8 @@ def test_pass_through_schedule(pairsum_lib):
     assert sched.ops == ()
     assert sched.achieved_latency == 1
     assert s.estimate_registers(sched, g) == 2
-    assert s.verify_schedule(sched, g, pairsum_lib, spec, mapping) == []
+    assert s.verify_schedule(sched, s.lower(g, pairsum_lib, spec, mapping),
+                             AUTO) == []
 
 
 def test_pass_through_rejects_impossible_deadline(pairsum_lib):
@@ -441,8 +447,10 @@ def _port_view_run(inputs, memory, ops, latencies, alloc, bound):
         mode="strict", banks=(bank,),
         placements=tuple(s.Placement(ids[n], "bank0", address)
                          for n, address in memory.items())))
-    sched = s.schedule(g, lib, spec, mapping, s.parse_allocation(alloc))
-    assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+    allocation = s.parse_allocation(alloc)
+    sched = s.schedule(g, lib, spec, mapping, allocation)
+    assert s.verify_schedule(sched, s.lower(g, lib, spec, mapping),
+                             allocation) == []
     return [(o.label, o.start) for o in sched.ops]
 
 

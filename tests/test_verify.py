@@ -12,17 +12,19 @@ from mutations import (CAP_MUTATIONS, DECLARED_BUS_MUTATIONS,
                        FREE_IO_MUTATIONS, MUTATIONS, WRITE_MUTATIONS,
                        fixed_allocation)
 
+AUTO = s.Allocation(mode="auto")
+
 
 @pytest.fixture(scope="module")
 def golden_lat3(pairsum_graph, pairsum_lib, io_lat3, map_onebank):
     sched = s.schedule(pairsum_graph, pairsum_lib, io_lat3, map_onebank)
-    return sched, pairsum_graph, pairsum_lib, io_lat3, map_onebank
+    return sched, s.lower(pairsum_graph, pairsum_lib, io_lat3, map_onebank)
 
 
 @pytest.fixture(scope="module")
 def golden_lat2(pairsum_graph, pairsum_lib, io_lat2, map_twobank):
     sched = s.schedule(pairsum_graph, pairsum_lib, io_lat2, map_twobank)
-    return sched, pairsum_graph, pairsum_lib, io_lat2, map_twobank
+    return sched, s.lower(pairsum_graph, pairsum_lib, io_lat2, map_twobank)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +43,7 @@ def gated_write():
     spec = s.IoConstraintSpec.unconstrained(latency_bound=6)
     mapping = s.apply_mapping(s.extract_memory_table(g), s.MappingSpec(
         mode="auto", banks=(s.Bank(id="b0", ports=1, t_seq=1, t_rand=2),)))
-    return s.schedule(g, lib, spec, mapping), g, lib, spec, mapping
+    return s.schedule(g, lib, spec, mapping), s.lower(g, lib, spec, mapping)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +56,7 @@ def spare_bus(pairsum_graph, pairsum_lib, map_twobank):
                               0),),
         cadence=4, latency_bound=4)
     sched = s.schedule(pairsum_graph, pairsum_lib, spec, map_twobank)
-    return sched, pairsum_graph, pairsum_lib, spec, map_twobank
+    return sched, s.lower(pairsum_graph, pairsum_lib, spec, map_twobank)
 
 
 @pytest.fixture(scope="module")
@@ -63,24 +65,23 @@ def free_io(pairsum_graph, pairsum_lib, map_twobank):
     cycles 0 and 1, ``c`` on ``auto_out0`` at cycle 2."""
     spec = s.IoConstraintSpec.unconstrained(3)
     sched = s.schedule(pairsum_graph, pairsum_lib, spec, map_twobank)
-    return sched, pairsum_graph, pairsum_lib, spec, map_twobank
+    return sched, s.lower(pairsum_graph, pairsum_lib, spec, map_twobank)
 
 
 def test_clean_schedules_verify(golden_lat3, golden_lat2, gated_write,
                                 spare_bus, free_io):
-    for sched, g, lib, spec, mapping in (golden_lat3, golden_lat2,
-                                         gated_write, spare_bus, free_io):
-        assert s.verify_schedule(sched, g, lib, spec, mapping) == []
+    for sched, problem in (golden_lat3, golden_lat2, gated_write, spare_bus,
+                           free_io):
+        assert s.verify_schedule(sched, problem, AUTO) == []
 
 
 @pytest.mark.parametrize("name,mutate", MUTATIONS)
 @pytest.mark.parametrize("which", ["lat3", "lat2"])
 def test_mutations_are_caught(name, mutate, which, golden_lat3, golden_lat2):
-    sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
-        else golden_lat2
+    sched, problem = golden_lat3 if which == "lat3" else golden_lat2
     broken = mutate(sched)
     assert broken.to_json() != sched.to_json(), name
-    violations = s.verify_schedule(broken, g, lib, spec, mapping)
+    violations = s.verify_schedule(broken, problem, AUTO)
     assert violations, f"{name} slipped through on {which}"
 
 
@@ -88,31 +89,35 @@ def test_mutations_are_caught(name, mutate, which, golden_lat3, golden_lat2):
 @pytest.mark.parametrize("which", ["lat3", "lat2"])
 def test_shared_problem_finds_the_same_violations(name, mutate, which,
                                                   golden_lat3, golden_lat2):
-    sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
-        else golden_lat2
+    """A problem the scheduler has read gives the verifier what a fresh
+    lowering of the same documents gives it."""
+    sched, problem = golden_lat3 if which == "lat3" else golden_lat2
+    docs = (problem.g, problem.lib, problem.spec, problem.mapping)
+    shared = s.lower(*docs)
+    s.schedule(*docs, AUTO, shared)
     broken = mutate(sched)
-    problem = s.lower(g, lib, spec, mapping)
-    assert s.verify_schedule(broken, g, lib, spec, mapping, problem) == \
-        s.verify_schedule(broken, g, lib, spec, mapping)
+    assert s.verify_schedule(broken, shared, AUTO) == \
+        s.verify_schedule(broken, s.lower(*docs), AUTO)
 
 
 @pytest.mark.parametrize("which", ["lat3", "lat2"])
 def test_schedule_leaves_the_shared_problem_unchanged(which, golden_lat3,
                                                       golden_lat2):
-    sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
-        else golden_lat2
-    problem = s.lower(g, lib, spec, mapping)
-    shared = s.schedule(g, lib, spec, mapping, s.Allocation(mode="auto"),
-                        problem=problem)
+    sched, fixture = golden_lat3 if which == "lat3" else golden_lat2
+    docs = (fixture.g, fixture.lib, fixture.spec, fixture.mapping)
+    problem = s.lower(*docs)
+    shared = s.schedule(*docs, AUTO, problem=problem)
     assert shared.to_json() == sched.to_json()
-    assert s.verify_schedule(shared, g, lib, spec, mapping,
-                             problem=problem) == []
-    fresh = s.lower(g, lib, spec, mapping)
+    assert s.verify_schedule(shared, problem, AUTO) == []
+    fresh = s.lower(*docs)
     for column in ("asap_at", "alap_at", "mobility_at"):
         assert getattr(problem.windows, column) == \
             getattr(fresh.windows, column)
     assert vars(problem.cg) == vars(fresh.cg)  # every column
     assert vars(problem.ops) == vars(fresh.ops)  # every op-table column
+    # the documents are kept as given
+    assert all(a is b for a, b in zip(
+        (problem.g, problem.lib, problem.spec, problem.mapping), docs))
 
 
 # Per mutation, every kind it is flagged with on the lat3 golden, and a
@@ -173,47 +178,35 @@ SPECIFIC_FREE_IO = [
 
 def test_mutation_kinds_are_specific(golden_lat3, gated_write, spare_bus,
                                      free_io):
-    sched, g, lib, spec, mapping = golden_lat3
+    sched, problem = golden_lat3
     from mutations import (late_start, corrupt_access_cost, drop_operation,
                            shift_output_transfer, collapse_sequence_numbers,
                            shrink_pool, wrong_cadence, wrong_latency_bound,
                            late_output_transfer)
-    kinds = {v.kind for v in s.verify_schedule(late_start(sched), g, lib,
-                                               spec, mapping)}
-    assert "window" in kinds
-    kinds = {v.kind for v in s.verify_schedule(corrupt_access_cost(sched), g,
-                                               lib, spec, mapping)}
-    assert "access-cost" in kinds
-    kinds = {v.kind for v in s.verify_schedule(drop_operation(sched), g, lib,
-                                               spec, mapping)}
-    assert "unscheduled" in kinds
-    kinds = {v.kind for v in s.verify_schedule(shift_output_transfer(sched),
-                                               g, lib, spec, mapping)}
-    assert "io-timing" in kinds
-    kinds = {v.kind for v in s.verify_schedule(
-        collapse_sequence_numbers(sched), g, lib, spec, mapping)}
-    assert "access-cost" in kinds
-    kinds = {v.kind for v in s.verify_schedule(shrink_pool(sched), g, lib,
-                                               spec, mapping)}
-    assert kinds == {"pool"}
+
+    def kinds_of(broken):
+        return {v.kind for v in s.verify_schedule(broken, problem, AUTO)}
+    assert "window" in kinds_of(late_start(sched))
+    assert "access-cost" in kinds_of(corrupt_access_cost(sched))
+    assert "unscheduled" in kinds_of(drop_operation(sched))
+    assert "io-timing" in kinds_of(shift_output_transfer(sched))
+    assert "access-cost" in kinds_of(collapse_sequence_numbers(sched))
+    assert kinds_of(shrink_pool(sched)) == {"pool"}
     for mutate in (wrong_cadence, wrong_latency_bound):
-        kinds = {v.kind for v in s.verify_schedule(mutate(sched), g, lib,
-                                                   spec, mapping)}
-        assert kinds == {"spec"}
-    violations = s.verify_schedule(late_output_transfer(sched), g, lib, spec,
-                                   mapping)
+        assert kinds_of(mutate(sched)) == {"spec"}
+    violations = s.verify_schedule(late_output_transfer(sched), problem, AUTO)
     assert {v.kind for v in violations} == {"io-timing"}
     assert any("span 4 cycles, the latency bound is 3" in v.message
                for v in violations)
     by_name = dict(MUTATIONS + WRITE_MUTATIONS + DECLARED_BUS_MUTATIONS
                    + FREE_IO_MUTATIONS)
-    for table, (sched, g, lib, spec, mapping) in (
+    for table, (sched, problem) in (
             (SPECIFIC, golden_lat3), (SPECIFIC_WRITE, gated_write),
             (SPECIFIC_DECLARED_BUS, spare_bus), (SPECIFIC_FREE_IO, free_io)):
         for name, kinds, fragments in table:
             broken = by_name[name](sched)
             assert broken.to_json() != sched.to_json(), name
-            violations = s.verify_schedule(broken, g, lib, spec, mapping)
+            violations = s.verify_schedule(broken, problem, AUTO)
             assert {v.kind for v in violations} == kinds, name
             for fragment in fragments:
                 assert any(fragment in v.message for v in violations), \
@@ -224,18 +217,14 @@ def test_mutation_kinds_are_specific(golden_lat3, gated_write, spare_bus,
 @pytest.mark.parametrize("which", ["lat3", "lat2"])
 def test_cap_mutations_are_caught_under_a_fixed_allocation(
         name, mutate, which, golden_lat3, golden_lat2):
-    sched, g, lib, spec, mapping = golden_lat3 if which == "lat3" \
-        else golden_lat2
+    sched, problem = golden_lat3 if which == "lat3" else golden_lat2
     alloc = fixed_allocation(sched)
-    assert s.verify_schedule(sched, g, lib, spec, mapping, None, alloc) == []
+    assert s.verify_schedule(sched, problem, alloc) == []
     broken = mutate(sched)
-    kinds = {v.kind for v in s.verify_schedule(broken, g, lib, spec, mapping,
-                                               None, alloc)}
+    kinds = {v.kind for v in s.verify_schedule(broken, problem, alloc)}
     assert kinds == {"pool"}, name
     # auto allocation may grow a pool, so without the caps it stands
-    assert s.verify_schedule(broken, g, lib, spec, mapping) == []
-    assert s.verify_schedule(broken, g, lib, spec, mapping, None,
-                             s.Allocation(mode="auto")) == []
+    assert s.verify_schedule(broken, problem, AUTO) == []
 
 
 def test_latency_over_the_bound_is_a_violation(pairsum_graph, pairsum_lib,
@@ -252,8 +241,8 @@ def test_latency_over_the_bound_is_a_violation(pairsum_graph, pairsum_lib,
     sched = s.schedule(pairsum_graph, pairsum_lib, wide, map_twobank)
     assert sched.achieved_latency == 6
     violations = s.verify_schedule(
-        replace(sched, latency_bound=3), pairsum_graph, pairsum_lib, tight,
-        map_twobank)
+        replace(sched, latency_bound=3),
+        s.lower(pairsum_graph, pairsum_lib, tight, map_twobank), AUTO)
     assert [(v.kind, v.message) for v in violations] == [
         ("io-timing", "transfers and operations span 6 cycles, the latency "
                       "bound is 3")]
@@ -264,10 +253,10 @@ def test_latency_over_the_bound_is_a_violation(pairsum_graph, pairsum_lib,
 
 
 def test_fixed_allocation_caps_classes_it_does_not_list(golden_lat3):
-    sched, g, lib, spec, mapping = golden_lat3
+    sched, problem = golden_lat3
     counts = sorted(sched.pool_counts().items())
     alloc = s.Allocation(mode="fixed", counts=tuple(counts[1:]))
-    violations = s.verify_schedule(sched, g, lib, spec, mapping, None, alloc)
+    violations = s.verify_schedule(sched, problem, alloc)
     assert [v.kind for v in violations] == ["pool"]
     assert "allows 0" in violations[0].message
 
@@ -283,8 +272,7 @@ def test_fixed_allocations_of_random_problems_verify():
             sched = p.run_scheduler()
         except s.ScheduleFailure:
             continue
-        assert s.verify_schedule(sched, p.g, p.lib, p.spec, p.mapping, None,
-                                 p.allocation) == [], p.seed
+        assert p.verify(sched) == [], p.seed
         checked += 1
     assert checked >= 20
 
@@ -295,8 +283,7 @@ def test_fixed_allocation_configs_verify_under_their_caps(name):
         experiments.two_bank_free_io({"mult": 2, "add": 1, "sub": 1})
     assert cfg.allocation.mode == "fixed"
     sched, _ = cfg.run()
-    assert s.verify_schedule(sched, cfg.g, cfg.lib, cfg.spec, cfg.mapping,
-                             None, cfg.allocation) == []
+    assert cfg.verify(sched) == []
 
 
 def test_shared_synthesized_bus_is_caught(pairsum_graph, pairsum_lib,
@@ -306,20 +293,20 @@ def test_shared_synthesized_bus_is_caught(pairsum_graph, pairsum_lib,
     # the shared one.
     free = s.IoConstraintSpec.unconstrained(2)
     sched = s.schedule(pairsum_graph, pairsum_lib, free, map_twobank)
-    assert s.verify_schedule(sched, pairsum_graph, pairsum_lib, free,
-                             map_twobank) == []
-    kinds = {v.kind for v in s.verify_schedule(
-        share_bus_cycle(sched), pairsum_graph, pairsum_lib, free, map_twobank)}
+    problem = s.lower(pairsum_graph, pairsum_lib, free, map_twobank)
+    assert s.verify_schedule(sched, problem, AUTO) == []
+    kinds = {v.kind for v in s.verify_schedule(share_bus_cycle(sched),
+                                               problem, AUTO)}
     assert kinds == {"bus-overlap"}
 
 
 def test_swapped_banks_are_caught(golden_lat2):
-    sched, g, lib, spec, mapping = golden_lat2
+    sched, problem = golden_lat2
     from dataclasses import replace
     a0, a1 = sched.accesses
     broken = replace(sched, accesses=(a0._replace(bank=a1.bank),
                                       a1._replace(bank=a0.bank)))
-    kinds = {v.kind for v in s.verify_schedule(broken, g, lib, spec, mapping)}
+    kinds = {v.kind for v in s.verify_schedule(broken, problem, AUTO)}
     assert "port-overlap" in kinds
 
 
@@ -450,7 +437,8 @@ def test_oracle_measures_latency_like_the_scheduler(no_output_problem):
 def test_claimed_latency_is_checked_without_outputs(no_output_problem):
     from dataclasses import replace
     sched = s.schedule(*no_output_problem)
-    assert s.verify_schedule(sched, *no_output_problem) == []
+    problem = s.lower(*no_output_problem)
+    assert s.verify_schedule(sched, problem, AUTO) == []
     kinds = {v.kind for v in s.verify_schedule(
-        replace(sched, achieved_latency=99), *no_output_problem)}
+        replace(sched, achieved_latency=99), problem, AUTO)}
     assert kinds == {"io-timing"}
