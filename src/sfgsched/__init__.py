@@ -11,9 +11,9 @@ from .graph import (SFG, Edge, NodeKind, ParseError, SfgNode, ValidationError,
                     parse_sfg, serialize_sfg, validate_sfg)
 from .iospec import (BusDef, IoConstraintSpec, IoSpecError, Transfer,
                      build_transfer_graph, parse_io_spec)
-from .memory import (Bank, HorizonError, MappingError, MappingSpec,
-                     MemoryMapping, MemoryTable, Placement, PortAccessTable,
-                     apply_mapping, extract_memory_table, parse_memory_mapping)
+from .memory import (Bank, MappingError, MappingSpec, MemoryMapping,
+                     MemoryTable, Placement, PortAccessTable, apply_mapping,
+                     extract_memory_table, parse_memory_mapping)
 from .oplib import (LibraryError, OperatorClass, OperatorLibrary,
                     parse_operator_library)
 from .report import (ArchitectureReport, build_report, render_report_text,

@@ -10,19 +10,21 @@ which the scheduler fixes and the verifier replays.
 Port capacity is tracked in coarse slots of ``t_seq`` cycles each: a bank
 with P ports can serve P accesses per slot, and an access issued at cycle c
 with cost k occupies every slot overlapping cycles ``c .. c+k-1``.  The
-table covers one iteration (``cadence`` cycles); an access that would run
-past it raises ``HorizonError``.  ``Bank.cost`` and ``Bank.span`` hold the
-two rules for the scheduler, the verifier and the exhaustive oracle, and
-``Bank.last_issue`` the last cycle ``span`` admits at the cheapest cost,
-which bounds the time windows and the static check.
-``PortAccessTable.fit`` places requests, giving each its (cost, class,
-slot span), and ``commit`` reserves them as placed, on the spans given,
-handing back only their sequence numbers: the caller already holds the
-rest of each reservation.  So each access fitted takes one ``Bank.span``
-call, not one more to commit.  A ``probe`` places requests against a
-held view of the table, for ranking; it reserves nothing, and answers
-None for any request that cannot be served.  The table is two dicts: each
-bank's last address, and the reservations per (bank, slot).
+table covers one iteration (``cadence`` cycles); ``Bank.span`` answers
+None for an access that would run past it.  ``Bank.cost`` and
+``Bank.span`` hold the two rules for the scheduler, the verifier and the
+exhaustive oracle, and ``Bank.last_issue`` the last cycle ``span`` admits
+at the cheapest cost, which bounds the time windows and the static check.
+``PortAccessTable.fit`` places an op's (bank, address, offset) requests
+from its start cycle, giving each its (cost, class, slot span), and stops
+at the first it cannot serve: a blocked fit is a short list.  ``commit``
+reserves a fit as placed, on the spans given, handing back only the
+sequence numbers: the caller already holds the rest of each reservation.
+So each access fitted takes one ``Bank.span`` call, not one more to
+commit.  A ``probe`` fits requests against a held view of the table, for
+ranking; it reserves nothing, and answers None when one of them cannot
+be served.  The table is two dicts: each bank's last address, and the
+reservations per (bank, slot).
 """
 
 from __future__ import annotations
@@ -35,30 +37,6 @@ from .graph import SFG, NodeKind
 
 class MappingError(ValueError):
     """Invalid bank description or data placement."""
-
-
-class BlockedAccess(MappingError):
-    """A port request cannot be served; ``bank_id`` names its bank."""
-
-    def __init__(self, message: str, bank_id: str):
-        super().__init__(message)
-        self.bank_id = bank_id
-
-
-class HorizonError(BlockedAccess):
-    """An access would extend past the port table's last slot."""
-
-    def __init__(self, bank_id: str, cycle: int):
-        super().__init__(f"access on bank {bank_id} at cycle {cycle} runs "
-                         f"past the iteration horizon", bank_id)
-
-
-class PortConflict(BlockedAccess):
-    """Every port of the bank is taken in a slot the access needs."""
-
-    def __init__(self, bank_id: str, cycle: int):
-        super().__init__(f"no free port on bank {bank_id} for an access at "
-                         f"cycle {cycle}", bank_id)
 
 
 @dataclass(frozen=True)
@@ -103,13 +81,13 @@ class Bank:
             return self.t_seq, "burst"
         return self.t_rand, "random"
 
-    def span(self, cycle: int, cost: int, cadence: int) -> range:
+    def span(self, cycle: int, cost: int, cadence: int) -> range | None:
         """Port slots taken by an access of ``cost`` cycles issued at
-        ``cycle``.  Raises HorizonError when it starts before cycle 0 or
-        runs past the ``cadence // t_seq`` slots of one iteration."""
+        ``cycle``, or None when it starts before cycle 0 or runs past the
+        ``cadence // t_seq`` slots of one iteration."""
         final = (cycle + cost - 1) // self.t_seq
         if cycle < 0 or final >= cadence // self.t_seq:
-            raise HorizonError(self.id, cycle)
+            return None
         return range(cycle // self.t_seq, final + 1)
 
     def last_issue(self, cadence: int) -> int:
@@ -325,49 +303,49 @@ class PortAccessTable:
         self._view_add = {}
         return dict(self._last)
 
-    def fit(self, requests: list[tuple[str, int, int]], view: bool = False
-            ) -> list[tuple[int, str, range]]:
-        """(cost, class, slot span) of each (bank, address, cycle) request,
-        reserved in order after each other, without changing any state.
+    def fit(self, requests: list[tuple[str, int, int]], start: int,
+            view: bool = False) -> list[tuple[int, str, range]]:
+        """(cost, class, slot span) of each (bank, address, offset) request
+        of an op started at cycle ``start``, reserved in order after each
+        other, without changing any state.
 
-        Reads the live table, or the held view with ``view``.  Raises
-        PortConflict, or HorizonError past the table end, for the first
-        request that cannot be served.  Scratch state exists only for the
-        banks the requests touch; a view starts it from the differences
-        to the live table.
+        Reads the live table, or the held view with ``view``.  Stops at the
+        first request that cannot be served (every port taken in a slot it
+        needs, or a span past the table end), so a blocked result is
+        shorter than ``requests`` and ``requests[len(fits)]`` is the
+        blocked request.  Scratch state exists only for the banks the
+        requests touch; a view starts it from the differences to the live
+        table.
         """
         scratch_last = dict(self._view_last) if view else {}
         scratch_add = dict(self._view_add) if view else {}
         last, slots = self._last, self._slots
         out = []
-        for bank_id, address, cycle in requests:
+        for bank_id, address, offset in requests:
             bank = self._banks[bank_id]
             cost, cls = bank.cost(
                 scratch_last.get(bank_id, last[bank_id]), address)
-            span = bank.span(cycle, cost, self.cadence)
+            span = bank.span(start + offset, cost, self.cadence)
+            if span is None:
+                return out
             for s in span:
                 key = (bank_id, s)
                 taken = scratch_add.get(key, 0)
                 if slots.get(key, 0) + taken >= bank.ports:
-                    raise PortConflict(bank_id, cycle)
+                    return out
                 scratch_add[key] = taken + 1
             scratch_last[bank_id] = address
             out.append((cost, cls, span))
         return out
 
-    def probe(self, requests: list[tuple[str, int, int]]
+    def probe(self, requests: list[tuple[str, int, int]], start: int
               ) -> list[tuple[int, str, range]] | None:
-        """Check whether (bank, address, cycle) requests all fit, in order,
-        against the held view (the table as created when none was held).
-
-        Returns ``fit``'s (cost, class, slot span) list without changing
-        any state, or None when a request cannot be served: a port conflict
-        or an access past the table end.
+        """``fit`` of (bank, address, offset) requests started at cycle
+        ``start`` against the held view (the table as created when none was
+        held), or None when a request cannot be served.  Changes no state.
         """
-        try:
-            return self.fit(requests, view=True)
-        except BlockedAccess:
-            return None
+        fits = self.fit(requests, start, view=True)
+        return fits if len(fits) == len(requests) else None
 
     def commit(self, requests: list[tuple[str, int, int]],
                fits: list[tuple[int, str, range]]) -> range:

@@ -75,13 +75,13 @@ three are each built once, with ``tuple.__new__`` and every field spelled
 out: calling the class would run its Python-level ``__new__``, one more
 interpreter call per record for an arity check that the fixed field
 tuples here do not need.
-``assign_step`` makes an access record straight from the request, its
-fit, the sequence number ``PortAccessTable.commit`` hands back and the
-access's facts in the op table.  ``schedule()``, the verifier and
-``estimate_registers`` unpack the records by field index, which costs
-less than reading their fields by name, and ``Schedule.to_json`` writes
-its four record tables straight from the records
-(``jsontext.dumps_tables``), with no dict per record.
+``assign_step`` makes an access record straight from the request (its
+cycle is the start plus its offset), its fit, the sequence number
+``PortAccessTable.commit`` hands back and the access's facts in the op
+table.  ``schedule()``, the verifier and ``estimate_registers`` unpack
+the records by field index, which costs less than reading their fields
+by name, and ``Schedule.to_json`` writes its four record tables straight
+from the records (``jsontext.dumps_tables``), with no dict per record.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ from .constraints import (CgKind, ConstraintGraph, OpTable, Problem,
 from .graph import SFG
 from .iospec import IoConstraintSpec, build_transfer_graph
 from .jsontext import ACCESSES, EVENTS, OPS, TRANSFERS, dumps_tables
-from .memory import BlockedAccess, MemoryMapping, PortAccessTable
+from .memory import MemoryMapping, PortAccessTable
 from .oplib import OperatorLibrary
 
 
@@ -290,7 +290,8 @@ class SchedulerState:
     once started, by node position.
 
     ``rank_executable`` sets ``t`` to the cycle it ranks and holds the
-    port table's view for it; ``cost`` probes that view.
+    port table's view for it; ``cost`` probes that view with the op's
+    requests as the op table holds them.
     """
 
     def __init__(self, problem: Problem, table: PortAccessTable,
@@ -304,28 +305,15 @@ class SchedulerState:
         self.started = [None] * len(self.cg.ids)
         self.t = -1
 
-    def access_requests(self, i: int, t: int) -> list[tuple[str, int, int]]:
-        """(bank, address, cycle) of the requests of the op at position i,
-        started at t."""
-        return [(bank, address, t + offset)
-                for bank, address, offset in self.ops.requests[i]]
-
     def cost(self, i: int) -> int | None:
         """Total port cost of starting the op at position i at cycle ``t``,
         against the held view, or None if blocked (a port conflict or an
         access past the horizon); an access-free op costs 0."""
-        if not self.ops.requests[i]:
+        reqs = self.ops.requests[i]
+        if not reqs:
             return 0
-        fits = self.table.probe(self.access_requests(i, self.t))
+        fits = self.table.probe(reqs, self.t)
         return None if fits is None else sum(fit[0] for fit in fits)
-
-    def blocking_bank(self, i: int, t: int) -> str:
-        """Bank of the first access request of the op at position i that
-        cannot be served; ``cost`` found the op blocked."""
-        try:
-            self.table.fit(self.access_requests(i, t), view=True)
-        except BlockedAccess as e:
-            return e.bank_id
 
 
 class _Bucket:
@@ -498,7 +486,8 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
 
     Before anything is yielded, a member whose latest start has passed
     aborts the schedule (lowest id first), as does a zero-margin member
-    whose accesses cannot be served (in id order).
+    whose accesses cannot be served (in id order), naming the bank of its
+    first request that the held view cannot serve.
     """
     free = {}
     for cls, busy in state.instances.items():
@@ -521,10 +510,12 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
     cost = state.cost
     for i in due:
         if cost(i) is None:
+            reqs = state.ops.requests[i]
+            fits = state.table.fit(reqs, t, view=True)
             raise ScheduleFailure(
                 "memory-conflict-at-zero-margin", cycle=t,
                 operation=ids[i], op_class=op_class[i],
-                bank=state.blocking_bank(i, t))
+                bank=reqs[len(fits)][0])
     return _walk(state, ready, t, cost, len(due), free, last)
 
 
@@ -636,22 +627,21 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
     (a legal wait: it still has slack).  At zero margin a missing resource
     aborts the schedule instead; a port conflict is reported before a
     missing instance.  An access-free operation only needs an instance.
-    The accesses of another are fitted once, on the live table, and
-    committed as fitted, slot spans included.
+    The requests of another are fitted once, as the op table holds them,
+    on the live table, and committed as fitted, slot spans included; a
+    short fit is blocked on the bank of the request after its last fit.
     """
     op_id, alap = state.cg.ids[i], state.windows.alap_at[i]
     op_class = state.cg.op_class[i]
     reqs = state.ops.requests[i]
     if reqs:
-        reqs = state.access_requests(i, t)
-        try:
-            fits = state.table.fit(reqs)
-        except BlockedAccess as e:
+        fits = state.table.fit(reqs, t)
+        if len(fits) < len(reqs):
             if alap == t:
                 raise ScheduleFailure("memory-conflict-at-zero-margin",
                                       cycle=t, operation=op_id,
                                       op_class=op_class,
-                                      bank=e.bank_id) from None
+                                      bank=reqs[len(fits)][0])
             return None
 
     busy = state.instances.get(op_class, ())
@@ -671,13 +661,13 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
 
     if reqs:
         append = state.accesses.append
-        for (acc, kind, data, data_label), (bank, address, cycle), \
+        for (acc, kind, data, data_label), (bank, address, offset), \
                 (cost, cost_class, _), seq in zip(
                     state.ops.records[i], reqs, fits,
                     state.table.commit(reqs, fits)):
             append(_tuple_new(ScheduledAccess, (
-                acc, op_id, kind, data, data_label, bank, address, cycle,
-                cost, cost_class, seq)))
+                acc, op_id, kind, data, data_label, bank, address,
+                t + offset, cost, cost_class, seq)))
 
     latency = state.cg.latency[i]
     busy[k] = t + latency
@@ -714,9 +704,10 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     """Schedule one iteration of the graph within the latency bound.
 
     ``problem`` is the lowering of ``g``, ``lib``, ``spec`` and ``mapping``
-    when the caller already holds one; it is only read.  Without it the
-    problem is lowered here, with ``lower``.  Either way every document is
-    then read through the problem.
+    when the caller already holds one; it is only read, and must carry
+    those very documents (ValueError otherwise).  Without it the problem
+    is lowered here, with ``lower``.  Either way every document is then
+    read through the problem.
 
     Raises ScheduleFailure when no legal schedule can be produced under the
     given resources, a latency above the bound among them; static
@@ -724,6 +715,10 @@ def schedule(g: SFG, lib: OperatorLibrary, spec: IoConstraintSpec,
     """
     if problem is None:
         problem = lower(g, lib, spec, mapping)
+    elif not (problem.g is g and problem.lib is lib and problem.spec is spec
+              and problem.mapping is mapping):
+        raise ValueError("the problem was lowered from other documents "
+                         "than the ones given")
     cg, windows, spec = problem.cg, problem.windows, problem.spec
     ids, label, deadline = cg.ids, cg.label, cg.deadline
     # outputs with no operation on their path (pass-through) never hit the

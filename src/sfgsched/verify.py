@@ -48,7 +48,7 @@ from .constraints import (apply_io_constraints, build_constraint_graph,
                           compute_time_windows)
 from .graph import SFG
 from .iospec import IoConstraintSpec
-from .memory import HorizonError, MemoryMapping
+from .memory import MemoryMapping
 from .oplib import OperatorLibrary
 from .scheduling import Allocation, Schedule, lower
 
@@ -224,10 +224,11 @@ def verify_schedule(sched: Schedule, problem: Problem,
                 f"as {cost_class}/{cost}, replay gives "
                 f"{replayed[1]}/{replayed[0]}", node))
             continue
-        try:
-            span = bank.span(cycle, cost, spec.cadence)
-        except HorizonError as e:
-            out.append(Violation("port-overlap", str(e), node))
+        span = bank.span(cycle, cost, spec.cadence)
+        if span is None:
+            out.append(Violation("port-overlap",
+                                 f"access on bank {bank_id} at cycle {cycle} "
+                                 f"runs past the iteration horizon", node))
             continue
         used = slots[bank_id]
         for s in span:
@@ -454,9 +455,8 @@ def brute_force_min_latency(g: SFG, lib: OperatorLibrary,
                 for k, bank, addr, delay in accesses[i]:
                     cost, _ = bank.cost(nlast[k], addr)
                     cyc = t + delay
-                    try:
-                        span = bank.span(cyc, cost, spec.cadence)
-                    except HorizonError:
+                    span = bank.span(cyc, cost, spec.cadence)
+                    if span is None:
                         break
                     used = dict(nloads[k])
                     if any(used.get(s, 0) >= bank.ports for s in span):

@@ -5,7 +5,7 @@ from typing import NamedTuple
 import pytest
 
 import sfgsched as s
-from sfgsched.memory import MappingError, PortConflict
+from sfgsched.memory import MappingError
 from instances import random_problem
 
 K = s.NodeKind
@@ -127,8 +127,8 @@ def test_parse_memory_mapping(pairsum_dir, pairsum_graph):
 
 
 class Reserved(NamedTuple):
-    """One committed request: the request, its fit and its sequence
-    number."""
+    """One committed request: the request (its cycle the start plus its
+    offset), its fit and its sequence number."""
 
     bank: str
     address: int
@@ -138,32 +138,33 @@ class Reserved(NamedTuple):
     seq: int
 
 
-def _reserve(table, requests):
-    fits = table.fit(requests)
-    return [Reserved(*request, cost, cost_class, seq)
-            for request, (cost, cost_class, _), seq
+def _reserve(table, requests, start=0):
+    fits = table.fit(requests, start)
+    assert len(fits) == len(requests), "blocked"
+    return [Reserved(bank, address, start + offset, cost, cost_class, seq)
+            for (bank, address, offset), (cost, cost_class, _), seq
             in zip(requests, fits, table.commit(requests, fits))]
 
 
 def test_port_table_slots(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=6)
-    assert table.fit([("bank0", 0, 5)])[0][2] == range(5, 6)  # t_seq 1
-    with pytest.raises(s.HorizonError):
-        table.fit([("bank0", 0, 6)])
+    assert table.fit([("bank0", 0, 0)], 5)[0][2] == range(5, 6)  # t_seq 1
+    assert table.fit([("bank0", 0, 2)], 3) == table.fit([("bank0", 0, 5)], 0)
+    assert table.fit([("bank0", 0, 0)], 6) == []  # past the last slot
     wide = s.Bank(id="b", t_seq=2, t_rand=4)
     assert wide.span(2, 4, 7) == range(1, 3)
     assert wide.span(4, 2, 7) == range(2, 3)  # floor(7 / 2) = 3 slots
     for cycle in (5, -1):  # past slot 2, before cycle 0
-        with pytest.raises(s.HorizonError):
-            wide.span(cycle, 2, 7)
+        assert wide.span(cycle, 2, 7) is None
     # only slots holding reservations are stored, so the cadence may be huge
     big = s.PortAccessTable(map_onebank, cadence=10**9)
-    (r,) = _reserve(big, [("bank0", 0, 10**9 - 1)])
+    (r,) = _reserve(big, [("bank0", 0, 0)], 10**9 - 1)
     assert (r.cycle, r.cost) == (10**9 - 1, 1)
-    with pytest.raises(PortConflict):
-        big.fit([("bank0", 1, 10**9 - 1)])
-    with pytest.raises(s.HorizonError):
-        big.fit([("bank0", 1, 10**9)])
+    assert big.fit([("bank0", 1, 0)], 10**9 - 1) == []  # the port is taken
+    assert big.fit([("bank0", 1, 0)], 10**9) == []  # past the last slot
+    assert big.fit([("bank0", 1, 0)], 10**9 - 2) == [(1, "burst",
+                                                      range(10**9 - 2,
+                                                            10**9 - 1))]
 
 
 @pytest.mark.parametrize("t_seq,cadence,last", [
@@ -175,22 +176,20 @@ def test_last_issue_is_the_last_cycle_span_admits(t_seq, cadence, last):
     assert bank.last_issue(cadence) == last
     assert bank.span(last, t_seq, cadence) == range(last // t_seq,
                                                    last // t_seq + 1)
-    with pytest.raises(s.HorizonError):
-        bank.span(last + 1, t_seq, cadence)
+    assert bank.span(last + 1, t_seq, cadence) is None
 
 
 def test_last_issue_without_a_slot_is_negative():
     bank = s.Bank(id="b", t_seq=3, t_rand=3)
     assert bank.last_issue(2) == -3  # 2 // 3 = 0 slots
-    with pytest.raises(s.HorizonError):
-        bank.span(0, 3, 2)
+    assert bank.span(0, 3, 2) is None
 
 
 def test_access_cost_reservation_order(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
 
     def cost(address):
-        ((c, cls, _),) = table.fit([("bank0", address, 4)])
+        ((c, cls, _),) = table.fit([("bank0", address, 0)], 4)
         return c, cls
 
     # idle bank: any first access runs at the sequential rate
@@ -201,20 +200,20 @@ def test_access_cost_reservation_order(map_onebank):
     assert cost(5) == (2, "random")
     assert cost(4) == (2, "random")
     # within one request list, each request follows the one before it
-    assert [c for c, _, _ in table.fit([("bank0", 0, 4), ("bank0", 1, 6)])] \
-        == [2, 1]
+    assert [c for c, _, _ in table.fit([("bank0", 0, 0), ("bank0", 1, 2)],
+                                       4)] == [2, 1]
 
 
 def test_probe_does_not_mutate(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
-    got = table.probe([("bank0", 0, 0), ("bank0", 1, 1)])
+    got = table.probe([("bank0", 0, 0), ("bank0", 1, 1)], 0)
     # fit's (cost, class, slot span) triples, as a fit of the live table
     # gives them with no view held
     assert got == [(1, "burst", range(0, 1)), (1, "burst", range(1, 2))]
-    assert table.fit([("bank0", 0, 0), ("bank0", 1, 1)]) == got
-    assert table.probe([("bank0", 0, 0), ("bank0", 1, 1)]) == got
+    assert table.fit([("bank0", 0, 0), ("bank0", 1, 1)], 0) == got
+    assert table.probe([("bank0", 0, 0), ("bank0", 1, 1)], 0) == got
     # a same-cycle pair on the single port is refused, still without mutation
-    assert table.probe([("bank0", 0, 0), ("bank0", 1, 0)]) is None
+    assert table.probe([("bank0", 0, 0), ("bank0", 1, 0)], 0) is None
     # no slot or sequence number was taken: the probed requests still
     # reserve as probed, numbered from 1
     reserved = _reserve(table, [("bank0", 0, 0), ("bank0", 1, 1)])
@@ -223,13 +222,28 @@ def test_probe_does_not_mutate(map_onebank):
 
 
 def test_reserve_all_is_atomic(map_onebank):
-    # one port: two same-cycle accesses cannot both be served, and a
-    # refused request list reserves none of its requests
+    # one port: two same-cycle accesses cannot both be served; the fit
+    # stops at the second, and a refused request list reserves nothing
     table = s.PortAccessTable(map_onebank, cadence=8)
-    with pytest.raises(PortConflict):
-        table.fit([("bank0", 0, 3), ("bank0", 5, 3)])
-    ok = _reserve(table, [("bank0", 0, 3), ("bank0", 1, 4)])
+    assert table.fit([("bank0", 0, 0), ("bank0", 5, 0)], 3) == \
+        [(1, "burst", range(3, 4))]
+    ok = _reserve(table, [("bank0", 0, 0), ("bank0", 1, 1)], 3)
     assert [r.seq for r in ok] == [1, 2]
+
+
+def test_blocked_fit_names_the_blocked_bank(map_twobank):
+    """The first request fits on a free bank, the second is refused on a
+    taken one: the fit holds one entry, and the request after it names
+    the second bank."""
+    table = s.PortAccessTable(map_twobank, cadence=8)
+    _reserve(table, [("bank1", 0, 0)], 2)
+    requests = [("bank0", 0, 0), ("bank1", 1, 0)]
+    fits = table.fit(requests, 2)
+    assert fits == [(1, "burst", range(2, 3))]
+    assert requests[len(fits)][0] == "bank1"
+    table.hold_view()
+    assert table.probe(requests, 2) is None
+    assert table.probe(requests, 3) == [(1, "burst", range(3, 4))] * 2
 
 
 def test_reservation_spans_slots():
@@ -237,28 +251,24 @@ def test_reservation_spans_slots():
                                                     t_seq=1, t_rand=3),))
     m = s.apply_mapping(s.MemoryTable(data_ids=()), spec)
     table = s.PortAccessTable(m, cadence=8)
-    (r,) = _reserve(table, [("b", 9, 2)])  # idle: burst, cost 1
+    (r,) = _reserve(table, [("b", 9, 0)], 2)  # idle: burst, cost 1
     assert r.cost == 1
-    (r2,) = _reserve(table, [("b", 4, 3)])  # random: occupies 3 slots
+    (r2,) = _reserve(table, [("b", 4, 0)], 3)  # random: occupies 3 slots
     assert r2.cost == 3
-    busy = []
-    for cycle in range(8):  # address 5 continues the run: one slot each
-        try:
-            table.fit([("b", 5, cycle)])
-        except PortConflict:
-            busy.append(cycle)
+    # address 5 continues the run: one slot each
+    busy = [cycle for cycle in range(8) if not table.fit([("b", 5, 0)], cycle)]
     assert busy == [2, 3, 4, 5]
-    with pytest.raises(PortConflict):  # port busy at cycle 5
-        table.fit([("b", 9, 5)])
+    assert table.fit([("b", 9, 0)], 5) == []  # port busy at cycle 5
 
 
 def test_horizon_error(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=4)
-    assert table.probe([("bank0", 0, 4)]) is None  # a probe is only blocked
-    with pytest.raises(s.HorizonError):
-        table.fit([("bank0", 0, 4)])
-    # cost 2 spills past the end
-    assert table.probe([("bank0", 0, 3), ("bank0", 0, 3)]) is None
+    assert table.probe([("bank0", 0, 0)], 4) is None  # a probe is only blocked
+    assert table.fit([("bank0", 0, 0)], 4) == []
+    # cost 2 spills past the end: the first request fits, the second not
+    assert table.fit([("bank0", 0, 0), ("bank0", 0, 0)], 3) == \
+        [(1, "burst", range(3, 4))]
+    assert table.probe([("bank0", 0, 0), ("bank0", 0, 0)], 3) is None
 
 
 def test_held_view_hides_later_reservations(map_onebank):
@@ -267,15 +277,15 @@ def test_held_view_hides_later_reservations(map_onebank):
     _reserve(table, [("bank0", 5, 0)])
     assert table.hold_view() == {"bank0": 5}
     # random access (last address 5): occupies slots 1 and 2 of the one port
-    assert _reserve(table, [("bank0", 0, 1)])
+    assert _reserve(table, [("bank0", 0, 0)], 1)
     # probes still see address 5 last and slot 1 free; the live table not
-    assert table.probe([("bank0", 6, 1)]) == [(1, "burst", range(1, 2))]
-    with pytest.raises(PortConflict) as err:
-        table.fit([("bank0", 3, 4), ("bank0", 6, 1)])
-    assert (err.value.bank_id, str(err.value)) == \
-        ("bank0", "no free port on bank bank0 for an access at cycle 1")
+    assert table.probe([("bank0", 6, 0)], 1) == [(1, "burst", range(1, 2))]
+    requests = [("bank0", 3, 3), ("bank0", 6, 0)]
+    fits = table.fit(requests, 1)
+    assert fits == [(2, "random", range(4, 6))]
+    assert requests[len(fits)] == ("bank0", 6, 0)  # slot 1 is taken
     assert table.hold_view() == {"bank0": 0}
-    assert table.probe([("bank0", 6, 1)]) is None
+    assert table.probe([("bank0", 6, 0)], 1) is None
 
 
 def test_replay_never_double_books():

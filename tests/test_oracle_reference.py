@@ -16,7 +16,6 @@ import pytest
 import sfgsched as s
 from sfgsched.constraints import achieved_latency, produced_cycle, \
     transfer_cycles
-from sfgsched.memory import HorizonError
 from instances import random_problem
 
 C = s.CgKind
@@ -110,9 +109,8 @@ def reference_min_latency(g, lib, spec, mapping, instances=None):
             for bank, addr, delay in accesses[o]:
                 cost, _ = bank.cost(nl[bank.id], addr)
                 cyc = t + delay
-                try:
-                    span = bank.span(cyc, cost, spec.cadence)
-                except HorizonError:
+                span = bank.span(cyc, cost, spec.cadence)
+                if span is None:
                     ok = False
                     break
                 used = ns[bank.id]

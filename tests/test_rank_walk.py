@@ -24,10 +24,10 @@ K = s.NodeKind
 def probe_cost(state, op_id, t):
     """Total port cost of starting the op at t, against the port table's
     held view, or None if it is blocked."""
-    reqs = state.access_requests(op_id, t)
+    reqs = state.ops.requests[op_id]
     if not reqs:
         return 0
-    costs = state.table.probe(reqs)
+    costs = state.table.probe(reqs, t)
     return None if costs is None else sum(c for c, _, _ in costs)
 
 

@@ -5,6 +5,7 @@ import pytest
 import sfgsched as s
 import experiments
 from sfgsched import scheduling
+from sfgsched.cli import main
 from sfgsched.scheduling import ReadySet, _seed_pool
 from instances import random_problem
 
@@ -529,3 +530,106 @@ def test_each_start_takes_the_lowest_free_instance():
         _check_binding(cfg.run()[0])
         checked += 1
     assert checked > 200
+
+
+def _two_bank_docs(ops, placements):
+    """A graph, a library and a strict mapping over two single-port banks
+    ``b0`` and ``b1`` (t_seq 1, t_rand 1).  ``ops`` lists (name, symbol,
+    lhs, rhs, written memdata or None) in id order after the inputs ``a``
+    and ``b`` and the memdata of ``placements`` ((name, bank, address));
+    an op whose result feeds no op and no memdata drives an output.  Mult and add
+    both take one cycle."""
+    names = ["a", "b", *(p[0] for p in placements), *(op[0] for op in ops)]
+    ids = {name: i for i, name in enumerate(names)}
+    nodes = [{"id": 0, "kind": "input", "label": "a"},
+             {"id": 1, "kind": "input", "label": "b"}]
+    nodes += [{"id": ids[name], "kind": "memdata", "label": name}
+              for name, _, _ in placements]
+    nodes += [{"id": ids[name], "kind": "operation", "op": op, "label": name}
+              for name, op, _, _, _ in ops]
+    edges = []
+    used = set()
+    for name, _, lhs, rhs, writes in ops:
+        edges += [{"from": ids[lhs], "to": ids[name], "pos": 0},
+                  {"from": ids[rhs], "to": ids[name], "pos": 1}]
+        used |= {lhs, rhs}
+        if writes:
+            edges.append({"from": ids[name], "to": ids[writes], "pos": 0})
+            used.add(name)
+    for name, *_ in ops:
+        if name not in used:
+            out = len(nodes)
+            nodes.append({"id": out, "kind": "output", "label": f"y_{name}"})
+            edges.append({"from": ids[name], "to": out, "pos": 0})
+    lib = {"classes": [{"name": "mult", "ops": ["*"], "latency": 1},
+                       {"name": "add", "ops": ["+"], "latency": 1}]}
+    mem = {"mode": "strict",
+           "banks": [{"id": "b0", "ports": 1}, {"id": "b1", "ports": 1}],
+           "placements": [{"data": name, "bank": bank, "address": address}
+                          for name, bank, address in placements]}
+    return {"graph": {"nodes": nodes, "edges": edges}, "lib": lib, "mem": mem}
+
+
+# z's first request reads d1 on the free bank b1 and its second reads d2
+# on b0, which w has taken: in the same cycle, by a read started just
+# before it (the live fit in assign_step), or before the cycle began, by
+# the write w reserved when it started (the held-view check in
+# rank_executable).
+BLOCKED_SECOND_REQUEST = {
+    "assign_step": (
+        [("w", "*", "a", "d0", None), ("z", "*", "d1", "d2", None)],
+        [("d0", "b0", 0), ("d1", "b1", 0), ("d2", "b0", 1)], 1, 0),
+    "rank_executable": (
+        [("w", "*", "a", "b", "m"), ("r", "+", "m", "b", None),
+         ("z", "*", "d1", "d2", None), ("z2", "+", "z", "b", None)],
+        [("m", "b0", 1), ("d1", "b1", 0), ("d2", "b0", 0)], 3, 1),
+}
+
+
+@pytest.mark.parametrize("path", sorted(BLOCKED_SECOND_REQUEST))
+def test_zero_margin_abort_names_the_blocked_requests_bank(path, tmp_path,
+                                                          capsys):
+    ops, placements, bound, cycle = BLOCKED_SECOND_REQUEST[path]
+    docs = _two_bank_docs(ops, placements)
+    g = s.parse_sfg(json.dumps(docs["graph"]))
+    lib = s.parse_operator_library(json.dumps(docs["lib"]))
+    mapping = s.apply_mapping(s.extract_memory_table(g), s.parse_memory_mapping(
+        json.dumps(docs["mem"]), g))
+    spec = s.IoConstraintSpec.unconstrained(bound)
+    z = g.node_by_label("z").id  # ids run without gaps: also its position
+    problem = s.lower(g, lib, spec, mapping)
+    assert [bank for bank, _, _ in problem.ops.requests[z]] == ["b1", "b0"]
+    with pytest.raises(s.ScheduleFailure) as exc:
+        s.schedule(g, lib, spec, mapping)
+    e = exc.value
+    assert (e.reason, e.cycle, e.operation, e.bank) == \
+        ("memory-conflict-at-zero-margin", cycle, z, "b0")
+    assert exc.traceback[-1].name == path
+
+    argv = ["schedule", "--latency", str(bound)]
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.endswith(
+        f"scheduling aborted: memory-conflict-at-zero-margin at cycle "
+        f"{cycle}, operation {z}, class mult, bank b0\n")
+
+
+def test_schedule_refuses_a_problem_of_other_documents(
+        pairsum_graph, pairsum_lib, io_lat3, map_onebank, map_twobank):
+    """A ``Problem`` lowered from other documents than the ones given is
+    refused, not read in their place."""
+    spec = s.IoConstraintSpec.unconstrained(9)
+    other = s.lower(pairsum_graph, pairsum_lib, io_lat3, map_onebank)
+    with pytest.raises(ValueError, match="other documents"):
+        s.schedule(pairsum_graph, pairsum_lib, spec, map_twobank, AUTO, other)
+    # an equal document is not the same one
+    lib = s.parse_operator_library(json.dumps({"classes": [
+        {"name": "mult", "ops": ["*"], "latency": 1},
+        {"name": "add", "ops": ["+"], "latency": 1}]}))
+    with pytest.raises(ValueError, match="other documents"):
+        s.schedule(pairsum_graph, lib, io_lat3, map_onebank, AUTO, other)
+    assert s.schedule(pairsum_graph, pairsum_lib, io_lat3, map_onebank, AUTO,
+                      other).to_json() == s.schedule(
+        pairsum_graph, pairsum_lib, io_lat3, map_onebank).to_json()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import sfgsched as s
 from sfgsched import cli, scheduling, verify
+from instances import random_problem
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -63,6 +64,25 @@ def test_traced_report_records_spans_and_the_ready_set_size(pairsum_dir,
     assert rank.calls >= 1 and rank.size_peak == 2
     assert rank.size_sum >= rank.size_peak
     assert tracer.aggregates["scheduling.assign_step"].hits == 3
+    # memory.probe_blocked_ratio counts the probes answered None: the two
+    # banks serve every probe here
+    probe = tracer.aggregates["memory.probe"]
+    assert probe.calls >= 2 and probe.hits == 0
     # tracing leaves the output bytes alone
     assert (tmp_path / "report.json").read_bytes() == \
         (pairsum_dir / "golden_report_lat2_twobank.json").read_bytes()
+
+
+def test_traced_blocked_probe_is_counted():
+    """A probe the port table refuses counts as a hit of ``memory.probe``
+    (``memory.probe_blocked_ratio``).  Seed 166 schedules, with one op
+    delayed by a port its probe found taken."""
+    tracing = _load_tracing()
+    p = random_problem(166)
+    tracer = tracing.install(s)
+    try:
+        p.run_scheduler()
+    finally:
+        tracer.uninstall()
+    probe = tracer.aggregates["memory.probe"]
+    assert probe.calls > probe.hits >= 1
