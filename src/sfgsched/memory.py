@@ -17,14 +17,13 @@ exhaustive oracle, and ``Bank.last_issue`` the last cycle ``span`` admits
 at the cheapest cost, which bounds the time windows and the static check.
 ``PortAccessTable.fit`` places an op's (bank, address, offset) requests
 from its start cycle, giving each its (cost, class, slot span), and stops
-at the first it cannot serve: a blocked fit is a short list.  ``commit``
-reserves a fit as placed, on the spans given, handing back only the
-sequence numbers: the caller already holds the rest of each reservation.
-So each access fitted takes one ``Bank.span`` call, not one more to
-commit.  A ``probe`` fits requests against a held view of the table, for
-ranking; it reserves nothing, and answers None when one of them cannot
-be served.  The table is two dicts: each bank's last address, and the
-reservations per (bank, slot).
+at the first it cannot serve: a blocked fit is a short list.  ``probe``
+is a fit that answers None when blocked.  ``commit`` reserves a fit as
+placed, on the spans given, so each access fitted takes one ``Bank.span``
+call, not one more to commit.  The table is two dicts, each bank's last
+address (``last``) and the reservations per (bank, slot), and only
+``commit`` changes it: the scheduler commits a cycle's starts when the
+next cycle begins, so the table stays fixed while a cycle is ranked.
 """
 
 from __future__ import annotations
@@ -271,55 +270,35 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
 
 
 class PortAccessTable:
-    """Mutable port reservation state for one scheduling run.
-
-    Cost depends on reservation order (the bank's last reserved address),
-    so fitting uses scratch copies of that state and committing advances
-    it together with the global sequence counter.
-
-    ``hold_view`` pins what ``probe`` sees: until the next call, probes
-    read the table as it stood then, although reservations go on.  Before
-    the first call, probes read the table as it was created.  The scheduler
-    holds a view at the start of each cycle, so every operation is ranked
-    against the same cycle-start state.
+    """Port reservation state for one scheduling run: ``last``, each
+    bank's last reserved address (None before its first), and the
+    reservations per (bank, slot) in use.  Only ``commit`` changes it;
+    ``fit`` works on scratch copies for the banks its requests touch,
+    since cost depends on reservation order.  The scheduler commits a
+    cycle's starts when the next cycle begins, so it ranks every op of a
+    cycle against the table as the cycle began.
     """
 
     def __init__(self, mapping: MemoryMapping, cadence: int):
         self.cadence = cadence
         self._banks = {b.id: b for b in mapping.banks}
-        self._last: dict[str, int | None] = dict.fromkeys(self._banks)
+        self.last: dict[str, int | None] = dict.fromkeys(self._banks)
         self._slots: dict[tuple[str, int], int] = {}  # only slots in use
-        self._seq = 0
-        # Held view: each touched bank's last address when the view was
-        # taken, and minus the reservations made since, per (bank, slot).
-        self._view_last: dict[str, int | None] = {}
-        self._view_add: dict[tuple[str, int], int] = {}
 
-    def hold_view(self) -> dict[str, int | None]:
-        """Make ``probe`` see the table as it stands now until the next
-        call, while reservations still go to the live table.  Returns each
-        bank's last reserved address in that view."""
-        self._view_last = {}
-        self._view_add = {}
-        return dict(self._last)
-
-    def fit(self, requests: list[tuple[str, int, int]], start: int,
-            view: bool = False) -> list[tuple[int, str, range]]:
+    def fit(self, requests: list[tuple[str, int, int]], start: int
+            ) -> list[tuple[int, str, range]]:
         """(cost, class, slot span) of each (bank, address, offset) request
         of an op started at cycle ``start``, reserved in order after each
         other, without changing any state.
 
-        Reads the live table, or the held view with ``view``.  Stops at the
-        first request that cannot be served (every port taken in a slot it
-        needs, or a span past the table end), so a blocked result is
-        shorter than ``requests`` and ``requests[len(fits)]`` is the
-        blocked request.  Scratch state exists only for the banks the
-        requests touch; a view starts it from the differences to the live
-        table.
+        Stops at the first request that cannot be served (every port taken
+        in a slot it needs, or a span past the table end), so a blocked
+        result is shorter than ``requests`` and ``requests[len(fits)]`` is
+        the blocked request.
         """
-        scratch_last = dict(self._view_last) if view else {}
-        scratch_add = dict(self._view_add) if view else {}
-        last, slots = self._last, self._slots
+        scratch_last: dict[str, int | None] = {}
+        scratch_add: dict[tuple[str, int], int] = {}
+        last, slots = self.last, self._slots
         out = []
         for bank_id, address, offset in requests:
             bank = self._banks[bank_id]
@@ -341,28 +320,17 @@ class PortAccessTable:
     def probe(self, requests: list[tuple[str, int, int]], start: int
               ) -> list[tuple[int, str, range]] | None:
         """``fit`` of (bank, address, offset) requests started at cycle
-        ``start`` against the held view (the table as created when none was
-        held), or None when a request cannot be served.  Changes no state.
-        """
-        fits = self.fit(requests, start, view=True)
+        ``start``, or None when a request cannot be served."""
+        fits = self.fit(requests, start)
         return fits if len(fits) == len(requests) else None
 
     def commit(self, requests: list[tuple[str, int, int]],
-               fits: list[tuple[int, str, range]]) -> range:
-        """Reserve requests on the slot spans ``fit`` gave them on the live
-        table, which must not have changed in between; returns their
-        sequence numbers, in request order (the requests and fits already
-        hold the rest of each reservation).  The held view keeps the
-        differences, so its probes do not see the reservations."""
-        first = self._seq + 1
-        last, slots = self._last, self._slots
-        view_last, view_add = self._view_last, self._view_add
+               fits: list[tuple[int, str, range]]) -> None:
+        """Reserve requests on the slot spans ``fit`` gave them, on a
+        table that has not changed in between."""
+        last, slots = self.last, self._slots
         for (bank_id, address, _), (_, _, span) in zip(requests, fits):
-            view_last.setdefault(bank_id, last[bank_id])
             for s in span:
                 key = (bank_id, s)
                 slots[key] = slots.get(key, 0) + 1
-                view_add[key] = view_add.get(key, 0) - 1
             last[bank_id] = address
-            self._seq += 1
-        return range(first, self._seq + 1)

@@ -17,14 +17,13 @@ groups lazily.  It looks only at the members that can start:
 those at zero margin and those whose class still has a free instance
 (instances only get busier within a cycle, and a freshly allocated one is
 taken at once).  It stops once no class with a free instance has members
-left and no zero-margin member remains.  Every probe reads the port table
-as it stood when the cycle began, and ops started in the cycle leave the
-readers index only at its end, so a start changes no later op's cost,
-lookahead or servability within the cycle.  When no ready operation can
-start, the walk jumps to the next cycle where something can change: a
-completion or input arrival, an instance a ready operation can use
-becoming free, a ready operation running out of slack, or the latency
-bound.
+left and no zero-margin member remains.  The port table changes only
+between cycles, and ops started in the cycle leave the readers index only
+at its end, so a start changes no later op's cost, lookahead or
+servability within the cycle.  When no ready operation can start, the
+walk jumps to the next cycle where something can change: a completion or
+input arrival, an instance a ready operation can use becoming free, a
+ready operation running out of slack, or the latency bound.
 
 A fit depends on an op's requests only through, per request, the bank,
 the cycle offset and whether the address continues the bank's run.  Each
@@ -44,18 +43,19 @@ ready set also keeps its groups' alaps in order, so the per-cycle check
 for overdue ops and the idle skip read the earliest alap instead of
 scanning the groups.
 
-A start fits its accesses once, on the live table, and the commit takes
-the fitted spans as they are.  An access-free op only takes a free
-instance.  Every start takes the lowest-numbered instance of its class
-free at its cycle, and an auto pool grows by the next number; each
-instance is a busy-until int in ``SchedulerState.instances``, and
-instance k of class c is named ``f"{c}{k}"``, formatted where a record,
-an allocation event or the pool names it.
+A start fits its accesses behind those of the cycle's earlier starts, and
+the next cycle's ``rank_executable`` commits them all as fitted.  An
+access-free op only takes a free instance.  Every start takes the
+lowest-numbered instance of its class free at its cycle, and an auto pool
+grows by the next number; each instance is a busy-until int in
+``SchedulerState.instances``, and instance k of class c is named
+``f"{c}{k}"``, formatted where a record, an allocation event or the pool
+names it.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
-operation's start.  Access costs depend on reservation order; the global
-sequence number stored with every access lets a verifier replay them.
+operation's start.  Access costs depend on reservation order; the sequence
+number of every access, its place in ``Schedule.accesses``, replays it.
 
 ``schedule`` reads every document through the ``Problem`` (``lower``),
 and the pinned transfers from its ``cg.pinned``.
@@ -76,12 +76,12 @@ out: calling the class would run its Python-level ``__new__``, one more
 interpreter call per record for an arity check that the fixed field
 tuples here do not need.
 ``assign_step`` makes an access record straight from the request (its
-cycle is the start plus its offset), its fit, the sequence number
-``PortAccessTable.commit`` hands back and the access's facts in the op
-table.  ``schedule()``, the verifier and ``estimate_registers`` unpack
-the records by field index, which costs less than reading their fields
-by name, and ``Schedule.to_json`` writes its four record tables straight
-from the records (``jsontext.dumps_tables``), with no dict per record.
+cycle is the start plus its offset), its fit, its sequence number and the
+access's facts in the op table.  ``schedule()``, the verifier and
+``estimate_registers`` unpack the records by field index, which costs
+less than reading their fields by name, and ``Schedule.to_json`` writes
+its four record tables straight from the records
+(``jsontext.dumps_tables``), with no dict per record.
 """
 
 from __future__ import annotations
@@ -287,11 +287,12 @@ class SchedulerState:
     operator class each instance's busy-until cycle (the first cycle it
     is free again); ``accesses`` and ``events`` collect
     the records as they are made, and ``started`` holds each op's record
-    once started, by node position.
+    once started, by node position.  ``cycle_requests`` and
+    ``cycle_fits`` hold the requests and fits of the ops started in the
+    current cycle, in start order, until the next cycle commits them.
 
-    ``rank_executable`` sets ``t`` to the cycle it ranks and holds the
-    port table's view for it; ``cost`` probes that view with the op's
-    requests as the op table holds them.
+    ``rank_executable`` sets ``t`` to the cycle it ranks; ``cost`` probes
+    the port table with the op's requests as the op table holds them.
     """
 
     def __init__(self, problem: Problem, table: PortAccessTable,
@@ -303,11 +304,13 @@ class SchedulerState:
         self.accesses: list[ScheduledAccess] = []
         self.events: list[AllocationEvent] = []
         self.started = [None] * len(self.cg.ids)
+        self.cycle_requests: list[tuple[str, int, int]] = []
+        self.cycle_fits: list[tuple[int, str, range]] = []
         self.t = -1
 
     def cost(self, i: int) -> int | None:
         """Total port cost of starting the op at position i at cycle ``t``,
-        against the held view, or None if blocked (a port conflict or an
+        against the port table, or None if blocked (a port conflict or an
         access past the horizon); an access-free op costs 0."""
         reqs = self.ops.requests[i]
         if not reqs:
@@ -464,12 +467,12 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
     those at zero margin and those whose class still has a free instance.
     It yields each one whose accesses fit, skips one whose class ran out
     of instances since, and stops once no class with a free instance has
-    members left and no zero-margin member remains.  All probes see the
-    port table as it stood when the walk began, so a start committed
-    earlier in the cycle changes no later op's cost, lookahead or
-    servability.  Consumed without starting anything, the walk yields
-    every servable member that is at zero margin or has a free instance,
-    sorted by the full key.
+    members left and no zero-margin member remains.  It first commits the
+    accesses of the previous cycle's starts: all probes see the port table
+    as the cycle began, so a start earlier in the cycle changes no later
+    op's cost, lookahead or servability.  Consumed without starting
+    anything, the walk yields every servable member that is at zero margin
+    or has a free instance, sorted by the full key.
 
     A fit depends on an op's requests only through their bank, their
     cycle offset and whether each continues its bank's run.  So members
@@ -487,7 +490,7 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
     Before anything is yielded, a member whose latest start has passed
     aborts the schedule (lowest id first), as does a zero-margin member
     whose accesses cannot be served (in id order), naming the bank of its
-    first request that the held view cannot serve.
+    first request that the port table cannot serve.
     """
     free = {}
     for cls, busy in state.instances.items():
@@ -506,17 +509,19 @@ def rank_executable(state: SchedulerState, ready: ReadySet,
                                   detail=f"latest feasible start was cycle "
                                          f"{alap[i]}")
     state.t = t
-    last = state.table.hold_view()
+    table = state.table
+    table.commit(state.cycle_requests, state.cycle_fits)
+    state.cycle_requests, state.cycle_fits = [], []
     cost = state.cost
     for i in due:
         if cost(i) is None:
             reqs = state.ops.requests[i]
-            fits = state.table.fit(reqs, t, view=True)
+            fits = table.fit(reqs, t)
             raise ScheduleFailure(
                 "memory-conflict-at-zero-margin", cycle=t,
                 operation=ids[i], op_class=op_class[i],
                 bank=reqs[len(fits)][0])
-    return _walk(state, ready, t, cost, len(due), free, last)
+    return _walk(state, ready, t, cost, len(due), free, table.last)
 
 
 def _walk(state: SchedulerState, ready: ReadySet, t: int,
@@ -626,16 +631,21 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
     Returns the record on success and None when the operation is delayed
     (a legal wait: it still has slack).  At zero margin a missing resource
     aborts the schedule instead; a port conflict is reported before a
-    missing instance.  An access-free operation only needs an instance.
-    The requests of another are fitted once, as the op table holds them,
-    on the live table, and committed as fitted, slot spans included; a
-    short fit is blocked on the bank of the request after its last fit.
+    missing instance.  It follows ``rank_executable`` of its own cycle t,
+    as ``schedule()`` calls it.  An access-free operation only needs an
+    instance.  The requests of another, as the op table holds them, are
+    fitted behind the cycle's earlier starts (``cycle_requests``), whose
+    fits the prefix replays; the op's own part is short when blocked, on
+    the bank of the request after its last fit.  Each access record is
+    numbered by its place in ``state.accesses``.
     """
     op_id, alap = state.cg.ids[i], state.windows.alap_at[i]
     op_class = state.cg.op_class[i]
     reqs = state.ops.requests[i]
     if reqs:
-        fits = state.table.fit(reqs, t)
+        cycle_requests = [*state.cycle_requests, *reqs]
+        cycle_fits = state.table.fit(cycle_requests, t)
+        fits = cycle_fits[len(state.cycle_requests):]
         if len(fits) < len(reqs):
             if alap == t:
                 raise ScheduleFailure("memory-conflict-at-zero-margin",
@@ -660,11 +670,12 @@ def assign_step(state: SchedulerState, i: int, t: int) -> ScheduledOp | None:
         state.events.append(AllocationEvent(t, op_class, f"{op_class}{k}"))
 
     if reqs:
+        state.cycle_requests, state.cycle_fits = cycle_requests, cycle_fits
         append = state.accesses.append
-        for (acc, kind, data, data_label), (bank, address, offset), \
-                (cost, cost_class, _), seq in zip(
-                    state.ops.records[i], reqs, fits,
-                    state.table.commit(reqs, fits)):
+        for seq, ((acc, kind, data, data_label), (bank, address, offset),
+                  (cost, cost_class, _)) in enumerate(
+                    zip(state.ops.records[i], reqs, fits),
+                    len(state.accesses) + 1):
             append(_tuple_new(ScheduledAccess, (
                 acc, op_id, kind, data, data_label, bank, address,
                 t + offset, cost, cost_class, seq)))

@@ -6,8 +6,10 @@ interpreter call.  The package's per-element paths avoid both, so a
 ``report`` call through the CLI on a 16-point FFT (``scale_config``: 401
 graph nodes and 688 edges) enters none of those code objects once per
 element, nor the ``SfgNode.name`` property, and ``Bank.span`` once per
-access fitted plus once per access the verifier replays.  Only ``SchedulerState.cost`` probes the port table, once per
-call on an op with accesses.
+access fitted plus once per access the verifier replays.  Only
+``SchedulerState.cost`` probes the port table, once per call on an op
+with accesses, and only ``rank_executable`` commits to it, at most once
+per cycle: the table changes only between cycles.
 
 The fixed cost of a call is held the same way: its arguments go through
 one argparse pass, and its files are read and written without pathlib.
@@ -37,10 +39,12 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
     watched[s.SfgNode.name.fget.__code__] = "SfgNode.name"
     span, fit = s.Bank.span.__code__, PortAccessTable.fit.__code__
     probe = PortAccessTable.probe.__code__
+    commit = PortAccessTable.commit.__code__
     cost = s.SchedulerState.cost.__code__
     entered: Counter = Counter()
     span_callers: Counter = Counter()
     probe_callers: Counter = Counter()
+    commits: Counter = Counter()  # by (caller, cycle)
     requests_fitted = 0
     costs_with_requests = 0
 
@@ -55,6 +59,9 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
             span_callers[frame.f_back.f_code.co_name] += 1
         elif code is probe:
             probe_callers[frame.f_back.f_code.co_name] += 1
+        elif code is commit:
+            caller = frame.f_back
+            commits[caller.f_code.co_name, caller.f_locals.get("t")] += 1
         elif code is cost:
             local = frame.f_locals
             costs_with_requests += bool(local["self"].ops.requests[local["i"]])
@@ -80,6 +87,10 @@ def test_report_enters_no_hidden_per_element_call(tmp_path, capsys):
     # one probe per cost call on an op with accesses, and no other probe
     assert costs_with_requests > 0
     assert probe_callers == {"cost": costs_with_requests}, probe_callers
+    # the cycle's starts are committed when the next cycle is ranked
+    assert commits and {caller for caller, _ in commits} == \
+        {"rank_executable"}, commits
+    assert set(commits.values()) == {1}, commits
 
 
 def test_report_parses_once_and_builds_no_path(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import sfgsched as s
 from sfgsched.memory import MappingError
+from sfgsched.scheduling import ReadySet, _seed_pool
 from instances import random_problem
 
 K = s.NodeKind
@@ -128,7 +129,7 @@ def test_parse_memory_mapping(pairsum_dir, pairsum_graph):
 
 class Reserved(NamedTuple):
     """One committed request: the request (its cycle the start plus its
-    offset), its fit and its sequence number."""
+    offset), its fit and its sequence number (see ``_reserve``)."""
 
     bank: str
     address: int
@@ -139,11 +140,14 @@ class Reserved(NamedTuple):
 
 
 def _reserve(table, requests, start=0):
+    """Fit requests started at ``start`` and commit them, numbered from 1
+    here: the table keeps no sequence numbers."""
     fits = table.fit(requests, start)
     assert len(fits) == len(requests), "blocked"
+    table.commit(requests, fits)
     return [Reserved(bank, address, start + offset, cost, cost_class, seq)
-            for (bank, address, offset), (cost, cost_class, _), seq
-            in zip(requests, fits, table.commit(requests, fits))]
+            for seq, ((bank, address, offset), (cost, cost_class, _))
+            in enumerate(zip(requests, fits), 1)]
 
 
 def test_port_table_slots(map_onebank):
@@ -207,18 +211,18 @@ def test_access_cost_reservation_order(map_onebank):
 def test_probe_does_not_mutate(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
     got = table.probe([("bank0", 0, 0), ("bank0", 1, 1)], 0)
-    # fit's (cost, class, slot span) triples, as a fit of the live table
-    # gives them with no view held
+    # fit's (cost, class, slot span) triples
     assert got == [(1, "burst", range(0, 1)), (1, "burst", range(1, 2))]
     assert table.fit([("bank0", 0, 0), ("bank0", 1, 1)], 0) == got
     assert table.probe([("bank0", 0, 0), ("bank0", 1, 1)], 0) == got
     # a same-cycle pair on the single port is refused, still without mutation
     assert table.probe([("bank0", 0, 0), ("bank0", 1, 0)], 0) is None
-    # no slot or sequence number was taken: the probed requests still
-    # reserve as probed, numbered from 1
+    # no slot was taken and no address recorded: the probed requests
+    # still reserve as probed
+    assert table.last == {"bank0": None}
     reserved = _reserve(table, [("bank0", 0, 0), ("bank0", 1, 1)])
-    assert [(r.cost, r.cost_class, r.seq) for r in reserved] == \
-        [(1, "burst", 1), (1, "burst", 2)]
+    assert [(r.cycle, r.cost, r.cost_class) for r in reserved] == \
+        [(0, 1, "burst"), (1, 1, "burst")]
 
 
 def test_reserve_all_is_atomic(map_onebank):
@@ -227,8 +231,9 @@ def test_reserve_all_is_atomic(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
     assert table.fit([("bank0", 0, 0), ("bank0", 5, 0)], 3) == \
         [(1, "burst", range(3, 4))]
+    assert table.last == {"bank0": None}
     ok = _reserve(table, [("bank0", 0, 0), ("bank0", 1, 1)], 3)
-    assert [r.seq for r in ok] == [1, 2]
+    assert [(r.cycle, r.cost) for r in ok] == [(3, 1), (4, 1)]
 
 
 def test_blocked_fit_names_the_blocked_bank(map_twobank):
@@ -241,7 +246,6 @@ def test_blocked_fit_names_the_blocked_bank(map_twobank):
     fits = table.fit(requests, 2)
     assert fits == [(1, "burst", range(2, 3))]
     assert requests[len(fits)][0] == "bank1"
-    table.hold_view()
     assert table.probe(requests, 2) is None
     assert table.probe(requests, 3) == [(1, "burst", range(3, 4))] * 2
 
@@ -271,21 +275,68 @@ def test_horizon_error(map_onebank):
     assert table.probe([("bank0", 0, 0), ("bank0", 0, 0)], 3) is None
 
 
-def test_held_view_hides_later_reservations(map_onebank):
+def test_probe_sees_every_committed_reservation(map_onebank):
     table = s.PortAccessTable(map_onebank, cadence=8)
-    assert table.hold_view() == {"bank0": None}
+    assert table.last == {"bank0": None}
     _reserve(table, [("bank0", 5, 0)])
-    assert table.hold_view() == {"bank0": 5}
+    assert table.last == {"bank0": 5}
+    assert table.probe([("bank0", 6, 0)], 1) == [(1, "burst", range(1, 2))]
     # random access (last address 5): occupies slots 1 and 2 of the one port
     assert _reserve(table, [("bank0", 0, 0)], 1)
-    # probes still see address 5 last and slot 1 free; the live table not
-    assert table.probe([("bank0", 6, 0)], 1) == [(1, "burst", range(1, 2))]
+    assert table.last == {"bank0": 0}
+    # probes see it at once: slot 1 is taken, and 6 no longer follows
+    assert table.probe([("bank0", 6, 0)], 1) is None
+    assert table.probe([("bank0", 6, 0)], 3) == [(2, "random", range(3, 5))]
+    assert table.probe([("bank0", 1, 0)], 3) == [(1, "burst", range(3, 4))]
     requests = [("bank0", 3, 3), ("bank0", 6, 0)]
     fits = table.fit(requests, 1)
     assert fits == [(2, "random", range(4, 6))]
     assert requests[len(fits)] == ("bank0", 6, 0)  # slot 1 is taken
-    assert table.hold_view() == {"bank0": 0}
-    assert table.probe([("bank0", 6, 0)], 1) is None
+
+
+def test_starts_of_one_cycle_fit_one_behind_another():
+    """x and y read consecutive addresses of one two-port bank in the same
+    cycle, after a read of address 9.  Both are ranked against the table
+    as the cycle began (both random), but y's read is fitted behind x's,
+    a burst, and numbered right after it; the table holds neither until
+    the next cycle's ``rank_executable`` commits them."""
+    nodes = [s.SfgNode(0, K.INPUT, label="a"),
+             s.SfgNode(1, K.MEMDATA, label="d0"),
+             s.SfgNode(2, K.MEMDATA, label="d1"),
+             s.SfgNode(3, K.OPERATION, op="*", label="x"),
+             s.SfgNode(4, K.OPERATION, op="+", label="y"),
+             s.SfgNode(5, K.OUTPUT, label="ox"),
+             s.SfgNode(6, K.OUTPUT, label="oy")]
+    g = s.SFG(nodes, [(0, 3, 0), (1, 3, 1), (0, 4, 0), (2, 4, 1),
+                      (3, 5, 0), (4, 6, 0)])
+    lib = s.OperatorLibrary(classes=(s.OperatorClass("mult", frozenset("*"), 1),
+                                     s.OperatorClass("add", frozenset("+"), 1)))
+    spec = s.IoConstraintSpec.unconstrained(latency_bound=6)
+    mapping = s.apply_mapping(s.extract_memory_table(g), s.MappingSpec(
+        mode="strict",
+        banks=(s.Bank(id="bank0", ports=2, t_seq=1, t_rand=2),),
+        placements=(s.Placement(1, "bank0", 0), s.Placement(2, "bank0", 1))))
+    table = s.PortAccessTable(mapping, spec.cadence)
+    _reserve(table, [("bank0", 9, 0)])
+    problem = s.lower(g, lib, spec, mapping)
+    state = s.SchedulerState(problem, table, s.Allocation(mode="auto"))
+    _seed_pool(state, lib)
+    x, y = (problem.cg.at[i] for i in (3, 4))
+    ready = ReadySet(state, [x, y])
+    for i in s.rank_executable(state, ready, 1):
+        assert state.cost(i) == 2  # random, after address 9
+        assert s.assign_step(state, i, 1) is not None
+    assert [(a.op, a.address, a.cycle, a.cost, a.cost_class, a.seq)
+            for a in state.accesses] == [(3, 0, 1, 2, "random", 1),
+                                         (4, 1, 1, 1, "burst", 2)]
+    assert table.last == {"bank0": 9}
+    assert table.fit([("bank0", 10, 0)], 1) == [(1, "burst", range(1, 2))]
+    for i in (x, y):
+        ready.discard(i)
+    assert list(s.rank_executable(state, ready, 2)) == []
+    assert table.last == {"bank0": 1}
+    assert table.fit([("bank0", 2, 0)], 1) == []  # both ports of slot 1
+    assert table.fit([("bank0", 2, 0)], 2) == [(1, "burst", range(2, 3))]
 
 
 def test_replay_never_double_books():
