@@ -55,7 +55,7 @@ from itertools import chain, groupby, islice, repeat
 from operator import itemgetter, lt
 from typing import Iterable, NamedTuple
 
-from .jsontext import EDGES, NODES, array, rows
+from .jsontext import EDGES, NODES, array, loads, rows
 
 
 OPERATION_SYMBOLS = ("+", "-", "*")
@@ -518,7 +518,7 @@ def parse_sfg(text: str) -> SFG:
     violated structural invariant.
     """
     try:
-        doc = json.loads(text)
+        doc = loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):

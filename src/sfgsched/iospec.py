@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import jsontext
 from .graph import SFG
 
 
@@ -97,7 +98,7 @@ def parse_io_spec(text: str, g: SFG) -> IoConstraintSpec:
      "transfers": [{"data": "a", "bus": "bus1", "offset": 0}, ...]}
     """
     try:
-        doc = json.loads(text)
+        doc = jsontext.loads(text)
     except json.JSONDecodeError as exc:
         raise IoSpecError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):

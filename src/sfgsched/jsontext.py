@@ -32,6 +32,18 @@ import json
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
+
+def loads(text: str):
+    """``json.loads(text)``; a document nested past the interpreter's
+    recursion limit raises ``json.JSONDecodeError`` (at its start), as
+    other malformed JSON does, not ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("document nested too deeply", text,
+                                   0) from None
+
+
 # (key, record position, kind) of each column of a record table; the kind
 # is "d" for an int, "s" for a str and "b" for a bool
 EVENTS = (("cycle", 0, "d"), ("class", 1, "s"), ("instance", 2, "s"))

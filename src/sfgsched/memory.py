@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import jsontext
 from .graph import SFG, NodeKind
 
 
@@ -234,7 +235,7 @@ def parse_memory_mapping(text: str, g: SFG) -> MappingSpec:
     (``SFG.node_by_ref``).
     """
     try:
-        doc = json.loads(text)
+        doc = jsontext.loads(text)
     except json.JSONDecodeError as e:
         raise MappingError(f"placement document is not valid JSON: {e}") from e
     if not isinstance(doc, dict):

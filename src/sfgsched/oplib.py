@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import jsontext
 from .graph import OPERATION_SYMBOLS
 
 
@@ -68,7 +69,7 @@ def parse_operator_library(text: str) -> OperatorLibrary:
      "classes": [{"name": "mult", "ops": ["*"], "latency": 2}, ...]}
     """
     try:
-        doc = json.loads(text)
+        doc = jsontext.loads(text)
     except json.JSONDecodeError as exc:
         raise LibraryError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):

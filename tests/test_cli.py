@@ -519,6 +519,26 @@ def test_refused_document_exit_1(pairsum_dir, tmp_path, capsys, kind, text,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind,message", [
+    ("graph", "line 1, column 1: document nested too deeply"),
+    ("lib", "line 1, column 1: document nested too deeply"),
+    ("io", "line 1, column 1: document nested too deeply"),
+    ("mem", "placement document is not valid JSON: document nested too "
+            "deeply: line 1 column 1 (char 0)")])
+def test_deeply_nested_document_exit_1(pairsum_dir, tmp_path, capsys, kind,
+                                       message):
+    """1,000 nested arrays run the decoder past the recursion limit; each
+    parser refuses them as malformed JSON, with no traceback."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text("[" * 1000 + "]" * 1000 + "\n")
+    argv = _args(pairsum_dir)
+    argv[argv.index(f"--{kind}") + 1] = str(path)
+    assert main(["check"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
 def test_transfer_data_may_be_a_node_id(pairsum_dir, tmp_path, capsys):
     """An integer transfer ``data`` names a node by id, as in a placement,
     and schedules as its label would; it is no label, so a node labelled

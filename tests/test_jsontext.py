@@ -1,10 +1,11 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfgsched as s
-from sfgsched.jsontext import dumps
+from sfgsched.jsontext import dumps, loads
 
 TEXT = st.text(st.characters(blacklist_categories=()), max_size=8)
 SCALARS = (st.none() | st.booleans() | st.integers()
@@ -60,3 +61,14 @@ def test_documents_keep_their_bytes(pairsum_dir, pairsum_graph):
     assert dumps(json.loads(golden)) + "\n" == golden
     assert s.serialize_sfg(pairsum_graph) == json.dumps(
         json.loads(s.serialize_sfg(pairsum_graph)), indent=2) + "\n"
+
+
+def test_loads_refuses_a_document_nested_past_the_recursion_limit():
+    deep = "[" * 1000 + "]" * 1000
+    assert loads("[[1], {}]") == [[1], {}]
+    with pytest.raises(json.JSONDecodeError, match="nested too deeply") as exc:
+        loads(deep)
+    assert (exc.value.lineno, exc.value.colno) == (1, 1)
+    with pytest.raises(s.ParseError, match="^line 1, column 1: document "
+                                           "nested too deeply$"):
+        s.parse_sfg(deep)
