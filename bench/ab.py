@@ -38,11 +38,14 @@ per-round ratios change/parent, the ratio of the two minima and the
 number of rounds the change was faster.
 It also prints each tree's ``src/sfgsched/*.py`` line count, and the
 count of those lines that hold code (not blank, not only a comment, not
-in a docstring), so that a cut can be told from trimmed prose.  ``--out``
-writes the same, with every round's times (to the microsecond), the
-SHA-256 of the ``schedule.json`` and ``report.json`` bytes (over the
-entry's calls in order), the line counts (``src_lines`` and
-``src_code_lines``) and the host, as JSON.  The standard library is all it needs.
+in a docstring), so that a cut can be told from trimmed prose; then both
+counts per module, parent -> change, so that lines moved from one module
+to another show.  ``--out`` writes the same, with every round's times (to
+the microsecond), the SHA-256 of the ``schedule.json`` and
+``report.json`` bytes (over the entry's calls in order), the line counts
+(``src_lines`` and ``src_code_lines``, and per module by file name
+``src_lines_by_module`` and ``src_code_lines_by_module``) and the host,
+as JSON.  The standard library is all it needs.
 
 ``setup`` times instead what perfbench's ``setup_s`` times for
 ``SETUP_WORKLOAD``: a round is one set-up by each tree, the two
@@ -294,10 +297,16 @@ def measure_calls(args, sources: dict) -> list[dict]:
             for name, argvs in entries]
 
 
+def module_lines(src: Path) -> dict[str, int]:
+    """The number of lines of each of the tree's ``sfgsched/*.py`` under
+    ``src``, by file name."""
+    return {f.name: len(f.read_bytes().splitlines())
+            for f in sorted((src / "sfgsched").glob("*.py"))}
+
+
 def src_lines(src: Path) -> int:
     """The number of lines of the tree's ``sfgsched/*.py`` under ``src``."""
-    return sum(len(f.read_bytes().splitlines())
-               for f in (src / "sfgsched").glob("*.py"))
+    return sum(module_lines(src).values())
 
 
 #: tokens that make no line code
@@ -306,11 +315,12 @@ NOT_CODE = frozenset((tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def src_code_lines(src: Path) -> int:
-    """The number of lines of the tree's ``sfgsched/*.py`` under ``src``
-    that hold code: not blank, not only a comment, not in a docstring."""
-    total = 0
-    for f in (src / "sfgsched").glob("*.py"):
+def module_code_lines(src: Path) -> dict[str, int]:
+    """The number of lines of each of the tree's ``sfgsched/*.py`` under
+    ``src`` that hold code (not blank, not only a comment, not in a
+    docstring), by file name."""
+    counts = {}
+    for f in sorted((src / "sfgsched").glob("*.py")):
         text = f.read_text()
         docstrings = set()
         for node in ast.walk(ast.parse(text)):
@@ -324,8 +334,14 @@ def src_code_lines(src: Path) -> int:
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
             if token.type not in NOT_CODE:
                 code.update(range(token.start[0], token.end[0] + 1))
-        total += len(code - docstrings)
-    return total
+        counts[f.name] = len(code - docstrings)
+    return counts
+
+
+def src_code_lines(src: Path) -> int:
+    """The number of lines of the tree's ``sfgsched/*.py`` under ``src``
+    that hold code: not blank, not only a comment, not in a docstring."""
+    return sum(module_code_lines(src).values())
 
 
 def main(argv=None) -> int:
@@ -340,12 +356,20 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     sources = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
-    lines = {side: src_lines(src) for side, src in sources.items()}
-    code_lines = {side: src_code_lines(src) for side, src in sources.items()}
+    by_module = {side: module_lines(src) for side, src in sources.items()}
+    code_by_module = {side: module_code_lines(src)
+                      for side, src in sources.items()}
+    lines = {side: sum(n.values()) for side, n in by_module.items()}
+    code_lines = {side: sum(n.values()) for side, n in code_by_module.items()}
     print(f"src/sfgsched/*.py lines: parent {lines['parent']}, change "
           f"{lines['change']}")
     print(f"src/sfgsched/*.py code lines: parent {code_lines['parent']}, "
           f"change {code_lines['change']}")
+    for name in sorted(by_module["parent"].keys() | by_module["change"]):
+        print(f"  {name}: lines " + " -> ".join(
+            str(by_module[side].get(name, 0)) for side in sources)
+            + ", code lines " + " -> ".join(
+            str(code_by_module[side].get(name, 0)) for side in sources))
     if args.workload == "setup":
         record = {
             "what": f"Set-up time of perfbench's {SETUP_WORKLOAD} workload "
@@ -368,6 +392,8 @@ def main(argv=None) -> int:
     record |= {"workload": args.workload, "rounds": args.rounds,
                "seed": args.seed, "src_lines": lines,
                "src_code_lines": code_lines,
+               "src_lines_by_module": by_module,
+               "src_code_lines_by_module": code_by_module,
                "python": platform.python_version(),
                "cpu_count": os.cpu_count(), "platform": platform.platform()}
     if args.out:

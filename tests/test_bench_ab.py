@@ -4,7 +4,7 @@ here, not move that stage's time silently into ``other``.  Its ``setup``
 workload times a fresh import, the generator and the documents of each
 tree on their own, and refuses trees whose documents differ.  Its record
 carries each tree's ``src/sfgsched`` line count, and its count of code
-lines, keeps sub-millisecond times to the microsecond, and gives the
+lines, in total and per module, keeps sub-millisecond times to the microsecond, and gives the
 ratio of the minima beside the median ratio."""
 
 import importlib.util
@@ -76,9 +76,38 @@ def test_record_carries_the_src_line_counts(ab, tmp_path, capsys):
     record = json.loads(out.read_text())
     assert record["src_lines"] == {"parent": n, "change": n}
     assert record["src_code_lines"] == {"parent": code, "change": code}
+    by_module = ab.module_lines(ROOT / "src")
+    code_by_module = ab.module_code_lines(ROOT / "src")
+    assert sum(by_module.values()) == n and sum(code_by_module.values()) == code
+    assert record["src_lines_by_module"] == {"parent": by_module,
+                                             "change": by_module}
+    assert record["src_code_lines_by_module"] == {"parent": code_by_module,
+                                                  "change": code_by_module}
     printed = capsys.readouterr().out
     assert f"lines: parent {n}, change {n}" in printed
     assert f"code lines: parent {code}, change {code}" in printed
+    m, c = by_module["memory.py"], code_by_module["memory.py"]
+    assert f"  memory.py: lines {m} -> {m}, code lines {c} -> {c}" in printed
+
+
+def test_line_counts_per_module_show_a_move(ab, tmp_path):
+    """Two lines moved from one module to another leave the totals as
+    they were; the per-module counts show the move."""
+    counts = {}
+    for side, (a, b) in (("parent", ("X = 1\nY = 2\n", "# b\n")),
+                         ("change", ("X = 1\n", "# b\nY = 2\n"))):
+        package = tmp_path / side / "sfgsched"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(a)
+        (package / "b.py").write_text(b)
+        counts[side] = (ab.module_lines(tmp_path / side),
+                        ab.module_code_lines(tmp_path / side),
+                        ab.src_lines(tmp_path / side),
+                        ab.src_code_lines(tmp_path / side))
+    assert counts["parent"] == ({"a.py": 2, "b.py": 1},
+                                {"a.py": 2, "b.py": 0}, 3, 2)
+    assert counts["change"] == ({"a.py": 1, "b.py": 2},
+                                {"a.py": 1, "b.py": 1}, 3, 2)
 
 
 def test_code_lines_leave_out_blanks_comments_and_docstrings(ab, tmp_path):
