@@ -304,11 +304,6 @@ def module_lines(src: Path) -> dict[str, int]:
             for f in sorted((src / "sfgsched").glob("*.py"))}
 
 
-def src_lines(src: Path) -> int:
-    """The number of lines of the tree's ``sfgsched/*.py`` under ``src``."""
-    return sum(module_lines(src).values())
-
-
 #: tokens that make no line code
 NOT_CODE = frozenset((tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
                       tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER))
@@ -336,12 +331,6 @@ def module_code_lines(src: Path) -> dict[str, int]:
                 code.update(range(token.start[0], token.end[0] + 1))
         counts[f.name] = len(code - docstrings)
     return counts
-
-
-def src_code_lines(src: Path) -> int:
-    """The number of lines of the tree's ``sfgsched/*.py`` under ``src``
-    that hold code: not blank, not only a comment, not in a docstring."""
-    return sum(module_code_lines(src).values())
 
 
 def main(argv=None) -> int:

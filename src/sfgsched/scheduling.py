@@ -54,8 +54,9 @@ names it.
 
 Reads are reserved in the first cycle of their consumer, writes in the
 cycle after their producer completes, and both atomically with the
-operation's start.  Access costs depend on reservation order; the sequence
-number of every access, its place in ``Schedule.accesses``, replays it.
+operation's start.  Access costs depend on reservation order, which the
+sequence number of each access (its place in ``Schedule.accesses``) keeps
+for a verifier's replay.
 
 ``schedule`` reads every document through the ``Problem`` (``lower``),
 and the pinned transfers from its ``cg.pinned``.

@@ -72,7 +72,7 @@ def test_record_carries_the_src_line_counts(ab, tmp_path, capsys):
                     "--rounds", "1", "--out", str(out)]) == 0
     n = sum(len(f.read_text().splitlines())
             for f in (ROOT / "src" / "sfgsched").glob("*.py"))
-    code = ab.src_code_lines(ROOT / "src")
+    code = sum(ab.module_code_lines(ROOT / "src").values())
     record = json.loads(out.read_text())
     assert record["src_lines"] == {"parent": n, "change": n}
     assert record["src_code_lines"] == {"parent": code, "change": code}
@@ -101,13 +101,11 @@ def test_line_counts_per_module_show_a_move(ab, tmp_path):
         (package / "a.py").write_text(a)
         (package / "b.py").write_text(b)
         counts[side] = (ab.module_lines(tmp_path / side),
-                        ab.module_code_lines(tmp_path / side),
-                        ab.src_lines(tmp_path / side),
-                        ab.src_code_lines(tmp_path / side))
-    assert counts["parent"] == ({"a.py": 2, "b.py": 1},
-                                {"a.py": 2, "b.py": 0}, 3, 2)
-    assert counts["change"] == ({"a.py": 1, "b.py": 2},
-                                {"a.py": 1, "b.py": 1}, 3, 2)
+                        ab.module_code_lines(tmp_path / side))
+    assert counts["parent"] == ({"a.py": 2, "b.py": 1}, {"a.py": 2, "b.py": 0})
+    assert counts["change"] == ({"a.py": 1, "b.py": 2}, {"a.py": 1, "b.py": 1})
+    assert [sum(n.values()) for n in counts["parent"]] == \
+        [sum(n.values()) for n in counts["change"]] == [3, 2]
 
 
 def test_code_lines_leave_out_blanks_comments_and_docstrings(ab, tmp_path):
@@ -126,9 +124,9 @@ def test_code_lines_leave_out_blanks_comments_and_docstrings(ab, tmp_path):
         "    def f(self):\n"
         '        """Two\n        lines."""\n'
         '        return """a string\n        in code"""\n')
-    assert ab.src_lines(tmp_path) == 16
+    assert ab.module_lines(tmp_path) == {"m.py": 16}
     # X = 1, class C, def f and the two lines of the returned string
-    assert ab.src_code_lines(tmp_path) == 5
+    assert ab.module_code_lines(tmp_path) == {"m.py": 5}
 
 
 def test_record_keeps_sub_millisecond_times(ab, capsys):
